@@ -144,6 +144,13 @@ class MPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
+        if not other.vars:
+            self, other = other, self
+        if not self.vars:
+            c = self.terms[()]
+            if c == 1:
+                return other
+            return MPoly(other.vars, {e: d * c for e, d in other.terms.items()}, _canonical=True)
         vars_, a, b = self._aligned(other)
         out: Dict[Exponents, Q] = {}
         if len(a) > len(b):
@@ -322,11 +329,6 @@ _ZERO = MPoly((), {}, _canonical=True)
 _ONE = MPoly((), {(): Q(1)}, _canonical=True)
 
 
-def poly_eval(f: MPoly, assignment: Mapping[str, Scalar]) -> Q:
-    """Module-level alias for :meth:`MPoly.eval`."""
-    return f.eval(assignment)
-
-
 class RFrac:
     """Rational function num/den with light normalization.
 
@@ -335,6 +337,10 @@ class RFrac:
     coefficient 1); and exact polynomial division collapses den into num
     whenever possible.  Equality falls back to cross-multiplication, so the
     partial normal form is only a fast path.
+
+    Denominator 1 is always the shared ``_ONE`` object, so ``den is _ONE``
+    identifies polynomials.  Sums and products of two polynomials, and of
+    zero with anything, are built directly: normalizing them changes nothing.
     """
 
     __slots__ = ("num", "den")
@@ -385,6 +391,15 @@ class RFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
+        if self.den is _ONE and other.den is _ONE:
+            out = object.__new__(RFrac)
+            object.__setattr__(out, "num", self.num + other.num)
+            object.__setattr__(out, "den", _ONE)
+            return out
         if self.den == other.den:
             return RFrac(self.num + other.num, self.den)
         return RFrac(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -413,6 +428,13 @@ class RFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.num.is_zero() or other.num.is_zero():
+            return R_ZERO
+        if self.den is _ONE and other.den is _ONE:
+            out = object.__new__(RFrac)
+            object.__setattr__(out, "num", self.num * other.num)
+            object.__setattr__(out, "den", _ONE)
+            return out
         return RFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -483,6 +505,8 @@ class RFrac:
 def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     if num.is_zero():
         return _ZERO, _ONE
+    if den == _ONE:
+        return num, _ONE
     # Cancel the monomial gcd.
     vars_ = tuple(sorted(set(num.vars) | set(den.vars)))
     if vars_:
@@ -501,7 +525,7 @@ def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         num = MPoly(num.vars, {e: c * inv for e, c in num.terms.items()}, _canonical=True)
         den = MPoly(den.vars, {e: c * inv for e, c in den.terms.items()}, _canonical=True)
     if den == _ONE:
-        return num, den
+        return num, _ONE
     q = num.divexact(den)
     if q is not None:
         return q, _ONE
@@ -523,7 +547,12 @@ R_ONE = RFrac.const(1)
 
 
 class SymMatrix:
-    """Dense matrix over RFrac.  All matrices in scope are small (≤ 21×21)."""
+    """Matrix over RFrac.  All matrices in scope are small (≤ 21×21).
+
+    Entries are stored densely, zeros included.  The product visits only
+    the nonzero entries of both factors: most matrices here are monomial or
+    unipotent, so nearly all scalar products would have a zero operand.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -571,21 +600,21 @@ class SymMatrix:
                 raise ValueError(
                     f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
                 )
+            # Each entry sums its products in increasing k, as a dense loop
+            # would, so sums of non-polynomial entries normalize the same way.
+            sparse_rows = [
+                [(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.entries
+            ]
             out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = R_ZERO
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        if a.is_zero():
-                            continue
-                        b = other.entries[k][j]
-                        if b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
+            for row in self.entries:
+                acc: List[Optional[RFrac]] = [None] * other.cols
+                for a, pairs in zip(row, sparse_rows):
+                    if not pairs or a.is_zero():
+                        continue
+                    for j, b in pairs:
+                        s = acc[j]
+                        acc[j] = a * b if s is None else s + a * b
+                out.append([R_ZERO if s is None else s for s in acc])
             return SymMatrix(out)
         scalar = _coerce_frac(other)
         if scalar is NotImplemented:
@@ -756,18 +785,6 @@ def _cofactor_det(entries) -> RFrac:
         term = a * _cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-def mat_mul(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    return a * b
-
-
-def mat_det(a: SymMatrix) -> RFrac:
-    return a.det()
-
-
-def mat_rank(a: SymMatrix) -> int:
-    return a.rank()
 
 
 class AffineExp:
@@ -1059,7 +1076,8 @@ def _coerce_cyc(x) -> Cyc3:
 
 def cyc_mat_mul(a: List[List[Cyc3]], b: List[List[Cyc3]]) -> List[List[Cyc3]]:
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise AssertionError
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), Cyc3(0, 0)) for j in range(m)]
         for i in range(n)

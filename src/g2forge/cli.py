@@ -355,12 +355,13 @@ def _suite_triform(rng: random.Random, config: Dict[str, str]) -> List[Check]:
     )
 
     def homomorphism():
-        perms = {w.word: triform.weyl_word_to_s7(w.word) for w in rootsmod.WEYL_GROUP}
+        reps = {w.word: triform.weyl_rep(w.word) for w in rootsmod.WEYL_GROUP}
+        perms = {word: triform.perm_of_monomial(m) for word, m in reps.items()}
         bad = 0
-        for w1 in rootsmod.WEYL_GROUP:
-            for w2 in rootsmod.WEYL_GROUP:
-                lhs = triform.weyl_word_to_s7(w1.word + w2.word)
-                rhs = triform.compose_perms(perms[w1.word], perms[w2.word])
+        for w1 in reps:
+            for w2 in reps:
+                lhs = triform.perm_of_monomial(reps[w1] * reps[w2])
+                rhs = triform.compose_perms(perms[w1], perms[w2])
                 if lhs != rhs:
                     bad += 1
         return _bool(bad == 0, f"144 pairs, {bad} failures")
@@ -1077,7 +1078,37 @@ def payload_arthur(args: argparse.Namespace) -> Dict[str, object]:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D401 - argparse API
-        self.exit(2, f"{self.prog}: error: {message}\n{self.format_usage()}")
+        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} --help)\n")
+
+
+MAX_WORD_LENGTH = 5
+
+
+def _rational(text: str) -> Q:
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+
+
+def _int_in(low: int, high: Optional[int] = None, even: bool = False) -> Callable[[str], int]:
+    """An argparse type for integers in [low, high] (no upper bound if high
+    is None), optionally even."""
+    bound = f"{low}..{high}" if high is not None else f">= {low}"
+    kind = "an even integer" if even else "an integer"
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < low or (high is not None and n > high) or (even and n % 2):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind} {bound}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1100,8 +1131,11 @@ def build_parser() -> argparse.ArgumentParser:
     kost.add_argument("--parabolic", choices=("alpha", "beta", "borel"), default="alpha")
 
     tri = sub.add_parser("triform", parents=[common], help="3-form stabilizer verification")
-    tri.add_argument("--a", type=Q, default=Q(1), help="nonzero rational form parameter")
-    tri.add_argument("--word-length", type=int, default=2)
+    tri.add_argument("--a", type=_rational, default=Q(1), help="nonzero rational form parameter")
+    tri.add_argument(
+        "--word-length", type=_int_in(0, MAX_WORD_LENGTH), default=2,
+        help=f"longest generator word the relation probe checks (0..{MAX_WORD_LENGTH})",
+    )
 
     sub.add_parser("wedge2", parents=[common], help="wedge-square and elimination reports").add_argument(
         "--report", choices=("json",), default="json"
@@ -1109,12 +1143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("phin", parents=[common], help="filtered module computations")
     ph.add_argument("--k", type=int, required=True)
-    ph.add_argument("--sp", type=Q, required=True)
+    ph.add_argument("--sp", type=_rational, required=True)
     ph.add_argument("--mode", choices=("polygons", "ebc", "obstruction", "distinct"), default="polygons")
 
     art = sub.add_parser("arthur", parents=[common], help="orbit/packet/lift/ledger data")
     art.add_argument("--orbits", action="store_true")
-    art.add_argument("--packet", type=int, default=None, metavar="K")
+    art.add_argument("--packet", type=_int_in(4, even=True), default=None, metavar="K")
     art.add_argument("--lift", type=int, nargs=2, default=None, metavar=("C1", "C2"))
     art.add_argument("--ledger", nargs=2, default=None, metavar=("K", "SP"))
     return parser

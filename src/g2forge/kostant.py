@@ -52,7 +52,8 @@ def weyl_dim(lam: Weight) -> int:
         num *= (lam + RHO).pair_coroot(root)
         den *= RHO.pair_coroot(root)
     dim = num / den
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise AssertionError
     return int(dim)
 
 
@@ -144,7 +145,8 @@ def levi_piece_dim(parabolic: ParabolicId, weight: Weight) -> int:
         return 1
     (gamma,) = parabolic.levi_simple
     d = weight.pair_coroot(gamma) + 1
-    assert d == int(d) and d > 0, "piece weight is not Levi-dominant integral"
+    if not (d == int(d) and d > 0):
+        raise AssertionError("piece weight is not Levi-dominant integral")
     return int(d)
 
 

@@ -568,7 +568,8 @@ def distinctness_check(k: int = None) -> List[Inequation]:
             out.append(Inequation(name_i, name_j, f"p^({ratio.pexp}) != 1", "trivial"))
             continue
         cons = _pair_status(ratio * P)  # ratio = 1 <=> ratio * p = p
-        assert isinstance(cons, Constraint)
+        if not isinstance(cons, Constraint):
+            raise AssertionError
         tag = "assumption" if cons.exponent == kk - 1 else "valuation bound"
         out.append(Inequation(name_i, name_j, str(cons), tag))
     return out

@@ -217,7 +217,8 @@ def element(word: str) -> WeylElement:
 
 
 LONGEST = element("ababab")
-assert LONGEST.matrix == ((-1, 0), (0, -1)), "longest element must act by negation"
+if LONGEST.matrix != ((-1, 0), (0, -1)):
+    raise AssertionError("longest element must act by negation")
 
 
 def weyl_act(w: WeylElement, lam: Weight) -> Weight:

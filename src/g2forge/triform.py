@@ -333,7 +333,12 @@ def weyl_rep(word: str) -> SymMatrix:
     i.e. the matrices are multiplied in the order written)."""
     out = SymMatrix.identity(7)
     for letter in word:
-        out = out * _weyl_gen(letter)
+        if letter == "a":
+            out = out * W_TILDE_A
+        elif letter == "b":
+            out = out * W_TILDE_B
+        else:
+            raise ValueError(f"unknown reflection letter {letter!r}")
     return out
 
 
@@ -543,9 +548,10 @@ def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
             return
         for name, cols in gens_by_depth[depth]:
             new_rows = _rows_mul(rows, cols)
-            assert _rows_relations_zero(new_rows), (
-                f"coefficient relation failed at depth {depth + 1} ending with {name}"
-            )
+            if not _rows_relations_zero(new_rows):
+                raise AssertionError(
+                    f"coefficient relation failed at depth {depth + 1} ending with {name}"
+                )
             checked += 1
             dfs(new_rows, depth + 1)
 

@@ -3,6 +3,9 @@ subcommand payloads, golden regeneration, and coverage of the manifest."""
 
 import json
 import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -38,6 +41,30 @@ class TestExitCodes:
 
     def test_arthur_requires_a_selection(self, capsys):
         assert cli.run(["arthur"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phin", "--k", "4", "--sp", "1/0"],
+            ["phin", "--k", "4", "--sp", "half"],
+            ["arthur", "--packet", "3"],
+            ["arthur", "--packet", "2"],
+            ["triform", "--word-length", "-1"],
+            ["triform", "--word-length", str(cli.MAX_WORD_LENGTH + 1)],
+            ["triform", "--a", "2/0"],
+        ],
+    )
+    def test_bad_input_is_a_one_line_usage_error(self, capsys, argv):
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error: argument --" in lines[0]
+
+    def test_word_length_zero_is_accepted(self, capsys):
+        code, out = run_capture(capsys, ["triform", "--word-length", "0", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["relation_probe"]["products_checked"] == 0
 
     def test_verify_succeeds(self, verify_report):
         code, _ = verify_report
@@ -197,3 +224,41 @@ class TestSubcommands:
         assert [o["dim"] for o in rep["orbits"]] == [0, 6, 8, 10, 12]
         assert rep["lift"]["coweight"] == [10, 6]
         assert rep["ledger"]["bound"] == ["m_cusp(plain)", 2]
+
+
+def _statuses(report):
+    return {f"{s['name']}/{c['id']}": c["status"] for s in report["suites"] for c in s["checks"]}
+
+
+class TestChecksCanFail:
+    """Breaking what a check tests turns it to `fail`, and the checks keep
+    their force under `python -O`."""
+
+    def test_coefficient_relations(self, monkeypatch):
+        from g2forge import triform
+
+        monkeypatch.setattr(triform, "_rows_relations_zero", lambda rows: False)
+        statuses = _statuses(cli.run_verify(7, {}))
+        assert statuses["triform/coefficient-relations"] == "fail"
+
+    def test_s7_homomorphism(self, monkeypatch):
+        from g2forge import triform
+
+        monkeypatch.setattr(triform, "compose_perms", lambda p, q: tuple(range(1, 8)))
+        statuses = _statuses(cli.run_verify(7, {}))
+        assert statuses["triform/s7-homomorphism"] == "fail"
+
+    def test_verify_under_optimize_flag(self):
+        root = os.path.dirname(HERE)
+        env = dict(os.environ)
+        env.pop("G2FORGE_OUTPUT_DIR", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = Counter(_statuses(json.loads(proc.stdout)).values())
+        assert counts == {"pass": 46, "finding": 8}

@@ -108,6 +108,24 @@ class TestWeylPermutations:
                     images[w1.word], images[w2.word]
                 )
 
+    def test_representatives_multiply_like_words(self):
+        """rep(w1 w2) = rep(w1) rep(w2) on all 144 pairs, so the
+        s7-homomorphism check may multiply the 12 representatives instead
+        of building every concatenated word."""
+        from g2forge import roots
+
+        reps = {w.word: t.weyl_rep(w.word) for w in roots.WEYL_GROUP}
+        for w1 in roots.WEYL_GROUP:
+            for w2 in roots.WEYL_GROUP:
+                assert t.weyl_rep(w1.word + w2.word) == reps[w1.word] * reps[w2.word]
+
+    def test_representatives_are_built_from_the_generators(self):
+        assert t.weyl_rep("a") == t.W_TILDE_A
+        assert t.weyl_rep("ab") == t.W_TILDE_A * t.W_TILDE_B
+        assert t.weyl_rep("") == SymMatrix.identity(7)
+        with pytest.raises(ValueError, match="unknown reflection letter"):
+            t.weyl_rep("ac")
+
     @given(st.text(alphabet="ab", min_size=0, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_words_give_bijections(self, word):
@@ -128,6 +146,12 @@ class TestBlockParabolic:
         rep = t.coeff_relations_probe(2)
         assert rep["max_length"] == 2
         assert rep["products_checked"] == 72
+
+    def test_relation_probe_can_fail(self, monkeypatch):
+        # An explicit raise, so the probe still checks under python -O.
+        monkeypatch.setattr(t, "_rows_relations_zero", lambda rows: False)
+        with pytest.raises(AssertionError, match="coefficient relation failed at depth 1"):
+            t.coeff_relations_probe(2)
 
 
 class TestLieAlgebra:
