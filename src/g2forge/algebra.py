@@ -1,20 +1,26 @@
 """Exact scalar, polynomial, rational-function and matrix arithmetic.
 
-Everything here is immutable after construction and uses
-``fractions.Fraction`` coefficients throughout, so results are exact and
-deterministic.  Polynomials are stored as dicts from exponent tuples to
-coefficients with the variable list sorted by name; the canonical text form
-(lexicographic term order over that variable order) is what golden files and
-JSON reports serialize.
+Everything here is immutable after construction and exact, so results are
+deterministic.  Polynomial coefficients are ``int`` while integral and
+``fractions.Fraction`` only when they are not; scalars handed out of the
+kernel (``const_value``, ``eval``) are always ``Fraction``.  Polynomials are
+stored as dicts from exponent tuples to coefficients with the variable list
+sorted by name; the canonical text form (lexicographic term order over that
+variable order) is what golden files and JSON reports serialize.  An
+integral coefficient prints, compares and hashes as the equal ``Fraction``
+would, so the text form does not depend on the representation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from operator import add, itemgetter, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Q]
+
+_is_int = int.__instancecheck__   # isinstance(c, int), callable from map() in C
 
 
 def _as_q(value) -> Q:
@@ -25,30 +31,47 @@ def _as_q(value) -> Q:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
+def _coef(c) -> Scalar:
+    """The stored form of a polynomial coefficient: an ``int`` when it is
+    integral, otherwise a ``Fraction``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Q):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
+
+
 class MPoly:
     """Multivariate polynomial with exact rational coefficients.
 
     ``vars`` is a sorted tuple of variable names; ``terms`` maps exponent
-    tuples (aligned with ``vars``) to nonzero Fractions.  Instances are
-    canonical: no zero coefficients, and no variable appears with exponent 0
-    in every term (unused variables are projected away), so ``==`` is
-    structural.
+    tuples (aligned with ``vars``) to nonzero coefficients: an ``int`` when
+    the coefficient is integral, a ``Fraction`` when it is not.  Instances
+    are canonical: no zero coefficients, and no variable appears with
+    exponent 0 in every term (unused variables are projected away), so
+    ``==`` is structural.
+
+    Arithmetic keeps integral data integral and builds its results in
+    canonical form directly: a product of nonzero polynomials uses every
+    variable of both factors, and a sum drops a variable only where a term
+    cancelled.
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: Tuple[str, ...], terms: Dict[Exponents, Q], _canonical: bool = False):
-        if _canonical:
-            object.__setattr__(self, "vars", vars)
-            object.__setattr__(self, "terms", terms)
-            return
-        cleaned = {e: c for e, c in terms.items() if c != 0}
-        used = [i for i in range(len(vars)) if any(e[i] for e in cleaned)]
-        if len(used) != len(vars):
-            vars = tuple(vars[i] for i in used)
-            cleaned = _merge_exps({tuple(e[i] for i in used): c for e, c in cleaned.items()})
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", cleaned)
+    def __init__(self, vars: Tuple[str, ...], terms: Dict[Exponents, Scalar], _canonical: bool = False):
+        if not _canonical:
+            terms = {e: _coef(c) for e, c in terms.items() if c}
+            used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+            if len(used) != len(vars):
+                # An unused position is 0 in every term, so dropping it
+                # merges no two terms.
+                vars = tuple(vars[i] for i in used)
+                terms = _remap(terms, used)
+        _set_vars(self, vars)
+        _set_terms(self, terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MPoly is immutable")
@@ -57,14 +80,14 @@ class MPoly:
 
     @staticmethod
     def const(c) -> "MPoly":
-        c = _as_q(c)
+        c = _coef(c)
         if c == 0:
-            return MPoly((), {}, _canonical=True)
+            return _ZERO
         return MPoly((), {(): c}, _canonical=True)
 
     @staticmethod
     def var(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): Q(1)}, _canonical=True)
+        return MPoly((name,), {(1,): 1}, _canonical=True)
 
     @staticmethod
     def zero() -> "MPoly":
@@ -85,14 +108,14 @@ class MPoly:
     def const_value(self) -> Q:
         if self.vars:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Q(0))
+        return Q(self.terms.get((), 0))
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> Tuple[Exponents, Q]:
+    def leading(self) -> Tuple[Exponents, Scalar]:
         """Leading term under lex order over the sorted variable tuple."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -101,24 +124,81 @@ class MPoly:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _aligned(self, other: "MPoly") -> Tuple[Tuple[str, ...], Dict[Exponents, Q], Dict[Exponents, Q]]:
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars)))
-        return merged, _remap(self, merged), _remap(other, merged)
+    def _aligned(self, other: "MPoly") -> Tuple[Tuple[str, ...], Dict[Exponents, Scalar], Dict[Exponents, Scalar]]:
+        """Both term dicts over the merged variable tuple."""
+        va, vb = self.vars, other.vars
+        if va == vb:
+            return va, self.terms, other.terms
+        # One merge of the two sorted tuples gives the union and, for each
+        # merged position, where each operand's exponent sits; an operand
+        # lacking the variable points one past its end, at the 0 that
+        # _remap appends.
+        na, nb = len(va), len(vb)
+        merged: List[str] = []
+        pa: List[int] = []
+        pb: List[int] = []
+        i = j = 0
+        while i < na and j < nb:
+            x, y = va[i], vb[j]
+            if x == y:
+                merged.append(x)
+                pa.append(i)
+                pb.append(j)
+                i += 1
+                j += 1
+            elif x < y:
+                merged.append(x)
+                pa.append(i)
+                pb.append(nb)
+                i += 1
+            else:
+                merged.append(y)
+                pa.append(na)
+                pb.append(j)
+                j += 1
+        for k in range(i, na):
+            merged.append(va[k])
+            pa.append(k)
+            pb.append(nb)
+        for k in range(j, nb):
+            merged.append(vb[k])
+            pa.append(na)
+            pb.append(k)
+        n = len(merged)
+        a = self.terms if na == n else _remap(self.terms, pa)
+        b = other.terms if nb == n else _remap(other.terms, pb)
+        return tuple(merged), a, b
 
     def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MPoly:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         vars_, a, b = self._aligned(other)
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
+        cancelled = False
         for e, c in b.items():
-            s = out.get(e, Q(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s += c
+            if s:
+                out[e] = s if type(s) is int else _coef(s)
             else:
-                out[e] = s
+                del out[e]
+                cancelled = True
+        if not cancelled:
+            # Every term of both summands survives, so every variable is used.
+            return MPoly(vars_, out, _canonical=True)
+        if not out:
+            return _ZERO
         return MPoly(vars_, out)
 
     __radd__ = __add__
@@ -139,10 +219,11 @@ class MPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if type(other) is not MPoly:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.terms or not other.terms:
             return _ZERO
         if not other.vars:
             self, other = other, self
@@ -150,24 +231,31 @@ class MPoly:
             c = self.terms[()]
             if c == 1:
                 return other
-            return MPoly(other.vars, {e: d * c for e, d in other.terms.items()}, _canonical=True)
-        vars_, a, b = self._aligned(other)
-        out: Dict[Exponents, Q] = {}
-        if len(a) > len(b):
-            a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s == 0:
-                        del out[e]
+            vars_ = other.vars
+            out = {e: d * c for e, d in other.terms.items()}
+        else:
+            vars_, a, b = self._aligned(other)
+            if len(a) > len(b):
+                a, b = b, a
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e)
+                    if s is None:
+                        out[e] = c1 * c2
                     else:
-                        out[e] = s
-        return MPoly(vars_, out)
+                        s += c1 * c2
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+        if not all(map(_is_int, out.values())):
+            out = {e: _coef(c) for e, c in out.items()}
+        # Over a field deg_v(fg) = deg_v(f) + deg_v(g): the product of two
+        # nonzero canonical polynomials is nonzero and uses every variable of
+        # either factor.
+        return MPoly(vars_, out, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -229,7 +317,7 @@ class MPoly:
                     repl_p = repl if isinstance(repl, MPoly) else MPoly.const(repl)
                     term = term * repl_p ** exp
                 else:
-                    term = term * MPoly((name,), {(exp,): Q(1)}, _canonical=True)
+                    term = term * MPoly((name,), {(exp,): 1}, _canonical=True)
             out = out + term
         return out
 
@@ -240,27 +328,30 @@ class MPoly:
         if self.is_zero():
             return _ZERO
         if divisor.is_const():
-            inv = Q(1) / divisor.const_value()
-            return MPoly(self.vars, {e: c * inv for e, c in self.terms.items()}, _canonical=True)
+            inv = 1 / divisor.const_value()
+            return MPoly(self.vars, {e: _coef(c * inv) for e, c in self.terms.items()}, _canonical=True)
         vars_, rem_terms, div_terms = self._aligned(divisor)
         rem = dict(rem_terms)
         div_lead = max(div_terms)
         div_lc = div_terms[div_lead]
-        quot: Dict[Exponents, Q] = {}
+        quot: Dict[Exponents, Scalar] = {}
         while rem:
             lead = max(rem)
-            qe = tuple(a - b for a, b in zip(lead, div_lead))
+            qe = tuple(map(sub, lead, div_lead))
             if any(x < 0 for x in qe):
                 return None
-            qc = rem[lead] / div_lc
-            quot[qe] = quot.get(qe, Q(0)) + qc
+            # Fraction division: int / int would give a float.
+            qc = _coef(Q(rem[lead], div_lc))
+            # Each step cancels the leading term of rem and adds only smaller
+            # ones, so every quotient exponent is new.
+            quot[qe] = qc
             for e, c in div_terms.items():
-                t = tuple(a + b for a, b in zip(qe, e))
-                s = rem.get(t, Q(0)) - qc * c
-                if s == 0:
-                    rem.pop(t, None)
-                else:
+                t = tuple(map(add, qe, e))
+                s = rem.get(t, 0) - qc * c
+                if s:
                     rem[t] = s
+                else:
+                    rem.pop(t, None)
         return MPoly(vars_, quot)
 
     # -- serialization ---------------------------------------------------
@@ -293,28 +384,21 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _merge_exps(terms: Dict[Exponents, Q]) -> Dict[Exponents, Q]:
-    out: Dict[Exponents, Q] = {}
-    for e, c in terms.items():
-        s = out.get(e, Q(0)) + c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+# The slot setters, which get past the immutability guard of __setattr__.
+_set_vars = MPoly.vars.__set__
+_set_terms = MPoly.terms.__set__
 
 
-def _remap(p: MPoly, vars_: Tuple[str, ...]) -> Dict[Exponents, Q]:
-    idx = {v: i for i, v in enumerate(vars_)}
-    positions = [idx[v] for v in p.vars]
-    out: Dict[Exponents, Q] = {}
-    n = len(vars_)
-    for e, c in p.terms.items():
-        ne = [0] * n
-        for pos, k in zip(positions, e):
-            ne[pos] = k
-        out[tuple(ne)] = c
-    return out
+def _remap(terms: Dict[Exponents, Scalar], positions: Sequence[int]) -> Dict[Exponents, Scalar]:
+    """``terms`` with each exponent tuple ``e`` replaced by the entries of
+    ``e + (0,)`` at ``positions`` (so an index one past the end reads 0)."""
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+        return {pick(e + (0,)): c for e, c in terms.items()}
+    if positions:
+        p = positions[0]
+        return {((e + (0,))[p],): c for e, c in terms.items()}
+    return {(): c for c in terms.values()}
 
 
 def _coerce_poly(x):
@@ -326,7 +410,7 @@ def _coerce_poly(x):
 
 
 _ZERO = MPoly((), {}, _canonical=True)
-_ONE = MPoly((), {(): Q(1)}, _canonical=True)
+_ONE = MPoly((), {(): 1}, _canonical=True)
 
 
 class RFrac:
@@ -508,22 +592,18 @@ def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     if den == _ONE:
         return num, _ONE
     # Cancel the monomial gcd.
-    vars_ = tuple(sorted(set(num.vars) | set(den.vars)))
+    vars_, nt, dt = num._aligned(den)
     if vars_:
-        nt = _remap(num, vars_)
-        dt = _remap(den, vars_)
-        mins = [min(min(e[i] for e in nt), min(e[i] for e in dt)) for i in range(len(vars_))]
+        mins = [min(column) for column in zip(*nt, *dt)]
         if any(mins):
-            nt = {tuple(a - m for a, m in zip(e, mins)): c for e, c in nt.items()}
-            dt = {tuple(a - m for a, m in zip(e, mins)): c for e, c in dt.items()}
-            num = MPoly(vars_, nt)
-            den = MPoly(vars_, dt)
+            num = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in nt.items()})
+            den = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in dt.items()})
     # Make the denominator monic.
     _, lc = den.leading()
     if lc != 1:
-        inv = Q(1) / lc
-        num = MPoly(num.vars, {e: c * inv for e, c in num.terms.items()}, _canonical=True)
-        den = MPoly(den.vars, {e: c * inv for e, c in den.terms.items()}, _canonical=True)
+        inv = 1 / Q(lc)
+        num = MPoly(num.vars, {e: _coef(c * inv) for e, c in num.terms.items()}, _canonical=True)
+        den = MPoly(den.vars, {e: _coef(c * inv) for e, c in den.terms.items()}, _canonical=True)
     if den == _ONE:
         return num, _ONE
     q = num.divexact(den)
@@ -552,19 +632,25 @@ class SymMatrix:
     Entries are stored densely, zeros included.  The product visits only
     the nonzero entries of both factors: most matrices here are monomial or
     unipotent, so nearly all scalar products would have a zero operand.
+
+    The constructor coerces and checks its entries.  Results of matrix
+    operations are built from ``RFrac`` rows of a known shape and skip that
+    (``_trusted=True``: a nonempty tuple of equal-length tuples of ``RFrac``).
     """
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence]):
-        data = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
-        if not data or not data[0]:
-            raise ValueError("matrix must be nonempty")
-        cols = len(data[0])
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged matrix rows")
+    def __init__(self, entries: Sequence[Sequence], _trusted: bool = False):
+        if _trusted:
+            data = entries
+        else:
+            data = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
+            if not data or not data[0]:
+                raise ValueError("matrix must be nonempty")
+            if any(len(row) != len(data[0]) for row in data):
+                raise ValueError("ragged matrix rows")
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "cols", len(data[0]))
         object.__setattr__(self, "entries", data)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -614,8 +700,8 @@ class SymMatrix:
                     for j, b in pairs:
                         s = acc[j]
                         acc[j] = a * b if s is None else s + a * b
-                out.append([R_ZERO if s is None else s for s in acc])
-            return SymMatrix(out)
+                out.append(tuple(R_ZERO if s is None else s for s in acc))
+            return SymMatrix(tuple(out), _trusted=True)
         scalar = _coerce_frac(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -629,7 +715,7 @@ class SymMatrix:
 
     def scale(self, scalar) -> "SymMatrix":
         scalar = _coerce_frac(scalar)
-        return SymMatrix([[scalar * x for x in row] for row in self.entries])
+        return SymMatrix(tuple(tuple(scalar * x for x in row) for row in self.entries), _trusted=True)
 
     def __add__(self, other):
         if not isinstance(other, SymMatrix):
@@ -637,7 +723,8 @@ class SymMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix addition")
         return SymMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            _trusted=True,
         )
 
     def __sub__(self, other):
@@ -661,13 +748,13 @@ class SymMatrix:
         return hash((self.rows, self.cols))
 
     def transpose(self) -> "SymMatrix":
-        return SymMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return SymMatrix(tuple(zip(*self.entries)), _trusted=True)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "SymMatrix":
-        return SymMatrix([[x.subs(assignment) for x in row] for row in self.entries])
+        return SymMatrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries), _trusted=True)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> "SymMatrix":
         return SymMatrix([[RFrac.const(x.eval(assignment)) for x in row] for row in self.entries])

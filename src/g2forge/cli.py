@@ -906,11 +906,8 @@ def format_text(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: Dict[str, object], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: Dict[str, object]) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1058,7 @@ def payload_arthur(args: argparse.Namespace) -> Dict[str, object]:
             "pairing_consistent": arthur.lift_pairing_consistent(*args.lift),
         }
     if args.ledger is not None:
-        k, sp = args.ledger
-        rep = arthur.multiplicity_ledger(int(k), Q(sp))
+        rep = arthur.multiplicity_ledger(*args.ledger)
         out["ledger"] = {
             "reduced": rep.reduced,
             "adopted": rep.adopted,
@@ -1076,9 +1072,13 @@ def payload_arthur(args: argparse.Namespace) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 
+def _usage_line(prog: str, message: str) -> str:
+    return f"{prog}: error: {message} (see {prog} --help)\n"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D401 - argparse API
-        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} --help)\n")
+        self.exit(2, _usage_line(self.prog, message))
 
 
 MAX_WORD_LENGTH = 5
@@ -1111,9 +1111,33 @@ def _int_in(low: int, high: Optional[int] = None, even: bool = False) -> Callabl
     return parse
 
 
+class _Ledger(argparse.Action):
+    """`--ledger K SP`: an integer weight and a rational slope with
+    K > 4*SP + 4, the range in which the ledger is defined."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        k_text, sp_text = values
+        try:
+            k = int(k_text)
+        except ValueError:
+            raise argparse.ArgumentError(self, f"{k_text!r} is not an integer") from None
+        try:
+            sp = _rational(sp_text)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        if not k > 4 * sp + 4:
+            raise argparse.ArgumentError(self, f"K={k} and SP={sp} do not satisfy K > 4*SP + 4")
+        setattr(namespace, self.dest, (k, sp))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
+    # One shared option keeps the parser, built on every run, cheap; `run`
+    # rejects `text` outside `verify`, the only subcommand with a text form.
+    common.add_argument(
+        "--format", choices=("json", "text"), default=None,
+        help="verify: text (default) or json; the other subcommands print JSON only",
+    )
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", default=None, help="path to a key = value configuration file")
 
@@ -1142,15 +1166,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ph = sub.add_parser("phin", parents=[common], help="filtered module computations")
-    ph.add_argument("--k", type=int, required=True)
+    ph.add_argument("--k", type=_int_in(2), required=True, help="weight (even and >= 4 with --mode ebc)")
     ph.add_argument("--sp", type=_rational, required=True)
     ph.add_argument("--mode", choices=("polygons", "ebc", "obstruction", "distinct"), default="polygons")
 
     art = sub.add_parser("arthur", parents=[common], help="orbit/packet/lift/ledger data")
     art.add_argument("--orbits", action="store_true")
     art.add_argument("--packet", type=_int_in(4, even=True), default=None, metavar="K")
-    art.add_argument("--lift", type=int, nargs=2, default=None, metavar=("C1", "C2"))
-    art.add_argument("--ledger", nargs=2, default=None, metavar=("K", "SP"))
+    art.add_argument("--lift", type=_int_in(1), nargs=2, default=None, metavar=("C1", "C2"))
+    art.add_argument("--ledger", action=_Ledger, nargs=2, default=None, metavar=("K", "SP"))
     return parser
 
 
@@ -1160,6 +1184,10 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.format == "text" and args.command != "verify":
+        prog = f"g2forge {args.command}"
+        sys.stderr.write(_usage_line(prog, "argument --format: only verify has a text form; use json"))
+        return 2
 
     try:
         config = load_config(args.config)
@@ -1188,28 +1216,33 @@ def run(argv: Sequence[str]) -> int:
         return 1 if report_has_failures(report) else 0
 
     if args.command == "roots":
-        _emit(payload_roots(), args.format)
+        _emit(payload_roots())
         return 0
     if args.command == "kostant":
-        _emit(payload_kostant(args.c1, args.c2, args.parabolic), args.format)
+        _emit(payload_kostant(args.c1, args.c2, args.parabolic))
         return 0
     if args.command == "triform":
         if args.a == 0:
             print("g2forge: error: the form parameter must be nonzero", file=sys.stderr)
             return 2
-        _emit(payload_triform(args.a, args.word_length), args.format)
+        _emit(payload_triform(args.a, args.word_length))
         return 0
     if args.command == "wedge2":
-        _emit(payload_wedge2(), args.format)
+        _emit(payload_wedge2())
         return 0
     if args.command == "phin":
-        _emit(payload_phin(args.k, args.sp, args.mode), args.format)
+        if args.mode == "ebc" and (args.k < 4 or args.k % 2):
+            # The E(B, c) family needs an even weight of at least 4.
+            message = f"argument --k: {args.k} is not an even integer >= 4, as --mode ebc needs"
+            sys.stderr.write(_usage_line("g2forge phin", message))
+            return 2
+        _emit(payload_phin(args.k, args.sp, args.mode))
         return 0
     if args.command == "arthur":
         if not (args.orbits or args.packet is not None or args.lift is not None or args.ledger is not None):
             print("g2forge: error: choose at least one of --orbits/--packet/--lift/--ledger", file=sys.stderr)
             return 2
-        _emit(payload_arthur(args), args.format)
+        _emit(payload_arthur(args))
         return 0
     return 2  # pragma: no cover
 

@@ -52,6 +52,15 @@ class TestExitCodes:
             ["triform", "--word-length", "-1"],
             ["triform", "--word-length", str(cli.MAX_WORD_LENGTH + 1)],
             ["triform", "--a", "2/0"],
+            ["arthur", "--ledger", "12", "1/0"],
+            ["arthur", "--ledger", "8", "1"],
+            ["arthur", "--ledger", "twelve", "1"],
+            ["arthur", "--lift", "0", "1"],
+            ["phin", "--k", "1", "--sp", "1"],
+            ["phin", "--k", "5", "--sp", "1", "--mode", "ebc"],
+            ["roots", "--format", "text"],
+            ["arthur", "--orbits", "--format", "text"],
+            ["verify", "--format", "xml"],
         ],
     )
     def test_bad_input_is_a_one_line_usage_error(self, capsys, argv):
@@ -69,6 +78,12 @@ class TestExitCodes:
     def test_verify_succeeds(self, verify_report):
         code, _ = verify_report
         assert code == 0
+
+    def test_verify_text_format(self, capsys):
+        code, out = run_capture(capsys, ["verify", "--seed", "7", "--format", "text"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("g2forge ") and lines[-1] == "46 passed, 8 findings, 0 failed"
 
 
 class TestDeterminism:

@@ -4,8 +4,13 @@
 zero, without normalizing; `MPoly` scales by a constant factor term by term;
 `SymMatrix` multiplies over the nonzero entries only.  Each shortcut must
 give exactly the `num`/`den` (not just an equal value) that the general path
-gives, since report strings are printed from them.  Polynomial arithmetic is
-also checked against sympy as an independent oracle.
+gives, since report strings are printed from them.
+
+`MPoly` stores integral coefficients as `int` and builds products and
+uncancelled sums without re-canonicalising, so every result is checked
+against the representation invariants.  Polynomial arithmetic, `RFrac`
+equality and the division paths (`divexact` inside Bareiss `det`, `rank`,
+`inverse`) are also checked against sympy as an independent oracle.
 """
 
 from fractions import Fraction as Q
@@ -27,8 +32,12 @@ monomials = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in VARS))
 
 @st.composite
 def polys(draw, max_terms=3):
-    """Small polynomials in a, x, y: zero, constants and general ones."""
+    """Small polynomials in a, x, y: zero, constants and general ones, built
+    by arithmetic or by the normalizing constructor (which also sees zero
+    coefficients, integral `Fraction`s and unused variables)."""
     terms = draw(st.lists(st.tuples(monomials, coefficients), max_size=max_terms))
+    if draw(st.booleans()):
+        return MPoly(VARS, dict(terms))
     out = MPoly.zero()
     for exps, c in terms:
         mono = MPoly.const(c)
@@ -179,3 +188,158 @@ def test_polynomial_arithmetic_matches_sympy(p, q):
     assert sp.expand(to_sympy(sp, p * q) - P * R) == 0
     assert sp.expand(to_sympy(sp, p + q) - (P + R)) == 0
     assert sp.expand(to_sympy(sp, p - q) - (P - R)) == 0
+
+
+def assert_canonical(p: MPoly) -> None:
+    """The representation invariants of an `MPoly`."""
+    assert list(p.vars) == sorted(set(p.vars))
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Q and c.denominator != 1), repr(c)
+        assert c != 0
+    for i, name in enumerate(p.vars):
+        assert any(e[i] for e in p.terms), f"{name} is unused in {p}"
+    # The same polynomial with every coefficient a Fraction, as the text
+    # form, equality and hashing see it.
+    reference = MPoly(p.vars, {e: Q(c) for e, c in p.terms.items()}, _canonical=True)
+    assert str(p) == str(reference)
+    assert p == reference and hash(p) == hash(reference)
+
+
+class TestIntegerFirstRepresentation:
+    @given(polys(), polys())
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_results_are_canonical(self, p, q):
+        results = [p, p + q, p - q, q - p, p * q, -p, p**2, p * 3, p * Q(1, 2), q + Q(3, 2)]
+        results.append(p.subs({"x": q, "a": Q(2, 3)}))
+        results.append(p.subs({"y": 2}))
+        for r in results:
+            assert_canonical(r)
+
+    @given(polys(), polys())
+    @settings(max_examples=150, deadline=None)
+    def test_divexact_results_are_canonical(self, p, q):
+        if q.is_zero():
+            return
+        quotient = (p * q).divexact(q)
+        assert quotient == p
+        assert_canonical(quotient)
+        d = p.divexact(q)
+        if d is not None:
+            assert_canonical(d)
+            assert d * q == p
+
+    @given(polys(), polys())
+    @settings(max_examples=150, deadline=None)
+    def test_normalized_rfrac_parts_are_canonical(self, p, q):
+        if q.is_zero():
+            return
+        f = RFrac(p, q)
+        assert_canonical(f.num)
+        assert_canonical(f.den)
+
+    def test_integral_fraction_and_int_give_one_polynomial(self):
+        x = MPoly.var("x")
+        for two in (MPoly.const(Q(2)), MPoly.const(2), MPoly((), {(): Q(4, 2)})):
+            assert two == MPoly.const(2) and hash(two) == hash(MPoly.const(2))
+            assert type(two.terms[()]) is int
+        assert Q(2) * x == 2 * x and hash(Q(2) * x) == hash(2 * x)
+        half = MPoly.const(Q(1, 2))
+        assert type((half * 2).terms[()]) is int and (half + half) == MPoly.one()
+        assert type((half + half).terms[()]) is int
+
+    def test_division_stays_exact(self):
+        x = MPoly.var("x")
+        q = (x * x - 1).divexact(2 * x + 2)
+        assert str(q) == "1/2*x - 1/2"
+        assert all(type(c) is Q for c in q.terms.values())
+        assert str((3 * x).divexact(MPoly.const(3))) == "x"
+        assert type(MPoly.const(3).const_value()) is Q
+        assert type((x + 1).eval({"x": 2})) is Q
+        f = RFrac(2 * x, 4 * x + 4)
+        assert str(f) == "1/2*x/(x + 1)"
+
+
+# -- sympy oracle for the division paths ----------------------------------
+
+
+def rfrac_to_sympy(sp, f: RFrac):
+    return to_sympy(sp, f.num) / to_sympy(sp, f.den)
+
+
+def equals_sympy(sp, f: RFrac, expr) -> bool:
+    """f == expr by cross-multiplication, which needs no gcd: the kernel
+    leaves common factors in place, and cancelling them in sympy is slow."""
+    p, q = sp.fraction(sp.together(expr))
+    return sp.expand(to_sympy(sp, f.num) * q - to_sympy(sp, f.den) * p) == 0
+
+
+def sympy_domain_matrix(sp, m: SymMatrix):
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[rfrac_to_sympy(sp, m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return DomainMatrix.from_Matrix(sp.Matrix(rows)).to_field()
+
+
+@st.composite
+def poly_matrices(draw, rows, cols):
+    return SymMatrix([[RFrac(draw(polys(max_terms=2))) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def rfrac_matrices(draw, n):
+    return SymMatrix([[draw(rfracs()) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of an n x r and an r x m matrix, so the rank is often below
+    min(n, m)."""
+    n, r, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(poly_matrices(n, r)) * draw(poly_matrices(r, m))
+
+
+class TestDivisionPathsAgainstSympy:
+    @given(rfracs(), rfracs(), polys(max_terms=2))
+    @settings(max_examples=80, deadline=None)
+    def test_rfrac_equality_and_arithmetic(self, f, g, r):
+        sp = pytest.importorskip("sympy")
+        F, G = rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g)
+        assert (f == g) == (sp.cancel(F - G) == 0)
+        if not r.is_zero():
+            assert RFrac(f.num * r, f.den * r) == f
+        assert sp.cancel(rfrac_to_sympy(sp, f * g) - F * G) == 0
+        assert sp.cancel(rfrac_to_sympy(sp, f + g) - (F + G)) == 0
+        if not g.is_zero():
+            assert sp.cancel(rfrac_to_sympy(sp, f / g) - F / G) == 0
+
+    @given(st.integers(1, 4).flatmap(lambda n: poly_matrices(n, n)))
+    @settings(max_examples=40, deadline=None)
+    def test_bareiss_det(self, m):
+        sp = pytest.importorskip("sympy")
+        det = m.det()
+        assert det.den == MPoly.one()
+        dm = sympy_domain_matrix(sp, m)
+        assert equals_sympy(sp, det, dm.domain.to_sympy(dm.det()))
+
+    @given(low_rank_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_rank(self, m):
+        sp = pytest.importorskip("sympy")
+        assert m.rank() == sympy_domain_matrix(sp, m).rank()
+
+    # Rational-function entries stay at 2 x 2: without a polynomial gcd the
+    # kernel's 3 x 3 inverses of them swell to seconds per example.
+    @given(st.one_of(st.integers(1, 2).flatmap(rfrac_matrices), poly_matrices(3, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, m):
+        sp = pytest.importorskip("sympy")
+        dm = sympy_domain_matrix(sp, m)
+        if dm.det() == dm.domain.zero:
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        inv = m.inverse()
+        expected = dm.inv().to_Matrix()
+        for i in range(m.rows):
+            for j in range(m.cols):
+                assert equals_sympy(sp, inv[i, j], expected[i, j])
