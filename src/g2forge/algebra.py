@@ -110,11 +110,6 @@ class MPoly:
             raise ValueError("polynomial is not constant")
         return Q(self.terms.get((), 0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def leading(self) -> Tuple[Exponents, Scalar]:
         """Leading term under lex order over the sorted variable tuple."""
         if not self.terms:
@@ -746,9 +741,6 @@ class SymMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols))
-
-    def transpose(self) -> "SymMatrix":
-        return SymMatrix(tuple(zip(*self.entries)), _trusted=True)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)

@@ -9,48 +9,39 @@ import json
 import os
 import random
 import sys
-import time
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, arthur, kostant, lattice, phin, triform
 from . import roots as rootsmod
-from .algebra import AffineExp, MPoly, RFrac, SymMatrix, ValuedScalar
+from .algebra import MPoly, RFrac, SymMatrix
 
 ENV_OUTPUT_DIR = "G2FORGE_OUTPUT_DIR"
 DEFAULT_CONFIG_FILE = "g2forge.cfg"
 DEFAULT_GOLDEN_DIR = os.path.join("tests", "goldens")
 GOLDEN_FILE = "wedge2_display.json"
 
-SUITE_ORDER = ("roots", "kostant", "triform", "wedge2", "phin", "arthur")
+if TYPE_CHECKING:
+    # Annotations only, which are never evaluated: building this alias at
+    # import time would cost every command tens of microseconds.
+    CheckFn = Callable[[random.Random, Dict[str, str]], Tuple[str, str]]
+
+# Every verification check, keyed by (suite, id, anchor), in report order.
+# It stays a module-level dict of the functions themselves: the benchmark's
+# tracer patches module namespaces and module-level dicts, and would miss a
+# check held in a list, a tuple or a closure.
+CHECKS: Dict[Tuple[str, str, str], CheckFn] = {}
 
 
-class Check:
-    __slots__ = ("id", "anchor", "status", "detail", "elapsed")
+def check(suite: str, id: str, anchor: str) -> Callable[[CheckFn], CheckFn]:
+    """Register `fn(rng, config) -> (status, detail)` as the next check of
+    `suite`; the checks of one suite must be registered together."""
 
-    def __init__(self, id: str, anchor: str, status: str, detail: str, elapsed: float):
-        self.id = id
-        self.anchor = anchor
-        self.status = status
-        self.detail = detail
-        self.elapsed = elapsed
+    def register(fn: CheckFn) -> CheckFn:
+        CHECKS[(suite, id, anchor)] = fn
+        return fn
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
-def _run_check(id: str, anchor: str, fn: Callable[[], Tuple[str, str]]) -> Check:
-    start = time.perf_counter()
-    try:
-        status, detail = fn()
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-        status, detail = "fail", f"{type(exc).__name__}: {exc}"
-    return Check(id, anchor, status, detail, time.perf_counter() - start)
+    return register
 
 
 def _bool(ok: bool, detail: str) -> Tuple[str, str]:
@@ -93,162 +84,140 @@ def resolve_output_dir(config: Dict[str, str]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # roots suite
 
-def _suite_roots(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
+@check("roots", "weyl-group-order", "dihedral group of order 12")
+def weyl_group_order(rng, config):
     W = rootsmod.WEYL_GROUP
-
-    def group_order():
-        ok = len(W) == 12 and rootsmod.LONGEST.length == 6
-        lengths = sorted(w.length for w in W)
-        return _bool(
-            ok and lengths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6],
-            f"order {len(W)}, lengths {lengths}",
-        )
-
-    checks.append(_run_check("weyl-group-order", "dihedral group of order 12", group_order))
-
-    def inversions():
-        bad = [w.name for w in W if rootsmod.length_by_inversions(w) != w.length]
-        return _bool(not bad, f"mismatches: {bad}")
-
-    checks.append(_run_check("length-inversions", "word length equals inversion count", inversions))
-
-    def cosets():
-        sizes = {
-            tag: len(rootsmod.minimal_coset_reps(par))
-            for tag, par in rootsmod.PARABOLICS.items()
-        }
-        eis_ok = all(
-            set(par.eis_words) <= {w.word for w in rootsmod.minimal_coset_reps(par)}
-            and sorted(len(w) for w in par.eis_words) == list(range(len(par.eis_words)))
-            for par in rootsmod.PARABOLICS.values()
-        )
-        return _bool(
-            sizes == {"P_long": 6, "P_short": 6, "B": 12} and eis_ok,
-            f"coset sizes {sizes}, eis words are initial-length minimal reps: {eis_ok}",
-        )
-
-    checks.append(
-        _run_check("coset-representatives", "minimal coset representatives and the three truncated rep sets", cosets)
+    ok = len(W) == 12 and rootsmod.LONGEST.length == 6
+    lengths = sorted(w.length for w in W)
+    return _bool(
+        ok and lengths == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6],
+        f"order {len(W)}, lengths {lengths}",
     )
 
-    def nilrad():
-        vals = {tag: str(rootsmod.two_rho(par)) for tag, par in rootsmod.PARABOLICS.items()}
-        expected = {
-            "P_long": str(rootsmod.Weight(5, 10)),
-            "P_short": str(rootsmod.Weight(6, 9)),
-            "B": str(rootsmod.Weight(6, 10)),
-        }
-        return _bool(vals == expected, f"2rho_P values {vals}")
 
-    checks.append(_run_check("nilradical-root-sums", "sums of nilradical roots 5a+10b, 6a+9b, 6a+10b", nilrad))
+@check("roots", "length-inversions", "word length equals inversion count")
+def length_inversions(rng, config):
+    bad = [w.name for w in rootsmod.WEYL_GROUP if rootsmod.length_by_inversions(w) != w.length]
+    return _bool(not bad, f"mismatches: {bad}")
 
-    def beta_drop():
-        k = RFrac.var("k")
+
+@check("roots", "coset-representatives", "minimal coset representatives and the three truncated rep sets")
+def coset_representatives(rng, config):
+    sizes = {
+        tag: len(rootsmod.minimal_coset_reps(par))
+        for tag, par in rootsmod.PARABOLICS.items()
+    }
+    eis_ok = all(
+        set(par.eis_words) <= {w.word for w in rootsmod.minimal_coset_reps(par)}
+        and sorted(len(w) for w in par.eis_words) == list(range(len(par.eis_words)))
+        for par in rootsmod.PARABOLICS.values()
+    )
+    return _bool(
+        sizes == {"P_long": 6, "P_short": 6, "B": 12} and eis_ok,
+        f"coset sizes {sizes}, eis words are initial-length minimal reps: {eis_ok}",
+    )
+
+
+@check("roots", "nilradical-root-sums", "sums of nilradical roots 5a+10b, 6a+9b, 6a+10b")
+def nilradical_root_sums(rng, config):
+    vals = {tag: str(rootsmod.two_rho(par)) for tag, par in rootsmod.PARABOLICS.items()}
+    expected = {
+        "P_long": str(rootsmod.Weight(5, 10)),
+        "P_short": str(rootsmod.Weight(6, 9)),
+        "B": str(rootsmod.Weight(6, 10)),
+    }
+    return _bool(vals == expected, f"2rho_P values {vals}")
+
+
+@check("roots", "dot-action-beta-drop", "short dot-reflection drops one short root")
+def dot_action_beta_drop(rng, config):
+    k = RFrac.var("k")
+    lam = rootsmod.lambda0(k)
+    ok = (lam - rootsmod.dot_act(rootsmod.W_BETA, lam)) == rootsmod.BETA
+    return _bool(ok, "w_b * lam0 = lam0 - b (symbolic k)")
+
+
+@check("roots", "dot-action-short-levi-shift", "shifted dot-action identity for the length-2 short-Levi word")
+def dot_action_short_levi_shift(rng, config):
+    k = RFrac.var("k")
+    lam = rootsmod.lambda0(k)
+    lhs = rootsmod.dot_act(rootsmod.element("ab"), lam) + rootsmod.two_rho(rootsmod.P_SHORT)
+    rhs = rootsmod.Weight((k + 4) / 2, (3 * k + 4) / 2)
+    alt = (3 * k - 4) / 4 * rootsmod.BETA + (k + 4) / 4 * rootsmod.Weight(2, 3)
+    return _bool(lhs == rhs and lhs == alt, "shift equals (3k-4)/4*b + (k+4)/4*(2a+3b)")
+
+
+@check("roots", "criticality-window", "critical Weyl set {short reflection} in the low-slope window")
+def criticality_window(rng, config):
+    tested = 0
+    for k in range(5, 41):
         lam = rootsmod.lambda0(k)
-        ok = (lam - rootsmod.dot_act(rootsmod.W_BETA, lam)) == rootsmod.BETA
-        return _bool(ok, "w_b * lam0 = lam0 - b (symbolic k)")
-
-    checks.append(_run_check("dot-action-beta-drop", "short dot-reflection drops one short root", beta_drop))
-
-    def short_shift():
-        k = RFrac.var("k")
-        lam = rootsmod.lambda0(k)
-        lhs = rootsmod.dot_act(rootsmod.element("ab"), lam) + rootsmod.two_rho(rootsmod.P_SHORT)
-        rhs = rootsmod.Weight((k + 4) / 2, (3 * k + 4) / 2)
-        alt = (3 * k - 4) / 4 * rootsmod.BETA + (k + 4) / 4 * rootsmod.Weight(2, 3)
-        return _bool(lhs == rhs and lhs == alt, "shift equals (3k-4)/4*b + (k+4)/4*(2a+3b)")
-
-    checks.append(
-        _run_check("dot-action-short-levi-shift", "shifted dot-action identity for the length-2 short-Levi word", short_shift)
-    )
-
-    def criticality():
-        tested = 0
-        for k in range(5, 41):
-            lam = rootsmod.lambda0(k)
-            for twice_sp in range(0, k):
-                sp = Q(twice_sp, 2)
-                if not (k > 4 * sp + 4):
-                    continue
-                crit = rootsmod.critical_set(rootsmod.slope_weight(sp), lam)
-                if [w.word for w in crit] != ["b"]:
-                    return "fail", f"critical set at k={k}, sp={sp}: {[w.name for w in crit]}"
-                tested += 1
-        return "pass", f"critical set is exactly the short reflection for {tested} (k, sp) pairs"
-
-    checks.append(
-        _run_check("criticality-window", "critical Weyl set {short reflection} in the low-slope window", criticality)
-    )
-    return checks
+        for twice_sp in range(0, k):
+            sp = Q(twice_sp, 2)
+            if not (k > 4 * sp + 4):
+                continue
+            crit = rootsmod.critical_set(rootsmod.slope_weight(sp), lam)
+            if [w.word for w in crit] != ["b"]:
+                return "fail", f"critical set at k={k}, sp={sp}: {[w.name for w in crit]}"
+            tested += 1
+    return "pass", f"critical set is exactly the short reflection for {tested} (k, sp) pairs"
 
 
 # ---------------------------------------------------------------------------
 # kostant suite
 
-def _suite_kostant(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
+@check("kostant", "borel-piece-degrees", "12 pieces over degrees 0..6 with multiplicity 1,2,2,2,2,2,1")
+def borel_piece_degrees(rng, config):
+    pieces = kostant.kostant_pieces(rootsmod.BOREL, rootsmod.Weight(0, 0))
+    degs: Dict[int, int] = {}
+    for p in pieces:
+        degs[p.degree] = degs.get(p.degree, 0) + 1
+    expected = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 1}
+    return _bool(len(pieces) == 12 and degs == expected, f"degree multiplicities {sorted(degs.items())}")
 
-    def borel_pieces():
-        pieces = kostant.kostant_pieces(rootsmod.BOREL, rootsmod.Weight(0, 0))
-        degs: Dict[int, int] = {}
-        for p in pieces:
-            degs[p.degree] = degs.get(p.degree, 0) + 1
-        expected = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 1}
-        return _bool(len(pieces) == 12 and degs == expected, f"degree multiplicities {sorted(degs.items())}")
 
-    checks.append(_run_check("borel-piece-degrees", "12 pieces over degrees 0..6 with multiplicity 1,2,2,2,2,2,1", borel_pieces))
+@check("kostant", "weyl-dimension-samples", "dimension formula on the trivial/standard/adjoint weights")
+def weyl_dimension_samples(rng, config):
+    samples = {
+        "trivial": kostant.weyl_dim(rootsmod.Weight(0, 0)),
+        "adjoint": kostant.weyl_dim(rootsmod.Weight(2, 3)),
+        "standard": kostant.weyl_dim(rootsmod.Weight(1, 2)),
+    }
+    return _bool(samples == {"trivial": 1, "adjoint": 14, "standard": 7}, f"dims {samples}")
 
-    def dims():
-        samples = {
-            "trivial": kostant.weyl_dim(rootsmod.Weight(0, 0)),
-            "adjoint": kostant.weyl_dim(rootsmod.Weight(2, 3)),
-            "standard": kostant.weyl_dim(rootsmod.Weight(1, 2)),
-        }
-        return _bool(samples == {"trivial": 1, "adjoint": 14, "standard": 7}, f"dims {samples}")
 
-    checks.append(_run_check("weyl-dimension-samples", "dimension formula on the trivial/standard/adjoint weights", dims))
-
-    def degree_cases():
-        c1 = MPoly.var("c1")
-        c2 = MPoly.var("c2")
-        cases = kostant.degree_cases_alpha(c1, c2)
-        expected = [
-            (4, 2 * c1 + c2 + 4, (RFrac(c2) + 1) / 10),
-            (5, c1 + c2 + 3, (3 * RFrac(c1) + RFrac(c2) + 4) / 10),
-            (6, c1 + 2, (3 * RFrac(c1) + 2 * RFrac(c2) + 5) / 10),
-        ]
-        ok = all(
-            case.degree == deg and RFrac(case.k) == RFrac(kk) and case.s == ss
-            for case, (deg, kk, ss) in zip(cases, expected)
-        )
-        detail = "; ".join(f"deg {c.degree}: k = {c.k}, s = {c.s}" for c in cases)
-        return _bool(ok, detail)
-
-    checks.append(
-        _run_check("degree-case-triples", "the three (degree, k, s) long-parabolic cases, symbolic in (c1, c2)", degree_cases)
+@check("kostant", "degree-case-triples", "the three (degree, k, s) long-parabolic cases, symbolic in (c1, c2)")
+def degree_case_triples(rng, config):
+    c1 = MPoly.var("c1")
+    c2 = MPoly.var("c2")
+    cases = kostant.degree_cases_alpha(c1, c2)
+    expected = [
+        (4, 2 * c1 + c2 + 4, (RFrac(c2) + 1) / 10),
+        (5, c1 + c2 + 3, (3 * RFrac(c1) + RFrac(c2) + 4) / 10),
+        (6, c1 + 2, (3 * RFrac(c1) + 2 * RFrac(c2) + 5) / 10),
+    ]
+    ok = all(
+        case.degree == deg and RFrac(case.k) == RFrac(kk) and case.s == ss
+        for case, (deg, kk, ss) in zip(cases, expected)
     )
+    detail = "; ".join(f"deg {c.degree}: k = {c.k}, s = {c.s}" for c in cases)
+    return _bool(ok, detail)
 
-    def lift_examples():
-        cov, ks = arthur.lift_inf_char(1, 1)
-        ok = cov == (10, 6) and ks == (13, 9, 5)
-        ok = ok and arthur.lift_inf_char(1, 2)[1][0] == 15
-        ok = ok and kostant.hodge_tate_weights(1, 1) == (6, 4, 2, 0, -2, -4, -6)
-        return _bool(ok, f"(1,1) -> coweight {cov}, factor weights {ks}")
 
-    checks.append(
-        _run_check("lift-weight-examples", "lift coweight 10a_cov+6b_cov and factor weights (13, 9, 5) at (1, 1)", lift_examples)
-    )
+@check("kostant", "lift-weight-examples", "lift coweight 10a_cov+6b_cov and factor weights (13, 9, 5) at (1, 1)")
+def lift_weight_examples(rng, config):
+    cov, ks = arthur.lift_inf_char(1, 1)
+    ok = cov == (10, 6) and ks == (13, 9, 5)
+    ok = ok and arthur.lift_inf_char(1, 2)[1][0] == 15
+    ok = ok and kostant.hodge_tate_weights(1, 1) == (6, 4, 2, 0, -2, -4, -6)
+    return _bool(ok, f"(1,1) -> coweight {cov}, factor weights {ks}")
 
-    def lift_random():
-        pairs = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(20)]
-        bad = [p for p in pairs if not arthur.lift_pairing_consistent(*p)]
-        return _bool(not bad, f"20 random (c1, c2) pairs checked; failures: {bad}")
 
-    checks.append(
-        _run_check("lift-pairing-random", "coweight pairing against the 7 standard weights equals the Hodge-Tate septuple", lift_random)
-    )
-    return checks
+@check("kostant", "lift-pairing-random", "coweight pairing against the 7 standard weights equals the Hodge-Tate septuple")
+def lift_pairing_random(rng, config):
+    pairs = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(20)]
+    bad = [p for p in pairs if not arthur.lift_pairing_consistent(*p)]
+    return _bool(not bad, f"20 random (c1, c2) pairs checked; failures: {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,163 +237,141 @@ _CYCLE_TABLE: Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...] = (
 )
 
 
-def _suite_triform(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
+@check("triform", "one-parameter-stabilizers", "seven one-parameter matrices and the torus preserve the generic 3-form")
+def one_parameter_stabilizers(rng, config):
     x = RFrac.var("x")
     form = triform.generic_form()
+    failing = []
+    mats = [(name, triform.root_subgroup(name, x)) for name in triform.ROOT_NAMES]
+    mats.append(("torus", triform.torus_elem(RFrac.var("t1"), RFrac.var("t2"))))
+    for name, g in mats:
+        if form.pullback(g) != form:
+            failing.append(name)
+    return _bool(not failing, f"8 matrices x 35 coefficients; failures: {failing}")
 
-    def stabilizers():
-        failing = []
-        mats = [(name, triform.root_subgroup(name, x)) for name in triform.ROOT_NAMES]
-        mats.append(("torus", triform.torus_elem(RFrac.var("t1"), RFrac.var("t2"))))
-        for name, g in mats:
-            if form.pullback(g) != form:
-                failing.append(name)
-        return _bool(not failing, f"8 matrices x 35 coefficients; failures: {failing}")
 
-    checks.append(
-        _run_check("one-parameter-stabilizers", "seven one-parameter matrices and the torus preserve the generic 3-form", stabilizers)
-    )
-
-    def variant():
-        variant_form = triform.displayed_form_variant()
-        failing = [
-            name
-            for name in triform.ROOT_NAMES
-            if variant_form.pullback(triform.root_subgroup(name, x)) != variant_form
-        ]
-        if failing:
-            return "finding", (
-                "the (2,4,5)-support variant of the 3-form is not preserved by "
-                f"{failing}; the corrected (2,4,6) support is the one all matrices stabilize"
-            )
-        return "fail", "variant unexpectedly preserved by all matrices"
-
-    checks.append(
-        _run_check("variant-form-not-stabilized", "the support divergence in the 3-form transcription", variant)
-    )
-
-    def genericity():
-        rep = triform.genericity_witness()
-        return _bool(
-            bool(rep["support_matches"]),
-            f"support match {rep['support_matches']}; on-the-nose coefficients {rep['coefficients_match']} "
-            "(an exact match needs a cube root of the parameter)",
+@check("triform", "variant-form-not-stabilized", "the support divergence in the 3-form transcription")
+def variant_form_not_stabilized(rng, config):
+    x = RFrac.var("x")
+    variant_form = triform.displayed_form_variant()
+    failing = [
+        name
+        for name in triform.ROOT_NAMES
+        if variant_form.pullback(triform.root_subgroup(name, x)) != variant_form
+    ]
+    if failing:
+        return "finding", (
+            "the (2,4,5)-support variant of the 3-form is not preserved by "
+            f"{failing}; the corrected (2,4,6) support is the one all matrices stabilize"
         )
+    return "fail", "variant unexpectedly preserved by all matrices"
 
-    checks.append(
-        _run_check("genericity-witness", "permute/rescale the textbook generic 3-form onto the same support", genericity)
+
+@check("triform", "genericity-witness", "permute/rescale the textbook generic 3-form onto the same support")
+def genericity_witness(rng, config):
+    rep = triform.genericity_witness()
+    return _bool(
+        bool(rep["support_matches"]),
+        f"support match {rep['support_matches']}; on-the-nose coefficients {rep['coefficients_match']} "
+        "(an exact match needs a cube root of the parameter)",
     )
 
-    def addition():
-        bad = [r for r in triform.ROOT_NAMES if not triform.one_parameter_identity(r)]
-        return _bool(not bad, f"g(x) g(y) = g(x+y) failures: {bad}")
 
-    checks.append(_run_check("one-parameter-addition", "one-parameter additivity of all seven generators", addition))
+@check("triform", "one-parameter-addition", "one-parameter additivity of all seven generators")
+def one_parameter_addition(rng, config):
+    bad = [r for r in triform.ROOT_NAMES if not triform.one_parameter_identity(r)]
+    return _bool(not bad, f"g(x) g(y) = g(x+y) failures: {bad}")
 
-    def conjugation():
-        bad = [r for r in triform.ROOT_NAMES if not triform.conj_relation(r)]
-        return _bool(not bad, f"torus conjugation rescales each parameter by its character; failures: {bad}")
 
-    checks.append(_run_check("torus-conjugation", "torus conjugation acts by the root characters", conjugation))
+@check("triform", "torus-conjugation", "torus conjugation acts by the root characters")
+def torus_conjugation(rng, config):
+    bad = [r for r in triform.ROOT_NAMES if not triform.conj_relation(r)]
+    return _bool(not bad, f"torus conjugation rescales each parameter by its character; failures: {bad}")
 
-    def cycles():
-        bad = []
-        for word, cyc in _CYCLE_TABLE:
-            if word == "ababa":
-                continue
-            if triform.weyl_word_to_s7(word) != triform.perm_from_cycles(cyc):
-                bad.append(word)
-        return _bool(not bad, f"generators plus 8 composite words; failures: {bad}")
 
-    checks.append(_run_check("weyl-cycle-images", "cycle images of the Weyl representatives in S7", cycles))
+@check("triform", "weyl-cycle-images", "cycle images of the Weyl representatives in S7")
+def weyl_cycle_images(rng, config):
+    bad = []
+    for word, cyc in _CYCLE_TABLE:
+        if word == "ababa":
+            continue
+        if triform.weyl_word_to_s7(word) != triform.perm_from_cycles(cyc):
+            bad.append(word)
+    return _bool(not bad, f"generators plus 8 composite words; failures: {bad}")
 
-    def ninth():
-        computed = triform.perm_cycles(triform.weyl_word_to_s7("ababa"))
-        variant_perm = triform.perm_from_cycles(((1, 6), (2, 7), (3, 5)))
-        honest = triform.perm_from_cycles(((1, 6), (2, 7)))
-        if triform.weyl_word_to_s7("ababa") == honest and triform.weyl_word_to_s7("ababa") != variant_perm:
-            return "finding", (
-                f"the length-5 alternating word maps to {computed}; the (16)(27)(35) variant "
-                "is inconsistent with the homomorphism property"
-            )
-        return "fail", f"computed {computed}"
 
-    checks.append(
-        _run_check("ninth-cycle-divergence", "the length-5 alternating word's cycle image", ninth)
-    )
-
-    def homomorphism():
-        reps = {w.word: triform.weyl_rep(w.word) for w in rootsmod.WEYL_GROUP}
-        perms = {word: triform.perm_of_monomial(m) for word, m in reps.items()}
-        bad = 0
-        for w1 in reps:
-            for w2 in reps:
-                lhs = triform.perm_of_monomial(reps[w1] * reps[w2])
-                rhs = triform.compose_perms(perms[w1], perms[w2])
-                if lhs != rhs:
-                    bad += 1
-        return _bool(bad == 0, f"144 pairs, {bad} failures")
-
-    checks.append(_run_check("s7-homomorphism", "the word-to-permutation map is a homomorphism on all 144 pairs", homomorphism))
-
-    def relations():
-        L = int(config.get("word-length", "2"))
-        rep = triform.coeff_relations_probe(L)
-        return "pass", (
-            f"both quadratic relations vanish on all {rep['products_checked']} generator words "
-            f"of length <= {rep['max_length']}"
+@check("triform", "ninth-cycle-divergence", "the length-5 alternating word's cycle image")
+def ninth_cycle_divergence(rng, config):
+    computed = triform.perm_cycles(triform.weyl_word_to_s7("ababa"))
+    variant_perm = triform.perm_from_cycles(((1, 6), (2, 7), (3, 5)))
+    honest = triform.perm_from_cycles(((1, 6), (2, 7)))
+    if triform.weyl_word_to_s7("ababa") == honest and triform.weyl_word_to_s7("ababa") != variant_perm:
+        return "finding", (
+            f"the length-5 alternating word maps to {computed}; the (16)(27)(35) variant "
+            "is inconsistent with the homomorphism property"
         )
+    return "fail", f"computed {computed}"
 
-    checks.append(
-        _run_check("coefficient-relations", "the two quadratic entry relations on the short-root parabolic", relations)
+
+@check("triform", "s7-homomorphism", "the word-to-permutation map is a homomorphism on all 144 pairs")
+def s7_homomorphism(rng, config):
+    reps = {w.word: triform.weyl_rep(w.word) for w in rootsmod.WEYL_GROUP}
+    perms = {word: triform.perm_of_monomial(m) for word, m in reps.items()}
+    bad = 0
+    for w1 in reps:
+        for w2 in reps:
+            lhs = triform.perm_of_monomial(reps[w1] * reps[w2])
+            rhs = triform.compose_perms(perms[w1], perms[w2])
+            if lhs != rhs:
+                bad += 1
+    return _bool(bad == 0, f"144 pairs, {bad} failures")
+
+
+@check("triform", "coefficient-relations", "the two quadratic entry relations on the short-root parabolic")
+def coefficient_relations(rng, config):
+    L = int(config.get("word-length", "2"))
+    rep = triform.coeff_relations_probe(L)
+    return "pass", (
+        f"both quadratic relations vanish on all {rep['products_checked']} generator words "
+        f"of length <= {rep['max_length']}"
     )
 
-    def bruhat():
-        rep = triform.bruhat_disjointness_check()
-        ok = rep["all_generators_contained"] and sorted(rep["weyl_images_in_block_weyl_group"]) == ["e", "w_b"]
-        return _bool(ok, f"block Weyl intersection {rep['weyl_images_in_block_weyl_group']}")
 
-    checks.append(
-        _run_check("bruhat-block-intersection", "intersection with the (2,3,2) block parabolic", bruhat)
-    )
+@check("triform", "bruhat-block-intersection", "intersection with the (2,3,2) block parabolic")
+def bruhat_block_intersection(rng, config):
+    rep = triform.bruhat_disjointness_check()
+    ok = rep["all_generators_contained"] and sorted(rep["weyl_images_in_block_weyl_group"]) == ["e", "w_b"]
+    return _bool(ok, f"block Weyl intersection {rep['weyl_images_in_block_weyl_group']}")
 
-    def closure():
-        lie = triform.lie_basis()
-        table = lie.structure_constants()
-        return _bool(len(table) == 91, f"all {len(table)} basis brackets stay in the 14-dim span (symbolic parameter)")
 
-    checks.append(_run_check("bracket-closure", "the 14-dimensional stabilizer algebra closes under brackets", closure))
+@check("triform", "bracket-closure", "the 14-dimensional stabilizer algebra closes under brackets")
+def bracket_closure(rng, config):
+    lie = triform.lie_basis()
+    table = lie.structure_constants()
+    return _bool(len(table) == 91, f"all {len(table)} basis brackets stay in the 14-dim span (symbolic parameter)")
 
-    def centralizers():
-        dims = [14 - rec.dim for rec in arthur.orbit_table()]
-        return _bool(dims == [14, 8, 6, 4, 2], f"centralizer dims {dims}")
 
-    checks.append(
-        _run_check("centralizer-dimensions", "centralizer dimensions 14, 8, 6, 4, 2 of the five orbit representatives", centralizers)
-    )
+@check("triform", "centralizer-dimensions", "centralizer dimensions 14, 8, 6, 4, 2 of the five orbit representatives")
+def centralizer_dimensions(rng, config):
+    dims = [14 - rec.dim for rec in arthur.orbit_table()]
+    return _bool(dims == [14, 8, 6, 4, 2], f"centralizer dims {dims}")
 
-    def sl2():
-        lie = triform.lie_basis()
-        e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-        h = triform.torus_direction(Q(2), Q(2))
-        f = triform.sl2_complete(e, h)
-        ok = triform.bracket(e, f) == h
-        dim = triform.sl2_centralizer_dim(e, f)
-        return _bool(ok and dim == 0, f"triple completed; joint centralizer dim {dim}")
 
-    checks.append(
-        _run_check("subregular-sl2", "sl2-triple through the subregular nilpotent has trivial centralizer", sl2)
-    )
+@check("triform", "subregular-sl2", "sl2-triple through the subregular nilpotent has trivial centralizer")
+def subregular_sl2(rng, config):
+    lie = triform.lie_basis()
+    e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
+    h = triform.torus_direction(Q(2), Q(2))
+    f = triform.sl2_complete(e, h)
+    ok = triform.bracket(e, f) == h
+    dim = triform.sl2_centralizer_dim(e, f)
+    return _bool(ok and dim == 0, f"triple completed; joint centralizer dim {dim}")
 
-    def zeta():
-        rep = triform.zeta_witness()
-        return _bool(all(rep.values()), str(rep))
 
-    checks.append(
-        _run_check("zeta-witness", "cube-root-of-unity cocharacter and Weyl representative centralize the subregular nilpotent", zeta)
-    )
-    return checks
+@check("triform", "zeta-witness", "cube-root-of-unity cocharacter and Weyl representative centralize the subregular nilpotent")
+def zeta_witness(rng, config):
+    rep = triform.zeta_witness()
+    return _bool(all(rep.values()), str(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -453,437 +400,372 @@ def _rand_matrix(rng: random.Random, n: int) -> SymMatrix:
     )
 
 
-def _suite_wedge2(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
+@check("wedge2", "five-column-block", "wedge square of the 5-dim extension block in the 10-element basis")
+def five_column_block(rng, config):
     five = lattice.five_dim_wedge_report()
-    four = lattice.four_dim_wedge_report()
-    elim = lattice.relation_elimination()
-
-    def five_block():
-        ok = (
-            five["top_row_matches_c_polynomials"]
-            and five["below_block_vanishes"]
-            and five["wedge_block_equals_sym_cube"]
-        )
-        return _bool(ok, "top row = (d, c1, c2, c3, c4)/d^2; lower rows vanish; block = Sym^3 of the corner")
-
-    checks.append(
-        _run_check("five-column-block", "wedge square of the 5-dim extension block in the 10-element basis", five_block)
+    ok = (
+        five["top_row_matches_c_polynomials"]
+        and five["below_block_vanishes"]
+        and five["wedge_block_equals_sym_cube"]
     )
+    return _bool(ok, "top row = (d, c1, c2, c3, c4)/d^2; lower rows vanish; block = Sym^3 of the corner")
 
-    def five_cells():
-        cells = five["displayed_block_mismatch_cells"]
-        if cells == [(3, 3), (5, 4)]:
-            return "finding", (
-                f"transcribed block differs from the computed Sym^3 exactly at cells {cells}; "
-                f"computed entries: (3,3) = {five['honest_cell_3_3']}, (5,4) = {five['honest_cell_5_4']}"
-            )
-        return "fail", f"mismatch cells {cells}"
 
-    checks.append(
-        _run_check("displayed-block-cells", "two transcription divergences in the Sym^3 block", five_cells)
-    )
-
-    def four_plane():
-        ok = (
-            four["col1_is_inverse_det_times_v2v1"]
-            and four["col4_diagonal_is_one"]
-            and four["col4_other_entries_zero"]
-            and four["col4_v2v1_matches_formula"]
-            and four["col2_v2v1_coeff_equals_rel2_over_d"]
-        )
-        return _bool(ok, "the plane spanned by v2^v1 and v7^v1 - v2^v6 is invariant (second vector exactly fixed)")
-
-    checks.append(
-        _run_check("four-dim-invariant-plane", "wedge square of the 4-dim extension on the honest invariant plane", four_plane)
-    )
-
-    def four_star():
-        ok = four["col2_vanishes_mod_relations"] and four["col4_star_identity_mod_relations"]
-        return _bool(
-            ok,
-            f"modulo the shape relations the v2^v1 coefficients reduce to -2 * star with star = {four['displayed_star']}",
-        )
-
-    checks.append(
-        _run_check("four-dim-star-identity", "the star coupling polynomial (g67 g26 + g77 g16)/d", four_star)
-    )
-
-    def elim_det():
-        ok = elim["det_natural_is_minus_9d3"] and elim["elimination_preserves_det"]
-        return _bool(ok, "6x6 relation system determinant -9 d^3, preserved by the tracked row operations")
-
-    checks.append(
-        _run_check("elimination-determinant", "determinant -9 d^3 of the relation system", elim_det)
-    )
-
-    def displayed_det():
-        if not elim["det_displayed_system_is_minus_9d3"]:
-            return "finding", (
-                "the transcribed system's determinant is "
-                f"{elim['det_displayed_system']} (a last-row column swap changes the d^3 term); "
-                "the transcribed eliminated system has determinant +9 d^3"
-            )
-        return "fail", "transcribed system unexpectedly has determinant -9 d^3"
-
-    checks.append(
-        _run_check("displayed-system-determinant", "sign/row divergences of the transcribed relation system", displayed_det)
-    )
-
-    def functorial():
-        for _ in range(3):
-            m, n = _rand_matrix(rng, 5), _rand_matrix(rng, 5)
-            if lattice.wedge2_standard(m * n) != lattice.wedge2_standard(m) * lattice.wedge2_standard(n):
-                return "fail", "wedge square not multiplicative on random 5x5 matrices"
-        for _ in range(3):
-            m, n = _rand_matrix(rng, 2), _rand_matrix(rng, 2)
-            if lattice.sym_cube_signed(m * n) != lattice.sym_cube_signed(m) * lattice.sym_cube_signed(n):
-                return "fail", "signed Sym^3 not multiplicative on random 2x2 matrices"
-        return "pass", "wedge square and signed Sym^3 multiplicative on random integer matrices"
-
-    checks.append(_run_check("wedge-functoriality", "functoriality of the wedge-square and Sym^3 constructions", functorial))
-
-    def probe():
-        rep = lattice.form_constraint_probe(2)
+@check("wedge2", "displayed-block-cells", "two transcription divergences in the Sym^3 block")
+def displayed_block_cells(rng, config):
+    five = lattice.five_dim_wedge_report()
+    cells = five["displayed_block_mismatch_cells"]
+    if cells == [(3, 3), (5, 4)]:
         return "finding", (
-            f"on {rep['products_checked']} parabolic generator products (length <= {rep['max_length']}) the three "
-            f"quadratic families vanish on {rep['vanishing_product_counts']} of them respectively; none vanishes "
-            "identically, so they are constraints on the extension shape rather than parabolic identities"
+            f"transcribed block differs from the computed Sym^3 exactly at cells {cells}; "
+            f"computed entries: (3,3) = {five['honest_cell_3_3']}, (5,4) = {five['honest_cell_5_4']}"
         )
+    return "fail", f"mismatch cells {cells}"
 
-    checks.append(
-        _run_check("shape-constraint-probe", "status of the three quadratic coupling families on the parabolic", probe)
+
+@check("wedge2", "four-dim-invariant-plane", "wedge square of the 4-dim extension on the honest invariant plane")
+def four_dim_invariant_plane(rng, config):
+    four = lattice.four_dim_wedge_report()
+    ok = (
+        four["col1_is_inverse_det_times_v2v1"]
+        and four["col4_diagonal_is_one"]
+        and four["col4_other_entries_zero"]
+        and four["col4_v2v1_matches_formula"]
+        and four["col2_v2v1_coeff_equals_rel2_over_d"]
+    )
+    return _bool(ok, "the plane spanned by v2^v1 and v7^v1 - v2^v6 is invariant (second vector exactly fixed)")
+
+
+@check("wedge2", "four-dim-star-identity", "the star coupling polynomial (g67 g26 + g77 g16)/d")
+def four_dim_star_identity(rng, config):
+    four = lattice.four_dim_wedge_report()
+    ok = four["col2_vanishes_mod_relations"] and four["col4_star_identity_mod_relations"]
+    return _bool(
+        ok,
+        f"modulo the shape relations the v2^v1 coefficients reduce to -2 * star with star = {four['displayed_star']}",
     )
 
-    def golden():
-        path = _golden_path(config)
-        payload = json.dumps(golden_payload(), indent=2, sort_keys=True) + "\n"
-        if not os.path.exists(path):
-            return "finding", f"golden file {path} not found; regenerate with --bless"
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = fh.read()
-        return _bool(stored == payload, f"canonical display serialization vs {path}")
 
-    checks.append(_run_check("golden-displayed-blocks", "golden-file regression of the transcribed display blocks", golden))
-    return checks
+@check("wedge2", "elimination-determinant", "determinant -9 d^3 of the relation system")
+def elimination_determinant(rng, config):
+    elim = lattice.relation_elimination()
+    ok = elim["det_natural_is_minus_9d3"] and elim["elimination_preserves_det"]
+    return _bool(ok, "6x6 relation system determinant -9 d^3, preserved by the tracked row operations")
+
+
+@check("wedge2", "displayed-system-determinant", "sign/row divergences of the transcribed relation system")
+def displayed_system_determinant(rng, config):
+    elim = lattice.relation_elimination()
+    if not elim["det_displayed_system_is_minus_9d3"]:
+        return "finding", (
+            "the transcribed system's determinant is "
+            f"{elim['det_displayed_system']} (a last-row column swap changes the d^3 term); "
+            "the transcribed eliminated system has determinant +9 d^3"
+        )
+    return "fail", "transcribed system unexpectedly has determinant -9 d^3"
+
+
+@check("wedge2", "wedge-functoriality", "functoriality of the wedge-square and Sym^3 constructions")
+def wedge_functoriality(rng, config):
+    for _ in range(3):
+        m, n = _rand_matrix(rng, 5), _rand_matrix(rng, 5)
+        if lattice.wedge2_standard(m * n) != lattice.wedge2_standard(m) * lattice.wedge2_standard(n):
+            return "fail", "wedge square not multiplicative on random 5x5 matrices"
+    for _ in range(3):
+        m, n = _rand_matrix(rng, 2), _rand_matrix(rng, 2)
+        if lattice.sym_cube_signed(m * n) != lattice.sym_cube_signed(m) * lattice.sym_cube_signed(n):
+            return "fail", "signed Sym^3 not multiplicative on random 2x2 matrices"
+    return "pass", "wedge square and signed Sym^3 multiplicative on random integer matrices"
+
+
+@check("wedge2", "shape-constraint-probe", "status of the three quadratic coupling families on the parabolic")
+def shape_constraint_probe(rng, config):
+    rep = lattice.form_constraint_probe(2)
+    return "finding", (
+        f"on {rep['products_checked']} parabolic generator products (length <= {rep['max_length']}) the three "
+        f"quadratic families vanish on {rep['vanishing_product_counts']} of them respectively; none vanishes "
+        "identically, so they are constraints on the extension shape rather than parabolic identities"
+    )
+
+
+@check("wedge2", "golden-displayed-blocks", "golden-file regression of the transcribed display blocks")
+def golden_displayed_blocks(rng, config):
+    path = _golden_path(config)
+    payload = json.dumps(golden_payload(), indent=2, sort_keys=True) + "\n"
+    if not os.path.exists(path):
+        return "finding", f"golden file {path} not found; regenerate with --bless"
+    with open(path, "r", encoding="utf-8") as fh:
+        stored = fh.read()
+    return _bool(stored == payload, f"canonical display serialization vs {path}")
 
 
 # ---------------------------------------------------------------------------
 # phin suite
 
-def _suite_phin(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
+@check("phin", "rank2-admissibility-grid", "weak admissibility of the rank-2 modules over the slope grid")
+def rank2_admissibility_grid(rng, config):
+    count = 0
+    for k in range(2, 21):
+        for twice_sp in range(0, k):
+            m = phin.d_st(k, Q(twice_sp, 2))
+            if not phin.is_admissible(m):
+                return "fail", f"rank-2 module at k={k}, sp={Q(twice_sp, 2)} not admissible"
+            count += 1
+    return "pass", f"{count} rank-2 modules admissible (k <= 20, 0 <= sp <= (k-1)/2)"
 
-    def grid():
-        count = 0
-        for k in range(2, 21):
-            for twice_sp in range(0, k):
-                m = phin.d_st(k, Q(twice_sp, 2))
-                if not phin.is_admissible(m):
-                    return "fail", f"rank-2 module at k={k}, sp={Q(twice_sp, 2)} not admissible"
-                count += 1
-        return "pass", f"{count} rank-2 modules admissible (k <= 20, 0 <= sp <= (k-1)/2)"
 
-    checks.append(
-        _run_check("rank2-admissibility-grid", "weak admissibility of the rank-2 modules over the slope grid", grid)
-    )
+@check("phin", "rank2-polygons", "Newton above Hodge with common endpoint (weight 4, slope 1)")
+def rank2_polygons(rng, config):
+    m = phin.d_st(4, Q(1))
+    newton = phin.newton_polygon(m)
+    hodge = phin.hodge_polygon(m)
+    ok = newton.endpoint == hodge.endpoint == (2, Q(-3))
+    ok = ok and newton.vertices == [(0, Q(0)), (1, Q(-2)), (2, Q(-3))]
+    ok = ok and hodge.vertices == [(0, Q(0)), (1, Q(-3)), (2, Q(-3))]
+    return _bool(ok, f"newton {newton.vertices}, hodge {hodge.vertices}")
 
-    def polygons():
-        m = phin.d_st(4, Q(1))
-        newton = phin.newton_polygon(m)
-        hodge = phin.hodge_polygon(m)
-        ok = newton.endpoint == hodge.endpoint == (2, Q(-3))
-        ok = ok and newton.vertices == [(0, Q(0)), (1, Q(-2)), (2, Q(-3))]
-        ok = ok and hodge.vertices == [(0, Q(0)), (1, Q(-3)), (2, Q(-3))]
-        return _bool(ok, f"newton {newton.vertices}, hodge {hodge.vertices}")
 
-    checks.append(_run_check("rank2-polygons", "Newton above Hodge with common endpoint (weight 4, slope 1)", polygons))
+@check("phin", "extension-admissibility", "the 4-dim extension modules are weakly admissible")
+def extension_admissibility(rng, config):
+    one = RFrac.const(1)
+    zero = RFrac.const(0)
+    b = SymMatrix([[one, zero], [zero, one]])
+    m = phin.build_EBc(b, 1, 4, Q(1))
+    ok = m.fil_jumps() == [0, 1, 3, 4]
+    ok = ok and phin.is_admissible(m)
+    ok = ok and m.phi_relation_report()["holds"]
+    m6 = phin.build_EBc(b.scale(RFrac.const(2)), Q(5), 6, Q(1))
+    ok = ok and phin.is_admissible(m6) and m6.fil_jumps() == [0, 1, 5, 6]
+    return _bool(ok, "jumps {0, 1, k-1, k}; admissible; Frobenius relation holds for scalar blocks")
 
-    def ebc():
-        one = RFrac.const(1)
-        zero = RFrac.const(0)
-        b = SymMatrix([[one, zero], [zero, one]])
-        m = phin.build_EBc(b, 1, 4, Q(1))
-        ok = m.fil_jumps() == [0, 1, 3, 4]
-        ok = ok and phin.is_admissible(m)
-        ok = ok and m.phi_relation_report()["holds"]
-        m6 = phin.build_EBc(b.scale(RFrac.const(2)), Q(5), 6, Q(1))
-        ok = ok and phin.is_admissible(m6) and m6.fil_jumps() == [0, 1, 5, 6]
-        return _bool(ok, "jumps {0, 1, k-1, k}; admissible; Frobenius relation holds for scalar blocks")
 
-    checks.append(
-        _run_check("extension-admissibility", "the 4-dim extension modules are weakly admissible", ebc)
-    )
+@check("phin", "frobenius-relation-symbolic", "the Frobenius/monodromy commutation defect of the extension family")
+def frobenius_relation_symbolic(rng, config):
+    entries = [[RFrac.var(f"a{i}{j}") for j in range(1, 3)] for i in range(1, 3)]
+    a = SymMatrix(entries)
+    xv, yv = RFrac.var("x"), RFrac.var("y")
+    ident = SymMatrix.identity(2)
+    commuting = ident.scale(xv) + a.scale(yv)
+    ok = phin.phi_relation_defect(a, commuting).is_zero()
+    generic = SymMatrix([[RFrac.var(f"b{i}{j}") for j in range(1, 3)] for i in range(1, 3)])
+    ok = ok and not phin.phi_relation_defect(a, generic).is_zero()
+    return _bool(ok, "defect p(A^-1 B A - B) vanishes exactly when B commutes with A (symbolic)")
 
-    def defect():
-        entries = [[RFrac.var(f"a{i}{j}") for j in range(1, 3)] for i in range(1, 3)]
-        a = SymMatrix(entries)
-        xv, yv = RFrac.var("x"), RFrac.var("y")
-        ident = SymMatrix.identity(2)
-        commuting = ident.scale(xv) + a.scale(yv)
-        ok = phin.phi_relation_defect(a, commuting).is_zero()
-        generic = SymMatrix([[RFrac.var(f"b{i}{j}") for j in range(1, 3)] for i in range(1, 3)])
-        ok = ok and not phin.phi_relation_defect(a, generic).is_zero()
-        return _bool(ok, "defect p(A^-1 B A - B) vanishes exactly when B commutes with A (symbolic)")
 
-    checks.append(
-        _run_check("frobenius-relation-symbolic", "the Frobenius/monodromy commutation defect of the extension family", defect)
-    )
-
-    def generic_violations():
-        one = RFrac.const(1)
-        b = SymMatrix([[one, RFrac.const(2)], [RFrac.const(3), RFrac.const(4)]])
-        rep = phin.build_EBc(b, 1, 4, Q(1)).phi_relation_report()
-        if not rep["holds"] and len(rep["violations"]) == 2:
-            return "finding", (
-                "a non-scalar block leaves exactly 2 eigenvalue-ratio violations, each demanding a "
-                "unit-squared power relation excluded by the distinctness assumption: "
-                + "; ".join(rep["violations"])
-            )
-        return "fail", f"violations: {rep['violations']}"
-
-    checks.append(
-        _run_check("extension-generic-frobenius", "eigenvalue constraints left by a non-scalar monodromy block", generic_violations)
-    )
-
-    def injectivity():
-        def rand_pair():
-            b = SymMatrix(
-                [[RFrac.const(rng.randint(-5, 5)) for _ in range(2)] for _ in range(2)]
-            )
-            return phin.EBcPair(b, RFrac.const(Q(rng.randint(-9, 9), rng.randint(1, 5))))
-
-        seen = 0
-        while seen < 50:
-            p1, p2 = rand_pair(), rand_pair()
-            same = (p1.b - p2.b).is_zero() and (p1.c - p2.c).is_zero()
-            if same:
-                continue
-            if not phin.ebc_distinguish(p1, p2):
-                return "fail", "distinct parameters not distinguished"
-            seen += 1
-        p = rand_pair()
-        if phin.ebc_distinguish(p, p):
-            return "fail", "equal parameters spuriously distinguished"
-        return "pass", "50 random distinct (B, c) pairs distinguished; equal pair identified"
-
-    checks.append(
-        _run_check("extension-injectivity-random", "the (B, c) parametrization of extensions is injective", injectivity)
-    )
-
-    def five_dim():
-        rep = phin.monodromy_obstruction(phin.five_dim_eigenvalues())
-        K = phin.K
-        expected = frozenset(
-            {
-                phin.Constraint(1, K / 2 - 1, Q(1)),
-                phin.Constraint(1, K / 2, Q(1)),
-                phin.Constraint(3, 3 * K / 2 - 1, Q(1)),
-                phin.Constraint(3, 3 * K / 2 - 2, Q(1)),
-            }
+@check("phin", "extension-generic-frobenius", "eigenvalue constraints left by a non-scalar monodromy block")
+def extension_generic_frobenius(rng, config):
+    one = RFrac.const(1)
+    b = SymMatrix([[one, RFrac.const(2)], [RFrac.const(3), RFrac.const(4)]])
+    rep = phin.build_EBc(b, 1, 4, Q(1)).phi_relation_report()
+    if not rep["holds"] and len(rep["violations"]) == 2:
+        return "finding", (
+            "a non-scalar block leaves exactly 2 eigenvalue-ratio violations, each demanding a "
+            "unit-squared power relation excluded by the distinctness assumption: "
+            + "; ".join(rep["violations"])
         )
-        got = rep["distinguished_constraints"]
-        ok = got == expected and not rep["n_forced_zero"]
-        return _bool(ok, "constraints: " + "; ".join(sorted(str(c) for c in got)))
+    return "fail", f"violations: {rep['violations']}"
 
-    checks.append(
-        _run_check("monodromy-five-dim", "the four unit-power constraints blocking nonzero monodromy on the 5-dim piece", five_dim)
+
+@check("phin", "extension-injectivity-random", "the (B, c) parametrization of extensions is injective")
+def extension_injectivity_random(rng, config):
+    def rand_pair():
+        b = SymMatrix(
+            [[RFrac.const(rng.randint(-5, 5)) for _ in range(2)] for _ in range(2)]
+        )
+        return phin.EBcPair(b, RFrac.const(Q(rng.randint(-9, 9), rng.randint(1, 5))))
+
+    seen = 0
+    while seen < 50:
+        p1, p2 = rand_pair(), rand_pair()
+        same = (p1.b - p2.b).is_zero() and (p1.c - p2.c).is_zero()
+        if same:
+            continue
+        if not phin.ebc_distinguish(p1, p2):
+            return "fail", "distinct parameters not distinguished"
+        seen += 1
+    p = rand_pair()
+    if phin.ebc_distinguish(p, p):
+        return "fail", "equal parameters spuriously distinguished"
+    return "pass", "50 random distinct (B, c) pairs distinguished; equal pair identified"
+
+
+@check("phin", "monodromy-five-dim", "the four unit-power constraints blocking nonzero monodromy on the 5-dim piece")
+def monodromy_five_dim(rng, config):
+    rep = phin.monodromy_obstruction(phin.five_dim_eigenvalues())
+    K = phin.K
+    expected = frozenset(
+        {
+            phin.Constraint(1, K / 2 - 1, Q(1)),
+            phin.Constraint(1, K / 2, Q(1)),
+            phin.Constraint(3, 3 * K / 2 - 1, Q(1)),
+            phin.Constraint(3, 3 * K / 2 - 2, Q(1)),
+        }
     )
+    got = rep["distinguished_constraints"]
+    ok = got == expected and not rep["n_forced_zero"]
+    return _bool(ok, "constraints: " + "; ".join(sorted(str(c) for c in got)))
 
-    def seven_dim():
-        rep = phin.monodromy_obstruction(phin.seven_dim_eigenvalues())
-        ok = rep["unconditional_pairs"] == [(2, 3), (5, 6)]
-        flat = phin.monodromy_obstruction([phin.ValuedScalar.one()] * 3)
-        ok = ok and flat["n_forced_zero"]
-        return _bool(ok, f"unconditional pairs {rep['unconditional_pairs']}; constant list forces zero monodromy")
 
-    checks.append(
-        _run_check("monodromy-seven-dim", "unconditional monodromy pairs of the 7-dim eigenvalue septuple", seven_dim)
-    )
+@check("phin", "monodromy-seven-dim", "unconditional monodromy pairs of the 7-dim eigenvalue septuple")
+def monodromy_seven_dim(rng, config):
+    rep = phin.monodromy_obstruction(phin.seven_dim_eigenvalues())
+    ok = rep["unconditional_pairs"] == [(2, 3), (5, 6)]
+    flat = phin.monodromy_obstruction([phin.ValuedScalar.one()] * 3)
+    ok = ok and flat["n_forced_zero"]
+    return _bool(ok, f"unconditional pairs {rep['unconditional_pairs']}; constant list forces zero monodromy")
 
-    def sym2():
-        one = RFrac.const(1)
-        zero = RFrac.const(0)
-        ok = phin.sym2_fil0_test(one, one) is True
-        ok = ok and phin.sym2_fil0_test(one, zero) is False
-        ok = ok and phin.sym2_fil0_test(zero, one) is True
-        try:
-            phin.sym2_fil0_test(zero, zero)
-            return "fail", "zero vector accepted"
-        except ValueError:
-            pass
-        return _bool(ok, "square line meets the 2-dim filtration step iff the second coordinate vanishes")
 
-    checks.append(
-        _run_check("sym2-filtration-test", "the symmetric-square filtration intersection criterion", sym2)
-    )
+@check("phin", "sym2-filtration-test", "the symmetric-square filtration intersection criterion")
+def sym2_filtration_test(rng, config):
+    one = RFrac.const(1)
+    zero = RFrac.const(0)
+    ok = phin.sym2_fil0_test(one, one) is True
+    ok = ok and phin.sym2_fil0_test(one, zero) is False
+    ok = ok and phin.sym2_fil0_test(zero, one) is True
+    try:
+        phin.sym2_fil0_test(zero, zero)
+        return "fail", "zero vector accepted"
+    except ValueError:
+        pass
+    return _bool(ok, "square line meets the 2-dim filtration step iff the second coordinate vanishes")
 
-    def distinct():
-        items = phin.distinctness_check()
-        tags = sorted(i.justification for i in items)
-        ok = len(items) == 6 and tags == [
-            "assumption", "assumption", "trivial", "trivial",
-            "valuation bound", "valuation bound",
-        ]
-        return _bool(ok, "; ".join(f"{i.left} != {i.right} [{i.justification}]" for i in items))
 
-    checks.append(
-        _run_check("distinctness-ledger", "the six pairwise inequations among the four Frobenius numbers", distinct)
-    )
+@check("phin", "distinctness-ledger", "the six pairwise inequations among the four Frobenius numbers")
+def distinctness_ledger(rng, config):
+    items = phin.distinctness_check()
+    tags = sorted(i.justification for i in items)
+    ok = len(items) == 6 and tags == [
+        "assumption", "assumption", "trivial", "trivial",
+        "valuation bound", "valuation bound",
+    ]
+    return _bool(ok, "; ".join(f"{i.left} != {i.right} [{i.justification}]" for i in items))
 
-    def sums():
-        a = phin.d_st(4, Q(1))
-        ds = phin.direct_sum(a, a)
-        tn = phin.tensor(a, a)
-        ok = sorted(ds.fil_jumps()) == [0, 0, 3, 3]
-        ok = ok and sorted(tn.fil_jumps()) == [0, 3, 3, 6]
-        for m in (ds, tn):
-            ok = ok and phin.newton_polygon(m).endpoint == phin.hodge_polygon(m).endpoint
-        return _bool(ok, f"direct-sum jumps {sorted(ds.fil_jumps())}, tensor jumps {sorted(tn.fil_jumps())}; endpoints agree")
 
-    checks.append(
-        _run_check("sum-tensor-endpoints", "direct sums and tensor products keep Newton/Hodge endpoints equal", sums)
-    )
-    return checks
+@check("phin", "sum-tensor-endpoints", "direct sums and tensor products keep Newton/Hodge endpoints equal")
+def sum_tensor_endpoints(rng, config):
+    a = phin.d_st(4, Q(1))
+    ds = phin.direct_sum(a, a)
+    tn = phin.tensor(a, a)
+    ok = sorted(ds.fil_jumps()) == [0, 0, 3, 3]
+    ok = ok and sorted(tn.fil_jumps()) == [0, 3, 3, 6]
+    for m in (ds, tn):
+        ok = ok and phin.newton_polygon(m).endpoint == phin.hodge_polygon(m).endpoint
+    return _bool(ok, f"direct-sum jumps {sorted(ds.fil_jumps())}, tensor jumps {sorted(tn.fil_jumps())}; endpoints agree")
 
 
 # ---------------------------------------------------------------------------
 # arthur suite
 
-def _suite_arthur(rng: random.Random, config: Dict[str, str]) -> List[Check]:
-    checks = []
-
-    def orbits():
-        table = arthur.orbit_table()
-        rows = [(r.name, r.dim, r.component_group) for r in table]
-        expected = [
-            ("O_0", 0, "1"), ("O_l", 6, "1"), ("O_s", 8, "1"),
-            ("O_sr", 10, "S3"), ("O_r", 12, "1"),
-        ]
-        return _bool(rows == expected, f"{rows}")
-
-    checks.append(
-        _run_check("orbit-dimensions", "five nilpotent orbits of dimensions 0, 6, 8, 10, 12", orbits)
-    )
-
-    def subregular():
-        rep = arthur.subregular_centralizer_report()
-        witnesses = rep["component_group_witnesses"]
-        ok = rep["all_brackets_vanish"] and rep["matches_centralizer_dim"]
-        ok = ok and all(witnesses.values())
-        return _bool(ok, f"span dim {rep['span_dimension']}; witnesses {witnesses}")
-
-    checks.append(
-        _run_check("subregular-centralizer", "four commuting nilpotents span the subregular centralizer; order-2 and order-3 witnesses", subregular)
-    )
-
-    def packet():
-        p4, m4 = arthur.packet_psi_k(4)
-        ok = m4.harish_chandra_param == rootsmod.RHO
-        ok = ok and p4.cohomology_degrees == frozenset({3, 5})
-        ok = ok and m4.cohomology_degrees == frozenset({4})
-        ok = ok and arthur.packet_psi_k(12)[1].harish_chandra_param == rootsmod.Weight(11, 17)
-        try:
-            arthur.packet_psi_k(2)
-            return "fail", "weight 2 accepted"
-        except ValueError:
-            pass
-        return _bool(ok, "degrees {3,5}/{4}; parameters 3a+5b at k=4 and 11a+17b at k=12; weight 2 rejected")
-
-    checks.append(
-        _run_check("packet-data", "two-member packet degrees and Harish-Chandra parameters", packet)
-    )
-
-    def lift_random():
-        pairs = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(20)]
-        bad = [p for p in pairs if not arthur.lift_pairing_consistent(*p)]
-        return _bool(not bad, f"20 random lift coweights pair correctly; failures: {bad}")
-
-    checks.append(
-        _run_check("lift-consistency-random", "lift coweight and Hodge-Tate septuple agree for random parameters", lift_random)
-    )
-
-    def parity():
-        ok = arthur.multiplicity_sign({"inf": 1, "p": 1}, 1) == 1
-        ok = ok and arthur.multiplicity_sign({"inf": -1}, -1) == 1
-        ok = ok and arthur.multiplicity_sign({"inf": -1, "p": -1}, -1) == 0
-        for _ in range(10):
-            places = {f"v{i}": rng.choice((1, -1)) for i in range(4)}
-            eps = rng.choice((1, -1))
-            base = arthur.multiplicity_sign(places, eps)
-            flipped = dict(places)
-            flipped["v0"] *= -1
-            flipped["v1"] *= -1
-            if arthur.multiplicity_sign(flipped, eps) != base:
-                return "fail", "double flip changed the parity output"
-        return _bool(ok, "parity rule matches the three worked cases; invariant under double flips")
-
-    checks.append(
-        _run_check("multiplicity-parity", "global multiplicity is 1 iff the local signs multiply to the global sign", parity)
-    )
-
-    def ledger():
-        rep = arthur.multiplicity_ledger(12, 1)
-        ok = rep.bound == ("m_cusp(plain)", 2)
-        ok = ok and all(rep.identity_checks.values())
-        trivial = arthur.multiplicity_ledger(12, 1, ())
-        ok = ok and trivial.reduced == trivial.raw and trivial.bound is None
-        remark = arthur.multiplicity_ledger(12, 1, arthur.DEFAULT_RULES + ("correction_at_least_one",))
-        ok = ok and remark.bound == ("m_cusp(plain)", 3)
-        try:
-            arthur.multiplicity_ledger(8, 1)
-            return "fail", "window precondition not enforced"
-        except ValueError:
-            pass
-        return _bool(ok, f"reduced relation {rep.reduced}; derived bound {rep.bound}")
-
-    checks.append(
-        _run_check("ledger-bound", "the combined multiplicity identities give a cuspidal lower bound of 2", ledger)
-    )
-
-    def orientation():
-        rep = arthur.multiplicity_ledger(12, 1)
-        if rep.orientation_divergence and rep.surviving_corrections == (("m[P_long,ba](twisted)", -1),):
-            return "finding", rep.orientation_note
-        return "fail", f"surviving corrections {rep.surviving_corrections}"
-
-    checks.append(
-        _run_check("ledger-orientation", "sign orientation of the surviving correction term", orientation)
-    )
-
-    def weights():
-        rep = arthur.multiplicity_ledger(12, 1)
-        ok = rep.identity_checks["long_levi_variant_plain_rejected"]
-        ok = ok and rep.identity_checks["long_levi_variant_twisted_rejected"]
-        if ok:
-            flags = "; ".join(
-                f"{f['id']}: recomputed {f['recomputed']}" for f in rep.weight_flags
-            )
-            return "finding", f"recomputed long-Levi shifted weights adopted over the transcribed variants ({flags})"
-        return "fail", "variant weights not rejected"
-
-    checks.append(
-        _run_check("weight-recomputation", "the two long-Levi shifted weights recomputed exactly", weights)
-    )
-    return checks
+@check("arthur", "orbit-dimensions", "five nilpotent orbits of dimensions 0, 6, 8, 10, 12")
+def orbit_dimensions(rng, config):
+    table = arthur.orbit_table()
+    rows = [(r.name, r.dim, r.component_group) for r in table]
+    expected = [
+        ("O_0", 0, "1"), ("O_l", 6, "1"), ("O_s", 8, "1"),
+        ("O_sr", 10, "S3"), ("O_r", 12, "1"),
+    ]
+    return _bool(rows == expected, f"{rows}")
 
 
-_SUITES: Dict[str, Callable[[random.Random, Dict[str, str]], List[Check]]] = {
-    "roots": _suite_roots,
-    "kostant": _suite_kostant,
-    "triform": _suite_triform,
-    "wedge2": _suite_wedge2,
-    "phin": _suite_phin,
-    "arthur": _suite_arthur,
-}
+@check("arthur", "subregular-centralizer", "four commuting nilpotents span the subregular centralizer; order-2 and order-3 witnesses")
+def subregular_centralizer(rng, config):
+    rep = arthur.subregular_centralizer_report()
+    witnesses = rep["component_group_witnesses"]
+    ok = rep["all_brackets_vanish"] and rep["matches_centralizer_dim"]
+    ok = ok and all(witnesses.values())
+    return _bool(ok, f"span dim {rep['span_dimension']}; witnesses {witnesses}")
+
+
+@check("arthur", "packet-data", "two-member packet degrees and Harish-Chandra parameters")
+def packet_data(rng, config):
+    p4, m4 = arthur.packet_psi_k(4)
+    ok = m4.harish_chandra_param == rootsmod.RHO
+    ok = ok and p4.cohomology_degrees == frozenset({3, 5})
+    ok = ok and m4.cohomology_degrees == frozenset({4})
+    ok = ok and arthur.packet_psi_k(12)[1].harish_chandra_param == rootsmod.Weight(11, 17)
+    try:
+        arthur.packet_psi_k(2)
+        return "fail", "weight 2 accepted"
+    except ValueError:
+        pass
+    return _bool(ok, "degrees {3,5}/{4}; parameters 3a+5b at k=4 and 11a+17b at k=12; weight 2 rejected")
+
+
+@check("arthur", "lift-consistency-random", "lift coweight and Hodge-Tate septuple agree for random parameters")
+def lift_consistency_random(rng, config):
+    pairs = [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(20)]
+    bad = [p for p in pairs if not arthur.lift_pairing_consistent(*p)]
+    return _bool(not bad, f"20 random lift coweights pair correctly; failures: {bad}")
+
+
+@check("arthur", "multiplicity-parity", "global multiplicity is 1 iff the local signs multiply to the global sign")
+def multiplicity_parity(rng, config):
+    ok = arthur.multiplicity_sign({"inf": 1, "p": 1}, 1) == 1
+    ok = ok and arthur.multiplicity_sign({"inf": -1}, -1) == 1
+    ok = ok and arthur.multiplicity_sign({"inf": -1, "p": -1}, -1) == 0
+    for _ in range(10):
+        places = {f"v{i}": rng.choice((1, -1)) for i in range(4)}
+        eps = rng.choice((1, -1))
+        base = arthur.multiplicity_sign(places, eps)
+        flipped = dict(places)
+        flipped["v0"] *= -1
+        flipped["v1"] *= -1
+        if arthur.multiplicity_sign(flipped, eps) != base:
+            return "fail", "double flip changed the parity output"
+    return _bool(ok, "parity rule matches the three worked cases; invariant under double flips")
+
+
+@check("arthur", "ledger-bound", "the combined multiplicity identities give a cuspidal lower bound of 2")
+def ledger_bound(rng, config):
+    rep = arthur.multiplicity_ledger(12, 1)
+    ok = rep.bound == ("m_cusp(plain)", 2)
+    ok = ok and all(rep.identity_checks.values())
+    trivial = arthur.multiplicity_ledger(12, 1, ())
+    ok = ok and trivial.reduced == trivial.raw and trivial.bound is None
+    remark = arthur.multiplicity_ledger(12, 1, arthur.DEFAULT_RULES + ("correction_at_least_one",))
+    ok = ok and remark.bound == ("m_cusp(plain)", 3)
+    try:
+        arthur.multiplicity_ledger(8, 1)
+        return "fail", "window precondition not enforced"
+    except ValueError:
+        pass
+    return _bool(ok, f"reduced relation {rep.reduced}; derived bound {rep.bound}")
+
+
+@check("arthur", "ledger-orientation", "sign orientation of the surviving correction term")
+def ledger_orientation(rng, config):
+    rep = arthur.multiplicity_ledger(12, 1)
+    if rep.orientation_divergence and rep.surviving_corrections == (("m[P_long,ba](twisted)", -1),):
+        return "finding", rep.orientation_note
+    return "fail", f"surviving corrections {rep.surviving_corrections}"
+
+
+@check("arthur", "weight-recomputation", "the two long-Levi shifted weights recomputed exactly")
+def weight_recomputation(rng, config):
+    rep = arthur.multiplicity_ledger(12, 1)
+    ok = rep.identity_checks["long_levi_variant_plain_rejected"]
+    ok = ok and rep.identity_checks["long_levi_variant_twisted_rejected"]
+    if ok:
+        flags = "; ".join(
+            f"{f['id']}: recomputed {f['recomputed']}" for f in rep.weight_flags
+        )
+        return "finding", f"recomputed long-Levi shifted weights adopted over the transcribed variants ({flags})"
+    return "fail", "variant weights not rejected"
 
 
 def run_verify(seed: int, config: Dict[str, str]) -> Dict[str, object]:
-    suites = []
-    for name in SUITE_ORDER:
-        rng = random.Random(f"{seed}:{name}")
-        checks = _SUITES[name](rng, config)
-        suites.append({"name": name, "checks": [c.to_dict() for c in checks]})
+    suites: List[Dict[str, object]] = []
+    for (suite, id, anchor), fn in CHECKS.items():
+        if not suites or suites[-1]["name"] != suite:
+            # One generator per suite, seeded by its name, so that a suite's
+            # draws do not depend on the suites before it.
+            rng = random.Random(f"{seed}:{suite}")
+            suites.append({"name": suite, "checks": []})
+        try:
+            status, detail = fn(rng, config)
+        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+            status, detail = "fail", f"{type(exc).__name__}: {exc}"
+        suites[-1]["checks"].append({"id": id, "anchor": anchor, "status": status, "detail": detail})
     return {"version": __version__, "seed": seed, "suites": suites}
 
 
@@ -1036,10 +918,7 @@ def payload_arthur(args: argparse.Namespace) -> Dict[str, object]:
             {"name": r.name, "dim": r.dim, "component_group": r.component_group}
             for r in arthur.orbit_table()
         ]
-        rep = arthur.subregular_centralizer_report()
-        out["subregular_centralizer"] = {
-            k: v for k, v in rep.items() if k != "witness_elements"
-        } | {"witness_elements": rep["witness_elements"]}
+        out["subregular_centralizer"] = arthur.subregular_centralizer_report()
     if args.packet is not None:
         plus, minus = arthur.packet_psi_k(args.packet)
         out["packet"] = [
@@ -1138,20 +1017,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default=None,
         help="verify: text (default) or json; the other subcommands print JSON only",
     )
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None, help="path to a key = value configuration file")
 
     parser = _Parser(prog="g2forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     verify = sub.add_parser("verify", parents=[common], help="run all verification suites")
+    verify.add_argument("--seed", type=int, default=None)
+    verify.add_argument("--config", default=None, help="path to a key = value configuration file")
     verify.add_argument("--bless", action="store_true", help="regenerate golden files")
 
     sub.add_parser("roots", parents=[common], help="Weyl elements, coset representatives, nilradical sums")
 
     kost = sub.add_parser("kostant", parents=[common], help="nilpotent-cohomology weight pieces")
-    kost.add_argument("--c1", type=int, required=True)
-    kost.add_argument("--c2", type=int, required=True)
+    kost.add_argument("--c1", type=_int_in(0), required=True)
+    kost.add_argument("--c2", type=_int_in(0), required=True)
     kost.add_argument("--parabolic", choices=("alpha", "beta", "borel"), default="alpha")
 
     tri = sub.add_parser("triform", parents=[common], help="3-form stabilizer verification")
@@ -1189,15 +1068,13 @@ def run(argv: Sequence[str]) -> int:
         sys.stderr.write(_usage_line(prog, "argument --format: only verify has a text form; use json"))
         return 2
 
-    try:
-        config = load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"g2forge: configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    seed = args.seed if args.seed is not None else int(config.get("seed", "0"))
-
     if args.command == "verify":
+        try:
+            config = load_config(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"g2forge: configuration error: {exc}", file=sys.stderr)
+            return 2
+        seed = args.seed if args.seed is not None else int(config.get("seed", "0"))
         if args.bless:
             path = _golden_path(config)
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

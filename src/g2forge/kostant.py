@@ -1,5 +1,5 @@
-"""Seven-dimensional standard representation, Levi block embeddings, the
-Weyl dimension formula, Kostant-decomposition bookkeeping and the
+"""Seven-dimensional standard representation, the twisted symmetric square,
+the Weyl dimension formula, Kostant-decomposition bookkeeping and the
 cohomological-degree case analysis for the long-root parabolic.
 """
 
@@ -57,21 +57,6 @@ def weyl_dim(lam: Weight) -> int:
     return int(dim)
 
 
-def _dual2(a: SymMatrix) -> SymMatrix:
-    """Contragredient of a 2x2 matrix written in the reversed basis.
-
-    For A = [[a11,a12],[a21,a22]] this is (1/det) [[a11,-a12],[-a21,a22]].
-    """
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    inv = det.inv()
-    return SymMatrix(
-        [
-            [inv * a[0, 0], -(inv * a[0, 1])],
-            [-(inv * a[1, 0]), inv * a[1, 1]],
-        ]
-    )
-
-
 def sym2_twist(a: SymMatrix) -> SymMatrix:
     """Symmetric square twisted by det^{-1}, in the signed basis
     (u^2, 2uv, -v^2)."""
@@ -84,43 +69,6 @@ def sym2_twist(a: SymMatrix) -> SymMatrix:
         [-(a21 * a21), -(2 * (a21 * a22)), a22 * a22],
     ]
     return SymMatrix([[inv * x for x in row] for row in rows])
-
-
-def _antidiag_conj(a: SymMatrix) -> SymMatrix:
-    return SymMatrix([[a[1, 1], a[1, 0]], [a[0, 1], a[0, 0]]])
-
-
-def levi_embed(which: str, a: SymMatrix) -> SymMatrix:
-    """Embed a 2x2 matrix as a Levi factor of the 7-dimensional model.
-
-    Basis order is the matrix-model order (highest weight first).  For the
-    short-root Levi the blocks are (dual, Sym^2 (x) det^{-1}, standard); for
-    the long-root Levi they are (det, standard reversed, 1, dual, det^{-1}).
-    """
-    if a.rows != 2 or a.cols != 2:
-        raise ValueError("levi_embed expects a 2x2 matrix")
-    zero = RFrac.const(0)
-    out = [[zero] * 7 for _ in range(7)]
-    if which == "short":
-        blocks = [(_dual2(a), 0), (sym2_twist(a), 2), (a, 5)]
-        for block, offset in blocks:
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    out[offset + i][offset + j] = block[i, j]
-    elif which == "long":
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        out[0][0] = det
-        rev = _antidiag_conj(a)
-        dual = _dual2(a)
-        for i in range(2):
-            for j in range(2):
-                out[1 + i][1 + j] = rev[i, j]
-                out[4 + i][4 + j] = dual[i, j]
-        out[3][3] = RFrac.const(1)
-        out[6][6] = det.inv()
-    else:
-        raise ValueError("which must be 'long' or 'short'")
-    return SymMatrix(out)
 
 
 class KostantPiece(NamedTuple):

@@ -8,6 +8,7 @@ computation.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cache
 from itertools import combinations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -28,7 +29,8 @@ def det2x2() -> RFrac:
 class ShapedElement:
     """Generic block-triangular 7x7 element: a 2x2 character-twisted block on
     coordinates (1,2), its twisted symmetric square on (3,4,5), the plain 2x2
-    block on (6,7), and free upper-triangular star entries."""
+    block on (6,7), and the free star entries in rows (1,2) that the 5- and
+    4-dimensional extension blocks use."""
 
     def __init__(self):
         self.d = det2x2()
@@ -37,7 +39,6 @@ class ShapedElement:
             (i, j): RFrac.var(f"gp{i}{j}") for i in (1, 2) for j in (3, 4, 5)
         }  # gp_ij = d * g_ij
         self.star2 = {(i, j): RFrac.var(f"g{i}{j}") for i in (1, 2) for j in (6, 7)}
-        self.star3 = {(i, j): RFrac.var(f"g{i}{j}") for i in (3, 4, 5) for j in (6, 7)}
 
     def rho1(self) -> SymMatrix:
         inv = self.d.inv()
@@ -49,9 +50,6 @@ class ShapedElement:
         from .kostant import sym2_twist
 
         return sym2_twist(self.corner)
-
-    def rho3(self) -> SymMatrix:
-        return self.corner
 
     def matrix5(self) -> SymMatrix:
         """The displayed 5x5 extension block (1/d) [[corner-twist, stars],
@@ -79,28 +77,6 @@ class ShapedElement:
                 [zero, zero, G76, G77],
             ]
         )
-
-    def matrix7(self) -> SymMatrix:
-        r1 = self.rho1()
-        r2 = self.rho2()
-        inv = self.d.inv()
-        zero = RFrac.const(0)
-        rows = []
-        for i in (1, 2):
-            rows.append(
-                [r1[i - 1, 0], r1[i - 1, 1]]
-                + [inv * self.star1[(i, j)] for j in (3, 4, 5)]
-                + [self.star2[(i, 6)], self.star2[(i, 7)]]
-            )
-        for i in (3, 4, 5):
-            rows.append(
-                [zero, zero]
-                + [r2[i - 3, j] for j in range(3)]
-                + [self.star3[(i, 6)], self.star3[(i, 7)]]
-            )
-        rows.append([zero] * 5 + [G66, G67])
-        rows.append([zero] * 5 + [G76, G77])
-        return SymMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +224,11 @@ def displayed_sym_cube_block() -> SymMatrix:
     )
 
 
+@cache
 def five_dim_wedge_report() -> Dict[str, object]:
     """Wedge-square the 5-dimensional extension block in the 10-element basis
-    and compare against every displayed claim."""
+    and compare against every displayed claim.  Cached: callers share the
+    result and must not mutate it."""
     shaped = ShapedElement()
     d = shaped.d
     w = wedge2_action(shaped.matrix5(), WEDGE_BASIS_5)
@@ -278,10 +256,12 @@ def five_dim_wedge_report() -> Dict[str, object]:
     }
 
 
+@cache
 def four_dim_wedge_report() -> Dict[str, object]:
     """Wedge-square the 4-dimensional extension in the 6-element basis; report
     the honest invariant plane, the displayed star polynomial, and the
-    discrepancy in the displayed column claim."""
+    discrepancy in the displayed column claim.  Cached: callers share the
+    result and must not mutate it."""
     shaped = ShapedElement()
     d = shaped.d
     w = wedge2_action(shaped.matrix4(), WEDGE_BASIS_4)
@@ -369,10 +349,12 @@ def displayed_eliminated_rows() -> List[List[RFrac]]:
     ]
 
 
+@cache
 def relation_elimination() -> Dict[str, object]:
     """Run the determinant-preserving elimination on the natural-sign system,
     compare every determinant in sight, and report the discrepancies of the
-    displayed matrices."""
+    displayed matrices.  Cached: callers share the result and must not
+    mutate it."""
     natural = natural_relation_rows()
     # determinant-preserving row operations (each adds a multiple of one row
     # to another):

@@ -221,10 +221,6 @@ if LONGEST.matrix != ((-1, 0), (0, -1)):
     raise AssertionError("longest element must act by negation")
 
 
-def weyl_act(w: WeylElement, lam: Weight) -> Weight:
-    return w.act(lam)
-
-
 def dot_act(w: WeylElement, lam: Weight) -> Weight:
     """The rho-shifted action w*lam = w(lam + rho) - rho."""
     return w.act(lam + RHO) - RHO
@@ -261,10 +257,6 @@ class ParabolicId:
     @property
     def nilradical_roots(self) -> Tuple[Weight, ...]:
         return self._nilradical_roots()
-
-    @property
-    def eis_set(self) -> Tuple[WeylElement, ...]:
-        return tuple(element(w) for w in self.eis_words)
 
     def __eq__(self, other):
         return isinstance(other, ParabolicId) and self.tag == other.tag

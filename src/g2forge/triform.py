@@ -648,10 +648,6 @@ class LieG2:
             raise ValueError("matrix is not in the 14-dimensional span")
         return [-c for c in coords]
 
-    def contains(self, m: SymMatrix) -> bool:
-        vec, _ = self._reduce(self._vectorize(m), [RFrac.const(0)] * 14)
-        return all(v.is_zero() for v in vec)
-
     def by_name(self, name: str) -> SymMatrix:
         return self.matrices[self.names.index(name)]
 

@@ -35,6 +35,13 @@ def verify_report():
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.run(["verify", "--bogus"]) == 2
+        capsys.readouterr()
+        # --seed belongs to verify alone.
+        assert cli.run(["roots", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "unrecognized arguments: --seed 1" in lines[0]
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.run(["frobnicate"]) == 2
@@ -61,6 +68,7 @@ class TestExitCodes:
             ["roots", "--format", "text"],
             ["arthur", "--orbits", "--format", "text"],
             ["verify", "--format", "xml"],
+            ["kostant", "--c1", "-1", "--c2", "0"],
         ],
     )
     def test_bad_input_is_a_one_line_usage_error(self, capsys, argv):
@@ -120,7 +128,9 @@ class TestCoverageManifest:
         with open(os.path.join(HERE, "coverage_manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)["checks"]
         assert len(seen) == len(set(seen))
-        assert sorted(seen) == sorted(manifest)
+        # The manifest fixes the report order, which the registry owns.
+        assert seen == manifest
+        assert [f"{s}/{i}" for s, i, _ in cli.CHECKS] == manifest
 
 
 class TestConfiguration:
@@ -152,6 +162,12 @@ class TestConfiguration:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         assert cli.run(["verify", "--config", str(cfg)]) == 2
+
+    def test_config_file_is_read_by_verify_only(self, tmp_path, monkeypatch):
+        (tmp_path / cli.DEFAULT_CONFIG_FILE).write_text("bogus = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(["roots"]) == 0
+        assert cli.run(["verify"]) == 2
 
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         outdir = tmp_path / "out"
@@ -239,6 +255,20 @@ class TestSubcommands:
         assert [o["dim"] for o in rep["orbits"]] == [0, 6, 8, 10, 12]
         assert rep["lift"]["coweight"] == [10, 6]
         assert rep["ledger"]["bound"] == ["m_cusp(plain)", 2]
+
+
+class TestBenchmarkTracer:
+    def test_tracer_patches_every_alias(self, monkeypatch):
+        """The benchmark's tracer reaches a function only through module
+        namespaces, class dicts and module-level dicts; any other reference
+        (a list or tuple of functions, a closure cell) would bypass it."""
+        root = os.path.dirname(HERE)
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import run
+        import selfcheck
+
+        selfcheck.check_aliases(run.import_package(run.ROOT))
+        assert selfcheck.failures == []
 
 
 def _statuses(report):
