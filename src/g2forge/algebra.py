@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from operator import add, itemgetter, sub
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Q]
@@ -267,8 +267,10 @@ class MPoly:
         return result
 
     def __truediv__(self, other):
-        from_rfrac = RFrac(self)
-        return from_rfrac / other
+        # Over a field, a polynomial divided by a nonzero scalar is a polynomial.
+        if isinstance(other, (int, Q)):
+            return self * (1 / Q(other))
+        return RFrac(self) / other
 
     def __eq__(self, other):
         other = _coerce_poly(other)
@@ -550,13 +552,6 @@ class RFrac:
             return True
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        # Equality is cross-multiplication, which the partial normal form
-        # does not canonicalize, so only constants get fine-grained hashes.
-        if self.is_const():
-            return hash(self.const_value())
-        return 0
-
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
         den = self.den.eval(assignment)
         if den == 0:
@@ -739,9 +734,6 @@ class SymMatrix:
             a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols))
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
 
@@ -866,121 +858,25 @@ def _cofactor_det(entries) -> RFrac:
     return total
 
 
-class AffineExp:
-    """Affine-linear expression in formal exponent symbols (e.g. k, s).
-
-    Used for powers of p that depend on the weight k and the slope s, such as
-    (3k−4)/2 or k−1+s.
-    """
-
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs: Optional[Mapping[str, Scalar]] = None, const: Scalar = 0):
-        cleaned = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = _as_q(v)
-                if v != 0:
-                    cleaned[k] = v
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "const", _as_q(const))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("AffineExp is immutable")
-
-    @staticmethod
-    def of(x: Union["AffineExp", Scalar]) -> "AffineExp":
-        if isinstance(x, AffineExp):
-            return x
-        return AffineExp(const=x)
-
-    @staticmethod
-    def sym(name: str) -> "AffineExp":
-        return AffineExp({name: 1})
-
-    def __add__(self, other):
-        other = AffineExp.of(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return AffineExp(
-            {k: self.coeffs.get(k, Q(0)) + other.coeffs.get(k, Q(0)) for k in keys},
-            self.const + other.const,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineExp({k: -v for k, v in self.coeffs.items()}, -self.const)
-
-    def __sub__(self, other):
-        return self + (-AffineExp.of(other))
-
-    def __rsub__(self, other):
-        return AffineExp.of(other) + (-self)
-
-    def __mul__(self, scalar):
-        scalar = _as_q(scalar)
-        return AffineExp({k: v * scalar for k, v in self.coeffs.items()}, self.const * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (Q(1) / _as_q(scalar))
-
-    def __eq__(self, other):
-        other = AffineExp.of(other)
-        return self.coeffs == other.coeffs and self.const == other.const
-
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.const))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0
-
-    def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        total = self.const
-        for k, v in self.coeffs.items():
-            if k not in assignment:
-                raise ValueError(f"missing assignment for exponent symbol '{k}'")
-            total += v * _as_q(assignment[k])
-        return total
-
-    def __str__(self) -> str:
-        parts: List[str] = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            if v == 1:
-                parts.append(k)
-            elif v == -1:
-                parts.append(f"-{k}")
-            else:
-                parts.append(f"{v}*{k}")
-        if self.const != 0 or not parts:
-            parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"AffineExp({self})"
-
-
 class ValuedScalar:
     """A monomial coeff · p^pexp · u^upow over a p-adically valued field.
 
     ``u`` is a formal unit-direction symbol (the Frobenius eigenvalue α̂)
-    whose valuation is the formal slope symbol ``s``; ``pexp`` may depend
-    affinely on formal symbols such as k.  Zero is represented by coeff = 0.
+    whose valuation is the formal slope symbol ``s``; ``pexp`` is an
+    ``MPoly``, affine in formal symbols such as k.  Zero is represented by
+    coeff = 0.
     """
 
     __slots__ = ("coeff", "upow", "pexp")
 
-    def __init__(self, coeff: Scalar = 1, upow: int = 0, pexp: Union[AffineExp, Scalar] = 0):
+    def __init__(self, coeff: Scalar = 1, upow: int = 0, pexp: Union[MPoly, Scalar] = 0):
         coeff = _as_q(coeff)
-        pexp = AffineExp.of(pexp)
+        pexp = _coerce_poly(pexp)
+        if pexp is NotImplemented:
+            raise TypeError("the exponent of p must be an MPoly, an integer or a Fraction")
         if coeff == 0:
             upow = 0
-            pexp = AffineExp()
+            pexp = _ZERO
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "upow", int(upow))
         object.__setattr__(self, "pexp", pexp)
@@ -997,7 +893,7 @@ class ValuedScalar:
         return ValuedScalar(0)
 
     @staticmethod
-    def p_power(e: Union[AffineExp, Scalar]) -> "ValuedScalar":
+    def p_power(e: Union[MPoly, Scalar]) -> "ValuedScalar":
         return ValuedScalar(1, 0, e)
 
     @staticmethod
@@ -1051,11 +947,11 @@ class ValuedScalar:
     def __hash__(self):
         return hash((self.coeff, self.upow, self.pexp))
 
-    def valuation(self, slope_symbol: str = "s") -> AffineExp:
-        """p-adic valuation as an affine expression; v(u) = s."""
+    def valuation(self, slope_symbol: str = "s") -> MPoly:
+        """p-adic valuation as an affine polynomial; v(u) = s."""
         if self.is_zero():
             raise ValueError("valuation of zero")
-        return self.pexp + AffineExp.sym(slope_symbol) * self.upow
+        return self.pexp + MPoly.var(slope_symbol) * self.upow
 
     def valuation_at(self, assignment: Mapping[str, Scalar], slope: Scalar) -> Q:
         if self.is_zero():
@@ -1072,96 +968,10 @@ class ValuedScalar:
             parts.append(str(self.coeff))
         if not self.pexp.is_zero():
             e = str(self.pexp)
-            parts.append(f"p^({e})" if (self.pexp.coeffs or "/" in e or "-" in e) else f"p^{e}")
+            parts.append(f"p^({e})" if (self.pexp.vars or "/" in e or "-" in e) else f"p^{e}")
         if self.upow:
             parts.append("ahat" if self.upow == 1 else f"ahat^{self.upow}")
         return "*".join(parts)
 
     def __repr__(self) -> str:
         return f"ValuedScalar({self})"
-
-
-class Cyc3:
-    """Element u + v·ζ of the quadratic extension with ζ² + ζ + 1 = 0.
-
-    Components may be rationals or RFrac; used only for the small
-    centralizer witness checks over the cube-root-of-unity extension.
-    """
-
-    __slots__ = ("re", "ze")
-
-    def __init__(self, re=0, ze=0):
-        object.__setattr__(self, "re", _coerce_entry(re))
-        object.__setattr__(self, "ze", _coerce_entry(ze))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Cyc3 is immutable")
-
-    @staticmethod
-    def zeta() -> "Cyc3":
-        return Cyc3(0, 1)
-
-    def __add__(self, other):
-        other = _coerce_cyc(other)
-        return Cyc3(self.re + other.re, self.ze + other.ze)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc3(-self.re, -self.ze)
-
-    def __sub__(self, other):
-        other = _coerce_cyc(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _coerce_cyc(other)
-        # (a + bζ)(c + dζ) = ac + (ad+bc)ζ + bdζ²,  ζ² = −1 − ζ.
-        a, b, c, d = self.re, self.ze, other.re, other.ze
-        bd = b * d
-        return Cyc3(a * c - bd, a * d + b * c - bd)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _coerce_cyc(other)
-        return self.re == other.re and self.ze == other.ze
-
-    def __hash__(self):
-        return 1
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.ze.is_zero()
-
-    def inv(self) -> "Cyc3":
-        # Norm(a + bζ) = a² − ab + b².
-        a, b = self.re, self.ze
-        norm = a * a - a * b + b * b
-        if norm.is_zero():
-            raise ZeroDivisionError("inverse of zero in the cyclotomic extension")
-        ninv = norm.inv()
-        # Conjugate of a + bζ is (a − b) − bζ.
-        return Cyc3((a - b) * ninv, -b * ninv)
-
-    def __str__(self) -> str:
-        return f"({self.re}) + ({self.ze})*zeta"
-
-
-def _coerce_cyc(x) -> Cyc3:
-    if isinstance(x, Cyc3):
-        return x
-    return Cyc3(x)
-
-
-def cyc_mat_mul(a: List[List[Cyc3]], b: List[List[Cyc3]]) -> List[List[Cyc3]]:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise AssertionError
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Cyc3(0, 0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def sym_matrix_to_cyc(m: SymMatrix) -> List[List[Cyc3]]:
-    return [[Cyc3(x) for x in row] for row in m.entries]

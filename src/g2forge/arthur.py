@@ -11,7 +11,7 @@ evaluates any of the underlying distributions.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import triform
 from .algebra import RFrac, SymMatrix

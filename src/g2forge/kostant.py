@@ -6,15 +6,12 @@ cohomological-degree case analysis for the long-root parabolic.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
-from .algebra import MPoly, RFrac, SymMatrix
+from .algebra import MPoly, SymMatrix
 from .roots import (
     ALPHA,
     BETA,
-    BOREL,
-    P_LONG,
-    P_SHORT,
     POSITIVE_ROOTS,
     RHO,
     ParabolicId,
@@ -110,7 +107,7 @@ def euler_characteristic(parabolic: ParabolicId, lam: Weight) -> int:
 class DegreeCase(NamedTuple):
     degree: int
     k: Union[Q, MPoly]
-    s: Union[Q, RFrac]
+    s: Union[Q, MPoly]
     w: WeylElement
     neg_shifted: Weight
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache
 from itertools import combinations
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import MPoly, RFrac, SymMatrix
 
@@ -402,46 +402,25 @@ def form_constraint_probe(max_length: int = 2) -> Dict[str, object]:
     on all products of short-root-parabolic generators up to the given word
     length, symbolically.  Reports which families vanish identically on every
     product; non-vanishing cases are findings, not failures."""
-    from .triform import GENERATOR_NAMES, _poly_generator_columns, _rows_mul
+    from .triform import walk_parabolic_words
 
-    zero = MPoly.zero()
-    one = MPoly.one()
-    identity_rows = tuple(
-        tuple(one if j == r else zero for j in range(7)) for r in (0, 1, 5, 6)
-    )
-    gens_by_depth = [
-        [(name, _poly_generator_columns(name, str(depth))) for name in GENERATOR_NAMES]
-        for depth in range(1, max_length + 1)
-    ]
     failures: Dict[str, List[str]] = {"family1": [], "family2": [], "family3": []}
     vanish_counts = {"family1": 0, "family2": 0, "family3": 0}
-    checked = 0
 
-    def relations(rows):
-        (g16, g17), (g26, g27) = (rows[0][5], rows[0][6]), (rows[1][5], rows[1][6])
-        (g66, g67), (g76, g77) = (rows[2][5], rows[2][6]), (rows[3][5], rows[3][6])
-        return (
-            g77 * g17 + g67 * g27,
-            g77 * g16 + g76 * g17 + g67 * g26 + g66 * g27,
-            g76 * g16 + g66 * g26,
+    def visit(word, rows):
+        (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (row[5:] for row in rows)
+        relations = (
+            ("family1", g77 * g17 + g67 * g27),
+            ("family2", g77 * g16 + g76 * g17 + g67 * g26 + g66 * g27),
+            ("family3", g76 * g16 + g66 * g26),
         )
+        for fam, val in relations:
+            if val.is_zero():
+                vanish_counts[fam] += 1
+            elif len(failures[fam]) < 5:
+                failures[fam].append("".join("*" + name for name in word))
 
-    def dfs(rows, depth, word):
-        nonlocal checked
-        if depth == max_length:
-            return
-        for name, cols in gens_by_depth[depth]:
-            new_rows = _rows_mul(rows, cols)
-            r1, r2, r3 = relations(new_rows)
-            for fam, val in (("family1", r1), ("family2", r2), ("family3", r3)):
-                if val.is_zero():
-                    vanish_counts[fam] += 1
-                elif len(failures[fam]) < 5:
-                    failures[fam].append(word + "*" + name)
-            checked += 1
-            dfs(new_rows, depth + 1, word + "*" + name)
-
-    dfs(identity_rows, 0, "")
+    checked = walk_parabolic_words((0, 1, 5, 6), max_length, visit)
     return {
         "max_length": max_length,
         "products_checked": checked,

@@ -11,9 +11,9 @@ from fractions import Fraction as Q
 from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import AffineExp, MPoly, RFrac, SymMatrix, ValuedScalar
+from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar
 
-K = AffineExp.sym("k")
+K = MPoly.var("k")
 P = ValuedScalar.p_power(1)
 ALPHA_HAT = ValuedScalar.unit(1)
 
@@ -440,7 +440,7 @@ class Constraint(NamedTuple):
     """The equation unit^power = coeff * p^exponent."""
 
     power: int
-    exponent: AffineExp
+    exponent: MPoly
     coeff: Q
 
     def __str__(self):
@@ -459,8 +459,8 @@ def _pair_status(ratio: ValuedScalar):
     m = ratio.upow
     if m > 0:
         # coeff p^E u^m = p  =>  u^m = (1/coeff) p^{1-E}
-        return Constraint(m, AffineExp.of(1) - ratio.pexp, Q(1) / ratio.coeff)
-    return Constraint(-m, ratio.pexp - AffineExp.of(1), ratio.coeff)
+        return Constraint(m, 1 - ratio.pexp, Q(1) / ratio.coeff)
+    return Constraint(-m, ratio.pexp - 1, ratio.coeff)
 
 
 def monodromy_obstruction(eigenvalues: Sequence[ValuedScalar]) -> Dict[str, object]:
@@ -552,7 +552,7 @@ def distinctness_check(k: int = None) -> List[Inequation]:
     value bound |unit|^2 = p^{k-1})."""
     if k is not None and k < 2:
         raise ValueError("weight must be at least 2")
-    kk = AffineExp.of(k) if k is not None else K
+    kk = K if k is None else k
     items = [
         ("unit", ALPHA_HAT),
         ("p^(k-1) unit^-1", ValuedScalar.p_power(kk - 1) * ALPHA_HAT.inv()),

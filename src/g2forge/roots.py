@@ -10,7 +10,7 @@ short-root one, with the rightmost letter acting first.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .algebra import MPoly, RFrac
 
@@ -47,12 +47,6 @@ class Weight:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Weight) and self.ca == other.ca and self.cb == other.cb
-
-    def __hash__(self):
-        try:
-            return hash((self.ca, self.cb))
-        except TypeError:  # pragma: no cover
-            return 0
 
     def is_zero(self) -> bool:
         return self.ca == 0 and self.cb == 0

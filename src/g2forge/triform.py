@@ -8,9 +8,9 @@ centralizer computations.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import Cyc3, MPoly, RFrac, SymMatrix, sym_matrix_to_cyc, cyc_mat_mul
+from .algebra import MPoly, RFrac, SymMatrix
 
 Entry = Union[int, Q, MPoly, RFrac]
 
@@ -108,9 +108,6 @@ class AltTriForm:
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.get(*t) == other.get(*t) for t in keys)
-
-    def __hash__(self):  # pragma: no cover
-        return hash(frozenset(self.coeffs))
 
     def __repr__(self):
         items = ", ".join(f"{t}: {c}" for t, c in sorted(self.coeffs.items()))
@@ -526,36 +523,53 @@ def _rows_relations_zero(rows) -> bool:
     return r2.is_zero()
 
 
-def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
-    """Verify both coefficient relations symbolically on every product of
-    parabolic generators up to the given word length (fresh symbols per
-    factor).  Returns counts; raises AssertionError on any failure."""
+def walk_parabolic_words(
+    rows: Sequence[int],
+    max_length: int,
+    visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...]], None],
+) -> int:
+    """Walk every product of parabolic generators of 1 to ``max_length``
+    factors in pre-order, with fresh symbols per factor and each generator
+    rescaled to be polynomial (see above).  Only the given rows (0-indexed)
+    of each product are propagated.  ``visit(word, product_rows)`` sees each
+    product, ``word`` being its tuple of generator names.  Returns the number
+    of products visited."""
     zero = MPoly.zero()
     one = MPoly.one()
-    identity_rows = (
-        tuple(one if j == 0 else zero for j in range(7)),
-        tuple(one if j == 1 else zero for j in range(7)),
-    )
+    identity_rows = tuple(tuple(one if j == r else zero for j in range(7)) for r in rows)
     gens_by_depth = [
         [(name, _poly_generator_columns(name, str(depth))) for name in GENERATOR_NAMES]
         for depth in range(1, max_length + 1)
     ]
-    checked = 0
+    visited = 0
 
-    def dfs(rows, depth):
-        nonlocal checked
-        if depth == max_length:
+    def dfs(current, word):
+        nonlocal visited
+        if len(word) == max_length:
             return
-        for name, cols in gens_by_depth[depth]:
-            new_rows = _rows_mul(rows, cols)
-            if not _rows_relations_zero(new_rows):
-                raise AssertionError(
-                    f"coefficient relation failed at depth {depth + 1} ending with {name}"
-                )
-            checked += 1
-            dfs(new_rows, depth + 1)
+        for name, cols in gens_by_depth[len(word)]:
+            new_rows = _rows_mul(current, cols)
+            new_word = word + (name,)
+            visit(new_word, new_rows)
+            visited += 1
+            dfs(new_rows, new_word)
 
-    dfs(identity_rows, 0)
+    dfs(identity_rows, ())
+    return visited
+
+
+def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
+    """Verify both coefficient relations symbolically on every product of
+    parabolic generators up to the given word length (fresh symbols per
+    factor).  Returns counts; raises AssertionError on any failure."""
+
+    def visit(word, rows):
+        if not _rows_relations_zero(rows):
+            raise AssertionError(
+                f"coefficient relation failed at depth {len(word)} ending with {word[-1]}"
+            )
+
+    checked = walk_parabolic_words((0, 1), max_length, visit)
     return {"max_length": max_length, "products_checked": checked, "generators": len(GENERATOR_NAMES)}
 
 
@@ -753,20 +767,22 @@ def sl2_complete(e: SymMatrix, h: SymMatrix) -> SymMatrix:
 def zeta_witness() -> Dict[str, bool]:
     """Two elements centralizing the subregular nilpotent over the ring with a
     formal primitive cube root of unity: the short coroot evaluated at zeta,
-    and the short-root Weyl representative."""
+    and the short-root Weyl representative.
+
+    zeta is a symbol and the cocharacter check works modulo its minimal
+    polynomial zeta^2 + zeta + 1: D e D^-1 - e vanishes in Q(a)[zeta]/(that
+    polynomial) iff every entry's numerator is divisible by it."""
     lie = lie_basis()
     e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-    zeta = Cyc3.zeta()
-    one = Cyc3(1)
-    zero = Cyc3(0)
+    z = MPoly.var("zeta")
+    zeta = RFrac(z)
+    cyclotomic = z * z + z + 1
     # short coroot at zeta: the torus element [s, 1/s] at s = zeta
     powers = [1, -1, 2, 0, -2, 1, -1]
-    zpow = {0: one, 1: zeta, 2: zeta * zeta, -1: zeta * zeta, -2: zeta}
-    cocharacter = [[zpow[powers[i]] if i == j else zero for j in range(7)] for i in range(7)]
-    e_c = sym_matrix_to_cyc(e)
-    lhs = cyc_mat_mul(cocharacter, e_c)
-    rhs = cyc_mat_mul(e_c, cocharacter)
-    coch_ok = lhs == rhs
+    d = SymMatrix.diagonal([zeta ** n for n in powers])
+    d_inv = SymMatrix.diagonal([zeta ** -n for n in powers])
+    residue = d * e * d_inv - e
+    coch_ok = all(x.num.divexact(cyclotomic) is not None for row in residue.entries for x in row)
     wb = W_TILDE_B
     wb_ok = (wb * e) == (e * wb)
     return {"short_coroot_at_zeta_centralizes": coch_ok, "weyl_rep_centralizes": wb_ok}

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge.algebra import AffineExp, MPoly, RFrac, SymMatrix, ValuedScalar
+from g2forge import roots, triform
+from g2forge.algebra import MPoly, RFrac, SymMatrix, ValuedScalar
 
 X = MPoly.var("x")
 Y = MPoly.var("y")
@@ -110,15 +111,15 @@ class TestSymMatrix:
 
 class TestAffineExp:
     def test_arithmetic_and_eval(self):
-        k = AffineExp.sym("k")
+        k = MPoly.var("k")
         expr = k * 3 - 2
         assert expr.eval({"k": Q(4)}) == 10
         assert (expr / 2).eval({"k": Q(4)}) == 5
         assert (k - k).is_zero()
 
     def test_equality(self):
-        k = AffineExp.sym("k")
-        assert k + 1 == AffineExp({"k": 1}, 1)
+        k = MPoly.var("k")
+        assert k + 1 == MPoly(("k",), {(1,): 1, (0,): 1})
 
 
 class TestValuedScalar:
@@ -129,7 +130,24 @@ class TestValuedScalar:
         assert u.inv() * u == ValuedScalar.one()
 
     def test_powers_combine(self):
-        k = AffineExp.sym("k")
+        k = MPoly.var("k")
         a = ValuedScalar.p_power(k - 1)
         b = ValuedScalar.p_power(2 - k)
         assert a * b == ValuedScalar.p_power(1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        RFrac(X, Y + 1),
+        SymMatrix.identity(2),
+        triform.generic_form(),
+        roots.Weight(RFrac.var("k"), 1),
+    ],
+    ids=["RFrac", "SymMatrix", "AltTriForm", "Weight"],
+)
+def test_types_with_structural_equality_are_unhashable(value):
+    # Equality here is not canonical (cross-multiplication, entrywise RFrac
+    # equality), so no hash agrees with it; using one as a key must fail.
+    with pytest.raises(TypeError):
+        hash(value)

@@ -3,6 +3,7 @@ stabilizer matrices, Weyl permutation images, quadratic entry relations,
 and the 14-dimensional stabilizer Lie algebra."""
 
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -195,3 +196,10 @@ class TestLieAlgebra:
         assert lie.sl2_centralizer_dim(e, f) == 0
         witness = t.zeta_witness()
         assert all(witness.values())
+
+    def test_zeta_witness_can_fail(self, monkeypatch):
+        # The short coroot at zeta does not centralize e[b]: entry (1, 2) of
+        # e[b] joins the zeta powers 1 and -1, which differ by 2 mod 3.
+        e_b = t.lie_basis().by_name("e[b]")
+        monkeypatch.setattr(t, "lie_basis", lambda: SimpleNamespace(by_name=lambda name: e_b))
+        assert t.zeta_witness()["short_coroot_at_zeta_centralizes"] is False
