@@ -626,6 +626,9 @@ class SymMatrix:
     The constructor coerces and checks its entries.  Results of matrix
     operations are built from ``RFrac`` rows of a known shape and skip that
     (``_trusted=True``: a nonempty tuple of equal-length tuples of ``RFrac``).
+
+    ``rank`` and ``inverse`` run the one elimination, ``row_reduce``.
+    ``det`` clears each row's denominators and runs fraction-free Bareiss.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -744,59 +747,31 @@ class SymMatrix:
         return SymMatrix([[RFrac.const(x.eval(assignment)) for x in row] for row in self.entries])
 
     def det(self) -> RFrac:
+        """Fraction-free: row i is multiplied by the product d_i of its
+        denominators, and det = Bareiss det of those rows / prod(d_i)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if all(x.den == _ONE for row in self.entries for x in row):
-            return RFrac(_bareiss_det([[x.num for x in row] for row in self.entries]))
-        return _cofactor_det(self.entries)
+        cleared = []
+        scale = _ONE
+        for row in self.entries:
+            d = _ONE
+            for x in row:
+                d = d * x.den
+            cleared.append([x.num * d.divexact(x.den) for x in row])
+            scale = scale * d
+        return RFrac(_bareiss_det(cleared), scale)
 
     def rank(self) -> int:
         """Rank over the rational-function field (exact Gaussian elimination)."""
-        m = [list(row) for row in self.entries]
-        rank = 0
-        row = 0
-        for col in range(self.cols):
-            pivot = None
-            for r in range(row, self.rows):
-                if not m[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            m[row], m[pivot] = m[pivot], m[row]
-            inv = m[row][col].inv()
-            for r in range(row + 1, self.rows):
-                if m[r][col].is_zero():
-                    continue
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-            rank += 1
-            row += 1
-            if row == self.rows:
-                break
-        return rank
+        return len(row_reduce([list(row) for row in self.entries], self.cols, reduced=False))
 
     def inverse(self) -> "SymMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         m = [list(row) + [R_ONE if i == j else R_ZERO for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not m[r][col].is_zero():
-                    pivot = r
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = m[col][col].inv()
-            m[col] = [inv * x for x in m[col]]
-            for r in range(n):
-                if r == col or m[r][col].is_zero():
-                    continue
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+        if len(row_reduce(m, n)) < n:
+            raise ValueError("matrix is singular")
         return SymMatrix([row[n:] for row in m])
 
     def __str__(self) -> str:
@@ -811,6 +786,44 @@ def _coerce_entry(x) -> RFrac:
     if out is NotImplemented:
         raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
     return out
+
+
+def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> List[int]:
+    """Row-reduce ``rows`` in place on their first ``ncols`` columns and
+    return the pivot columns.  Row i then holds the pivot of column
+    ``pivots[i]``; the rows past ``len(pivots)`` are zero on the first ``ncols``
+    columns.
+
+    The pivot of a column is its first nonzero entry at or below the next
+    pivot row.  ``reduced=True`` is Gauss–Jordan: the pivot row is scaled to
+    a leading 1 and the column is cleared above and below it.
+    ``reduced=False`` clears below an unscaled pivot only, which is all a rank
+    needs and measurably cheaper on the admissibility grids.
+    """
+    n = len(rows)
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        for p in range(r, n):
+            if not rows[p][col].is_zero():
+                break
+        else:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][col].inv()
+        if reduced:
+            rows[r] = [inv * x for x in rows[r]]
+        pivot_row = rows[r]
+        for i in range(0 if reduced else r + 1, n):
+            lead = rows[i][col]
+            if i == r or lead.is_zero():
+                continue
+            factor = lead if reduced else lead * inv
+            rows[i] = [a - factor * b for a, b in zip(rows[i], pivot_row)]
+        pivots.append(col)
+    return pivots
 
 
 def _bareiss_det(m: List[List[MPoly]]) -> MPoly:
@@ -841,21 +854,6 @@ def _bareiss_det(m: List[List[MPoly]]) -> MPoly:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def _cofactor_det(entries) -> RFrac:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total = R_ZERO
-    for j in range(n):
-        a = entries[0][j]
-        if a.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in entries[1:]]
-        term = a * _cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 class ValuedScalar:

@@ -92,7 +92,7 @@ def subregular_centralizer_report() -> Dict[str, object]:
         triform.bracket(rep, x).is_zero() for x in elements
     )
     coords = [lie.coordinates(x) for x in elements]
-    span_dim = SymMatrix([[c for c in row] for row in coords]).rank()
+    span_dim = SymMatrix(coords).rank()
     cent_dim = lie.centralizer_dim(rep)
     return {
         "witness_elements": ["e[a+b]", "e[a+2b]", "e[2a+3b]", "e[a]+e[a+3b]"],

@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar
+from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry
 
 K = MPoly.var("k")
 P = ValuedScalar.p_power(1)
@@ -371,7 +371,7 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
         raise ValueError("weight must be even and at least 4")
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
-    c = c if isinstance(c, RFrac) else RFrac.const(c)
+    c = _coerce_entry(c)
     phi = (
         ValuedScalar.p_power(-1) * ALPHA_HAT.inv(),
         ValuedScalar.p_power(-K) * ALPHA_HAT,
@@ -423,8 +423,8 @@ def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
     B = B'."""
     b1, c1 = pair1
     b2, c2 = pair2
-    c1 = c1 if isinstance(c1, RFrac) else RFrac.const(c1)
-    c2 = c2 if isinstance(c2, RFrac) else RFrac.const(c2)
+    c1 = _coerce_entry(c1)
+    c2 = _coerce_entry(c2)
     # the only candidate isomorphism has m11 = c2 - c1 from Fil^{k-1}
     # preservation, but Frobenius equivariance needs m11 = 0:
     if not (c2 - c1).is_zero():
@@ -528,8 +528,8 @@ def sym2_fil0_test(a: RFrac, b: RFrac) -> bool:
     """In the basis (w11, w12, w22) of the symmetric square, the line spanned
     by a^2 w11 + 2ab w12 + b^2 w22 meets Fil^0 = span(w11, w12) trivially iff
     the w22-coordinate b^2 is nonzero."""
-    a = a if isinstance(a, RFrac) else RFrac.const(a)
-    b = b if isinstance(b, RFrac) else RFrac.const(b)
+    a = _coerce_entry(a)
+    b = _coerce_entry(b)
     vector = (a * a, 2 * (a * b), b * b)
     if all(x.is_zero() for x in vector):
         raise ValueError("zero vector spans no line")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import MPoly, RFrac, SymMatrix
+from .algebra import R_ONE, R_ZERO, MPoly, RFrac, SymMatrix, _coerce_entry, row_reduce
 
 Entry = Union[int, Q, MPoly, RFrac]
 
@@ -48,7 +48,7 @@ class AltTriForm:
         for (i, j, k), c in coeffs.items():
             if not (1 <= i < j < k <= 7):
                 raise ValueError(f"indices must satisfy 1 <= i < j < k <= 7, got {(i, j, k)}")
-            c = c if isinstance(c, RFrac) else RFrac.const(c) if not isinstance(c, MPoly) else RFrac(c)
+            c = _coerce_entry(c)
             if not c.is_zero():
                 clean[(i, j, k)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -125,7 +125,7 @@ def generic_form(a: Entry = A_SYM) -> AltTriForm:
     one-parameter matrices are stabilizers; a variant with a (2,4,5) term in
     place of (2,4,6) is NOT stabilized by them (see displayed_form_variant).
     """
-    a = a if isinstance(a, RFrac) else RFrac.const(a) if not isinstance(a, MPoly) else RFrac(a)
+    a = _coerce_entry(a)
     if a.is_zero():
         raise ValueError("the scaling parameter must be nonzero")
     return AltTriForm(
@@ -142,7 +142,7 @@ def generic_form(a: Entry = A_SYM) -> AltTriForm:
 def displayed_form_variant(a: Entry = A_SYM) -> AltTriForm:
     """The variant with a -1 coefficient on (2,4,5) instead of (2,4,6); kept
     so the discrepancy with generic_form can be reported explicitly."""
-    a = _as_rfrac(a)
+    a = _coerce_entry(a)
     return AltTriForm(
         {(1, 4, 7): 1, (1, 5, 6): 1, (2, 3, 7): 1, (2, 4, 5): -1, (3, 4, 5): a}
     )
@@ -234,19 +234,11 @@ _ROOT_COORDS: Dict[str, Tuple[int, int]] = {
 }
 
 
-def _as_rfrac(x: Entry) -> RFrac:
-    if isinstance(x, RFrac):
-        return x
-    if isinstance(x, MPoly):
-        return RFrac(x)
-    return RFrac.const(x)
-
-
 def root_subgroup(root: str, x: Entry) -> SymMatrix:
     """The displayed one-parameter subgroup element g(root, x)."""
     if root not in _GEN_ENTRIES:
         raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
-    x = _as_rfrac(x)
+    x = _coerce_entry(x)
     ainv = A_SYM.inv()
     one = RFrac.const(1)
     zero = RFrac.const(0)
@@ -260,8 +252,8 @@ def root_subgroup(root: str, x: Entry) -> SymMatrix:
 
 
 def torus_elem(t1: Entry, t2: Entry) -> SymMatrix:
-    t1 = _as_rfrac(t1)
-    t2 = _as_rfrac(t2)
+    t1 = _coerce_entry(t1)
+    t2 = _coerce_entry(t2)
     return SymMatrix.diagonal(
         [t1, t2, t1 / t2, RFrac.const(1), t2 / t1, t2.inv(), t1.inv()]
     )
@@ -272,8 +264,8 @@ def root_character(root: str, t1: Entry, t2: Entry) -> RFrac:
     if root not in _ROOT_COORDS:
         raise ValueError(f"unsupported root {root!r}")
     m, n = _ROOT_COORDS[root]
-    t1 = _as_rfrac(t1)
-    t2 = _as_rfrac(t2)
+    t1 = _coerce_entry(t1)
+    t2 = _coerce_entry(t2)
     # long simple root value: t2^2/t1; short simple root value: t1/t2
     return (t2 * t2 / t1) ** m * (t1 / t2) ** n
 
@@ -623,18 +615,16 @@ class LieG2:
             basis.append((f"e[-({name})]", w_long * e * w_long_inv))
         self.names: Tuple[str, ...] = tuple(n for n, _ in basis)
         self.matrices: Tuple[SymMatrix, ...] = tuple(m for _, m in basis)
-        self._echelon: List[Tuple[int, List[RFrac], List[RFrac]]] = []
-        for idx, mat in enumerate(self.matrices):
-            vec = self._vectorize(mat)
-            coords = [RFrac.const(1 if i == idx else 0) for i in range(14)]
-            red, crd = self._reduce(vec, coords)
-            pivot = next((i for i, v in enumerate(red) if not v.is_zero()), None)
-            if pivot is None:
-                raise ValueError("basis matrices are linearly dependent")
-            inv = red[pivot].inv()
-            red = [inv * v for v in red]
-            crd = [inv * v for v in crd]
-            self._echelon.append((pivot, red, crd))
+        rows = [
+            self._vectorize(mat) + [R_ONE if i == idx else R_ZERO for i in range(14)]
+            for idx, mat in enumerate(self.matrices)
+        ]
+        pivots = row_reduce(rows, 49)
+        if len(pivots) < 14:
+            raise ValueError("basis matrices are linearly dependent")
+        self._echelon: List[Tuple[int, List[RFrac], List[RFrac]]] = [
+            (pivot, row[:49], row[49:]) for pivot, row in zip(pivots, rows)
+        ]
 
     @staticmethod
     def _vectorize(m: SymMatrix) -> List[RFrac]:
@@ -688,9 +678,7 @@ class LieG2:
     def sl2_centralizer_dim(self, e: SymMatrix, f: SymMatrix) -> int:
         ad_e = self.adjoint_matrix(e)
         ad_f = self.adjoint_matrix(f)
-        stacked = [[ad_e[i, j] for j in range(14)] for i in range(14)]
-        stacked += [[ad_f[i, j] for j in range(14)] for i in range(14)]
-        return 14 - SymMatrix(stacked).rank()
+        return 14 - SymMatrix(ad_e.entries + ad_f.entries).rank()
 
 
 _LIE_CACHE: Optional[LieG2] = None
@@ -724,37 +712,15 @@ def sl2_complete(e: SymMatrix, h: SymMatrix) -> SymMatrix:
     ad_e = lie.adjoint_matrix(e)
     ad_h = lie.adjoint_matrix(h)
     h_coords = lie.coordinates(h)
-    rows = []
-    rhs = []
-    for i in range(14):
-        rows.append([ad_e[i, j] for j in range(14)])
-        rhs.append(h_coords[i])
     two = RFrac.const(2)
-    for i in range(14):
-        rows.append([ad_h[i, j] + (two if i == j else RFrac.const(0)) for j in range(14)])
-        rhs.append(RFrac.const(0))
-    # Gaussian elimination on the 28x15 augmented system.
-    aug = [row + [rhs[i]] for i, row in enumerate(rows)]
+    aug = [list(ad_e.entries[i]) + [h_coords[i]] for i in range(14)]
+    aug += [[x + two if i == j else x for j, x in enumerate(ad_h.entries[i])] + [R_ZERO] for i in range(14)]
     n = 14
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(aug)) if not aug[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inv()
-        aug[r] = [inv * v for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and not aug[i][c].is_zero():
-                factor = aug[i][c]
-                aug[i] = [aug[i][k] - factor * aug[r][k] for k in range(n + 1)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
+    pivots = row_reduce(aug, n)
+    for i in range(len(pivots), len(aug)):
         if not aug[i][n].is_zero():
             raise ValueError("no sl2 completion exists for the given (e, h)")
-    coords = [RFrac.const(0)] * n
+    coords = [R_ZERO] * n
     for row_idx, c in enumerate(pivots):
         coords[c] = aug[row_idx][n]
     f = SymMatrix.zero(7, 7)

@@ -9,8 +9,10 @@ gives, since report strings are printed from them.
 `MPoly` stores integral coefficients as `int` and builds products and
 uncancelled sums without re-canonicalising, so every result is checked
 against the representation invariants.  Polynomial arithmetic, `RFrac`
-equality and the division paths (`divexact` inside Bareiss `det`, `rank`,
-`inverse`) are also checked against sympy as an independent oracle.
+equality and the division paths are also checked against sympy as an
+independent oracle: Bareiss `det` (`divexact`) on polynomial matrices and,
+after clearing each row's denominators, on rational-function ones, and the
+one row reduction behind `rank` and `inverse`.
 """
 
 from fractions import Fraction as Q
@@ -320,6 +322,13 @@ class TestDivisionPathsAgainstSympy:
         assert det.den == MPoly.one()
         dm = sympy_domain_matrix(sp, m)
         assert equals_sympy(sp, det, dm.domain.to_sympy(dm.det()))
+
+    @given(st.integers(1, 3).flatmap(rfrac_matrices))
+    @settings(max_examples=40, deadline=None)
+    def test_det_clears_denominators(self, m):
+        sp = pytest.importorskip("sympy")
+        dm = sympy_domain_matrix(sp, m)
+        assert equals_sympy(sp, m.det(), dm.domain.to_sympy(dm.det()))
 
     @given(low_rank_matrices())
     @settings(max_examples=40, deadline=None)

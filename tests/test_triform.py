@@ -197,6 +197,15 @@ class TestLieAlgebra:
         witness = t.zeta_witness()
         assert all(witness.values())
 
+    def test_sl2_complete_rejects_an_h_without_completion(self):
+        # h = torus_direction(2, 2) completes e to an sl2-triple; for the
+        # multiples below the augmented system is inconsistent.
+        lie = t.lie_basis()
+        e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
+        for c in (Q(1), Q(4)):
+            with pytest.raises(ValueError, match="no sl2 completion"):
+                t.sl2_complete(e, t.torus_direction(c, c))
+
     def test_zeta_witness_can_fail(self, monkeypatch):
         # The short coroot at zeta does not centralize e[b]: entry (1, 2) of
         # e[b] joins the zeta powers 1 and -1, which differ by 2 mod 3.
