@@ -410,6 +410,24 @@ _ZERO = MPoly((), {}, _canonical=True)
 _ONE = MPoly((), {(): 1}, _canonical=True)
 
 
+def affine_bounds_on_cone(
+    f: MPoly, vertices: Sequence[Mapping[str, Scalar]], rays: Sequence[Mapping[str, Scalar]]
+) -> Tuple[Optional[Q], Optional[Q]]:
+    """Exact (min, max) of an affine ``f`` on conv(vertices) + cone(rays),
+    points given as {variable: value}, ``None`` for an unbounded side.  Every
+    point is a convex combination of vertices plus a nonnegative combination
+    of rays (Minkowski–Weyl), so the extremes sit at vertices unless a ray
+    slope of ``f`` points the other way."""
+    if any(sum(e) > 1 for e in f.terms):
+        raise ValueError(f"{f} is not affine")
+    constant = Q(f.terms.get((0,) * len(f.vars), 0))
+    values = [f.eval(v) for v in vertices]
+    slopes = [f.eval(r) - constant for r in rays]
+    lo = min(values) if all(s >= 0 for s in slopes) else None
+    hi = max(values) if all(s <= 0 for s in slopes) else None
+    return lo, hi
+
+
 class RFrac:
     """Rational function num/den with light normalization.
 

@@ -10,6 +10,7 @@ import os
 import random
 import sys
 from fractions import Fraction as Q
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, arthur, kostant, lattice, phin, triform
@@ -149,18 +150,12 @@ def dot_action_short_levi_shift(rng, config):
 
 @check("roots", "criticality-window", "critical Weyl set {short reflection} in the low-slope window")
 def criticality_window(rng, config):
-    tested = 0
-    for k in range(5, 41):
-        lam = rootsmod.lambda0(k)
-        for twice_sp in range(0, k):
-            sp = Q(twice_sp, 2)
-            if not (k > 4 * sp + 4):
-                continue
-            crit = rootsmod.critical_set(rootsmod.slope_weight(sp), lam)
-            if [w.word for w in crit] != ["b"]:
-                return "fail", f"critical set at k={k}, sp={sp}: {[w.name for w in crit]}"
-            tested += 1
-    return "pass", f"critical set is exactly the short reflection for {tested} (k, sp) pairs"
+    critical, undecided = rootsmod.critical_set_on_window()
+    return _bool(
+        [w.word for w in critical] == ["b"] and not undecided,
+        f"critical set {[w.name for w in critical]}, undecided {[w.name for w in undecided]} "
+        "on the whole window k >= 4sp + 5, sp >= 0 (exact residue bounds on the cone)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +210,8 @@ def lift_weight_examples(rng, config):
 
 @check("kostant", "lift-pairing-random", "coweight pairing against the 7 standard weights equals the Hodge-Tate septuple")
 def lift_pairing_random(rng, config):
-    pairs = [(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(20)]
-    bad = [p for p in pairs if not arthur.lift_pairing_consistent(*p)]
-    return _bool(not bad, f"20 random (c1, c2) pairs checked; failures: {bad}")
+    ok = arthur.lift_pairing_consistent(MPoly.var("c1"), MPoly.var("c2"))
+    return _bool(ok, "pairings equal the Hodge-Tate septuple identically in symbolic (c1, c2)")
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +498,12 @@ def golden_displayed_blocks(rng, config):
 
 @check("phin", "rank2-admissibility-grid", "weak admissibility of the rank-2 modules over the slope grid")
 def rank2_admissibility_grid(rng, config):
-    count = 0
-    for k in range(2, 21):
-        for twice_sp in range(0, k):
-            m = phin.d_st(k, Q(twice_sp, 2))
-            if not phin.is_admissible(m):
-                return "fail", f"rank-2 module at k={k}, sp={Q(twice_sp, 2)} not admissible"
-            count += 1
-    return "pass", f"{count} rank-2 modules admissible (k <= 20, 0 <= sp <= (k-1)/2)"
+    holds, margins = phin.d_st_window_certificate()
+    return _bool(
+        holds,
+        f"t_N - t_H margins [{', '.join(map(str, margins))}] (full space, then each stable line): "
+        "0, then >= 0 on the whole window k >= 2, 0 <= sp <= (k-1)/2 (exact bounds on the cone)",
+    )
 
 
 @check("phin", "rank2-polygons", "Newton above Hodge with common endpoint (weight 4, slope 1)")
@@ -527,9 +519,7 @@ def rank2_polygons(rng, config):
 
 @check("phin", "extension-admissibility", "the 4-dim extension modules are weakly admissible")
 def extension_admissibility(rng, config):
-    one = RFrac.const(1)
-    zero = RFrac.const(0)
-    b = SymMatrix([[one, zero], [zero, one]])
+    b = SymMatrix.identity(2)
     m = phin.build_EBc(b, 1, 4, Q(1))
     ok = m.fil_jumps() == [0, 1, 3, 4]
     ok = ok and phin.is_admissible(m)
@@ -554,8 +544,7 @@ def frobenius_relation_symbolic(rng, config):
 
 @check("phin", "extension-generic-frobenius", "eigenvalue constraints left by a non-scalar monodromy block")
 def extension_generic_frobenius(rng, config):
-    one = RFrac.const(1)
-    b = SymMatrix([[one, RFrac.const(2)], [RFrac.const(3), RFrac.const(4)]])
+    b = SymMatrix([[1, 2], [3, 4]])
     rep = phin.build_EBc(b, 1, 4, Q(1)).phi_relation_report()
     if not rep["holds"] and len(rep["violations"]) == 2:
         return "finding", (
@@ -617,13 +606,11 @@ def monodromy_seven_dim(rng, config):
 
 @check("phin", "sym2-filtration-test", "the symmetric-square filtration intersection criterion")
 def sym2_filtration_test(rng, config):
-    one = RFrac.const(1)
-    zero = RFrac.const(0)
-    ok = phin.sym2_fil0_test(one, one) is True
-    ok = ok and phin.sym2_fil0_test(one, zero) is False
-    ok = ok and phin.sym2_fil0_test(zero, one) is True
+    ok = phin.sym2_fil0_test(1, 1) is True
+    ok = ok and phin.sym2_fil0_test(1, 0) is False
+    ok = ok and phin.sym2_fil0_test(0, 1) is True
     try:
-        phin.sym2_fil0_test(zero, zero)
+        phin.sym2_fil0_test(0, 0)
         return "fail", "zero vector accepted"
     except ValueError:
         pass
@@ -703,16 +690,12 @@ def multiplicity_parity(rng, config):
     ok = arthur.multiplicity_sign({"inf": 1, "p": 1}, 1) == 1
     ok = ok and arthur.multiplicity_sign({"inf": -1}, -1) == 1
     ok = ok and arthur.multiplicity_sign({"inf": -1, "p": -1}, -1) == 0
-    for _ in range(10):
-        places = {f"v{i}": rng.choice((1, -1)) for i in range(4)}
-        eps = rng.choice((1, -1))
-        base = arthur.multiplicity_sign(places, eps)
-        flipped = dict(places)
-        flipped["v0"] *= -1
-        flipped["v1"] *= -1
-        if arthur.multiplicity_sign(flipped, eps) != base:
-            return "fail", "double flip changed the parity output"
-    return _bool(ok, "parity rule matches the three worked cases; invariant under double flips")
+    for *signs, eps in product((1, -1), repeat=5):
+        places = {f"v{i}": s for i, s in enumerate(signs)}
+        flipped = dict(places, v0=-signs[0], v1=-signs[1])
+        if arthur.multiplicity_sign(flipped, eps) != arthur.multiplicity_sign(places, eps):
+            return "fail", f"double flip changed the parity output at {places}, global sign {eps}"
+    return _bool(ok, "parity rule matches the three worked cases; invariant under double flips on all 32 sign patterns")
 
 
 @check("arthur", "ledger-bound", "the combined multiplicity identities give a cuspidal lower bound of 2")
@@ -879,9 +862,7 @@ def payload_phin(k: int, sp: Q, mode: str) -> Dict[str, object]:
             "admissible": phin.is_admissible(m),
         }
     if mode == "ebc":
-        one = RFrac.const(1)
-        zero = RFrac.const(0)
-        m = phin.build_EBc(SymMatrix([[one, zero], [zero, one]]), 1, k, sp)
+        m = phin.build_EBc(SymMatrix.identity(2), 1, k, sp)
         return {
             "fil_jumps": m.fil_jumps(),
             "admissible": phin.is_admissible(m),

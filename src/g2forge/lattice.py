@@ -12,7 +12,7 @@ from functools import cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import MPoly, RFrac, SymMatrix
+from .algebra import R_ZERO, MPoly, RFrac, SymMatrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
 # gP[i][j] = d * g_ij, and the upper-right block entries.
@@ -60,21 +60,19 @@ class ShapedElement:
             [inv * G66, -(inv * G67)] + [inv * self.star1[(1, j)] for j in (3, 4, 5)],
             [-(inv * G76), inv * G77] + [inv * self.star1[(2, j)] for j in (3, 4, 5)],
         ]
-        zero = RFrac.const(0)
         for i in range(3):
-            rows.append([zero, zero] + [r2[i, j] for j in range(3)])
+            rows.append([R_ZERO, R_ZERO] + [r2[i, j] for j in range(3)])
         return SymMatrix(rows)
 
     def matrix4(self) -> SymMatrix:
         """The 4-dimensional extension on coordinates (1, 2, 6, 7)."""
         r1 = self.rho1()
-        zero = RFrac.const(0)
         return SymMatrix(
             [
                 [r1[0, 0], r1[0, 1], self.star2[(1, 6)], self.star2[(1, 7)]],
                 [r1[1, 0], r1[1, 1], self.star2[(2, 6)], self.star2[(2, 7)]],
-                [zero, zero, G66, G67],
-                [zero, zero, G76, G77],
+                [R_ZERO, R_ZERO, G66, G67],
+                [R_ZERO, R_ZERO, G76, G77],
             ]
         )
 
@@ -96,8 +94,7 @@ def wedge2_standard(m: SymMatrix) -> SymMatrix:
     n = m.rows
     pairs = _pairs(n)
     index = {p: k for k, p in enumerate(pairs)}
-    zero = RFrac.const(0)
-    out = [[zero] * len(pairs) for _ in range(len(pairs))]
+    out = [[R_ZERO] * len(pairs) for _ in range(len(pairs))]
     for (i, j), col in ((p, index[p]) for p in pairs):
         for (k, l), row in ((p, index[p]) for p in pairs):
             out[row][col] = m[k - 1, i - 1] * m[l - 1, j - 1] - m[l - 1, i - 1] * m[k - 1, j - 1]
@@ -109,8 +106,7 @@ def basis_matrix(n: int, basis: Sequence[WedgeVector]) -> SymMatrix:
     index = {p: k for k, p in enumerate(pairs)}
     if len(basis) != len(pairs):
         raise ValueError(f"basis must have {len(pairs)} elements, got {len(basis)}")
-    zero = RFrac.const(0)
-    cols = [[zero] * len(basis) for _ in range(len(pairs))]
+    cols = [[R_ZERO] * len(basis) for _ in range(len(pairs))]
     for b, vec in enumerate(basis):
         for coeff, (i, j) in vec:
             if i == j:

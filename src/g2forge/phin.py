@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry
+from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry, affine_bounds_on_cone, row_reduce
 
 K = MPoly.var("k")
 P = ValuedScalar.p_power(1)
@@ -131,23 +131,6 @@ class PhiNModule:
         return {"holds": ok, "violations": constraints}
 
 
-def _unit_columns(n: int, indices: Sequence[int]) -> SymMatrix:
-    zero = RFrac.const(0)
-    one = RFrac.const(1)
-    return SymMatrix(
-        [[one if i == j else zero for j in indices] for i in range(n)]
-    )
-
-
-def _concat_cols(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    return SymMatrix(
-        [
-            [a[i, j] for j in range(a.cols)] + [b[i, j] for j in range(b.cols)]
-            for i in range(a.rows)
-        ]
-    )
-
-
 def newton_polygon(m: PhiNModule) -> Polygon:
     return Polygon(sorted(m.valuations()))
 
@@ -156,28 +139,12 @@ def hodge_polygon(m: PhiNModule) -> Polygon:
     return Polygon(sorted(-Q(j) for j in m.fil_jumps()))
 
 
-def _t_newton(m: PhiNModule, indices: Sequence[int]) -> Q:
-    vals = m.valuations()
-    return -sum((vals[i] for i in indices), Q(0))  # arithmetic sign
-
-
-def _t_hodge(m: PhiNModule, indices: Sequence[int]) -> Q:
-    w = _unit_columns(m.dim, indices)
-    dims = []
-    for _, f in m.fil:
-        inter = len(indices) + f.rank() - _concat_cols(w, f).rank()
-        dims.append(inter)
-    dims.append(0)
-    total = Q(0)
-    for (j, _), d, d_next in zip(m.fil, dims, dims[1:]):
-        total += Q(j) * (d - d_next)
-    return total
-
-
-def is_admissible(m: PhiNModule) -> bool:
-    """Weak admissibility: Hodge and Newton numbers agree on the whole module
-    and t_H <= t_N (arithmetic signs) on every phi,N-stable subspace, the
-    subspaces being enumerated as eigen-coordinate subsets closed under N."""
+def admissibility_margins(m: PhiNModule, valuations: Sequence, jumps: Sequence) -> List:
+    """t_N - t_H in arithmetic signs for the full space, then for each
+    proper eigen-coordinate subset closed under N, from the eigenvalue
+    valuations and the jumps of the stored steps (numbers or affine
+    polynomials).  For W spanned by unit vectors,
+    dim(W ∩ F) = dim F - rank(rows of F outside W)."""
     if m.dim > 4:
         raise ValueError("submodule enumeration implemented for dim <= 4 only")
     for i, j in combinations(range(m.dim), 2):
@@ -186,22 +153,26 @@ def is_admissible(m: PhiNModule) -> bool:
                 f"degenerate eigenvalue configuration: positions {i+1} and "
                 f"{j+1} coincide; submodule enumeration would be incomplete"
             )
-    full = tuple(range(m.dim))
-    if _t_newton(m, full) != _t_hodge(m, full):
-        return False
-    for r in range(1, m.dim):
+    out = []
+    for r in (m.dim, *range(1, m.dim)):
         for subset in combinations(range(m.dim), r):
-            chosen = set(subset)
-            stable = all(
-                m.n_op[i, j].is_zero() or i in chosen
-                for j in chosen
-                for i in range(m.dim)
-            )
-            if not stable:
+            outside = [i for i in range(m.dim) if i not in subset]
+            if any(not m.n_op[i, j].is_zero() for j in subset for i in outside):
                 continue
-            if _t_hodge(m, subset) > _t_newton(m, subset):
-                return False
-    return True
+            dims = [
+                d - len(row_reduce([list(f.row(i)) for i in outside], f.cols, reduced=False))
+                for (_, f), d in zip(m.fil, m._fil_dims)
+            ] + [0]
+            t_hodge = sum(j * (d - d_next) for j, d, d_next in zip(jumps, dims, dims[1:]))
+            out.append(-sum(valuations[i] for i in subset) - t_hodge)
+    return out
+
+
+def is_admissible(m: PhiNModule) -> bool:
+    """Weak admissibility (Colmez–Fontaine): t_H = t_N on the whole module
+    and t_H <= t_N on every phi,N-stable subspace."""
+    margins = admissibility_margins(m, m.valuations(), [j for j, _ in m.fil])
+    return margins[0] == 0 and all(x >= 0 for x in margins[1:])
 
 
 def _fil_at(m: PhiNModule, j) -> Optional[SymMatrix]:
@@ -229,9 +200,8 @@ def _keep_last_of_equal_rank(
 def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     if a.exponent_values != b.exponent_values or a.slope != b.slope:
         raise ValueError("summands must share exponent values and slope")
-    zero = RFrac.const(0)
     total = a.dim + b.dim
-    n_rows = [[zero] * total for _ in range(total)]
+    n_rows = [[0] * total for _ in range(total)]
     for i in range(a.dim):
         for j in range(a.dim):
             n_rows[i][j] = a.n_op[i, j]
@@ -244,16 +214,16 @@ def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     for j in jumps:
         fa = _fil_at(a, j)
         fb = _fil_at(b, j)
-        cols: List[List[RFrac]] = [[] for _ in range(total)]
+        cols = [[] for _ in range(total)]
         if fa is not None:
             for i in range(total):
                 cols[i].extend(
-                    fa[i, c] if i < a.dim else zero for c in range(fa.cols)
+                    fa[i, c] if i < a.dim else 0 for c in range(fa.cols)
                 )
         if fb is not None:
             for i in range(total):
                 cols[i].extend(
-                    fb[i - a.dim, c] if i >= a.dim else zero for c in range(fb.cols)
+                    fb[i - a.dim, c] if i >= a.dim else 0 for c in range(fb.cols)
                 )
         if not cols[0]:
             continue
@@ -277,8 +247,7 @@ def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     phi = tuple(
         a.phi_diag[i] * b.phi_diag[j] for i in range(a.dim) for j in range(b.dim)
     )
-    zero = RFrac.const(0)
-    n_rows = [[zero] * dim for _ in range(dim)]
+    n_rows = [[0] * dim for _ in range(dim)]
     for i in range(a.dim):
         for j in range(b.dim):
             col = i * b.dim + j
@@ -331,21 +300,39 @@ def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
 # The weight-k rank-2 module and the E(B, c) family
 
 
+def d_st_jumps(k):
+    """The filtration jumps (0, k - 1) of d_st; k is an integer or K."""
+    return (0, k - 1)
+
+
 def d_st(k: int, sp: Q) -> PhiNModule:
     """Rank-2 module of an eigenform of weight k and Frobenius slope sp:
     geometric eigenvalues (unit^{-1}, p^{1-k} unit), jumps {0, k-1}, with the
     filtration line generic with respect to the eigenbasis."""
     if k < 2:
         raise ValueError("weight must be at least 2")
-    one = RFrac.const(1)
-    zero = RFrac.const(0)
     phi = (ALPHA_HAT.inv(), ValuedScalar.p_power(1 - K) * ALPHA_HAT)
     n = SymMatrix.zero(2, 2)
-    fil = [
-        (0, SymMatrix([[one, zero], [zero, one]])),
-        (k - 1, SymMatrix([[one], [one]])),
-    ]
-    return PhiNModule(phi, n, fil, {"k": Q(k)}, Q(sp))
+    steps = (SymMatrix.identity(2), SymMatrix([[1], [1]]))
+    return PhiNModule(phi, n, list(zip(d_st_jumps(k), steps)), {"k": Q(k)}, Q(sp))
+
+
+# The window k >= 2, 0 <= sp <= (k - 1)/2 of d_st as a cone in the (k, sp)
+# plane: vertices (2, 0), (2, 1/2) and rays (1, 0), (2, 1).
+RANK2_WINDOW_VERTICES = ({"k": 2, "sp": 0}, {"k": 2, "sp": Q(1, 2)})
+RANK2_WINDOW_RAYS = ({"k": 1, "sp": 0}, {"k": 2, "sp": 1})
+
+
+def d_st_window_certificate() -> Tuple[bool, List[MPoly]]:
+    """(holds, margins): weak admissibility of d_st over its whole window.
+    N and the steps of d_st do not depend on (k, sp), so with symbolic
+    valuations and jumps the margins are affine in (k, sp); it holds when the
+    full-space margin is 0 and every other margin is >= 0 on the cone."""
+    m = d_st(2, Q(0))
+    valuations = [v.valuation("sp") for v in m.phi_diag]
+    margins = admissibility_margins(m, valuations, d_st_jumps(K))
+    lows = [affine_bounds_on_cone(x, RANK2_WINDOW_VERTICES, RANK2_WINDOW_RAYS)[0] for x in margins[1:]]
+    return margins[0].is_zero() and all(lo is not None and lo >= 0 for lo in lows), margins
 
 
 # Change of basis from the displayed basis (w, w') to the eigenbasis:
@@ -356,7 +343,7 @@ _V_COLS = ((1, 1), (1, 0))  # columns of V: coordinates of w, w' in (e1, e2)
 def _transport_B(b: SymMatrix) -> SymMatrix:
     """Conjugate the 2x2 block B from the displayed basis into the eigenbasis:
     V B V^{-1} with V = [[1,1],[1,0]]."""
-    v = SymMatrix([[RFrac.const(1), RFrac.const(1)], [RFrac.const(1), RFrac.const(0)]])
+    v = SymMatrix([[1, 1], [1, 0]])
     return v * b * v.inverse()
 
 
@@ -379,23 +366,21 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
         ValuedScalar.p_power(1 - K) * ALPHA_HAT,
     )
     nb = _transport_B(b)
-    zero = RFrac.const(0)
-    one = RFrac.const(1)
     n = SymMatrix(
         [
-            [zero, zero, nb[0, 0], nb[0, 1]],
-            [zero, zero, nb[1, 0], nb[1, 1]],
-            [zero] * 4,
-            [zero] * 4,
+            [0, 0, nb[0, 0], nb[0, 1]],
+            [0, 0, nb[1, 0], nb[1, 1]],
+            [0] * 4,
+            [0] * 4,
         ]
     )
     # displayed filtration vectors in eigen coordinates:
     # v1 = e1+e2, v2 = e1, v3 = e3+e4, c v2 + v3 = c e1 + e3 + e4
     fil = [
         (0, SymMatrix.identity(4)),
-        (1, SymMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, one], [zero, zero, one]])),
-        (k - 1, SymMatrix([[one, c], [one, zero], [zero, one], [zero, one]])),
-        (k, SymMatrix([[one], [one], [zero], [zero]])),
+        (1, SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])),
+        (k - 1, SymMatrix([[1, c], [1, 0], [0, 1], [0, 1]])),
+        (k, SymMatrix([[1], [1], [0], [0]])),
     ]
     return PhiNModule(phi, n, fil, {"k": Q(k)}, Q(sp))
 
@@ -486,10 +471,8 @@ def monodromy_obstruction(eigenvalues: Sequence[ValuedScalar]) -> Dict[str, obje
     )
     forced = not distinguished and not any((j - 1) in ones for (_, j) in unconditional)
     return {
-        "pair_table": table,
         "unconditional_pairs": unconditional,
         "distinguished_constraints": distinguished,
-        "n_forced_zero_unless": distinguished,
         "n_forced_zero": forced,
     }
 

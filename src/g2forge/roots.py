@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple, Union
 
-from .algebra import MPoly, RFrac
+from .algebra import MPoly, RFrac, affine_bounds_on_cone
 
 Coord = Union[int, Q, MPoly, RFrac]
 
@@ -311,9 +311,36 @@ def lambda0(k: Union[int, Q, MPoly, RFrac]) -> Weight:
     return Weight(2 * half, 3 * half)
 
 
-def slope_weight(sp: Union[int, Q]) -> Weight:
+def slope_weight(sp: Union[int, Q, MPoly]) -> Weight:
     """The slope weight sp*(2*alpha+3*beta) + beta of the distinguished
     refinement."""
     if isinstance(sp, int):
         sp = Q(sp)
     return Weight(2 * sp, 3 * sp + 1)
+
+
+# The low-slope window k > 4sp + 4, sp >= 0 over integers k and half-integers
+# sp: 4sp + 4 is then an even integer, so the window is k >= 4sp + 5, the cone
+# with vertex (5, 0) and rays (1, 0), (4, 1) in the (k, sp) plane.
+WINDOW_VERTICES = ({"k": 5, "sp": 0},)
+WINDOW_RAYS = ({"k": 1, "sp": 0}, {"k": 4, "sp": 1})
+
+
+def critical_set_on_window() -> Tuple[List[WeylElement], List[WeylElement]]:
+    """(critical, undecided) over the whole low-slope window.  For symbolic
+    k and sp the residue coordinates of mu - lam + w*lam are affine: w is
+    critical when both are >= 0 on the cone, excluded when one is < 0 on the
+    cone, and undecided otherwise."""
+    k, sp = MPoly.var("k"), MPoly.var("sp")
+    lam, mu = lambda0(k), slope_weight(sp)
+    critical, undecided = [], []
+    for w in WEYL_GROUP:
+        if w is IDENTITY:
+            continue
+        residue = mu - lam + dot_act(w, lam)
+        bounds = [affine_bounds_on_cone(c, WINDOW_VERTICES, WINDOW_RAYS) for c in residue.coords()]
+        if all(lo is not None and lo >= 0 for lo, _ in bounds):
+            critical.append(w)
+        elif not any(hi is not None and hi < 0 for _, hi in bounds):
+            undecided.append(w)
+    return critical, undecided

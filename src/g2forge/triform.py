@@ -166,10 +166,9 @@ def genericity_witness() -> Dict[str, object]:
     """
     perm = {1: 1, 2: 6, 6: 3, 3: 5, 5: 2, 4: 7, 7: 4}
     inv = {v: k for k, v in perm.items()}
-    zero = RFrac.const(0)
-    cols = [[zero] * 7 for _ in range(7)]
+    cols = [[R_ZERO] * 7 for _ in range(7)]
     for j in range(1, 8):
-        cols[inv[j] - 1][j - 1] = RFrac.const(1)
+        cols[inv[j] - 1][j - 1] = R_ONE
     p_mat = SymMatrix(cols)
     scales = [RFrac.const(1), RFrac.const(1), A_SYM, -A_SYM.inv(), -A_SYM, A_SYM.inv(), A_SYM.inv()]
     image = standard_form().pullback(p_mat * SymMatrix.diagonal(scales))
@@ -240,9 +239,7 @@ def root_subgroup(root: str, x: Entry) -> SymMatrix:
         raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
     x = _coerce_entry(x)
     ainv = A_SYM.inv()
-    one = RFrac.const(1)
-    zero = RFrac.const(0)
-    out = [[one if i == j else zero for j in range(7)] for i in range(7)]
+    out = [[R_ONE if i == j else R_ZERO for j in range(7)] for i in range(7)]
     for (i, j, coeff, power, div_a) in _GEN_ENTRIES[root]:
         val = coeff * (x ** power)
         if div_a:
@@ -290,24 +287,22 @@ def one_parameter_identity(root: str) -> bool:
 
 
 def _weyl_gen(letter: str) -> SymMatrix:
-    zero = RFrac.const(0)
-    one = RFrac.const(1)
-    out = [[zero] * 7 for _ in range(7)]
+    out = [[R_ZERO] * 7 for _ in range(7)]
     if letter == "a":
         for i in (0, 3, 6):
-            out[i][i] = one
-        out[1][2] = -one
-        out[2][1] = one
+            out[i][i] = R_ONE
+        out[1][2] = -R_ONE
+        out[2][1] = R_ONE
         out[4][5] = -A_SYM.inv()
         out[5][4] = A_SYM
     elif letter == "b":
-        out[0][1] = one
-        out[1][0] = one
-        out[2][4] = one
-        out[3][3] = -one
-        out[4][2] = one
-        out[5][6] = one
-        out[6][5] = one
+        out[0][1] = R_ONE
+        out[1][0] = R_ONE
+        out[2][4] = R_ONE
+        out[3][3] = -R_ONE
+        out[4][2] = R_ONE
+        out[5][6] = R_ONE
+        out[6][5] = R_ONE
     else:
         raise ValueError(f"unknown reflection letter {letter!r}")
     return SymMatrix(out)
@@ -578,8 +573,7 @@ def unipotent_product(x1: Entry, x2: Entry, x3: Entry, x4: Entry, x5: Entry) -> 
 
 def _linear_coefficient(root: str) -> SymMatrix:
     """d/dx g(root, x) at x = 0."""
-    zero = RFrac.const(0)
-    out = [[zero] * 7 for _ in range(7)]
+    out = [[R_ZERO] * 7 for _ in range(7)]
     for (i, j, coeff, power, div_a) in _GEN_ENTRIES[root]:
         if power != 1:
             continue
@@ -712,9 +706,8 @@ def sl2_complete(e: SymMatrix, h: SymMatrix) -> SymMatrix:
     ad_e = lie.adjoint_matrix(e)
     ad_h = lie.adjoint_matrix(h)
     h_coords = lie.coordinates(h)
-    two = RFrac.const(2)
     aug = [list(ad_e.entries[i]) + [h_coords[i]] for i in range(14)]
-    aug += [[x + two if i == j else x for j, x in enumerate(ad_h.entries[i])] + [R_ZERO] for i in range(14)]
+    aug += [[x + 2 if i == j else x for j, x in enumerate(ad_h.entries[i])] + [R_ZERO] for i in range(14)]
     n = 14
     pivots = row_reduce(aug, n)
     for i in range(len(pivots), len(aug)):

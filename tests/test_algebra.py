@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2forge import roots, triform
-from g2forge.algebra import MPoly, RFrac, SymMatrix, ValuedScalar
+from g2forge.algebra import MPoly, RFrac, SymMatrix, ValuedScalar, affine_bounds_on_cone
 
 X = MPoly.var("x")
 Y = MPoly.var("y")
@@ -120,6 +120,39 @@ class TestAffineExp:
     def test_equality(self):
         k = MPoly.var("k")
         assert k + 1 == MPoly(("k",), {(1,): 1, (0,): 1})
+
+
+class TestAffineBoundsOnCone:
+    K = MPoly.var("k")
+    SP = MPoly.var("sp")
+    QUADRANT = ({"k": 0, "sp": 0},), ({"k": 1, "sp": 0}, {"k": 0, "sp": 1})
+
+    def test_rays_decide_the_unbounded_sides(self):
+        assert affine_bounds_on_cone(self.K + 2 * self.SP + 1, *self.QUADRANT) == (1, None)
+        assert affine_bounds_on_cone(-self.K - 3, *self.QUADRANT) == (None, -3)
+        assert affine_bounds_on_cone(self.K - self.SP, *self.QUADRANT) == (None, None)
+        assert affine_bounds_on_cone(MPoly.const(Q(5, 2)), *self.QUADRANT) == (Q(5, 2), Q(5, 2))
+
+    def test_polytope_extremes_sit_at_vertices(self):
+        triangle = ({"k": 0, "sp": 0}, {"k": 2, "sp": 0}, {"k": 0, "sp": Q(1, 2)})
+        assert affine_bounds_on_cone(self.K - 4 * self.SP, triangle, ()) == (-2, 2)
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), small_ints, small_ints, small_ints)
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_contain_sampled_points(self, a, b, c, x, y, z):
+        # (5, c/12) lies on the edge between the two vertices; a and b step
+        # along the rays
+        vertices = ({"k": 5, "sp": 0}, {"k": 5, "sp": Q(1, 2)})
+        rays = ({"k": 1, "sp": 0}, {"k": 4, "sp": 1})
+        f = x * self.K + y * self.SP + z
+        lo, hi = affine_bounds_on_cone(f, vertices, rays)
+        value = f.eval({"k": 5 + a + 4 * b, "sp": b + Q(c, 12)})
+        assert lo is None or lo <= value
+        assert hi is None or value <= hi
+
+    def test_rejects_a_nonaffine_function(self):
+        with pytest.raises(ValueError):
+            affine_bounds_on_cone(self.K * self.SP, *self.QUADRANT)
 
 
 class TestValuedScalar:

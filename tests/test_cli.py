@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, configuration,
 subcommand payloads, golden regeneration, and coverage of the manifest."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -284,6 +285,29 @@ def _statuses(report):
     return {f"{s['name']}/{c['id']}": c["status"] for s in report["suites"] for c in s["checks"]}
 
 
+def _run_optimized(args):
+    """Run `python -O <args>` from the repository root with `src` on the path."""
+    root = os.path.dirname(HERE)
+    env = dict(os.environ)
+    env.pop("G2FORGE_OUTPUT_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-O", *args], cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+# Mutations that break what a window certificate proves, as (module,
+# attribute, replacement source): the beta coordinate of the slope weight
+# negated, which flips the sign of that residue term, and the top jump of d_st
+# moved from k - 1 to k.
+_CERTIFICATE_MUTATIONS = {
+    "roots/criticality-window": ("roots", "slope_weight", "lambda sp: roots.Weight(2 * sp, -(3 * sp + 1))"),
+    "phin/rank2-admissibility-grid": ("phin", "d_st_jumps", "lambda k: (0, k)"),
+}
+
+
 class TestChecksCanFail:
     """Breaking what a check tests turns it to `fail`, and the checks keep
     their force under `python -O`."""
@@ -302,17 +326,26 @@ class TestChecksCanFail:
         statuses = _statuses(cli.run_verify(7, {}))
         assert statuses["triform/s7-homomorphism"] == "fail"
 
+    @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
+    def test_window_certificate(self, monkeypatch, check_id):
+        module, attr, source = _CERTIFICATE_MUTATIONS[check_id]
+        mod = importlib.import_module(f"g2forge.{module}")
+        monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
+        assert _statuses(cli.run_verify(7, {}))[check_id] == "fail"
+
+    @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
+    def test_window_certificate_under_optimize_flag(self, check_id):
+        module, attr, source = _CERTIFICATE_MUTATIONS[check_id]
+        script = (
+            f"import json\nfrom g2forge import cli, {module}\n{module}.{attr} = {source}\n"
+            "print(json.dumps(cli.run_verify(7, {})))"
+        )
+        proc = _run_optimized(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert _statuses(json.loads(proc.stdout))[check_id] == "fail"
+
     def test_verify_under_optimize_flag(self):
-        root = os.path.dirname(HERE)
-        env = dict(os.environ)
-        env.pop("G2FORGE_OUTPUT_DIR", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=300,
-        )
+        proc = _run_optimized(["-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])
         assert proc.returncode == 0, proc.stderr
         counts = Counter(_statuses(json.loads(proc.stdout)).values())
         assert counts == {"pass": 46, "finding": 8}

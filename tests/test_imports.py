@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports at top level is used in it."""
+"""Source hygiene: every name a module imports at top level is used in it,
+and every module-private top-level function or class is referenced somewhere
+in the package."""
 
 import ast
 import glob
@@ -46,3 +48,33 @@ def test_no_unused_top_level_imports(path):
         tree = ast.parse(fh.read(), filename=path)
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert unused == [], f"{os.path.basename(path)} imports names it never uses: {unused}"
+
+
+def referenced_names(tree: ast.Module):
+    """Names read in the module, attributes it accesses and names it imports
+    from other modules of the package."""
+    names = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_orphaned_private_definitions():
+    trees = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), filename=path)
+    referenced = set().union(*(referenced_names(tree) for tree in trees.values()))
+    orphans = sorted(
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    )
+    assert orphans == [], f"private definitions nothing in src/g2forge references: {orphans}"

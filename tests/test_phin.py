@@ -49,6 +49,29 @@ class TestRankTwo:
         assert phin.d_st(8, Q(2)).fil_jumps() == [0, 7]
 
 
+class TestWindowCertificate:
+    def test_certificate_margins(self):
+        holds, margins = phin.d_st_window_certificate()
+        assert holds
+        assert [str(f) for f in margins] == ["0", "sp", "k - sp - 1"]
+
+    def test_symbolic_margins_match_the_numeric_grid(self):
+        """Oracle: the symbolic margins, evaluated at every point of the
+        enumerated grid, are the numeric margins behind is_admissible."""
+        _, margins = phin.d_st_window_certificate()
+        for k in range(2, 21):
+            for twice_sp in range(0, k):
+                sp = Q(twice_sp, 2)
+                m = phin.d_st(k, sp)
+                numeric = phin.admissibility_margins(m, m.valuations(), [j for j, _ in m.fil])
+                assert [f.eval({"k": k, "sp": sp}) for f in margins] == numeric, (k, sp)
+
+    def test_moved_jump_breaks_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(phin, "d_st_jumps", lambda k: (0, k))
+        holds, margins = phin.d_st_window_certificate()
+        assert not holds and str(margins[0]) == "-1"
+
+
 class TestExtensionFamily:
     def test_jumps_and_admissibility(self):
         m = phin.build_EBc(IDENT2, 1, 4, Q(1))

@@ -121,6 +121,10 @@ class TestCriticality:
                 crit = r.critical_set(r.slope_weight(sp), r.lambda0(k))
                 assert [w.word for w in crit] == ["b"], (k, sp)
 
+    def test_window_certificate_decides_every_element(self):
+        critical, undecided = r.critical_set_on_window()
+        assert critical == [r.W_BETA] and undecided == []
+
     def test_lambda0_values(self):
         assert r.lambda0(4) == r.Weight(0, 0)
         assert r.lambda0(12) == r.Weight(8, 12)
