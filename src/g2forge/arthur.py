@@ -336,8 +336,9 @@ def multiplicity_ledger(k, sp, vanishing_rules: Sequence[str] = DEFAULT_RULES) -
       classical_at_least_two      -- the classical multiplicity is >= 2
       correction_at_least_one     -- the surviving correction term is >= 1
     """
-    if not (k > 4 * sp + 4):
-        raise ValueError("requires k > 4*sp + 4")
+    # Below sp = 0 the critical set the vanishing rules rest on is empty.
+    if sp < 0 or not (k > 4 * sp + 4):
+        raise ValueError("requires sp >= 0 and k > 4*sp + 4")
     rules = list(vanishing_rules)
     for r in rules:
         if r not in _KNOWN_RULES:
@@ -399,7 +400,7 @@ def multiplicity_ledger(k, sp, vanishing_rules: Sequence[str] = DEFAULT_RULES) -
     adopted = {sym.label(): c for sym, c in adopted_rel.items()}
 
     bound: Optional[Tuple[str, int]] = None
-    if "classical_at_least_two" in rules and rules != []:
+    if "classical_at_least_two" in rules:
         # In the adopted orientation the relation reads
         #   classical + cuspidal(twisted) + corrections = cuspidal(plain),
         # with every left-hand term nonnegative.

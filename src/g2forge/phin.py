@@ -8,7 +8,7 @@ square Fil^0 intersection test, and the eigenvalue distinctness ledger.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry, affine_bounds_on_cone, row_reduce
@@ -347,6 +347,15 @@ def _transport_B(b: SymMatrix) -> SymMatrix:
     return v * b * v.inverse()
 
 
+# Frobenius of E(B, c) in its eigenbasis: sub (e1, e2) p^-1 d_st, quotient (e3, e4) d_st.
+EBC_FROBENIUS = (
+    ValuedScalar.p_power(-1) * ALPHA_HAT.inv(),
+    ValuedScalar.p_power(-K) * ALPHA_HAT,
+    ALPHA_HAT.inv(),
+    ValuedScalar.p_power(1 - K) * ALPHA_HAT,
+)
+
+
 def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
     """The four-dimensional extension with N = ((0,B),(0,0)), Frobenius
     diag(p^{-1}A, A), and the five-case filtration with jumps {0,1,k-1,k}.
@@ -359,12 +368,6 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
     c = _coerce_entry(c)
-    phi = (
-        ValuedScalar.p_power(-1) * ALPHA_HAT.inv(),
-        ValuedScalar.p_power(-K) * ALPHA_HAT,
-        ALPHA_HAT.inv(),
-        ValuedScalar.p_power(1 - K) * ALPHA_HAT,
-    )
     nb = _transport_B(b)
     n = SymMatrix(
         [
@@ -382,7 +385,7 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
         (k - 1, SymMatrix([[1, c], [1, 0], [0, 1], [0, 1]])),
         (k, SymMatrix([[1], [1], [0], [0]])),
     ]
-    return PhiNModule(phi, n, fil, {"k": Q(k)}, Q(sp))
+    return PhiNModule(EBC_FROBENIUS, n, fil, {"k": Q(k)}, Q(sp))
 
 
 def phi_relation_defect(a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -399,22 +402,23 @@ class EBcPair(NamedTuple):
 
 
 def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
-    """True iff the two extensions are non-isomorphic as extensions.
+    """True iff E(B, c) and E(B', c') are non-isomorphic as extensions.
 
-    Follows the normalization argument: an extension isomorphism psi fixes
-    v1, v2 and corrects (v3, v4) by a matrix M; preserving the three-step
-    filtration forces m21 = m22 = m12 = 0 and m11 = c' - c; Frobenius
-    equivariance then forces m11 = 0, so c = c', and N-equivariance forces
-    B = B'."""
-    b1, c1 = pair1
-    b2, c2 = pair2
-    c1 = _coerce_entry(c1)
-    c2 = _coerce_entry(c2)
-    # the only candidate isomorphism has m11 = c2 - c1 from Fil^{k-1}
-    # preservation, but Frobenius equivariance needs m11 = 0:
-    if not (c2 - c1).is_zero():
-        return True
-    return not (b1 - b2).is_zero()
+    In the eigenbasis an extension isomorphism is psi = ((I, M), (0, I)), and
+    Frobenius equivariance needs M_ij = 0 unless sub eigenvalue i equals
+    quotient eigenvalue j.  No such pair can coincide (else `_inequation`
+    raises), so psi = I and the modules are isomorphic iff their filtration
+    steps span the same spaces and their N agree; as none of these depends on
+    (k, sp) beyond the jump labels, weight 4 decides every weight."""
+    m1, m2 = (build_EBc(b, c, 4, Q(1)) for b, c in (pair1, pair2))
+    for sub, quotient in product(m1.phi_diag[:2], m1.phi_diag[2:]):
+        _inequation(sub, quotient, K)
+    same_steps = all(
+        len(row_reduce([list(f1.row(i)) + list(f2.row(i)) for i in range(4)], f1.cols + f2.cols, reduced=False))
+        == d1 == d2
+        for (_, f1), (_, f2), d1, d2 in zip(m1.fil, m2.fil, m1._fil_dims, m2._fil_dims)
+    )
+    return not (same_steps and (m1.n_op - m2.n_op).is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +530,28 @@ class Inequation(NamedTuple):
     justification: str
 
 
+def _inequation(left: ValuedScalar, right: ValuedScalar, k) -> Tuple[str, str]:
+    """(reduced form, justification) of left != right at weight k (an integer
+    or K): 'trivial' for a ratio p^e with e a nonzero constant, 'assumption'
+    for unit^2 = p^{k-1} (the no-double-root hypothesis), and 'valuation
+    bound' for unit^m = p^e when |unit|^2 = p^{k-1} keeps the two sides a
+    constant nonzero power of p apart.  Raises ValueError if they could meet."""
+    ratio = left / right
+    if ratio.upow == 0 and ratio.coeff == 1 and ratio.pexp.is_const() and not ratio.pexp.is_zero():
+        return f"p^({ratio.pexp}) != 1", "trivial"
+    if ratio.upow != 0:
+        cons = _pair_status(ratio * P)  # ratio = 1 <=> ratio * p = p
+        gap = cons.power * (k - 1) - 2 * cons.exponent
+        if cons.coeff == 1 and cons.power == 2 and gap.is_zero():
+            return str(cons), "assumption"
+        if cons.coeff == 1 and gap.is_const() and not gap.is_zero():
+            return str(cons), "valuation bound"
+    raise ValueError(f"{left} and {right} could coincide")
+
+
 def distinctness_check(k: int = None) -> List[Inequation]:
     """The six pairwise inequations among (unit, p^{k-1} unit^{-1}, p unit,
-    p^k unit^{-1}), each with its justification: 'trivial' when the ratio is a
-    pure nonzero power of p, 'assumption' when it reduces to
-    unit^2 = p^{k-1} (the no-double-root hypothesis), and 'valuation bound'
-    when it reduces to unit^2 = p^e with e != k-1 (excluded by the absolute
-    value bound |unit|^2 = p^{k-1})."""
+    p^k unit^{-1}), each with its justification from `_inequation`."""
     if k is not None and k < 2:
         raise ValueError("weight must be at least 2")
     kk = K if k is None else k
@@ -542,17 +561,7 @@ def distinctness_check(k: int = None) -> List[Inequation]:
         ("p unit", P * ALPHA_HAT),
         ("p^k unit^-1", ValuedScalar.p_power(kk) * ALPHA_HAT.inv()),
     ]
-    out = []
-    for (name_i, vi), (name_j, vj) in combinations(items, 2):
-        ratio = vi / vj
-        if ratio.upow == 0:
-            if ratio == ValuedScalar.one():
-                raise AssertionError(f"{name_i} and {name_j} coincide identically")
-            out.append(Inequation(name_i, name_j, f"p^({ratio.pexp}) != 1", "trivial"))
-            continue
-        cons = _pair_status(ratio * P)  # ratio = 1 <=> ratio * p = p
-        if not isinstance(cons, Constraint):
-            raise AssertionError
-        tag = "assumption" if cons.exponent == kk - 1 else "valuation bound"
-        out.append(Inequation(name_i, name_j, str(cons), tag))
-    return out
+    return [
+        Inequation(name_i, name_j, *_inequation(vi, vj, kk))
+        for (name_i, vi), (name_j, vj) in combinations(items, 2)
+    ]

@@ -68,7 +68,7 @@ class Weight:
         # Inner products: (a,a)=6, (b,b)=2, (a,b)=-3.
         num = 6 * m * self.ca - 3 * (n * self.ca + m * self.cb) + 2 * n * self.cb
         den = 6 * m * m - 6 * m * n + 2 * n * n
-        return 2 * num / den if not isinstance(num, Q) else Q(2) * num / den
+        return 2 * num / den
 
     def is_nonnegative_combo(self) -> bool:
         """Both simple-root coordinates >= 0 (requires numeric coordinates)."""

@@ -126,6 +126,17 @@ class TestMultiplicityLedger:
         with pytest.raises(ValueError):
             arthur.multiplicity_ledger(12, Q(5, 2))
 
+    @pytest.mark.parametrize("k, sp", [(5, Q(-1)), (4, Q(-1, 2))])
+    def test_negative_slope_rejected(self, k, sp):
+        with pytest.raises(ValueError, match="sp >= 0"):
+            arthur.multiplicity_ledger(k, sp)
+
+    def test_critical_set_behind_the_slope_bound(self):
+        # The vanishing rules rest on the critical set {w_b} of the window
+        # sp >= 0; below it the set is empty.
+        assert roots.critical_set(roots.slope_weight(Q(-1)), roots.lambda0(5)) == []
+        assert [w.name for w in roots.critical_set(roots.slope_weight(0), roots.lambda0(5))] == ["w_b"]
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
             arthur.multiplicity_ledger(12, 1, ("no_such_rule",))

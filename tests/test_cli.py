@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from g2forge import cli
+from g2forge import cli, lattice
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -70,6 +70,8 @@ class TestExitCodes:
             ["arthur", "--orbits", "--format", "text"],
             ["verify", "--format", "xml"],
             ["kostant", "--c1", "-1", "--c2", "0"],
+            ["arthur", "--ledger", "5", "-1"],
+            ["arthur", "--ledger", "1", "-1"],
         ],
     )
     def test_bad_input_is_a_one_line_usage_error(self, capsys, argv):
@@ -307,6 +309,50 @@ _CERTIFICATE_MUTATIONS = {
     "phin/rank2-admissibility-grid": ("phin", "d_st_jumps", "lambda k: (0, k)"),
 }
 
+# Mutations that break what an identity check proves: the 2x2 minor of the
+# wedge square replaced by the permanent, the third lift factor weight off by
+# 2, and the first Frobenius eigenvalue of E(B, c) moved onto the third, so
+# that a sub/quotient pair coincides.
+_IDENTITY_MUTATIONS = {
+    "wedge2/wedge-functoriality": (
+        "lattice", "wedge2_standard",
+        "lambda m: lattice.SymMatrix([[m[k - 1, i - 1] * m[l - 1, j - 1] + m[l - 1, i - 1] * m[k - 1, j - 1] "
+        "for i, j in lattice._pairs(m.rows)] for k, l in lattice._pairs(m.rows)])",
+    ),
+    "arthur/lift-consistency-random": (
+        "arthur", "lift_inf_char",
+        "lambda c1, c2: ((3 * c1 + 2 * c2 + 5, 2 * c1 + c2 + 3), "
+        "(4 * c1 + 2 * c2 + 7, 2 * c1 + 2 * c2 + 5, 2 * c1 + 5))",
+    ),
+    "phin/extension-injectivity-random": (
+        "phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]",
+    ),
+}
+
+
+def _status_in_process(monkeypatch, mutation, check_id):
+    module, attr, source = mutation
+    mod = importlib.import_module(f"g2forge.{module}")
+    monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
+    try:
+        return _statuses(cli.run_verify(7, {}))[check_id]
+    finally:
+        # The wedge2 reports are cached: drop what the mutated run stored.
+        for fn in vars(lattice).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def _status_under_optimize_flag(mutation, check_id):
+    module, attr, source = mutation
+    script = (
+        f"import json\nfrom g2forge import cli, {module}\n{module}.{attr} = {source}\n"
+        "print(json.dumps(cli.run_verify(7, {})))"
+    )
+    proc = _run_optimized(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    return _statuses(json.loads(proc.stdout))[check_id]
+
 
 class TestChecksCanFail:
     """Breaking what a check tests turns it to `fail`, and the checks keep
@@ -328,21 +374,19 @@ class TestChecksCanFail:
 
     @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
     def test_window_certificate(self, monkeypatch, check_id):
-        module, attr, source = _CERTIFICATE_MUTATIONS[check_id]
-        mod = importlib.import_module(f"g2forge.{module}")
-        monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
-        assert _statuses(cli.run_verify(7, {}))[check_id] == "fail"
+        assert _status_in_process(monkeypatch, _CERTIFICATE_MUTATIONS[check_id], check_id) == "fail"
 
     @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
     def test_window_certificate_under_optimize_flag(self, check_id):
-        module, attr, source = _CERTIFICATE_MUTATIONS[check_id]
-        script = (
-            f"import json\nfrom g2forge import cli, {module}\n{module}.{attr} = {source}\n"
-            "print(json.dumps(cli.run_verify(7, {})))"
-        )
-        proc = _run_optimized(["-c", script])
-        assert proc.returncode == 0, proc.stderr
-        assert _statuses(json.loads(proc.stdout))[check_id] == "fail"
+        assert _status_under_optimize_flag(_CERTIFICATE_MUTATIONS[check_id], check_id) == "fail"
+
+    @pytest.mark.parametrize("check_id", sorted(_IDENTITY_MUTATIONS))
+    def test_identity_check(self, monkeypatch, check_id):
+        assert _status_in_process(monkeypatch, _IDENTITY_MUTATIONS[check_id], check_id) == "fail"
+
+    @pytest.mark.parametrize("check_id", sorted(_IDENTITY_MUTATIONS))
+    def test_identity_check_under_optimize_flag(self, check_id):
+        assert _status_under_optimize_flag(_IDENTITY_MUTATIONS[check_id], check_id) == "fail"
 
     def test_verify_under_optimize_flag(self):
         proc = _run_optimized(["-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports at top level is used in it,
-and every module-private top-level function or class is referenced somewhere
-in the package."""
+every module-private top-level function or class is referenced somewhere
+in the package, and no module imports `random`."""
 
 import ast
 import glob
@@ -78,3 +78,18 @@ def test_no_orphaned_private_definitions():
         and node.name not in referenced
     )
     assert orphans == [], f"private definitions nothing in src/g2forge references: {orphans}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[os.path.basename(p) for p in MODULES])
+def test_no_module_imports_random(path):
+    """Every check depends only on the configuration, so no module draws at
+    random; this covers imports at any depth, not only top-level ones."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.split(".")[0])
+    assert "random" not in modules, f"{os.path.basename(path)} imports random"
