@@ -7,7 +7,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+import time
 from fractions import Fraction as Q
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -728,16 +730,23 @@ def weight_recomputation(config):
     return "fail", "variant weights not rejected"
 
 
-def run_verify(seed: int, config: Dict[str, str]) -> Dict[str, object]:
-    """Run every check on `config`; no check draws at random, `seed` is a label."""
+def run_verify(
+    seed: int, config: Dict[str, str], timings: Optional[Dict[str, float]] = None
+) -> Dict[str, object]:
+    """Run every check on `config`; no check draws at random, `seed` is a label.
+    If `timings` is given, it receives each check's wall time in ms, keyed
+    `"suite/id"`; the report itself never holds a time."""
     suites: List[Dict[str, object]] = []
     for (suite, id, anchor), fn in CHECKS.items():
         if not suites or suites[-1]["name"] != suite:
             suites.append({"name": suite, "checks": []})
+        start = time.perf_counter()
         try:
             status, detail = fn(config)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             status, detail = "fail", f"{type(exc).__name__}: {exc}"
+        if timings is not None:
+            timings[f"{suite}/{id}"] = round(1000 * (time.perf_counter() - start), 3)
         suites[-1]["checks"].append({"id": id, "anchor": anchor, "status": status, "detail": detail})
     return {"version": __version__, "seed": seed, "suites": suites}
 
@@ -927,6 +936,12 @@ def _usage_line(prog: str, message: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that looks like a negative number as a
+        # value, not an option; let a negative fraction such as -1/2 count.
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message):  # noqa: D401 - argparse API
         self.exit(2, _usage_line(self.prog, message))
 
@@ -996,6 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--config", default=None, help="path to a key = value configuration file")
     verify.add_argument("--bless", action="store_true", help="regenerate golden files")
+    verify.add_argument("--timings", default=None, metavar="PATH", help="write each check's wall time in ms as JSON")
 
     sub.add_parser("roots", parents=[common], help="Weyl elements, coset representatives, nilradical sums")
 
@@ -1046,12 +1062,24 @@ def run(argv: Sequence[str]) -> int:
             print(f"g2forge: configuration error: {exc}", file=sys.stderr)
             return 2
         seed = args.seed if args.seed is not None else int(config.get("seed", "0"))
+        timings: Optional[Dict[str, float]] = None
+        if args.timings is not None:
+            # Created before the run, so an unwritable path fails fast.
+            try:
+                open(args.timings, "w", encoding="utf-8").close()
+            except OSError as exc:
+                print(f"g2forge: error: cannot write timings to {args.timings}: {exc.strerror}", file=sys.stderr)
+                return 2
+            timings = {}
         if args.bless:
             path = _golden_path(config)
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(golden_payload(), indent=2, sort_keys=True) + "\n")
-        report = run_verify(seed, config)
+        report = run_verify(seed, config, timings)
+        if timings is not None:
+            with open(args.timings, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(timings, indent=2, sort_keys=True) + "\n")
         if args.format == "json":
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

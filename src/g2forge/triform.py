@@ -79,29 +79,29 @@ class AltTriForm:
         return total
 
     def pullback(self, g: SymMatrix) -> "AltTriForm":
-        """The form F(g., g., g.)."""
+        """The form F(g., g., g.).
+
+        e^l pulls back to row l of g, so each term c e^l^e^m^e^n becomes
+        c (row l)^(row m)^(row n), expanded over the nonzero entries of the
+        three rows only; each output triple sums its terms in the order
+        they are collected."""
         if g.rows != 7 or g.cols != 7:
             raise ValueError("pullback expects a 7x7 matrix")
-        out: Dict[Tuple[int, int, int], RFrac] = {}
-        for i in range(1, 8):
-            for j in range(i + 1, 8):
-                for k in range(j + 1, 8):
-                    total = RFrac.const(0)
-                    for (l, m, n), c in self.coeffs.items():
-                        rows = (l - 1, m - 1, n - 1)
-                        cols = (i - 1, j - 1, k - 1)
-                        a11, a12, a13 = (g[rows[0], c0] for c0 in cols)
-                        a21, a22, a23 = (g[rows[1], c0] for c0 in cols)
-                        a31, a32, a33 = (g[rows[2], c0] for c0 in cols)
-                        det = (
-                            a11 * (a22 * a33 - a23 * a32)
-                            - a12 * (a21 * a33 - a23 * a31)
-                            + a13 * (a21 * a32 - a22 * a31)
-                        )
-                        total = total + c * det
-                    if not total.is_zero():
-                        out[(i, j, k)] = total
-        return AltTriForm(out)
+        support = [[(j, x) for j, x in enumerate(row, 1) if not x.is_zero()] for row in g.entries]
+        terms: Dict[Tuple[int, int, int], List[RFrac]] = {}
+        for (l, m, n), c in self.coeffs.items():
+            for p, x in support[l - 1]:
+                cx = c * x
+                for q, y in support[m - 1]:
+                    if q == p:
+                        continue
+                    cxy = cx * y
+                    for r, z in support[n - 1]:
+                        triple, sign = _sort_triple(p, q, r)
+                        if sign:
+                            term = cxy * z
+                            terms.setdefault(triple, []).append(term if sign == 1 else -term)
+        return AltTriForm({triple: sum(terms[triple], R_ZERO) for triple in sorted(terms)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltTriForm):
@@ -619,6 +619,17 @@ class LieG2:
         self._echelon: List[Tuple[int, List[RFrac], List[RFrac]]] = [
             (pivot, row[:49], row[49:]) for pivot, row in zip(pivots, rows)
         ]
+        # ad(B_i) as sparse (row, col, value) triples: column j holds the
+        # coordinates of [B_i, B_j], and [B_j, B_i] = -[B_i, B_j].
+        ad: List[List[Tuple[int, int, RFrac]]] = [[] for _ in range(14)]
+        for i in range(14):
+            for j in range(i + 1, 14):
+                coords = self.coordinates(bracket(self.matrices[i], self.matrices[j]))
+                for k, c in enumerate(coords):
+                    if not c.is_zero():
+                        ad[i].append((k, j, c))
+                        ad[j].append((k, i, -c))
+        self._ad: Tuple[Tuple[Tuple[int, int, RFrac], ...], ...] = tuple(map(tuple, ad))
 
     @staticmethod
     def _vectorize(m: SymMatrix) -> List[RFrac]:
@@ -650,21 +661,28 @@ class LieG2:
         return self.matrices[self.names.index(name)]
 
     def structure_constants(self) -> Dict[Tuple[str, str], List[RFrac]]:
-        """Bracket table [Xi, Xj] for i < j, as coordinate vectors; raises if
-        any bracket escapes the span."""
+        """Bracket table [Xi, Xj] for i < j, as coordinate vectors, read off
+        the table that the constructor built (and that raised if any
+        bracket escaped the span)."""
         table = {}
         for i in range(14):
             for j in range(i + 1, 14):
-                table[(self.names[i], self.names[j])] = self.coordinates(
-                    bracket(self.matrices[i], self.matrices[j])
-                )
+                table[(self.names[i], self.names[j])] = [R_ZERO] * 14
+            for k, j, c in self._ad[i]:
+                if j > i:
+                    table[(self.names[i], self.names[j])][k] = c
         return table
 
     def adjoint_matrix(self, x: SymMatrix) -> SymMatrix:
         """ad(x) restricted to the 14-dim basis (columns = coordinates of
-        [x, basis_j])."""
-        cols = [self.coordinates(bracket(x, b)) for b in self.matrices]
-        return SymMatrix([[cols[j][i] for j in range(14)] for i in range(14)])
+        [x, basis_j]), as the sum of x_i ad(B_i) over the coordinates x_i of
+        x; raises ValueError if x is outside the span."""
+        out = [[R_ZERO] * 14 for _ in range(14)]
+        for xi, ad_i in zip(self.coordinates(x), self._ad):
+            if not xi.is_zero():
+                for k, j, c in ad_i:
+                    out[k][j] = out[k][j] + xi * c
+        return SymMatrix(out)
 
     def centralizer_dim(self, x: SymMatrix) -> int:
         return 14 - self.adjoint_matrix(x).rank()

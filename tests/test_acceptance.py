@@ -205,17 +205,20 @@ def test_09_appendix_formulas_under_one_second():
         assert ledger.bound == ("m_cusp(plain)", 2)
 
 
-def test_10_determinism_and_coverage():
-    def capture():
+def test_10_determinism_and_coverage(tmp_path):
+    def capture(*extra):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = cli.run(["verify", "--seed", "7", "--format", "json"])
+            code = cli.run(["verify", "--seed", "7", *extra])
         return code, buf.getvalue()
 
-    code1, out1 = capture()
-    code2, out2 = capture()
+    code1, out1 = capture("--format", "json")
+    code2, out2 = capture("--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical
+    # Timings go to their own file and leave both report forms unchanged.
+    assert capture("--format", "json", "--timings", str(tmp_path / "t.json")) == (0, out1)
+    assert capture("--timings", str(tmp_path / "t.json")) == capture()
 
     rep = json.loads(out1)
     seen = [f"{s['name']}/{c['id']}" for s in rep["suites"] for c in s["checks"]]

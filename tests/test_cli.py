@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from g2forge import cli, lattice
+from g2forge import cli, lattice, triform
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -80,6 +80,38 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "error: argument --" in lines[0]
+
+    def test_negative_fraction_after_a_space_is_a_value(self, capsys):
+        # argparse takes only integers and decimals for negative numbers
+        # unless the parser widens its pattern.
+        assert run_capture(capsys, ["phin", "--k", "4", "--sp", "-1/2"]) == run_capture(
+            capsys, ["phin", "--k", "4", "--sp=-1/2"]
+        )
+        assert cli.run(["arthur", "--ledger", "5", "-1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "SP >= 0" in lines[0]
+
+    def test_timings_name_every_check(self, tmp_path, capsys):
+        path = tmp_path / "timings.json"
+        code, _ = run_capture(capsys, ["verify", "--seed", "7", "--format", "json", "--timings", str(path)])
+        assert code == 0
+        text = path.read_text()
+        timings = json.loads(text)
+        with open(os.path.join(HERE, "coverage_manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)["checks"]
+        assert sorted(timings) == sorted(manifest) and len(timings) == 54
+        assert list(timings) == sorted(timings)
+        assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
+
+    def test_unwritable_timings_path_is_an_input_error(self, tmp_path, capsys):
+        code = cli.run(["verify", "--timings", str(tmp_path / "missing" / "timings.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "cannot write timings" in lines[0]
 
     def test_word_length_zero_is_accepted(self, capsys):
         code, out = run_capture(capsys, ["triform", "--word-length", "0", "--format", "json"])
@@ -311,9 +343,14 @@ _CERTIFICATE_MUTATIONS = {
 
 # Mutations that break what an identity check proves: the 2x2 minor of the
 # wedge square replaced by the permanent, the third lift factor weight off by
-# 2, and the first Frobenius eigenvalue of E(B, c) moved onto the third, so
-# that a sub/quotient pair coincides.
+# 2, the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
+# sub/quotient pair coincides, a 3-form pullback that drops the sign of each
+# index sort, and the Lie bracket replaced by the anticommutator.
 _IDENTITY_MUTATIONS = {
+    "triform/one-parameter-stabilizers": (
+        "triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))",
+    ),
+    "triform/centralizer-dimensions": ("triform", "bracket", "lambda x, y: x * y + y * x"),
     "wedge2/wedge-functoriality": (
         "lattice", "wedge2_standard",
         "lambda m: lattice.SymMatrix([[m[k - 1, i - 1] * m[l - 1, j - 1] + m[l - 1, i - 1] * m[k - 1, j - 1] "
@@ -334,6 +371,9 @@ def _status_in_process(monkeypatch, mutation, check_id):
     module, attr, source = mutation
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
+    # The Lie basis and its structure constants are cached: the mutated run
+    # builds its own, and the cached one comes back after the test.
+    monkeypatch.setattr(triform, "_LIE_CACHE", None)
     try:
         return _statuses(cli.run_verify(7, {}))[check_id]
     finally:

@@ -9,10 +9,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2forge import arthur
 from g2forge import triform as t
-from g2forge.algebra import RFrac, SymMatrix
+from g2forge.algebra import MPoly, RFrac, SymMatrix
 
 X = RFrac.var("x")
+A, T1, T2 = RFrac.var("a"), RFrac.var("t1"), RFrac.var("t2")
+
+
+def dense_pullback(form, g):
+    """Oracle for `AltTriForm.pullback`: coefficient (i, j, k) of the
+    pullback is the sum over the form's terms c e^l^e^m^e^n of c times the
+    3x3 minor of g on rows (l, m, n) and columns (i, j, k)."""
+    out = {}
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            for k in range(j + 1, 8):
+                total = RFrac.const(0)
+                for (l, m, n), c in form.coeffs.items():
+                    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = (
+                        [g[r - 1, col - 1] for col in (i, j, k)] for r in (l, m, n)
+                    )
+                    det = (
+                        a11 * (a22 * a33 - a23 * a32)
+                        - a12 * (a21 * a33 - a23 * a31)
+                        + a13 * (a21 * a32 - a22 * a31)
+                    )
+                    total = total + c * det
+                out[(i, j, k)] = total
+    return t.AltTriForm(out)
+
+
+# Nonzero entries: integers, rationals times a power of the form parameter a,
+# and torus-like monomials in t1, t2.
+_NONZERO_ENTRY = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(
+        lambda n, d, e: Q(n, d) * A ** e,
+        st.integers(-3, 3).filter(bool), st.integers(1, 4), st.integers(-2, 2),
+    ),
+    st.builds(lambda e1, e2: T1 ** e1 * T2 ** e2, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A 7x7 matrix with at most 16 nonzero entries, placed at random."""
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _NONZERO_ENTRY, max_size=16))
+    return SymMatrix([[cells.get((i, j), 0) for j in range(7)] for i in range(7)])
 
 
 class TestForm:
@@ -56,6 +100,16 @@ class TestForm:
     def test_genericity_witness(self):
         rep = t.genericity_witness()
         assert rep["support_matches"] is True
+
+    @given(sparse_matrices(), st.sampled_from(("generic", "variant", "standard")))
+    @settings(max_examples=40, deadline=None)
+    def test_pullback_matches_the_dense_minor_expansion(self, g, which):
+        form = {
+            "generic": t.generic_form(),
+            "variant": t.displayed_form_variant(),
+            "standard": t.standard_form(),
+        }[which]
+        assert form.pullback(g) == dense_pullback(form, g)
 
     def test_infinitesimal_stabilizers(self):
         form = t.generic_form()
@@ -162,6 +216,40 @@ class TestLieAlgebra:
     def test_bracket_closure(self):
         table = t.lie_basis().structure_constants()
         assert len(table) == 91  # all unordered basis pairs
+
+    def test_structure_constants_are_the_direct_brackets(self):
+        lie = t.lie_basis()
+        table = lie.structure_constants()
+        for i, j in ((i, j) for i in range(14) for j in range(i + 1, 14)):
+            direct = lie.coordinates(t.bracket(lie.matrices[i], lie.matrices[j]))
+            assert table[(lie.names[i], lie.names[j])] == direct, (i, j)
+
+    @staticmethod
+    def adjoint_from_brackets(lie, x):
+        """Oracle for `adjoint_matrix`: column j holds the coordinates of
+        the bracket [x, B_j]."""
+        cols = [lie.coordinates(t.bracket(x, b)) for b in lie.matrices]
+        return SymMatrix([[cols[j][i] for j in range(14)] for i in range(14)])
+
+    def test_adjoint_matrix_on_the_basis_and_the_orbit_representatives(self):
+        lie = t.lie_basis()
+        elements = list(lie.matrices) + [rec.representative for rec in arthur.orbit_table()]
+        for x in elements:
+            assert lie.adjoint_matrix(x) == self.adjoint_from_brackets(lie, x)
+
+    def test_adjoint_matrix_on_the_generic_element(self):
+        # Both sides are linear in x, so agreement on the generic element
+        # sum c_i B_i with symbolic c_i is an identity on the whole span.
+        lie = t.lie_basis()
+        x = SymMatrix.zero(7, 7)
+        for i, b in enumerate(lie.matrices):
+            x = x + b.scale(RFrac(MPoly.var(f"c{i}")))
+        assert lie.adjoint_matrix(x) == self.adjoint_from_brackets(lie, x)
+
+    def test_adjoint_matrix_rejects_an_element_outside_the_span(self):
+        # The identity commutes with everything, yet is not in the algebra.
+        with pytest.raises(ValueError, match="not in the 14-dimensional span"):
+            t.lie_basis().adjoint_matrix(SymMatrix.identity(7))
 
     def test_jacobi_on_sample(self):
         lie = t.lie_basis()
