@@ -416,7 +416,7 @@ def form_constraint_probe(max_length: int = 2) -> Dict[str, object]:
             elif len(failures[fam]) < 5:
                 failures[fam].append("".join("*" + name for name in word))
 
-    checked = walk_parabolic_words((0, 1, 5, 6), max_length, visit)
+    checked = walk_parabolic_words((0, 1, 5, 6), 7, max_length, visit)
     return {
         "max_length": max_length,
         "products_checked": checked,

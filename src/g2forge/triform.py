@@ -458,74 +458,90 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # Fast polynomial probe of the coefficient relations on generator words.
 #
-# The two relations are homogeneous quadratics in the matrix entries, so each
-# generator may be rescaled by any nonzero scalar without affecting whether
-# the relations vanish.  Scaling the torus by t1*t2 and the 1/a-carrying
-# generators by a makes every generator polynomial; only the first two rows
-# of a product enter the relations, so only those rows are propagated.
+# Every generator is block-upper-triangular for (2,3,2), so the first 5 (or
+# all 7) columns of rows * g depend only on the same columns of rows: a walk
+# propagates only the columns it reads.  The relations it tests are
+# homogeneous quadratics, so a generator may be rescaled by a nonzero scalar
+# without changing which of them vanish.  The torus is scaled by t1*t2 to
+# clear its inverses, and a root subgroup by a only when a kept entry divides
+# by a.  No entry in columns 1-5 does, so the coefficient probe multiplies by
+# the true 5-column blocks and never meets a.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
 
 
-def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
-    one = MPoly.one()
-    a = MPoly.var("a")
+def _poly_generator_columns(name: str, suffix: str, cols: int) -> SparseCols:
+    """The first ``cols`` columns of a rescaled generator, each as its
+    nonzero (row, entry) pairs."""
     if name == "torus":
         t1 = MPoly.var("t1" + suffix)
         t2 = MPoly.var("t2" + suffix)
         diag = [t1 * t1 * t2, t1 * t2 * t2, t1 * t1, t1 * t2, t2 * t2, t1, t2]
-        return tuple(((j, diag[j]),) for j in range(7))
+        return tuple(((j, diag[j]),) for j in range(cols))
     x = MPoly.var("x" + suffix)
-    scale_a = any(div_a for (_, _, _, _, div_a) in _GEN_ENTRIES[name])
-    diag_val = a if scale_a else one
-    cols: List[List[Tuple[int, MPoly]]] = [[(j, diag_val)] for j in range(7)]
-    for (i, j, coeff, power, div_a) in _GEN_ENTRIES[name]:
+    a = MPoly.var("a")
+    kept = [entry for entry in _GEN_ENTRIES[name] if entry[1] <= cols]
+    for (i, j, _, _, _) in kept:
+        if i > cols:
+            raise ValueError(f"generator {name}: column {j} reads row {i}, outside the first {cols}")
+    scale_a = any(div_a for (_, _, _, _, div_a) in kept)
+    diag_val = a if scale_a else MPoly.one()
+    out: List[List[Tuple[int, MPoly]]] = [[(j, diag_val)] for j in range(cols)]
+    for (i, j, coeff, power, div_a) in kept:
         val = coeff * (x ** power)
         if scale_a and not div_a:
             val = val * a
-        cols[j - 1].append((i - 1, val))
-    return tuple(tuple(c) for c in cols)
+        out[j - 1].append((i - 1, val))
+    return tuple(tuple(c) for c in out)
 
 
 def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tuple[MPoly, ...], ...]:
+    zero = MPoly.zero()
+    one = MPoly.one()
     out = []
     for r in rows:
         new_row = []
         for col in cols:
-            total = None
+            total = zero
             for i, c in col:
-                term = r[i] * c
-                total = term if total is None else total + term
+                term = r[i]
+                if not term.terms:
+                    continue
+                if c is not one:
+                    term = term * c
+                total = term if total is zero else total + term
             new_row.append(total)
         out.append(tuple(new_row))
     return tuple(out)
 
 
 def _rows_relations_zero(rows) -> bool:
-    (h11, h12, h13, h14, h15, _, _), (h21, h22, h23, h24, h25, _, _) = rows
-    r1 = 2 * (h22 * h13) - 2 * (h12 * h23) + h21 * h14 - h11 * h24
-    if not r1.is_zero():
+    (h11, h12, h13, h14, h15), (h21, h22, h23, h24, h25) = rows
+    d = h22 * h13 - h12 * h23
+    if d + d != h11 * h24 - h21 * h14:
         return False
-    r2 = h22 * h14 - h12 * h24 - 2 * (h21 * h15) + 2 * (h11 * h25)
-    return r2.is_zero()
+    d = h11 * h25 - h21 * h15
+    return d + d == h12 * h24 - h22 * h14
 
 
 def walk_parabolic_words(
     rows: Sequence[int],
+    cols: int,
     max_length: int,
     visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...]], None],
 ) -> int:
     """Walk every product of parabolic generators of 1 to ``max_length``
-    factors in pre-order, with fresh symbols per factor and each generator
-    rescaled to be polynomial (see above).  Only the given rows (0-indexed)
-    of each product are propagated.  ``visit(word, product_rows)`` sees each
-    product, ``word`` being its tuple of generator names.  Returns the number
-    of products visited."""
+    factors in pre-order, with fresh symbols per factor (suffix = 1-based
+    position) and each generator rescaled as described above.  Only the given
+    rows (0-indexed) and the first ``cols`` columns of each product are
+    propagated; ``cols`` must end a block of the (2,3,2) parabolic (5 or 7).
+    ``visit(word, product_rows)`` sees each product, ``word`` being its tuple
+    of generator names.  Returns the number of products visited."""
     zero = MPoly.zero()
     one = MPoly.one()
-    identity_rows = tuple(tuple(one if j == r else zero for j in range(7)) for r in rows)
+    identity_rows = tuple(tuple(one if j == r else zero for j in range(cols)) for r in rows)
     gens_by_depth = [
-        [(name, _poly_generator_columns(name, str(depth))) for name in GENERATOR_NAMES]
+        [(name, _poly_generator_columns(name, str(depth), cols)) for name in GENERATOR_NAMES]
         for depth in range(1, max_length + 1)
     ]
     visited = 0
@@ -534,8 +550,8 @@ def walk_parabolic_words(
         nonlocal visited
         if len(word) == max_length:
             return
-        for name, cols in gens_by_depth[len(word)]:
-            new_rows = _rows_mul(current, cols)
+        for name, gen_cols in gens_by_depth[len(word)]:
+            new_rows = _rows_mul(current, gen_cols)
             new_word = word + (name,)
             visit(new_word, new_rows)
             visited += 1
@@ -548,15 +564,17 @@ def walk_parabolic_words(
 def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
     """Verify both coefficient relations symbolically on every product of
     parabolic generators up to the given word length (fresh symbols per
-    factor).  Returns counts; raises AssertionError on any failure."""
+    factor).  The relations read only the upper-left 2x5 block, so the walk
+    carries rows 1-2 and columns 1-5.  Returns counts; raises AssertionError
+    naming the first word on which a relation fails."""
 
     def visit(word, rows):
         if not _rows_relations_zero(rows):
             raise AssertionError(
-                f"coefficient relation failed at depth {len(word)} ending with {word[-1]}"
+                f"coefficient relation failed at depth {len(word)} on {'*'.join(word)}"
             )
 
-    checked = walk_parabolic_words((0, 1), max_length, visit)
+    checked = walk_parabolic_words((0, 1), 5, max_length, visit)
     return {"max_length": max_length, "products_checked": checked, "generators": len(GENERATOR_NAMES)}
 
 

@@ -345,8 +345,14 @@ _CERTIFICATE_MUTATIONS = {
 # wedge square replaced by the permanent, the third lift factor weight off by
 # 2, the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
 # sub/quotient pair coincides, a 3-form pullback that drops the sign of each
-# index sort, and the Lie bracket replaced by the anticommutator.
+# index sort, the Lie bracket replaced by the anticommutator, and the sign of
+# the (3, 4) entry of g(b, x) flipped in the generator table.
 _IDENTITY_MUTATIONS = {
+    "triform/coefficient-relations": (
+        "triform", "_GEN_ENTRIES",
+        '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:1] + ((3, 4, 2, 1, False),) '
+        '+ triform._GEN_ENTRIES["b"][2:]}',
+    ),
     "triform/one-parameter-stabilizers": (
         "triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))",
     ),

@@ -205,8 +205,54 @@ class TestBlockParabolic:
     def test_relation_probe_can_fail(self, monkeypatch):
         # An explicit raise, so the probe still checks under python -O.
         monkeypatch.setattr(t, "_rows_relations_zero", lambda rows: False)
-        with pytest.raises(AssertionError, match="coefficient relation failed at depth 1"):
+        with pytest.raises(AssertionError, match="coefficient relation failed at depth 1 on a$"):
             t.coeff_relations_probe(2)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_relation_probe_catches_a_sign_flip_in_the_table(self, monkeypatch, index):
+        # The four entries of g(b, x) in columns 1-5; a flipped sign breaks a
+        # relation on some product of two generators.
+        entries = list(t._GEN_ENTRIES["b"])
+        i, j, coeff, power, div_a = entries[index]
+        assert j <= 5
+        entries[index] = (i, j, -coeff, power, div_a)
+        monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
+        with pytest.raises(AssertionError, match=r"coefficient relation failed at depth 2 on \S+\*\S+$"):
+            t.coeff_relations_probe(2)
+
+    def test_truncated_columns_read_no_dropped_row(self, monkeypatch):
+        # An entry below the block diagonal would feed column 3 from row 6,
+        # which a 5-column walk does not carry.
+        monkeypatch.setitem(t._GEN_ENTRIES, "b", t._GEN_ENTRIES["b"] + ((6, 3, 1, 1, False),))
+        with pytest.raises(ValueError, match="column 3 reads row 6, outside the first 5"):
+            t._poly_generator_columns("b", "1", 5)
+        assert (5, MPoly.var("x1")) in t._poly_generator_columns("b", "1", 7)[2]
+
+    @pytest.mark.parametrize("cols, rows", [(5, (0, 1)), (7, (0, 1, 5, 6))])
+    def test_walk_matches_the_symmatrix_products(self, cols, rows):
+        # Oracle: the SymMatrix product of `parabolic_generator`s, rescaled
+        # as the walk rescales: by t1_d * t2_d for a torus factor at depth d
+        # and, on all 7 columns, by a for a factor with an entry over a.
+        a_scaled = {name for name, entries in t._GEN_ENTRIES.items() if any(e[4] for e in entries)}
+        products = {(): (SymMatrix.identity(7), RFrac.const(1))}
+        mismatches = []
+
+        def visit(word, walked):
+            depth = str(len(word))
+            product, scale = products[word[:-1]]
+            name = word[-1]
+            product = product * t.parabolic_generator(name, depth)
+            if name == "torus":
+                scale = scale * RFrac.var("t1" + depth) * RFrac.var("t2" + depth)
+            elif cols == 7 and name in a_scaled:
+                scale = scale * A
+            products[word] = (product, scale)
+            expected = [[product[r, j] * scale for j in range(cols)] for r in rows]
+            if [[RFrac(e) for e in row] for row in walked] != expected:
+                mismatches.append(word)
+
+        assert t.walk_parabolic_words(rows, cols, 3, visit) == 8 + 64 + 512
+        assert mismatches == []
 
 
 class TestLieAlgebra:
