@@ -10,8 +10,9 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction as Q
-from itertools import product
+from itertools import accumulate, product
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, arthur, kostant, lattice, phin, triform
@@ -165,9 +166,7 @@ def criticality_window(config):
 @check("kostant", "borel-piece-degrees", "12 pieces over degrees 0..6 with multiplicity 1,2,2,2,2,2,1")
 def borel_piece_degrees(config):
     pieces = kostant.kostant_pieces(rootsmod.BOREL, rootsmod.Weight(0, 0))
-    degs: Dict[int, int] = {}
-    for p in pieces:
-        degs[p.degree] = degs.get(p.degree, 0) + 1
+    degs = Counter(p.degree for p in pieces)
     expected = {0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 1}
     return _bool(len(pieces) == 12 and degs == expected, f"degree multiplicities {sorted(degs.items())}")
 
@@ -184,8 +183,7 @@ def weyl_dimension_samples(config):
 
 @check("kostant", "degree-case-triples", "the three (degree, k, s) long-parabolic cases, symbolic in (c1, c2)")
 def degree_case_triples(config):
-    c1 = MPoly.var("c1")
-    c2 = MPoly.var("c2")
+    c1, c2 = MPoly.var("c1"), MPoly.var("c2")
     cases = kostant.degree_cases_alpha(c1, c2)
     expected = [
         (4, 2 * c1 + c2 + 4, (RFrac(c2) + 1) / 10),
@@ -236,12 +234,9 @@ _CYCLE_TABLE: Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...] = (
 def one_parameter_stabilizers(config):
     x = RFrac.var("x")
     form = triform.generic_form()
-    failing = []
     mats = [(name, triform.root_subgroup(name, x)) for name in triform.ROOT_NAMES]
     mats.append(("torus", triform.torus_elem(RFrac.var("t1"), RFrac.var("t2"))))
-    for name, g in mats:
-        if form.pullback(g) != form:
-            failing.append(name)
+    failing = [name for name, g in mats if form.pullback(g) != form]
     return _bool(not failing, f"8 matrices x 35 coefficients; failures: {failing}")
 
 
@@ -305,16 +300,17 @@ def ninth_cycle_divergence(config):
 
 @check("triform", "s7-homomorphism", "the word-to-permutation map is a homomorphism on all 144 pairs")
 def s7_homomorphism(config):
-    reps = {w.word: triform.weyl_rep(w.word) for w in rootsmod.WEYL_GROUP}
-    perms = {word: triform.perm_of_monomial(m) for word, m in reps.items()}
-    bad = 0
-    for w1 in reps:
-        for w2 in reps:
-            lhs = triform.perm_of_monomial(reps[w1] * reps[w2])
-            rhs = triform.compose_perms(perms[w1], perms[w2])
-            if lhs != rhs:
-                bad += 1
-    return _bool(bad == 0, f"144 pairs, {bad} failures")
+    # von Dyck: the word map factors through W(G2) exactly when the relators map to e. A nontrivial normal subgroup
+    # of the dihedral group of order 12 holds a rotation. perm(AB) = perm(A) perm(B) pins the composition convention.
+    compose, e = triform.compose_perms, tuple(range(1, 8))
+    p, q = triform.perm_of_monomial(triform.W_TILDE_A), triform.perm_of_monomial(triform.W_TILDE_B)
+    ab = list(accumulate([compose(p, q)] * 6, compose))  # ab[k] = (ab)^(k + 1)
+    bad = [name for name, ok in (
+        ("a^2", compose(p, p) == e), ("b^2", compose(q, q) == e), ("order(ab) = 6", e not in ab[:5] and ab[5] == e),
+        ("perm(AB)", triform.perm_of_monomial(triform.W_TILDE_A * triform.W_TILDE_B) == ab[0]),
+    ) if not ok]
+    return _bool(not bad, "a^2 and b^2 map to e and ab to a permutation of order exactly 6, so the map factors through "
+                 f"<a, b | a^2, b^2, (ab)^6> and is faithful (a nontrivial kernel holds a rotation); failures: {bad}")
 
 
 @check("triform", "coefficient-relations", "the two quadratic entry relations on the short-root parabolic")
@@ -455,20 +451,25 @@ def displayed_system_determinant(config):
 
 @check("wedge2", "wedge-functoriality", "functoriality of the wedge-square and Sym^3 constructions")
 def wedge_functoriality(config):
-    # Cauchy-Binet, proved on generators: with wedge2(I) = I it holds on GL5, which they generate (other
-    # transvections are their commutators) and which is Zariski-dense; generic m, n would add 2.3 MB of peak memory.
-    m, t, wedge2 = _generic_matrix("m", 5), RFrac.var("t"), lattice.wedge2_standard
-    gens = [SymMatrix.diagonal([RFrac.var(f"t{i}") for i in range(1, 6)])] + [
-        SymMatrix([[t if (i, j) == (a, b) else int(i == j) for j in range(5)] for i in range(5)])
-        for a, b in product(range(5), repeat=2) if abs(a - b) == 1
+    # Cauchy-Binet, proved on generators: with wedge2(I) = I, an identity wedge2(m g) = wedge2(m) wedge2(g) for
+    # generic m holds on the group the g generate. The 5-cycle conjugates E12(t) to E23, E34, E45 and E51, whose
+    # commutators give every E_ij(t), so with the generic torus these three generate GL5, which is Zariski-dense.
+    m, wedge2 = _generic_matrix("m", 5), lattice.wedge2_standard
+    gens = [
+        SymMatrix.diagonal([RFrac.var(f"t{i}") for i in range(1, 6)]),
+        SymMatrix([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]),
+        SymMatrix([[RFrac.var("t") if (i, j) == (0, 1) else int(i == j) for j in range(5)] for i in range(5)]),
     ]
     wm = wedge2(m)
     if wedge2(SymMatrix.identity(5)) != SymMatrix.identity(10) or any(wedge2(m * g) != wm * wedge2(g) for g in gens):
-        return "fail", "wedge square not multiplicative on the generators of GL5"
+        return "fail", "wedge square not multiplicative on the generic torus, the 5-cycle and E12(t)"
     m, n = _generic_matrix("m", 2), _generic_matrix("n", 2)
     if lattice.sym_cube_signed(m * n) != lattice.sym_cube_signed(m) * lattice.sym_cube_signed(n):
         return "fail", "signed Sym^3 not multiplicative on generic 2x2 matrices"
-    return "pass", "wedge square multiplicative on the generators of GL5, hence on all 5x5 matrices; signed Sym^3 on generic 2x2 matrices"
+    return "pass", (
+        "wedge square multiplicative on the generic torus, the 5-cycle and E12(t), which generate GL5, "
+        "hence on all 5x5 matrices; signed Sym^3 on generic 2x2 matrices"
+    )
 
 
 @check("wedge2", "shape-constraint-probe", "status of the three quadratic coupling families on the parabolic")
@@ -513,7 +514,8 @@ def rank2_polygons(config):
     ok = newton.endpoint == hodge.endpoint == (2, Q(-3))
     ok = ok and newton.vertices == [(0, Q(0)), (1, Q(-2)), (2, Q(-3))]
     ok = ok and hodge.vertices == [(0, Q(0)), (1, Q(-3)), (2, Q(-3))]
-    return _bool(ok, f"newton {newton.vertices}, hodge {hodge.vertices}")
+    shown = [", ".join(f"({x}, {y})" for x, y in p.vertices) for p in (newton, hodge)]
+    return _bool(ok, f"newton [{shown[0]}], hodge [{shown[1]}]")
 
 
 @check("phin", "extension-admissibility", "the 4-dim extension modules are weakly admissible")
@@ -531,12 +533,9 @@ def extension_admissibility(config):
 @check("phin", "frobenius-relation-symbolic", "the Frobenius/monodromy commutation defect of the extension family")
 def frobenius_relation_symbolic(config):
     a = _generic_matrix("a", 2)
-    xv, yv = RFrac.var("x"), RFrac.var("y")
-    ident = SymMatrix.identity(2)
-    commuting = ident.scale(xv) + a.scale(yv)
+    commuting = SymMatrix.identity(2).scale(RFrac.var("x")) + a.scale(RFrac.var("y"))
     ok = phin.phi_relation_defect(a, commuting).is_zero()
-    generic = _generic_matrix("b", 2)
-    ok = ok and not phin.phi_relation_defect(a, generic).is_zero()
+    ok = ok and not phin.phi_relation_defect(a, _generic_matrix("b", 2)).is_zero()
     return _bool(ok, "defect p(A^-1 B A - B) vanishes exactly when B commutes with A (symbolic)")
 
 

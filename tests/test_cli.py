@@ -332,51 +332,85 @@ def _run_optimized(args):
     )
 
 
-# Mutations that break what a window certificate proves, as (module,
-# attribute, replacement source): the beta coordinate of the slope weight
-# negated, which flips the sign of that residue term, and the top jump of d_st
-# moved from k - 1 to k.
-_CERTIFICATE_MUTATIONS = {
-    "roots/criticality-window": ("roots", "slope_weight", "lambda sp: roots.Weight(2 * sp, -(3 * sp + 1))"),
-    "phin/rank2-admissibility-grid": ("phin", "d_st_jumps", "lambda k: (0, k)"),
-}
-
-# Mutations that break what an identity check proves: the 2x2 minor of the
-# wedge square replaced by the permanent, the third lift factor weight off by
-# 2, the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
-# sub/quotient pair coincides, a 3-form pullback that drops the sign of each
-# index sort, the Lie bracket replaced by the anticommutator, and the sign of
-# the (3, 4) entry of g(b, x) flipped in the generator table.
-_IDENTITY_MUTATIONS = {
+# Mutations of the program's data or maths, each of which breaks what a `pass`
+# check proves, as "suite/id" -> ((module, attribute, replacement source), ...):
+# - the beta coordinate of the slope weight negated, which flips the sign of
+#   that residue term, and the top jump of d_st moved from k - 1 to k (window
+#   certificates);
+# - the sign of the (3, 4) entry of g(b, x) flipped in the generator table, and
+#   the relation test of the probe made to report a nonzero relation;
+# - a 3-form pullback that drops the sign of each index sort;
+# - the Lie bracket replaced by the anticommutator;
+# - the second Weyl generator replaced by the permutation matrix of the
+#   3-cycle (1 2 3), which is monomial but not an involution, and the
+#   permutation product made trivial;
+# - the 2x2 minor of the wedge square replaced by the permanent;
+# - the third lift factor weight off by 2;
+# - the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
+#   sub/quotient pair coincides.
+_MUTATIONS = {
+    "roots/criticality-window": (
+        ("roots", "slope_weight", "lambda sp: roots.Weight(2 * sp, -(3 * sp + 1))"),
+    ),
+    "phin/rank2-admissibility-grid": (("phin", "d_st_jumps", "lambda k: (0, k)"),),
     "triform/coefficient-relations": (
-        "triform", "_GEN_ENTRIES",
-        '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:1] + ((3, 4, 2, 1, False),) '
-        '+ triform._GEN_ENTRIES["b"][2:]}',
+        (
+            "triform", "_GEN_ENTRIES",
+            '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:1] + ((3, 4, 2, 1, False),) '
+            '+ triform._GEN_ENTRIES["b"][2:]}',
+        ),
+        ("triform", "_rows_relations_zero", "lambda rows: False"),
     ),
     "triform/one-parameter-stabilizers": (
-        "triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))",
+        ("triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))"),
     ),
-    "triform/centralizer-dimensions": ("triform", "bracket", "lambda x, y: x * y + y * x"),
+    "triform/centralizer-dimensions": (("triform", "bracket", "lambda x, y: x * y + y * x"),),
+    "triform/s7-homomorphism": (
+        (
+            "triform", "W_TILDE_B",
+            "triform.SymMatrix([[int(j + 1 == p) for j in range(7)] "
+            "for p in triform.perm_from_cycles(((1, 2, 3),))])",
+        ),
+        ("triform", "compose_perms", "lambda p, q: tuple(range(1, 8))"),
+    ),
     "wedge2/wedge-functoriality": (
-        "lattice", "wedge2_standard",
-        "lambda m: lattice.SymMatrix([[m[k - 1, i - 1] * m[l - 1, j - 1] + m[l - 1, i - 1] * m[k - 1, j - 1] "
-        "for i, j in lattice._pairs(m.rows)] for k, l in lattice._pairs(m.rows)])",
+        (
+            "lattice", "wedge2_standard",
+            "lambda m: lattice.SymMatrix([[m[k - 1, i - 1] * m[l - 1, j - 1] + m[l - 1, i - 1] * m[k - 1, j - 1] "
+            "for i, j in lattice._pairs(m.rows)] for k, l in lattice._pairs(m.rows)])",
+        ),
     ),
     "arthur/lift-consistency-random": (
-        "arthur", "lift_inf_char",
-        "lambda c1, c2: ((3 * c1 + 2 * c2 + 5, 2 * c1 + c2 + 3), "
-        "(4 * c1 + 2 * c2 + 7, 2 * c1 + 2 * c2 + 5, 2 * c1 + 5))",
+        (
+            "arthur", "lift_inf_char",
+            "lambda c1, c2: ((3 * c1 + 2 * c2 + 5, 2 * c1 + c2 + 3), "
+            "(4 * c1 + 2 * c2 + 7, 2 * c1 + 2 * c2 + 5, 2 * c1 + 5))",
+        ),
     ),
     "phin/extension-injectivity-random": (
-        "phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]",
+        ("phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]"),
     ),
 }
+
+# One case per mutation; a check's first mutation is named by the check id
+# alone, a further one also by the attribute it replaces.
+_MUTATION_CASES = [
+    pytest.param(check_id, mutation, id=check_id if n == 0 else f"{check_id}:{mutation[1]}")
+    for check_id, mutations in _MUTATIONS.items()
+    for n, mutation in enumerate(mutations)
+]
+
+
+def _only_check(check_id):
+    """The `cli.CHECKS` table cut down to the check `suite/id`."""
+    return {key: fn for key, fn in cli.CHECKS.items() if f"{key[0]}/{key[1]}" == check_id}
 
 
 def _status_in_process(monkeypatch, mutation, check_id):
     module, attr, source = mutation
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
+    monkeypatch.setattr(cli, "CHECKS", _only_check(check_id))
     # The Lie basis and its structure constants are cached: the mutated run
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)
@@ -393,6 +427,7 @@ def _status_under_optimize_flag(mutation, check_id):
     module, attr, source = mutation
     script = (
         f"import json\nfrom g2forge import cli, {module}\n{module}.{attr} = {source}\n"
+        f"cli.CHECKS = {{k: f for k, f in cli.CHECKS.items() if k[0] + '/' + k[1] == {check_id!r}}}\n"
         "print(json.dumps(cli.run_verify(7, {})))"
     )
     proc = _run_optimized(["-c", script])
@@ -402,37 +437,20 @@ def _status_under_optimize_flag(mutation, check_id):
 
 class TestChecksCanFail:
     """Breaking what a check tests turns it to `fail`, and the checks keep
-    their force under `python -O`."""
+    their force under `python -O`. Each mutation runs only the check it
+    targets, through `run_verify`, so a check that raises reports `fail`."""
 
-    def test_coefficient_relations(self, monkeypatch):
-        from g2forge import triform
+    def test_every_mutated_check_passes_unmutated(self, verify_report):
+        statuses = _statuses(json.loads(verify_report[1]))
+        assert {check_id: statuses.get(check_id) for check_id in _MUTATIONS} == dict.fromkeys(_MUTATIONS, "pass")
 
-        monkeypatch.setattr(triform, "_rows_relations_zero", lambda rows: False)
-        statuses = _statuses(cli.run_verify(7, {}))
-        assert statuses["triform/coefficient-relations"] == "fail"
+    @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
+    def test_identity_check(self, monkeypatch, check_id, mutation):
+        assert _status_in_process(monkeypatch, mutation, check_id) == "fail"
 
-    def test_s7_homomorphism(self, monkeypatch):
-        from g2forge import triform
-
-        monkeypatch.setattr(triform, "compose_perms", lambda p, q: tuple(range(1, 8)))
-        statuses = _statuses(cli.run_verify(7, {}))
-        assert statuses["triform/s7-homomorphism"] == "fail"
-
-    @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
-    def test_window_certificate(self, monkeypatch, check_id):
-        assert _status_in_process(monkeypatch, _CERTIFICATE_MUTATIONS[check_id], check_id) == "fail"
-
-    @pytest.mark.parametrize("check_id", sorted(_CERTIFICATE_MUTATIONS))
-    def test_window_certificate_under_optimize_flag(self, check_id):
-        assert _status_under_optimize_flag(_CERTIFICATE_MUTATIONS[check_id], check_id) == "fail"
-
-    @pytest.mark.parametrize("check_id", sorted(_IDENTITY_MUTATIONS))
-    def test_identity_check(self, monkeypatch, check_id):
-        assert _status_in_process(monkeypatch, _IDENTITY_MUTATIONS[check_id], check_id) == "fail"
-
-    @pytest.mark.parametrize("check_id", sorted(_IDENTITY_MUTATIONS))
-    def test_identity_check_under_optimize_flag(self, check_id):
-        assert _status_under_optimize_flag(_IDENTITY_MUTATIONS[check_id], check_id) == "fail"
+    @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
+    def test_identity_check_under_optimize_flag(self, check_id, mutation):
+        assert _status_under_optimize_flag(mutation, check_id) == "fail"
 
     def test_verify_under_optimize_flag(self):
         proc = _run_optimized(["-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])

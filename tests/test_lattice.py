@@ -14,6 +14,11 @@ def int_matrix(vals, n):
     return SymMatrix([[RFrac.const(vals[n * i + j]) for j in range(n)] for i in range(n)])
 
 
+def transvection(i, j, t):
+    """E_ij(t) in GL5: the identity with t at (i, j), 0-indexed."""
+    return SymMatrix([[t if (r, c) == (i, j) else int(r == c) for c in range(5)] for r in range(5)])
+
+
 class TestFunctoriality:
     @given(st.lists(small_ints, min_size=50, max_size=50))
     @settings(max_examples=15, deadline=None)
@@ -24,6 +29,29 @@ class TestFunctoriality:
 
     def test_wedge_square_of_identity(self):
         assert lattice.wedge2_standard(SymMatrix.identity(5)) == SymMatrix.identity(10)
+
+    def test_five_cycle_conjugates_e12_around_the_cycle(self):
+        """The generating-set argument of the wedge-functoriality check: the
+        powers of the 5-cycle conjugate E12(t) to E23, E34, E45 and E51, whose
+        commutators give every transvection."""
+        t = RFrac.var("t")
+        cycle = SymMatrix([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)])
+        cycle_inverse = SymMatrix([[int(i == (j + 1) % 5) for j in range(5)] for i in range(5)])
+        assert cycle * cycle_inverse == SymMatrix.identity(5)
+        conjugates, g = [], transvection(0, 1, t)
+        for _ in range(4):
+            g = cycle_inverse * g * cycle
+            conjugates.append(g)
+        assert conjugates == [transvection(i, (i + 1) % 5, t) for i in range(1, 5)]
+
+    def test_wedge_square_multiplicative_on_adjacent_transvections(self):
+        """Oracle for the three-generator check: wedge2(m g) = wedge2(m)
+        wedge2(g) for a generic 5x5 m and the eight adjacent transvections."""
+        m = SymMatrix([[RFrac.var(f"m{i}{j}") for j in range(1, 6)] for i in range(1, 6)])
+        t, wm = RFrac.var("t"), lattice.wedge2_standard(m)
+        for i, j in [(i, i + 1) for i in range(4)] + [(i + 1, i) for i in range(4)]:
+            g = transvection(i, j, t)
+            assert lattice.wedge2_standard(m * g) == wm * lattice.wedge2_standard(g)
 
     @given(st.lists(small_ints, min_size=8, max_size=8))
     @settings(max_examples=20, deadline=None)

@@ -163,10 +163,21 @@ class TestWeylPermutations:
                     images[w1.word], images[w2.word]
                 )
 
+    def test_homomorphism_on_reduced_products(self):
+        """The map is a homomorphism of W(G2): the image of the reduced word
+        of w1 * w2 is the product of the images, on all 144 pairs. The
+        s7-homomorphism check proves this from the Coxeter relators."""
+        from g2forge import roots
+
+        images = {w.word: t.weyl_word_to_s7(w.word) for w in roots.WEYL_GROUP}
+        for w1 in roots.WEYL_GROUP:
+            for w2 in roots.WEYL_GROUP:
+                assert t.weyl_word_to_s7((w1 * w2).word) == t.compose_perms(images[w1.word], images[w2.word])
+
     def test_representatives_multiply_like_words(self):
-        """rep(w1 w2) = rep(w1) rep(w2) on all 144 pairs, so the
-        s7-homomorphism check may multiply the 12 representatives instead
-        of building every concatenated word."""
+        """rep(w1 w2) = rep(w1) rep(w2) on all 144 pairs: weyl_rep multiplies
+        the generator matrices in the order the word is written, so the
+        representative of a concatenated word is the product of the two."""
         from g2forge import roots
 
         reps = {w.word: t.weyl_rep(w.word) for w in roots.WEYL_GROUP}
