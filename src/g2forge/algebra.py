@@ -474,9 +474,6 @@ class RFrac:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
@@ -760,9 +757,6 @@ class SymMatrix:
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "SymMatrix":
         return SymMatrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries), _trusted=True)
-
-    def eval(self, assignment: Mapping[str, Scalar]) -> "SymMatrix":
-        return SymMatrix([[RFrac.const(x.eval(assignment)) for x in row] for row in self.entries])
 
     def det(self) -> RFrac:
         """Fraction-free: row i is multiplied by the product d_i of its

@@ -130,11 +130,6 @@ def packet_psi_k(k: int) -> Tuple[PacketMember, PacketMember]:
     return (plus, minus)
 
 
-def packet_weight(k: int) -> Weight:
-    """Cohomological weight shared by both packet members."""
-    return lambda0(k)
-
-
 # ---------------------------------------------------------------------------
 # Lifting / infinitesimal character
 

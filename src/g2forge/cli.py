@@ -5,6 +5,7 @@ per-module inspection subcommands."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -21,8 +22,8 @@ from .algebra import MPoly, RFrac, SymMatrix
 
 ENV_OUTPUT_DIR = "G2FORGE_OUTPUT_DIR"
 DEFAULT_CONFIG_FILE = "g2forge.cfg"
-DEFAULT_GOLDEN_DIR = os.path.join("tests", "goldens")
-GOLDEN_FILE = "wedge2_display.json"
+# Relative to the working directory; it does not follow the output directory.
+GOLDEN_PATH = os.path.join("tests", "goldens", "wedge2_display.json")
 
 if TYPE_CHECKING:
     # Annotations only, which are never evaluated: building this alias at
@@ -55,7 +56,8 @@ def _bool(ok: bool, detail: str) -> Tuple[str, str]:
 # Configuration
 
 def parse_config(path: str) -> Dict[str, str]:
-    allowed = {"word-length", "seed", "output-dir"}
+    # Each key's value check; word-length takes what --word-length takes.
+    checks = {"word-length": _int_in(0, MAX_WORD_LENGTH), "seed": int, "output-dir": str}
     out: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -65,10 +67,14 @@ def parse_config(path: str) -> Dict[str, str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in allowed:
+            key, value = key.strip(), value.strip()
+            if key not in checks:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+            try:
+                checks[key](value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            out[key] = value
     return out
 
 
@@ -78,10 +84,6 @@ def load_config(explicit: Optional[str]) -> Dict[str, str]:
     if os.path.exists(DEFAULT_CONFIG_FILE):
         return parse_config(DEFAULT_CONFIG_FILE)
     return {}
-
-
-def resolve_output_dir(config: Dict[str, str]) -> Optional[str]:
-    return os.environ.get(ENV_OUTPUT_DIR) or config.get("output-dir")
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +377,6 @@ def golden_payload() -> Dict[str, object]:
     }
 
 
-def _golden_path(config: Dict[str, str]) -> str:
-    base = resolve_output_dir(config) or DEFAULT_GOLDEN_DIR
-    return os.path.join(base, GOLDEN_FILE)
-
-
 def _generic_matrix(name: str, n: int) -> SymMatrix:
     return SymMatrix([[RFrac.var(f"{name}{i}{j}") for j in range(1, n + 1)] for i in range(1, n + 1)])
 
@@ -484,13 +481,11 @@ def shape_constraint_probe(config):
 
 @check("wedge2", "golden-displayed-blocks", "golden-file regression of the transcribed display blocks")
 def golden_displayed_blocks(config):
-    path = _golden_path(config)
-    payload = json.dumps(golden_payload(), indent=2, sort_keys=True) + "\n"
-    if not os.path.exists(path):
-        return "finding", f"golden file {path} not found; regenerate with --bless"
-    with open(path, "r", encoding="utf-8") as fh:
+    if not os.path.exists(GOLDEN_PATH):
+        return "finding", f"golden file {GOLDEN_PATH} not found; regenerate with --bless"
+    with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
         stored = fh.read()
-    return _bool(stored == payload, f"canonical display serialization vs {path}")
+    return _bool(stored == to_json(golden_payload()), f"canonical display serialization vs {GOLDEN_PATH}")
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +764,15 @@ def format_text(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _emit(payload: Dict[str, object]) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def to_json(payload: object) -> str:
+    """The one serialisation of every JSON the CLI writes: stdout, the
+    report file, timings and the golden file."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(payload: Dict[str, object]) -> int:
+    sys.stdout.write(to_json(payload))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +936,13 @@ def _usage_line(prog: str, message: str) -> str:
     return f"{prog}: error: {message} (see {prog} --help)\n"
 
 
+def _usage_error(command: str, message: str) -> int:
+    """Report an input error of `g2forge <command>` found after parsing;
+    the parser reports its own errors in the same one-line form."""
+    sys.stderr.write(_usage_line(f"g2forge {command}", message))
+    return 2
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -948,13 +957,21 @@ class _Parser(argparse.ArgumentParser):
 MAX_WORD_LENGTH = 5
 
 
-def _rational(text: str) -> Q:
-    try:
-        return Q(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+def _rational(nonzero: bool = False) -> Callable[[str], Q]:
+    """An argparse type for rationals such as -1/2, optionally nonzero."""
+
+    def parse(text: str) -> Q:
+        try:
+            q = Q(text)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+        if nonzero and q == 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a nonzero rational number")
+        return q
+
+    return parse
 
 
 def _int_in(low: int, high: Optional[int] = None, even: bool = False) -> Callable[[str], int]:
@@ -986,7 +1003,7 @@ class _Ledger(argparse.Action):
         except ValueError:
             raise argparse.ArgumentError(self, f"{k_text!r} is not an integer") from None
         try:
-            sp = _rational(sp_text)
+            sp = _rational()(sp_text)
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
         if sp < 0 or not k > 4 * sp + 4:
@@ -994,48 +1011,100 @@ class _Ledger(argparse.Action):
         setattr(namespace, self.dest, (k, sp))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    # One shared option keeps the parser, built on every run, cheap; `run`
-    # rejects `text` outside `verify`, the only subcommand with a text form.
-    common.add_argument(
-        "--format", choices=("json", "text"), default=None,
-        help="verify: text (default) or json; the other subcommands print JSON only",
-    )
+def _verify(args: argparse.Namespace) -> int:
+    try:
+        config = load_config(args.config)
+    except OSError as exc:
+        return _usage_error("verify", f"cannot read configuration {exc.filename}: {exc.strerror}")
+    except ValueError as exc:
+        return _usage_error("verify", f"invalid configuration {exc}")
+    seed = args.seed if args.seed is not None else int(config.get("seed", "0"))
+    timings: Optional[Dict[str, float]] = None
+    if args.timings is not None:
+        # Created before the run, so an unwritable path fails fast.
+        try:
+            open(args.timings, "w", encoding="utf-8").close()
+        except OSError as exc:
+            return _usage_error("verify", f"cannot write timings to {args.timings}: {exc.strerror}")
+        timings = {}
+    if args.bless:
+        os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+        with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+            fh.write(to_json(golden_payload()))
+    report = run_verify(seed, config, timings)
+    if timings is not None:
+        with open(args.timings, "w", encoding="utf-8") as fh:
+            fh.write(to_json(timings))
+    sys.stdout.write(to_json(report) if args.format == "json" else format_text(report) + "\n")
+    outdir = os.environ.get(ENV_OUTPUT_DIR) or config.get("output-dir")
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "verify_report.json"), "w", encoding="utf-8") as fh:
+            fh.write(to_json(report))
+    return 1 if report_has_failures(report) else 0
 
+
+def _phin(args: argparse.Namespace) -> int:
+    if args.mode == "ebc" and (args.k < 4 or args.k % 2):
+        # The E(B, c) family needs an even weight of at least 4.
+        return _usage_error("phin", f"argument --k: {args.k} is not an even integer >= 4, as --mode ebc needs")
+    return _emit(payload_phin(args.k, args.sp, args.mode))
+
+
+def _arthur(args: argparse.Namespace) -> int:
+    if not (args.orbits or args.packet is not None or args.lift is not None or args.ledger is not None):
+        return _usage_error("arthur", "choose at least one of --orbits/--packet/--lift/--ledger")
+    return _emit(payload_arthur(args))
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` and kept for the process.
+
+    It outlives every run, so it refers to this module's functions only
+    through lambdas and closures that look the name up at call time: the
+    benchmark's tracer patches module namespaces, and would miss a function
+    held by an argument or a default of the parser."""
     parser = _Parser(prog="g2forge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    verify = sub.add_parser("verify", parents=[common], help="run all verification suites")
+    def command(name, summary, handler, formats=("json",)):
+        cmd = sub.add_parser(name, help=summary)
+        cmd.add_argument("--format", choices=formats, default=formats[0], help=f"default: {formats[0]}")
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    verify = command("verify", "run all verification suites", lambda a: _verify(a), formats=("text", "json"))
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--config", default=None, help="path to a key = value configuration file")
     verify.add_argument("--bless", action="store_true", help="regenerate golden files")
     verify.add_argument("--timings", default=None, metavar="PATH", help="write each check's wall time in ms as JSON")
 
-    sub.add_parser("roots", parents=[common], help="Weyl elements, coset representatives, nilradical sums")
+    command("roots", "Weyl elements, coset representatives, nilradical sums", lambda a: _emit(payload_roots()))
 
-    kost = sub.add_parser("kostant", parents=[common], help="nilpotent-cohomology weight pieces")
+    kost = command(
+        "kostant", "nilpotent-cohomology weight pieces", lambda a: _emit(payload_kostant(a.c1, a.c2, a.parabolic))
+    )
     kost.add_argument("--c1", type=_int_in(0), required=True)
     kost.add_argument("--c2", type=_int_in(0), required=True)
     kost.add_argument("--parabolic", choices=("alpha", "beta", "borel"), default="alpha")
 
-    tri = sub.add_parser("triform", parents=[common], help="3-form stabilizer verification")
-    tri.add_argument("--a", type=_rational, default=Q(1), help="nonzero rational form parameter")
+    tri = command("triform", "3-form stabilizer verification", lambda a: _emit(payload_triform(a.a, a.word_length)))
+    tri.add_argument("--a", type=_rational(nonzero=True), default=Q(1), help="nonzero rational form parameter")
     tri.add_argument(
         "--word-length", type=_int_in(0, MAX_WORD_LENGTH), default=2,
         help=f"longest generator word the relation probe checks (0..{MAX_WORD_LENGTH})",
     )
 
-    sub.add_parser("wedge2", parents=[common], help="wedge-square and elimination reports").add_argument(
-        "--report", choices=("json",), default="json"
-    )
+    wedge = command("wedge2", "wedge-square and elimination reports", lambda a: _emit(payload_wedge2()))
+    wedge.add_argument("--report", choices=("json",), default="json")
 
-    ph = sub.add_parser("phin", parents=[common], help="filtered module computations")
+    ph = command("phin", "filtered module computations", lambda a: _phin(a))
     ph.add_argument("--k", type=_int_in(2), required=True, help="weight (even and >= 4 with --mode ebc)")
-    ph.add_argument("--sp", type=_rational, required=True)
+    ph.add_argument("--sp", type=_rational(), required=True)
     ph.add_argument("--mode", choices=("polygons", "ebc", "obstruction", "distinct"), default="polygons")
 
-    art = sub.add_parser("arthur", parents=[common], help="orbit/packet/lift/ledger data")
+    art = command("arthur", "orbit/packet/lift/ledger data", lambda a: _arthur(a))
     art.add_argument("--orbits", action="store_true")
     art.add_argument("--packet", type=_int_in(4, even=True), default=None, metavar="K")
     art.add_argument("--lift", type=_int_in(1), nargs=2, default=None, metavar=("C1", "C2"))
@@ -1044,82 +1113,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.format == "text" and args.command != "verify":
-        prog = f"g2forge {args.command}"
-        sys.stderr.write(_usage_line(prog, "argument --format: only verify has a text form; use json"))
-        return 2
-
-    if args.command == "verify":
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"g2forge: configuration error: {exc}", file=sys.stderr)
-            return 2
-        seed = args.seed if args.seed is not None else int(config.get("seed", "0"))
-        timings: Optional[Dict[str, float]] = None
-        if args.timings is not None:
-            # Created before the run, so an unwritable path fails fast.
-            try:
-                open(args.timings, "w", encoding="utf-8").close()
-            except OSError as exc:
-                print(f"g2forge: error: cannot write timings to {args.timings}: {exc.strerror}", file=sys.stderr)
-                return 2
-            timings = {}
-        if args.bless:
-            path = _golden_path(config)
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(golden_payload(), indent=2, sort_keys=True) + "\n")
-        report = run_verify(seed, config, timings)
-        if timings is not None:
-            with open(args.timings, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(timings, indent=2, sort_keys=True) + "\n")
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(format_text(report))
-        outdir = resolve_output_dir(config)
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-            with open(os.path.join(outdir, "verify_report.json"), "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return 1 if report_has_failures(report) else 0
-
-    if args.command == "roots":
-        _emit(payload_roots())
-        return 0
-    if args.command == "kostant":
-        _emit(payload_kostant(args.c1, args.c2, args.parabolic))
-        return 0
-    if args.command == "triform":
-        if args.a == 0:
-            print("g2forge: error: the form parameter must be nonzero", file=sys.stderr)
-            return 2
-        _emit(payload_triform(args.a, args.word_length))
-        return 0
-    if args.command == "wedge2":
-        _emit(payload_wedge2())
-        return 0
-    if args.command == "phin":
-        if args.mode == "ebc" and (args.k < 4 or args.k % 2):
-            # The E(B, c) family needs an even weight of at least 4.
-            message = f"argument --k: {args.k} is not an even integer >= 4, as --mode ebc needs"
-            sys.stderr.write(_usage_line("g2forge phin", message))
-            return 2
-        _emit(payload_phin(args.k, args.sp, args.mode))
-        return 0
-    if args.command == "arthur":
-        if not (args.orbits or args.packet is not None or args.lift is not None or args.ledger is not None):
-            print("g2forge: error: choose at least one of --orbits/--packet/--lift/--ledger", file=sys.stderr)
-            return 2
-        _emit(payload_arthur(args))
-        return 0
-    return 2  # pragma: no cover
+    return args.handler(args)
 
 
 def main() -> None:

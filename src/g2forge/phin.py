@@ -40,11 +40,6 @@ class Polygon:
     def endpoint(self) -> Tuple[int, Q]:
         return self.vertices[-1]
 
-    def reflected(self) -> "Polygon":
-        """The polygon with all slopes negated (swaps the geometric and
-        arithmetic sign conventions)."""
-        return Polygon(sorted(-s for s in self.slopes))
-
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.slopes == other.slopes
 
@@ -335,14 +330,10 @@ def d_st_window_certificate() -> Tuple[bool, List[MPoly]]:
     return margins[0].is_zero() and all(lo is not None and lo >= 0 for lo in lows), margins
 
 
-# Change of basis from the displayed basis (w, w') to the eigenbasis:
-# w = e1 + e2 (the filtration vector, generic), w' = e1.
-_V_COLS = ((1, 1), (1, 0))  # columns of V: coordinates of w, w' in (e1, e2)
-
-
 def _transport_B(b: SymMatrix) -> SymMatrix:
     """Conjugate the 2x2 block B from the displayed basis into the eigenbasis:
-    V B V^{-1} with V = [[1,1],[1,0]]."""
+    V B V^{-1} with V = [[1,1],[1,0]], whose columns are the displayed basis
+    w = e1 + e2 (the filtration vector, generic) and w' = e1."""
     v = SymMatrix([[1, 1], [1, 0]])
     return v * b * v.inverse()
 

@@ -54,10 +54,6 @@ class Weight:
     def coords(self) -> Tuple[Coord, Coord]:
         return (self.ca, self.cb)
 
-    def in_basis_long_short(self) -> Tuple[Coord, Coord]:
-        """Coefficients (c1, c2) with self = c1*(2a+3b) + c2*(a+2b)."""
-        return (2 * self.ca - self.cb, -3 * self.ca + 2 * self.cb)
-
     def in_basis_half_alpha(self) -> Tuple[Coord, Coord]:
         """Coefficients (x, y) with self = x*(alpha/2) + y*(alpha+2*beta)/2."""
         return (2 * self.ca - self.cb, self.cb)
@@ -73,9 +69,6 @@ class Weight:
     def is_nonnegative_combo(self) -> bool:
         """Both simple-root coordinates >= 0 (requires numeric coordinates)."""
         return self.ca >= 0 and self.cb >= 0
-
-    def is_dominant(self) -> bool:
-        return self.pair_coroot(ALPHA) >= 0 and self.pair_coroot(BETA) >= 0
 
     def __str__(self) -> str:
         return f"({self.ca})*alpha + ({self.cb})*beta"

@@ -65,19 +65,6 @@ class AltTriForm:
             return RFrac.const(0)
         return c if sign == 1 else -c
 
-    def __call__(self, u: Sequence, v: Sequence, w: Sequence) -> RFrac:
-        """Evaluate on three vectors given by 7 coordinates each."""
-        total = RFrac.const(0)
-        for (i, j, k), c in self.coeffs.items():
-            i0, j0, k0 = i - 1, j - 1, k - 1
-            det = (
-                u[i0] * (v[j0] * w[k0] - v[k0] * w[j0])
-                - v[i0] * (u[j0] * w[k0] - u[k0] * w[j0])
-                + w[i0] * (u[j0] * v[k0] - u[k0] * v[j0])
-            )
-            total = total + c * det
-        return total
-
     def pullback(self, g: SymMatrix) -> "AltTriForm":
         """The form F(g., g., g.).
 
@@ -719,10 +706,6 @@ def lie_basis() -> LieG2:
     if _LIE_CACHE is None:
         _LIE_CACHE = LieG2()
     return _LIE_CACHE
-
-
-def centralizer_dim(x: SymMatrix) -> int:
-    return lie_basis().centralizer_dim(x)
 
 
 def sl2_centralizer_dim(e: SymMatrix, f: SymMatrix) -> int:

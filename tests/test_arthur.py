@@ -48,10 +48,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             arthur.packet_psi_k(k)
 
-    def test_packet_weight(self):
-        assert arthur.packet_weight(4) == roots.Weight(0, 0)
-        assert arthur.packet_weight(12) == roots.Weight(8, 12)
-
 
 class TestLift:
     def test_example(self):

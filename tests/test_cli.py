@@ -60,6 +60,7 @@ class TestExitCodes:
             ["triform", "--word-length", "-1"],
             ["triform", "--word-length", str(cli.MAX_WORD_LENGTH + 1)],
             ["triform", "--a", "2/0"],
+            ["triform", "--a", "0"],
             ["arthur", "--ledger", "12", "1/0"],
             ["arthur", "--ledger", "8", "1"],
             ["arthur", "--ledger", "twelve", "1"],
@@ -205,28 +206,84 @@ class TestConfiguration:
         assert cli.run(["verify"]) == 2
 
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
+        # --bless writes the golden under the working directory, never into
+        # the output directory and never over the tracked golden.
         outdir = tmp_path / "out"
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("G2FORGE_OUTPUT_DIR", str(outdir))
         code, out = run_capture(capsys, ["verify", "--seed", "2", "--format", "json", "--bless"])
         assert code == 0
         assert (outdir / "verify_report.json").exists()
-        assert (outdir / "wedge2_display.json").exists()
+        assert (tmp_path / cli.GOLDEN_PATH).exists()
+        assert not (outdir / "wedge2_display.json").exists()
         # the freshly blessed golden matches in the same run
-        rep = json.loads(out)
-        golden = next(
-            c for s in rep["suites"] for c in s["checks"] if c["id"] == "golden-displayed-blocks"
-        )
-        assert golden["status"] == "pass"
+        assert _golden_status(out) == "pass"
 
     def test_missing_golden_is_a_finding_not_a_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("G2FORGE_OUTPUT_DIR", str(tmp_path / "empty"))
+        monkeypatch.chdir(tmp_path)
         code, out = run_capture(capsys, ["verify", "--seed", "2", "--format", "json"])
         assert code == 0
-        rep = json.loads(out)
-        golden = next(
-            c for s in rep["suites"] for c in s["checks"] if c["id"] == "golden-displayed-blocks"
-        )
-        assert golden["status"] == "finding"
+        assert _golden_status(out) == "finding"
+
+    def test_golden_does_not_follow_the_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(os.path.dirname(HERE))
+        monkeypatch.setenv("G2FORGE_OUTPUT_DIR", str(tmp_path))
+        code, out = run_capture(capsys, ["verify", "--seed", "2", "--format", "json"])
+        assert code == 0
+        assert _golden_status(out) == "pass"
+        assert (tmp_path / "verify_report.json").read_text() == out
+
+
+def _golden_status(out):
+    return _statuses(json.loads(out))["wedge2/golden-displayed-blocks"]
+
+
+class TestParser:
+    """One parser serves every run of a process; it is built on the first."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_not_built_at_import(self):
+        proc = _run_python(["-c", "from g2forge import cli; print(cli.build_parser.cache_info().currsize)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_runs_do_not_leak_options(self, tmp_path, capsys):
+        assert run_capture(capsys, ["arthur", "--ledger", "12", "1"])[0] == 0
+        code, out = run_capture(capsys, ["arthur", "--orbits"])
+        assert code == 0 and "ledger" not in json.loads(out)
+        path = tmp_path / "timings.json"
+        assert run_capture(capsys, ["verify", "--seed", "7", "--format", "json", "--timings", str(path)])[0] == 0
+        path.unlink()
+        assert run_capture(capsys, ["verify", "--seed", "7", "--format", "json"])[0] == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triform", "--a", "0"],
+            ["phin", "--k", "2", "--sp", "0", "--mode", "ebc"],
+            ["phin", "--k", "5", "--sp", "1", "--mode", "ebc"],
+            ["arthur"],
+            ["verify", "--config", "{tmp}/bad.cfg"],
+            ["verify", "--config", "{tmp}/seed.cfg"],
+            ["verify", "--config", "{tmp}/word-length.cfg"],
+            ["verify", "--config", "{tmp}/missing.cfg"],
+            ["verify", "--timings", "{tmp}/missing/timings.json"],
+        ],
+    )
+    def test_input_errors_share_one_format(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.cfg").write_text("bogus = 1\n")
+        (tmp_path / "seed.cfg").write_text("seed = abc\n")
+        (tmp_path / "word-length.cfg").write_text("word-length = -1\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"g2forge {argv[0]}: error: ")
+        assert lines[0].endswith(f"(see g2forge {argv[0]} --help)")
 
 
 class TestSubcommands:
@@ -303,10 +360,16 @@ class TestBenchmarkTracer:
         reference the tracer does not patch."""
         root = os.path.dirname(HERE)
         script = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "sys.path.insert(0, 'perfbench')\n"
             "import run, selfcheck\n"
-            "selfcheck.check_aliases(run.import_package(run.ROOT))\n"
+            "mods = run.import_package(run.ROOT)\n"
+            "# A run builds the cached parser, whose references the check must see too.\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['roots'], ['phin', '--k', '4', '--sp', '1'],\n"
+            "                 ['triform', '--a', '2', '--word-length', '0'], ['arthur', '--ledger', '12', '1']):\n"
+            "        assert mods['cli'].run(argv) == 0, argv\n"
+            "selfcheck.check_aliases(mods)\n"
             "sys.exit(1 if selfcheck.failures else 0)\n"
         )
         proc = subprocess.run(
@@ -319,8 +382,8 @@ def _statuses(report):
     return {f"{s['name']}/{c['id']}": c["status"] for s in report["suites"] for c in s["checks"]}
 
 
-def _run_optimized(args):
-    """Run `python -O <args>` from the repository root with `src` on the path."""
+def _run_python(args):
+    """Run `python <args>` from the repository root with `src` on the path."""
     root = os.path.dirname(HERE)
     env = dict(os.environ)
     env.pop("G2FORGE_OUTPUT_DIR", None)
@@ -328,7 +391,7 @@ def _run_optimized(args):
         [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return subprocess.run(
-        [sys.executable, "-O", *args], cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
 
 
@@ -430,7 +493,7 @@ def _status_under_optimize_flag(mutation, check_id):
         f"cli.CHECKS = {{k: f for k, f in cli.CHECKS.items() if k[0] + '/' + k[1] == {check_id!r}}}\n"
         "print(json.dumps(cli.run_verify(7, {})))"
     )
-    proc = _run_optimized(["-c", script])
+    proc = _run_python(["-O", "-c", script])
     assert proc.returncode == 0, proc.stderr
     return _statuses(json.loads(proc.stdout))[check_id]
 
@@ -453,7 +516,7 @@ class TestChecksCanFail:
         assert _status_under_optimize_flag(mutation, check_id) == "fail"
 
     def test_verify_under_optimize_flag(self):
-        proc = _run_optimized(["-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])
+        proc = _run_python(["-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])
         assert proc.returncode == 0, proc.stderr
         counts = Counter(_statuses(json.loads(proc.stdout)).values())
         assert counts == {"pass": 46, "finding": 8}

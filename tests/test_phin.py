@@ -29,10 +29,6 @@ class TestPolygons:
         assert p.vertices == [(0, Q(0)), (1, Q(-2)), (2, Q(-3))]
         assert p.endpoint == (2, Q(-3))
 
-    def test_reflection_negates_endpoint(self):
-        p = phin.Polygon([Q(-2), Q(1, 2)])
-        assert p.reflected().endpoint[1] == -p.endpoint[1]
-
 
 class TestRankTwo:
     def test_example_polygons(self):

@@ -51,15 +51,6 @@ class TestWeights:
         assert r.RHO.pair_coroot(r.ALPHA) == 1
         assert r.RHO.pair_coroot(r.BETA) == 1
 
-    def test_basis_conversions(self):
-        w = r.Weight(2, 3)
-        x, y = w.in_basis_long_short()
-        assert x * r.Weight(2, 3) + y * r.Weight(1, 2) == w
-
-    def test_dominance(self):
-        assert r.Weight(2, 3).is_dominant()
-        assert not r.Weight(-1, 0).is_dominant()
-
 
 class TestDotAction:
     @given(words, words)

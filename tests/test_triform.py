@@ -68,14 +68,11 @@ class TestForm:
 
     def test_alternating_evaluation(self):
         form = t.generic_form(Q(1))
-
-        def basis(i):
-            return [RFrac.const(1 if j == i else 0) for j in range(1, 8)]
-
-        e1, e4, e7 = basis(1), basis(4), basis(7)
-        assert form(e1, e4, e7) == RFrac.const(1)
-        assert form(e4, e1, e7) == RFrac.const(-1)
-        assert form(e1, e1, e7).is_zero()
+        assert form.get(1, 4, 7) == RFrac.const(1)
+        assert form.get(4, 1, 7) == RFrac.const(-1)
+        assert form.get(7, 4, 1) == RFrac.const(-1)
+        assert form.get(4, 7, 1) == RFrac.const(1)
+        assert form.get(1, 1, 7).is_zero()
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
