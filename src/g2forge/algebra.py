@@ -810,7 +810,9 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
     pivot row.  ``reduced=True`` is Gauss–Jordan: the pivot row is scaled to
     a leading 1 and the column is cleared above and below it.
     ``reduced=False`` clears below an unscaled pivot only, which is all a rank
-    needs and measurably cheaper on the admissibility grids.
+    needs: ``SymMatrix.rank`` and the filtration ranks of ``phin`` use it, and
+    Gauss–Jordan there makes ``arthur --orbits`` and ``phin --mode ebc`` each
+    about 10-20 % slower.
     """
     n = len(rows)
     pivots: List[int] = []

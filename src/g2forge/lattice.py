@@ -373,54 +373,26 @@ def relation_elimination() -> Dict[str, object]:
         "det_natural": det_natural,
         "det_natural_is_minus_9d3": det_natural == minus_9_d3,
         "elimination_preserves_det": det_eliminated == det_natural,
-        "eliminated_rows": [[str(v) for v in row] for row in work],
         "det_displayed_system": det_displayed,
         "det_displayed_system_is_minus_9d3": det_displayed == minus_9_d3,
         "det_displayed_system_factored": (
             det_displayed == 9 * (G66 * G67 - G76 * G77) * d ** 2
         ),
-        "det_displayed_eliminated": det_displayed_elim,
         "det_displayed_eliminated_is_plus_9d3": det_displayed_elim == -minus_9_d3,
-        "specialized_det_at_identity": det_natural.eval(
-            {"g66": 1, "g77": 1, "g67": 0, "g76": 0}
-        ),
     }
 
 
 # ---------------------------------------------------------------------------
-# Probe of the three vanishing families on model-group generator products
+# The three quadratic coupling families
 
 
-def form_constraint_probe(max_length: int = 2) -> Dict[str, object]:
-    """Evaluate the three quadratic families
+def shape_families(g: SymMatrix) -> Tuple[RFrac, RFrac, RFrac]:
+    """The three quadratic families of the four-dimensional block
     (g77 g17 + g67 g27; g77 g16 + g76 g17 + g67 g26 + g66 g27;
-     g76 g16 + g66 g26)
-    on all products of short-root-parabolic generators up to the given word
-    length, symbolically.  Reports which families vanish identically on every
-    product; non-vanishing cases are findings, not failures."""
-    from .triform import walk_parabolic_words
-
-    failures: Dict[str, List[str]] = {"family1": [], "family2": [], "family3": []}
-    vanish_counts = {"family1": 0, "family2": 0, "family3": 0}
-
-    def visit(word, rows):
-        (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (row[5:] for row in rows)
-        relations = (
-            ("family1", g77 * g17 + g67 * g27),
-            ("family2", g77 * g16 + g76 * g17 + g67 * g26 + g66 * g27),
-            ("family3", g76 * g16 + g66 * g26),
-        )
-        for fam, val in relations:
-            if val.is_zero():
-                vanish_counts[fam] += 1
-            elif len(failures[fam]) < 5:
-                failures[fam].append("".join("*" + name for name in word))
-
-    checked = walk_parabolic_words((0, 1, 5, 6), 7, max_length, visit)
-    return {
-        "max_length": max_length,
-        "products_checked": checked,
-        "vanishing_families": sorted(f for f, v in failures.items() if not v),
-        "vanishing_product_counts": vanish_counts,
-        "nonvanishing_examples": {f: v for f, v in failures.items() if v},
-    }
+    g76 g16 + g66 g26) on the entries of a 7x7 matrix."""
+    (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (g.entries[i][5:] for i in (0, 1, 5, 6))
+    return (
+        g77 * g17 + g67 * g27,
+        g77 * g16 + g76 * g17 + g67 * g26 + g66 * g27,
+        g76 * g16 + g66 * g26,
+    )

@@ -90,8 +90,6 @@ POSITIVE_ROOTS: Tuple[Weight, ...] = (
     Weight(2, 3),
 )
 
-SHORT_ROOTS: Tuple[Weight, ...] = (Weight(0, 1), Weight(1, 1), Weight(1, 2))
-
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
 _M_A: Mat2 = ((-1, 1), (0, 1))

@@ -393,18 +393,18 @@ def perm_in_w232(p: Perm7) -> bool:
     return all(all(p[i - 1] in block for i in block) for block in _BLOCKS)
 
 
-def coeff_relations(h: SymMatrix):
-    """The two quadratic combinations of upper-left entries that vanish on the
-    short-root parabolic: returns the pair of symbolic residues."""
-    h11, h12, h13, h14, h15 = (h[0, j] for j in range(5))
-    h21, h22, h23, h24, h25 = (h[1, j] for j in range(5))
+def coeff_relations(rows):
+    """The pair of quadratic combinations of upper-left entries that vanish on
+    the short-root parabolic, read off the first two rows of a matrix
+    (``SymMatrix.entries``, or rows of ``MPoly`` entries)."""
+    (h11, h12, h13, h14, h15), (h21, h22, h23, h24, h25) = (row[:5] for row in rows[:2])
     r1 = 2 * (h22 * h13) - 2 * (h12 * h23) + h21 * h14 - h11 * h24
     r2 = h22 * h14 - h12 * h24 - 2 * (h21 * h15) + 2 * (h11 * h25)
     return (r1, r2)
 
 
 def coeff_relations_hold(h: SymMatrix) -> bool:
-    r1, r2 = coeff_relations(h)
+    r1, r2 = coeff_relations(h.entries)
     return r1.is_zero() and r2.is_zero()
 
 
@@ -443,42 +443,39 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Fast polynomial probe of the coefficient relations on generator words.
+# The coefficient relations on the whole parabolic, and the word probe.
 #
-# Every generator is block-upper-triangular for (2,3,2), so the first 5 (or
-# all 7) columns of rows * g depend only on the same columns of rows: a walk
-# propagates only the columns it reads.  The relations it tests are
-# homogeneous quadratics, so a generator may be rescaled by a nonzero scalar
-# without changing which of them vanish.  The torus is scaled by t1*t2 to
-# clear its inverses, and a root subgroup by a only when a kept entry divides
-# by a.  No entry in columns 1-5 does, so the coefficient probe multiplies by
-# the true 5-column blocks and never meets a.
+# The relations read rows 1-2 and columns 1-5 only.  Every generator is
+# block-upper-triangular for (2,3,2), so those of h * g are those of h times
+# columns 1-5 of g, where no entry divides by a.  The torus is scaled by t1*t2
+# to clear its inverses; the relations are homogeneous quadratics, so the
+# scaling does not change which of them vanish.  The certificate proves the
+# relations on the whole parabolic; the probe checks them word by word, for
+# the triform subcommand and as an oracle in the tests.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
 
+_IDENTITY_ROWS = tuple(tuple(MPoly.one() if j == i else MPoly.zero() for j in range(5)) for i in (0, 1))
 
-def _poly_generator_columns(name: str, suffix: str, cols: int) -> SparseCols:
-    """The first ``cols`` columns of a rescaled generator, each as its
+
+def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
+    """Columns 1-5 of a generator (the torus scaled by t1*t2), each as its
     nonzero (row, entry) pairs."""
     if name == "torus":
         t1 = MPoly.var("t1" + suffix)
         t2 = MPoly.var("t2" + suffix)
-        diag = [t1 * t1 * t2, t1 * t2 * t2, t1 * t1, t1 * t2, t2 * t2, t1, t2]
-        return tuple(((j, diag[j]),) for j in range(cols))
+        diag = [t1 * t1 * t2, t1 * t2 * t2, t1 * t1, t1 * t2, t2 * t2]
+        return tuple(((j, diag[j]),) for j in range(5))
     x = MPoly.var("x" + suffix)
-    a = MPoly.var("a")
-    kept = [entry for entry in _GEN_ENTRIES[name] if entry[1] <= cols]
-    for (i, j, _, _, _) in kept:
-        if i > cols:
-            raise ValueError(f"generator {name}: column {j} reads row {i}, outside the first {cols}")
-    scale_a = any(div_a for (_, _, _, _, div_a) in kept)
-    diag_val = a if scale_a else MPoly.one()
-    out: List[List[Tuple[int, MPoly]]] = [[(j, diag_val)] for j in range(cols)]
-    for (i, j, coeff, power, div_a) in kept:
-        val = coeff * (x ** power)
-        if scale_a and not div_a:
-            val = val * a
-        out[j - 1].append((i - 1, val))
+    out: List[List[Tuple[int, MPoly]]] = [[(j, MPoly.one())] for j in range(5)]
+    for (i, j, coeff, power, div_a) in _GEN_ENTRIES[name]:
+        if j > 5:
+            continue
+        if i > 5:
+            raise ValueError(f"generator {name}: column {j} reads row {i}, outside the first 5")
+        if div_a:
+            raise ValueError(f"generator {name}: column {j} divides by a")
+        out[j - 1].append((i - 1, coeff * (x ** power)))
     return tuple(tuple(c) for c in out)
 
 
@@ -511,24 +508,40 @@ def _rows_relations_zero(rows) -> bool:
     return d + d == h12 * h24 - h22 * h14
 
 
+def coeff_relations_certificate() -> List[str]:
+    """Prove both coefficient relations on the short-root parabolic, which
+    the GENERATOR_NAMES generate: r = (r1, r2) vanishes at the identity, and
+    for each generator g and a generic 2x5 block h of symbols, r_i(h g) =
+    c_i1 r1(h) + c_i2 r2(h) with each c free of h, read off r_i(h g) at the
+    0/1 points h where r is (1, 0) and (0, 1).  So r(h g) = C_g r(h), and r
+    vanishes on every product of generators.  Returns the generators whose
+    step leaves the span, after "identity" if r(1) != 0."""
+    names = [f"h{i}{j}" for i in (1, 2) for j in range(1, 6)]
+    h = tuple(tuple(MPoly.var(n) for n in names[5 * i:5 * i + 5]) for i in (0, 1))
+    r1, r2 = coeff_relations(h)
+    # h21 = h14 = 1 gives (r1, r2) = (1, 0); h22 = h14 = 1 gives (0, 1).
+    at_r1 = {n: int(n in ("h21", "h14")) for n in names}
+    at_r2 = {n: int(n in ("h22", "h14")) for n in names}
+    failing = [] if all(r.is_zero() for r in coeff_relations(_IDENTITY_ROWS)) else ["identity"]
+    for name in GENERATOR_NAMES:
+        image = coeff_relations(_rows_mul(h, _poly_generator_columns(name, "")))
+        if any(r != r.subs(at_r1) * r1 + r.subs(at_r2) * r2 for r in image):
+            failing.append(name)
+    return failing
+
+
 def walk_parabolic_words(
-    rows: Sequence[int],
-    cols: int,
     max_length: int,
     visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...]], None],
 ) -> int:
     """Walk every product of parabolic generators of 1 to ``max_length``
     factors in pre-order, with fresh symbols per factor (suffix = 1-based
-    position) and each generator rescaled as described above.  Only the given
-    rows (0-indexed) and the first ``cols`` columns of each product are
-    propagated; ``cols`` must end a block of the (2,3,2) parabolic (5 or 7).
-    ``visit(word, product_rows)`` sees each product, ``word`` being its tuple
-    of generator names.  Returns the number of products visited."""
-    zero = MPoly.zero()
-    one = MPoly.one()
-    identity_rows = tuple(tuple(one if j == r else zero for j in range(cols)) for r in rows)
+    position), carrying rows 1-2 and columns 1-5 of each product with the
+    torus scaled as described above.  ``visit(word, product_rows)`` sees each
+    product, ``word`` being its tuple of generator names.  Returns the number
+    of products visited."""
     gens_by_depth = [
-        [(name, _poly_generator_columns(name, str(depth), cols)) for name in GENERATOR_NAMES]
+        [(name, _poly_generator_columns(name, str(depth))) for name in GENERATOR_NAMES]
         for depth in range(1, max_length + 1)
     ]
     visited = 0
@@ -544,16 +557,15 @@ def walk_parabolic_words(
             visited += 1
             dfs(new_rows, new_word)
 
-    dfs(identity_rows, ())
+    dfs(_IDENTITY_ROWS, ())
     return visited
 
 
 def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
     """Verify both coefficient relations symbolically on every product of
     parabolic generators up to the given word length (fresh symbols per
-    factor).  The relations read only the upper-left 2x5 block, so the walk
-    carries rows 1-2 and columns 1-5.  Returns counts; raises AssertionError
-    naming the first word on which a relation fails."""
+    factor).  Returns counts; raises AssertionError naming the first word on
+    which a relation fails."""
 
     def visit(word, rows):
         if not _rows_relations_zero(rows):
@@ -561,7 +573,7 @@ def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
                 f"coefficient relation failed at depth {len(word)} on {'*'.join(word)}"
             )
 
-    checked = walk_parabolic_words((0, 1), 5, max_length, visit)
+    checked = walk_parabolic_words(max_length, visit)
     return {"max_length": max_length, "products_checked": checked, "generators": len(GENERATOR_NAMES)}
 
 
@@ -571,6 +583,15 @@ def unipotent_product(x1: Entry, x2: Entry, x3: Entry, x4: Entry, x5: Entry) -> 
     for name, x in (("a+b", x2), ("a+2b", x3), ("a+3b", x4), ("2a+3b", x5)):
         out = out * root_subgroup(name, x)
     return out
+
+
+def parabolic_generic_element() -> SymMatrix:
+    """g(-b, y) t(t1, t2) g(b, z) unipotent_product(x1, ..., x5): the big cell
+    of the Levi factor times the unipotent radical, a dense 9-parameter
+    family in the short-root parabolic."""
+    y, t1, t2, z = (RFrac.var(n) for n in ("y", "t1", "t2", "z"))
+    levi = root_subgroup("-b", y) * torus_elem(t1, t2) * root_subgroup("b", z)
+    return levi * unipotent_product(*(RFrac.var(f"x{i}") for i in range(1, 6)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,19 +171,17 @@ class TestCoverageManifest:
 
 class TestConfiguration:
     def test_config_file_sets_seed_and_word_length(self, tmp_path, capsys):
+        # seed is read; word-length is no longer a key, as no check reads it.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nseed = 11\nword-length = 1\n")
+        cfg.write_text("# comment\nseed = 11\n")
         code, out = run_capture(capsys, ["verify", "--format", "json", "--config", str(cfg)])
         assert code == 0
-        rep = json.loads(out)
-        assert rep["seed"] == 11
-        detail = next(
-            c["detail"]
-            for s in rep["suites"]
-            for c in s["checks"]
-            if c["id"] == "coefficient-relations"
-        )
-        assert "length <= 1" in detail
+        assert json.loads(out)["seed"] == 11
+        cfg.write_text("seed = 11\nword-length = 1\n")
+        assert cli.run(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid configuration {cfg}:2: unknown key 'word-length'" in captured.err
 
     def test_cli_seed_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -400,8 +398,8 @@ def _run_python(args):
 # - the beta coordinate of the slope weight negated, which flips the sign of
 #   that residue term, and the top jump of d_st moved from k - 1 to k (window
 #   certificates);
-# - the sign of the (3, 4) entry of g(b, x) flipped in the generator table, and
-#   the relation test of the probe made to report a nonzero relation;
+# - the sign of the (3, 4) entry of g(b, x) and of the (2, 4) entry of
+#   g(a+b, x) flipped in the generator table;
 # - a 3-form pullback that drops the sign of each index sort;
 # - the Lie bracket replaced by the anticommutator;
 # - the second Weyl generator replaced by the permutation matrix of the
@@ -422,7 +420,11 @@ _MUTATIONS = {
             '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:1] + ((3, 4, 2, 1, False),) '
             '+ triform._GEN_ENTRIES["b"][2:]}',
         ),
-        ("triform", "_rows_relations_zero", "lambda rows: False"),
+        (
+            "triform", "_GEN_ENTRIES",
+            '{**triform._GEN_ENTRIES, "a+b": triform._GEN_ENTRIES["a+b"][:1] + ((2, 4, -2, 1, False),) '
+            '+ triform._GEN_ENTRIES["a+b"][2:]}',
+        ),
     ),
     "triform/one-parameter-stabilizers": (
         ("triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))"),
@@ -454,6 +456,12 @@ _MUTATIONS = {
         ("phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]"),
     ),
 }
+
+# The sign of the (2, 7) entry of g(2a+3b, x) flipped: the shape families on
+# the generic parabolic element leave their closed form.
+_SHAPE_MUTATION = (
+    "triform", "_GEN_ENTRIES", '{**triform._GEN_ENTRIES, "2a+3b": ((1, 6, 1, 1, False), (2, 7, 1, 1, False))}',
+)
 
 # One case per mutation; a check's first mutation is named by the check id
 # alone, a further one also by the attribute it replaces.
@@ -514,6 +522,20 @@ class TestChecksCanFail:
     @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
     def test_identity_check_under_optimize_flag(self, check_id, mutation):
         assert _status_under_optimize_flag(mutation, check_id) == "fail"
+
+    def test_shape_families_off_their_closed_form_fail(self, monkeypatch):
+        # A finding check, so it is not in _MUTATIONS; it still has a failure mode.
+        check_id = "wedge2/shape-constraint-probe"
+        assert _status_in_process(monkeypatch, _SHAPE_MUTATION, check_id) == "fail"
+        assert _status_under_optimize_flag(_SHAPE_MUTATION, check_id) == "fail"
+
+    def test_verify_walks_no_generator_words(self, monkeypatch):
+        # Both parabolic checks are one-step proofs; none enumerates words.
+        def refuse(*args):
+            raise AssertionError("verify walked generator words")
+
+        monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
+        assert Counter(_statuses(cli.run_verify(7, {})).values()) == {"pass": 46, "finding": 8}
 
     def test_verify_under_optimize_flag(self):
         proc = _run_python(["-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])

@@ -4,7 +4,7 @@ its elimination, and the quadratic shape constraints."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge import lattice
+from g2forge import lattice, triform
 from g2forge.algebra import RFrac, SymMatrix
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -103,8 +103,25 @@ class TestElimination:
 
 class TestShapeConstraintProbe:
     def test_families_do_not_vanish_identically(self):
-        rep = lattice.form_constraint_probe(2)
-        assert rep["products_checked"] == 72
-        counts = rep["vanishing_product_counts"]
-        assert all(c < rep["products_checked"] for c in counts.values())
-        assert rep["nonvanishing_examples"]
+        # Oracle by enumeration: the 72 SymMatrix products of one or two
+        # parabolic generators, with fresh symbols per position.
+        first, second = ([triform.parabolic_generator(n, d) for n in triform.GENERATOR_NAMES] for d in "12")
+        products = first + [g * h for g in first for h in second]
+        assert len(products) == 72
+        families = [lattice.shape_families(p) for p in products]
+        counts = [sum(fam[i].is_zero() for fam in families) for i in range(3)]
+        assert counts == [53, 66, 53]
+
+    def test_families_are_the_minors_of_a_twisted_cubic_block(self):
+        x1, x2, x3, x4 = (RFrac.var(f"x{i}") for i in range(1, 5))
+        m = [[x1, x2, x3], [x2, x3, -x4]]
+        minors = tuple(m[0][j] * m[1][k] - m[0][k] * m[1][j] for j, k in ((1, 2), (0, 2), (0, 1)))
+        g = triform.parabolic_generic_element()
+        families = lattice.shape_families(g)
+        assert families == tuple(-minor / triform.A_SYM for minor in minors)
+        # They vanish together on the cone (s^3, s^2 t, s t^2, -t^3) and not
+        # off it; the other parameters are free.
+        on = {"x1": 1, "x2": 2, "x3": 4, "x4": -8, "x5": 3, "y": 5, "t1": 2, "t2": 7, "z": -1}
+        assert all(f.subs(on).is_zero() for f in families)
+        off = dict(on, x3=5)
+        assert not any(f.subs(off).is_zero() for f in families)

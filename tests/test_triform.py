@@ -150,16 +150,6 @@ class TestWeylPermutations:
     def test_length_five_word_exact_value(self):
         assert t.weyl_word_to_s7("ababa") == t.perm_from_cycles(((1, 6), (2, 7)))
 
-    def test_homomorphism_on_all_pairs(self):
-        from g2forge import roots
-
-        images = {w.word: t.weyl_word_to_s7(w.word) for w in roots.WEYL_GROUP}
-        for w1 in roots.WEYL_GROUP:
-            for w2 in roots.WEYL_GROUP:
-                assert t.weyl_word_to_s7(w1.word + w2.word) == t.compose_perms(
-                    images[w1.word], images[w2.word]
-                )
-
     def test_homomorphism_on_reduced_products(self):
         """The map is a homomorphism of W(G2): the image of the reduced word
         of w1 * w2 is the product of the images, on all 144 pairs. The
@@ -233,15 +223,19 @@ class TestBlockParabolic:
         # which a 5-column walk does not carry.
         monkeypatch.setitem(t._GEN_ENTRIES, "b", t._GEN_ENTRIES["b"] + ((6, 3, 1, 1, False),))
         with pytest.raises(ValueError, match="column 3 reads row 6, outside the first 5"):
-            t._poly_generator_columns("b", "1", 5)
-        assert (5, MPoly.var("x1")) in t._poly_generator_columns("b", "1", 7)[2]
+            t._poly_generator_columns("b", "1")
 
-    @pytest.mark.parametrize("cols, rows", [(5, (0, 1)), (7, (0, 1, 5, 6))])
-    def test_walk_matches_the_symmatrix_products(self, cols, rows):
-        # Oracle: the SymMatrix product of `parabolic_generator`s, rescaled
-        # as the walk rescales: by t1_d * t2_d for a torus factor at depth d
-        # and, on all 7 columns, by a for a factor with an entry over a.
-        a_scaled = {name for name, entries in t._GEN_ENTRIES.items() if any(e[4] for e in entries)}
+    def test_truncated_columns_never_divide_by_a(self, monkeypatch):
+        # The walk multiplies polynomials: an entry over a in columns 1-5
+        # has no place in it.
+        monkeypatch.setitem(t._GEN_ENTRIES, "a", t._GEN_ENTRIES["a"] + ((1, 4, 1, 1, True),))
+        with pytest.raises(ValueError, match="generator a: column 4 divides by a"):
+            t._poly_generator_columns("a", "1")
+
+    def test_walk_matches_the_symmatrix_products(self):
+        # Oracle: rows 1-2 and columns 1-5 of the SymMatrix product of
+        # `parabolic_generator`s, scaled by t1_d * t2_d for a torus factor at
+        # depth d, as the walk scales it.
         products = {(): (SymMatrix.identity(7), RFrac.const(1))}
         mismatches = []
 
@@ -252,15 +246,42 @@ class TestBlockParabolic:
             product = product * t.parabolic_generator(name, depth)
             if name == "torus":
                 scale = scale * RFrac.var("t1" + depth) * RFrac.var("t2" + depth)
-            elif cols == 7 and name in a_scaled:
-                scale = scale * A
             products[word] = (product, scale)
-            expected = [[product[r, j] * scale for j in range(cols)] for r in rows]
+            expected = [[product[r, j] * scale for j in range(5)] for r in (0, 1)]
             if [[RFrac(e) for e in row] for row in walked] != expected:
                 mismatches.append(word)
 
-        assert t.walk_parabolic_words(rows, cols, 3, visit) == 8 + 64 + 512
+        assert t.walk_parabolic_words(3, visit) == 8 + 64 + 512
         assert mismatches == []
+
+
+class TestRelationCertificate:
+    def test_relations_are_invariant_under_every_generator(self):
+        assert t.coeff_relations_certificate() == []
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_certificate_names_a_sign_flip_in_the_table(self, monkeypatch, index):
+        # The four entries of g(b, x) in columns 1-5; each flipped sign moves
+        # the relations of h * g(b, x) out of the span of those of h.
+        entries = list(t._GEN_ENTRIES["b"])
+        i, j, coeff, power, div_a = entries[index]
+        entries[index] = (i, j, -coeff, power, div_a)
+        monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
+        assert t.coeff_relations_certificate() == ["b"]
+
+    def test_certificate_checks_the_identity(self, monkeypatch):
+        # r1 + h11 * h22 - h12 * h21 adds the determinant of the leading 2x2
+        # block, which is 1 at the identity; the shifted pair also leaves its
+        # span under g(b, x) and the torus.
+        relations = t.coeff_relations
+
+        def shifted(rows):
+            r1, r2 = relations(rows)
+            (h11, h12, *_), (h21, h22, *_) = rows
+            return (r1 + h11 * h22 - h12 * h21, r2)
+
+        monkeypatch.setattr(t, "coeff_relations", shifted)
+        assert t.coeff_relations_certificate() == ["identity", "b", "torus"]
 
 
 class TestLieAlgebra:
