@@ -14,6 +14,7 @@ would, so the text form does not depend on the representation.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from operator import add, itemgetter, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,8 +56,18 @@ class MPoly:
 
     Arithmetic keeps integral data integral and builds its results in
     canonical form directly: a product of nonzero polynomials uses every
-    variable of both factors, and a sum drops a variable only where a term
-    cancelled.
+    variable of both factors, and a sum or difference drops a variable only
+    where a term cancelled.
+
+    Operands over different variable tuples are brought onto their merged
+    tuple by an alignment plan, built once per pair of tuples and kept in a
+    table of at most 4096 plans (``_align_plan``).  ``a - b`` is one pass,
+    with no negated copy of ``b``.  A product with a one-term factor shifts
+    the other factor's exponents by one tuple, which keeps distinct
+    exponents distinct, so it needs no collision bookkeeping.  ``subs``
+    returns the polynomial itself when it mentions none of the assigned
+    variables, and substitutes scalar values straight on the exponent
+    tuples.
     """
 
     __slots__ = ("vars", "terms")
@@ -124,45 +135,10 @@ class MPoly:
         va, vb = self.vars, other.vars
         if va == vb:
             return va, self.terms, other.terms
-        # One merge of the two sorted tuples gives the union and, for each
-        # merged position, where each operand's exponent sits; an operand
-        # lacking the variable points one past its end, at the 0 that
-        # _remap appends.
-        na, nb = len(va), len(vb)
-        merged: List[str] = []
-        pa: List[int] = []
-        pb: List[int] = []
-        i = j = 0
-        while i < na and j < nb:
-            x, y = va[i], vb[j]
-            if x == y:
-                merged.append(x)
-                pa.append(i)
-                pb.append(j)
-                i += 1
-                j += 1
-            elif x < y:
-                merged.append(x)
-                pa.append(i)
-                pb.append(nb)
-                i += 1
-            else:
-                merged.append(y)
-                pa.append(na)
-                pb.append(j)
-                j += 1
-        for k in range(i, na):
-            merged.append(va[k])
-            pa.append(k)
-            pb.append(nb)
-        for k in range(j, nb):
-            merged.append(vb[k])
-            pa.append(na)
-            pb.append(k)
-        n = len(merged)
-        a = self.terms if na == n else _remap(self.terms, pa)
-        b = other.terms if nb == n else _remap(other.terms, pb)
-        return tuple(merged), a, b
+        merged, pick_a, pick_b = _align_plan(va, vb)
+        a = self.terms if pick_a is None else {pick_a(e + _PAD): c for e, c in self.terms.items()}
+        b = other.terms if pick_b is None else {pick_b(e + _PAD): c for e, c in other.terms.items()}
+        return merged, a, b
 
     def __add__(self, other):
         if type(other) is not MPoly:
@@ -202,16 +178,40 @@ class MPoly:
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()}, _canonical=True)
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not MPoly:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        vars_, a, b = self._aligned(other)
+        out = dict(a)
+        cancelled = False
+        for e, c in b.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = -c
+                continue
+            s -= c
+            if s:
+                out[e] = s if type(s) is int else _coef(s)
+            else:
+                del out[e]
+                cancelled = True
+        if not cancelled:
+            # Every term of both operands survives, so every variable is used.
+            return MPoly(vars_, out, _canonical=True)
+        if not out:
+            return _ZERO
+        return MPoly(vars_, out)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not MPoly:
@@ -228,10 +228,24 @@ class MPoly:
                 return other
             vars_ = other.vars
             out = {e: d * c for e, d in other.terms.items()}
+        elif len(self.terms) == 1 or len(other.terms) == 1:
+            if len(self.terms) != 1:
+                self, other = other, self
+            # A one-term factor shifts every exponent of the other by the
+            # same tuple, so no two products collide.
+            ((e1, c1),) = self.terms.items()
+            if self.vars == other.vars:
+                vars_, pick_a, pick_b = self.vars, None, None
+            else:
+                vars_, pick_a, pick_b = _align_plan(self.vars, other.vars)
+            if pick_a is not None:
+                e1 = pick_a(e1 + _PAD)
+            if pick_b is None:
+                out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in other.terms.items()}
+            else:
+                out = {tuple(map(add, e1, pick_b(e2 + _PAD))): c1 * c2 for e2, c2 in other.terms.items()}
         else:
             vars_, a, b = self._aligned(other)
-            if len(a) > len(b):
-                a, b = b, a
             out = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
@@ -303,6 +317,24 @@ class MPoly:
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables."""
+        hit = [i for i, name in enumerate(self.vars) if name in assignment]
+        if not hit:
+            return self
+        values = [assignment[self.vars[i]] for i in hit]
+        if all(isinstance(v, (int, Q)) for v in values):
+            # Scalars only: evaluate the assigned positions of each exponent
+            # tuple and keep the others.
+            keep = [i for i in range(len(self.vars)) if i not in hit]
+            terms: Dict[Exponents, Scalar] = {}
+            for e, c in self.terms.items():
+                for i, v in zip(hit, values):
+                    if e[i]:
+                        c = c * v ** e[i]
+                k = tuple([e[i] for i in keep])
+                s = terms.get(k)
+                terms[k] = c if s is None else s + c
+            result = MPoly(tuple(self.vars[i] for i in keep), terms)
+            return result if result.terms else _ZERO
         out: MPoly = _ZERO
         for e, c in self.terms.items():
             term: MPoly = MPoly.const(c)
@@ -387,15 +419,37 @@ _set_terms = MPoly.terms.__set__
 
 
 def _remap(terms: Dict[Exponents, Scalar], positions: Sequence[int]) -> Dict[Exponents, Scalar]:
-    """``terms`` with each exponent tuple ``e`` replaced by the entries of
-    ``e + (0,)`` at ``positions`` (so an index one past the end reads 0)."""
+    """``terms`` with each exponent tuple cut down to its entries at
+    ``positions``."""
     if len(positions) > 1:
         pick = itemgetter(*positions)
-        return {pick(e + (0,)): c for e, c in terms.items()}
+        return {pick(e): c for e, c in terms.items()}
     if positions:
         p = positions[0]
-        return {((e + (0,))[p],): c for e, c in terms.items()}
+        return {(e[p],): c for e, c in terms.items()}
     return {(): c for c in terms.values()}
+
+
+_PAD = (0,)
+
+
+@lru_cache(maxsize=4096)
+def _align_plan(va: Tuple[str, ...], vb: Tuple[str, ...]):
+    """The plan ``(merged, pick_a, pick_b)`` that brings exponent tuples over
+    the sorted variable tuples ``va`` and ``vb`` onto their merged tuple:
+    ``pick(e + (0,))`` is the new tuple, a variable the operand lacks
+    reading the appended 0, and ``pick`` is ``None`` for an operand already
+    over ``merged``.  Built once per pair; the table holds at most 4096."""
+    merged = tuple(sorted({*va, *vb}))
+    picks = []
+    for vs in (va, vb):
+        if len(vs) == len(merged):
+            picks.append(None)
+            continue
+        pos = [vs.index(v) if v in vs else len(vs) for v in merged]
+        # A single position reads a one-element slice, so the pick is a tuple.
+        picks.append(itemgetter(*pos) if len(pos) > 1 else itemgetter(slice(pos[0], pos[0] + 1)))
+    return (merged, *picks)
 
 
 def _coerce_poly(x):
@@ -434,12 +488,16 @@ class RFrac:
     Normalization: zero numerator forces den = 1; the monomial gcd of all
     terms is cancelled; the denominator is made monic (lex leading
     coefficient 1); and exact polynomial division collapses den into num
-    whenever possible.  Equality falls back to cross-multiplication, so the
-    partial normal form is only a fast path.
+    whenever possible.  A denominator left as a single term other than 1 is
+    never tried: after the monomial gcd is cancelled, each of its variables
+    has exponent 0 in some numerator term.  Equality falls back to
+    cross-multiplication, so the partial normal form is only a fast path.
 
     Denominator 1 is always the shared ``_ONE`` object, so ``den is _ONE``
-    identifies polynomials.  Sums and products of two polynomials, and of
-    zero with anything, are built directly: normalizing them changes nothing.
+    identifies polynomials.  Sums, differences and products of two
+    polynomials, and of zero with anything, are built directly: normalizing
+    them changes nothing.  ``subs`` returns the function itself when neither
+    part mentions an assigned variable.
     """
 
     __slots__ = ("num", "den")
@@ -512,13 +570,20 @@ class RFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.is_zero():
+            return self
+        if self.den is _ONE and other.den is _ONE:
+            out = object.__new__(RFrac)
+            object.__setattr__(out, "num", self.num - other.num)
+            object.__setattr__(out, "den", _ONE)
+            return out
         return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce_frac(other)
@@ -574,7 +639,10 @@ class RFrac:
         return self.num.eval(assignment) / den
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "RFrac":
-        return RFrac(self.num.subs(assignment), self.den.subs(assignment))
+        num, den = self.num.subs(assignment), self.den.subs(assignment)
+        if num is self.num and den is self.den:
+            return self
+        return RFrac(num, den)
 
     def __str__(self) -> str:
         if self.den == _ONE:
@@ -611,6 +679,11 @@ def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         den = MPoly(den.vars, {e: _coef(c * inv) for e, c in den.terms.items()}, _canonical=True)
     if den == _ONE:
         return num, _ONE
+    if len(den.terms) == 1:
+        # Every variable of a monomial denominator has exponent 0 in some
+        # numerator term once the monomial gcd is cancelled, so the division
+        # below could not be exact.
+        return num, den
     q = num.divexact(den)
     if q is not None:
         return q, _ONE
@@ -725,23 +798,26 @@ class SymMatrix:
         scalar = _coerce_frac(scalar)
         return SymMatrix(tuple(tuple(scalar * x for x in row) for row in self.entries), _trusted=True)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, SymMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix addition")
+            raise ValueError(
+                f"dimension mismatch: ({self.rows}x{self.cols}) and ({other.rows}x{other.cols})"
+            )
         return SymMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             _trusted=True,
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, add)
+
     def __sub__(self, other):
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
+        return self._entrywise(other, sub)
 
     def __neg__(self):
-        return self.scale(-1)
+        return SymMatrix(tuple(tuple(-x for x in row) for row in self.entries), _trusted=True)
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
@@ -812,7 +888,8 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
     ``reduced=False`` clears below an unscaled pivot only, which is all a rank
     needs: ``SymMatrix.rank`` and the filtration ranks of ``phin`` use it, and
     Gauss–Jordan there makes ``arthur --orbits`` and ``phin --mode ebc`` each
-    about 10-20 % slower.
+    about 10-20 % slower.  A row update touches only the columns where the
+    pivot row is nonzero; elsewhere a - f·0 is ``a``.
     """
     n = len(rows)
     pivots: List[int] = []
@@ -830,12 +907,16 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
         if reduced:
             rows[r] = [inv * x for x in rows[r]]
         pivot_row = rows[r]
+        support = [(j, b) for j, b in enumerate(pivot_row) if not b.is_zero()]
         for i in range(0 if reduced else r + 1, n):
             lead = rows[i][col]
             if i == r or lead.is_zero():
                 continue
             factor = lead if reduced else lead * inv
-            rows[i] = [a - factor * b for a, b in zip(rows[i], pivot_row)]
+            row = rows[i][:]
+            for j, b in support:
+                row[j] = row[j] - factor * b
+            rows[i] = row
         pivots.append(col)
     return pivots
 

@@ -268,9 +268,7 @@ def four_dim_wedge_report() -> Dict[str, object]:
     displayed_star = d.inv() * (G67 * g26 + G77 * g16)
     # the three vanishing combinations satisfied on the image (the shape
     # constraints derived from form invariance)
-    rel1 = G77 * g17 + G67 * g27
-    rel2 = G77 * g16 + G76 * g17 + G67 * g26 + G66 * g27
-    rel3 = G76 * g16 + G66 * g26
+    rel1, rel2, rel3 = quadratic_families(g16, g17, g26, g27, G66, G67, G76, G77)
     col2_v21 = w[0, 1]
     col4_v21 = w[0, 3]
     expected_col2_v21 = d.inv() * (G66 * g27 + G76 * g17 + G77 * g16 + G67 * g26)
@@ -386,13 +384,18 @@ def relation_elimination() -> Dict[str, object]:
 # The three quadratic coupling families
 
 
-def shape_families(g: SymMatrix) -> Tuple[RFrac, RFrac, RFrac]:
+def quadratic_families(g16, g17, g26, g27, g66, g67, g76, g77) -> Tuple[RFrac, RFrac, RFrac]:
     """The three quadratic families of the four-dimensional block
     (g77 g17 + g67 g27; g77 g16 + g76 g17 + g67 g26 + g66 g27;
-    g76 g16 + g66 g26) on the entries of a 7x7 matrix."""
-    (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (g.entries[i][5:] for i in (0, 1, 5, 6))
+    g76 g16 + g66 g26) on its eight entries."""
     return (
         g77 * g17 + g67 * g27,
         g77 * g16 + g76 * g17 + g67 * g26 + g66 * g27,
         g76 * g16 + g66 * g26,
     )
+
+
+def shape_families(g: SymMatrix) -> Tuple[RFrac, RFrac, RFrac]:
+    """The three quadratic families on the entries of a 7x7 matrix."""
+    (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (g.entries[i][5:] for i in (0, 1, 5, 6))
+    return quadratic_families(g16, g17, g26, g27, g66, g67, g76, g77)

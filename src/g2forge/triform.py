@@ -59,10 +59,10 @@ class AltTriForm:
     def get(self, i: int, j: int, k: int) -> RFrac:
         triple, sign = _sort_triple(i, j, k)
         if sign == 0:
-            return RFrac.const(0)
+            return R_ZERO
         c = self.coeffs.get(triple)
         if c is None:
-            return RFrac.const(0)
+            return R_ZERO
         return c if sign == 1 else -c
 
     def pullback(self, g: SymMatrix) -> "AltTriForm":

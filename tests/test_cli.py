@@ -137,6 +137,16 @@ class TestDeterminism:
         assert code == 0
         assert first == second
 
+    def test_report_bytes_match_the_golden(self, capsys, monkeypatch):
+        # Regenerate, from the repository root, with
+        # PYTHONPATH=src python -m g2forge.cli verify --seed 7 --format json > tests/goldens/verify_seed7.json
+        monkeypatch.chdir(os.path.dirname(HERE))
+        monkeypatch.delenv("G2FORGE_OUTPUT_DIR", raising=False)
+        code, out = run_capture(capsys, ["verify", "--seed", "7", "--format", "json"])
+        assert code == 0
+        with open(os.path.join(HERE, "goldens", "verify_seed7.json"), "rb") as fh:
+            assert out.encode() == fh.read()
+
     def test_report_schema(self, verify_report):
         _, out = verify_report
         rep = json.loads(out)

@@ -8,7 +8,11 @@ gives, since report strings are printed from them.
 
 `MPoly` stores integral coefficients as `int` and builds products and
 uncancelled sums without re-canonicalising, so every result is checked
-against the representation invariants.  Polynomial arithmetic, `RFrac`
+against the representation invariants.  The per-call shortcuts (cached
+variable alignment plans, fused subtraction, products with a one-term
+factor, scalar `subs`, the sparse row update of `row_reduce`, matrix
+difference and negation) are each checked against the path they replace,
+structurally.  Polynomial arithmetic, `RFrac`
 equality and the division paths are also checked against sympy as an
 independent oracle: Bareiss `det` (`divexact`) on polynomial matrices and,
 after clearing each row's denominators, on rational-function ones, and the
@@ -21,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge.algebra import _ONE, MPoly, R_ZERO, RFrac, SymMatrix
+from g2forge.algebra import _ONE, MPoly, R_ZERO, RFrac, SymMatrix, _align_plan, row_reduce
 
 VARS = ("a", "x", "y")
 
@@ -259,6 +263,235 @@ class TestIntegerFirstRepresentation:
         assert type((x + 1).eval({"x": 2})) is Q
         f = RFrac(2 * x, 4 * x + 4)
         assert str(f) == "1/2*x/(x + 1)"
+
+
+# -- per-call shortcuts against the paths they replace ----------------------
+
+POOL = ("a", "b", "c", "d", "e", "f")
+VAR_PAIRS = (
+    (("a", "b"), ("c", "d")),  # disjoint
+    (("a", "c", "e"), ("b", "d", "f")),  # interleaved
+    (("a", "b", "c"), ("b", "c", "d")),  # overlapping
+    (("b",), ("a", "b", "c")),  # nested
+    ((), ("a",)),
+)
+var_sets = st.sets(st.sampled_from(POOL), max_size=4).map(lambda s: tuple(sorted(s)))
+var_pairs = st.one_of(st.sampled_from(VAR_PAIRS), st.tuples(var_sets, var_sets))
+
+
+@st.composite
+def polys_over(draw, names):
+    """Polynomials over `names`, mostly with one term."""
+    size = draw(st.sampled_from((1, 1, 1, 2, 3)))
+    exps = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in names))
+    return MPoly(names, dict(draw(st.lists(st.tuples(exps, coefficients), min_size=1, max_size=size))))
+
+
+@st.composite
+def poly_pairs(draw):
+    va, vb = draw(var_pairs)
+    p, q = draw(polys_over(va)), draw(polys_over(vb))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+def same_poly(p: MPoly, q: MPoly) -> bool:
+    return p.vars == q.vars and p.terms == q.terms and str(p) == str(q)
+
+
+def two_pointer_aligned(p: MPoly, q: MPoly):
+    """Both term dicts over the merged variable tuple, by one merge of the
+    two sorted tuples, each exponent padded with a 0 for a missing variable."""
+    va, vb = p.vars, q.vars
+    merged, pa, pb = [], [], []
+    i = j = 0
+    while i < len(va) or j < len(vb):
+        if j == len(vb) or (i < len(va) and va[i] < vb[j]):
+            merged.append(va[i])
+            pa.append(i)
+            pb.append(len(vb))
+            i += 1
+        elif i == len(va) or vb[j] < va[i]:
+            merged.append(vb[j])
+            pa.append(len(va))
+            pb.append(j)
+            j += 1
+        else:
+            merged.append(va[i])
+            pa.append(i)
+            pb.append(j)
+            i += 1
+            j += 1
+
+    def remap(terms, positions):
+        return {tuple((e + (0,))[k] for k in positions): c for e, c in terms.items()}
+
+    return tuple(merged), remap(p.terms, pa), remap(q.terms, pb)
+
+
+def double_loop_product(p: MPoly, q: MPoly) -> MPoly:
+    """Every pair of terms, summed through the normalizing constructor."""
+    vars_, a, b = two_pointer_aligned(p, q)
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MPoly(vars_, out)
+
+
+def dense_row_reduce(rows, ncols, reduced=True):
+    """`row_reduce` updating every column of each row."""
+    n = len(rows)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        for p in range(r, n):
+            if not rows[p][col].is_zero():
+                break
+        else:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][col].inv()
+        if reduced:
+            rows[r] = [inv * x for x in rows[r]]
+        for i in range(0 if reduced else r + 1, n):
+            lead = rows[i][col]
+            if i == r or lead.is_zero():
+                continue
+            factor = lead if reduced else lead * inv
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+class TestAlignmentPlans:
+    @given(poly_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_matches_the_two_pointer_merge(self, pair):
+        p, q = pair
+        assert p._aligned(q) == two_pointer_aligned(p, q)
+        assert _align_plan(p.vars, q.vars)[0] == tuple(sorted({*p.vars, *q.vars}))
+
+    def test_the_plan_table_is_bounded(self):
+        assert _align_plan.cache_info().maxsize == 4096
+        a, b = MPoly.var("a"), MPoly.var("b")
+        before = _align_plan.cache_info()
+        a * b
+        a * b
+        after = _align_plan.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2
+        assert after.currsize <= 4096
+
+
+class TestFusedSubtraction:
+    @given(poly_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_difference_matches_adding_the_negation(self, pair):
+        p, q = pair
+        for result, expected in ((p - q, p + (-q)), (q - p, q + (-p)), (p - p, MPoly.zero())):
+            assert same_poly(result, expected)
+            assert_canonical(result)
+
+    @given(poly_pairs(), coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_operands(self, pair, c):
+        p, _ = pair
+        assert same_poly(p - c, p + MPoly.const(-c))
+        assert same_poly(c - p, MPoly.const(c) + (-p))
+
+    def test_full_cancellation_and_a_variable_that_drops_out(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        assert same_poly((x * y + 2) - (x * y + 2), MPoly.zero())
+        difference = (x * y + x) - x * y
+        assert difference.vars == ("x",) and same_poly(difference, x)
+        assert same_poly(x - MPoly.zero(), x) and same_poly(MPoly.zero() - x, -x)
+
+    @given(rfracs(), rfracs())
+    @settings(max_examples=150, deadline=None)
+    def test_rfrac_difference_matches_adding_the_negation(self, f, g):
+        assert same(f - g, f + (-g))
+        assert same(g - f, g + (-f))
+        assert (f - R_ZERO) is f and (f - 0) is f
+        assert same(0 - f, -f) and same(f.num - f, RFrac(f.num) + (-f))
+        if f.den is _ONE and g.den is _ONE:
+            assert (f - g).den is _ONE
+
+    @given(sparse_matrices(), sparse_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_difference_and_negation_match_scaling_by_minus_one(self, m, n):
+        for result, expected in ((m - n, m + n.scale(-1)), (-m, m.scale(-1))):
+            assert all(same(result[i, j], expected[i, j]) for i in range(7) for j in range(7))
+
+
+class TestMonomialProduct:
+    @given(poly_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_double_loop(self, pair):
+        p, q = pair
+        product = p * q
+        assert same_poly(product, double_loop_product(p, q))
+        assert_canonical(product)
+
+    def test_fractional_coefficients_become_integral(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        product = (Q(1, 2) * x) * (2 * y + Q(2, 3) * x * y)
+        assert same_poly(product, double_loop_product(Q(1, 2) * x, 2 * y + Q(2, 3) * x * y))
+        assert_canonical(product)
+
+
+class TestScalarSubstitution:
+    @given(poly_pairs(), st.sampled_from(POOL), coefficients, st.sampled_from(POOL), coefficients)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_polynomial_path(self, pair, v, c, w, d):
+        p, _ = pair
+        for scalars in ({v: c}, {v: c, w: d}):
+            fast = p.subs(scalars)
+            general = p.subs({k: MPoly.const(x) for k, x in scalars.items()})
+            assert same_poly(fast, general)
+            assert_canonical(fast)
+
+    def test_a_fraction_that_makes_a_coefficient_integral(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        p = 2 * x * y + Q(1, 3) * y
+        for value in (Q(1, 2), Q(3, 2)):
+            fast = p.subs({"x": value})
+            assert same_poly(fast, p.subs({"x": MPoly.const(value)}))
+            assert_canonical(fast)
+        assert same_poly(p.subs({"x": Q(1, 2)}), Q(4, 3) * y)
+        assert type(p.subs({"x": Q(1, 2), "y": 3}).terms[()]) is int
+
+    @given(rfracs())
+    @settings(max_examples=50, deadline=None)
+    def test_no_assigned_variable_returns_the_operand(self, f):
+        assert f.subs({"z": 2}) is f and f.num.subs({"z": MPoly.var("a")}) is f.num
+        assert same(f.subs({"a": 2, "z": 1}), RFrac(f.num.subs({"a": 2}), f.den.subs({"a": 2})))
+
+
+class TestSparseRowUpdate:
+    @given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_updating_every_column(self, rows, cols, reduced, data):
+        m = data.draw(sparse_matrices(rows=rows, cols=cols))
+        fast = [list(row) for row in m.entries]
+        dense = [list(row) for row in m.entries]
+        assert row_reduce(fast, cols, reduced) == dense_row_reduce(dense, cols, reduced)
+        assert all(same(a, b) for r1, r2 in zip(fast, dense) for a, b in zip(r1, r2))
+
+
+class TestMonomialDenominator:
+    @given(rfracs())
+    @settings(max_examples=150, deadline=None)
+    def test_a_reduced_monomial_denominator_never_divides(self, f):
+        if len(f.den.terms) == 1 and f.den is not _ONE:
+            assert f.num.divexact(f.den) is None
+
+    def test_other_denominators_are_still_divided_out(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        f = RFrac(x * x - y * y, x + y)
+        assert f.den is _ONE and str(f) == "x - y"
+        assert str(RFrac(x * y + x, 2 * x * y)) == "(1/2*y + 1/2)/y"
 
 
 # -- sympy oracle for the division paths ----------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from g2forge import arthur
 from g2forge import triform as t
-from g2forge.algebra import MPoly, RFrac, SymMatrix
+from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix
 
 X = RFrac.var("x")
 A, T1, T2 = RFrac.var("a"), RFrac.var("t1"), RFrac.var("t2")
@@ -73,6 +73,10 @@ class TestForm:
         assert form.get(7, 4, 1) == RFrac.const(-1)
         assert form.get(4, 7, 1) == RFrac.const(1)
         assert form.get(1, 1, 7).is_zero()
+
+    def test_missing_and_repeated_triples_share_the_zero(self):
+        form = t.generic_form()
+        assert form.get(1, 1, 7) is R_ZERO and form.get(1, 2, 3) is R_ZERO
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
