@@ -982,10 +982,6 @@ class ValuedScalar:
         return ValuedScalar(1)
 
     @staticmethod
-    def zero() -> "ValuedScalar":
-        return ValuedScalar(0)
-
-    @staticmethod
     def p_power(e: Union[MPoly, Scalar]) -> "ValuedScalar":
         return ValuedScalar(1, 0, e)
 

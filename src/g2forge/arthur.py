@@ -243,11 +243,9 @@ class LedgerReport(NamedTuple):
     orientation_divergence: bool
     orientation_note: str
     bound: Optional[Tuple[str, int]]
-    identity_checks: Dict[str, bool]
-    weight_flags: Tuple[Dict[str, str], ...]
 
 
-def _identity_checks() -> Dict[str, bool]:
+def identity_checks() -> Dict[str, bool]:
     """Exact symbolic checks (in a formal weight variable k) of the shifted
     weights that feed the vanishing rules."""
     k = RFrac.var("k")
@@ -289,7 +287,7 @@ def _identity_checks() -> Dict[str, bool]:
     return checks
 
 
-_WEIGHT_FLAGS: Tuple[Dict[str, str], ...] = (
+WEIGHT_FLAGS: Tuple[Dict[str, str], ...] = (
     {
         "id": "long-levi-shift-plain",
         "recomputed": "(k-2)/4*alpha + (3k+6)/4*(alpha+2*beta)",
@@ -412,6 +410,4 @@ def multiplicity_ledger(k, sp, vanishing_rules: Sequence[str] = DEFAULT_RULES) -
         orientation_divergence=divergence,
         orientation_note=_ORIENTATION_NOTE if divergence else "",
         bound=bound,
-        identity_checks=_identity_checks(),
-        weight_flags=_WEIGHT_FLAGS,
     )

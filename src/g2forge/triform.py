@@ -93,8 +93,8 @@ class AltTriForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltTriForm):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.get(*t) == other.get(*t) for t in keys)
+        # The constructor drops zero coefficients, so equal forms have equal keys.
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         items = ", ".join(f"{t}: {c}" for t, c in sorted(self.coeffs.items()))
@@ -727,10 +727,6 @@ def lie_basis() -> LieG2:
     if _LIE_CACHE is None:
         _LIE_CACHE = LieG2()
     return _LIE_CACHE
-
-
-def sl2_centralizer_dim(e: SymMatrix, f: SymMatrix) -> int:
-    return lie_basis().sl2_centralizer_dim(e, f)
 
 
 def torus_direction(c1: Q, c2: Q) -> SymMatrix:

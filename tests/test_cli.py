@@ -1,7 +1,9 @@
-"""Command-line interface: exit codes, determinism, configuration,
-subcommand payloads, golden regeneration, and coverage of the manifest."""
+"""Command-line interface: exit codes, determinism, where `verify` takes its
+settings from, subcommand payloads, golden regeneration, and coverage of the
+manifest."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -180,38 +182,28 @@ class TestCoverageManifest:
 
 
 class TestConfiguration:
-    def test_config_file_sets_seed_and_word_length(self, tmp_path, capsys):
-        # seed is read; word-length is no longer a key, as no check reads it.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nseed = 11\n")
-        code, out = run_capture(capsys, ["verify", "--format", "json", "--config", str(cfg)])
+    """`verify` takes each setting from one place: the seed from `--seed`
+    (default 0), the output directory from `G2FORGE_OUTPUT_DIR`, the golden
+    from the working directory. It reads no configuration file, and no check
+    takes an argument."""
+
+    def test_config_file_in_working_directory_is_ignored(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "g2forge.cfg").write_text("bogus = 1\nseed = 11\n")
+        monkeypatch.chdir(tmp_path)
+        code, out = run_capture(capsys, ["verify", "--format", "json"])
         assert code == 0
-        assert json.loads(out)["seed"] == 11
-        cfg.write_text("seed = 11\nword-length = 1\n")
-        assert cli.run(["verify", "--config", str(cfg)]) == 2
+        assert json.loads(out)["seed"] == 0
+
+    def test_config_option_is_unrecognized(self, capsys):
+        assert cli.run(["verify", "--config", "x"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"invalid configuration {cfg}:2: unknown key 'word-length'" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2forge: error: unrecognized arguments: --config")
+        assert lines[0].endswith("(see g2forge --help)")
 
-    def test_cli_seed_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 11\n")
-        code, out = run_capture(
-            capsys, ["verify", "--seed", "4", "--format", "json", "--config", str(cfg)]
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 4
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        assert cli.run(["verify", "--config", str(cfg)]) == 2
-
-    def test_config_file_is_read_by_verify_only(self, tmp_path, monkeypatch):
-        (tmp_path / cli.DEFAULT_CONFIG_FILE).write_text("bogus = 1\n")
-        monkeypatch.chdir(tmp_path)
-        assert cli.run(["roots"]) == 0
-        assert cli.run(["verify"]) == 2
+    def test_checks_take_no_arguments(self):
+        assert [key for key, fn in cli.CHECKS.items() if inspect.signature(fn).parameters] == []
 
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         # --bless writes the golden under the working directory, never into
@@ -274,17 +266,10 @@ class TestParser:
             ["phin", "--k", "2", "--sp", "0", "--mode", "ebc"],
             ["phin", "--k", "5", "--sp", "1", "--mode", "ebc"],
             ["arthur"],
-            ["verify", "--config", "{tmp}/bad.cfg"],
-            ["verify", "--config", "{tmp}/seed.cfg"],
-            ["verify", "--config", "{tmp}/word-length.cfg"],
-            ["verify", "--config", "{tmp}/missing.cfg"],
             ["verify", "--timings", "{tmp}/missing/timings.json"],
         ],
     )
     def test_input_errors_share_one_format(self, tmp_path, capsys, argv):
-        (tmp_path / "bad.cfg").write_text("bogus = 1\n")
-        (tmp_path / "seed.cfg").write_text("seed = abc\n")
-        (tmp_path / "word-length.cfg").write_text("word-length = -1\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert cli.run(argv) == 2
         captured = capsys.readouterr()
@@ -496,7 +481,7 @@ def _status_in_process(monkeypatch, mutation, check_id):
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)
     try:
-        return _statuses(cli.run_verify(7, {}))[check_id]
+        return _statuses(cli.run_verify(7))[check_id]
     finally:
         # The wedge2 reports are cached: drop what the mutated run stored.
         for fn in vars(lattice).values():
@@ -504,16 +489,43 @@ def _status_in_process(monkeypatch, mutation, check_id):
                 fn.cache_clear()
 
 
-def _status_under_optimize_flag(mutation, check_id):
-    module, attr, source = mutation
-    script = (
-        f"import json\nfrom g2forge import cli, {module}\n{module}.{attr} = {source}\n"
-        f"cli.CHECKS = {{k: f for k, f in cli.CHECKS.items() if k[0] + '/' + k[1] == {check_id!r}}}\n"
-        "print(json.dumps(cli.run_verify(7, {})))"
-    )
-    proc = _run_python(["-O", "-c", script])
+# Run by `python -O` on a JSON list of [check_id, [module, attr, source]]:
+# each mutation in turn is applied, its check alone is run and the mutation is
+# reverted, with the caches reset as `_status_in_process` resets them. Prints
+# the statuses as a JSON list, in input order.
+_OPTIMIZED_SCRIPT = """\
+import importlib, json, sys
+from g2forge import cli, lattice, triform
+checks, statuses = cli.CHECKS, []
+for check_id, (module, attr, source) in json.loads(sys.argv[1]):
+    mod = importlib.import_module("g2forge." + module)
+    saved = getattr(mod, attr)
+    setattr(mod, attr, eval(source, {module: mod}))
+    cli.CHECKS = {k: f for k, f in checks.items() if k[0] + "/" + k[1] == check_id}
+    triform._LIE_CACHE = None
+    try:
+        report = cli.run_verify(7)
+    finally:
+        setattr(mod, attr, saved)
+        triform._LIE_CACHE = None
+        for fn in vars(lattice).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    statuses.append(report["suites"][0]["checks"][0]["status"])
+print(json.dumps(statuses))
+"""
+
+_SHAPE_CASE = ("wedge2/shape-constraint-probe", _SHAPE_MUTATION)
+
+
+@pytest.fixture(scope="module")
+def optimized_statuses():
+    """The status of each mutated check under `python -O`, keyed by
+    (check_id, mutation), from one interpreter that runs every mutation."""
+    cases = [tuple(case.values) for case in _MUTATION_CASES] + [_SHAPE_CASE]
+    proc = _run_python(["-O", "-c", _OPTIMIZED_SCRIPT, json.dumps(cases)])
     assert proc.returncode == 0, proc.stderr
-    return _statuses(json.loads(proc.stdout))[check_id]
+    return dict(zip(cases, json.loads(proc.stdout)))
 
 
 class TestChecksCanFail:
@@ -530,14 +542,14 @@ class TestChecksCanFail:
         assert _status_in_process(monkeypatch, mutation, check_id) == "fail"
 
     @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
-    def test_identity_check_under_optimize_flag(self, check_id, mutation):
-        assert _status_under_optimize_flag(mutation, check_id) == "fail"
+    def test_identity_check_under_optimize_flag(self, optimized_statuses, check_id, mutation):
+        assert optimized_statuses[check_id, mutation] == "fail"
 
-    def test_shape_families_off_their_closed_form_fail(self, monkeypatch):
+    def test_shape_families_off_their_closed_form_fail(self, monkeypatch, optimized_statuses):
         # A finding check, so it is not in _MUTATIONS; it still has a failure mode.
-        check_id = "wedge2/shape-constraint-probe"
-        assert _status_in_process(monkeypatch, _SHAPE_MUTATION, check_id) == "fail"
-        assert _status_under_optimize_flag(_SHAPE_MUTATION, check_id) == "fail"
+        check_id, mutation = _SHAPE_CASE
+        assert _status_in_process(monkeypatch, mutation, check_id) == "fail"
+        assert optimized_statuses[_SHAPE_CASE] == "fail"
 
     def test_verify_walks_no_generator_words(self, monkeypatch):
         # Both parabolic checks are one-step proofs; none enumerates words.
@@ -545,7 +557,7 @@ class TestChecksCanFail:
             raise AssertionError("verify walked generator words")
 
         monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
-        assert Counter(_statuses(cli.run_verify(7, {})).values()) == {"pass": 46, "finding": 8}
+        assert Counter(_statuses(cli.run_verify(7)).values()) == {"pass": 46, "finding": 8}
 
     def test_verify_under_optimize_flag(self):
         proc = _run_python(["-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])

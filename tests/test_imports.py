@@ -82,8 +82,8 @@ def test_no_orphaned_private_definitions():
 
 @pytest.mark.parametrize("path", MODULES, ids=[os.path.basename(p) for p in MODULES])
 def test_no_module_imports_random(path):
-    """Every check depends only on the configuration, so no module draws at
-    random; this covers imports at any depth, not only top-level ones."""
+    """No check draws at random, so `verify` gives the same report for a
+    given seed; this covers imports at any depth, not only top-level ones."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=path)
     modules = set()

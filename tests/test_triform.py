@@ -82,6 +82,13 @@ class TestForm:
         with pytest.raises(ValueError):
             t.generic_form(0)
 
+    def test_equality_ignores_explicit_zero_coefficients(self):
+        form = t.AltTriForm({(1, 2, 3): A, (4, 5, 6): Q(1, 2)})
+        assert t.AltTriForm({(1, 2, 3): A, (2, 3, 4): 0, (4, 5, 6): Q(1, 2)}) == form
+        assert t.AltTriForm({(1, 2, 3): A, (2, 3, 4): A - A, (4, 5, 6): Q(1, 2)}) == form
+        assert t.AltTriForm({(1, 2, 3): A, (4, 5, 6): Q(1, 3)}) != form
+        assert t.AltTriForm({(1, 2, 3): A, (4, 5, 6): Q(1, 2), (1, 2, 7): 1}) != form
+
     def test_all_eight_matrices_stabilize(self):
         form = t.generic_form()
         for name in t.ROOT_NAMES:
