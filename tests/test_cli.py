@@ -266,6 +266,10 @@ class TestParser:
             ["phin", "--k", "2", "--sp", "0", "--mode", "ebc"],
             ["phin", "--k", "5", "--sp", "1", "--mode", "ebc"],
             ["arthur"],
+            ["verify", "--seed", "abc"],
+            ["verify", "--seed"],
+            ["verify", "--format", "xml"],
+            ["verify", "--timings", "{tmp}"],
             ["verify", "--timings", "{tmp}/missing/timings.json"],
         ],
     )
