@@ -94,6 +94,8 @@ class MPoly:
         c = _coef(c)
         if c == 0:
             return _ZERO
+        if c == 1:
+            return _ONE
         return MPoly((), {(): c}, _canonical=True)
 
     @staticmethod
@@ -287,9 +289,10 @@ class MPoly:
         return RFrac(self) / other
 
     def __eq__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not MPoly:
+            other = _coerce_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -483,40 +486,55 @@ def affine_bounds_on_cone(
 
 
 class RFrac:
-    """Rational function num/den with light normalization.
+    """Rational function num/den, built in one of three normalising lanes.
 
-    Normalization: zero numerator forces den = 1; the monomial gcd of all
-    terms is cancelled; the denominator is made monic (lex leading
-    coefficient 1); and exact polynomial division collapses den into num
-    whenever possible.  A denominator left as a single term other than 1 is
-    never tried: after the monomial gcd is cancelled, each of its variables
-    has exponent 0 in some numerator term.  Equality falls back to
-    cross-multiplication, so the partial normal form is only a fast path.
+    ``_normalize_frac`` picks the lane by the denominator:
 
-    Denominator 1 is always the shared ``_ONE`` object, so ``den is _ONE``
-    identifies polynomials.  Sums, differences and products of two
-    polynomials, and of zero with anything, are built directly: normalizing
-    them changes nothing.  ``subs`` returns the function itself when neither
-    part mentions an assigned variable.
+    - **1**: the result is the polynomial, over the shared ``_ONE`` object,
+      so ``den is _ONE`` identifies polynomials;
+    - **one term** (a Laurent polynomial, as the torus elements and Weyl
+      representatives give): the numerator is scaled by the inverse
+      coefficient, and each denominator variable is cancelled as far as its
+      smallest exponent over the numerator's terms, by exponent arithmetic;
+    - **more terms**: the monomial gcd of all terms is cancelled, the
+      denominator is made monic (lex leading coefficient 1), and exact
+      polynomial division collapses it into the numerator when it can.
+
+    The first two lanes give the unique normal form of their functions: a
+    monic monomial ``den`` (1 included), each of whose variables has
+    exponent 0 in some numerator term.  The smallest exponent of v over a
+    polynomial's terms is its v-adic valuation, which is multiplicative, so
+    two such forms n/d = n'/d' have d = d' and then n = n'.  Any exact
+    computation that lands in that form gives the same parts and text.  The
+    third lane has no polynomial gcd, so its form is partial and equality
+    falls back to cross-multiplication.
+
+    ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1.  Sums,
+    differences and products of two polynomials, and of zero with anything,
+    are built directly; products, sums and inverses over one-term
+    denominators go straight to the one-term lane.  ``subs`` returns the
+    function itself when neither part mentions an assigned variable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _coerce_poly(num)
-        if num is NotImplemented:
-            raise TypeError("cannot build RFrac from this numerator")
+        if type(num) is not MPoly:
+            num = _coerce_poly(num)
+            if num is NotImplemented:
+                raise TypeError("cannot build RFrac from this numerator")
         if den is None:
             den = _ONE
         else:
-            den = _coerce_poly(den)
-            if den is NotImplemented:
-                raise TypeError("cannot build RFrac from this denominator")
-        if den.is_zero():
-            raise ZeroDivisionError("RFrac denominator is zero")
-        num, den = _normalize_frac(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            if type(den) is not MPoly:
+                den = _coerce_poly(den)
+                if den is NotImplemented:
+                    raise TypeError("cannot build RFrac from this denominator")
+            if not den.terms:
+                raise ZeroDivisionError("RFrac denominator is zero")
+            num, den = _normalize_frac(num, den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RFrac is immutable")
@@ -530,7 +548,7 @@ class RFrac:
         return RFrac(MPoly.var(name))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
@@ -539,44 +557,44 @@ class RFrac:
         return self.num.const_value() / self.den.const_value()
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def __add__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
+        if type(other) is not RFrac:
+            other = _coerce_frac(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.num.terms:
             return self
-        if self.num.is_zero():
+        if not self.num.terms:
             return other
-        if self.den is _ONE and other.den is _ONE:
-            out = object.__new__(RFrac)
-            object.__setattr__(out, "num", self.num + other.num)
-            object.__setattr__(out, "den", _ONE)
-            return out
-        if self.den == other.den:
-            return RFrac(self.num + other.num, self.den)
-        return RFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+        d1, d2 = self.den, other.den
+        if d1 is _ONE and d2 is _ONE:
+            return _frac(self.num + other.num, _ONE)
+        if d1 == d2:
+            num, den = self.num + other.num, d1
+        else:
+            num, den = self.num * d2 + other.num * d1, d1 * d2
+        if not num.terms:
+            return R_ZERO
+        if len(den.terms) == 1:
+            return _frac(*_monomial_frac(num, den))
+        return _frac(*_normalize_frac(num, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(RFrac)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _frac(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
+        if type(other) is not RFrac:
+            other = _coerce_frac(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.num.terms:
             return self
         if self.den is _ONE and other.den is _ONE:
-            out = object.__new__(RFrac)
-            object.__setattr__(out, "num", self.num - other.num)
-            object.__setattr__(out, "den", _ONE)
-            return out
+            return _frac(self.num - other.num, _ONE)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -586,24 +604,30 @@ class RFrac:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
+        if type(other) is not RFrac:
+            other = _coerce_frac(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.num.terms or not other.num.terms:
             return R_ZERO
+        num = self.num * other.num
         if self.den is _ONE and other.den is _ONE:
-            out = object.__new__(RFrac)
-            object.__setattr__(out, "num", self.num * other.num)
-            object.__setattr__(out, "den", _ONE)
-            return out
-        return RFrac(self.num * other.num, self.den * other.den)
+            return _frac(num, _ONE)
+        # A product of polynomials has one term only if both factors do.
+        den = self.den * other.den
+        if len(den.terms) == 1:
+            return _frac(*_monomial_frac(num, den))
+        return _frac(*_normalize_frac(num, den))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RFrac":
-        if self.num.is_zero():
+        num = self.num
+        if not num.terms:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RFrac(self.den, self.num)
+        if len(num.terms) == 1:
+            return _frac(*_monomial_frac(self.den, num))
+        return _frac(*_normalize_frac(self.den, num))
 
     def __truediv__(self, other):
         other = _coerce_frac(other)
@@ -625,9 +649,10 @@ class RFrac:
         return RFrac(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RFrac:
+            other = _coerce_frac(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.num == other.num and self.den == other.den:
             return True
         return self.num * other.den == other.num * self.den
@@ -645,7 +670,7 @@ class RFrac:
         return RFrac(num, den)
 
     def __str__(self) -> str:
-        if self.den == _ONE:
+        if self.den is _ONE:
             return str(self.num)
         num = str(self.num)
         if len(self.num.terms) > 1:
@@ -659,35 +684,86 @@ class RFrac:
         return f"RFrac({self})"
 
 
+_set_num = RFrac.num.__set__
+_set_den = RFrac.den.__set__
+_new = object.__new__
+
+
+def _frac(num: MPoly, den: MPoly) -> RFrac:
+    """The ``RFrac`` of parts already in normal form."""
+    out = _new(RFrac)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
 def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    if num.is_zero():
+    """The normal form of num/den for a nonzero ``den``, by the lane of its
+    denominator (see ``RFrac``)."""
+    if not num.terms:
         return _ZERO, _ONE
-    if den == _ONE:
+    if den is _ONE:
         return num, _ONE
-    # Cancel the monomial gcd.
+    if len(den.terms) == 1:
+        return _monomial_frac(num, den)
+    # Cancel the monomial gcd.  That merges no terms, so the denominator
+    # keeps two or more.
     vars_, nt, dt = num._aligned(den)
-    if vars_:
-        mins = [min(column) for column in zip(*nt, *dt)]
-        if any(mins):
-            num = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in nt.items()})
-            den = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in dt.items()})
+    mins = [min(column) for column in zip(*nt, *dt)]
+    if any(mins):
+        num = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in nt.items()})
+        den = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in dt.items()})
     # Make the denominator monic.
     _, lc = den.leading()
     if lc != 1:
         inv = 1 / Q(lc)
         num = MPoly(num.vars, {e: _coef(c * inv) for e, c in num.terms.items()}, _canonical=True)
         den = MPoly(den.vars, {e: _coef(c * inv) for e, c in den.terms.items()}, _canonical=True)
-    if den == _ONE:
-        return num, _ONE
-    if len(den.terms) == 1:
-        # Every variable of a monomial denominator has exponent 0 in some
-        # numerator term once the monomial gcd is cancelled, so the division
-        # below could not be exact.
-        return num, den
     q = num.divexact(den)
     if q is not None:
         return q, _ONE
     return num, den
+
+
+def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
+    """The normal form of num/den for a nonzero ``num`` and a one-term
+    ``den``: scale by the inverse coefficient of ``den``, then cancel each
+    of its variables as far as the smallest exponent of that variable over
+    the numerator's terms.  No alignment, leading term or division."""
+    ((de, lc),) = den.terms.items()
+    terms = num.terms
+    if lc == -1:
+        terms = {e: -c for e, c in terms.items()}
+    elif lc != 1:
+        inv = 1 / Q(lc)
+        terms = {e: _coef(c * inv) for e, c in terms.items()}
+    nvars = num.vars
+    cut = [0] * len(nvars)
+    names, exps = [], []
+    for v, d in zip(den.vars, de):
+        if v in nvars:
+            i = nvars.index(v)
+            m = min(d, min([e[i] for e in terms]))
+            cut[i] = m
+            d -= m
+        if d:
+            names.append(v)
+            exps.append(d)
+    if any(cut):
+        terms = {tuple(map(sub, e, cut)): c for e, c in terms.items()}
+        # A numerator variable drops out where it was cancelled from every term.
+        used = [i for i, k in enumerate(cut) if not k or any(e[i] for e in terms)]
+        if len(used) != len(nvars):
+            nvars = tuple(nvars[i] for i in used)
+            terms = _remap(terms, used)
+    if terms is not num.terms:
+        num = MPoly(nvars, terms, _canonical=True)
+    if not names:
+        return num, _ONE
+    exps = tuple(exps)
+    if lc == 1 and exps == de:
+        return num, den
+    return num, MPoly(tuple(names), {exps: 1}, _canonical=True)
 
 
 def _coerce_frac(x):
@@ -710,8 +786,11 @@ class SymMatrix:
     Entries are stored densely, zeros included.  The product visits only
     the nonzero entries of both factors: most matrices here are monomial or
     unipotent, so nearly all scalar products would have a zero operand.
+    When every entry of both factors is a polynomial, it works on the
+    numerators and never reaches the ``RFrac`` normaliser.
 
-    The constructor coerces and checks its entries.  Results of matrix
+    The constructor coerces the entries that are not ``RFrac`` yet and
+    checks the shape.  Results of matrix
     operations are built from ``RFrac`` rows of a known shape and skip that
     (``_trusted=True``: a nonempty tuple of equal-length tuples of ``RFrac``).
 
@@ -725,7 +804,7 @@ class SymMatrix:
         if _trusted:
             data = entries
         else:
-            data = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
+            data = tuple(tuple(x if type(x) is RFrac else _coerce_entry(x) for x in row) for row in entries)
             if not data or not data[0]:
                 raise ValueError("matrix must be nonempty")
             if any(len(row) != len(data[0]) for row in data):
@@ -768,20 +847,32 @@ class SymMatrix:
                     f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
                 )
             # Each entry sums its products in increasing k, as a dense loop
-            # would, so sums of non-polynomial entries normalize the same way.
+            # would.  Over denominators of one term the normal form is unique
+            # (see RFrac), so any order gives the same entry; over larger ones
+            # it is partial, and the order keeps it the dense loop's.  When
+            # every entry of both factors is a polynomial, the products and
+            # sums are taken on the numerators, as RFrac arithmetic on them
+            # would, and each entry is wrapped once.
+            poly = all(x.den is _ONE for m in (self, other) for row in m.entries for x in row)
             sparse_rows = [
-                [(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other.entries
+                [(j, b.num if poly else b) for j, b in enumerate(row) if b.num.terms]
+                for row in other.entries
             ]
             out = []
             for row in self.entries:
-                acc: List[Optional[RFrac]] = [None] * other.cols
+                acc: List = [None] * other.cols
                 for a, pairs in zip(row, sparse_rows):
-                    if not pairs or a.is_zero():
+                    if not pairs or not a.num.terms:
                         continue
+                    if poly:
+                        a = a.num
                     for j, b in pairs:
                         s = acc[j]
                         acc[j] = a * b if s is None else s + a * b
-                out.append(tuple(R_ZERO if s is None else s for s in acc))
+                if poly:
+                    out.append(tuple(R_ZERO if s is None else _frac(s, _ONE) for s in acc))
+                else:
+                    out.append(tuple(R_ZERO if s is None else s for s in acc))
             return SymMatrix(tuple(out), _trusted=True)
         scalar = _coerce_frac(other)
         if scalar is NotImplemented:
@@ -898,7 +989,7 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
         if r == n:
             break
         for p in range(r, n):
-            if not rows[p][col].is_zero():
+            if rows[p][col].num.terms:
                 break
         else:
             continue
@@ -907,10 +998,10 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
         if reduced:
             rows[r] = [inv * x for x in rows[r]]
         pivot_row = rows[r]
-        support = [(j, b) for j, b in enumerate(pivot_row) if not b.is_zero()]
+        support = [(j, b) for j, b in enumerate(pivot_row) if b.num.terms]
         for i in range(0 if reduced else r + 1, n):
             lead = rows[i][col]
-            if i == r or lead.is_zero():
+            if i == r or not lead.num.terms:
                 continue
             factor = lead if reduced else lead * inv
             row = rows[i][:]

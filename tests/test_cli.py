@@ -409,6 +409,27 @@ def _run_python(args):
 # - the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
 #   sub/quotient pair coincides.
 _MUTATIONS = {
+    # The Weyl group without its longest element.
+    "roots/weyl-group-order": (("roots", "WEYL_GROUP", "roots.WEYL_GROUP[:-1]"),),
+    # The highest root 2a+3b left out of the positive roots.
+    "roots/length-inversions": (("roots", "POSITIVE_ROOTS", "roots.POSITIVE_ROOTS[:-1]"),),
+    # An Eisenstein word of P_long that starts with the Levi reflection.
+    "roots/coset-representatives": (
+        (
+            "roots", "PARABOLICS",
+            '{**roots.PARABOLICS, "P_long": roots.ParabolicId("P_long", (roots.ALPHA,), ("", "a", "ab"))}',
+        ),
+    ),
+    # The highest root read as 2a+4b.
+    "roots/nilradical-root-sums": (
+        ("roots", "POSITIVE_ROOTS", "roots.POSITIVE_ROOTS[:-1] + (roots.Weight(2, 4),)"),
+    ),
+    # rho with one coordinate off: 3a+4b for 3a+5b.
+    "roots/dot-action-beta-drop": (("roots", "RHO", "roots.Weight(3, 4)"),),
+    # The short-root parabolic with the long simple root in its Levi.
+    "roots/dot-action-short-levi-shift": (
+        ("roots", "P_SHORT", 'roots.ParabolicId("P_short", (roots.ALPHA,), roots.P_SHORT.eis_words)'),
+    ),
     "roots/criticality-window": (
         ("roots", "slope_weight", "lambda sp: roots.Weight(2 * sp, -(3 * sp + 1))"),
     ),

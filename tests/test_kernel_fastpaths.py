@@ -12,11 +12,14 @@ against the representation invariants.  The per-call shortcuts (cached
 variable alignment plans, fused subtraction, products with a one-term
 factor, scalar `subs`, the sparse row update of `row_reduce`, matrix
 difference and negation) are each checked against the path they replace,
-structurally.  Polynomial arithmetic, `RFrac`
-equality and the division paths are also checked against sympy as an
+structurally.  So are the one-term lane of the `RFrac` normaliser (against
+the general normaliser, kept here as a helper) and the product of two
+polynomial matrices (against the dense triple loop).  Polynomial arithmetic,
+`RFrac` equality and the division paths are also checked against sympy as an
 independent oracle: Bareiss `det` (`divexact`) on polynomial matrices and,
 after clearing each row's denominators, on rational-function ones, and the
-one row reduction behind `rank` and `inverse`.
+one row reduction behind `rank` and `inverse`.  Those results are compared by
+cross-multiplication in a sympy polynomial ring.
 """
 
 from fractions import Fraction as Q
@@ -25,7 +28,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge.algebra import _ONE, MPoly, R_ZERO, RFrac, SymMatrix, _align_plan, row_reduce
+from g2forge.algebra import (
+    _ONE,
+    MPoly,
+    R_ZERO,
+    RFrac,
+    SymMatrix,
+    _align_plan,
+    _monomial_frac,
+    _normalize_frac,
+    row_reduce,
+)
 
 VARS = ("a", "x", "y")
 
@@ -494,6 +507,159 @@ class TestMonomialDenominator:
         assert str(RFrac(x * y + x, 2 * x * y)) == "(1/2*y + 1/2)/y"
 
 
+# -- the one-term lane and the polynomial matrix product ---------------------
+
+# "z" never occurs in `polys()`, so some denominator variables are absent
+# from the numerator.
+DEN_VARS = ("a", "x", "z")
+nonunit_coefficients = st.one_of(
+    st.sampled_from((-1, 2, -3, Q(1, 2), Q(-2, 3))), coefficients.filter(bool)
+)
+
+
+@st.composite
+def one_term_polys(draw):
+    exps = draw(st.tuples(*(st.integers(min_value=0, max_value=3) for _ in DEN_VARS)))
+    return MPoly(DEN_VARS, {exps: draw(nonunit_coefficients)})
+
+
+@st.composite
+def laurent_fracs(draw):
+    """Rational functions over a one-term denominator, through the
+    normalizing constructor."""
+    return RFrac(draw(polys()), draw(one_term_polys()))
+
+
+def general_normalize(num: MPoly, den: MPoly):
+    """The general normaliser for any nonzero `den`: cancel the monomial gcd
+    of all terms, make the denominator monic and divide it out when the
+    division is exact."""
+    if num.is_zero():
+        return MPoly.zero(), _ONE
+    vars_, nt, dt = two_pointer_aligned(num, den)
+    mins = [min(column) for column in zip(*nt, *dt)]
+    num = MPoly(vars_, {tuple(x - m for x, m in zip(e, mins)): c for e, c in nt.items()})
+    den = MPoly(vars_, {tuple(x - m for x, m in zip(e, mins)): c for e, c in dt.items()})
+    lc = Q(den.terms[max(den.terms)])
+    num = MPoly(num.vars, {e: c / lc for e, c in num.terms.items()})
+    den = MPoly(den.vars, {e: c / lc for e, c in den.terms.items()})
+    if den == MPoly.one():
+        return num, _ONE
+    q = num.divexact(den)
+    return (num, den) if q is None else (q, _ONE)
+
+
+def same_parts(pair, expected) -> bool:
+    return same_poly(pair[0], expected[0]) and same_poly(pair[1], expected[1])
+
+
+def assert_normal_form(f: RFrac) -> None:
+    """A one-term denominator is 1 (the shared object) or a monic monomial
+    none of whose variables divides every numerator term."""
+    assert_canonical(f.num)
+    if len(f.den.terms) != 1:
+        return
+    if not f.den.vars:
+        assert f.den is _ONE
+        return
+    assert list(f.den.terms.values()) == [1]
+    for name in f.den.vars:
+        assert name not in f.num.vars or min(e[f.num.vars.index(name)] for e in f.num.terms) == 0
+
+
+class TestOneTermLane:
+    @given(polys(), one_term_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_general_normaliser(self, num, den):
+        expected = general_normalize(num, den)
+        if not num.is_zero():
+            assert same_parts(_monomial_frac(num, den), expected)
+        assert same_parts(_normalize_frac(num, den), expected)
+        f = RFrac(num, den)
+        assert same_parts((f.num, f.den), expected)
+        assert_normal_form(f)
+
+    @given(one_term_polys(), st.one_of(polys(), one_term_polys()))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_of_a_one_term_numerator(self, num, den):
+        if den.is_zero():
+            return
+        f = RFrac(num, den)
+        g = f.inv()
+        assert same_parts((g.num, g.den), general_normalize(f.den, f.num))
+        assert_normal_form(g)
+
+    @given(laurent_fracs(), laurent_fracs())
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_matches_the_general_normaliser(self, f, g):
+        results = [
+            (f + g, (f.num * g.den + g.num * f.den, f.den * g.den)),
+            (f - g, (f.num * g.den - g.num * f.den, f.den * g.den)),
+            (f * g, (f.num * g.num, f.den * g.den)),
+        ]
+        if not g.is_zero():
+            results.append((f / g, (f.num * g.den, f.den * g.num)))
+        for h, (num, den) in results:
+            assert same_parts((h.num, h.den), general_normalize(num, den))
+            assert_normal_form(h)
+
+    @given(st.one_of(rfracs(), laurent_fracs()), st.one_of(rfracs(), laurent_fracs()))
+    @settings(max_examples=150, deadline=None)
+    def test_every_result_is_in_normal_form(self, f, g):
+        results = [f, g, f + g, f - g, f * g, -f, f**2]
+        if not f.is_zero():
+            results += [f.inv(), g / f]
+        for h in results:
+            assert_normal_form(h)
+
+    def test_constant_one_denominators(self):
+        x = MPoly.var("x")
+        assert MPoly.const(1) is _ONE and MPoly.const(Q(2, 2)) is _ONE
+        fresh_one = MPoly((), {(): 1}, _canonical=True)
+        assert fresh_one is not _ONE
+        assert RFrac(x, fresh_one).den is _ONE
+        assert RFrac(2 * x, MPoly.const(2)).den is _ONE
+        assert str(RFrac(x, MPoly((), {(): -1}, _canonical=True))) == "-x"
+
+    def test_polynomials_and_entries_skip_the_normaliser(self):
+        p = MPoly.var("x") + 1
+        f = RFrac(p)
+        assert f.num is p and f.den is _ONE
+        g = RFrac(p, MPoly.var("a"))
+        m = SymMatrix([[f, g], [0, p]])
+        assert m[0, 0] is f and m[0, 1] is g
+        assert same(m[1, 0], R_ZERO) and same(m[1, 1], f)
+
+    def test_cancelled_variables_leave_both_parts(self):
+        a, x, z = MPoly.var("a"), MPoly.var("x"), MPoly.var("z")
+        f = RFrac(a * a * x + a * x * x, -2 * a * x * z)
+        assert str(f) == "(-1/2*a - 1/2*x)/z"
+        assert f.num.vars == ("a", "x") and f.den.vars == ("z",)
+        g = RFrac(a * x, a * a * x)
+        assert str(g) == "1/a" and same_poly(g.num, MPoly.one())
+
+
+@st.composite
+def poly_entry_matrices(draw, rows, cols):
+    """Mostly-zero matrices whose entries are all polynomials."""
+    entries = [RFrac(draw(polys(max_terms=2))) if draw(st.booleans()) else R_ZERO for _ in range(rows * cols)]
+    return SymMatrix([entries[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+class TestPolynomialProduct:
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_triple_loop(self, n, k, m, data):
+        a = data.draw(poly_entry_matrices(n, k))
+        b = data.draw(poly_entry_matrices(k, m))
+        product = a * b
+        expected = dense_product(a, b)
+        for i in range(n):
+            for j in range(m):
+                assert same(product[i, j], expected[i][j])
+                assert product[i, j].den is _ONE
+
+
 # -- sympy oracle for the division paths ----------------------------------
 
 
@@ -501,11 +667,32 @@ def rfrac_to_sympy(sp, f: RFrac):
     return to_sympy(sp, f.num) / to_sympy(sp, f.den)
 
 
+def ring_element(R, p: MPoly):
+    """`p` in the sympy polynomial ring `R`, whose generators include the
+    variables of `p`."""
+    names = [str(s) for s in R.symbols]
+    positions = [names.index(v) for v in p.vars]
+    terms = {}
+    for exps, c in p.terms.items():
+        mono = [0] * len(names)
+        for i, e in zip(positions, exps):
+            mono[i] = e
+        terms[tuple(mono)] = R.domain(c.numerator, c.denominator)
+    return R.from_dict(terms)
+
+
 def equals_sympy(sp, f: RFrac, expr) -> bool:
-    """f == expr by cross-multiplication, which needs no gcd: the kernel
-    leaves common factors in place, and cancelling them in sympy is slow."""
+    """f == expr by cross-multiplication in a sympy polynomial ring over QQ
+    on the names of both sides.  It needs no gcd (the kernel may leave
+    common factors in place), and it multiplies sparse polynomials where
+    expanding the same products as expressions can take minutes."""
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
     p, q = sp.fraction(sp.together(expr))
-    return sp.expand(to_sympy(sp, f.num) * q - to_sympy(sp, f.den) * p) == 0
+    names = {*f.num.vars, *f.den.vars, *(s.name for s in expr.free_symbols)}
+    R = ring(sorted(names or VARS), QQ)[0]
+    return ring_element(R, f.num) * R.from_expr(q) == ring_element(R, f.den) * R.from_expr(p)
 
 
 def sympy_domain_matrix(sp, m: SymMatrix):
