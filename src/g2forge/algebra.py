@@ -511,9 +511,10 @@ class RFrac:
 
     ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1.  Sums,
     differences and products of two polynomials, and of zero with anything,
-    are built directly; products, sums and inverses over one-term
-    denominators go straight to the one-term lane.  ``subs`` returns the
-    function itself when neither part mentions an assigned variable.
+    are built directly; other products, sums and inverses pass their parts
+    to ``_normalize_frac`` without building an intermediate ``RFrac``.
+    ``subs`` returns the function itself when neither part mentions an
+    assigned variable.
     """
 
     __slots__ = ("num", "den")
@@ -577,8 +578,6 @@ class RFrac:
             num, den = self.num * d2 + other.num * d1, d1 * d2
         if not num.terms:
             return R_ZERO
-        if len(den.terms) == 1:
-            return _frac(*_monomial_frac(num, den))
         return _frac(*_normalize_frac(num, den))
 
     __radd__ = __add__
@@ -613,21 +612,14 @@ class RFrac:
         num = self.num * other.num
         if self.den is _ONE and other.den is _ONE:
             return _frac(num, _ONE)
-        # A product of polynomials has one term only if both factors do.
-        den = self.den * other.den
-        if len(den.terms) == 1:
-            return _frac(*_monomial_frac(num, den))
-        return _frac(*_normalize_frac(num, den))
+        return _frac(*_normalize_frac(num, self.den * other.den))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RFrac":
-        num = self.num
-        if not num.terms:
+        if not self.num.terms:
             raise ZeroDivisionError("inverse of zero rational function")
-        if len(num.terms) == 1:
-            return _frac(*_monomial_frac(self.den, num))
-        return _frac(*_normalize_frac(self.den, num))
+        return _frac(*_normalize_frac(self.den, self.num))
 
     def __truediv__(self, other):
         other = _coerce_frac(other)
@@ -786,8 +778,6 @@ class SymMatrix:
     Entries are stored densely, zeros included.  The product visits only
     the nonzero entries of both factors: most matrices here are monomial or
     unipotent, so nearly all scalar products would have a zero operand.
-    When every entry of both factors is a polynomial, it works on the
-    numerators and never reaches the ``RFrac`` normaliser.
 
     The constructor coerces the entries that are not ``RFrac`` yet and
     checks the shape.  Results of matrix
@@ -849,30 +839,18 @@ class SymMatrix:
             # Each entry sums its products in increasing k, as a dense loop
             # would.  Over denominators of one term the normal form is unique
             # (see RFrac), so any order gives the same entry; over larger ones
-            # it is partial, and the order keeps it the dense loop's.  When
-            # every entry of both factors is a polynomial, the products and
-            # sums are taken on the numerators, as RFrac arithmetic on them
-            # would, and each entry is wrapped once.
-            poly = all(x.den is _ONE for m in (self, other) for row in m.entries for x in row)
-            sparse_rows = [
-                [(j, b.num if poly else b) for j, b in enumerate(row) if b.num.terms]
-                for row in other.entries
-            ]
+            # it is partial, and the order keeps it the dense loop's.
+            sparse_rows = [[(j, b) for j, b in enumerate(row) if b.num.terms] for row in other.entries]
             out = []
             for row in self.entries:
-                acc: List = [None] * other.cols
+                acc: List[Optional[RFrac]] = [None] * other.cols
                 for a, pairs in zip(row, sparse_rows):
                     if not pairs or not a.num.terms:
                         continue
-                    if poly:
-                        a = a.num
                     for j, b in pairs:
                         s = acc[j]
                         acc[j] = a * b if s is None else s + a * b
-                if poly:
-                    out.append(tuple(R_ZERO if s is None else _frac(s, _ONE) for s in acc))
-                else:
-                    out.append(tuple(R_ZERO if s is None else s for s in acc))
+                out.append(tuple(R_ZERO if s is None else s for s in acc))
             return SymMatrix(tuple(out), _trusted=True)
         scalar = _coerce_frac(other)
         if scalar is NotImplemented:
