@@ -1,6 +1,6 @@
-"""Seven-dimensional standard representation, the twisted symmetric square,
-the Weyl dimension formula, Kostant-decomposition bookkeeping and the
-cohomological-degree case analysis for the long-root parabolic.
+"""Seven-dimensional standard representation, the Weyl dimension formula,
+Kostant-decomposition bookkeeping and the cohomological-degree case
+analysis for the long-root parabolic.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import List, NamedTuple, Tuple, Union
 
-from .algebra import MPoly, SymMatrix
+from .algebra import MPoly
 from .roots import (
     ALPHA,
     BETA,
@@ -52,20 +52,6 @@ def weyl_dim(lam: Weight) -> int:
     if dim.denominator != 1:
         raise AssertionError
     return int(dim)
-
-
-def sym2_twist(a: SymMatrix) -> SymMatrix:
-    """Symmetric square twisted by det^{-1}, in the signed basis
-    (u^2, 2uv, -v^2)."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    inv = det.inv()
-    a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    rows = [
-        [a11 * a11, 2 * (a11 * a12), -(a12 * a12)],
-        [a11 * a21, a11 * a22 + a12 * a21, -(a12 * a22)],
-        [-(a21 * a21), -(2 * (a21 * a22)), a22 * a22],
-    ]
-    return SymMatrix([[inv * x for x in row] for row in rows])
 
 
 class KostantPiece(NamedTuple):

@@ -10,9 +10,10 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import R_ZERO, MPoly, RFrac, SymMatrix
+from .algebra import R_ZERO, RFrac, SymMatrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
 # gP[i][j] = d * g_ij, and the upper-right block entries.
@@ -47,9 +48,8 @@ class ShapedElement:
         )
 
     def rho2(self) -> SymMatrix:
-        from .kostant import sym2_twist
-
-        return sym2_twist(self.corner)
+        """Sym^2 of the corner twisted by det^{-1}."""
+        return sym_power_signed(self.corner, 2).scale(self.d.inv())
 
     def matrix5(self) -> SymMatrix:
         """The displayed 5x5 extension block (1/d) [[corner-twist, stars],
@@ -174,33 +174,26 @@ def c_functions(shaped: ShapedElement) -> Tuple[RFrac, RFrac, RFrac, RFrac]:
     return (c1, c2, c3, c4)
 
 
-def sym_cube_signed(m: SymMatrix) -> SymMatrix:
-    """Sym^3 of a 2x2 matrix in the scaled signed basis
-    (u^3, 3u^2 w, -3u w^2, -w^3)."""
-    u = MPoly.var("wedge_u")
-    w = MPoly.var("wedge_w")
-    gu = m[0, 0] * RFrac(u) + m[1, 0] * RFrac(w)
-    gw = m[0, 1] * RFrac(u) + m[1, 1] * RFrac(w)
-    basis_exps = ((3, 0), (2, 1), (1, 2), (0, 3))
-    basis_scale = (Q(1), Q(3), Q(-3), Q(-1))
+def sym_power_signed(m: SymMatrix, n: int) -> SymMatrix:
+    """Sym^n of a 2x2 matrix in the signed basis s_i C(n, i) u^(n-i) w^i with
+    s_i = (-1)^(i(i-1)/2): (u^2, 2uw, -w^2) for n = 2 and
+    (u^3, 3u^2 w, -3u w^2, -w^3) for n = 3.  As m sends u to m00 u + m10 w
+    and w to m01 u + m11 w, column j, the image of basis vector j, is the
+    binomial convolution of (m00 u + m10 w)^(n-j) and (m01 u + m11 w)^j."""
+    scale = [(-1) ** (i * (i - 1) // 2) * comb(n, i) for i in range(n + 1)]
+
+    def expansion(x: RFrac, y: RFrac, e: int) -> List[RFrac]:  # coefficients of u^(e-p) w^p in (x u + y w)^e
+        return [comb(e, p) * (x ** (e - p) * y ** p) for p in range(e + 1)]
+
     cols = []
-    for (eu, ew), scale in zip(basis_exps, basis_scale):
-        img = (gu ** eu) * (gw ** ew) * RFrac.const(scale)
-        # img is an RFrac whose denominator is free of wedge_u/wedge_w.
-        col = []
-        for (bu, bw), bscale in zip(basis_exps, basis_scale):
-            # coefficient of u^bu w^bw in img, divided by the basis scale
-            num, den = img.num, img.den
-            coeff = MPoly.zero()
-            for exps, c in num.terms.items():
-                emap = dict(zip(num.vars, exps))
-                if emap.get("wedge_u", 0) == bu and emap.get("wedge_w", 0) == bw:
-                    rest = {v: e for v, e in emap.items() if v not in ("wedge_u", "wedge_w")}
-                    vars_ = tuple(sorted(rest))
-                    coeff = coeff + MPoly(vars_, {tuple(rest[v] for v in vars_): c})
-            col.append(RFrac(coeff, den) / RFrac.const(bscale))
-        cols.append(col)
-    return SymMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
+    for j in range(n + 1):
+        image = [R_ZERO] * (n + 1)
+        second = expansion(m[0, 1], m[1, 1], j)
+        for p, a in enumerate(expansion(m[0, 0], m[1, 0], n - j)):
+            for q, b in enumerate(second):
+                image[p + q] = image[p + q] + a * b
+        cols.append([image[i] * Q(scale[j], scale[i]) for i in range(n + 1)])
+    return SymMatrix([[col[i] for col in cols] for i in range(n + 1)])
 
 
 # Verbatim transcription of the displayed bottom-right 4x4 block (the entries
@@ -234,7 +227,7 @@ def five_dim_wedge_report() -> Dict[str, object]:
     top_ok = all(w[0, j] == top_expected[j] for j in range(5))
     below_zero_ok = all(w[i, j].is_zero() for i in range(5, 10) for j in range(5))
     block = SymMatrix([[d * d * w[1 + i, 1 + j] for j in range(4)] for i in range(4)])
-    honest = sym_cube_signed(SymMatrix([[G66, -G67], [-G76, G77]]))
+    honest = sym_power_signed(SymMatrix([[G66, -G67], [-G76, G77]]), 3)
     displayed = displayed_sym_cube_block()
     mismatches = sorted(
         (i + 2, j + 2)

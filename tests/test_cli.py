@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from g2forge import cli, lattice, triform
+from g2forge import checks, cli, lattice, triform
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -178,7 +178,7 @@ class TestCoverageManifest:
         assert len(seen) == len(set(seen))
         # The manifest fixes the report order, which the registry owns.
         assert seen == manifest
-        assert [f"{s}/{i}" for s, i, _ in cli.CHECKS] == manifest
+        assert [f"{s}/{i}" for s, i, _ in checks.CHECKS] == manifest
 
 
 class TestConfiguration:
@@ -203,7 +203,7 @@ class TestConfiguration:
         assert lines[0].endswith("(see g2forge --help)")
 
     def test_checks_take_no_arguments(self):
-        assert [key for key, fn in cli.CHECKS.items() if inspect.signature(fn).parameters] == []
+        assert [key for key, fn in checks.CHECKS.items() if inspect.signature(fn).parameters] == []
 
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         # --bless writes the golden under the working directory, never into
@@ -433,6 +433,25 @@ _MUTATIONS = {
     "roots/criticality-window": (
         ("roots", "slope_weight", "lambda sp: roots.Weight(2 * sp, -(3 * sp + 1))"),
     ),
+    # The Borel parabolic with the short simple root in its Levi.
+    "kostant/borel-piece-degrees": (
+        ("roots", "BOREL", 'roots.ParabolicId("B", (roots.BETA,), roots.BOREL.eis_words)'),
+    ),
+    # The long simple root left out of the product of the dimension formula,
+    # which makes the adjoint 7-dimensional. Leaving out the highest root
+    # instead only makes weyl_dim raise on a non-integral quotient.
+    "kostant/weyl-dimension-samples": (("kostant", "POSITIVE_ROOTS", "kostant.POSITIVE_ROOTS[1:]"),),
+    # The degree-6 case read off the word ababa in place of babab.
+    "kostant/degree-case-triples": (("kostant", "_CASE_WORDS", '("bab", "baba", "ababa")'),),
+    # The last lift weight -2c1 in place of -2c1 - c2.
+    "kostant/lift-weight-examples": (
+        (
+            "kostant", "lift_weights",
+            "lambda c1, c2: (2 * c1 + c2, c1 + c2, c1 + 0 * c2, 0 * c1, -c1 + 0 * c2, -c1 - c2, -2 * c1)",
+        ),
+    ),
+    # The standard weights paired in ascending order, not in the model's.
+    "kostant/lift-pairing-random": (("kostant", "R7_WEIGHTS_MODEL", "kostant.R7_WEIGHTS_ASC"),),
     "phin/rank2-admissibility-grid": (("phin", "d_st_jumps", "lambda k: (0, k)"),),
     "triform/coefficient-relations": (
         (
@@ -493,20 +512,20 @@ _MUTATION_CASES = [
 
 
 def _only_check(check_id):
-    """The `cli.CHECKS` table cut down to the check `suite/id`."""
-    return {key: fn for key, fn in cli.CHECKS.items() if f"{key[0]}/{key[1]}" == check_id}
+    """The `checks.CHECKS` table cut down to the check `suite/id`."""
+    return {key: fn for key, fn in checks.CHECKS.items() if f"{key[0]}/{key[1]}" == check_id}
 
 
 def _status_in_process(monkeypatch, mutation, check_id):
     module, attr, source = mutation
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
-    monkeypatch.setattr(cli, "CHECKS", _only_check(check_id))
+    monkeypatch.setattr(checks, "CHECKS", _only_check(check_id))
     # The Lie basis and its structure constants are cached: the mutated run
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)
     try:
-        return _statuses(cli.run_verify(7))[check_id]
+        return _statuses(checks.run_verify(7))[check_id]
     finally:
         # The wedge2 reports are cached: drop what the mutated run stored.
         for fn in vars(lattice).values():
@@ -520,16 +539,16 @@ def _status_in_process(monkeypatch, mutation, check_id):
 # the statuses as a JSON list, in input order.
 _OPTIMIZED_SCRIPT = """\
 import importlib, json, sys
-from g2forge import cli, lattice, triform
-checks, statuses = cli.CHECKS, []
+from g2forge import checks, lattice, triform
+table, statuses = checks.CHECKS, []
 for check_id, (module, attr, source) in json.loads(sys.argv[1]):
     mod = importlib.import_module("g2forge." + module)
     saved = getattr(mod, attr)
     setattr(mod, attr, eval(source, {module: mod}))
-    cli.CHECKS = {k: f for k, f in checks.items() if k[0] + "/" + k[1] == check_id}
+    checks.CHECKS = {k: f for k, f in table.items() if k[0] + "/" + k[1] == check_id}
     triform._LIE_CACHE = None
     try:
-        report = cli.run_verify(7)
+        report = checks.run_verify(7)
     finally:
         setattr(mod, attr, saved)
         triform._LIE_CACHE = None
@@ -582,10 +601,11 @@ class TestChecksCanFail:
             raise AssertionError("verify walked generator words")
 
         monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
-        assert Counter(_statuses(cli.run_verify(7)).values()) == {"pass": 46, "finding": 8}
+        assert Counter(_statuses(checks.run_verify(7)).values()) == {"pass": 46, "finding": 8}
 
     def test_verify_under_optimize_flag(self):
+        # Under -O every check reports what it reports without: the whole report is the golden.
         proc = _run_python(["-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])
         assert proc.returncode == 0, proc.stderr
-        counts = Counter(_statuses(json.loads(proc.stdout)).values())
-        assert counts == {"pass": 46, "finding": 8}
+        with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
+            assert proc.stdout == fh.read()

@@ -1,14 +1,17 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every module-private top-level function or class is referenced somewhere
-in the package, and no module imports `random`."""
+in the package, every public one somewhere in the repository, no module
+imports `random`, and the checks do not depend on the command line."""
 
 import ast
 import glob
 import os
+import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "g2forge")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "g2forge")
 MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 
 
@@ -80,6 +83,45 @@ def test_no_orphaned_private_definitions():
     assert orphans == [], f"private definitions nothing in src/g2forge references: {orphans}"
 
 
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _is_check(node):
+    """Whether a definition is registered with `@check(...)`: `verify` calls
+    it through the registry, so no name refers to it."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "check"
+        for d in node.decorator_list
+    )
+
+
+def test_no_orphaned_public_definitions():
+    """Every public top-level function or class is referenced somewhere in
+    src/, tests/ or perfbench/: by name, as an attribute, by an import or
+    inside a string (a mutation target, a traced helper)."""
+    paths = MODULES + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    paths += sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    referenced = set()
+    for path in paths:
+        tree = _parse(path)
+        referenced |= referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    orphans = sorted(
+        f"{os.path.basename(path)}:{node.name}"
+        for path in MODULES
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not _is_check(node)
+        and node.name not in referenced
+    )
+    assert orphans == [], f"public definitions nothing in src/, tests/ or perfbench/ references: {orphans}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[os.path.basename(p) for p in MODULES])
 def test_no_module_imports_random(path):
     """No check draws at random, so `verify` gives the same report for a
@@ -93,3 +135,23 @@ def test_no_module_imports_random(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module.split(".")[0])
     assert "random" not in modules, f"{os.path.basename(path)} imports random"
+
+
+def test_checks_do_not_import_the_command_line():
+    """`g2forge.checks` holds the claims alone: it imports neither argparse
+    nor `g2forge.cli`, at any depth, and every registered check is its own."""
+    modules = set()
+    for node in ast.walk(_parse(os.path.join(SRC, "checks.py"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("g2forge" if node.level else None, node.module)))
+            modules.add(base)
+            modules |= {f"{base}.{alias.name}" for alias in node.names}
+    assert not {m for m in modules if m.split(".")[0] == "argparse"}
+    assert not {m for m in modules if m == "g2forge.cli" or m.startswith("g2forge.cli.")}
+
+    # Importing cli as well registers any check defined there.
+    from g2forge import checks, cli  # noqa: F401
+
+    assert {fn.__module__ for fn in checks.CHECKS.values()} == {"g2forge.checks"}

@@ -58,7 +58,36 @@ class TestFunctoriality:
     def test_sym_cube_multiplicative(self, vals):
         m = int_matrix(vals[:4], 2)
         n = int_matrix(vals[4:], 2)
-        assert lattice.sym_cube_signed(m * n) == lattice.sym_cube_signed(m) * lattice.sym_cube_signed(n)
+        sym3 = lattice.sym_power_signed
+        assert sym3(m * n, 3) == sym3(m, 3) * sym3(n, 3)
+
+    @given(st.lists(small_ints, min_size=8, max_size=8))
+    @settings(max_examples=20, deadline=None)
+    def test_sym_square_multiplicative(self, vals):
+        m = int_matrix(vals[:4], 2)
+        n = int_matrix(vals[4:], 2)
+        sym2 = lattice.sym_power_signed
+        assert sym2(m * n, 2) == sym2(m, 2) * sym2(n, 2)
+
+    def test_sym_square_matches_the_explicit_formula(self):
+        """Oracle for n = 2: the explicit Sym^2 in the signed basis
+        (u^2, 2uw, -w^2), on a generic 2x2 matrix and, twisted by det^{-1},
+        on the corner of the shaped element."""
+        a11, a12, a21, a22 = (RFrac.var(f"a{i}") for i in (11, 12, 21, 22))
+        explicit = SymMatrix([
+            [a11 * a11, 2 * (a11 * a12), -(a12 * a12)],
+            [a11 * a21, a11 * a22 + a12 * a21, -(a12 * a22)],
+            [-(a21 * a21), -(2 * (a21 * a22)), a22 * a22],
+        ])
+        assert lattice.sym_power_signed(SymMatrix([[a11, a12], [a21, a22]]), 2) == explicit
+        shaped = lattice.ShapedElement()
+        g66, g67, g76, g77 = lattice.G66, lattice.G67, lattice.G76, lattice.G77
+        twisted = SymMatrix([
+            [g66 * g66, 2 * (g66 * g67), -(g67 * g67)],
+            [g66 * g76, g66 * g77 + g67 * g76, -(g67 * g77)],
+            [-(g76 * g76), -(2 * (g76 * g77)), g77 * g77],
+        ]).scale(shaped.d.inv())
+        assert shaped.rho2() == twisted
 
 
 class TestFiveDimBlock:
