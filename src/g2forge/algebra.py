@@ -3,25 +3,95 @@
 Everything here is immutable after construction and exact, so results are
 deterministic.  Polynomial coefficients are ``int`` while integral and
 ``fractions.Fraction`` only when they are not; scalars handed out of the
-kernel (``const_value``, ``eval``) are always ``Fraction``.  Polynomials are
-stored as dicts from exponent tuples to coefficients with the variable list
-sorted by name; the canonical text form (lexicographic term order over that
-variable order) is what golden files and JSON reports serialize.  An
+kernel (``const_value``, ``eval``) are always ``Fraction``.
+
+A polynomial is a dict from packed monomials to coefficients.  One
+process-wide, append-only registry numbers the variable names in the order
+they are first seen, and a monomial is one ``int`` that holds the exponent
+of variable i in the field of ``_W`` bits at offset i*``_W``.  A product of
+monomials is one integer addition, and a variable a polynomial does not use
+is a zero field, so operands never need aligning.  The top bit of each field
+is a guard: exponents are at most ``_MAX_EXP``, and a product that would go
+past that raises ``OverflowError`` rather than carry into a neighbouring
+variable.
+
+The canonical text form (lexicographic term order over the variables sorted
+by name) is what golden files and JSON reports serialize.  It decodes the
+keys into exponent tuples over the sorted names, so neither it nor any
+normal form depends on the order in which names were registered.  An
 integral coefficient prints, compares and hashes as the equal ``Fraction``
-would, so the text form does not depend on the representation.
+would, so the text form does not depend on the coefficient representation
+either.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
-from operator import add, itemgetter, sub
+from functools import reduce as _reduce
+from itertools import compress
+from operator import add, itemgetter, lshift, or_ as _or, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Q]
 
 _is_int = int.__instancecheck__   # isinstance(c, int), callable from map() in C
+_new = object.__new__
+
+_W = 8                            # bits per exponent field: one byte, read by int.to_bytes
+_FIELD = (1 << _W) - 1
+_MAX_EXP = (1 << (_W - 1)) - 1    # the largest exponent; the field's top bit is the guard
+_NAMES: List[str] = []            # variable index -> name, append-only
+_INDEX: Dict[str, int] = {}       # name -> variable index
+_GUARD = 0                        # the top bit of every registered field
+
+
+def _intern(name: str) -> int:
+    """The registry index of ``name``, registering it on first sight."""
+    global _GUARD
+    i = _INDEX.get(name)
+    if i is None:
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (i * _W + _W - 1)
+    return i
+
+
+def _layout(used: int) -> Tuple[Tuple[str, ...], List[int]]:
+    """The names of the nonzero fields of ``used``, sorted, and the index of
+    each of those fields."""
+    names = sorted(compress(_NAMES, used.to_bytes((used.bit_length() + 7) // 8, "little")))
+    return tuple(names), list(map(_INDEX.__getitem__, names))
+
+
+def _unpack(terms: Mapping[int, Scalar], fields: Sequence[int]) -> Dict[Exponents, Scalar]:
+    """``terms`` keyed by exponent tuples, read from the given fields of
+    each key, where no other field is nonzero."""
+    if len(fields) > 1:
+        pick = itemgetter(*fields)
+        n = max(fields) + 1
+        return {pick(k.to_bytes(n, "little")): c for k, c in terms.items()}
+    if fields:
+        s = fields[0] * _W
+        return {(k >> s,): c for k, c in terms.items()}
+    return {(): c for c in terms.values()}
+
+
+def _gcd_key(key: int, keys) -> int:
+    """The largest monomial that divides ``key`` and each of ``keys``: the
+    fieldwise minimum, over the nonzero fields of ``key``."""
+    g = 0
+    rest = key
+    while rest:
+        s = ((rest & -rest).bit_length() - 1) // _W * _W
+        e = rest >> s & _FIELD
+        rest -= e << s
+        g += min(e, min([k >> s & _FIELD for k in keys])) << s
+    return g
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(f"exponent above {_MAX_EXP}, the largest a {_W}-bit monomial field holds")
 
 
 def _as_q(value) -> Q:
@@ -47,42 +117,44 @@ def _coef(c) -> Scalar:
 class MPoly:
     """Multivariate polynomial with exact rational coefficients.
 
-    ``vars`` is a sorted tuple of variable names; ``terms`` maps exponent
-    tuples (aligned with ``vars``) to nonzero coefficients: an ``int`` when
-    the coefficient is integral, a ``Fraction`` when it is not.  Instances
-    are canonical: no zero coefficients, and no variable appears with
-    exponent 0 in every term (unused variables are projected away), so
-    ``==`` is structural.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    coefficients: an ``int`` when the coefficient is integral, a
+    ``Fraction`` when it is not.  It is the only stored form and it is
+    canonical, so ``==`` and ``hash`` read it directly.  ``vars`` is derived:
+    the sorted names of the variables in use.  ``MPoly(vars, terms)`` builds
+    from exponent tuples over ``vars``, and ``decoded()`` gives the tuples
+    back over the sorted names.
 
-    Arithmetic keeps integral data integral and builds its results in
-    canonical form directly: a product of nonzero polynomials uses every
-    variable of both factors, and a sum or difference drops a variable only
-    where a term cancelled.
-
-    Operands over different variable tuples are brought onto their merged
-    tuple by an alignment plan, built once per pair of tuples and kept in a
-    table of at most 4096 plans (``_align_plan``).  ``a - b`` is one pass,
-    with no negated copy of ``b``.  A product with a one-term factor shifts
-    the other factor's exponents by one tuple, which keeps distinct
-    exponents distinct, so it needs no collision bookkeeping.  ``subs``
-    returns the polynomial itself when it mentions none of the assigned
-    variables, and substitutes scalar values straight on the exponent
-    tuples.
+    ``+``, ``-``, ``*`` and ``**`` work on the keys.  A monomial product is
+    one addition, and each product is checked against the guard bits once.
+    A sum keeps the keys of both operands, so it needs no used-variable
+    scan: a variable that cancels out is simply a zero field.  A product
+    with a constant factor scales the coefficients, and one with a one-term
+    factor shifts every key of the other by the same amount, which keeps
+    distinct keys distinct.  ``subs`` returns the polynomial itself when it
+    mentions none of the assigned variables.  The text form, ``leading``,
+    ``divexact`` and ``eval`` decode the keys over the sorted names.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: Tuple[str, ...], terms: Dict[Exponents, Scalar], _canonical: bool = False):
-        if not _canonical:
-            terms = {e: _coef(c) for e, c in terms.items() if c}
-            used = [i for i, column in enumerate(zip(*terms)) if any(column)]
-            if len(used) != len(vars):
-                # An unused position is 0 in every term, so dropping it
-                # merges no two terms.
-                vars = tuple(vars[i] for i in used)
-                terms = _remap(terms, used)
-        _set_vars(self, vars)
-        _set_terms(self, terms)
+    def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Scalar]):
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable name in {tuple(vars)}")
+        shifts = [_intern(v) * _W for v in vars]
+        packed: Dict[int, Scalar] = {}
+        for e, c in terms.items():
+            if len(e) != len(shifts):
+                raise ValueError(f"exponents {e} do not match the variables {tuple(vars)}")
+            c = _coef(c)
+            if not c:
+                continue
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
+            if any(x > _MAX_EXP for x in e):
+                raise _overflow()
+            packed[sum(map(lshift, e, shifts))] = c
+        _set_terms(self, packed)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MPoly is immutable")
@@ -96,11 +168,11 @@ class MPoly:
             return _ZERO
         if c == 1:
             return _ONE
-        return MPoly((), {(): c}, _canonical=True)
+        return _poly({0: c})
 
     @staticmethod
     def var(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): 1}, _canonical=True)
+        return _poly({1 << (_intern(name) * _W): 1})
 
     @staticmethod
     def zero() -> "MPoly":
@@ -112,102 +184,100 @@ class MPoly:
 
     # -- basic queries -------------------------------------------------
 
+    @property
+    def vars(self) -> Tuple[str, ...]:
+        """The sorted names of the variables in use."""
+        return _layout(_reduce(_or, self.terms, 0))[0]
+
+    def decoded(self) -> Tuple[Tuple[str, ...], Dict[Exponents, Scalar]]:
+        """``(vars, terms)`` with each monomial as its exponent tuple over
+        ``vars``, the sorted names in use."""
+        names, fields = _layout(_reduce(_or, self.terms, 0))
+        return names, _unpack(self.terms, fields)
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.vars
+        return not any(self.terms)
 
     def const_value(self) -> Q:
-        if self.vars:
+        if any(self.terms):
             raise ValueError("polynomial is not constant")
-        return Q(self.terms.get((), 0))
+        return Q(self.terms.get(0, 0))
 
     def leading(self) -> Tuple[Exponents, Scalar]:
-        """Leading term under lex order over the sorted variable tuple."""
+        """Leading term under lex order over the sorted variable names."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        _, terms = self.decoded()
+        e = max(terms)
+        return e, terms[e]
 
     # -- arithmetic ----------------------------------------------------
-
-    def _aligned(self, other: "MPoly") -> Tuple[Tuple[str, ...], Dict[Exponents, Scalar], Dict[Exponents, Scalar]]:
-        """Both term dicts over the merged variable tuple."""
-        va, vb = self.vars, other.vars
-        if va == vb:
-            return va, self.terms, other.terms
-        merged, pick_a, pick_b = _align_plan(va, vb)
-        a = self.terms if pick_a is None else {pick_a(e + _PAD): c for e, c in self.terms.items()}
-        b = other.terms if pick_b is None else {pick_b(e + _PAD): c for e, c in other.terms.items()}
-        return merged, a, b
 
     def __add__(self, other):
         if type(other) is not MPoly:
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.terms:
+        a, b = self.terms, other.terms
+        if not b:
             return self
-        if not self.terms:
+        if not a:
             return other
-        vars_, a, b = self._aligned(other)
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        cancelled = False
-        for e, c in b.items():
-            s = out.get(e)
+        for k, c in b.items():
+            s = out.get(k)
             if s is None:
-                out[e] = c
+                out[k] = c
                 continue
             s += c
             if s:
-                out[e] = s if type(s) is int else _coef(s)
+                out[k] = s if type(s) is int else _coef(s)
             else:
-                del out[e]
-                cancelled = True
-        if not cancelled:
-            # Every term of both summands survives, so every variable is used.
-            return MPoly(vars_, out, _canonical=True)
+                del out[k]
         if not out:
             return _ZERO
-        return MPoly(vars_, out)
+        p = _new(MPoly)
+        _set_terms(p, out)
+        return p
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()}, _canonical=True)
+        p = _new(MPoly)
+        _set_terms(p, {k: -c for k, c in self.terms.items()})
+        return p
 
     def __sub__(self, other):
         if type(other) is not MPoly:
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not other.terms:
+        b = other.terms
+        if not b:
             return self
         if not self.terms:
             return -other
-        vars_, a, b = self._aligned(other)
-        out = dict(a)
-        cancelled = False
-        for e, c in b.items():
-            s = out.get(e)
+        out = dict(self.terms)
+        for k, c in b.items():
+            s = out.get(k)
             if s is None:
-                out[e] = -c
+                out[k] = -c
                 continue
             s -= c
             if s:
-                out[e] = s if type(s) is int else _coef(s)
+                out[k] = s if type(s) is int else _coef(s)
             else:
-                del out[e]
-                cancelled = True
-        if not cancelled:
-            # Every term of both operands survives, so every variable is used.
-            return MPoly(vars_, out, _canonical=True)
+                del out[k]
         if not out:
             return _ZERO
-        return MPoly(vars_, out)
+        p = _new(MPoly)
+        _set_terms(p, out)
+        return p
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
@@ -220,53 +290,51 @@ class MPoly:
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return _ZERO
-        if not other.vars:
-            self, other = other, self
-        if not self.vars:
-            c = self.terms[()]
-            if c == 1:
-                return other
-            vars_ = other.vars
-            out = {e: d * c for e, d in other.terms.items()}
-        elif len(self.terms) == 1 or len(other.terms) == 1:
-            if len(self.terms) != 1:
-                self, other = other, self
-            # A one-term factor shifts every exponent of the other by the
-            # same tuple, so no two products collide.
-            ((e1, c1),) = self.terms.items()
-            if self.vars == other.vars:
-                vars_, pick_a, pick_b = self.vars, None, None
+        if len(b) == 1 and (len(a) != 1 or 0 in b):
+            # The one-term factor goes first, a constant one by preference.
+            self, other, a, b = other, self, b, a
+        if len(a) == 1:
+            ((k1, c1),) = a.items()
+            if not k1:
+                if c1 == 1:
+                    return other
+                out = {k: c * c1 for k, c in b.items()}
+            elif len(b) == 1:
+                ((k2, c2),) = b.items()
+                k = k1 + k2
+                if k & _GUARD:
+                    raise _overflow()
+                out = {k: c1 * c2}
             else:
-                vars_, pick_a, pick_b = _align_plan(self.vars, other.vars)
-            if pick_a is not None:
-                e1 = pick_a(e1 + _PAD)
-            if pick_b is None:
-                out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in other.terms.items()}
-            else:
-                out = {tuple(map(add, e1, pick_b(e2 + _PAD))): c1 * c2 for e2, c2 in other.terms.items()}
+                # A one-term factor shifts every key of the other by k1, so
+                # no two products collide.
+                out = {k1 + k: c1 * c for k, c in b.items()}
+                if _reduce(_or, out) & _GUARD:
+                    raise _overflow()
         else:
-            vars_, a, b = self._aligned(other)
             out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    s = out.get(e)
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    s = out.get(k)
                     if s is None:
-                        out[e] = c1 * c2
+                        out[k] = c1 * c2
                     else:
                         s += c1 * c2
                         if s:
-                            out[e] = s
+                            out[k] = s
                         else:
-                            del out[e]
+                            del out[k]
+            if _reduce(_or, out, 0) & _GUARD:
+                raise _overflow()
         if not all(map(_is_int, out.values())):
-            out = {e: _coef(c) for e, c in out.items()}
-        # Over a field deg_v(fg) = deg_v(f) + deg_v(g): the product of two
-        # nonzero canonical polynomials is nonzero and uses every variable of
-        # either factor.
-        return MPoly(vars_, out, _canonical=True)
+            out = {k: _coef(c) for k, c in out.items()}
+        p = _new(MPoly)
+        _set_terms(p, out)
+        return p
 
     __rmul__ = __mul__
 
@@ -293,10 +361,10 @@ class MPoly:
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -305,51 +373,55 @@ class MPoly:
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
         """Exact evaluation; every variable must be assigned."""
-        for v in self.vars:
+        names, fields = _layout(_reduce(_or, self.terms, 0))
+        for v in names:
             if v not in assignment:
                 raise ValueError(f"missing assignment for variable '{v}'")
+        values = [(i * _W, _as_q(assignment[v])) for v, i in zip(names, fields)]
         total = Q(0)
-        values = [_as_q(assignment[v]) for v in self.vars]
-        for e, c in self.terms.items():
+        for k, c in self.terms.items():
             term = c
-            for val, exp in zip(values, e):
-                if exp:
-                    term *= val ** exp
+            for s, val in values:
+                e = k >> s & _FIELD
+                if e:
+                    term *= val ** e
             total += term
         return total
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables."""
-        hit = [i for i, name in enumerate(self.vars) if name in assignment]
-        if not hit:
+        used = _reduce(_or, self.terms, 0)
+        hits = []
+        for name, value in assignment.items():
+            i = _INDEX.get(name)
+            if i is not None and used >> (i * _W) & _FIELD:
+                hits.append((i * _W, value))
+        if not hits:
             return self
-        values = [assignment[self.vars[i]] for i in hit]
-        if all(isinstance(v, (int, Q)) for v in values):
-            # Scalars only: evaluate the assigned positions of each exponent
-            # tuple and keep the others.
-            keep = [i for i in range(len(self.vars)) if i not in hit]
-            terms: Dict[Exponents, Scalar] = {}
-            for e, c in self.terms.items():
-                for i, v in zip(hit, values):
-                    if e[i]:
-                        c = c * v ** e[i]
-                k = tuple([e[i] for i in keep])
-                s = terms.get(k)
-                terms[k] = c if s is None else s + c
-            result = MPoly(tuple(self.vars[i] for i in keep), terms)
-            return result if result.terms else _ZERO
+        if all(isinstance(v, (int, Q)) for _, v in hits):
+            # Scalars only: evaluate the assigned fields of each key and keep
+            # the others.
+            terms: Dict[int, Scalar] = {}
+            for k, c in self.terms.items():
+                for s, v in hits:
+                    e = k >> s & _FIELD
+                    if e:
+                        c = c * v ** e
+                        k -= e << s
+                terms[k] = terms.get(k, 0) + c
+            terms = {k: _coef(c) for k, c in terms.items() if c}
+            return _poly(terms) if terms else _ZERO
         out: MPoly = _ZERO
-        for e, c in self.terms.items():
-            term: MPoly = MPoly.const(c)
-            for name, exp in zip(self.vars, e):
-                if not exp:
-                    continue
-                if name in assignment:
-                    repl = assignment[name]
-                    repl_p = repl if isinstance(repl, MPoly) else MPoly.const(repl)
-                    term = term * repl_p ** exp
-                else:
-                    term = term * MPoly((name,), {(exp,): 1}, _canonical=True)
+        for k, c in self.terms.items():
+            factors = []
+            for s, v in hits:
+                e = k >> s & _FIELD
+                if e:
+                    k -= e << s
+                    factors.append((v if isinstance(v, MPoly) else MPoly.const(v)) ** e)
+            term = _poly({k: c})
+            for f in factors:
+                term = term * f
             out = out + term
         return out
 
@@ -361,12 +433,16 @@ class MPoly:
             return _ZERO
         if divisor.is_const():
             inv = 1 / divisor.const_value()
-            return MPoly(self.vars, {e: _coef(c * inv) for e, c in self.terms.items()}, _canonical=True)
-        vars_, rem_terms, div_terms = self._aligned(divisor)
-        rem = dict(rem_terms)
+            return _poly({k: _coef(c * inv) for k, c in self.terms.items()})
+        # Long division in lex order over the sorted names of both operands,
+        # on exponent tuples.
+        _, fields = _layout(_reduce(_or, self.terms, 0) | _reduce(_or, divisor.terms, 0))
+        rem = _unpack(self.terms, fields)
+        div_terms = _unpack(divisor.terms, fields)
+        shifts = [i * _W for i in fields]
         div_lead = max(div_terms)
         div_lc = div_terms[div_lead]
-        quot: Dict[Exponents, Scalar] = {}
+        quot: Dict[int, Scalar] = {}
         while rem:
             lead = max(rem)
             qe = tuple(map(sub, lead, div_lead))
@@ -376,7 +452,7 @@ class MPoly:
             qc = _coef(Q(rem[lead], div_lc))
             # Each step cancels the leading term of rem and adds only smaller
             # ones, so every quotient exponent is new.
-            quot[qe] = qc
+            quot[sum(map(lshift, qe, shifts))] = qc
             for e, c in div_terms.items():
                 t = tuple(map(add, qe, e))
                 s = rem.get(t, 0) - qc * c
@@ -384,18 +460,19 @@ class MPoly:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-        return MPoly(vars_, quot)
+        return _poly(quot)
 
     # -- serialization ---------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names, terms = self.decoded()
         pieces: List[str] = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             mono = "*".join(
-                (v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, e) if k
+                (v if k == 1 else f"{v}^{k}") for v, k in zip(names, e) if k
             )
             if mono:
                 if c == 1:
@@ -416,43 +493,16 @@ class MPoly:
         return f"MPoly({self})"
 
 
-# The slot setters, which get past the immutability guard of __setattr__.
-_set_vars = MPoly.vars.__set__
+# The slot setter, which gets past the immutability guard of __setattr__.
 _set_terms = MPoly.terms.__set__
 
 
-def _remap(terms: Dict[Exponents, Scalar], positions: Sequence[int]) -> Dict[Exponents, Scalar]:
-    """``terms`` with each exponent tuple cut down to its entries at
-    ``positions``."""
-    if len(positions) > 1:
-        pick = itemgetter(*positions)
-        return {pick(e): c for e, c in terms.items()}
-    if positions:
-        p = positions[0]
-        return {(e[p],): c for e, c in terms.items()}
-    return {(): c for c in terms.values()}
-
-
-_PAD = (0,)
-
-
-@lru_cache(maxsize=4096)
-def _align_plan(va: Tuple[str, ...], vb: Tuple[str, ...]):
-    """The plan ``(merged, pick_a, pick_b)`` that brings exponent tuples over
-    the sorted variable tuples ``va`` and ``vb`` onto their merged tuple:
-    ``pick(e + (0,))`` is the new tuple, a variable the operand lacks
-    reading the appended 0, and ``pick`` is ``None`` for an operand already
-    over ``merged``.  Built once per pair; the table holds at most 4096."""
-    merged = tuple(sorted({*va, *vb}))
-    picks = []
-    for vs in (va, vb):
-        if len(vs) == len(merged):
-            picks.append(None)
-            continue
-        pos = [vs.index(v) if v in vs else len(vs) for v in merged]
-        # A single position reads a one-element slice, so the pick is a tuple.
-        picks.append(itemgetter(*pos) if len(pos) > 1 else itemgetter(slice(pos[0], pos[0] + 1)))
-    return (merged, *picks)
+def _poly(terms: Dict[int, Scalar]) -> MPoly:
+    """The ``MPoly`` of canonical packed ``terms``.  ``+``, ``-`` and ``*``
+    inline its two calls."""
+    p = _new(MPoly)
+    _set_terms(p, terms)
+    return p
 
 
 def _coerce_poly(x):
@@ -463,8 +513,8 @@ def _coerce_poly(x):
     return NotImplemented
 
 
-_ZERO = MPoly((), {}, _canonical=True)
-_ONE = MPoly((), {(): 1}, _canonical=True)
+_ZERO = _poly({})
+_ONE = _poly({0: 1})
 
 
 def affine_bounds_on_cone(
@@ -475,9 +525,9 @@ def affine_bounds_on_cone(
     point is a convex combination of vertices plus a nonnegative combination
     of rays (Minkowski–Weyl), so the extremes sit at vertices unless a ray
     slope of ``f`` points the other way."""
-    if any(sum(e) > 1 for e in f.terms):
+    if any(sum(e) > 1 for e in f.decoded()[1]):
         raise ValueError(f"{f} is not affine")
-    constant = Q(f.terms.get((0,) * len(f.vars), 0))
+    constant = Q(f.terms.get(0, 0))
     values = [f.eval(v) for v in vertices]
     slopes = [f.eval(r) - constant for r in rays]
     lo = min(values) if all(s >= 0 for s in slopes) else None
@@ -495,10 +545,12 @@ class RFrac:
     - **one term** (a Laurent polynomial, as the torus elements and Weyl
       representatives give): the numerator is scaled by the inverse
       coefficient, and each denominator variable is cancelled as far as its
-      smallest exponent over the numerator's terms, by exponent arithmetic;
-    - **more terms**: the monomial gcd of all terms is cancelled, the
-      denominator is made monic (lex leading coefficient 1), and exact
-      polynomial division collapses it into the numerator when it can.
+      smallest exponent over the numerator's terms, by subtracting one
+      packed key from every key;
+    - **more terms**: the monomial gcd of all terms (the fieldwise minimum of
+      their keys) is cancelled the same way, the denominator is made monic
+      (lex leading coefficient 1), and exact polynomial division collapses
+      it into the numerator when it can.
 
     The first two lanes give the unique normal form of their functions: a
     monic monomial ``den`` (1 included), each of whose variables has
@@ -678,7 +730,6 @@ class RFrac:
 
 _set_num = RFrac.num.__set__
 _set_den = RFrac.den.__set__
-_new = object.__new__
 
 
 def _frac(num: MPoly, den: MPoly) -> RFrac:
@@ -700,17 +751,17 @@ def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
         return _monomial_frac(num, den)
     # Cancel the monomial gcd.  That merges no terms, so the denominator
     # keeps two or more.
-    vars_, nt, dt = num._aligned(den)
-    mins = [min(column) for column in zip(*nt, *dt)]
-    if any(mins):
-        num = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in nt.items()})
-        den = MPoly(vars_, {tuple(map(sub, e, mins)): c for e, c in dt.items()})
+    nt, dt = num.terms, den.terms
+    g = _gcd_key(next(iter(dt)), [*nt, *dt])
+    if g:
+        num = _poly({k - g: c for k, c in nt.items()})
+        den = _poly({k - g: c for k, c in dt.items()})
     # Make the denominator monic.
     _, lc = den.leading()
     if lc != 1:
         inv = 1 / Q(lc)
-        num = MPoly(num.vars, {e: _coef(c * inv) for e, c in num.terms.items()}, _canonical=True)
-        den = MPoly(den.vars, {e: _coef(c * inv) for e, c in den.terms.items()}, _canonical=True)
+        num = _poly({k: _coef(c * inv) for k, c in num.terms.items()})
+        den = _poly({k: _coef(c * inv) for k, c in den.terms.items()})
     q = num.divexact(den)
     if q is not None:
         return q, _ONE
@@ -721,41 +772,25 @@ def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     """The normal form of num/den for a nonzero ``num`` and a one-term
     ``den``: scale by the inverse coefficient of ``den``, then cancel each
     of its variables as far as the smallest exponent of that variable over
-    the numerator's terms.  No alignment, leading term or division."""
-    ((de, lc),) = den.terms.items()
+    the numerator's terms, by subtracting one key from every key.  No
+    leading term or division."""
+    ((dk, lc),) = den.terms.items()
     terms = num.terms
     if lc == -1:
-        terms = {e: -c for e, c in terms.items()}
+        terms = {k: -c for k, c in terms.items()}
     elif lc != 1:
         inv = 1 / Q(lc)
-        terms = {e: _coef(c * inv) for e, c in terms.items()}
-    nvars = num.vars
-    cut = [0] * len(nvars)
-    names, exps = [], []
-    for v, d in zip(den.vars, de):
-        if v in nvars:
-            i = nvars.index(v)
-            m = min(d, min([e[i] for e in terms]))
-            cut[i] = m
-            d -= m
-        if d:
-            names.append(v)
-            exps.append(d)
-    if any(cut):
-        terms = {tuple(map(sub, e, cut)): c for e, c in terms.items()}
-        # A numerator variable drops out where it was cancelled from every term.
-        used = [i for i, k in enumerate(cut) if not k or any(e[i] for e in terms)]
-        if len(used) != len(nvars):
-            nvars = tuple(nvars[i] for i in used)
-            terms = _remap(terms, used)
+        terms = {k: _coef(c * inv) for k, c in terms.items()}
+    cut = _gcd_key(dk, terms)
+    if cut:
+        terms = {k - cut: c for k, c in terms.items()}
     if terms is not num.terms:
-        num = MPoly(nvars, terms, _canonical=True)
-    if not names:
+        num = _poly(terms)
+    if dk == cut:
         return num, _ONE
-    exps = tuple(exps)
-    if lc == 1 and exps == de:
+    if lc == 1 and not cut:
         return num, den
-    return num, MPoly(tuple(names), {exps: 1}, _canonical=True)
+    return num, _poly({dk - cut: 1})
 
 
 def _coerce_frac(x):
@@ -1126,7 +1161,7 @@ class ValuedScalar:
             parts.append(str(self.coeff))
         if not self.pexp.is_zero():
             e = str(self.pexp)
-            parts.append(f"p^({e})" if (self.pexp.vars or "/" in e or "-" in e) else f"p^{e}")
+            parts.append(f"p^({e})" if (not self.pexp.is_const() or "/" in e or "-" in e) else f"p^{e}")
         if self.upow:
             parts.append("ahat" if self.upow == 1 else f"ahat^{self.upow}")
         return "*".join(parts)

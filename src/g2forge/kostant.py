@@ -50,7 +50,7 @@ def weyl_dim(lam: Weight) -> int:
         den *= RHO.pair_coroot(root)
     dim = num / den
     if dim.denominator != 1:
-        raise AssertionError
+        raise AssertionError(f"the dimension formula gives the non-integral quotient {dim} at the weight {lam}")
     return int(dim)
 
 
@@ -77,7 +77,7 @@ def levi_piece_dim(parabolic: ParabolicId, weight: Weight) -> int:
     (gamma,) = parabolic.levi_simple
     d = weight.pair_coroot(gamma) + 1
     if not (d == int(d) and d > 0):
-        raise AssertionError("piece weight is not Levi-dominant integral")
+        raise AssertionError(f"piece weight {weight} is not Levi-dominant integral for {parabolic.tag}")
     return int(d)
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from g2forge import checks, cli, lattice, triform
+from g2forge import algebra, checks, cli, kostant, lattice, roots, triform
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -494,6 +494,8 @@ _MUTATIONS = {
     "phin/extension-injectivity-random": (
         ("phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]"),
     ),
+    # The infinitesimal character without the halving.
+    "arthur/packet-data": (("arthur", "lambda0", "lambda k: arthur.Weight(2 * (k - 4), 3 * (k - 4))"),),
 }
 
 # The sign of the (2, 7) entry of g(2a+3b, x) flipped: the shape families on
@@ -559,6 +561,21 @@ for check_id, (module, attr, source) in json.loads(sys.argv[1]):
 print(json.dumps(statuses))
 """
 
+# Registers the JSON list of names in argv[1] in reverse sorted order, before
+# anything else in the package has registered one, then prints the seed-7
+# report as `verify --format json` does.
+_REVERSE_INTERNING_SCRIPT = """\
+import json, sys
+from g2forge import algebra
+names = sorted(json.loads(sys.argv[1]), reverse=True)
+for name in names:
+    algebra.MPoly.var(name)
+if algebra._NAMES != names:
+    sys.exit("the registry did not start empty")
+from g2forge import checks
+sys.stdout.write(checks.to_json(checks.run_verify(7)))
+"""
+
 _SHAPE_CASE = ("wedge2/shape-constraint-probe", _SHAPE_MUTATION)
 
 
@@ -603,9 +620,30 @@ class TestChecksCanFail:
         monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
         assert Counter(_statuses(checks.run_verify(7)).values()) == {"pass": 46, "finding": 8}
 
+    def test_a_non_integral_dimension_names_the_weight(self, monkeypatch):
+        # Without the highest root the formula gives 42/5 for the adjoint weight.
+        monkeypatch.setattr(kostant, "POSITIVE_ROOTS", kostant.POSITIVE_ROOTS[:-1])
+        monkeypatch.setattr(checks, "CHECKS", _only_check("kostant/weyl-dimension-samples"))
+        (check,) = checks.run_verify(7)["suites"][0]["checks"]
+        assert check["status"] == "fail"
+        assert "non-integral quotient 42/5" in check["detail"]
+        assert str(roots.Weight(2, 3)) in check["detail"]
+
     def test_verify_under_optimize_flag(self):
         # Under -O every check reports what it reports without: the whole report is the golden.
         proc = _run_python(["-O", "-m", "g2forge.cli", "verify", "--seed", "7", "--format", "json"])
+        assert proc.returncode == 0, proc.stderr
+        with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
+            assert proc.stdout == fh.read()
+
+    def test_report_does_not_depend_on_the_variable_registry_order(self):
+        # Monomials are packed over a registry that numbers variable names as
+        # they are first seen. With every name of the report registered
+        # first, in reverse sorted order, the report is still the golden.
+        checks.run_verify(7)
+        names = list(algebra._NAMES)
+        assert names != sorted(names, reverse=True)
+        proc = _run_python(["-c", _REVERSE_INTERNING_SCRIPT, json.dumps(names)])
         assert proc.returncode == 0, proc.stderr
         with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
             assert proc.stdout == fh.read()

@@ -6,13 +6,16 @@ zero, without normalizing; `MPoly` scales by a constant factor term by term;
 give exactly the `num`/`den` (not just an equal value) that the general path
 gives, since report strings are printed from them.
 
-`MPoly` stores integral coefficients as `int` and builds products and
-uncancelled sums without re-canonicalising, so every result is checked
-against the representation invariants.  The per-call shortcuts (cached
-variable alignment plans, fused subtraction, products with a one-term
-factor, scalar `subs`, the sparse row update of `row_reduce`, matrix
-difference and negation) are each checked against the path they replace,
-structurally.  So are the one-term lane of the `RFrac` normaliser (against
+`MPoly` stores each monomial as one packed `int` over a process-wide
+variable registry and integral coefficients as `int`, and builds its
+results without re-canonicalising, so every result is checked against the
+representation invariants, read through the decoded exponent-tuple view.
+`+`, `-` and `*` on packed keys are checked against a reference on
+exponent tuples aligned by a two-pointer merge, and the guard bits against
+exponent overflow at the largest exponent and one past it.  The per-call
+shortcuts (fused subtraction, products with a one-term factor, scalar
+`subs`, the sparse row update of `row_reduce`, matrix difference and
+negation) are each checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
 the general normaliser, kept here as a helper) and the product of two
 polynomial matrices (against the dense triple loop).  Polynomial arithmetic,
 `RFrac` equality and the division paths are also checked against sympy as an
@@ -29,12 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2forge.algebra import (
+    _INDEX,
+    _MAX_EXP,
     _ONE,
     MPoly,
     R_ZERO,
     RFrac,
     SymMatrix,
-    _align_plan,
     _monomial_frac,
     _normalize_frac,
     row_reduce,
@@ -129,7 +133,8 @@ class TestMPolyConstantFactor:
     @given(polys(), coefficients)
     @settings(max_examples=100, deadline=None)
     def test_matches_term_by_term_product(self, p, c):
-        expected = MPoly(p.vars, {e: d * c for e, d in p.terms.items()})
+        names, terms = p.decoded()
+        expected = MPoly(names, {e: d * c for e, d in terms.items()})
         for product in (p * c, MPoly.const(c) * p, p * MPoly.const(c)):
             assert product.vars == expected.vars and product.terms == expected.terms
 
@@ -189,9 +194,10 @@ class TestSparseProduct:
 
 
 def to_sympy(sp, p: MPoly):
-    symbols = [sp.Symbol(v) for v in p.vars]
+    names, terms = p.decoded()
+    symbols = [sp.Symbol(v) for v in names]
     total = sp.Integer(0)
-    for exps, c in p.terms.items():
+    for exps, c in terms.items():
         term = sp.Rational(c.numerator, c.denominator)
         for s, e in zip(symbols, exps):
             term *= s**e
@@ -209,17 +215,32 @@ def test_polynomial_arithmetic_matches_sympy(p, q):
     assert sp.expand(to_sympy(sp, p - q) - (P - R)) == 0
 
 
+def with_fraction_coefficients(p: MPoly) -> MPoly:
+    """`p` with every coefficient stored as a `Fraction`, integral ones
+    included, which the constructor would normalise away."""
+    out = object.__new__(MPoly)
+    MPoly.terms.__set__(out, {k: Q(c) for k, c in p.terms.items()})
+    return out
+
+
 def assert_canonical(p: MPoly) -> None:
-    """The representation invariants of an `MPoly`."""
-    assert list(p.vars) == sorted(set(p.vars))
-    for c in p.terms.values():
+    """The representation invariants of an `MPoly`, read through its
+    decoded exponent tuples."""
+    names, terms = p.decoded()
+    assert names == p.vars
+    assert list(names) == sorted(set(names))
+    for e in terms:
+        assert len(e) == len(names) and all(0 <= x <= _MAX_EXP for x in e), e
+    for c in terms.values():
         assert type(c) is int or (type(c) is Q and c.denominator != 1), repr(c)
         assert c != 0
-    for i, name in enumerate(p.vars):
-        assert any(e[i] for e in p.terms), f"{name} is unused in {p}"
+    for i, name in enumerate(names):
+        assert any(e[i] for e in terms), f"{name} is unused in {p}"
+    # Decoding is lossless: the tuples pack back to the same keys.
+    assert MPoly(names, terms).terms == p.terms
     # The same polynomial with every coefficient a Fraction, as the text
     # form, equality and hashing see it.
-    reference = MPoly(p.vars, {e: Q(c) for e, c in p.terms.items()}, _canonical=True)
+    reference = with_fraction_coefficients(p)
     assert str(p) == str(reference)
     assert p == reference and hash(p) == hash(reference)
 
@@ -260,11 +281,11 @@ class TestIntegerFirstRepresentation:
         x = MPoly.var("x")
         for two in (MPoly.const(Q(2)), MPoly.const(2), MPoly((), {(): Q(4, 2)})):
             assert two == MPoly.const(2) and hash(two) == hash(MPoly.const(2))
-            assert type(two.terms[()]) is int
+            assert type(two.decoded()[1][()]) is int
         assert Q(2) * x == 2 * x and hash(Q(2) * x) == hash(2 * x)
         half = MPoly.const(Q(1, 2))
-        assert type((half * 2).terms[()]) is int and (half + half) == MPoly.one()
-        assert type((half + half).terms[()]) is int
+        assert type((half * 2).decoded()[1][()]) is int and (half + half) == MPoly.one()
+        assert type((half + half).decoded()[1][()]) is int
 
     def test_division_stays_exact(self):
         x = MPoly.var("x")
@@ -312,9 +333,10 @@ def same_poly(p: MPoly, q: MPoly) -> bool:
 
 
 def two_pointer_aligned(p: MPoly, q: MPoly):
-    """Both term dicts over the merged variable tuple, by one merge of the
-    two sorted tuples, each exponent padded with a 0 for a missing variable."""
-    va, vb = p.vars, q.vars
+    """Both decoded term dicts over the merged variable tuple, by one merge
+    of the two sorted tuples, each exponent padded with a 0 for a missing
+    variable."""
+    (va, ta), (vb, tb) = p.decoded(), q.decoded()
     merged, pa, pb = [], [], []
     i = j = 0
     while i < len(va) or j < len(vb):
@@ -338,7 +360,7 @@ def two_pointer_aligned(p: MPoly, q: MPoly):
     def remap(terms, positions):
         return {tuple((e + (0,))[k] for k in positions): c for e, c in terms.items()}
 
-    return tuple(merged), remap(p.terms, pa), remap(q.terms, pb)
+    return tuple(merged), remap(ta, pa), remap(tb, pb)
 
 
 def double_loop_product(p: MPoly, q: MPoly) -> MPoly:
@@ -349,6 +371,15 @@ def double_loop_product(p: MPoly, q: MPoly) -> MPoly:
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
+    return MPoly(vars_, out)
+
+
+def tuple_keyed_sum(p: MPoly, q: MPoly, sign: int) -> MPoly:
+    """p + sign*q on exponent tuples over the merged variables."""
+    vars_, a, b = two_pointer_aligned(p, q)
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
     return MPoly(vars_, out)
 
 
@@ -379,23 +410,56 @@ def dense_row_reduce(rows, ncols, reduced=True):
     return pivots
 
 
-class TestAlignmentPlans:
+class TestPackedKeys:
     @given(poly_pairs())
     @settings(max_examples=150, deadline=None)
-    def test_plan_matches_the_two_pointer_merge(self, pair):
+    def test_arithmetic_matches_the_tuple_keyed_reference(self, pair):
         p, q = pair
-        assert p._aligned(q) == two_pointer_aligned(p, q)
-        assert _align_plan(p.vars, q.vars)[0] == tuple(sorted({*p.vars, *q.vars}))
+        assert same_poly(p + q, tuple_keyed_sum(p, q, 1))
+        assert same_poly(p - q, tuple_keyed_sum(p, q, -1))
+        assert same_poly(p * q, double_loop_product(p, q))
+        if p and q:
+            # Over a field a product uses every variable of both factors.
+            assert (p * q).vars == two_pointer_aligned(p, q)[0]
 
-    def test_the_plan_table_is_bounded(self):
-        assert _align_plan.cache_info().maxsize == 4096
-        a, b = MPoly.var("a"), MPoly.var("b")
-        before = _align_plan.cache_info()
-        a * b
-        a * b
-        after = _align_plan.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses + 2
-        assert after.currsize <= 4096
+    def test_text_and_term_order_follow_the_names_not_the_registry(self):
+        b, a = MPoly.var("order_b"), MPoly.var("order_a")
+        assert _INDEX["order_b"] < _INDEX["order_a"]
+        p = a * b + b * b + a
+        assert p.vars == ("order_a", "order_b")
+        assert p.decoded()[1] == {(1, 1): 1, (0, 2): 1, (1, 0): 1}
+        assert str(p) == "order_a*order_b + order_a + order_b^2"
+        assert p.leading() == ((1, 1), 1)
+        assert str(RFrac(p, a + b)) == "(order_a*order_b + order_a + order_b^2)/(order_a + order_b)"
+
+    def test_the_largest_exponent_round_trips(self):
+        x, y = MPoly.var("packed_x"), MPoly.var("packed_y")
+        assert _INDEX["packed_y"] == _INDEX["packed_x"] + 1   # neighbouring fields
+        top = MPoly(("packed_x", "packed_y"), {(_MAX_EXP, 1): 1})
+        assert top.decoded() == (("packed_x", "packed_y"), {(_MAX_EXP, 1): 1})
+        assert str(top) == f"packed_x^{_MAX_EXP}*packed_y"
+        for p in (x**_MAX_EXP * y, x ** (_MAX_EXP - 1) * (x * y), (x * y) * x ** (_MAX_EXP - 1)):
+            assert same_poly(p, top)
+        general = (x ** (_MAX_EXP - 1) + y) * (x + 1)
+        assert general.decoded()[1] == {(_MAX_EXP, 0): 1, (_MAX_EXP - 1, 0): 1, (1, 1): 1, (0, 1): 1}
+
+    def test_one_more_raises_and_never_reaches_the_neighbour(self):
+        x, y = MPoly.var("packed_x"), MPoly.var("packed_y")
+        top = x**_MAX_EXP
+        attempts = (
+            lambda: x ** (_MAX_EXP + 1),
+            lambda: top * x,
+            lambda: top * (x * y),
+            lambda: x * (top + y),
+            lambda: (top + y) * (x + 1),
+            lambda: (top + 1) ** 2,
+            lambda: MPoly(("packed_x",), {(_MAX_EXP + 1,): 1}),
+        )
+        for attempt in attempts:
+            with pytest.raises(OverflowError, match=str(_MAX_EXP)):
+                attempt()
+        with pytest.raises(ValueError):
+            MPoly(("packed_x",), {(-1,): 1})
 
 
 class TestFusedSubtraction:
@@ -473,7 +537,7 @@ class TestScalarSubstitution:
             assert same_poly(fast, p.subs({"x": MPoly.const(value)}))
             assert_canonical(fast)
         assert same_poly(p.subs({"x": Q(1, 2)}), Q(4, 3) * y)
-        assert type(p.subs({"x": Q(1, 2), "y": 3}).terms[()]) is int
+        assert type(p.subs({"x": Q(1, 2), "y": 3}).decoded()[1][()]) is int
 
     @given(rfracs())
     @settings(max_examples=50, deadline=None)
@@ -540,9 +604,10 @@ def general_normalize(num: MPoly, den: MPoly):
     mins = [min(column) for column in zip(*nt, *dt)]
     num = MPoly(vars_, {tuple(x - m for x, m in zip(e, mins)): c for e, c in nt.items()})
     den = MPoly(vars_, {tuple(x - m for x, m in zip(e, mins)): c for e, c in dt.items()})
-    lc = Q(den.terms[max(den.terms)])
-    num = MPoly(num.vars, {e: c / lc for e, c in num.terms.items()})
-    den = MPoly(den.vars, {e: c / lc for e, c in den.terms.items()})
+    (num_vars, num_terms), (den_vars, den_terms) = num.decoded(), den.decoded()
+    lc = Q(den_terms[max(den_terms)])
+    num = MPoly(num_vars, {e: c / lc for e, c in num_terms.items()})
+    den = MPoly(den_vars, {e: c / lc for e, c in den_terms.items()})
     if den == MPoly.one():
         return num, _ONE
     q = num.divexact(den)
@@ -564,7 +629,8 @@ def assert_normal_form(f: RFrac) -> None:
         return
     assert list(f.den.terms.values()) == [1]
     for name in f.den.vars:
-        assert name not in f.num.vars or min(e[f.num.vars.index(name)] for e in f.num.terms) == 0
+        names, terms = f.num.decoded()
+        assert name not in names or min(e[names.index(name)] for e in terms) == 0
 
 
 class TestOneTermLane:
@@ -615,11 +681,11 @@ class TestOneTermLane:
     def test_constant_one_denominators(self):
         x = MPoly.var("x")
         assert MPoly.const(1) is _ONE and MPoly.const(Q(2, 2)) is _ONE
-        fresh_one = MPoly((), {(): 1}, _canonical=True)
+        fresh_one = MPoly((), {(): 1})
         assert fresh_one is not _ONE
         assert RFrac(x, fresh_one).den is _ONE
         assert RFrac(2 * x, MPoly.const(2)).den is _ONE
-        assert str(RFrac(x, MPoly((), {(): -1}, _canonical=True))) == "-x"
+        assert str(RFrac(x, MPoly((), {(): -1}))) == "-x"
 
     def test_polynomials_and_entries_skip_the_normaliser(self):
         p = MPoly.var("x") + 1
@@ -671,9 +737,10 @@ def ring_element(R, p: MPoly):
     """`p` in the sympy polynomial ring `R`, whose generators include the
     variables of `p`."""
     names = [str(s) for s in R.symbols]
-    positions = [names.index(v) for v in p.vars]
+    p_names, p_terms = p.decoded()
+    positions = [names.index(v) for v in p_names]
     terms = {}
-    for exps, c in p.terms.items():
+    for exps, c in p_terms.items():
         mono = [0] * len(names)
         for i, e in zip(positions, exps):
             mono[i] = e

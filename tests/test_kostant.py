@@ -3,6 +3,7 @@ and the seven-dimensional weight/pairing data."""
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,10 @@ class TestWeylDim:
     def test_dimension_positive_on_dominant_cone(self, c1, c2):
         lam = c1 * roots.Weight(2, 3) + c2 * roots.Weight(1, 2)
         assert kostant.weyl_dim(lam) >= 1
+
+    def test_a_piece_weight_off_the_levi_dominant_cone_is_named(self):
+        with pytest.raises(AssertionError, match=r"piece weight \(-2\)\*alpha \+ \(0\)\*beta .* P_long"):
+            kostant.levi_piece_dim(roots.P_LONG, roots.Weight(-2, 0))
 
 
 class TestPieces:
