@@ -2,8 +2,10 @@
 
 Everything here is immutable after construction and exact, so results are
 deterministic.  Polynomial coefficients are ``int`` while integral and
-``fractions.Fraction`` only when they are not; scalars handed out of the
-kernel (``const_value``, ``eval``) are always ``Fraction``.
+``fractions.Fraction`` only when they are not, and so are the coefficients of
+valued scalars; scalars handed out of the kernel (``const_value``, ``eval``)
+are always ``Fraction``.  ``quotient`` divides two such scalars exactly into
+the same stored form, since ``int / int`` would give a float.
 
 A polynomial is a dict from packed monomials to coefficients.  One
 process-wide, append-only registry numbers the variable names in the order
@@ -94,14 +96,6 @@ def _overflow() -> OverflowError:
     return OverflowError(f"exponent above {_MAX_EXP}, the largest a {_W}-bit monomial field holds")
 
 
-def _as_q(value) -> Q:
-    if isinstance(value, Q):
-        return value
-    if isinstance(value, int):
-        return Q(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
 def _coef(c) -> Scalar:
     """The stored form of a polynomial coefficient: an ``int`` when it is
     integral, otherwise a ``Fraction``."""
@@ -112,6 +106,19 @@ def _coef(c) -> Scalar:
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
+
+
+def quotient(a, b):
+    """The exact quotient a / b.  Two ints or Fractions give the stored form
+    of ``_coef`` (``int / int`` would give a float); a polynomial or rational
+    function ``a`` divides as itself."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    if isinstance(a, (int, Q)) and isinstance(b, (int, Q)):
+        return _coef(Q(a, b))
+    return a / b
 
 
 class MPoly:
@@ -373,12 +380,17 @@ class MPoly:
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
         """Exact evaluation; every variable must be assigned."""
+        return Q(self._value(assignment))
+
+    def _value(self, assignment: Mapping[str, Scalar]) -> Scalar:
+        """``eval`` before the final ``Fraction``: ``int`` arithmetic while
+        the values are integral."""
         names, fields = _layout(_reduce(_or, self.terms, 0))
         for v in names:
             if v not in assignment:
                 raise ValueError(f"missing assignment for variable '{v}'")
-        values = [(i * _W, _as_q(assignment[v])) for v, i in zip(names, fields)]
-        total = Q(0)
+        values = [(i * _W, _coef(assignment[v])) for v, i in zip(names, fields)]
+        total = 0
         for k, c in self.terms.items():
             term = c
             for s, val in values:
@@ -527,11 +539,11 @@ def affine_bounds_on_cone(
     slope of ``f`` points the other way."""
     if any(sum(e) > 1 for e in f.decoded()[1]):
         raise ValueError(f"{f} is not affine")
-    constant = Q(f.terms.get(0, 0))
-    values = [f.eval(v) for v in vertices]
-    slopes = [f.eval(r) - constant for r in rays]
-    lo = min(values) if all(s >= 0 for s in slopes) else None
-    hi = max(values) if all(s <= 0 for s in slopes) else None
+    constant = f.terms.get(0, 0)
+    values = [f._value(v) for v in vertices]
+    slopes = [f._value(r) - constant for r in rays]
+    lo = Q(min(values)) if all(s >= 0 for s in slopes) else None
+    hi = Q(max(values)) if all(s <= 0 for s in slopes) else None
     return lo, hi
 
 
@@ -702,10 +714,10 @@ class RFrac:
         return self.num * other.den == other.num * self.den
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        den = self.den.eval(assignment)
+        den = self.den._value(assignment)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the assignment")
-        return self.num.eval(assignment) / den
+        return Q(self.num._value(assignment), den)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "RFrac":
         num, den = self.num.subs(assignment), self.den.subs(assignment)
@@ -1060,14 +1072,16 @@ class ValuedScalar:
 
     ``u`` is a formal unit-direction symbol (the Frobenius eigenvalue α̂)
     whose valuation is the formal slope symbol ``s``; ``pexp`` is an
-    ``MPoly``, affine in formal symbols such as k.  Zero is represented by
-    coeff = 0.
+    ``MPoly``, affine in formal symbols such as k.  ``coeff`` is stored as a
+    polynomial coefficient is: an ``int`` while it is integral, a
+    ``Fraction`` when it is not, and a float raises ``TypeError``.  Zero is
+    represented by coeff = 0.
     """
 
     __slots__ = ("coeff", "upow", "pexp")
 
     def __init__(self, coeff: Scalar = 1, upow: int = 0, pexp: Union[MPoly, Scalar] = 0):
-        coeff = _as_q(coeff)
+        coeff = _coef(coeff)
         pexp = _coerce_poly(pexp)
         if pexp is NotImplemented:
             raise TypeError("the exponent of p must be an MPoly, an integer or a Fraction")
@@ -1098,7 +1112,7 @@ class ValuedScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Q)):
-            return ValuedScalar(self.coeff * _as_q(other), self.upow, self.pexp)
+            return ValuedScalar(self.coeff * other, self.upow, self.pexp)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -1110,11 +1124,11 @@ class ValuedScalar:
     def inv(self) -> "ValuedScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return ValuedScalar(Q(1) / self.coeff, -self.upow, -self.pexp)
+        return ValuedScalar(quotient(1, self.coeff), -self.upow, -self.pexp)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Q)):
-            return ValuedScalar(self.coeff / _as_q(other), self.upow, self.pexp)
+            return ValuedScalar(quotient(self.coeff, other), self.upow, self.pexp)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
         return self * other.inv()
@@ -1124,6 +1138,8 @@ class ValuedScalar:
             if n <= 0:
                 raise ZeroDivisionError("0 to a nonpositive power")
             return ValuedScalar(0)
+        if n < 0:
+            return self.inv() ** -n
         return ValuedScalar(self.coeff ** n, self.upow * n, self.pexp * n)
 
     def __eq__(self, other):

@@ -138,7 +138,7 @@ def payload_phin(k: int, sp: Q, mode: str) -> Dict[str, object]:
             constraints.append(
                 {
                     "constraint": str(cons),
-                    "at_k": f"unit^{cons.power} = p^({cons.exponent.eval({'k': Q(k)})})",
+                    "at_k": f"unit^{cons.power} = p^({cons.exponent.eval({'k': k})})",
                 }
             )
         return {

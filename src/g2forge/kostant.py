@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import List, NamedTuple, Tuple, Union
 
-from .algebra import MPoly
+from .algebra import MPoly, quotient
 from .roots import (
     ALPHA,
     BETA,
@@ -41,17 +41,17 @@ def weyl_dim(lam: Weight) -> int:
     """Dimension of the irreducible representation of highest weight lam."""
     for simple in (ALPHA, BETA):
         p = lam.pair_coroot(simple)
-        if p < 0 or p != int(p):
+        if type(p) is not int or p < 0:
             raise ValueError(f"weight {lam} is not dominant integral")
-    num = Q(1)
-    den = Q(1)
+    num = den = 1
+    shifted = lam + RHO
     for root in POSITIVE_ROOTS:
-        num *= (lam + RHO).pair_coroot(root)
+        num *= shifted.pair_coroot(root)
         den *= RHO.pair_coroot(root)
-    dim = num / den
-    if dim.denominator != 1:
+    dim = quotient(num, den)
+    if type(dim) is not int:
         raise AssertionError(f"the dimension formula gives the non-integral quotient {dim} at the weight {lam}")
-    return int(dim)
+    return dim
 
 
 class KostantPiece(NamedTuple):
@@ -76,9 +76,9 @@ def levi_piece_dim(parabolic: ParabolicId, weight: Weight) -> int:
         return 1
     (gamma,) = parabolic.levi_simple
     d = weight.pair_coroot(gamma) + 1
-    if not (d == int(d) and d > 0):
+    if type(d) is not int or d <= 0:
         raise AssertionError(f"piece weight {weight} is not Levi-dominant integral for {parabolic.tag}")
-    return int(d)
+    return d
 
 
 def euler_characteristic(parabolic: ParabolicId, lam: Weight) -> int:
@@ -92,8 +92,8 @@ def euler_characteristic(parabolic: ParabolicId, lam: Weight) -> int:
 
 class DegreeCase(NamedTuple):
     degree: int
-    k: Union[Q, MPoly]
-    s: Union[Q, MPoly]
+    k: Union[int, MPoly]
+    s: Union[int, Q, MPoly]
     w: WeylElement
     neg_shifted: Weight
 
@@ -116,7 +116,7 @@ def degree_cases_alpha(c1, c2) -> Tuple[DegreeCase, DegreeCase, DegreeCase]:
         neg = -(w.act(lam + RHO))
         x, y = neg.in_basis_half_alpha()
         k = 1 - x
-        s = y / 10
+        s = quotient(y, 10)
         out.append(DegreeCase(w.length + 1, k, s, w, neg))
     return tuple(out)
 

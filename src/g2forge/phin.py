@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations, product
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .algebra import MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry, affine_bounds_on_cone, row_reduce
+from .algebra import (
+    MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry, affine_bounds_on_cone, quotient, row_reduce,
+)
 
 K = MPoly.var("k")
 P = ValuedScalar.p_power(1)
@@ -330,12 +332,11 @@ def d_st_window_certificate() -> Tuple[bool, List[MPoly]]:
     return margins[0].is_zero() and all(lo is not None and lo >= 0 for lo in lows), margins
 
 
-def _transport_B(b: SymMatrix) -> SymMatrix:
-    """Conjugate the 2x2 block B from the displayed basis into the eigenbasis:
-    V B V^{-1} with V = [[1,1],[1,0]], whose columns are the displayed basis
-    w = e1 + e2 (the filtration vector, generic) and w' = e1."""
-    v = SymMatrix([[1, 1], [1, 0]])
-    return v * b * v.inverse()
+# The displayed basis (w, w') = (e1 + e2, e1) of the 2x2 block in eigen
+# coordinates, as the columns of V, and V^{-1}: V B V^{-1} carries B from the
+# displayed basis into the eigenbasis.
+TRANSPORT_V = SymMatrix([[1, 1], [1, 0]])
+TRANSPORT_V_INV = SymMatrix([[0, 1], [1, -1]])
 
 
 # Frobenius of E(B, c) in its eigenbasis: sub (e1, e2) p^-1 d_st, quotient (e3, e4) d_st.
@@ -359,7 +360,7 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
     c = _coerce_entry(c)
-    nb = _transport_B(b)
+    nb = TRANSPORT_V * b * TRANSPORT_V_INV
     n = SymMatrix(
         [
             [0, 0, nb[0, 0], nb[0, 1]],
@@ -402,8 +403,8 @@ def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
     steps span the same spaces and their N agree; as none of these depends on
     (k, sp) beyond the jump labels, weight 4 decides every weight."""
     m1, m2 = (build_EBc(b, c, 4, Q(1)) for b, c in (pair1, pair2))
-    for sub, quotient in product(m1.phi_diag[:2], m1.phi_diag[2:]):
-        _inequation(sub, quotient, K)
+    for sub, quot in product(m1.phi_diag[:2], m1.phi_diag[2:]):
+        _inequation(sub, quot, K)
     same_steps = all(
         len(row_reduce([list(f1.row(i)) + list(f2.row(i)) for i in range(4)], f1.cols + f2.cols, reduced=False))
         == d1 == d2
@@ -421,7 +422,7 @@ class Constraint(NamedTuple):
 
     power: int
     exponent: MPoly
-    coeff: Q
+    coeff: Union[int, Q]
 
     def __str__(self):
         c = "" if self.coeff == 1 else f"{self.coeff} * "
@@ -439,7 +440,7 @@ def _pair_status(ratio: ValuedScalar):
     m = ratio.upow
     if m > 0:
         # coeff p^E u^m = p  =>  u^m = (1/coeff) p^{1-E}
-        return Constraint(m, 1 - ratio.pexp, Q(1) / ratio.coeff)
+        return Constraint(m, 1 - ratio.pexp, quotient(1, ratio.coeff))
     return Constraint(-m, ratio.pexp - 1, ratio.coeff)
 
 

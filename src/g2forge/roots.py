@@ -5,6 +5,11 @@ simple root and ``beta`` the short one (Cartan pairings <alpha, beta_cov> = -3,
 <beta, alpha_cov> = -1).  Weyl elements are named by reduced words over the two
 simple reflections, letter 'a' for the long-root reflection and 'b' for the
 short-root one, with the rightmost letter acting first.
+
+A numeric coordinate or coroot pairing is an ``int`` while it is integral and
+a ``fractions.Fraction`` only when it is not, so the Weyl action, the dot
+action and the positivity tests run on ints; a float is rejected with
+``TypeError``.  Symbolic coordinates are ``MPoly`` or ``RFrac``.
 """
 
 from __future__ import annotations
@@ -12,9 +17,15 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple, Union
 
-from .algebra import MPoly, RFrac, affine_bounds_on_cone
+from .algebra import MPoly, RFrac, _coef, affine_bounds_on_cone, quotient
 
 Coord = Union[int, Q, MPoly, RFrac]
+
+
+def _coordinate(c) -> Coord:
+    """A coordinate in stored form: symbolic ones as they are, numeric ones
+    as ``_coef`` stores a coefficient (a float raises ``TypeError``)."""
+    return c if isinstance(c, (MPoly, RFrac)) else _coef(c)
 
 
 class Weight:
@@ -23,10 +34,10 @@ class Weight:
     __slots__ = ("ca", "cb")
 
     def __init__(self, ca: Coord, cb: Coord):
-        if isinstance(ca, int):
-            ca = Q(ca)
-        if isinstance(cb, int):
-            cb = Q(cb)
+        if type(ca) is not int:
+            ca = _coordinate(ca)
+        if type(cb) is not int:
+            cb = _coordinate(cb)
         object.__setattr__(self, "ca", ca)
         object.__setattr__(self, "cb", cb)
 
@@ -62,9 +73,9 @@ class Weight:
         """Exact pairing <self, root_cov> (root must be a root of the system)."""
         m, n = root.ca, root.cb
         # Inner products: (a,a)=6, (b,b)=2, (a,b)=-3.
-        num = 6 * m * self.ca - 3 * (n * self.ca + m * self.cb) + 2 * n * self.cb
+        num = 2 * (6 * m * self.ca - 3 * (n * self.ca + m * self.cb) + 2 * n * self.cb)
         den = 6 * m * m - 6 * m * n + 2 * n * n
-        return 2 * num / den
+        return quotient(num, den)
 
     def is_nonnegative_combo(self) -> bool:
         """Both simple-root coordinates >= 0 (requires numeric coordinates)."""
@@ -296,17 +307,12 @@ def critical_set(mu: Weight, lam: Weight) -> List[WeylElement]:
 def lambda0(k: Union[int, Q, MPoly, RFrac]) -> Weight:
     """The weight (k-4)/2 * (2*alpha + 3*beta) attached to an eigenform of
     weight k."""
-    if isinstance(k, int):
-        k = Q(k)
-    half = (k - 4) / 2
-    return Weight(2 * half, 3 * half)
+    return Weight(k - 4, quotient(3 * (k - 4), 2))
 
 
 def slope_weight(sp: Union[int, Q, MPoly]) -> Weight:
     """The slope weight sp*(2*alpha+3*beta) + beta of the distinguished
     refinement."""
-    if isinstance(sp, int):
-        sp = Q(sp)
     return Weight(2 * sp, 3 * sp + 1)
 
 

@@ -46,6 +46,15 @@ class TestMPoly:
         env = {"x": Q(xv), "y": Q(yv)}
         assert (p * p).eval(env) == p.eval(env) ** 2
 
+    def test_eval_gives_a_fraction_and_rejects_floats(self):
+        p = 3 * X * X - Y + 1
+        value = p.eval({"x": 2, "y": 5})
+        assert value == 8 and type(value) is Q
+        assert p.eval({"x": Q(1, 2), "y": 1}) == Q(3, 4)
+        assert type(MPoly.const(4).eval({})) is Q
+        with pytest.raises(TypeError):
+            p.eval({"x": 0.5, "y": 1})
+
     def test_divexact(self):
         p = (X + Y) * (X - Y)
         assert p.divexact(X + Y) == X - Y
@@ -132,6 +141,9 @@ class TestAffineBoundsOnCone:
         assert affine_bounds_on_cone(-self.K - 3, *self.QUADRANT) == (None, -3)
         assert affine_bounds_on_cone(self.K - self.SP, *self.QUADRANT) == (None, None)
         assert affine_bounds_on_cone(MPoly.const(Q(5, 2)), *self.QUADRANT) == (Q(5, 2), Q(5, 2))
+        # bounds are Fractions, as `eval` gives, also over integral points
+        lo, hi = affine_bounds_on_cone(-self.K - 3, ({"k": 0, "sp": 0}, {"k": 2, "sp": 0}), ())
+        assert (lo, hi) == (-5, -3) and type(lo) is Q and type(hi) is Q
 
     def test_polytope_extremes_sit_at_vertices(self):
         triangle = ({"k": 0, "sp": 0}, {"k": 2, "sp": 0}, {"k": 0, "sp": Q(1, 2)})
@@ -167,6 +179,18 @@ class TestValuedScalar:
         a = ValuedScalar.p_power(k - 1)
         b = ValuedScalar.p_power(2 - k)
         assert a * b == ValuedScalar.p_power(1)
+
+    def test_coefficients_stay_exact(self):
+        with pytest.raises(TypeError):
+            ValuedScalar(0.5)
+        with pytest.raises(TypeError):
+            ValuedScalar.one() * 0.5
+        two = ValuedScalar(Q(4, 2))
+        assert type(two.coeff) is int and two.coeff == 2
+        assert two.inv().coeff == Q(1, 2) and (two / 2).coeff == 1 and type((two / 2).coeff) is int
+        assert (two / 3).coeff == Q(2, 3)
+        assert (two ** -2).coeff == Q(1, 4) and (two ** 3).coeff == 8
+        assert (two.inv() * 4).coeff == 2 and type((two.inv() * 4).coeff) is int
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,21 @@ class TestDeterminism:
         with open(os.path.join(HERE, "goldens", "verify_seed7.json"), "rb") as fh:
             assert out.encode() == fh.read()
 
+    def test_inspection_output_matches_the_golden(self, capsys):
+        # tests/goldens/inspect_display.json is a JSON list of {"argv", "stdout"}:
+        # one argv per inspection subcommand shape of the benchmark, with
+        # pinned parameters, and the bytes `cli.run(argv)` wrote for it.
+        for case in _inspect_golden():
+            code, out = run_capture(capsys, case["argv"])
+            assert code == 0, case["argv"]
+            assert out.encode() == case["stdout"].encode(), case["argv"]
+
+    def test_inspection_output_matches_the_golden_under_optimize_flag(self):
+        cases = _inspect_golden()
+        proc = _run_python(["-O", "-c", _INSPECT_SCRIPT, json.dumps([case["argv"] for case in cases])])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, case["stdout"]] for case in cases]
+
     def test_report_schema(self, verify_report):
         _, out = verify_report
         rep = json.loads(out)
@@ -379,6 +394,26 @@ def _statuses(report):
     return {f"{s['name']}/{c['id']}": c["status"] for s in report["suites"] for c in s["checks"]}
 
 
+def _inspect_golden():
+    with open(os.path.join(HERE, "goldens", "inspect_display.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# Runs each argv of the JSON list in argv[1] through `cli.run` and prints a
+# JSON list of [exit code, stdout], in input order.
+_INSPECT_SCRIPT = """\
+import contextlib, io, json, sys
+from g2forge import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
 def _run_python(args):
     """Run `python <args>` from the repository root with `src` on the path."""
     root = os.path.dirname(HERE)
@@ -496,6 +531,15 @@ _MUTATIONS = {
     ),
     # The infinitesimal character without the halving.
     "arthur/packet-data": (("arthur", "lambda0", "lambda k: arthur.Weight(2 * (k - 4), 3 * (k - 4))"),),
+    # The vanishing rules without `classical_at_least_two`.
+    "arthur/ledger-bound": (("arthur", "DEFAULT_RULES", "arthur.DEFAULT_RULES[:-1]"),),
+    # The subregular orbit stored with a trivial component group.
+    "arthur/orbit-dimensions": (
+        (
+            "arthur", "_ORBIT_DATA",
+            'tuple(row[:3] + ("1",) if row[0] == "O_sr" else row for row in arthur._ORBIT_DATA)',
+        ),
+    ),
 }
 
 # The sign of the (2, 7) entry of g(2a+3b, x) flipped: the shape families on

@@ -25,6 +25,21 @@ class TestWeylDim:
         lam = c1 * roots.Weight(2, 3) + c2 * roots.Weight(1, 2)
         assert kostant.weyl_dim(lam) >= 1
 
+    def test_matches_the_closed_form_on_the_dominant_cone(self):
+        # dim V(a, b) = (a+1)(b+1)(a+b+2)(a+2b+3)(a+3b+4)(2a+3b+5)/120 in
+        # Fractions, with a the label of the short fundamental weight
+        # alpha+2*beta and b that of the long one 2*alpha+3*beta.
+        for c1 in range(7):
+            for c2 in range(7):
+                a, b = c2, c1
+                closed = Q(a + 1) * (b + 1) * (a + b + 2) * (a + 2 * b + 3) * (a + 3 * b + 4) * (2 * a + 3 * b + 5) / 120
+                dim = kostant.weyl_dim(c1 * roots.Weight(2, 3) + c2 * roots.Weight(1, 2))
+                assert dim == closed and type(dim) is int
+
+    def test_a_half_integral_weight_is_not_dominant_integral(self):
+        with pytest.raises(ValueError, match="not dominant integral"):
+            kostant.weyl_dim(roots.Weight(Q(1, 2), 1))
+
     def test_a_piece_weight_off_the_levi_dominant_cone_is_named(self):
         with pytest.raises(AssertionError, match=r"piece weight \(-2\)\*alpha \+ \(0\)\*beta .* P_long"):
             kostant.levi_piece_dim(roots.P_LONG, roots.Weight(-2, 0))
@@ -86,6 +101,10 @@ class TestDegreeCases:
             # the stored shifted weight really is -w(lam + rho)
             assert case.neg_shifted == -(case.w.act(lam + roots.RHO))
             assert case.degree == case.w.length + 1
+            # k and s are exact: ints while integral, never floats
+            x, y = case.neg_shifted.in_basis_half_alpha()
+            assert case.k == 1 - x and type(case.k) is int
+            assert case.s == Q(y, 10) and type(case.s) is (int if y % 10 == 0 else Q)
 
 
 class TestSevenDimData:

@@ -74,6 +74,10 @@ class TestExtensionFamily:
         assert m.fil_jumps() == [0, 1, 3, 4]
         assert phin.is_admissible(m)
 
+    def test_transport_matrices_are_inverse(self):
+        assert phin.TRANSPORT_V * phin.TRANSPORT_V_INV == IDENT2
+        assert phin.TRANSPORT_V_INV * phin.TRANSPORT_V == IDENT2
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             phin.build_EBc(IDENT2, 1, 5, Q(1))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +121,66 @@ class TestCriticality:
         assert r.lambda0(4) == r.Weight(0, 0)
         assert r.lambda0(12) == r.Weight(8, 12)
         assert r.slope_weight(Q(1, 2)) == r.Weight(1, Q(5, 2))
+
+
+def _stored(value):
+    """What a numeric coordinate or pairing must be: an int when integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _pair_q(ca, cb, root):
+    """<(ca, cb), root_cov> with every coordinate a Fraction."""
+    m, n = Q(root.ca), Q(root.cb)
+    return 2 * (6 * m * ca - 3 * (n * ca + m * cb) + 2 * n * cb) / (6 * m * m - 6 * m * n + 2 * n * n)
+
+
+def _act_q(w, ca, cb):
+    (a, b), (c, d) = w.matrix
+    return (a * ca + b * cb, c * ca + d * cb)
+
+
+def _assert_stored(value, expected):
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Q)
+
+
+# Integers and half-integers, drawn as Fractions; each is handed to `Weight`
+# as an int when it is integral and half the time as a Fraction then too.
+halves = st.integers(min_value=-40, max_value=40).map(lambda n: Q(n, 2))
+as_given = st.tuples(halves, st.booleans()).map(lambda x: _stored(x[0]) if x[1] else x[0])
+
+
+class TestExactCoordinates:
+    """Coordinates and pairings stay int while integral, and no float is
+    ever made: the results equal the same computation over Fractions."""
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            r.Weight(0.5, 1)
+        with pytest.raises(TypeError):
+            r.Weight(1, 0.5)
+        with pytest.raises(TypeError):
+            0.5 * r.ALPHA
+
+    def test_integral_fractions_are_stored_as_int(self):
+        lam = r.Weight(Q(4, 2), Q(1, 2))
+        assert type(lam.ca) is int and lam.ca == 2
+        assert lam.cb == Q(1, 2)
+        assert all(type(c) is int for c in r.lambda0(12).coords())
+        assert r.lambda0(7).coords() == (3, Q(9, 2))
+        assert all(type(c) is int for c in r.slope_weight(Q(2, 2)).coords())
+
+    @given(as_given, as_given)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_computation(self, ca, cb):
+        lam = r.Weight(ca, cb)
+        qa, qb = Q(ca), Q(cb)
+        for root in r.POSITIVE_ROOTS + tuple(-root for root in r.POSITIVE_ROOTS):
+            _assert_stored(lam.pair_coroot(root), _pair_q(qa, qb, root))
+        rho = (Q(r.RHO.ca), Q(r.RHO.cb))
+        for w in r.WEYL_GROUP:
+            for got, want in zip(w.act(lam).coords(), _act_q(w, qa, qb)):
+                _assert_stored(got, want)
+            shifted = _act_q(w, qa + rho[0], qb + rho[1])
+            for got, want, shift in zip(r.dot_act(w, lam).coords(), shifted, rho):
+                _assert_stored(got, want - shift)
