@@ -1071,7 +1071,7 @@ class ValuedScalar:
     """A monomial coeff · p^pexp · u^upow over a p-adically valued field.
 
     ``u`` is a formal unit-direction symbol (the Frobenius eigenvalue α̂)
-    whose valuation is the formal slope symbol ``s``; ``pexp`` is an
+    whose valuation is the formal slope symbol ``sp``; ``pexp`` is an
     ``MPoly``, affine in formal symbols such as k.  ``coeff`` is stored as a
     polynomial coefficient is: an ``int`` while it is integral, a
     ``Fraction`` when it is not, and a float raises ``TypeError``.  Zero is
@@ -1156,18 +1156,11 @@ class ValuedScalar:
     def __hash__(self):
         return hash((self.coeff, self.upow, self.pexp))
 
-    def valuation(self, slope_symbol: str = "s") -> MPoly:
-        """p-adic valuation as an affine polynomial; v(u) = s."""
+    def valuation(self) -> MPoly:
+        """p-adic valuation as an affine polynomial; v(u) = sp."""
         if self.is_zero():
             raise ValueError("valuation of zero")
-        return self.pexp + MPoly.var(slope_symbol) * self.upow
-
-    def valuation_at(self, assignment: Mapping[str, Scalar], slope: Scalar) -> Q:
-        if self.is_zero():
-            raise ValueError("valuation of zero")
-        full = dict(assignment)
-        full.setdefault("s", slope)
-        return self.valuation("s").eval(full)
+        return self.pexp + MPoly.var("sp") * self.upow
 
     def __str__(self) -> str:
         if self.is_zero():

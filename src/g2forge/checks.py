@@ -472,7 +472,7 @@ def rank2_admissibility_grid():
 
 @check("phin", "rank2-polygons", "Newton above Hodge with common endpoint (weight 4, slope 1)")
 def rank2_polygons():
-    m = phin.d_st(4, Q(1))
+    m = phin.d_st(4, 1)
     newton = phin.newton_polygon(m)
     hodge = phin.hodge_polygon(m)
     ok = newton.endpoint == hodge.endpoint == (2, Q(-3))
@@ -485,11 +485,11 @@ def rank2_polygons():
 @check("phin", "extension-admissibility", "the 4-dim extension modules are weakly admissible")
 def extension_admissibility():
     b = SymMatrix.identity(2)
-    m = phin.build_EBc(b, 1, 4, Q(1))
+    m = phin.build_EBc(b, 1, 4, 1)
     ok = m.fil_jumps() == [0, 1, 3, 4]
     ok = ok and phin.is_admissible(m)
     ok = ok and m.phi_relation_report()["holds"]
-    m6 = phin.build_EBc(b.scale(RFrac.const(2)), Q(5), 6, Q(1))
+    m6 = phin.build_EBc(b.scale(RFrac.const(2)), 5, 6, 1)
     ok = ok and phin.is_admissible(m6) and m6.fil_jumps() == [0, 1, 5, 6]
     return _bool(ok, "jumps {0, 1, k-1, k}; admissible; Frobenius relation holds for scalar blocks")
 
@@ -506,7 +506,7 @@ def frobenius_relation_symbolic():
 @check("phin", "extension-generic-frobenius", "eigenvalue constraints left by a non-scalar monodromy block")
 def extension_generic_frobenius():
     b = SymMatrix([[1, 2], [3, 4]])
-    rep = phin.build_EBc(b, 1, 4, Q(1)).phi_relation_report()
+    rep = phin.build_EBc(b, 1, 4, 1).phi_relation_report()
     if not rep["holds"] and len(rep["violations"]) == 2:
         return "finding", (
             "a non-scalar block leaves exactly 2 eigenvalue-ratio violations, each demanding a "
@@ -581,7 +581,7 @@ def distinctness_ledger():
 
 @check("phin", "sum-tensor-endpoints", "direct sums and tensor products keep Newton/Hodge endpoints equal")
 def sum_tensor_endpoints():
-    a = phin.d_st(4, Q(1))
+    a = phin.d_st(4, 1)
     ds = phin.direct_sum(a, a)
     tn = phin.tensor(a, a)
     ok = sorted(ds.fil_jumps()) == [0, 0, 3, 3]

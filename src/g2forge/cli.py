@@ -103,8 +103,8 @@ def payload_wedge2() -> Dict[str, object]:
     four = lattice.four_dim_wedge_report()
     elim = lattice.relation_elimination()
     return {
-        "five_dim": {k: (str(v) if not isinstance(v, (bool, list, str)) else v) for k, v in five.items()},
-        "four_dim": {k: (str(v) if not isinstance(v, (bool, list, str, tuple)) else v) for k, v in four.items()},
+        "five_dim": dict(five),
+        "four_dim": dict(four),
         "elimination": {
             "det_natural": str(elim["det_natural"]),
             "det_natural_is_minus_9d3": elim["det_natural_is_minus_9d3"],
@@ -275,27 +275,34 @@ class _Ledger(argparse.Action):
 
 
 def _verify(args: argparse.Namespace) -> int:
-    timings: Optional[Dict[str, float]] = None
-    if args.timings is not None:
-        # Created before the run, so an unwritable path fails fast.
+    outdir = os.environ.get(ENV_OUTPUT_DIR)
+    report_path = os.path.join(outdir, "verify_report.json") if outdir else None
+    # Every output file is created before the run, so an unusable location
+    # fails fast; the timings file's directory must exist already.
+    for what, path, make_dir in (
+        ("timings", args.timings, False),
+        ("the report", report_path, True),
+        ("the golden", GOLDEN_PATH if args.bless else None, True),
+    ):
+        if path is None:
+            continue
         try:
-            open(args.timings, "w", encoding="utf-8").close()
+            if make_dir:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+            open(path, "w", encoding="utf-8").close()
         except OSError as exc:
-            return _usage_error("verify", f"cannot write timings to {args.timings}: {exc.strerror}")
-        timings = {}
+            return _usage_error("verify", f"cannot write {what} to {path}: {exc.strerror}")
     if args.bless:
-        os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
         with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
             fh.write(to_json(golden_payload()))
+    timings: Optional[Dict[str, float]] = None if args.timings is None else {}
     report = run_verify(args.seed, timings=timings)
     if timings is not None:
         with open(args.timings, "w", encoding="utf-8") as fh:
             fh.write(to_json(timings))
     sys.stdout.write(to_json(report) if args.format == "json" else format_text(report) + "\n")
-    outdir = os.environ.get(ENV_OUTPUT_DIR)
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "verify_report.json"), "w", encoding="utf-8") as fh:
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(to_json(report))
     return 1 if report_has_failures(report) else 0
 

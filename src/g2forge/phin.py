@@ -1,7 +1,7 @@
 """Filtered (phi, N)-modules over a p-adically valued coefficient field:
 Newton/Hodge polygons, weak admissibility by submodule enumeration, the
-four-dimensional extension family E(B, c) with its injectivity argument, the
-monodromy obstruction solver on Frobenius eigenvalue lists, the symmetric
+four-dimensional extension family E(B, c) with its injectivity argument,
+direct sums and tensor products, the monodromy obstruction solver on Frobenius eigenvalue lists, the symmetric
 square Fil^0 intersection test, and the eigenvalue distinctness ledger.
 """
 
@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import combinations, product
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .algebra import (
-    MPoly, RFrac, SymMatrix, ValuedScalar, _coerce_entry, affine_bounds_on_cone, quotient, row_reduce,
+    R_ZERO, MPoly, RFrac, Scalar, SymMatrix, ValuedScalar, _coef, _coerce_entry, affine_bounds_on_cone, quotient,
+    row_reduce,
 )
 
 K = MPoly.var("k")
@@ -23,23 +24,23 @@ ALPHA_HAT = ValuedScalar.unit(1)
 class Polygon:
     """Convex polygon from (0,0) with nondecreasing rational slopes."""
 
-    def __init__(self, slopes: Sequence[Q]):
-        slopes = [Q(s) for s in slopes]
+    def __init__(self, slopes: Sequence[Scalar]):
+        slopes = tuple(slopes)
         if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise ValueError("polygon slopes must be nondecreasing")
-        self.slopes = tuple(slopes)
+        self.slopes = slopes
 
     @property
-    def vertices(self) -> List[Tuple[int, Q]]:
-        out = [(0, Q(0))]
-        y = Q(0)
+    def vertices(self) -> List[Tuple[int, Scalar]]:
+        out = [(0, 0)]
+        y = 0
         for i, s in enumerate(self.slopes):
             y += s
             out.append((i + 1, y))
         return out
 
     @property
-    def endpoint(self) -> Tuple[int, Q]:
+    def endpoint(self) -> Tuple[int, Scalar]:
         return self.vertices[-1]
 
     def __eq__(self, other):
@@ -60,8 +61,9 @@ class PhiNModule:
     n_op: matrix of the nilpotent operator in the same basis.
     fil: pairs (jump, column-span matrix), strictly increasing jumps, strictly
     decreasing subspaces, first pair the full space at the lowest jump.
-    exponent_values/slope: numeric values for the formal exponent symbols and
-    for the valuation of the formal unit.
+    point: the values {"k": k, "sp": sp} of the weight symbol k and of the
+    slope symbol sp (the valuation of the formal unit) at which the
+    valuations of phi_diag are read; each is an int or a Fraction.
     """
 
     def __init__(
@@ -69,9 +71,9 @@ class PhiNModule:
         phi_diag: Sequence[ValuedScalar],
         n_op: SymMatrix,
         fil: Sequence[Tuple[int, SymMatrix]],
-        exponent_values: Optional[Mapping[str, Q]] = None,
-        slope: Q = Q(0),
+        point: Mapping[str, Scalar],
     ):
+        self.point = {name: _coef(x) for name, x in point.items()}
         self.dim = len(phi_diag)
         if any(v.is_zero() for v in phi_diag):
             raise ValueError("Frobenius must be invertible")
@@ -95,8 +97,6 @@ class PhiNModule:
             raise ValueError("filtration subspaces must strictly decrease")
         self.fil = tuple(fil)
         self._fil_dims = dims
-        self.exponent_values = dict(exponent_values or {})
-        self.slope = Q(slope)
 
     def fil_jumps(self) -> List[int]:
         """Jump multiset: jump j with multiplicity dim Fil^j − dim Fil^(next)."""
@@ -107,9 +107,7 @@ class PhiNModule:
         return out
 
     def valuations(self) -> List[Q]:
-        return [
-            v.valuation_at(self.exponent_values, self.slope) for v in self.phi_diag
-        ]
+        return [v.valuation().eval(self.point) for v in self.phi_diag]
 
     def phi_relation_report(self) -> Dict[str, object]:
         """Check phi^{-1} N phi = p N entrywise: each nonzero entry of N needs
@@ -133,7 +131,7 @@ def newton_polygon(m: PhiNModule) -> Polygon:
 
 
 def hodge_polygon(m: PhiNModule) -> Polygon:
-    return Polygon(sorted(-Q(j) for j in m.fil_jumps()))
+    return Polygon(sorted(-j for j in m.fil_jumps()))
 
 
 def admissibility_margins(m: PhiNModule, valuations: Sequence, jumps: Sequence) -> List:
@@ -172,125 +170,62 @@ def is_admissible(m: PhiNModule) -> bool:
     return margins[0] == 0 and all(x >= 0 for x in margins[1:])
 
 
-def _fil_at(m: PhiNModule, j) -> Optional[SymMatrix]:
-    """The filtration subspace at position j (None when zero): the stored step
-    with the smallest jump >= j, or the full space when j precedes the flag."""
+def _fil_at(m: PhiNModule, j) -> SymMatrix:
+    """The filtration subspace at position j as a column span: the stored
+    step with the smallest jump >= j (the full space when j precedes the
+    flag), or a matrix with no columns past the flag."""
     for jj, f in m.fil:
         if jj >= j:
             return f
-    return None
+    return SymMatrix(((),) * m.dim, _trusted=True)
 
 
-def _keep_last_of_equal_rank(
-    entries: List[Tuple[int, SymMatrix, int]]
-) -> List[Tuple[int, SymMatrix]]:
-    """Of consecutive candidate jumps carrying the same subspace, the jump
-    multiset drops at the last one; keep only those."""
-    out = []
-    for idx, (j, mat, rank) in enumerate(entries):
-        next_rank = entries[idx + 1][2] if idx + 1 < len(entries) else 0
-        if rank > next_rank:
-            out.append((j, mat))
-    return out
+def _flag(candidates: Sequence[Tuple[int, SymMatrix]]) -> List[Tuple[int, SymMatrix]]:
+    """The steps of a flag from (jump, subspace) candidates in increasing
+    jump order: of consecutive candidates spanning the same subspace the jump
+    multiset drops at the last, so only it is kept, and zero ones go."""
+    ranks = [f.rank() for _, f in candidates] + [0]
+    return [c for c, r, r_next in zip(candidates, ranks, ranks[1:]) if r > r_next]
+
+
+def _kron(x: SymMatrix, y: SymMatrix) -> SymMatrix:
+    """The Kronecker product: entry (i y.rows + r, j y.cols + c) is x_ij y_rc."""
+    return SymMatrix(
+        tuple(tuple(a * b for a in xrow for b in yrow) for xrow in x.entries for yrow in y.entries),
+        _trusted=True,
+    )
+
+
+def _block_diagonal(x: SymMatrix, y: SymMatrix) -> SymMatrix:
+    """((x, 0), (0, y))."""
+    right, left = (R_ZERO,) * y.cols, (R_ZERO,) * x.cols
+    return SymMatrix(
+        tuple(row + right for row in x.entries) + tuple(left + row for row in y.entries), _trusted=True
+    )
 
 
 def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
-    if a.exponent_values != b.exponent_values or a.slope != b.slope:
-        raise ValueError("summands must share exponent values and slope")
-    total = a.dim + b.dim
-    n_rows = [[0] * total for _ in range(total)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            n_rows[i][j] = a.n_op[i, j]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            n_rows[a.dim + i][a.dim + j] = b.n_op[i, j]
-    n = SymMatrix(n_rows)
+    """Direct sum: N and each filtration step are block-diagonal."""
+    if a.point != b.point:
+        raise ValueError("summands must share the evaluation point")
     jumps = sorted({j for j, _ in a.fil} | {j for j, _ in b.fil})
-    candidates = []
-    for j in jumps:
-        fa = _fil_at(a, j)
-        fb = _fil_at(b, j)
-        cols = [[] for _ in range(total)]
-        if fa is not None:
-            for i in range(total):
-                cols[i].extend(
-                    fa[i, c] if i < a.dim else 0 for c in range(fa.cols)
-                )
-        if fb is not None:
-            for i in range(total):
-                cols[i].extend(
-                    fb[i - a.dim, c] if i >= a.dim else 0 for c in range(fb.cols)
-                )
-        if not cols[0]:
-            continue
-        mat = SymMatrix(cols)
-        candidates.append((j, mat, mat.rank()))
-    return PhiNModule(
-        a.phi_diag + b.phi_diag,
-        n,
-        _keep_last_of_equal_rank(candidates),
-        a.exponent_values,
-        a.slope,
-    )
+    steps = [(j, _block_diagonal(_fil_at(a, j), _fil_at(b, j))) for j in jumps]
+    return PhiNModule(a.phi_diag + b.phi_diag, _block_diagonal(a.n_op, b.n_op), _flag(steps), a.point)
 
 
 def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
-    """Tensor product: eigenvalues multiply, N acts by the Leibniz rule, and
-    the filtration is the convolution of the two flags."""
-    if a.exponent_values != b.exponent_values or a.slope != b.slope:
-        raise ValueError("factors must share exponent values and slope")
-    dim = a.dim * b.dim
-    phi = tuple(
-        a.phi_diag[i] * b.phi_diag[j] for i in range(a.dim) for j in range(b.dim)
-    )
-    n_rows = [[0] * dim for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(b.dim):
-            col = i * b.dim + j
-            for i2 in range(a.dim):
-                if not a.n_op[i2, i].is_zero():
-                    n_rows[i2 * b.dim + j][col] = n_rows[i2 * b.dim + j][col] + a.n_op[i2, i]
-            for j2 in range(b.dim):
-                if not b.n_op[j2, j].is_zero():
-                    n_rows[i * b.dim + j2][col] = n_rows[i * b.dim + j2][col] + b.n_op[j2, j]
-    n = SymMatrix(n_rows)
-
-    def kron_cols(fa: SymMatrix, fb: SymMatrix) -> List[List[RFrac]]:
-        rows = []
-        for i in range(a.dim):
-            for j in range(b.dim):
-                row = []
-                for ca in range(fa.cols):
-                    for cb in range(fb.cols):
-                        row.append(fa[i, ca] * fb[j, cb])
-                rows.append(row)
-        return rows
-
-    jump_sums = sorted(
-        {ja + jb for ja, _ in a.fil for jb, _ in b.fil}
-    )
-    candidates = []
-    for j in jump_sums:
-        # Fil^j(tensor) = sum over x of F_a(x) (x) F_b(j-x); the sup terms sit
-        # at the step boundaries x = j - jb for stored jumps jb of b.
-        rows = None
-        for jb, fb in b.fil:
-            fa = _fil_at(a, j - jb)
-            if fa is None:
-                continue
-            piece = kron_cols(fa, fb)
-            rows = piece if rows is None else [r1 + r2 for r1, r2 in zip(rows, piece)]
-        if rows is None:
-            continue
-        mat = SymMatrix(rows)
-        rank = mat.rank()
-        if rank == 0:
-            continue
-        candidates.append((j, mat, rank))
-    return PhiNModule(
-        phi, n, _keep_last_of_equal_rank(candidates), a.exponent_values, a.slope
-    )
+    """Tensor product: eigenvalues multiply, N = N_a (x) 1 + 1 (x) N_b, and
+    Fil^j = sum over x of F_a(x) (x) F_b(j - x), whose terms sit at the step
+    boundaries x = j - jb for the stored jumps jb of b."""
+    if a.point != b.point:
+        raise ValueError("factors must share the evaluation point")
+    phi = tuple(x * y for x in a.phi_diag for y in b.phi_diag)
+    n = _kron(a.n_op, SymMatrix.identity(b.dim)) + _kron(SymMatrix.identity(a.dim), b.n_op)
+    steps = []
+    for j in sorted({ja + jb for ja, _ in a.fil for jb, _ in b.fil}):
+        pieces = [_kron(_fil_at(a, j - jb), fb).entries for jb, fb in b.fil]
+        steps.append((j, SymMatrix(tuple(sum(rows, ()) for rows in zip(*pieces)), _trusted=True)))
+    return PhiNModule(phi, n, _flag(steps), a.point)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +237,7 @@ def d_st_jumps(k):
     return (0, k - 1)
 
 
-def d_st(k: int, sp: Q) -> PhiNModule:
+def d_st(k: int, sp: Scalar) -> PhiNModule:
     """Rank-2 module of an eigenform of weight k and Frobenius slope sp:
     geometric eigenvalues (unit^{-1}, p^{1-k} unit), jumps {0, k-1}, with the
     filtration line generic with respect to the eigenbasis."""
@@ -311,7 +246,7 @@ def d_st(k: int, sp: Q) -> PhiNModule:
     phi = (ALPHA_HAT.inv(), ValuedScalar.p_power(1 - K) * ALPHA_HAT)
     n = SymMatrix.zero(2, 2)
     steps = (SymMatrix.identity(2), SymMatrix([[1], [1]]))
-    return PhiNModule(phi, n, list(zip(d_st_jumps(k), steps)), {"k": Q(k)}, Q(sp))
+    return PhiNModule(phi, n, list(zip(d_st_jumps(k), steps)), {"k": k, "sp": sp})
 
 
 # The window k >= 2, 0 <= sp <= (k - 1)/2 of d_st as a cone in the (k, sp)
@@ -325,8 +260,8 @@ def d_st_window_certificate() -> Tuple[bool, List[MPoly]]:
     N and the steps of d_st do not depend on (k, sp), so with symbolic
     valuations and jumps the margins are affine in (k, sp); it holds when the
     full-space margin is 0 and every other margin is >= 0 on the cone."""
-    m = d_st(2, Q(0))
-    valuations = [v.valuation("sp") for v in m.phi_diag]
+    m = d_st(2, 0)
+    valuations = [v.valuation() for v in m.phi_diag]
     margins = admissibility_margins(m, valuations, d_st_jumps(K))
     lows = [affine_bounds_on_cone(x, RANK2_WINDOW_VERTICES, RANK2_WINDOW_RAYS)[0] for x in margins[1:]]
     return margins[0].is_zero() and all(lo is not None and lo >= 0 for lo in lows), margins
@@ -348,7 +283,7 @@ EBC_FROBENIUS = (
 )
 
 
-def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
+def build_EBc(b: SymMatrix, c, k: int, sp: Scalar) -> PhiNModule:
     """The four-dimensional extension with N = ((0,B),(0,0)), Frobenius
     diag(p^{-1}A, A), and the five-case filtration with jumps {0,1,k-1,k}.
 
@@ -359,7 +294,6 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
         raise ValueError("weight must be even and at least 4")
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
-    c = _coerce_entry(c)
     nb = TRANSPORT_V * b * TRANSPORT_V_INV
     n = SymMatrix(
         [
@@ -377,7 +311,7 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Q) -> PhiNModule:
         (k - 1, SymMatrix([[1, c], [1, 0], [0, 1], [0, 1]])),
         (k, SymMatrix([[1], [1], [0], [0]])),
     ]
-    return PhiNModule(EBC_FROBENIUS, n, fil, {"k": Q(k)}, Q(sp))
+    return PhiNModule(EBC_FROBENIUS, n, fil, {"k": k, "sp": sp})
 
 
 def phi_relation_defect(a: SymMatrix, b: SymMatrix) -> SymMatrix:
@@ -402,7 +336,7 @@ def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
     raises), so psi = I and the modules are isomorphic iff their filtration
     steps span the same spaces and their N agree; as none of these depends on
     (k, sp) beyond the jump labels, weight 4 decides every weight."""
-    m1, m2 = (build_EBc(b, c, 4, Q(1)) for b, c in (pair1, pair2))
+    m1, m2 = (build_EBc(b, c, 4, 1) for b, c in (pair1, pair2))
     for sub, quot in product(m1.phi_diag[:2], m1.phi_diag[2:]):
         _inequation(sub, quot, K)
     same_steps = all(

@@ -116,6 +116,30 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "cannot write timings" in lines[0]
 
+    @pytest.mark.parametrize("outdir", ["{tmp}/file", "{tmp}/file/out"])
+    def test_unusable_output_dir_is_an_input_error(self, tmp_path, capsys, monkeypatch, outdir):
+        # Found before the run: nothing reaches stdout.
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("G2FORGE_OUTPUT_DIR", outdir.replace("{tmp}", str(tmp_path)))
+        assert cli.run(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2forge verify: error: cannot write the report to ")
+        assert lines[0].endswith("(see g2forge verify --help)")
+
+    def test_bless_where_tests_is_a_file_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "tests").write_text("")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("G2FORGE_OUTPUT_DIR", raising=False)
+        assert cli.run(["verify", "--bless"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("g2forge verify: error: cannot write the golden to ")
+        assert lines[0].endswith("(see g2forge verify --help)")
+        assert (tmp_path / "tests").read_text() == ""
+
     def test_word_length_zero_is_accepted(self, capsys):
         code, out = run_capture(capsys, ["triform", "--word-length", "0", "--format", "json"])
         assert code == 0

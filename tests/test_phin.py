@@ -78,6 +78,15 @@ class TestExtensionFamily:
         assert phin.TRANSPORT_V * phin.TRANSPORT_V_INV == IDENT2
         assert phin.TRANSPORT_V_INV * phin.TRANSPORT_V == IDENT2
 
+    def test_floats_are_rejected(self):
+        for build in (
+            lambda: phin.d_st(4, 0.5),
+            lambda: phin.d_st(4.0, 1),
+            lambda: phin.build_EBc(IDENT2, 1, 4, 0.5),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             phin.build_EBc(IDENT2, 1, 5, Q(1))
@@ -159,7 +168,62 @@ class TestSym2AndDistinctness:
             phin.distinctness_check(1)
 
 
+def _sum_and_tensor_factors():
+    return {
+        "d_st": phin.d_st(4, 1),
+        "ebc": phin.build_EBc(IDENT2, 1, 4, 1),
+        "ebc_b": phin.build_EBc(const_matrix([[1, 2], [3, 4]]), 5, 4, 1),
+    }
+
+
+# (operation, first factor, second factor, fil_jumps(), (jump, rank) of each
+# step, nonzero entries of N, Frobenius), as the index arithmetic written out
+# entry by entry computed them.
+SUMS_AND_TENSORS = [
+    ('direct_sum', 'd_st', 'ebc', [0, 0, 1, 3, 3, 4], [(0, 6), (1, 4), (3, 3), (4, 1)],
+     {(2, 4): '1', (3, 5): '1'},
+     ['ahat^-1', 'p^(-k + 1)*ahat', 'p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat']),
+    ('tensor', 'd_st', 'ebc', [0, 1, 3, 3, 4, 4, 6, 7], [(0, 8), (1, 7), (3, 6), (4, 4), (6, 2), (7, 1)],
+     {(0, 2): '1', (1, 3): '1', (4, 6): '1', (5, 7): '1'},
+     ['p^(-1)*ahat^-2', 'p^(-k)', 'ahat^-2', 'p^(-k + 1)', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'p^(-k + 1)', 'p^(-2*k + 2)*ahat^2']),
+    ('direct_sum', 'ebc', 'd_st', [0, 0, 1, 3, 3, 4], [(0, 6), (1, 4), (3, 3), (4, 1)],
+     {(0, 2): '1', (1, 3): '1'},
+     ['p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat']),
+    ('tensor', 'ebc', 'd_st', [0, 1, 3, 3, 4, 4, 6, 7], [(0, 8), (1, 7), (3, 6), (4, 4), (6, 2), (7, 1)],
+     {(0, 4): '1', (1, 5): '1', (2, 6): '1', (3, 7): '1'},
+     ['p^(-1)*ahat^-2', 'p^(-k)', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'ahat^-2', 'p^(-k + 1)', 'p^(-k + 1)', 'p^(-2*k + 2)*ahat^2']),
+    ('direct_sum', 'ebc', 'ebc_b', [0, 0, 1, 1, 3, 3, 4, 4], [(0, 8), (1, 6), (3, 4), (4, 2)],
+     {(0, 2): '1', (1, 3): '1', (4, 6): '6', (4, 7): '-2', (5, 6): '2', (5, 7): '-1'},
+     ['p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat', 'p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat']),
+    ('tensor', 'ebc', 'ebc_b', [0, 1, 1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 6, 7, 7, 8], [(0, 16), (1, 15), (2, 13), (3, 12), (4, 10), (5, 6), (6, 4), (7, 3), (8, 1)],
+     {(0, 2): '6', (0, 3): '-2', (0, 8): '1', (1, 2): '2', (1, 3): '-1', (1, 9): '1', (2, 10): '1', (3, 11): '1', (4, 6): '6', (4, 7): '-2', (4, 12): '1', (5, 6): '2', (5, 7): '-1', (5, 13): '1', (6, 14): '1', (7, 15): '1', (8, 10): '6', (8, 11): '-2', (9, 10): '2', (9, 11): '-1', (12, 14): '6', (12, 15): '-2', (13, 14): '2', (13, 15): '-1'},
+     ['p^(-2)*ahat^-2', 'p^(-k - 1)', 'p^(-1)*ahat^-2', 'p^(-k)', 'p^(-k - 1)', 'p^(-2*k)*ahat^2', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'p^(-1)*ahat^-2', 'p^(-k)', 'ahat^-2', 'p^(-k + 1)', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'p^(-k + 1)', 'p^(-2*k + 2)*ahat^2']),
+    ('direct_sum', 'ebc_b', 'ebc', [0, 0, 1, 1, 3, 3, 4, 4], [(0, 8), (1, 6), (3, 4), (4, 2)],
+     {(0, 2): '6', (0, 3): '-2', (1, 2): '2', (1, 3): '-1', (4, 6): '1', (5, 7): '1'},
+     ['p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat', 'p^(-1)*ahat^-1', 'p^(-k)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat']),
+    ('tensor', 'ebc_b', 'ebc', [0, 1, 1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 6, 7, 7, 8], [(0, 16), (1, 15), (2, 13), (3, 12), (4, 10), (5, 6), (6, 4), (7, 3), (8, 1)],
+     {(0, 2): '1', (0, 8): '6', (0, 12): '-2', (1, 3): '1', (1, 9): '6', (1, 13): '-2', (2, 10): '6', (2, 14): '-2', (3, 11): '6', (3, 15): '-2', (4, 6): '1', (4, 8): '2', (4, 12): '-1', (5, 7): '1', (5, 9): '2', (5, 13): '-1', (6, 10): '2', (6, 14): '-1', (7, 11): '2', (7, 15): '-1', (8, 10): '1', (9, 11): '1', (12, 14): '1', (13, 15): '1'},
+     ['p^(-2)*ahat^-2', 'p^(-k - 1)', 'p^(-1)*ahat^-2', 'p^(-k)', 'p^(-k - 1)', 'p^(-2*k)*ahat^2', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'p^(-1)*ahat^-2', 'p^(-k)', 'ahat^-2', 'p^(-k + 1)', 'p^(-k)', 'p^(-2*k + 1)*ahat^2', 'p^(-k + 1)', 'p^(-2*k + 2)*ahat^2']),
+    ('direct_sum', 'd_st', 'd_st', [0, 0, 3, 3], [(0, 4), (3, 2)],
+     {},
+     ['ahat^-1', 'p^(-k + 1)*ahat', 'ahat^-1', 'p^(-k + 1)*ahat']),
+    ('tensor', 'd_st', 'd_st', [0, 3, 3, 6], [(0, 4), (3, 3), (6, 1)],
+     {},
+     ['ahat^-2', 'p^(-k + 1)', 'p^(-k + 1)', 'p^(-2*k + 2)*ahat^2']),
+]
+
+
 class TestSumsAndProducts:
+    @pytest.mark.parametrize("op, x, y, jumps, steps, n_entries, frobenius", SUMS_AND_TENSORS)
+    def test_pinned_on_nonzero_monodromy_and_unequal_flags(self, op, x, y, jumps, steps, n_entries, frobenius):
+        factors = _sum_and_tensor_factors()
+        m = getattr(phin, op)(factors[x], factors[y])
+        assert m.fil_jumps() == jumps
+        assert [(j, f.rank()) for j, f in m.fil] == steps
+        rows = (", ".join(n_entries.get((i, j), "0") for j in range(m.dim)) for i in range(m.dim))
+        assert str(m.n_op) == "[" + "; ".join(rows) + "]"
+        assert [str(v) for v in m.phi_diag] == frobenius
+
     def test_direct_sum_and_tensor(self):
         a = phin.d_st(4, Q(1))
         ds = phin.direct_sum(a, a)
