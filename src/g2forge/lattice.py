@@ -3,6 +3,11 @@ extension block, wedge actions in custom bases, the four c-polynomials, the
 6x6 relation system with its fraction-free elimination and determinant, the
 symmetric-cube block identification, and the 4-dimensional extension wedge
 computation.
+
+Both extension blocks M have the corner determinant d as a common
+denominator, so they are built as the polynomial matrices d*M, and their
+wedge squares are d^2 times those of M; the reports compare them with
+expectations scaled to match and never divide by d.
 """
 
 from __future__ import annotations
@@ -16,65 +21,35 @@ from typing import Dict, List, Sequence, Tuple
 from .algebra import R_ZERO, RFrac, SymMatrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
-# gP[i][j] = d * g_ij, and the upper-right block entries.
+# gp_ij = d * g_ij (rows 1, 2, columns 3, 4, 5), and the upper-right block
+# entries g_ij (rows 1, 2, columns 6, 7).  D is d, the corner determinant.
 G66 = RFrac.var("g66")
 G67 = RFrac.var("g67")
 G76 = RFrac.var("g76")
 G77 = RFrac.var("g77")
+CORNER = SymMatrix([[G66, G67], [G76, G77]])
+D = G66 * G77 - G67 * G76
 
 
-def det2x2() -> RFrac:
-    return G66 * G77 - G67 * G76
+def _over_twisted_corner(stars: Sequence[Sequence[RFrac]], lower: SymMatrix) -> SymMatrix:
+    """[[T, stars], [0, lower]] with T = [[g66, -g67], [-g76, g77]]."""
+    top = [[G66, -G67, *stars[0]], [-G76, G77, *stars[1]]]
+    return SymMatrix(top + [[R_ZERO, R_ZERO, *row] for row in lower.entries])
 
 
-class ShapedElement:
-    """Generic block-triangular 7x7 element: a 2x2 character-twisted block on
-    coordinates (1,2), its twisted symmetric square on (3,4,5), the plain 2x2
-    block on (6,7), and the free star entries in rows (1,2) that the 5- and
-    4-dimensional extension blocks use."""
+def scaled_block5() -> SymMatrix:
+    """d*M5 for the displayed 5x5 extension block M5 = (1/d) [[T, gp],
+    [0, Sym^2 of the corner]]: the lower block of M5 is Sym^2 twisted by
+    det^{-1}, so that of d*M5 is untwisted."""
+    gp = [[RFrac.var(f"gp{i}{j}") for j in (3, 4, 5)] for i in (1, 2)]
+    return _over_twisted_corner(gp, sym_power_signed(CORNER, 2))
 
-    def __init__(self):
-        self.d = det2x2()
-        self.corner = SymMatrix([[G66, G67], [G76, G77]])
-        self.star1 = {
-            (i, j): RFrac.var(f"gp{i}{j}") for i in (1, 2) for j in (3, 4, 5)
-        }  # gp_ij = d * g_ij
-        self.star2 = {(i, j): RFrac.var(f"g{i}{j}") for i in (1, 2) for j in (6, 7)}
 
-    def rho1(self) -> SymMatrix:
-        inv = self.d.inv()
-        return SymMatrix(
-            [[inv * G66, -(inv * G67)], [-(inv * G76), inv * G77]]
-        )
-
-    def rho2(self) -> SymMatrix:
-        """Sym^2 of the corner twisted by det^{-1}."""
-        return sym_power_signed(self.corner, 2).scale(self.d.inv())
-
-    def matrix5(self) -> SymMatrix:
-        """The displayed 5x5 extension block (1/d) [[corner-twist, stars],
-        [0, twisted Sym^2]]."""
-        inv = self.d.inv()
-        r2 = self.rho2()
-        rows = [
-            [inv * G66, -(inv * G67)] + [inv * self.star1[(1, j)] for j in (3, 4, 5)],
-            [-(inv * G76), inv * G77] + [inv * self.star1[(2, j)] for j in (3, 4, 5)],
-        ]
-        for i in range(3):
-            rows.append([R_ZERO, R_ZERO] + [r2[i, j] for j in range(3)])
-        return SymMatrix(rows)
-
-    def matrix4(self) -> SymMatrix:
-        """The 4-dimensional extension on coordinates (1, 2, 6, 7)."""
-        r1 = self.rho1()
-        return SymMatrix(
-            [
-                [r1[0, 0], r1[0, 1], self.star2[(1, 6)], self.star2[(1, 7)]],
-                [r1[1, 0], r1[1, 1], self.star2[(2, 6)], self.star2[(2, 7)]],
-                [R_ZERO, R_ZERO, G66, G67],
-                [R_ZERO, R_ZERO, G76, G77],
-            ]
-        )
+def scaled_block4() -> SymMatrix:
+    """d*M4 for the 4-dimensional extension M4 = [[T/d, g_ij], [0, corner]]
+    on coordinates (1, 2, 6, 7)."""
+    g = [[D * RFrac.var(f"g{i}{j}") for j in (6, 7)] for i in (1, 2)]
+    return _over_twisted_corner(g, CORNER.scale(D))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +139,13 @@ WEDGE_BASIS_4_LABELS = (
 )
 
 
-def c_functions(shaped: ShapedElement) -> Tuple[RFrac, RFrac, RFrac, RFrac]:
+def c_functions() -> Tuple[RFrac, RFrac, RFrac, RFrac]:
     """The four displayed coupling polynomials in the rescaled star entries."""
-    gp = shaped.star1
-    c1 = G76 * gp[(1, 3)] + G66 * gp[(2, 3)]
-    c2 = -(G77 * gp[(1, 3)]) - G67 * gp[(2, 3)] - G76 * gp[(1, 4)] - G66 * gp[(2, 4)]
-    c3 = -(G77 * gp[(1, 4)]) - G67 * gp[(2, 4)] + G76 * gp[(1, 5)] + G66 * gp[(2, 5)]
-    c4 = -(G77 * gp[(1, 5)]) - G67 * gp[(2, 5)]
+    (gp13, gp14, gp15), (gp23, gp24, gp25) = ([RFrac.var(f"gp{i}{j}") for j in (3, 4, 5)] for i in (1, 2))
+    c1 = G76 * gp13 + G66 * gp23
+    c2 = -(G77 * gp13) - G67 * gp23 - G76 * gp14 - G66 * gp24
+    c3 = -(G77 * gp14) - G67 * gp24 + G76 * gp15 + G66 * gp25
+    c4 = -(G77 * gp15) - G67 * gp25
     return (c1, c2, c3, c4)
 
 
@@ -215,18 +190,14 @@ def displayed_sym_cube_block() -> SymMatrix:
 
 @cache
 def five_dim_wedge_report() -> Dict[str, object]:
-    """Wedge-square the 5-dimensional extension block in the 10-element basis
-    and compare against every displayed claim.  Cached: callers share the
-    result and must not mutate it."""
-    shaped = ShapedElement()
-    d = shaped.d
-    w = wedge2_action(shaped.matrix5(), WEDGE_BASIS_5)
-    d2 = (d * d).inv()
-    c1, c2, c3, c4 = c_functions(shaped)
-    top_expected = [d.inv() * d.inv() * d, d2 * c1, d2 * c2, d2 * c3, d2 * c4]
-    top_ok = all(w[0, j] == top_expected[j] for j in range(5))
+    """Wedge-square d*M5 in the 10-element basis, which gives d^2 times the
+    wedge square of the extension block M5, and compare against every
+    displayed claim: the top row (d, c1, c2, c3, c4)/d^2 and the block
+    Sym^3/d^2.  Cached: callers share the result and must not mutate it."""
+    w = wedge2_action(scaled_block5(), WEDGE_BASIS_5)
+    top_ok = all(w[0, j] == x for j, x in enumerate((D, *c_functions())))
     below_zero_ok = all(w[i, j].is_zero() for i in range(5, 10) for j in range(5))
-    block = SymMatrix([[d * d * w[1 + i, 1 + j] for j in range(4)] for i in range(4)])
+    block = SymMatrix([[w[1 + i, 1 + j] for j in range(4)] for i in range(4)])
     honest = sym_power_signed(SymMatrix([[G66, -G67], [-G76, G77]]), 3)
     displayed = displayed_sym_cube_block()
     mismatches = sorted(
@@ -247,50 +218,43 @@ def five_dim_wedge_report() -> Dict[str, object]:
 
 @cache
 def four_dim_wedge_report() -> Dict[str, object]:
-    """Wedge-square the 4-dimensional extension in the 6-element basis; report
-    the honest invariant plane, the displayed star polynomial, and the
-    discrepancy in the displayed column claim.  Cached: callers share the
-    result and must not mutate it."""
-    shaped = ShapedElement()
-    d = shaped.d
-    w = wedge2_action(shaped.matrix4(), WEDGE_BASIS_4)
-    g16 = shaped.star2[(1, 6)]
-    g17 = shaped.star2[(1, 7)]
-    g26 = shaped.star2[(2, 6)]
-    g27 = shaped.star2[(2, 7)]
-    displayed_star = d.inv() * (G67 * g26 + G77 * g16)
+    """Wedge-square d*M4 in the 6-element basis, which gives d^2 times the
+    wedge square of the 4-dimensional extension M4; report the honest
+    invariant plane, the displayed star polynomial, and the discrepancy in
+    the displayed column claim, with each expectation scaled by d or d^2.
+    Cached: callers share the result and must not mutate it."""
+    w = wedge2_action(scaled_block4(), WEDGE_BASIS_4)
+    d2 = D * D
+
+    def shown(x: RFrac) -> str:  # the entry x/d^2 of the wedge square of M4
+        return str(RFrac(x.num.divexact(D.num)) / D)
+
+    (g16, g17), (g26, g27) = ([RFrac.var(f"g{i}{j}") for j in (6, 7)] for i in (1, 2))
+    star = G67 * g26 + G77 * g16
     # the three vanishing combinations satisfied on the image (the shape
     # constraints derived from form invariance)
     rel1, rel2, rel3 = quadratic_families(g16, g17, g26, g27, G66, G67, G76, G77)
-    col2_v21 = w[0, 1]
-    col4_v21 = w[0, 3]
-    expected_col2_v21 = d.inv() * (G66 * g27 + G76 * g17 + G77 * g16 + G67 * g26)
-    expected_col4_v21 = d.inv() * (G66 * g27 + G76 * g17 - G77 * g16 - G67 * g26)
-    report = {
-        "col1_is_inverse_det_times_v2v1": (
-            w[0, 0] == d.inv() and all(w[i, 0].is_zero() for i in range(1, 6))
-        ),
-        "col2_v2v1_coeff_equals_rel2_over_d": col2_v21 == expected_col2_v21,
-        "col2_diagonal": str(w[1, 1]),
-        "col2_diagonal_is_one": w[1, 1] == RFrac.const(1),
-        "col2_spill_v6v1": str(w[2, 1]),
-        "col2_spill_v7v2": str(w[4, 1]),
-        "col4_v2v1_coeff": str(col4_v21),
-        "col4_v2v1_matches_formula": col4_v21 == expected_col4_v21,
-        "col4_diagonal_is_one": w[3, 3] == RFrac.const(1),
+    # d times the v2^v1 coefficients of columns 2 and 4 of the wedge square of M4
+    col2_v21 = G66 * g27 + G76 * g17 + G77 * g16 + G67 * g26
+    col4_v21 = G66 * g27 + G76 * g17 - G77 * g16 - G67 * g26
+    return {
+        "col1_is_inverse_det_times_v2v1": w[0, 0] == D and all(w[i, 0].is_zero() for i in range(1, 6)),
+        "col2_v2v1_coeff_equals_rel2_over_d": w[0, 1] == D * col2_v21,
+        "col2_diagonal": shown(w[1, 1]),
+        "col2_diagonal_is_one": w[1, 1] == d2,
+        "col2_spill_v6v1": shown(w[2, 1]),
+        "col2_spill_v7v2": shown(w[4, 1]),
+        "col4_v2v1_coeff": shown(w[0, 3]),
+        "col4_v2v1_matches_formula": w[0, 3] == D * col4_v21,
+        "col4_diagonal_is_one": w[3, 3] == d2,
         "col4_other_entries_zero": all(w[i, 3].is_zero() for i in (1, 2, 4, 5)),
-        "displayed_star": str(displayed_star),
+        "displayed_star": str(star / D),
         "relations": (str(rel1), str(rel2), str(rel3)),
+        # mod rel2, col2's v2^v1 coefficient vanishes while -(col4
+        # coefficient)/2 equals the displayed star:
+        "col2_vanishes_mod_relations": col2_v21 == rel2,
+        "col4_star_identity_mod_relations": col4_v21 + 2 * star == rel2,
     }
-    # mod rel2, col2's v2^v1 coefficient vanishes while -(col4 coefficient)/2
-    # equals the displayed star:
-    report["col2_vanishes_mod_relations"] = (
-        expected_col2_v21 == d.inv() * rel2
-    )
-    report["col4_star_identity_mod_relations"] = (
-        expected_col4_v21 + 2 * displayed_star == d.inv() * rel2
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +318,11 @@ def relation_elimination() -> Dict[str, object]:
     work = [row[:] for row in natural]
     for (_, target, source, factor) in steps:
         work[target] = [work[target][k] + factor * work[source][k] for k in range(6)]
-    d = det2x2()
     det_natural = SymMatrix(natural).det()
     det_eliminated = SymMatrix(work).det()
     det_displayed = SymMatrix(displayed_relation_rows()).det()
     det_displayed_elim = SymMatrix(displayed_eliminated_rows()).det()
-    minus_9_d3 = RFrac.const(-9) * d ** 3
+    minus_9_d3 = RFrac.const(-9) * D ** 3
     return {
         "det_natural": det_natural,
         "det_natural_is_minus_9d3": det_natural == minus_9_d3,
@@ -367,7 +330,7 @@ def relation_elimination() -> Dict[str, object]:
         "det_displayed_system": det_displayed,
         "det_displayed_system_is_minus_9d3": det_displayed == minus_9_d3,
         "det_displayed_system_factored": (
-            det_displayed == 9 * (G66 * G67 - G76 * G77) * d ** 2
+            det_displayed == 9 * (G66 * G67 - G76 * G77) * D ** 2
         ),
         "det_displayed_eliminated_is_plus_9d3": det_displayed_elim == -minus_9_d3,
     }

@@ -180,12 +180,14 @@ def _fil_at(m: PhiNModule, j) -> SymMatrix:
     return SymMatrix(((),) * m.dim, _trusted=True)
 
 
-def _flag(candidates: Sequence[Tuple[int, SymMatrix]]) -> List[Tuple[int, SymMatrix]]:
+def _flag(candidates: Sequence[Tuple[int, SymMatrix]], jumps: Sequence[int]) -> List[Tuple[int, SymMatrix]]:
     """The steps of a flag from (jump, subspace) candidates in increasing
-    jump order: of consecutive candidates spanning the same subspace the jump
-    multiset drops at the last, so only it is kept, and zero ones go."""
-    ranks = [f.rank() for _, f in candidates] + [0]
-    return [c for c, r, r_next in zip(candidates, ranks, ranks[1:]) if r > r_next]
+    jump order, given the jump multiset of the flag they span: the subspace
+    at jump j has dimension #{x in jumps : x >= j}.  Of consecutive
+    candidates of the same dimension the jump multiset drops at the last, so
+    only it is kept, and zero ones go."""
+    dims = [sum(x >= j for x in jumps) for j, _ in candidates] + [0]
+    return [c for c, r, r_next in zip(candidates, dims, dims[1:]) if r > r_next]
 
 
 def _kron(x: SymMatrix, y: SymMatrix) -> SymMatrix:
@@ -205,18 +207,21 @@ def _block_diagonal(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 
 def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
-    """Direct sum: N and each filtration step are block-diagonal."""
+    """Direct sum: N and each filtration step are block-diagonal, and the
+    jump multisets add."""
     if a.point != b.point:
         raise ValueError("summands must share the evaluation point")
     jumps = sorted({j for j, _ in a.fil} | {j for j, _ in b.fil})
     steps = [(j, _block_diagonal(_fil_at(a, j), _fil_at(b, j))) for j in jumps]
-    return PhiNModule(a.phi_diag + b.phi_diag, _block_diagonal(a.n_op, b.n_op), _flag(steps), a.point)
+    flag = _flag(steps, a.fil_jumps() + b.fil_jumps())
+    return PhiNModule(a.phi_diag + b.phi_diag, _block_diagonal(a.n_op, b.n_op), flag, a.point)
 
 
 def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     """Tensor product: eigenvalues multiply, N = N_a (x) 1 + 1 (x) N_b, and
     Fil^j = sum over x of F_a(x) (x) F_b(j - x), whose terms sit at the step
-    boundaries x = j - jb for the stored jumps jb of b."""
+    boundaries x = j - jb for the stored jumps jb of b; gr^j is the sum over
+    x of gr^x(a) (x) gr^(j - x)(b), so its jumps are the pairwise sums."""
     if a.point != b.point:
         raise ValueError("factors must share the evaluation point")
     phi = tuple(x * y for x in a.phi_diag for y in b.phi_diag)
@@ -225,7 +230,8 @@ def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     for j in sorted({ja + jb for ja, _ in a.fil for jb, _ in b.fil}):
         pieces = [_kron(_fil_at(a, j - jb), fb).entries for jb, fb in b.fil]
         steps.append((j, SymMatrix(tuple(sum(rows, ()) for rows in zip(*pieces)), _trusted=True)))
-    return PhiNModule(phi, n, _flag(steps), a.point)
+    jumps = [x + y for x in a.fil_jumps() for y in b.fil_jumps()]
+    return PhiNModule(phi, n, _flag(steps, jumps), a.point)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +323,13 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Scalar) -> PhiNModule:
 def phi_relation_defect(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     """In the displayed basis, phi = ((p^{-1}A, 0), (0, A)) and
     N = ((0,B),(0,0)) give phi^{-1} N phi - p N = ((0, p(A^{-1}BA - B)),(0,0));
-    returns the 2x2 block p(A^{-1}BA - B), which vanishes iff AB = BA."""
-    p = RFrac.var("p")
-    return p * (a.inverse() * b * a - b)
+    returns the 2x2 block p(A^{-1}BA - B), which vanishes iff AB = BA.  With
+    A^{-1} = adj(A)/det(A) it is (p/det A)(adj(A) B A - det(A) B)."""
+    if (a.rows, a.cols, b.rows, b.cols) != (2, 2, 2, 2):
+        raise ValueError("A and B must be 2x2")
+    det = a.det()
+    adj = SymMatrix([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    return (adj * b * a - b.scale(det)).scale(RFrac.var("p") / det)
 
 
 class EBcPair(NamedTuple):

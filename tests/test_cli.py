@@ -466,7 +466,12 @@ def _run_python(args):
 # - the 2x2 minor of the wedge square replaced by the permanent;
 # - the third lift factor weight off by 2;
 # - the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
-#   sub/quotient pair coincides.
+#   sub/quotient pair coincides;
+# - the sign of c2 flipped (the top row of the five-dimensional wedge square);
+# - the second vector v7^v1 - v2^v6 of the invariant plane read as
+#   v7^v1 - 2 v2^v6 in the four-dimensional wedge basis;
+# - the sign of g67 g26 flipped in the second quadratic family;
+# - the Frobenius defect with det(A) dropped from its B term.
 _MUTATIONS = {
     # The Weyl group without its longest element.
     "roots/weyl-group-order": (("roots", "WEYL_GROUP", "roots.WEYL_GROUP[:-1]"),),
@@ -543,6 +548,29 @@ _MUTATIONS = {
             "for i, j in lattice._pairs(m.rows)] for k, l in lattice._pairs(m.rows)])",
         ),
     ),
+    "wedge2/five-column-block": (
+        ("lattice", "c_functions", "lambda c=lattice.c_functions: (c()[0], -c()[1]) + c()[2:]"),
+    ),
+    "wedge2/four-dim-invariant-plane": (
+        (
+            "lattice", "WEDGE_BASIS_4",
+            "lattice.WEDGE_BASIS_4[:3] + (((-1, (1, 4)), (-2, (2, 3))),) + lattice.WEDGE_BASIS_4[4:]",
+        ),
+    ),
+    "wedge2/four-dim-star-identity": (
+        (
+            "lattice", "quadratic_families",
+            "lambda g16, g17, g26, g27, g66, g67, g76, g77: "
+            "(g77 * g17 + g67 * g27, g77 * g16 + g76 * g17 - g67 * g26 + g66 * g27, g76 * g16 + g66 * g26)",
+        ),
+    ),
+    "phin/frobenius-relation-symbolic": (
+        (
+            "phin", "phi_relation_defect",
+            "lambda a, b: (phin.SymMatrix([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) * b * a - b)"
+            '.scale(phin.RFrac.var("p") / a.det())',
+        ),
+    ),
     "arthur/lift-consistency-random": (
         (
             "arthur", "lift_inf_char",
@@ -586,6 +614,12 @@ def _only_check(check_id):
     return {key: fn for key, fn in checks.CHECKS.items() if f"{key[0]}/{key[1]}" == check_id}
 
 
+def _clear_lattice_caches():
+    for fn in vars(lattice).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
 def _status_in_process(monkeypatch, mutation, check_id):
     module, attr, source = mutation
     mod = importlib.import_module(f"g2forge.{module}")
@@ -594,37 +628,40 @@ def _status_in_process(monkeypatch, mutation, check_id):
     # The Lie basis and its structure constants are cached: the mutated run
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)
+    # The wedge2 reports are cached too: the mutated run computes its own,
+    # and what it stored is dropped after it.
+    _clear_lattice_caches()
     try:
         return _statuses(checks.run_verify(7))[check_id]
     finally:
-        # The wedge2 reports are cached: drop what the mutated run stored.
-        for fn in vars(lattice).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        _clear_lattice_caches()
 
 
 # Run by `python -O` on a JSON list of [check_id, [module, attr, source]]:
 # each mutation in turn is applied, its check alone is run and the mutation is
-# reverted, with the caches reset as `_status_in_process` resets them. Prints
-# the statuses as a JSON list, in input order.
+# reverted, with the caches reset before and after the run as
+# `_status_in_process` resets them. Prints the statuses as a JSON list, in
+# input order.
 _OPTIMIZED_SCRIPT = """\
 import importlib, json, sys
 from g2forge import checks, lattice, triform
 table, statuses = checks.CHECKS, []
+def reset_caches():
+    triform._LIE_CACHE = None
+    for fn in vars(lattice).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
 for check_id, (module, attr, source) in json.loads(sys.argv[1]):
     mod = importlib.import_module("g2forge." + module)
     saved = getattr(mod, attr)
     setattr(mod, attr, eval(source, {module: mod}))
     checks.CHECKS = {k: f for k, f in table.items() if k[0] + "/" + k[1] == check_id}
-    triform._LIE_CACHE = None
+    reset_caches()
     try:
         report = checks.run_verify(7)
     finally:
         setattr(mod, attr, saved)
-        triform._LIE_CACHE = None
-        for fn in vars(lattice).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+        reset_caches()
     statuses.append(report["suites"][0]["checks"][0]["status"])
 print(json.dumps(statuses))
 """

@@ -71,8 +71,8 @@ class TestFunctoriality:
 
     def test_sym_square_matches_the_explicit_formula(self):
         """Oracle for n = 2: the explicit Sym^2 in the signed basis
-        (u^2, 2uw, -w^2), on a generic 2x2 matrix and, twisted by det^{-1},
-        on the corner of the shaped element."""
+        (u^2, 2uw, -w^2), on a generic 2x2 matrix and on the corner, as the
+        lower 3x3 block of d*M5."""
         a11, a12, a21, a22 = (RFrac.var(f"a{i}") for i in (11, 12, 21, 22))
         explicit = SymMatrix([
             [a11 * a11, 2 * (a11 * a12), -(a12 * a12)],
@@ -80,14 +80,51 @@ class TestFunctoriality:
             [-(a21 * a21), -(2 * (a21 * a22)), a22 * a22],
         ])
         assert lattice.sym_power_signed(SymMatrix([[a11, a12], [a21, a22]]), 2) == explicit
-        shaped = lattice.ShapedElement()
         g66, g67, g76, g77 = lattice.G66, lattice.G67, lattice.G76, lattice.G77
-        twisted = SymMatrix([
+        corner_sym2 = SymMatrix([
             [g66 * g66, 2 * (g66 * g67), -(g67 * g67)],
             [g66 * g76, g66 * g77 + g67 * g76, -(g67 * g77)],
             [-(g76 * g76), -(2 * (g76 * g77)), g77 * g77],
-        ]).scale(shaped.d.inv())
-        assert shaped.rho2() == twisted
+        ])
+        block = lattice.scaled_block5()
+        assert SymMatrix([[block[i, j] for j in range(2, 5)] for i in range(2, 5)]) == corner_sym2
+
+
+def _twisted_blocks():
+    """The extension blocks M5 and M4 with their 1/d written into every
+    entry, as `RFrac`s: the oracle for the polynomial blocks d*M."""
+    g66, g67, g76, g77 = lattice.G66, lattice.G67, lattice.G76, lattice.G77
+    d = g66 * g77 - g67 * g76
+    gp = [[RFrac.var(f"gp{i}{j}") / d for j in (3, 4, 5)] for i in (1, 2)]
+    g = [[RFrac.var(f"g{i}{j}") for j in (6, 7)] for i in (1, 2)]
+    z = RFrac.const(0)
+    m5 = SymMatrix([
+        [g66 / d, -g67 / d] + gp[0],
+        [-g76 / d, g77 / d] + gp[1],
+        [z, z, g66 * g66 / d, 2 * (g66 * g67) / d, -(g67 * g67) / d],
+        [z, z, g66 * g76 / d, (g66 * g77 + g67 * g76) / d, -(g67 * g77) / d],
+        [z, z, -(g76 * g76) / d, -(2 * (g76 * g77)) / d, g77 * g77 / d],
+    ])
+    m4 = SymMatrix([
+        [g66 / d, -g67 / d] + g[0],
+        [-g76 / d, g77 / d] + g[1],
+        [z, z, g66, g67],
+        [z, z, g76, g77],
+    ])
+    return d, ((m5, lattice.scaled_block5(), lattice.WEDGE_BASIS_5), (m4, lattice.scaled_block4(), lattice.WEDGE_BASIS_4))
+
+
+class TestScaledBlocks:
+    def test_blocks_are_d_times_the_twisted_blocks(self):
+        d, blocks = _twisted_blocks()
+        assert d == lattice.D
+        for old, new, _ in blocks:
+            assert new == old.scale(d)
+
+    def test_wedge_squares_scale_by_d_squared(self):
+        d, blocks = _twisted_blocks()
+        for old, new, basis in blocks:
+            assert lattice.wedge2_action(new, basis) == lattice.wedge2_action(old, basis).scale(d * d)
 
 
 class TestFiveDimBlock:

@@ -101,6 +101,20 @@ class TestExtensionFamily:
         generic = SymMatrix([[RFrac.var(f"b{i}{j}") for j in range(2)] for i in range(2)])
         assert not phin.phi_relation_defect(a, generic).is_zero()
 
+    def test_frobenius_defect_matches_the_inverse_formula(self):
+        a = SymMatrix([[RFrac.var(f"a{i}{j}") for j in range(2)] for i in range(2)])
+        p, x, y = RFrac.var("p"), RFrac.var("x"), RFrac.var("y")
+        generic = SymMatrix([[RFrac.var(f"b{i}{j}") for j in range(2)] for i in range(2)])
+        for b in (generic, IDENT2.scale(x) + a.scale(y)):
+            assert phin.phi_relation_defect(a, b) == p * (a.inverse() * b * a - b)
+
+    def test_frobenius_defect_needs_2x2_blocks(self):
+        three = SymMatrix([[RFrac.var(f"a{i}{j}") for j in range(3)] for i in range(3)])
+        with pytest.raises(ValueError):
+            phin.phi_relation_defect(three, three)
+        with pytest.raises(ValueError):
+            phin.phi_relation_defect(IDENT2, three)
+
     def test_scalar_block_satisfies_relation(self):
         m = phin.build_EBc(IDENT2.scale(RFrac.const(3)), Q(2), 6, Q(1))
         assert m.phi_relation_report()["holds"]
@@ -232,6 +246,16 @@ class TestSumsAndProducts:
         assert sorted(tn.fil_jumps()) == [0, 3, 3, 6]
         for m in (ds, tn):
             assert phin.newton_polygon(m).endpoint == phin.hodge_polygon(m).endpoint
+
+    def test_each_step_of_a_tensor_is_ranked_once(self, monkeypatch):
+        # The flag's steps are chosen from the factors' jumps; only the
+        # constructor ranks them, once each.
+        factors = _sum_and_tensor_factors()
+        calls, rank = [], SymMatrix.rank
+        monkeypatch.setattr(SymMatrix, "rank", lambda m: calls.append(m) or rank(m))
+        m = phin.tensor(factors["ebc"], factors["ebc_b"])
+        assert len(m.fil) == 9
+        assert len(calls) == 9
 
     def test_mismatched_summands_rejected(self):
         with pytest.raises(ValueError):
