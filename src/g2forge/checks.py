@@ -519,8 +519,9 @@ def extension_generic_frobenius():
 @check("phin", "extension-injectivity-random", "the (B, c) parametrization of extensions is injective")
 def extension_injectivity_random():
     blocks, cs = (_generic_matrix("b", 2), _generic_matrix("bp", 2)), (RFrac.var("c"), RFrac.var("cp"))
-    pair, *others = [phin.EBcPair(b, c) for b, c in product(blocks, cs)]
-    ok = all(phin.ebc_distinguish(pair, other) for other in others) and not phin.ebc_distinguish(pair, pair)
+    # Weight 4 decides every weight (see `phin.ebc_modules_differ`).
+    first, *others = [phin.build_EBc(b, c, 4, 1) for b, c in product(blocks, cs)]
+    ok = all(phin.ebc_modules_differ(first, other) for other in others) and not phin.ebc_modules_differ(first, first)
     return _bool(
         ok,
         "symbolic (B, c) against (B, c'), (B', c) and (B', c'): no sub/quotient Frobenius eigenvalues coincide, "

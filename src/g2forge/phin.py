@@ -338,15 +338,21 @@ class EBcPair(NamedTuple):
 
 
 def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
-    """True iff E(B, c) and E(B', c') are non-isomorphic as extensions.
+    """True iff E(B, c) and E(B', c') are non-isomorphic as extensions; see
+    `ebc_modules_differ`, which compares them built at weight 4."""
+    return ebc_modules_differ(*(build_EBc(b, c, 4, 1) for b, c in (pair1, pair2)))
+
+
+def ebc_modules_differ(m1: PhiNModule, m2: PhiNModule) -> bool:
+    """True iff two modules built by `build_EBc` at one weight are
+    non-isomorphic as extensions.
 
     In the eigenbasis an extension isomorphism is psi = ((I, M), (0, I)), and
     Frobenius equivariance needs M_ij = 0 unless sub eigenvalue i equals
     quotient eigenvalue j.  No such pair can coincide (else `_inequation`
     raises), so psi = I and the modules are isomorphic iff their filtration
     steps span the same spaces and their N agree; as none of these depends on
-    (k, sp) beyond the jump labels, weight 4 decides every weight."""
-    m1, m2 = (build_EBc(b, c, 4, 1) for b, c in (pair1, pair2))
+    (k, sp) beyond the jump labels, one weight decides every weight."""
     for sub, quot in product(m1.phi_diag[:2], m1.phi_diag[2:]):
         _inequation(sub, quot, K)
     same_steps = all(

@@ -255,15 +255,21 @@ def root_character(root: str, t1: Entry, t2: Entry) -> RFrac:
 
 
 def conj_relation(root: str) -> bool:
-    """Symbolic check: [t] g(root, x) [t]^{-1} = g(root, char(t) x)."""
+    """Symbolic check: [t] g(root, x) [t]^{-1} = g(root, char(t) x).
+
+    With t = diag(d), entry (i, j) of t g t^{-1} is d_i g_ij / d_j, and the
+    diagonal of g(root, x) is 1.  Entry (i, j) of g(root, x) is c x^p, times
+    1/a or not, with c nonzero, so the identity holds exactly when
+    d_i / d_j = char(t)^p for every entry (i, j, c, p, div_a) of the
+    generator table."""
+    if root not in _GEN_ENTRIES:
+        raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
     t1 = RFrac.var("t1")
     t2 = RFrac.var("t2")
-    x = RFrac.var("x")
     t = torus_elem(t1, t2)
-    tinv = torus_elem(t1.inv(), t2.inv())
-    lhs = t * root_subgroup(root, x) * tinv
-    rhs = root_subgroup(root, root_character(root, t1, t2) * x)
-    return lhs == rhs
+    d = [t[i, i] for i in range(7)]
+    char = root_character(root, t1, t2)
+    return all(d[i - 1] / d[j - 1] == char ** power for (i, j, _, power, _) in _GEN_ENTRIES[root])
 
 
 def one_parameter_identity(root: str) -> bool:
@@ -331,7 +337,18 @@ def perm_of_monomial(m: SymMatrix) -> Perm7:
 
 
 def weyl_word_to_s7(word: str) -> Perm7:
-    return perm_of_monomial(weyl_rep(word))
+    """The permutation of the monomial representative `weyl_rep(word)`.
+
+    A product of monomial matrices is monomial, with
+    perm(MN) = compose_perms(perm(M), perm(N)), so the generators'
+    permutations are composed letter by letter and no matrix is multiplied."""
+    gens = {"a": perm_of_monomial(W_TILDE_A), "b": perm_of_monomial(W_TILDE_B)}
+    out: Perm7 = tuple(range(1, 8))
+    for letter in word:
+        if letter not in gens:
+            raise ValueError(f"unknown reflection letter {letter!r}")
+        out = compose_perms(out, gens[letter])
+    return out
 
 
 def compose_perms(p: Perm7, q: Perm7) -> Perm7:

@@ -64,10 +64,11 @@ def test_02_weyl_to_s7_under_one_second():
     with Budget(1.0):
         for word, cycles in table.items():
             assert triform.weyl_word_to_s7(word) == triform.perm_from_cycles(cycles), word
+        # The image of the reduced word of w1 * w2 is the product of the images.
         images = {w.word: triform.weyl_word_to_s7(w.word) for w in r.WEYL_GROUP}
         for w1 in r.WEYL_GROUP:
             for w2 in r.WEYL_GROUP:
-                assert triform.weyl_word_to_s7(w1.word + w2.word) == triform.compose_perms(
+                assert triform.weyl_word_to_s7((w1 * w2).word) == triform.compose_perms(
                     images[w1.word], images[w2.word]
                 )
 

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from g2forge import algebra, checks, cli, kostant, lattice, roots, triform
+from g2forge import algebra, checks, cli, kostant, lattice, phin, roots, triform
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -463,6 +463,11 @@ def _run_python(args):
 # - the second Weyl generator replaced by the permutation matrix of the
 #   3-cycle (1 2 3), which is monomial but not an involution, and the
 #   permutation product made trivial;
+# - the first Weyl generator replaced by the permutation matrix of
+#   (2 3)(4 6), so the image of a moves off (2 3)(5 6);
+# - the power of x in the (2, 6) entry of g(a+b, x) lowered from 2 to 1, so
+#   torus conjugation scales that entry by the character, not its square;
+# - the blocks of the block Weyl subgroup regrouped as (3, 2, 2);
 # - the 2x2 minor of the wedge square replaced by the permanent;
 # - the third lift factor weight off by 2;
 # - the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
@@ -541,6 +546,21 @@ _MUTATIONS = {
         ),
         ("triform", "compose_perms", "lambda p, q: tuple(range(1, 8))"),
     ),
+    "triform/weyl-cycle-images": (
+        (
+            "triform", "W_TILDE_A",
+            "triform.SymMatrix([[int(j + 1 == p) for j in range(7)] "
+            "for p in triform.perm_from_cycles(((2, 3), (4, 6)))])",
+        ),
+    ),
+    "triform/torus-conjugation": (
+        (
+            "triform", "_GEN_ENTRIES",
+            '{**triform._GEN_ENTRIES, "a+b": triform._GEN_ENTRIES["a+b"][:2] + ((2, 6, 1, 1, True),) '
+            '+ triform._GEN_ENTRIES["a+b"][3:]}',
+        ),
+    ),
+    "triform/bruhat-block-intersection": (("triform", "_BLOCKS", "({1, 2, 3}, {4, 5}, {6, 7})"),),
     "wedge2/wedge-functoriality": (
         (
             "lattice", "wedge2_standard",
@@ -724,6 +744,34 @@ class TestChecksCanFail:
 
         monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
         assert Counter(_statuses(checks.run_verify(7)).values()) == {"pass": 46, "finding": 8}
+
+    def test_checks_read_the_generators_and_build_each_extension_once(self, monkeypatch):
+        # Weyl images compose the generators' permutations and the torus identity
+        # is one character ratio per generator entry: neither multiplies a matrix.
+        # The injectivity check builds each of its four E(B, c) modules once.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(algebra.SymMatrix, "__mul__", counted("products", algebra.SymMatrix.__mul__))
+        monkeypatch.setattr(phin, "build_EBc", counted("builds", phin.build_EBc))
+        expected = {
+            "triform/weyl-cycle-images": ("products", 0),
+            "triform/ninth-cycle-divergence": ("products", 0),
+            "triform/torus-conjugation": ("products", 0),
+            "phin/extension-injectivity-random": ("builds", 4),
+        }
+        tables = {check_id: _only_check(check_id) for check_id in expected}
+        for check_id, (name, count) in expected.items():
+            monkeypatch.setattr(checks, "CHECKS", tables[check_id])
+            calls.clear()
+            assert _statuses(checks.run_verify(7))[check_id] != "fail"
+            assert (check_id, calls[name]) == (check_id, count)
 
     def test_a_non_integral_dimension_names_the_weight(self, monkeypatch):
         # Without the highest root the formula gives 42/5 for the adjoint weight.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge import arthur
+from g2forge import arthur, checks, roots
 from g2forge import triform as t
 from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix
 
@@ -126,6 +126,15 @@ class TestForm:
             assert t.form_derivation_residue(elem, form).coeffs == {}
 
 
+def matrix_conj_relation(root):
+    """Oracle for `conj_relation`: the identity t g(root, x) t^-1 =
+    g(root, char(t) x) compared as 7x7 matrix products."""
+    t1, t2 = RFrac.var("t1"), RFrac.var("t2")
+    torus, torus_inv = t.torus_elem(t1, t2), t.torus_elem(t1.inv(), t2.inv())
+    lhs = torus * t.root_subgroup(root, X) * torus_inv
+    return lhs == t.root_subgroup(root, t.root_character(root, t1, t2) * X)
+
+
 class TestOneParameterStructure:
     @pytest.mark.parametrize("name", t.ROOT_NAMES)
     def test_additivity(self, name):
@@ -134,6 +143,21 @@ class TestOneParameterStructure:
     @pytest.mark.parametrize("name", t.ROOT_NAMES)
     def test_torus_conjugation(self, name):
         assert t.conj_relation(name)
+
+    @pytest.mark.parametrize("swap_power", [False, True])
+    @pytest.mark.parametrize("name", t.ROOT_NAMES)
+    def test_torus_conjugation_matches_the_matrix_identity(self, monkeypatch, name, swap_power):
+        # With the power of x in the root's first entry swapped between 1 and 2,
+        # both readings of the identity must fail together.
+        if swap_power:
+            (i, j, coeff, power, div_a), *rest = t._GEN_ENTRIES[name]
+            swapped = ((i, j, coeff, 3 - power, div_a), *rest)
+            monkeypatch.setattr(t, "_GEN_ENTRIES", {**t._GEN_ENTRIES, name: swapped})
+        assert t.conj_relation(name) == matrix_conj_relation(name) == (not swap_power)
+
+    def test_torus_conjugation_rejects_an_unsupported_root(self):
+        with pytest.raises(ValueError, match="unsupported root"):
+            t.conj_relation("c")
 
 
 class TestWeylPermutations:
@@ -154,6 +178,16 @@ class TestWeylPermutations:
     def test_cycle_images(self, word):
         assert t.weyl_word_to_s7(word) == t.perm_from_cycles(self.EXPECTED[word])
 
+    ORACLE_WORDS = sorted({w.word for w in roots.WEYL_GROUP} | {word for word, _ in checks._CYCLE_TABLE} | {"ababa"})
+
+    @pytest.mark.parametrize("word", ORACLE_WORDS)
+    def test_images_match_the_monomial_representatives(self, word):
+        assert t.weyl_word_to_s7(word) == t.perm_of_monomial(t.weyl_rep(word))
+
+    def test_an_unknown_letter_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown reflection letter"):
+            t.weyl_word_to_s7("ac")
+
     @pytest.mark.xfail(strict=True, reason="the transcription carries an extra (35) cycle")
     def test_length_five_word_with_extra_transposition(self):
         assert t.weyl_word_to_s7("ababa") == t.perm_from_cycles(((1, 6), (2, 7), (3, 5)))
@@ -165,8 +199,6 @@ class TestWeylPermutations:
         """The map is a homomorphism of W(G2): the image of the reduced word
         of w1 * w2 is the product of the images, on all 144 pairs. The
         s7-homomorphism check proves this from the Coxeter relators."""
-        from g2forge import roots
-
         images = {w.word: t.weyl_word_to_s7(w.word) for w in roots.WEYL_GROUP}
         for w1 in roots.WEYL_GROUP:
             for w2 in roots.WEYL_GROUP:
@@ -176,8 +208,6 @@ class TestWeylPermutations:
         """rep(w1 w2) = rep(w1) rep(w2) on all 144 pairs: weyl_rep multiplies
         the generator matrices in the order the word is written, so the
         representative of a concatenated word is the product of the two."""
-        from g2forge import roots
-
         reps = {w.word: t.weyl_rep(w.word) for w in roots.WEYL_GROUP}
         for w1 in roots.WEYL_GROUP:
             for w2 in roots.WEYL_GROUP:
