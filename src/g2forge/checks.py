@@ -411,10 +411,12 @@ def displayed_system_determinant():
 
 @check("wedge2", "wedge-functoriality", "functoriality of the wedge-square and Sym^3 constructions")
 def wedge_functoriality():
+    # Row (k, l) of wedge2(X) reads rows k and l of X only: row by row, the 5x5 identity is the 2x5 one for m.
     # Cauchy-Binet, proved on generators: with wedge2(I) = I, an identity wedge2(m g) = wedge2(m) wedge2(g) for
     # generic m holds on the group the g generate. The 5-cycle conjugates E12(t) to E23, E34, E45 and E51, whose
     # commutators give every E_ij(t), so with the generic torus these three generate GL5, which is Zariski-dense.
-    m, wedge2 = _generic_matrix("m", 5), lattice.wedge2_standard
+    m = SymMatrix([[RFrac.var(f"m{i}{j}") for j in range(1, 6)] for i in (1, 2)])
+    wedge2 = lattice.wedge2_standard
     gens = [
         SymMatrix.diagonal([RFrac.var(f"t{i}") for i in range(1, 6)]),
         SymMatrix([[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]),

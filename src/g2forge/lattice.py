@@ -65,15 +65,19 @@ def _pairs(n: int) -> List[Tuple[int, int]]:
 
 
 def wedge2_standard(m: SymMatrix) -> SymMatrix:
-    """Matrix of the exterior square in the standard basis e_i ^ e_j, i < j."""
-    n = m.rows
-    pairs = _pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    out = [[R_ZERO] * len(pairs) for _ in range(len(pairs))]
-    for (i, j), col in ((p, index[p]) for p in pairs):
-        for (k, l), row in ((p, index[p]) for p in pairs):
-            out[row][col] = m[k - 1, i - 1] * m[l - 1, j - 1] - m[l - 1, i - 1] * m[k - 1, j - 1]
-    return SymMatrix(out)
+    """Exterior square of an r x c matrix: the C(r,2) x C(c,2) matrix of its
+    2x2 minors, rows e_k ^ e_l (k < l) and columns e_i ^ e_j (i < j) in the
+    standard bases.  Row (k, l) reads rows k and l of m only."""
+    if m.rows < 2 or m.cols < 2:
+        raise ValueError(f"wedge square of a {m.rows}x{m.cols} matrix is empty")
+    e, col_pairs = m.entries, tuple(combinations(range(m.cols), 2))
+    return SymMatrix(
+        tuple(
+            tuple(rk[i] * rl[j] - rl[i] * rk[j] for i, j in col_pairs)
+            for rk, rl in ((e[k], e[l]) for k, l in combinations(range(m.rows), 2))
+        ),
+        _trusted=True,
+    )
 
 
 def basis_matrix(n: int, basis: Sequence[WedgeVector]) -> SymMatrix:

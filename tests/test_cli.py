@@ -458,6 +458,8 @@ def _run_python(args):
 #   certificates);
 # - the sign of the (3, 4) entry of g(b, x) and of the (2, 4) entry of
 #   g(a+b, x) flipped in the generator table;
+# - the x^2 coefficient of the (3, 5) entry of g(b, x) doubled to -2, which
+#   breaks g(x) g(y) = g(x+y);
 # - a 3-form pullback that drops the sign of each index sort;
 # - the Lie bracket replaced by the anticommutator;
 # - the second Weyl generator replaced by the permutation matrix of the
@@ -468,7 +470,8 @@ def _run_python(args):
 # - the power of x in the (2, 6) entry of g(a+b, x) lowered from 2 to 1, so
 #   torus conjugation scales that entry by the character, not its square;
 # - the blocks of the block Weyl subgroup regrouped as (3, 2, 2);
-# - the 2x2 minor of the wedge square replaced by the permanent;
+# - the 2x2 minor of the wedge square, of any r x c matrix, replaced by the
+#   permanent;
 # - the third lift factor weight off by 2;
 # - the first Frobenius eigenvalue of E(B, c) moved onto the third, so that a
 #   sub/quotient pair coincides;
@@ -534,6 +537,13 @@ _MUTATIONS = {
             '+ triform._GEN_ENTRIES["a+b"][2:]}',
         ),
     ),
+    "triform/one-parameter-addition": (
+        (
+            "triform", "_GEN_ENTRIES",
+            '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:2] + ((3, 5, -2, 2, False),) '
+            '+ triform._GEN_ENTRIES["b"][3:]}',
+        ),
+    ),
     "triform/one-parameter-stabilizers": (
         ("triform", "_sort_triple", "lambda i, j, k: (tuple(sorted((i, j, k))), int(len({i, j, k}) == 3))"),
     ),
@@ -565,7 +575,7 @@ _MUTATIONS = {
         (
             "lattice", "wedge2_standard",
             "lambda m: lattice.SymMatrix([[m[k - 1, i - 1] * m[l - 1, j - 1] + m[l - 1, i - 1] * m[k - 1, j - 1] "
-            "for i, j in lattice._pairs(m.rows)] for k, l in lattice._pairs(m.rows)])",
+            "for i, j in lattice._pairs(m.cols)] for k, l in lattice._pairs(m.rows)])",
         ),
     ),
     "wedge2/five-column-block": (
@@ -640,7 +650,8 @@ def _clear_lattice_caches():
             fn.cache_clear()
 
 
-def _status_in_process(monkeypatch, mutation, check_id):
+def _check_in_process(monkeypatch, mutation, check_id):
+    """The report entry of `check_id`, run alone with `mutation` applied."""
     module, attr, source = mutation
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
@@ -652,7 +663,8 @@ def _status_in_process(monkeypatch, mutation, check_id):
     # and what it stored is dropped after it.
     _clear_lattice_caches()
     try:
-        return _statuses(checks.run_verify(7))[check_id]
+        (check,) = checks.run_verify(7)["suites"][0]["checks"]
+        return check
     finally:
         _clear_lattice_caches()
 
@@ -660,7 +672,7 @@ def _status_in_process(monkeypatch, mutation, check_id):
 # Run by `python -O` on a JSON list of [check_id, [module, attr, source]]:
 # each mutation in turn is applied, its check alone is run and the mutation is
 # reverted, with the caches reset before and after the run as
-# `_status_in_process` resets them. Prints the statuses as a JSON list, in
+# `_check_in_process` resets them. Prints the statuses as a JSON list, in
 # input order.
 _OPTIMIZED_SCRIPT = """\
 import importlib, json, sys
@@ -725,16 +737,24 @@ class TestChecksCanFail:
 
     @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
     def test_identity_check(self, monkeypatch, check_id, mutation):
-        assert _status_in_process(monkeypatch, mutation, check_id) == "fail"
+        assert _check_in_process(monkeypatch, mutation, check_id)["status"] == "fail"
 
     @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
     def test_identity_check_under_optimize_flag(self, optimized_statuses, check_id, mutation):
         assert optimized_statuses[check_id, mutation] == "fail"
 
+    def test_the_permanent_square_fails_the_identity_itself(self, monkeypatch):
+        # The mutant must break the identity the check proves, not make it raise.
+        (mutation,) = _MUTATIONS["wedge2/wedge-functoriality"]
+        check = _check_in_process(monkeypatch, mutation, "wedge2/wedge-functoriality")
+        assert (check["status"], check["detail"]) == (
+            "fail", "wedge square not multiplicative on the generic torus, the 5-cycle and E12(t)"
+        )
+
     def test_shape_families_off_their_closed_form_fail(self, monkeypatch, optimized_statuses):
         # A finding check, so it is not in _MUTATIONS; it still has a failure mode.
         check_id, mutation = _SHAPE_CASE
-        assert _status_in_process(monkeypatch, mutation, check_id) == "fail"
+        assert _check_in_process(monkeypatch, mutation, check_id)["status"] == "fail"
         assert optimized_statuses[_SHAPE_CASE] == "fail"
 
     def test_verify_walks_no_generator_words(self, monkeypatch):
@@ -749,22 +769,28 @@ class TestChecksCanFail:
         # Weyl images compose the generators' permutations and the torus identity
         # is one character ratio per generator entry: neither multiplies a matrix.
         # The injectivity check builds each of its four E(B, c) modules once.
+        # Wedge functoriality squares 5-row matrices only for I5 and its three
+        # generators; its generic matrix has 2 rows.
         calls = Counter()
 
-        def counted(name, fn):
+        def counted(name, fn, counts=lambda *args: True):
             def wrapper(*args):
-                calls[name] += 1
+                calls[name] += counts(*args)
                 return fn(*args)
 
             return wrapper
 
         monkeypatch.setattr(algebra.SymMatrix, "__mul__", counted("products", algebra.SymMatrix.__mul__))
         monkeypatch.setattr(phin, "build_EBc", counted("builds", phin.build_EBc))
+        monkeypatch.setattr(
+            lattice, "wedge2_standard", counted("five-row wedges", lattice.wedge2_standard, lambda m: m.rows == 5)
+        )
         expected = {
             "triform/weyl-cycle-images": ("products", 0),
             "triform/ninth-cycle-divergence": ("products", 0),
             "triform/torus-conjugation": ("products", 0),
             "phin/extension-injectivity-random": ("builds", 4),
+            "wedge2/wedge-functoriality": ("five-row wedges", 4),
         }
         tables = {check_id: _only_check(check_id) for check_id in expected}
         for check_id, (name, count) in expected.items():

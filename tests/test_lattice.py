@@ -1,6 +1,9 @@
 """Wedge-square blocks of the parabolic matrices, the relation system and
 its elimination, and the quadratic shape constraints."""
 
+from itertools import combinations
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +55,26 @@ class TestFunctoriality:
         for i, j in [(i, i + 1) for i in range(4)] + [(i + 1, i) for i in range(4)]:
             g = transvection(i, j, t)
             assert lattice.wedge2_standard(m * g) == wm * lattice.wedge2_standard(g)
+
+    def test_each_row_pair_reads_its_two_rows_only(self):
+        """The lemma behind the check's generic 2x5 matrix: row (k, l) of
+        wedge2(m) is wedge2 of the 2x5 matrix made of rows k and l of m."""
+        m = SymMatrix([[RFrac.var(f"m{i}{j}") for j in range(1, 6)] for i in range(1, 6)])
+        wm = lattice.wedge2_standard(m)
+        assert (wm.rows, wm.cols) == (10, 10)
+        for row, (k, l) in enumerate(combinations(range(5), 2)):
+            assert lattice.wedge2_standard(SymMatrix([m.row(k), m.row(l)])) == SymMatrix([wm.row(row)])
+
+    def test_rectangular_shapes(self):
+        m = SymMatrix([[RFrac.var(f"m{i}{j}") for j in range(1, 5)] for i in range(1, 4)])
+        wm = lattice.wedge2_standard(m)
+        assert (wm.rows, wm.cols) == (3, 6)
+        # Row pair (1, 3) is the second of three, column pair (2, 4) the fifth of six.
+        assert wm[1, 4] == m[0, 1] * m[2, 3] - m[2, 1] * m[0, 3]
+        a = SymMatrix([[RFrac.var("a11"), RFrac.var("a12")], [RFrac.var("a21"), RFrac.var("a22")]])
+        assert lattice.wedge2_standard(a) == SymMatrix([[a.det()]])
+        with pytest.raises(ValueError, match="1x4"):
+            lattice.wedge2_standard(SymMatrix([m.row(0)]))
 
     @given(st.lists(small_ints, min_size=8, max_size=8))
     @settings(max_examples=20, deadline=None)
