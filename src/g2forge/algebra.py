@@ -32,7 +32,7 @@ from fractions import Fraction as Q
 from functools import reduce as _reduce
 from itertools import compress
 from operator import add, itemgetter, lshift, or_ as _or, sub
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Q]
@@ -138,9 +138,12 @@ class MPoly:
     scan: a variable that cancels out is simply a zero field.  A product
     with a constant factor scales the coefficients, and one with a one-term
     factor shifts every key of the other by the same amount, which keeps
-    distinct keys distinct.  ``subs`` returns the polynomial itself when it
-    mentions none of the assigned variables.  The text form, ``leading``,
-    ``divexact`` and ``eval`` decode the keys over the sorted names.
+    distinct keys distinct.  Any other product, and a whole sum of products
+    Σ c·p·q, is ``sum_of_products``: every monomial product goes into one
+    dict, with no intermediate polynomial per product, sum or difference.
+    ``subs`` returns the polynomial itself when it mentions none of the
+    assigned variables.  The text form, ``leading``, ``divexact`` and
+    ``eval`` decode the keys over the sorted names.
     """
 
     __slots__ = ("terms",)
@@ -188,6 +191,41 @@ class MPoly:
     @staticmethod
     def one() -> "MPoly":
         return _ONE
+
+    @staticmethod
+    def sum_of_products(triples: Iterable[Tuple[Scalar, "MPoly", "MPoly"]]) -> "MPoly":
+        """Σ c·p·q over the ``(c, p, q)`` triples, ``c`` an integer or a
+        ``Fraction``.  Every monomial product goes straight into one dict, so
+        no intermediate polynomial is built and a triple with a zero factor
+        costs nothing.  The result is stored as the naive expression stores
+        it, and a monomial product past ``_MAX_EXP`` raises
+        ``OverflowError``."""
+        out: Dict[int, Scalar] = {}
+        get = out.get
+        for c, p, q in triples:
+            a, b = p.terms, q.terms
+            if not a or not b or not c:
+                continue
+            for k1, c1 in a.items():
+                c1 *= c
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        if not out:
+            return _ZERO
+        # Every field is at most _MAX_EXP, so a sum of two sets at most the
+        # guard bit of its field and never carries into the next one.
+        if _reduce(_or, out) & _GUARD:
+            raise _overflow()
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+            if not out:
+                return _ZERO
+        if not all(map(_is_int, out.values())):
+            out = {k: _coef(c) for k, c in out.items()}
+        p = _new(MPoly)
+        _set_terms(p, out)
+        return p
 
     # -- basic queries -------------------------------------------------
 
@@ -303,39 +341,24 @@ class MPoly:
         if len(b) == 1 and (len(a) != 1 or 0 in b):
             # The one-term factor goes first, a constant one by preference.
             self, other, a, b = other, self, b, a
-        if len(a) == 1:
-            ((k1, c1),) = a.items()
-            if not k1:
-                if c1 == 1:
-                    return other
-                out = {k: c * c1 for k, c in b.items()}
-            elif len(b) == 1:
-                ((k2, c2),) = b.items()
-                k = k1 + k2
-                if k & _GUARD:
-                    raise _overflow()
-                out = {k: c1 * c2}
-            else:
-                # A one-term factor shifts every key of the other by k1, so
-                # no two products collide.
-                out = {k1 + k: c1 * c for k, c in b.items()}
-                if _reduce(_or, out) & _GUARD:
-                    raise _overflow()
+        if len(a) != 1:
+            return MPoly.sum_of_products(((1, self, other),))
+        ((k1, c1),) = a.items()
+        if not k1:
+            if c1 == 1:
+                return other
+            out = {k: c * c1 for k, c in b.items()}
+        elif len(b) == 1:
+            ((k2, c2),) = b.items()
+            k = k1 + k2
+            if k & _GUARD:
+                raise _overflow()
+            out = {k: c1 * c2}
         else:
-            out = {}
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    s = out.get(k)
-                    if s is None:
-                        out[k] = c1 * c2
-                    else:
-                        s += c1 * c2
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-            if _reduce(_or, out, 0) & _GUARD:
+            # A one-term factor shifts every key of the other by k1, so no
+            # two products collide.
+            out = {k1 + k: c1 * c for k, c in b.items()}
+            if _reduce(_or, out) & _GUARD:
                 raise _overflow()
         if not all(map(_is_int, out.values())):
             out = {k: _coef(c) for k, c in out.items()}
@@ -1056,7 +1079,7 @@ def _bareiss_det(m: List[List[MPoly]]) -> MPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                val = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                val = MPoly.sum_of_products(((1, m[i][j], m[k][k]), (-1, m[i][k], m[k][j])))
                 q = val.divexact(prev)
                 if q is None:  # pragma: no cover - Bareiss guarantees exactness
                     raise ArithmeticError("fraction-free elimination division failed")

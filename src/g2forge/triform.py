@@ -468,7 +468,10 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 # to clear its inverses; the relations are homogeneous quadratics, so the
 # scaling does not change which of them vanish.  The certificate proves the
 # relations on the whole parabolic; the probe checks them word by word, for
-# the triform subcommand and as an oracle in the tests.
+# the triform subcommand and as an oracle in the tests.  The walk multiplies
+# rows by columns with ``*`` and ``+``, whose one-term shift suits its sparse
+# columns; the probe checks each relation on a product as one accumulation,
+# ``MPoly.sum_of_products``, with no intermediate polynomial.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
 
@@ -517,12 +520,14 @@ def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tu
 
 
 def _rows_relations_zero(rows) -> bool:
+    """Whether both ``coeff_relations`` vanish on two rows of five entries,
+    each relation restated as one ``MPoly.sum_of_products``."""
     (h11, h12, h13, h14, h15), (h21, h22, h23, h24, h25) = rows
-    d = h22 * h13 - h12 * h23
-    if d + d != h11 * h24 - h21 * h14:
-        return False
-    d = h11 * h25 - h21 * h15
-    return d + d == h12 * h24 - h22 * h14
+    sop = MPoly.sum_of_products
+    return (
+        sop(((2, h22, h13), (-2, h12, h23), (-1, h11, h24), (1, h21, h14))).is_zero()
+        and sop(((2, h11, h25), (-2, h21, h15), (-1, h12, h24), (1, h22, h14))).is_zero()
+    )
 
 
 def coeff_relations_certificate() -> List[str]:

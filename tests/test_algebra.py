@@ -192,6 +192,26 @@ class TestValuedScalar:
         assert (two ** -2).coeff == Q(1, 4) and (two ** 3).coeff == 8
         assert (two.inv() * 4).coeff == 2 and type((two.inv() * 4).coeff) is int
 
+    def test_text_form(self):
+        # The first power of the unit prints bare, every other one with its
+        # exponent; a p-power prints in parentheses unless a plain integer.
+        k = MPoly.var("k")
+        assert str(ValuedScalar.unit(1)) == "ahat"
+        assert str(ValuedScalar.unit(2)) == "ahat^2"
+        assert str(ValuedScalar.unit(-1)) == "ahat^-1"
+        assert str(ValuedScalar(1, 1, 2)) == "p^2*ahat"
+        assert str(ValuedScalar(3, 2, k - 1)) == "3*p^(k - 1)*ahat^2"
+        assert str(ValuedScalar(Q(1, 2))) == "1/2" and str(ValuedScalar(0, 1)) == "0"
+
+
+def test_symmatrix_text_form():
+    # Rows are separated by "; " and the entries of a row by ", ".
+    x = RFrac.var("x")
+    m = SymMatrix([[1, x], [x / (Y + 1), 0]])
+    assert str(m) == "[1, x; x/(y + 1), 0]"
+    assert repr(m) == "SymMatrix([1, x; x/(y + 1), 0])"
+    assert str(SymMatrix.identity(2)) == "[1, 0; 0, 1]"
+
 
 @pytest.mark.parametrize(
     "value",

@@ -12,8 +12,11 @@ results without re-canonicalising, so every result is checked against the
 representation invariants, read through the decoded exponent-tuple view.
 `+`, `-` and `*` on packed keys are checked against a reference on
 exponent tuples aligned by a two-pointer merge, and the guard bits against
-exponent overflow at the largest exponent and one past it.  The per-call
-shortcuts (fused subtraction, products with a one-term factor, scalar
+exponent overflow at the largest exponent and one past it.
+`MPoly.sum_of_products`, which also multiplies two polynomials of several
+terms, is checked against the naive sum of products and the tuple-keyed
+reference, down to the shared zero object when everything cancels.  The
+per-call shortcuts (fused subtraction, products with a one-term factor, scalar
 `subs`, the sparse row update of `row_reduce`, matrix difference and
 negation) are each checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
 the general normaliser, kept here as a helper) and the product of two
@@ -454,6 +457,7 @@ class TestPackedKeys:
             lambda: (top + y) * (x + 1),
             lambda: (top + 1) ** 2,
             lambda: MPoly(("packed_x",), {(_MAX_EXP + 1,): 1}),
+            lambda: MPoly.sum_of_products(((1, y, y), (2, top + y, x + 1))),
         )
         for attempt in attempts:
             with pytest.raises(OverflowError, match=str(_MAX_EXP)):
@@ -500,6 +504,68 @@ class TestFusedSubtraction:
     def test_matrix_difference_and_negation_match_scaling_by_minus_one(self, m, n):
         for result, expected in ((m - n, m + n.scale(-1)), (-m, m.scale(-1))):
             assert all(same(result[i, j], expected[i, j]) for i in range(7) for j in range(7))
+
+
+def naive_sum_of_products(triples) -> MPoly:
+    total = MPoly.zero()
+    for c, p, q in triples:
+        total = total + c * p * q
+    return total
+
+
+def reference_sum_of_products(triples) -> MPoly:
+    """The sum of products on exponent tuples, with no `MPoly` product of
+    two polynomials of several terms."""
+    total = MPoly.zero()
+    for c, p, q in triples:
+        total = tuple_keyed_sum(total, double_loop_product(MPoly.const(c) * p, q), 1)
+    return total
+
+
+operands = st.one_of(polys(), st.just(MPoly.zero()), st.just(MPoly.one()))
+
+
+class TestSumOfProducts:
+    @given(st.lists(st.tuples(coefficients, operands, operands), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_naive_sum(self, triples):
+        result = MPoly.sum_of_products(triples)
+        expected = naive_sum_of_products(triples)
+        assert same_poly(result, expected)
+        assert same_poly(result, reference_sum_of_products(triples))
+        assert_canonical(result)
+        if not expected:
+            assert result is MPoly.zero()
+
+    @given(st.lists(st.tuples(coefficients, poly_pairs()), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_overlapping_variables_and_a_generator_argument(self, items):
+        triples = [(c, p, q) for c, (p, q) in items]
+        result = MPoly.sum_of_products(t for t in triples)
+        assert same_poly(result, naive_sum_of_products(triples))
+        assert same_poly(result, reference_sum_of_products(triples))
+        assert_canonical(result)
+
+    @given(poly_pairs(), coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_full_cancellation_is_the_shared_zero(self, pair, c):
+        p, q = pair
+        assert MPoly.sum_of_products(((c, p, q), (-c, q, p))) is MPoly.zero()
+        assert MPoly.sum_of_products(((2, p, q), (-1, p, q), (-1, q, p))) is MPoly.zero()
+
+    def test_empty_sums_and_zero_operands(self):
+        x = MPoly.var("x")
+        assert MPoly.sum_of_products(()) is MPoly.zero()
+        assert MPoly.sum_of_products(((1, MPoly.zero(), x), (3, x, MPoly.zero()))) is MPoly.zero()
+        assert MPoly.sum_of_products(((0, x, x),)) is MPoly.zero()
+
+    def test_fractional_coefficients_become_integral(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        result = MPoly.sum_of_products(((Q(1, 2), 2 * x, y), (Q(1, 3), Q(3, 2) * x, y), (Q(2, 3), x, x)))
+        assert result.decoded()[1] == {(1, 1): Q(3, 2), (2, 0): Q(2, 3)}
+        result = MPoly.sum_of_products(((Q(1, 2), x, y), (Q(1, 2), y, x)))
+        assert same_poly(result, x * y)
+        assert_canonical(result)
 
 
 class TestMonomialProduct:

@@ -259,6 +259,43 @@ class TestBlockParabolic:
         with pytest.raises(AssertionError, match=r"coefficient relation failed at depth 2 on \S+\*\S+$"):
             t.coeff_relations_probe(2)
 
+    def test_relation_check_agrees_with_coeff_relations_on_the_walk(self):
+        # `_rows_relations_zero` restates `coeff_relations`; on every product
+        # of the depth-2 walk both are zero.
+        verdicts = []
+        t.walk_parabolic_words(
+            2, lambda word, rows: verdicts.append(
+                (word, t._rows_relations_zero(rows), all(r.is_zero() for r in t.coeff_relations(rows)))
+            )
+        )
+        assert len(verdicts) == 8 + 64
+        assert [v for v in verdicts if v[1:] != (True, True)] == []
+
+    @pytest.mark.parametrize("ones, relations", [(("h21", "h14"), (1, 0)), (("h22", "h14"), (0, 1))])
+    def test_relation_check_agrees_with_coeff_relations_where_one_is_nonzero(self, ones, relations):
+        # The 0/1 rows of the certificate, where (r1, r2) is (1, 0) or (0, 1).
+        rows = tuple(
+            tuple(MPoly.const(int(f"h{i}{j}" in ones)) for j in range(1, 6)) for i in (1, 2)
+        )
+        assert t.coeff_relations(rows) == tuple(MPoly.const(r) for r in relations)
+        assert t._rows_relations_zero(rows) is False
+
+    def test_relation_check_builds_no_intermediate_polynomial(self, monkeypatch):
+        products = []
+        t.walk_parabolic_words(2, lambda word, rows: products.append(rows) if len(word) == 2 else None)
+        calls = []
+
+        def counted(name, op):
+            def wrapper(*args):
+                calls.append(name)
+                return op(*args)
+            return wrapper
+
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(MPoly, name, counted(name, getattr(MPoly, name)))
+        assert all(t._rows_relations_zero(rows) for rows in products)
+        assert calls == []
+
     def test_truncated_columns_read_no_dropped_row(self, monkeypatch):
         # An entry below the block diagonal would feed column 3 from row 6,
         # which a 5-column walk does not carry.
