@@ -854,8 +854,9 @@ class SymMatrix:
     operations are built from ``RFrac`` rows of a known shape and skip that
     (``_trusted=True``: a nonempty tuple of equal-length tuples of ``RFrac``).
 
-    ``rank`` and ``inverse`` run the one elimination, ``row_reduce``.
-    ``det`` clears each row's denominators and runs fraction-free Bareiss.
+    ``rank`` and ``inverse`` share the echelon form of ``row_reduce``;
+    ``inverse`` then back-substitutes.  ``det`` clears each row's
+    denominators and runs fraction-free Bareiss.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -990,7 +991,7 @@ class SymMatrix:
 
     def rank(self) -> int:
         """Rank over the rational-function field (exact Gaussian elimination)."""
-        return len(row_reduce([list(row) for row in self.entries], self.cols, reduced=False))
+        return len(row_reduce([list(row) for row in self.entries], self.cols))
 
     def inverse(self) -> "SymMatrix":
         if self.rows != self.cols:
@@ -999,7 +1000,19 @@ class SymMatrix:
         m = [list(row) + [R_ONE if i == j else R_ZERO for j in range(n)] for i, row in enumerate(self.entries)]
         if len(row_reduce(m, n)) < n:
             raise ValueError("matrix is singular")
-        return SymMatrix([row[n:] for row in m])
+        # Row r holds the pivot of column r.  From the last pivot up, scale the
+        # pivot row to a leading 1 and clear its column from the rows above.
+        for r in range(n - 1, -1, -1):
+            inv = m[r][r].inv()
+            support = [(j, inv * b) for j, b in enumerate(m[r]) if b.num.terms]
+            for j, b in support:
+                m[r][j] = b
+            for above in m[:r]:
+                lead = above[r]
+                if lead.num.terms:
+                    for j, b in support:
+                        above[j] = above[j] - lead * b
+        return SymMatrix(tuple(tuple(row[n:]) for row in m), _trusted=True)
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -1015,20 +1028,15 @@ def _coerce_entry(x) -> RFrac:
     return out
 
 
-def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> List[int]:
-    """Row-reduce ``rows`` in place on their first ``ncols`` columns and
-    return the pivot columns.  Row i then holds the pivot of column
-    ``pivots[i]``; the rows past ``len(pivots)`` are zero on the first ``ncols``
-    columns.
+def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
+    """Bring ``rows`` to echelon form in place on their first ``ncols``
+    columns and return the pivot columns.  Row i then holds the pivot of
+    column ``pivots[i]``, unscaled, with zeros below it and before it; the
+    rows past ``len(pivots)`` are zero on the first ``ncols`` columns.
 
     The pivot of a column is its first nonzero entry at or below the next
-    pivot row.  ``reduced=True`` is Gauss–Jordan: the pivot row is scaled to
-    a leading 1 and the column is cleared above and below it.
-    ``reduced=False`` clears below an unscaled pivot only, which is all a rank
-    needs: ``SymMatrix.rank`` and the filtration ranks of ``phin`` use it, and
-    Gauss–Jordan there makes ``arthur --orbits`` and ``phin --mode ebc`` each
-    about 10-20 % slower.  A row update touches only the columns where the
-    pivot row is nonzero; elsewhere a - f·0 is ``a``.
+    pivot row.  A row update touches only the columns where the pivot row is
+    nonzero; elsewhere a - f·0 is ``a``.
     """
     n = len(rows)
     pivots: List[int] = []
@@ -1042,16 +1050,14 @@ def row_reduce(rows: List[List[RFrac]], ncols: int, reduced: bool = True) -> Lis
         else:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][col].inv()
-        if reduced:
-            rows[r] = [inv * x for x in rows[r]]
         pivot_row = rows[r]
+        inv = pivot_row[col].inv()
         support = [(j, b) for j, b in enumerate(pivot_row) if b.num.terms]
-        for i in range(0 if reduced else r + 1, n):
+        for i in range(r + 1, n):
             lead = rows[i][col]
-            if i == r or not lead.num.terms:
+            if not lead.num.terms:
                 continue
-            factor = lead if reduced else lead * inv
+            factor = lead * inv
             row = rows[i][:]
             for j, b in support:
                 row[j] = row[j] - factor * b

@@ -310,12 +310,10 @@ def centralizer_dimensions():
 
 @check("triform", "subregular-sl2", "sl2-triple through the subregular nilpotent has trivial centralizer")
 def subregular_sl2():
-    lie = triform.lie_basis()
-    e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-    h = triform.torus_direction(Q(2), Q(2))
-    f = triform.sl2_complete(e, h)
-    ok = triform.bracket(e, f) == h
-    dim = lie.sl2_centralizer_dim(e, f)
+    e, h, f = triform.subregular_sl2_triple()
+    bracket = triform.bracket
+    ok = bracket(e, f) == h and bracket(h, e) == e.scale(2) and bracket(h, f) == f.scale(-2)
+    dim = triform.lie_basis().centralizer_dim(e, f)
     return _bool(ok and dim == 0, f"triple completed; joint centralizer dim {dim}")
 
 

@@ -155,7 +155,7 @@ def admissibility_margins(m: PhiNModule, valuations: Sequence, jumps: Sequence) 
             if any(not m.n_op[i, j].is_zero() for j in subset for i in outside):
                 continue
             dims = [
-                d - len(row_reduce([list(f.row(i)) for i in outside], f.cols, reduced=False))
+                d - len(row_reduce([list(f.row(i)) for i in outside], f.cols))
                 for (_, f), d in zip(m.fil, m._fil_dims)
             ] + [0]
             t_hodge = sum(j * (d - d_next) for j, d, d_next in zip(jumps, dims, dims[1:]))
@@ -356,7 +356,7 @@ def ebc_modules_differ(m1: PhiNModule, m2: PhiNModule) -> bool:
     for sub, quot in product(m1.phi_diag[:2], m1.phi_diag[2:]):
         _inequation(sub, quot, K)
     same_steps = all(
-        len(row_reduce([list(f1.row(i)) + list(f2.row(i)) for i in range(4)], f1.cols + f2.cols, reduced=False))
+        len(row_reduce([list(f1.row(i)) + list(f2.row(i)) for i in range(4)], f1.cols + f2.cols))
         == d1 == d2
         for (_, f1), (_, f2), d1, d2 in zip(m1.fil, m2.fil, m1._fil_dims, m2._fil_dims)
     )

@@ -664,8 +664,8 @@ class LieG2:
         pivots = row_reduce(rows, 49)
         if len(pivots) < 14:
             raise ValueError("basis matrices are linearly dependent")
-        self._echelon: List[Tuple[int, List[RFrac], List[RFrac]]] = [
-            (pivot, row[:49], row[49:]) for pivot, row in zip(pivots, rows)
+        self._echelon: List[Tuple[int, RFrac, List[RFrac], List[RFrac]]] = [
+            (pivot, row[pivot].inv(), row[:49], row[49:]) for pivot, row in zip(pivots, rows)
         ]
         # ad(B_i) as sparse (row, col, value) triples: column j holds the
         # coordinates of [B_i, B_j], and [B_j, B_i] = -[B_i, B_j].
@@ -686,10 +686,12 @@ class LieG2:
     def _reduce(self, vec: List[RFrac], coords: List[RFrac]):
         vec = list(vec)
         coords = list(coords)
-        for pivot, row, crd in self._echelon:
-            factor = vec[pivot]
-            if factor.is_zero():
+        # Echelon order: a row is zero on every earlier pivot column, so a
+        # cleared pivot column stays clear.
+        for pivot, inv, row, crd in self._echelon:
+            if vec[pivot].is_zero():
                 continue
+            factor = vec[pivot] * inv
             for i in range(49):
                 if not row[i].is_zero():
                     vec[i] = vec[i] - factor * row[i]
@@ -732,13 +734,11 @@ class LieG2:
                     out[k][j] = out[k][j] + xi * c
         return SymMatrix(out)
 
-    def centralizer_dim(self, x: SymMatrix) -> int:
-        return 14 - self.adjoint_matrix(x).rank()
-
-    def sl2_centralizer_dim(self, e: SymMatrix, f: SymMatrix) -> int:
-        ad_e = self.adjoint_matrix(e)
-        ad_f = self.adjoint_matrix(f)
-        return 14 - SymMatrix(ad_e.entries + ad_f.entries).rank()
+    def centralizer_dim(self, *xs: SymMatrix) -> int:
+        """Dimension of the joint centralizer of ``xs``: 14 minus the rank of
+        their stacked ad matrices."""
+        stacked = tuple(row for x in xs for row in self.adjoint_matrix(x).entries)
+        return 14 - SymMatrix(stacked, _trusted=True).rank()
 
 
 _LIE_CACHE: Optional[LieG2] = None
@@ -755,30 +755,20 @@ def torus_direction(c1: Q, c2: Q) -> SymMatrix:
     return H1.scale(RFrac.const(c1)) + H2.scale(RFrac.const(c2))
 
 
-def sl2_complete(e: SymMatrix, h: SymMatrix) -> SymMatrix:
-    """Solve [e, f] = h and [h, f] = -2f for f in the 14-dim span (exact
-    linear algebra); raises if no solution exists."""
+# The f that completes the subregular nilpotent e = e[a] + e[a+3b] and
+# h = torus_direction(2, 2) to an sl2-triple, as {basis name: coefficient}.
+_SL2_WITNESS = {"e[-(a)]": -2, "e[-(a+3b)]": -2}
+
+
+def subregular_sl2_triple() -> Tuple[SymMatrix, SymMatrix, SymMatrix]:
+    """(e, h, f): the subregular nilpotent, the torus direction (2, 2) and
+    the witness f of ``_SL2_WITNESS``."""
     lie = lie_basis()
-    # unknown coords c_j of f; equations: sum_j c_j [e, B_j] = h and
-    # sum_j c_j ([h, B_j] + 2 B_j) = 0, both expressed in basis coordinates.
-    ad_e = lie.adjoint_matrix(e)
-    ad_h = lie.adjoint_matrix(h)
-    h_coords = lie.coordinates(h)
-    aug = [list(ad_e.entries[i]) + [h_coords[i]] for i in range(14)]
-    aug += [[x + 2 if i == j else x for j, x in enumerate(ad_h.entries[i])] + [R_ZERO] for i in range(14)]
-    n = 14
-    pivots = row_reduce(aug, n)
-    for i in range(len(pivots), len(aug)):
-        if not aug[i][n].is_zero():
-            raise ValueError("no sl2 completion exists for the given (e, h)")
-    coords = [R_ZERO] * n
-    for row_idx, c in enumerate(pivots):
-        coords[c] = aug[row_idx][n]
+    e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
     f = SymMatrix.zero(7, 7)
-    for j, cj in enumerate(coords):
-        if not cj.is_zero():
-            f = f + lie.matrices[j].scale(cj)
-    return f
+    for name, c in _SL2_WITNESS.items():
+        f = f + lie.by_name(name).scale(c)
+    return e, torus_direction(2, 2), f
 
 
 def zeta_witness() -> Dict[str, bool]:
@@ -789,8 +779,7 @@ def zeta_witness() -> Dict[str, bool]:
     zeta is a symbol and the cocharacter check works modulo its minimal
     polynomial zeta^2 + zeta + 1: D e D^-1 - e vanishes in Q(a)[zeta]/(that
     polynomial) iff every entry's numerator is divisible by it."""
-    lie = lie_basis()
-    e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
+    e = subregular_sl2_triple()[0]
     z = MPoly.var("zeta")
     zeta = RFrac(z)
     cyclotomic = z * z + z + 1

@@ -180,10 +180,11 @@ def test_08_lie_orbit_suite_under_thirty_seconds():
         assert len(lie.structure_constants()) == 91  # closure, symbolic parameter
         dims = [14 - rec.dim for rec in arthur.orbit_table()]
         assert dims == [14, 8, 6, 4, 2]
-        e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-        h = triform.torus_direction(Q(2), Q(2))
-        f = triform.sl2_complete(e, h)
-        assert lie.sl2_centralizer_dim(e, f) == 0
+        e, h, f = triform.subregular_sl2_triple()
+        assert triform.bracket(e, f) == h
+        assert triform.bracket(h, e) == e.scale(2)
+        assert triform.bracket(h, f) == f.scale(-2)
+        assert lie.centralizer_dim(e, f) == 0
         witness = triform.zeta_witness()
         assert all(witness.values())
 

@@ -571,6 +571,8 @@ _MUTATIONS = {
         ),
     ),
     "triform/bruhat-block-intersection": (("triform", "_BLOCKS", "({1, 2, 3}, {4, 5}, {6, 7})"),),
+    # The sl2 witness f with coefficient -1 on e[-(a)]: [e, f] is not h.
+    "triform/subregular-sl2": (("triform", "_SL2_WITNESS", '{**triform._SL2_WITNESS, "e[-(a)]": -1}'),),
     "wedge2/wedge-functoriality": (
         (
             "lattice", "wedge2_standard",
@@ -750,6 +752,12 @@ class TestChecksCanFail:
         assert (check["status"], check["detail"]) == (
             "fail", "wedge square not multiplicative on the generic torus, the 5-cycle and E12(t)"
         )
+
+    def test_a_wrong_sl2_witness_fails_the_relations_themselves(self, monkeypatch):
+        # The mutant must break [e, f] = h, not make the check raise.
+        (mutation,) = _MUTATIONS["triform/subregular-sl2"]
+        check = _check_in_process(monkeypatch, mutation, "triform/subregular-sl2")
+        assert (check["status"], check["detail"]) == ("fail", "triple completed; joint centralizer dim 0")
 
     def test_shape_families_off_their_closed_form_fail(self, monkeypatch, optimized_statuses):
         # A finding check, so it is not in _MUTATIONS; it still has a failure mode.

@@ -46,6 +46,8 @@ from g2forge.algebra import (
     _normalize_frac,
     row_reduce,
 )
+from g2forge.lattice import WEDGE_BASIS_4, WEDGE_BASIS_5, basis_matrix
+from g2forge.triform import weyl_rep
 
 VARS = ("a", "x", "y")
 
@@ -386,7 +388,7 @@ def tuple_keyed_sum(p: MPoly, q: MPoly, sign: int) -> MPoly:
     return MPoly(vars_, out)
 
 
-def dense_row_reduce(rows, ncols, reduced=True):
+def dense_row_reduce(rows, ncols):
     """`row_reduce` updating every column of each row."""
     n = len(rows)
     pivots = []
@@ -401,13 +403,11 @@ def dense_row_reduce(rows, ncols, reduced=True):
             continue
         rows[r], rows[p] = rows[p], rows[r]
         inv = rows[r][col].inv()
-        if reduced:
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(0 if reduced else r + 1, n):
+        for i in range(r + 1, n):
             lead = rows[i][col]
-            if i == r or lead.is_zero():
+            if lead.is_zero():
                 continue
-            factor = lead if reduced else lead * inv
+            factor = lead * inv
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
     return pivots
@@ -613,14 +613,35 @@ class TestScalarSubstitution:
 
 
 class TestSparseRowUpdate:
-    @given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.data())
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_matches_updating_every_column(self, rows, cols, reduced, data):
+    def test_matches_updating_every_column(self, rows, cols, data):
         m = data.draw(sparse_matrices(rows=rows, cols=cols))
         fast = [list(row) for row in m.entries]
         dense = [list(row) for row in m.entries]
-        assert row_reduce(fast, cols, reduced) == dense_row_reduce(dense, cols, reduced)
+        assert row_reduce(fast, cols) == dense_row_reduce(dense, cols)
         assert all(same(a, b) for r1, r2 in zip(fast, dense) for a, b in zip(r1, r2))
+
+
+def test_inverse_text_of_the_inverted_matrices():
+    # The only matrices the program inverts: the longest Weyl element's
+    # representative and both wedge basis matrices.  The strings were taken
+    # from the Gauss-Jordan inverse that back-substitution replaced.
+    assert str(weyl_rep("ababab").inverse()) == (
+        "[0, 0, 0, 0, 0, 0, 1/a; 0, 0, 0, 0, 0, 1/a, 0; 0, 0, 0, 0, -1, 0, 0; "
+        "0, 0, 0, -1, 0, 0, 0; 0, 0, -1, 0, 0, 0, 0; 0, a, 0, 0, 0, 0, 0; a, 0, 0, 0, 0, 0, 0]"
+    )
+    assert str(basis_matrix(5, WEDGE_BASIS_5).inverse()) == (
+        "[1, 0, 0, 0, 0, 0, 0, 0, 0, 0; 0, 1, 0, 0, 0, 0, 0, 0, 0, 0; "
+        "0, 0, -2/3, 0, 1/3, 0, 0, 0, 0, 0; 0, 0, 0, 1/3, 0, 2/3, 0, 0, 0, 0; "
+        "0, 0, 0, 0, 0, 0, 1, 0, 0, 0; 0, 0, 1/3, 0, 1/3, 0, 0, 0, 0, 0; "
+        "0, 0, 0, -1/3, 0, 1/3, 0, 0, 0, 0; 0, 0, 0, 0, 0, 0, 0, 1, 0, 0; "
+        "0, 0, 0, 0, 0, 0, 0, 0, 1, 0; 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]"
+    )
+    assert str(basis_matrix(4, WEDGE_BASIS_4).inverse()) == (
+        "[-1, 0, 0, 0, 0, 0; 0, 0, -1/2, 1/2, 0, 0; 0, -1, 0, 0, 0, 0; "
+        "0, 0, -1/2, -1/2, 0, 0; 0, 0, 0, 0, -1, 0; 0, 0, 0, 0, 0, -1]"
+    )
 
 
 class TestMonomialDenominator:

@@ -429,23 +429,39 @@ class TestLieAlgebra:
 
     def test_subregular_sl2_and_zeta(self):
         lie = t.lie_basis()
-        e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-        h = t.torus_direction(Q(2), Q(2))
-        f = t.sl2_complete(e, h)
+        e, h, f = t.subregular_sl2_triple()
+        assert e == lie.by_name("e[a]") + lie.by_name("e[a+3b]")
+        assert h == t.torus_direction(Q(2), Q(2))
         assert t.bracket(e, f) == h
         assert t.bracket(h, e) == e.scale(RFrac.const(2))
-        assert lie.sl2_centralizer_dim(e, f) == 0
+        assert t.bracket(h, f) == f.scale(RFrac.const(-2))
+        assert lie.centralizer_dim(e, f) == 0
         witness = t.zeta_witness()
         assert all(witness.values())
 
-    def test_sl2_complete_rejects_an_h_without_completion(self):
-        # h = torus_direction(2, 2) completes e to an sl2-triple; for the
-        # multiples below the augmented system is inconsistent.
+    def test_the_witness_is_the_only_completion(self):
+        # The f-coordinates c of a completion solve ad_e c = h and
+        # (ad_h + 2I) c = 0.  For h = (2, 2) that system has full rank 14, so
+        # the witness is its only solution; for the multiples (1, 1) and
+        # (4, 4) the right-hand side raises the rank to 15: no f exists.
         lie = t.lie_basis()
         e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-        for c in (Q(1), Q(4)):
-            with pytest.raises(ValueError, match="no sl2 completion"):
-                t.sl2_complete(e, t.torus_direction(c, c))
+        ad_e = lie.adjoint_matrix(e)
+        for c, augmented_rank in ((Q(2), 14), (Q(1), 15), (Q(4), 15)):
+            h = t.torus_direction(c, c)
+            shifted = lie.adjoint_matrix(h) + SymMatrix.identity(14).scale(RFrac.const(2))
+            system = SymMatrix(ad_e.entries + shifted.entries)
+            rhs = lie.coordinates(h) + [R_ZERO] * 14
+            augmented = SymMatrix([row + (b,) for row, b in zip(system.entries, rhs)])
+            assert (system.rank(), augmented.rank()) == (14, augmented_rank)
+
+    def test_the_check_needs_h_f_equal_to_minus_two_f(self, monkeypatch):
+        # e[a+b] centralizes e, so adding it to f keeps [e, f] = h; only
+        # [h, f] = -2f tells the wrong witness apart.
+        monkeypatch.setattr(t, "_SL2_WITNESS", {**t._SL2_WITNESS, "e[a+b]": 1})
+        e, h, f = t.subregular_sl2_triple()
+        assert t.bracket(e, f) == h
+        assert checks.subregular_sl2()[0] == "fail"
 
     def test_zeta_witness_can_fail(self, monkeypatch):
         # The short coroot at zeta does not centralize e[b]: entry (1, 2) of
