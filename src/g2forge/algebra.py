@@ -141,6 +141,9 @@ class MPoly:
     distinct keys distinct.  Any other product, and a whole sum of products
     Σ c·p·q, is ``sum_of_products``: every monomial product goes into one
     dict, with no intermediate polynomial per product, sum or difference.
+    ``bilinear`` is the same accumulation for the value of a bilinear form
+    at two rows, Σ c·m·u[i]·v[j] over the form's entries flattened to their
+    terms, so a form with polynomial entries needs no product of its own.
     ``subs`` returns the polynomial itself when it mentions none of the
     assigned variables.  The text form, ``leading``, ``divexact`` and
     ``eval`` decode the keys over the sorted names.
@@ -211,21 +214,34 @@ class MPoly:
                 for k2, c2 in b.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        if not out:
-            return _ZERO
-        # Every field is at most _MAX_EXP, so a sum of two sets at most the
-        # guard bit of its field and never carries into the next one.
-        if _reduce(_or, out) & _GUARD:
-            raise _overflow()
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-            if not out:
-                return _ZERO
-        if not all(map(_is_int, out.values())):
-            out = {k: _coef(c) for k, c in out.items()}
-        p = _new(MPoly)
-        _set_terms(p, out)
-        return p
+        return _accumulated(out)
+
+    @staticmethod
+    def bilinear(form: Iterable[Tuple[Scalar, int, int, int]], u: Sequence["MPoly"], v: Sequence["MPoly"]) -> "MPoly":
+        """Σ c·m·u[i]·v[j] over the ``(c, m, i, j)`` terms of ``form``: the
+        value at the rows ``u`` and ``v`` of a bilinear form whose entries are
+        polynomials, flattened to their terms, so ``c`` is a nonzero integer
+        or ``Fraction`` and ``m`` a packed monomial (a key of some
+        polynomial's ``terms``).  It accumulates as ``sum_of_products`` does,
+        into one dict, and stores and guards the result the same way."""
+        out: Dict[int, Scalar] = {}
+        get = out.get
+        guard = _GUARD
+        for c, m, i, j in form:
+            a, b = u[i].terms, v[j].terms
+            if not a or not b:
+                continue
+            for k1, c1 in a.items():
+                # A sum of three keys could carry past a guard bit, so the
+                # first two are checked before the third is added.
+                k1 += m
+                if k1 & guard:
+                    raise _overflow()
+                c1 *= c
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return _accumulated(out)
 
     # -- basic queries -------------------------------------------------
 
@@ -538,6 +554,25 @@ def _poly(terms: Dict[int, Scalar]) -> MPoly:
     p = _new(MPoly)
     _set_terms(p, terms)
     return p
+
+
+def _accumulated(out: Dict[int, Scalar]) -> MPoly:
+    """The ``MPoly`` of a dict that sums of monomial products were added
+    into: zero coefficients dropped, integral ones stored as ``int``, and
+    ``OverflowError`` if a key sets a guard bit."""
+    if not out:
+        return _ZERO
+    # Every field of each summand is at most _MAX_EXP, so a sum of two sets
+    # at most the guard bit of its field and never carries into the next one.
+    if _reduce(_or, out) & _GUARD:
+        raise _overflow()
+    if not all(out.values()):
+        out = {k: c for k, c in out.items() if c}
+        if not out:
+            return _ZERO
+    if not all(map(_is_int, out.values())):
+        out = {k: _coef(c) for k, c in out.items()}
+    return _poly(out)
 
 
 def _coerce_poly(x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import R_ONE, R_ZERO, MPoly, RFrac, SymMatrix, _coerce_entry, row_reduce
+from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, row_reduce
 
 Entry = Union[int, Q, MPoly, RFrac]
 
@@ -468,14 +468,30 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 # to clear its inverses; the relations are homogeneous quadratics, so the
 # scaling does not change which of them vanish.  The certificate proves the
 # relations on the whole parabolic; the probe checks them word by word, for
-# the triform subcommand and as an oracle in the tests.  The walk multiplies
-# rows by columns with ``*`` and ``+``, whose one-term shift suits its sparse
-# columns; the probe checks each relation on a product as one accumulation,
-# ``MPoly.sum_of_products``, with no intermediate polynomial.
+# the triform subcommand and as an oracle in the tests.
+#
+# Each relation is a bilinear form in the two rows, r_k(h) = h1 M_k h2^T with
+# M_k in _RELATION_FORMS, so r_k(h g) = h1 (G M_k G^T) h2^T for the 5x5 block
+# G of g.  That is the relation itself, by associativity, for every h.  The
+# probe checks a product h g on the rows of its prefix h, through the
+# pulled-back forms G M_k G^T of its last generator, each flattened to its
+# (coefficient, packed monomial, i, j) terms and summed by ``MPoly.bilinear``
+# with no intermediate polynomial.  So the walk builds rows only for proper
+# prefixes, with ``*`` and ``+``, whose one-term shift suits the sparse
+# columns.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
+FormTerms = Tuple[Tuple[Scalar, int, int, int], ...]
 
 _IDENTITY_ROWS = tuple(tuple(MPoly.one() if j == i else MPoly.zero() for j in range(5)) for i in (0, 1))
+
+# M_1 and M_2 as their nonzero entries (row-1 index, row-2 index) -> coefficient,
+# 0-indexed: r1 = 2 h13 h22 - 2 h12 h23 + h14 h21 - h11 h24 and
+# r2 = 2 h11 h25 - 2 h15 h21 + h14 h22 - h12 h24, as in ``coeff_relations``.
+_RELATION_FORMS: Tuple[Dict[Tuple[int, int], int], ...] = (
+    {(2, 1): 2, (1, 2): -2, (3, 0): 1, (0, 3): -1},
+    {(0, 4): 2, (4, 0): -2, (3, 1): 1, (1, 3): -1},
+)
 
 
 def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
@@ -499,6 +515,28 @@ def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
     return tuple(tuple(c) for c in out)
 
 
+def _pulled_back_forms(cols: SparseCols) -> Tuple[FormTerms, ...]:
+    """G M_k G^T for each relation form M_k and the 5x5 block G given by its
+    columns, flattened to the (coefficient, packed monomial, i, j) terms
+    that ``MPoly.bilinear`` sums."""
+    out = []
+    for form in _RELATION_FORMS:
+        entries: Dict[Tuple[int, int], List[Tuple[int, MPoly, MPoly]]] = {}
+        for (a, b), m in form.items():
+            for i, gi in cols[a]:
+                for j, gj in cols[b]:
+                    entries.setdefault((i, j), []).append((m, gi, gj))
+        out.append(tuple(
+            (c, key, i, j)
+            for (i, j), triples in entries.items()
+            for key, c in MPoly.sum_of_products(triples).terms.items()
+        ))
+    return tuple(out)
+
+
+_IDENTITY_FORMS = tuple(tuple((m, 0, a, b) for (a, b), m in form.items()) for form in _RELATION_FORMS)
+
+
 def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tuple[MPoly, ...], ...]:
     zero = MPoly.zero()
     one = MPoly.one()
@@ -519,15 +557,15 @@ def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tu
     return tuple(out)
 
 
-def _rows_relations_zero(rows) -> bool:
-    """Whether both ``coeff_relations`` vanish on two rows of five entries,
-    each relation restated as one ``MPoly.sum_of_products``."""
-    (h11, h12, h13, h14, h15), (h21, h22, h23, h24, h25) = rows
-    sop = MPoly.sum_of_products
-    return (
-        sop(((2, h22, h13), (-2, h12, h23), (-1, h11, h24), (1, h21, h14))).is_zero()
-        and sop(((2, h11, h25), (-2, h21, h15), (-1, h12, h24), (1, h22, h14))).is_zero()
-    )
+def _rows_relations_zero(rows, forms: Tuple[FormTerms, ...] = _IDENTITY_FORMS) -> bool:
+    """Whether both relation forms vanish on two rows of five entries: by
+    default the relations of the rows themselves; with a generator's
+    ``_pulled_back_forms``, those of the rows times the generator."""
+    u, v = rows
+    for form in forms:
+        if not MPoly.bilinear(form, u, v).is_zero():
+            return False
+    return True
 
 
 def coeff_relations_certificate() -> List[str]:
@@ -554,43 +592,54 @@ def coeff_relations_certificate() -> List[str]:
 
 def walk_parabolic_words(
     max_length: int,
-    visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...]], None],
+    visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...], Tuple[FormTerms, ...]], None],
 ) -> int:
     """Walk every product of parabolic generators of 1 to ``max_length``
     factors in pre-order, with fresh symbols per factor (suffix = 1-based
-    position), carrying rows 1-2 and columns 1-5 of each product with the
-    torus scaled as described above.  ``visit(word, product_rows)`` sees each
-    product, ``word`` being its tuple of generator names.  Returns the number
-    of products visited."""
-    gens_by_depth = [
-        [(name, _poly_generator_columns(name, str(depth))) for name in GENERATOR_NAMES]
-        for depth in range(1, max_length + 1)
-    ]
+    position).  ``visit(word, rows, forms)`` sees each product, ``word``
+    being its tuple of generator names, ``rows`` rows 1-2 and columns 1-5 of
+    its proper prefix ``word[:-1]`` (the torus scaled as described above)
+    and ``forms`` the ``_pulled_back_forms`` of its last generator, whose
+    values on ``rows`` are the product's relations.  Rows are built for the
+    proper prefixes only, the words shorter than ``max_length``.  Returns
+    the number of products visited; ``max_length`` 0 visits none, and a
+    negative one raises ``ValueError``."""
+    if max_length < 0:
+        raise ValueError(f"word length bound must be at least 0, got {max_length}")
+    steps_by_depth = []
+    for depth in range(1, max_length + 1):
+        steps = []
+        for name in GENERATOR_NAMES:
+            cols = _poly_generator_columns(name, str(depth))
+            steps.append((name, cols, _pulled_back_forms(cols)))
+        steps_by_depth.append(steps)
     visited = 0
 
-    def dfs(current, word):
+    def dfs(rows, word):
         nonlocal visited
-        if len(word) == max_length:
-            return
-        for name, gen_cols in gens_by_depth[len(word)]:
-            new_rows = _rows_mul(current, gen_cols)
+        depth = len(word) + 1
+        for name, cols, forms in steps_by_depth[depth - 1]:
             new_word = word + (name,)
-            visit(new_word, new_rows)
+            visit(new_word, rows, forms)
             visited += 1
-            dfs(new_rows, new_word)
+            if depth < max_length:
+                dfs(_rows_mul(rows, cols), new_word)
 
-    dfs(_IDENTITY_ROWS, ())
+    if max_length:
+        dfs(_IDENTITY_ROWS, ())
     return visited
 
 
 def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
     """Verify both coefficient relations symbolically on every product of
     parabolic generators up to the given word length (fresh symbols per
-    factor).  Returns counts; raises AssertionError naming the first word on
-    which a relation fails."""
+    factor), each from the rows of its prefix and the pulled-back forms of
+    its last generator.  Returns counts; raises AssertionError, explicitly
+    so that ``python -O`` keeps it, naming the first word in pre-order on
+    which a relation fails, and ValueError for a negative length."""
 
-    def visit(word, rows):
-        if not _rows_relations_zero(rows):
+    def visit(word, rows, forms):
+        if not _rows_relations_zero(rows, forms):
             raise AssertionError(
                 f"coefficient relation failed at depth {len(word)} on {'*'.join(word)}"
             )

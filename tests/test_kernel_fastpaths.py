@@ -15,7 +15,9 @@ exponent tuples aligned by a two-pointer merge, and the guard bits against
 exponent overflow at the largest exponent and one past it.
 `MPoly.sum_of_products`, which also multiplies two polynomials of several
 terms, is checked against the naive sum of products and the tuple-keyed
-reference, down to the shared zero object when everything cancels.  The
+reference, down to the shared zero object when everything cancels, and so is
+`MPoly.bilinear`, the same accumulation over a bilinear form with polynomial
+entries, whose three-key sums are also checked for a carry past the guard.  The
 per-call shortcuts (fused subtraction, products with a one-term factor, scalar
 `subs`, the sparse row update of `row_reduce`, matrix difference and
 negation) are each checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
@@ -566,6 +568,62 @@ class TestSumOfProducts:
         result = MPoly.sum_of_products(((Q(1, 2), x, y), (Q(1, 2), y, x)))
         assert same_poly(result, x * y)
         assert_canonical(result)
+
+
+def flattened(entries):
+    """A bilinear form given by its polynomial entries ``(f, i, j)``, as the
+    ``(c, m, i, j)`` terms that `MPoly.bilinear` sums."""
+    return tuple((c, m, i, j) for f, i, j in entries for m, c in f.terms.items())
+
+
+def reference_bilinear(entries, u, v) -> MPoly:
+    """Σ f·u[i]·v[j] on exponent tuples, with no `MPoly` product of two
+    polynomials of several terms."""
+    total = MPoly.zero()
+    for f, i, j in entries:
+        total = tuple_keyed_sum(total, double_loop_product(double_loop_product(f, u[i]), v[j]), 1)
+    return total
+
+
+form_entries = st.lists(st.tuples(polys(), st.integers(0, 2), st.integers(0, 2)), max_size=4)
+form_rows = st.lists(operands, min_size=3, max_size=3)
+
+
+class TestBilinear:
+    @given(form_entries, form_rows, form_rows)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_sum_of_products_with_polynomial_entries(self, entries, u, v):
+        result = MPoly.bilinear(flattened(entries), u, v)
+        assert same_poly(result, naive_sum_of_products((1, f * u[i], v[j]) for f, i, j in entries))
+        assert same_poly(result, reference_bilinear(entries, u, v))
+        assert_canonical(result)
+        if not result:
+            assert result is MPoly.zero()
+
+    @given(polys(), form_rows, form_rows)
+    @settings(max_examples=100, deadline=None)
+    def test_full_cancellation_is_the_shared_zero(self, f, u, v):
+        assert MPoly.bilinear(flattened(((f, 0, 1), (-f, 0, 1))), u, v) is MPoly.zero()
+        assert MPoly.bilinear((), u, v) is MPoly.zero()
+
+    def test_fractional_coefficients_become_integral(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        form = flattened(((Q(1, 2) * x, 0, 1), (Q(1, 2) * x, 1, 0)))
+        result = MPoly.bilinear(form, (y, y), (3 * x, x))
+        assert same_poly(result, 2 * x * x * y)
+        assert_canonical(result)
+
+    def test_a_carry_through_three_keys_raises(self):
+        # Three exponents of _MAX_EXP sum to 3 * _MAX_EXP, which sets no
+        # guard bit once it has carried into the neighbouring field.
+        x, y = MPoly.var("packed_x"), MPoly.var("packed_y")
+        top = x**_MAX_EXP
+        half = x ** ((_MAX_EXP + 1) // 2)
+        for m, p, q in ((top, top, top), (half, half, MPoly.one()), (x, top, y), (MPoly.one(), top, x)):
+            with pytest.raises(OverflowError, match=str(_MAX_EXP)):
+                MPoly.bilinear(flattened(((m, 0, 0),)), (p,), (q,))
+        assert same_poly(MPoly.bilinear(flattened(((x, 0, 0),)), (y,), (x ** (_MAX_EXP - 2) * y,)),
+                         x ** (_MAX_EXP - 1) * y * y)
 
 
 class TestMonomialProduct:

@@ -2,6 +2,10 @@
 stabilizer matrices, Weyl permutation images, quadratic entry relations,
 and the 14-dimensional stabilizer Lie algebra."""
 
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
@@ -50,6 +54,17 @@ _NONZERO_ENTRY = st.one_of(
     ),
     st.builds(lambda e1, e2: T1 ** e1 * T2 ** e2, st.integers(-2, 2), st.integers(-2, 2)),
 )
+
+
+# Entries of rows that need not come from the parabolic: up to three terms in
+# y, z and x1 (a symbol the generators at depth 1 also use).
+_ROW_ENTRY = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3, 3).filter(bool), st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(2, 4))),
+        st.tuples(*(st.integers(0, 2) for _ in range(3))),
+    ),
+    max_size=3,
+).map(lambda terms: MPoly(("y", "z", "x1"), {e: c for c, e in terms}))
 
 
 @st.composite
@@ -241,33 +256,68 @@ class TestBlockParabolic:
         assert rep["max_length"] == 2
         assert rep["products_checked"] == 72
 
+    def test_relation_probe_bounds(self):
+        # Length 0 checks no product (``triform --word-length 0``); a
+        # negative length is refused by name rather than indexing past the
+        # generator table.
+        assert t.coeff_relations_probe(0) == {"max_length": 0, "products_checked": 0, "generators": 8}
+        with pytest.raises(ValueError, match="word length bound must be at least 0, got -1"):
+            t.coeff_relations_probe(-1)
+
     def test_relation_probe_can_fail(self, monkeypatch):
         # An explicit raise, so the probe still checks under python -O.
-        monkeypatch.setattr(t, "_rows_relations_zero", lambda rows: False)
+        monkeypatch.setattr(t, "_rows_relations_zero", lambda rows, forms: False)
         with pytest.raises(AssertionError, match="coefficient relation failed at depth 1 on a$"):
             t.coeff_relations_probe(2)
 
     @pytest.mark.parametrize("index", range(4))
     def test_relation_probe_catches_a_sign_flip_in_the_table(self, monkeypatch, index):
         # The four entries of g(b, x) in columns 1-5; a flipped sign breaks a
-        # relation on some product of two generators.
+        # relation on some product of two generators, the first in pre-order
+        # being `word`.
+        word = ("a*b", "a*b", "a*b", "a+b*b")[index]
         entries = list(t._GEN_ENTRIES["b"])
         i, j, coeff, power, div_a = entries[index]
         assert j <= 5
         entries[index] = (i, j, -coeff, power, div_a)
         monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
-        with pytest.raises(AssertionError, match=r"coefficient relation failed at depth 2 on \S+\*\S+$"):
+        with pytest.raises(AssertionError, match=f"coefficient relation failed at depth 2 on {re.escape(word)}$"):
             t.coeff_relations_probe(2)
 
-    def test_relation_check_agrees_with_coeff_relations_on_the_walk(self):
-        # `_rows_relations_zero` restates `coeff_relations`; on every product
-        # of the depth-2 walk both are zero.
-        verdicts = []
-        t.walk_parabolic_words(
-            2, lambda word, rows: verdicts.append(
-                (word, t._rows_relations_zero(rows), all(r.is_zero() for r in t.coeff_relations(rows)))
-            )
+    def test_a_sign_flip_fails_the_probe_under_python_O(self):
+        script = (
+            "import sys\n"
+            "from g2forge import triform as t\n"
+            "if sys.flags.optimize != 1:\n"
+            "    raise SystemExit('not optimized')\n"
+            "i, j, coeff, power, div_a = t._GEN_ENTRIES['b'][0]\n"
+            "t._GEN_ENTRIES['b'] = ((i, j, -coeff, power, div_a),) + t._GEN_ENTRIES['b'][1:]\n"
+            "t.coeff_relations_probe(2)\n"
         )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "AssertionError: coefficient relation failed at depth 2 on a*b"
+
+    def test_relation_check_agrees_with_coeff_relations_on_the_walk(self):
+        # `_rows_relations_zero` checks a product on its prefix's rows through
+        # the last generator's pulled-back forms; on every product of the
+        # depth-2 walk it and `coeff_relations` of the product are both zero.
+        verdicts = []
+
+        def visit(word, rows, forms):
+            product = t._rows_mul(rows, t._poly_generator_columns(word[-1], str(len(word))))
+            verdicts.append(
+                (word, t._rows_relations_zero(rows, forms), all(r.is_zero() for r in t.coeff_relations(product)))
+            )
+
+        t.walk_parabolic_words(2, visit)
         assert len(verdicts) == 8 + 64
         assert [v for v in verdicts if v[1:] != (True, True)] == []
 
@@ -280,9 +330,28 @@ class TestBlockParabolic:
         assert t.coeff_relations(rows) == tuple(MPoly.const(r) for r in relations)
         assert t._rows_relations_zero(rows) is False
 
+    @given(st.lists(_ROW_ENTRY, min_size=10, max_size=10), st.sampled_from(t.GENERATOR_NAMES))
+    @settings(max_examples=60, deadline=None)
+    def test_pulled_back_forms_are_the_relations_of_the_product(self, entries, name):
+        # r_k(h g) = h1 (G M_k G^T) h2^T for any rows h, not only parabolic
+        # ones: the forms' values equal `coeff_relations` of the product term
+        # for term.
+        rows = (tuple(entries[:5]), tuple(entries[5:]))
+        cols = t._poly_generator_columns(name, "1")
+        values = tuple(MPoly.bilinear(form, *rows) for form in t._pulled_back_forms(cols))
+        assert values == t.coeff_relations(t._rows_mul(rows, cols))
+        assert tuple(MPoly.bilinear(form, *rows) for form in t._IDENTITY_FORMS) == t.coeff_relations(rows)
+
     def test_relation_check_builds_no_intermediate_polynomial(self, monkeypatch):
-        products = []
-        t.walk_parabolic_words(2, lambda word, rows: products.append(rows) if len(word) == 2 else None)
+        # Neither a product checked from its prefix's rows nor the product's
+        # own rows checked against the relations themselves.
+        steps, products = [], []
+
+        def visit(word, rows, forms):
+            steps.append((rows, forms))
+            products.append(t._rows_mul(rows, t._poly_generator_columns(word[-1], str(len(word)))))
+
+        t.walk_parabolic_words(2, visit)
         calls = []
 
         def counted(name, op):
@@ -293,8 +362,16 @@ class TestBlockParabolic:
 
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
             monkeypatch.setattr(MPoly, name, counted(name, getattr(MPoly, name)))
+        assert all(t._rows_relations_zero(rows, forms) for rows, forms in steps)
         assert all(t._rows_relations_zero(rows) for rows in products)
         assert calls == []
+
+    def test_rows_are_built_for_proper_prefixes_only(self, monkeypatch):
+        rows_mul = t._rows_mul
+        calls = []
+        monkeypatch.setattr(t, "_rows_mul", lambda rows, cols: calls.append(1) or rows_mul(rows, cols))
+        assert t.coeff_relations_probe(3)["products_checked"] == 8 + 64 + 512
+        assert len(calls) == 8 + 64
 
     def test_truncated_columns_read_no_dropped_row(self, monkeypatch):
         # An entry below the block diagonal would feed column 3 from row 6,
@@ -313,11 +390,17 @@ class TestBlockParabolic:
     def test_walk_matches_the_symmatrix_products(self):
         # Oracle: rows 1-2 and columns 1-5 of the SymMatrix product of
         # `parabolic_generator`s, scaled by t1_d * t2_d for a torus factor at
-        # depth d, as the walk scales it.
+        # depth d, as the walk scales it.  The walk hands each product the
+        # rows of its prefix; those times the last generator's columns are
+        # the product's.
         products = {(): (SymMatrix.identity(7), RFrac.const(1))}
         mismatches = []
 
-        def visit(word, walked):
+        def expected_rows(word):
+            product, scale = products[word]
+            return [[product[r, j] * scale for j in range(5)] for r in (0, 1)]
+
+        def visit(word, rows, forms):
             depth = str(len(word))
             product, scale = products[word[:-1]]
             name = word[-1]
@@ -325,8 +408,10 @@ class TestBlockParabolic:
             if name == "torus":
                 scale = scale * RFrac.var("t1" + depth) * RFrac.var("t2" + depth)
             products[word] = (product, scale)
-            expected = [[product[r, j] * scale for j in range(5)] for r in (0, 1)]
-            if [[RFrac(e) for e in row] for row in walked] != expected:
+            walked = t._rows_mul(rows, t._poly_generator_columns(name, depth))
+            if [[RFrac(e) for e in row] for row in rows] != expected_rows(word[:-1]):
+                mismatches.append(word[:-1])
+            if [[RFrac(e) for e in row] for row in walked] != expected_rows(word):
                 mismatches.append(word)
 
         assert t.walk_parabolic_words(3, visit) == 8 + 64 + 512
