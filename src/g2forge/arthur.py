@@ -53,27 +53,19 @@ _ORBIT_DATA: Tuple[Tuple[str, Tuple[str, ...], int, str], ...] = (
 )
 
 
-def _root_vector_sum(names: Sequence[str]) -> SymMatrix:
-    lie = triform.lie_basis()
-    out = SymMatrix.zero(7, 7)
-    for name in names:
-        out = out + lie.by_name(f"e[{name}]")
-    return out
-
-
 def orbit_table() -> Tuple[OrbitRecord, ...]:
     """The five nilpotent orbits: zero, long-root, short-root, subregular and
     regular, with dimensions cross-checked against centralizer ranks."""
     lie = triform.lie_basis()
     records = []
     for name, summands, dim, comp in _ORBIT_DATA:
-        rep = _root_vector_sum(summands)
+        rep = {f"e[{s}]": 1 for s in summands}
         computed = 14 - lie.centralizer_dim(rep)
         if computed != dim:
             raise AssertionError(
                 f"orbit {name}: stored dimension {dim} but centralizer gives {computed}"
             )
-        records.append(OrbitRecord(name, dim, rep, comp))
+        records.append(OrbitRecord(name, dim, lie.element(rep), comp))
     return tuple(records)
 
 
@@ -81,18 +73,14 @@ def subregular_centralizer_report() -> Dict[str, object]:
     """Machine-checkable witnesses for the subregular centralizer: four
     nilpotent elements that commute with the representative and span its full
     centralizer, plus the two order-witnesses for the symmetric-group
-    component group."""
+    component group.  The basis is independent, so the span dimension is
+    the rank of the witnesses' coefficient rows."""
     lie = triform.lie_basis()
-    rep = _root_vector_sum(("a", "a+3b"))
-    witness_names = ("e[a+b]", "e[a+2b]", "e[2a+3b]", None)
-    elements = [
-        lie.by_name(n) if n is not None else rep for n in witness_names
-    ]
-    brackets_vanish = all(
-        triform.bracket(rep, x).is_zero() for x in elements
-    )
-    coords = [lie.coordinates(x) for x in elements]
-    span_dim = SymMatrix(coords).rank()
+    rep = triform.SUBREGULAR_E
+    elements = [{"e[a+b]": 1}, {"e[a+2b]": 1}, {"e[2a+3b]": 1}, rep]
+    rep_matrix = lie.element(rep)
+    brackets_vanish = all(triform.bracket(rep_matrix, lie.element(x)).is_zero() for x in elements)
+    span_dim = SymMatrix([[x.get(n, 0) for n in lie.names] for x in elements]).rank()
     cent_dim = lie.centralizer_dim(rep)
     return {
         "witness_elements": ["e[a+b]", "e[a+2b]", "e[2a+3b]", "e[a]+e[a+3b]"],

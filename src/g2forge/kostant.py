@@ -81,15 +81,6 @@ def levi_piece_dim(parabolic: ParabolicId, weight: Weight) -> int:
     return d
 
 
-def euler_characteristic(parabolic: ParabolicId, lam: Weight) -> int:
-    """Alternating sum of Levi piece dimensions (always zero: the virtual
-    nilpotent-cohomology Euler characteristic of a nonzero nilradical)."""
-    total = 0
-    for piece in kostant_pieces(parabolic, lam):
-        total += (-1) ** piece.degree * levi_piece_dim(parabolic, piece.levi_highest_weight)
-    return total
-
-
 class DegreeCase(NamedTuple):
     degree: int
     k: Union[int, MPoly]

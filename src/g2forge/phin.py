@@ -332,17 +332,6 @@ def phi_relation_defect(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     return (adj * b * a - b.scale(det)).scale(RFrac.var("p") / det)
 
 
-class EBcPair(NamedTuple):
-    b: SymMatrix
-    c: RFrac
-
-
-def ebc_distinguish(pair1: EBcPair, pair2: EBcPair) -> bool:
-    """True iff E(B, c) and E(B', c') are non-isomorphic as extensions; see
-    `ebc_modules_differ`, which compares them built at weight 4."""
-    return ebc_modules_differ(*(build_EBc(b, c, 4, 1) for b, c in (pair1, pair2)))
-
-
 def ebc_modules_differ(m1: PhiNModule, m2: PhiNModule) -> bool:
     """True iff two modules built by `build_EBc` at one weight are
     non-isomorphic as extensions.

@@ -171,19 +171,25 @@ def genericity_witness() -> Dict[str, object]:
 
 def form_derivation_residue(x: SymMatrix, form: AltTriForm) -> AltTriForm:
     """The trilinear form F(X., ., .) + F(., X., .) + F(., ., X.); zero iff X
-    is an infinitesimal stabilizer of F."""
-    out: Dict[Tuple[int, int, int], RFrac] = {}
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            for k in range(j + 1, 8):
-                total = RFrac.const(0)
-                for l in range(1, 8):
-                    total = total + x[l - 1, i - 1] * form.get(l, j, k)
-                    total = total + x[l - 1, j - 1] * form.get(i, l, k)
-                    total = total + x[l - 1, k - 1] * form.get(i, j, l)
-                if not total.is_zero():
-                    out[(i, j, k)] = total
-    return AltTriForm(out)
+    is an infinitesimal stabilizer of F.
+
+    e^l pulls back under X to the sum of X[l, p] e^p, so each term
+    c e^l^e^m^e^n of F gives, for each nonzero X[q, p] with q one of l, m, n,
+    c X[q, p] times the wedge with e^q replaced by e^p.  Only the nonzero
+    entries of X and the terms of F are visited; each output triple sums
+    its terms in the order they are collected."""
+    terms: Dict[Tuple[int, int, int], List[RFrac]] = {}
+    for q, row in enumerate(x.entries, 1):
+        for p, v in enumerate(row, 1):
+            if not v.num.terms:
+                continue
+            for triple, c in form.coeffs.items():
+                if q in triple:
+                    key, sign = _sort_triple(*(p if i == q else i for i in triple))
+                    if sign:
+                        term = c * v
+                        terms.setdefault(key, []).append(term if sign == 1 else -term)
+    return AltTriForm({key: sum(ts, R_ZERO) for key, ts in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +673,13 @@ def parabolic_generic_element() -> SymMatrix:
 
 # ---------------------------------------------------------------------------
 # Lie algebra
+#
+# The infinitesimal stabilizer {X in gl7 : X.phi = 0} of any tensor phi is a
+# Lie subalgebra of gl7.  When X -> X.phi has rank 35 on the 49 entries of X,
+# the stabilizer has dimension 14, so 14 independent members with zero residue
+# span it, and it is closed under brackets: no bracket is expanded in the
+# basis.  Centralizers come from rank-nullity on ambient brackets (see
+# ``LieG2.centralizer_dim``).
 
 def _linear_coefficient(root: str) -> SymMatrix:
     """d/dx g(root, x) at x = 0."""
@@ -684,15 +697,41 @@ def _linear_coefficient(root: str) -> SymMatrix:
 H1 = SymMatrix.diagonal([RFrac.const(c) for c in (1, 0, 1, 0, -1, 0, -1)])
 H2 = SymMatrix.diagonal([RFrac.const(c) for c in (0, 1, -1, 0, 1, -1, 0)])
 
+_TRIPLES = tuple((i, j, k) for i in range(1, 8) for j in range(i + 1, 8) for k in range(j + 1, 8))
+
 
 def bracket(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     return x * y - y * x
 
 
+def _sparse_vec(m: SymMatrix) -> Tuple[Tuple[int, RFrac], ...]:
+    """The nonzero entries of a 7x7 matrix as (7 * row + col, entry), 0-indexed."""
+    return tuple((7 * i + j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x.num.terms)
+
+
+def derivation_rank(form: AltTriForm) -> int:
+    """The rank of X -> X.form on gl7: its 49 rows are the residues of the
+    unit matrices, each over the 35 sorted triples."""
+    rows = []
+    for n in range(49):
+        unit = SymMatrix(tuple(tuple(R_ONE if 7 * i + j == n else R_ZERO for j in range(7)) for i in range(7)),
+                         _trusted=True)
+        residue = form_derivation_residue(unit, form).coeffs
+        rows.append([residue.get(t, R_ZERO) for t in _TRIPLES])
+    return len(row_reduce(rows, len(_TRIPLES)))
+
+
 class LieG2:
     """The 14-dimensional Lie algebra of the form stabilizer: 2 torus
-    directions plus 12 root vectors, with an echelonized span for exact
-    membership tests."""
+    directions plus 12 root vectors, as 7x7 matrices B_j with names, and the
+    ambient brackets [B_i, B_j] as sparse 49-vectors.  Elements are passed
+    as {basis name: coefficient}.
+
+    The constructor raises ``ValueError`` if the 14 matrices are dependent.
+    It records the proof that they span the stabilizer of ``generic_form()``:
+    ``derivation_rank``, the rank of X -> X.phi over Q(a), and
+    ``nonstabilizing``, the basis names whose residue is nonzero.  Rank 35
+    and no such name prove it, and then the span is closed under brackets."""
 
     def __init__(self):
         w_long = weyl_rep("ababab")
@@ -706,88 +745,51 @@ class LieG2:
             basis.append((f"e[-({name})]", w_long * e * w_long_inv))
         self.names: Tuple[str, ...] = tuple(n for n, _ in basis)
         self.matrices: Tuple[SymMatrix, ...] = tuple(m for _, m in basis)
-        rows = [
-            self._vectorize(mat) + [R_ONE if i == idx else R_ZERO for i in range(14)]
-            for idx, mat in enumerate(self.matrices)
-        ]
-        pivots = row_reduce(rows, 49)
-        if len(pivots) < 14:
+        if len(row_reduce([[x for row in m.entries for x in row] for m in self.matrices], 49)) < 14:
             raise ValueError("basis matrices are linearly dependent")
-        self._echelon: List[Tuple[int, RFrac, List[RFrac], List[RFrac]]] = [
-            (pivot, row[pivot].inv(), row[:49], row[49:]) for pivot, row in zip(pivots, rows)
-        ]
-        # ad(B_i) as sparse (row, col, value) triples: column j holds the
-        # coordinates of [B_i, B_j], and [B_j, B_i] = -[B_i, B_j].
-        ad: List[List[Tuple[int, int, RFrac]]] = [[] for _ in range(14)]
+        form = generic_form()
+        self.derivation_rank = derivation_rank(form)
+        self.nonstabilizing: Tuple[str, ...] = tuple(
+            name for name, m in basis if form_derivation_residue(m, form).coeffs
+        )
+        # [B_j, B_i] = -[B_i, B_j], and [B_i, B_i] = 0.
+        self._brackets = [[()] * 14 for _ in range(14)]
         for i in range(14):
             for j in range(i + 1, 14):
-                coords = self.coordinates(bracket(self.matrices[i], self.matrices[j]))
-                for k, c in enumerate(coords):
-                    if not c.is_zero():
-                        ad[i].append((k, j, c))
-                        ad[j].append((k, i, -c))
-        self._ad: Tuple[Tuple[Tuple[int, int, RFrac], ...], ...] = tuple(map(tuple, ad))
-
-    @staticmethod
-    def _vectorize(m: SymMatrix) -> List[RFrac]:
-        return [m[i, j] for i in range(7) for j in range(7)]
-
-    def _reduce(self, vec: List[RFrac], coords: List[RFrac]):
-        vec = list(vec)
-        coords = list(coords)
-        # Echelon order: a row is zero on every earlier pivot column, so a
-        # cleared pivot column stays clear.
-        for pivot, inv, row, crd in self._echelon:
-            if vec[pivot].is_zero():
-                continue
-            factor = vec[pivot] * inv
-            for i in range(49):
-                if not row[i].is_zero():
-                    vec[i] = vec[i] - factor * row[i]
-            for i in range(14):
-                if not crd[i].is_zero():
-                    coords[i] = coords[i] - factor * crd[i]
-        return vec, coords
-
-    def coordinates(self, m: SymMatrix) -> List[RFrac]:
-        """Coordinates of m in the 14-dim basis; raises if m is outside."""
-        vec, coords = self._reduce(self._vectorize(m), [RFrac.const(0)] * 14)
-        if any(not v.is_zero() for v in vec):
-            raise ValueError("matrix is not in the 14-dimensional span")
-        return [-c for c in coords]
+                vec = _sparse_vec(bracket(self.matrices[i], self.matrices[j]))
+                self._brackets[i][j] = vec
+                self._brackets[j][i] = tuple((k, -v) for k, v in vec)
 
     def by_name(self, name: str) -> SymMatrix:
         return self.matrices[self.names.index(name)]
 
-    def structure_constants(self) -> Dict[Tuple[str, str], List[RFrac]]:
-        """Bracket table [Xi, Xj] for i < j, as coordinate vectors, read off
-        the table that the constructor built (and that raised if any
-        bracket escaped the span)."""
-        table = {}
-        for i in range(14):
-            for j in range(i + 1, 14):
-                table[(self.names[i], self.names[j])] = [R_ZERO] * 14
-            for k, j, c in self._ad[i]:
-                if j > i:
-                    table[(self.names[i], self.names[j])][k] = c
-        return table
+    def element(self, coeffs: Mapping[str, Scalar]) -> SymMatrix:
+        """The matrix of {basis name: coefficient}; the zero matrix for {}."""
+        out = SymMatrix.zero(7, 7)
+        for name, c in coeffs.items():
+            b = self.by_name(name)
+            out = out + (b if c == 1 else b.scale(c))
+        return out
 
-    def adjoint_matrix(self, x: SymMatrix) -> SymMatrix:
-        """ad(x) restricted to the 14-dim basis (columns = coordinates of
-        [x, basis_j]), as the sum of x_i ad(B_i) over the coordinates x_i of
-        x; raises ValueError if x is outside the span."""
-        out = [[R_ZERO] * 14 for _ in range(14)]
-        for xi, ad_i in zip(self.coordinates(x), self._ad):
-            if not xi.is_zero():
-                for k, j, c in ad_i:
-                    out[k][j] = out[k][j] + xi * c
-        return SymMatrix(out)
+    def bracket_rows(self, x: Mapping[str, Scalar]) -> List[List[RFrac]]:
+        """vec([x, B_j]) for the 14 basis matrices B_j, summed from the cached
+        ambient brackets: [x, B_j] is the sum of x_i [B_i, B_j]."""
+        rows = [[R_ZERO] * 49 for _ in range(14)]
+        for name, c in x.items():
+            brackets = self._brackets[self.names.index(name)]
+            unit = c == 1
+            for row, vec in zip(rows, brackets):
+                for k, v in vec:
+                    row[k] = row[k] + (v if unit else v * c)
+        return rows
 
-    def centralizer_dim(self, *xs: SymMatrix) -> int:
-        """Dimension of the joint centralizer of ``xs``: 14 minus the rank of
-        their stacked ad matrices."""
-        stacked = tuple(row for x in xs for row in self.adjoint_matrix(x).entries)
-        return 14 - SymMatrix(stacked, _trusted=True).rank()
+    def centralizer_dim(self, *xs: Mapping[str, Scalar]) -> int:
+        """Dimension of the joint centralizer of ``xs`` in the span: 14 minus
+        the rank of the 14 rows vec([x1, B_j]) || ... || vec([xm, B_j]).  The
+        sum of y_j B_j commutes with every x_k iff y is in the left kernel of
+        those rows; this needs neither coordinates nor closure."""
+        rows = [sum(parts, []) for parts in zip(*(self.bracket_rows(x) for x in xs))]
+        return 14 - len(row_reduce(rows, 49 * len(xs)))
 
 
 _LIE_CACHE: Optional[LieG2] = None
@@ -804,20 +806,17 @@ def torus_direction(c1: Q, c2: Q) -> SymMatrix:
     return H1.scale(RFrac.const(c1)) + H2.scale(RFrac.const(c2))
 
 
-# The f that completes the subregular nilpotent e = e[a] + e[a+3b] and
+# The subregular nilpotent e = e[a] + e[a+3b], and the f that completes it and
 # h = torus_direction(2, 2) to an sl2-triple, as {basis name: coefficient}.
-_SL2_WITNESS = {"e[-(a)]": -2, "e[-(a+3b)]": -2}
+SUBREGULAR_E = {"e[a]": 1, "e[a+3b]": 1}
+SL2_WITNESS = {"e[-(a)]": -2, "e[-(a+3b)]": -2}
 
 
 def subregular_sl2_triple() -> Tuple[SymMatrix, SymMatrix, SymMatrix]:
-    """(e, h, f): the subregular nilpotent, the torus direction (2, 2) and
-    the witness f of ``_SL2_WITNESS``."""
+    """(e, h, f): the subregular nilpotent ``SUBREGULAR_E``, the torus
+    direction (2, 2) and the witness f of ``SL2_WITNESS``."""
     lie = lie_basis()
-    e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-    f = SymMatrix.zero(7, 7)
-    for name, c in _SL2_WITNESS.items():
-        f = f + lie.by_name(name).scale(c)
-    return e, torus_direction(2, 2), f
+    return lie.element(SUBREGULAR_E), torus_direction(2, 2), lie.element(SL2_WITNESS)
 
 
 def zeta_witness() -> Dict[str, bool]:
@@ -827,8 +826,10 @@ def zeta_witness() -> Dict[str, bool]:
 
     zeta is a symbol and the cocharacter check works modulo its minimal
     polynomial zeta^2 + zeta + 1: D e D^-1 - e vanishes in Q(a)[zeta]/(that
-    polynomial) iff every entry's numerator is divisible by it."""
-    e = subregular_sl2_triple()[0]
+    polynomial) iff every entry's numerator is divisible by it.  e is read
+    off the two generators, so the witness does not rest on the Lie basis,
+    whose negative root vectors are built with the Weyl representatives."""
+    e = _linear_coefficient("a") + _linear_coefficient("a+3b")
     z = MPoly.var("zeta")
     zeta = RFrac(z)
     cyclotomic = z * z + z + 1

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -413,6 +414,24 @@ class TestBenchmarkTracer:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_every_name_the_benchmark_looks_up_resolves(self):
+        """The benchmark reads its per-function metrics by name from the
+        tracer; a renamed or deleted function must fail here rather than
+        turn a benchmark run into an error.  Builds the tracer in a fresh
+        interpreter, as `perfbench/run.py` does."""
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import run\n"
+            "tracer = run.Tracer(run.import_package(run.ROOT))\n"
+            "for name in [name for name, _kinds in run.FUNCTION_METRICS] + ['triform.LieG2.new']:\n"
+            "    tracer.function(name)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=os.path.dirname(HERE), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 def _statuses(report):
     return {f"{s['name']}/{c['id']}": c["status"] for s in report["suites"] for c in s["checks"]}
@@ -462,6 +481,11 @@ def _run_python(args):
 #   breaks g(x) g(y) = g(x+y);
 # - a 3-form pullback that drops the sign of each index sort;
 # - the Lie bracket replaced by the anticommutator;
+# - the sign of the (3, 4) entry of g(b, x) flipped again, which leaves a
+#   residue on e[b] and e[-(b)] (the stabilizer proof), and the sign of the
+#   (1, 3) entry of g(a+b, x), so e[a+b] stops commuting with the
+#   subregular nilpotent;
+# - the short-root Weyl representative replaced by the long-root one;
 # - the second Weyl generator replaced by the permutation matrix of the
 #   3-cycle (1 2 3), which is monomial but not an involution, and the
 #   permutation product made trivial;
@@ -572,7 +596,17 @@ _MUTATIONS = {
     ),
     "triform/bruhat-block-intersection": (("triform", "_BLOCKS", "({1, 2, 3}, {4, 5}, {6, 7})"),),
     # The sl2 witness f with coefficient -1 on e[-(a)]: [e, f] is not h.
-    "triform/subregular-sl2": (("triform", "_SL2_WITNESS", '{**triform._SL2_WITNESS, "e[-(a)]": -1}'),),
+    "triform/subregular-sl2": (("triform", "SL2_WITNESS", '{**triform.SL2_WITNESS, "e[-(a)]": -1}'),),
+    # The (3, 4) entry of g(b, x) with the wrong sign: e[b] stops stabilizing the form.
+    "triform/bracket-closure": (
+        (
+            "triform", "_GEN_ENTRIES",
+            '{**triform._GEN_ENTRIES, "b": triform._GEN_ENTRIES["b"][:1] + ((3, 4, 2, 1, False),) '
+            '+ triform._GEN_ENTRIES["b"][2:]}',
+        ),
+    ),
+    # The short-root Weyl representative replaced by the long-root one.
+    "triform/zeta-witness": (("triform", "W_TILDE_B", "triform.W_TILDE_A"),),
     "wedge2/wedge-functoriality": (
         (
             "lattice", "wedge2_standard",
@@ -617,6 +651,11 @@ _MUTATIONS = {
     "arthur/packet-data": (("arthur", "lambda0", "lambda k: arthur.Weight(2 * (k - 4), 3 * (k - 4))"),),
     # The vanishing rules without `classical_at_least_two`.
     "arthur/ledger-bound": (("arthur", "DEFAULT_RULES", "arthur.DEFAULT_RULES[:-1]"),),
+    # The (1, 3) entry of g(a+b, x) with the wrong sign: e[a+b] stops commuting
+    # with the subregular nilpotent.
+    "arthur/subregular-centralizer": (
+        ("triform", "_GEN_ENTRIES", '{**triform._GEN_ENTRIES, "a+b": ((1, 3, -1, 1, False),) + triform._GEN_ENTRIES["a+b"][1:]}'),
+    ),
     # The subregular orbit stored with a trivial component group.
     "arthur/orbit-dimensions": (
         (
@@ -658,7 +697,7 @@ def _check_in_process(monkeypatch, mutation, check_id):
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
     monkeypatch.setattr(checks, "CHECKS", _only_check(check_id))
-    # The Lie basis and its structure constants are cached: the mutated run
+    # The Lie basis and its ambient brackets are cached: the mutated run
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)
     # The wedge2 reports are cached too: the mutated run computes its own,
@@ -758,6 +797,18 @@ class TestChecksCanFail:
         (mutation,) = _MUTATIONS["triform/subregular-sl2"]
         check = _check_in_process(monkeypatch, mutation, "triform/subregular-sl2")
         assert (check["status"], check["detail"]) == ("fail", "triple completed; joint centralizer dim 0")
+
+    @pytest.mark.parametrize("check_id, reason", (
+        ("triform/bracket-closure", "(failures: ['e[b]', 'e[-(b)]'])"),
+        ("triform/zeta-witness", "'weyl_rep_centralizes': False"),
+        ("arthur/subregular-centralizer", "span dim 4; witnesses"),
+    ))
+    def test_a_broken_lie_algebra_fails_the_check_itself(self, monkeypatch, check_id, reason):
+        # The mutant must break what the check reads, not make it raise.
+        (mutation,) = _MUTATIONS[check_id]
+        check = _check_in_process(monkeypatch, mutation, check_id)
+        assert check["status"] == "fail" and reason in check["detail"]
+        assert not re.match(r"\w+: ", check["detail"])
 
     def test_shape_families_off_their_closed_form_fail(self, monkeypatch, optimized_statuses):
         # A finding check, so it is not in _MUTATIONS; it still has a failure mode.

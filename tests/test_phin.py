@@ -131,10 +131,9 @@ class TestExtensionFamily:
     )
     @settings(max_examples=40, deadline=None)
     def test_parameters_distinguish_extensions(self, v1, v2):
-        p1 = phin.EBcPair(const_matrix([v1[:2], v1[2:4]]), RFrac.const(v1[4]))
-        p2 = phin.EBcPair(const_matrix([v2[:2], v2[2:4]]), RFrac.const(v2[4]))
-        same = (p1.b - p2.b).is_zero() and (p1.c - p2.c).is_zero()
-        assert phin.ebc_distinguish(p1, p2) == (not same)
+        b1, b2 = const_matrix([v1[:2], v1[2:4]]), const_matrix([v2[:2], v2[2:4]])
+        same = v1 == v2
+        assert phin.ebc_modules_differ(phin.build_EBc(b1, v1[4], 4, 1), phin.build_EBc(b2, v2[4], 4, 1)) == (not same)
 
 
 class TestMonodromyObstruction:

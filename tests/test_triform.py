@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as Q
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from g2forge import arthur, checks, roots
 from g2forge import triform as t
-from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix
+from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix, row_reduce
 
 X = RFrac.var("x")
 A, T1, T2 = RFrac.var("a"), RFrac.var("t1"), RFrac.var("t2")
@@ -42,6 +41,65 @@ def dense_pullback(form, g):
                     total = total + c * det
                 out[(i, j, k)] = total
     return t.AltTriForm(out)
+
+
+def dense_residue(x, form):
+    """Oracle for `form_derivation_residue`: coefficient (i, j, k) is the
+    sum over l of X[l, i] F(l, j, k) + X[l, j] F(i, l, k) + X[l, k] F(i, j, l)."""
+    out = {}
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            for k in range(j + 1, 8):
+                total = RFrac.const(0)
+                for l in range(1, 8):
+                    total = total + x[l - 1, i - 1] * form.get(l, j, k)
+                    total = total + x[l - 1, j - 1] * form.get(i, l, k)
+                    total = total + x[l - 1, k - 1] * form.get(i, j, l)
+                out[(i, j, k)] = total
+    return t.AltTriForm(out)
+
+
+def vec(m):
+    return [m[i, j] for i in range(7) for j in range(7)]
+
+
+def oracle_coordinates(lie, m):
+    """Oracle coordinate solve: the c with sum c_i B_i = m, by elimination on
+    the 49 entry equations and back-substitution; raises ValueError if m is
+    outside the span."""
+    rows = [[b[i, j] for b in lie.matrices] + [m[i, j]] for i in range(7) for j in range(7)]
+    if row_reduce(rows, 15) != list(range(14)):
+        raise ValueError("matrix is not in the 14-dimensional span")
+    coords = [R_ZERO] * 14
+    for r in range(13, -1, -1):
+        rest = sum((rows[r][j] * coords[j] for j in range(r + 1, 14)), R_ZERO)
+        coords[r] = (rows[r][14] - rest) / rows[r][r]
+    return coords
+
+
+def oracle_bracket_table(lie):
+    """The structure constants: table[i][j] holds the coordinates of
+    [B_i, B_j]; the solve raises if a bracket leaves the span."""
+    return [[oracle_coordinates(lie, t.bracket(bi, bj)) for bj in lie.matrices] for bi in lie.matrices]
+
+
+def oracle_adjoint(table, coords):
+    """ad(x) on the span, for x with the given coordinates: column j holds
+    the coordinates of [x, B_j], the sum of x_i [B_i, B_j]."""
+    return SymMatrix([
+        [sum((xi * table[i][j][k] for i, xi in enumerate(coords)), R_ZERO) for j in range(14)] for k in range(14)
+    ])
+
+
+def oracle_centralizer_dim(lie, table, *xs):
+    """14 minus the rank of the stacked adjoint matrices of the matrices xs."""
+    stacked = [row for x in xs for row in oracle_adjoint(table, oracle_coordinates(lie, x)).entries]
+    return 14 - SymMatrix(stacked).rank()
+
+
+@pytest.fixture(scope="module")
+def bracket_table():
+    return oracle_bracket_table(t.lie_basis())
 
 
 # Nonzero entries: integers, rationals times a power of the form parameter a,
@@ -139,6 +197,22 @@ class TestForm:
         for rec in t.lie_basis().names:
             elem = t.lie_basis().by_name(rec)
             assert t.form_derivation_residue(elem, form).coeffs == {}
+
+    @given(sparse_matrices(), st.sampled_from(("generic", "variant", "standard")))
+    @settings(max_examples=40, deadline=None)
+    def test_residue_matches_the_dense_triple_loop(self, x, which):
+        form = {
+            "generic": t.generic_form(),
+            "variant": t.displayed_form_variant(),
+            "standard": t.standard_form(),
+        }[which]
+        assert t.form_derivation_residue(x, form) == dense_residue(x, form)
+
+    def test_derivation_rank_tells_the_generic_forms_from_the_variant(self):
+        # Rank 35 leaves a 14-dimensional stabilizer; the variant's is larger.
+        assert t.derivation_rank(t.generic_form()) == 35
+        assert t.derivation_rank(t.standard_form()) == 35
+        assert t.derivation_rank(t.displayed_form_variant()) == 34
 
 
 def matrix_conj_relation(root):
@@ -452,42 +526,49 @@ class TestLieAlgebra:
         assert len(t.lie_basis().names) == 14
 
     def test_bracket_closure(self):
-        table = t.lie_basis().structure_constants()
-        assert len(table) == 91  # all unordered basis pairs
-
-    def test_structure_constants_are_the_direct_brackets(self):
+        # X -> X.phi has rank 35 over Q(a), and no basis matrix leaves a residue.
         lie = t.lie_basis()
-        table = lie.structure_constants()
+        assert (lie.derivation_rank, lie.nonstabilizing) == (35, ())
+
+    def test_the_bracket_table_closes(self, bracket_table):
+        # The enumerating oracle for the proof: every [B_i, B_j] has
+        # coordinates, and they rebuild the bracket.
+        lie = t.lie_basis()
         for i, j in ((i, j) for i in range(14) for j in range(i + 1, 14)):
-            direct = lie.coordinates(t.bracket(lie.matrices[i], lie.matrices[j]))
-            assert table[(lie.names[i], lie.names[j])] == direct, (i, j)
+            rebuilt = lie.element({name: c for name, c in zip(lie.names, bracket_table[i][j]) if c})
+            assert rebuilt == t.bracket(lie.matrices[i], lie.matrices[j]), (i, j)
 
-    @staticmethod
-    def adjoint_from_brackets(lie, x):
-        """Oracle for `adjoint_matrix`: column j holds the coordinates of
-        the bracket [x, B_j]."""
-        cols = [lie.coordinates(t.bracket(x, b)) for b in lie.matrices]
-        return SymMatrix([[cols[j][i] for j in range(14)] for i in range(14)])
+    def test_a_wrong_generator_entry_fails_the_proof(self, monkeypatch):
+        # The (3, 4) entry of g(b, x) with the wrong sign: the form's rank is
+        # unchanged, but e[b] and its conjugate under w_long stop stabilizing it.
+        entries = list(t._GEN_ENTRIES["b"])
+        entries[1] = (3, 4, 2, 1, False)
+        monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
+        lie = t.LieG2()
+        assert (lie.derivation_rank, lie.nonstabilizing) == (35, ("e[b]", "e[-(b)]"))
 
-    def test_adjoint_matrix_on_the_basis_and_the_orbit_representatives(self):
-        lie = t.lie_basis()
-        elements = list(lie.matrices) + [rec.representative for rec in arthur.orbit_table()]
-        for x in elements:
-            assert lie.adjoint_matrix(x) == self.adjoint_from_brackets(lie, x)
+    def test_dependent_basis_matrices_raise(self, monkeypatch):
+        monkeypatch.setattr(t, "H2", t.H1)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            t.LieG2()
 
-    def test_adjoint_matrix_on_the_generic_element(self):
+    def test_bracket_rows_on_the_generic_element(self):
         # Both sides are linear in x, so agreement on the generic element
         # sum c_i B_i with symbolic c_i is an identity on the whole span.
         lie = t.lie_basis()
-        x = SymMatrix.zero(7, 7)
-        for i, b in enumerate(lie.matrices):
-            x = x + b.scale(RFrac(MPoly.var(f"c{i}")))
-        assert lie.adjoint_matrix(x) == self.adjoint_from_brackets(lie, x)
+        coeffs = {name: RFrac(MPoly.var(f"c{i}")) for i, name in enumerate(lie.names)}
+        x = lie.element(coeffs)
+        assert lie.bracket_rows(coeffs) == [vec(t.bracket(x, b)) for b in lie.matrices]
 
-    def test_adjoint_matrix_rejects_an_element_outside_the_span(self):
-        # The identity commutes with everything, yet is not in the algebra.
-        with pytest.raises(ValueError, match="not in the 14-dimensional span"):
-            t.lie_basis().adjoint_matrix(SymMatrix.identity(7))
+    def test_centralizer_dims_match_the_adjoint_oracle(self, bracket_table):
+        lie = t.lie_basis()
+        elements = [{name: 1} for name in lie.names]
+        elements += [{f"e[{s}]": 1 for s in summands} for _, summands, _, _ in arthur._ORBIT_DATA]
+        for x in elements:
+            assert lie.centralizer_dim(x) == oracle_centralizer_dim(lie, bracket_table, lie.element(x)), x
+        e, h, f = t.subregular_sl2_triple()
+        assert lie.centralizer_dim(t.SUBREGULAR_E, t.SL2_WITNESS) == oracle_centralizer_dim(lie, bracket_table, e, f)
+        assert [lie.centralizer_dim(x) for x in elements[14:]] == [14, 8, 6, 4, 2]
 
     def test_jacobi_on_sample(self):
         lie = t.lie_basis()
@@ -503,11 +584,11 @@ class TestLieAlgebra:
     def test_centralizer_dimensions(self):
         lie = t.lie_basis()
         reps = {
-            "zero": SymMatrix.zero(7, 7),
-            "long": lie.by_name("e[a]"),
-            "short": lie.by_name("e[b]"),
-            "subregular": lie.by_name("e[a]") + lie.by_name("e[a+3b]"),
-            "regular": lie.by_name("e[a]") + lie.by_name("e[b]"),
+            "zero": {},
+            "long": {"e[a]": 1},
+            "short": {"e[b]": 1},
+            "subregular": t.SUBREGULAR_E,
+            "regular": {"e[a]": 1, "e[b]": 1},
         }
         dims = {k: lie.centralizer_dim(v) for k, v in reps.items()}
         assert dims == {"zero": 14, "long": 8, "short": 6, "subregular": 4, "regular": 2}
@@ -520,30 +601,31 @@ class TestLieAlgebra:
         assert t.bracket(e, f) == h
         assert t.bracket(h, e) == e.scale(RFrac.const(2))
         assert t.bracket(h, f) == f.scale(RFrac.const(-2))
-        assert lie.centralizer_dim(e, f) == 0
+        assert lie.centralizer_dim(t.SUBREGULAR_E, t.SL2_WITNESS) == 0
         witness = t.zeta_witness()
         assert all(witness.values())
 
-    def test_the_witness_is_the_only_completion(self):
+    def test_the_witness_is_the_only_completion(self, bracket_table):
         # The f-coordinates c of a completion solve ad_e c = h and
         # (ad_h + 2I) c = 0.  For h = (2, 2) that system has full rank 14, so
         # the witness is its only solution; for the multiples (1, 1) and
         # (4, 4) the right-hand side raises the rank to 15: no f exists.
         lie = t.lie_basis()
         e = lie.by_name("e[a]") + lie.by_name("e[a+3b]")
-        ad_e = lie.adjoint_matrix(e)
+        ad_e = oracle_adjoint(bracket_table, oracle_coordinates(lie, e))
         for c, augmented_rank in ((Q(2), 14), (Q(1), 15), (Q(4), 15)):
             h = t.torus_direction(c, c)
-            shifted = lie.adjoint_matrix(h) + SymMatrix.identity(14).scale(RFrac.const(2))
+            h_coords = oracle_coordinates(lie, h)
+            shifted = oracle_adjoint(bracket_table, h_coords) + SymMatrix.identity(14).scale(RFrac.const(2))
             system = SymMatrix(ad_e.entries + shifted.entries)
-            rhs = lie.coordinates(h) + [R_ZERO] * 14
+            rhs = h_coords + [R_ZERO] * 14
             augmented = SymMatrix([row + (b,) for row, b in zip(system.entries, rhs)])
             assert (system.rank(), augmented.rank()) == (14, augmented_rank)
 
     def test_the_check_needs_h_f_equal_to_minus_two_f(self, monkeypatch):
         # e[a+b] centralizes e, so adding it to f keeps [e, f] = h; only
         # [h, f] = -2f tells the wrong witness apart.
-        monkeypatch.setattr(t, "_SL2_WITNESS", {**t._SL2_WITNESS, "e[a+b]": 1})
+        monkeypatch.setattr(t, "SL2_WITNESS", {**t.SL2_WITNESS, "e[a+b]": 1})
         e, h, f = t.subregular_sl2_triple()
         assert t.bracket(e, f) == h
         assert checks.subregular_sl2()[0] == "fail"
@@ -551,6 +633,6 @@ class TestLieAlgebra:
     def test_zeta_witness_can_fail(self, monkeypatch):
         # The short coroot at zeta does not centralize e[b]: entry (1, 2) of
         # e[b] joins the zeta powers 1 and -1, which differ by 2 mod 3.
-        e_b = t.lie_basis().by_name("e[b]")
-        monkeypatch.setattr(t, "lie_basis", lambda: SimpleNamespace(by_name=lambda name: e_b))
+        e_b = t._linear_coefficient("b")
+        monkeypatch.setattr(t, "_linear_coefficient", lambda root: e_b)
         assert t.zeta_witness()["short_coroot_at_zeta_centralizes"] is False
