@@ -615,7 +615,11 @@ def subregular_centralizer():
     witnesses = rep["component_group_witnesses"]
     ok = rep["all_brackets_vanish"] and rep["matches_centralizer_dim"]
     ok = ok and all(witnesses.values())
-    return _bool(ok, f"span dim {rep['span_dimension']}; witnesses {witnesses}")
+    return _bool(
+        ok,
+        f"span dim {rep['span_dimension']}; brackets vanish {rep['all_brackets_vanish']}; "
+        f"matches centralizer dim {rep['matches_centralizer_dim']}; witnesses {witnesses}",
+    )
 
 
 @check("arthur", "packet-data", "two-member packet degrees and Harish-Chandra parameters")

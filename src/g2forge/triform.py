@@ -8,7 +8,7 @@ centralizer computations.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, row_reduce
 
@@ -140,10 +140,15 @@ def standard_form() -> AltTriForm:
     return AltTriForm({(1, 2, 3): 1, (4, 5, 6): 1, (1, 4, 7): 1, (2, 5, 7): 1, (3, 6, 7): 1})
 
 
+# The index permutation (2635)(47) that carries the textbook form's support
+# onto that of generic_form, as {i: image of i}.
+_GENERICITY_PERM: Dict[int, int] = {1: 1, 2: 6, 6: 3, 3: 5, 5: 2, 4: 7, 7: 4}
+
+
 def genericity_witness() -> Dict[str, object]:
-    """Push the textbook form through the index permutation (2635)(47) and
-    the diagonal scaling (1, 1, a, -1/a, -a, 1/a, 1/a), and compare with
-    generic_form.
+    """Push the textbook form through the index permutation
+    ``_GENERICITY_PERM`` and the diagonal scaling
+    (1, 1, a, -1/a, -a, 1/a, 1/a), and compare with generic_form.
 
     The image has exactly the support {147, 156, 237, 246, 345} (hence is
     generic, being a torus rescaling of generic_form over an algebraic
@@ -151,8 +156,7 @@ def genericity_witness() -> Dict[str, object]:
     parameter; an exact on-the-nose match would require a cube root of the
     parameter.  Both facts are reported.
     """
-    perm = {1: 1, 2: 6, 6: 3, 3: 5, 5: 2, 4: 7, 7: 4}
-    inv = {v: k for k, v in perm.items()}
+    inv = {v: k for k, v in _GENERICITY_PERM.items()}
     cols = [[R_ZERO] * 7 for _ in range(7)]
     for j in range(1, 8):
         cols[inv[j] - 1][j - 1] = R_ONE
@@ -478,16 +482,21 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 #
 # Each relation is a bilinear form in the two rows, r_k(h) = h1 M_k h2^T with
 # M_k in _RELATION_FORMS, so r_k(h g) = h1 (G M_k G^T) h2^T for the 5x5 block
-# G of g.  That is the relation itself, by associativity, for every h.  The
-# probe checks a product h g on the rows of its prefix h, through the
-# pulled-back forms G M_k G^T of its last generator, each flattened to its
-# (coefficient, packed monomial, i, j) terms and summed by ``MPoly.bilinear``
-# with no intermediate polynomial.  So the walk builds rows only for proper
-# prefixes, with ``*`` and ``+``, whose one-term shift suits the sparse
-# columns.
+# G of g.  That is the relation itself, by associativity, for every h.  Split
+# by the monomials m of g's own symbols, G M_k G^T is the sum of m N_m with
+# each N_m constant.  A factor of a word has fresh symbols, which its prefix h
+# never uses, so r_k(h g) vanishes iff every N_m vanishes on the rows of h.
+# The N_m of all generators are interned into one table: the 16 pulled-back
+# forms give 4 distinct ones, M_1, M_2 and one x-part each for b and -b.  The
+# probe evaluates each table form once per prefix with ``MPoly.bilinear``,
+# which sums its (coefficient, 0, i, j) terms with no intermediate
+# polynomial, and a product passes iff the forms of its last generator all
+# vanish.  So the walk builds rows only for proper prefixes, with ``*`` and
+# ``+``, whose one-term shift suits the sparse columns.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
 FormTerms = Tuple[Tuple[Scalar, int, int, int], ...]
+Rows = Tuple[Tuple[MPoly, ...], ...]
 
 _IDENTITY_ROWS = tuple(tuple(MPoly.one() if j == i else MPoly.zero() for j in range(5)) for i in (0, 1))
 
@@ -540,10 +549,40 @@ def _pulled_back_forms(cols: SparseCols) -> Tuple[FormTerms, ...]:
     return tuple(out)
 
 
-_IDENTITY_FORMS = tuple(tuple((m, 0, a, b) for (a, b), m in form.items()) for form in _RELATION_FORMS)
+def _form_parts(form: FormTerms) -> Dict[int, FormTerms]:
+    """The split of a pulled-back form, sum of m N_m over the packed
+    monomials m of its terms, as {m: N_m}: each N_m is the constant form of
+    the terms (c, 0, i, j) for the terms (c, m, i, j), sorted by (i, j), so
+    equal forms are equal tuples."""
+    parts: Dict[int, List[Tuple[Scalar, int, int, int]]] = {}
+    for c, m, i, j in form:
+        parts.setdefault(m, []).append((c, 0, i, j))
+    return {m: tuple(sorted(terms, key=lambda term: term[2:])) for m, terms in parts.items()}
 
 
-def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tuple[MPoly, ...], ...]:
+def _relation_table() -> Tuple[Tuple[FormTerms, ...], Dict[str, FrozenSet[int]]]:
+    """The distinct constant forms N_m over the ``_form_parts`` of every
+    generator's ``_pulled_back_forms``, and for each generator name the
+    indices of its own.  Built on each call, so it always reads the current
+    ``_GEN_ENTRIES``."""
+    index: Dict[FormTerms, int] = {}
+    parts: Dict[str, FrozenSet[int]] = {}
+    for name in GENERATOR_NAMES:
+        forms = _pulled_back_forms(_poly_generator_columns(name, ""))
+        parts[name] = frozenset(
+            index.setdefault(part, len(index)) for form in forms for part in _form_parts(form).values()
+        )
+    return tuple(index), parts
+
+
+def _failing_forms(table: Tuple[FormTerms, ...], rows: Rows) -> FrozenSet[int]:
+    """The indices of the forms in ``table`` that do not vanish on two rows
+    of five entries."""
+    u, v = rows
+    return frozenset(k for k, form in enumerate(table) if MPoly.bilinear(form, u, v).terms)
+
+
+def _rows_mul(rows: Rows, cols: SparseCols) -> Rows:
     zero = MPoly.zero()
     one = MPoly.one()
     out = []
@@ -561,17 +600,6 @@ def _rows_mul(rows: Tuple[Tuple[MPoly, ...], ...], cols: SparseCols) -> Tuple[Tu
             new_row.append(total)
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def _rows_relations_zero(rows, forms: Tuple[FormTerms, ...] = _IDENTITY_FORMS) -> bool:
-    """Whether both relation forms vanish on two rows of five entries: by
-    default the relations of the rows themselves; with a generator's
-    ``_pulled_back_forms``, those of the rows times the generator."""
-    u, v = rows
-    for form in forms:
-        if not MPoly.bilinear(form, u, v).is_zero():
-            return False
-    return True
 
 
 def coeff_relations_certificate() -> List[str]:
@@ -598,54 +626,57 @@ def coeff_relations_certificate() -> List[str]:
 
 def walk_parabolic_words(
     max_length: int,
-    visit: Callable[[Tuple[str, ...], Tuple[Tuple[MPoly, ...], ...], Tuple[FormTerms, ...]], None],
+    visit: Callable[[Tuple[str, ...], Rows, bool], None],
 ) -> int:
     """Walk every product of parabolic generators of 1 to ``max_length``
     factors in pre-order, with fresh symbols per factor (suffix = 1-based
-    position).  ``visit(word, rows, forms)`` sees each product, ``word``
+    position).  ``visit(word, rows, holds)`` sees each product, ``word``
     being its tuple of generator names, ``rows`` rows 1-2 and columns 1-5 of
     its proper prefix ``word[:-1]`` (the torus scaled as described above)
-    and ``forms`` the ``_pulled_back_forms`` of its last generator, whose
-    values on ``rows`` are the product's relations.  Rows are built for the
-    proper prefixes only, the words shorter than ``max_length``.  Returns
-    the number of products visited; ``max_length`` 0 visits none, and a
-    negative one raises ``ValueError``."""
+    and ``holds`` whether both relations vanish on the product: whether the
+    ``_relation_table`` forms of its last generator all vanish on ``rows``.
+    Each table form is evaluated once per prefix, and rows and generator
+    columns are built for the proper prefixes only, the words shorter than
+    ``max_length``.  Returns the number of products visited; ``max_length``
+    0 visits none, and a negative one raises ``ValueError``."""
     if max_length < 0:
         raise ValueError(f"word length bound must be at least 0, got {max_length}")
-    steps_by_depth = []
-    for depth in range(1, max_length + 1):
-        steps = []
-        for name in GENERATOR_NAMES:
-            cols = _poly_generator_columns(name, str(depth))
-            steps.append((name, cols, _pulled_back_forms(cols)))
-        steps_by_depth.append(steps)
+    if not max_length:
+        return 0
+    table, parts = _relation_table()
+    steps_by_depth = [
+        [(name, parts[name], _poly_generator_columns(name, str(depth)) if depth < max_length else None)
+         for name in GENERATOR_NAMES]
+        for depth in range(1, max_length + 1)
+    ]
     visited = 0
 
     def dfs(rows, word):
         nonlocal visited
         depth = len(word) + 1
-        for name, cols, forms in steps_by_depth[depth - 1]:
+        failing = _failing_forms(table, rows)
+        for name, needs, cols in steps_by_depth[depth - 1]:
             new_word = word + (name,)
-            visit(new_word, rows, forms)
+            visit(new_word, rows, failing.isdisjoint(needs))
             visited += 1
-            if depth < max_length:
+            if cols is not None:
                 dfs(_rows_mul(rows, cols), new_word)
 
-    if max_length:
-        dfs(_IDENTITY_ROWS, ())
+    dfs(_IDENTITY_ROWS, ())
     return visited
 
 
 def coeff_relations_probe(max_length: int = 4) -> Dict[str, object]:
     """Verify both coefficient relations symbolically on every product of
     parabolic generators up to the given word length (fresh symbols per
-    factor), each from the rows of its prefix and the pulled-back forms of
-    its last generator.  Returns counts; raises AssertionError, explicitly
-    so that ``python -O`` keeps it, naming the first word in pre-order on
-    which a relation fails, and ValueError for a negative length."""
+    factor), each from the rows of its prefix and the constant relation
+    forms of its last generator (see ``walk_parabolic_words``).  Returns
+    counts; raises AssertionError, explicitly so that ``python -O`` keeps
+    it, naming the first word in pre-order on which a relation fails, and
+    ValueError for a negative length."""
 
-    def visit(word, rows, forms):
-        if not _rows_relations_zero(rows, forms):
+    def visit(word, rows, holds):
+        if not holds:
             raise AssertionError(
                 f"coefficient relation failed at depth {len(word)} on {'*'.join(word)}"
             )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge import arthur, checks, roots
+from g2forge import algebra, arthur, checks, roots
 from g2forge import triform as t
 from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix, row_reduce
 
@@ -114,15 +114,24 @@ _NONZERO_ENTRY = st.one_of(
 )
 
 
-# Entries of rows that need not come from the parabolic: up to three terms in
-# y, z and x1 (a symbol the generators at depth 1 also use).
-_ROW_ENTRY = st.lists(
-    st.tuples(
-        st.one_of(st.integers(-3, 3).filter(bool), st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(2, 4))),
-        st.tuples(*(st.integers(0, 2) for _ in range(3))),
-    ),
-    max_size=3,
-).map(lambda terms: MPoly(("y", "z", "x1"), {e: c for c, e in terms}))
+def _row_entry(names):
+    """Entries of rows that need not come from the parabolic: up to three
+    terms in the three given symbols."""
+    return st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(-3, 3).filter(bool), st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(2, 4))
+            ),
+            st.tuples(*(st.integers(0, 2) for _ in range(3))),
+        ),
+        max_size=3,
+    ).map(lambda terms: MPoly(names, {e: c for c, e in terms}))
+
+
+# In y, z and x1, a symbol the generators at depth 1 also use.
+_ROW_ENTRY = _row_entry(("y", "z", "x1"))
+# In y, z and w, which no generator uses.
+_FRESH_ROW_ENTRY = _row_entry(("y", "z", "w"))
 
 
 @st.composite
@@ -340,7 +349,7 @@ class TestBlockParabolic:
 
     def test_relation_probe_can_fail(self, monkeypatch):
         # An explicit raise, so the probe still checks under python -O.
-        monkeypatch.setattr(t, "_rows_relations_zero", lambda rows, forms: False)
+        monkeypatch.setattr(t, "_failing_forms", lambda table, rows: frozenset(range(len(table))))
         with pytest.raises(AssertionError, match="coefficient relation failed at depth 1 on a$"):
             t.coeff_relations_probe(2)
 
@@ -380,52 +389,111 @@ class TestBlockParabolic:
         assert proc.stderr.splitlines()[-1] == "AssertionError: coefficient relation failed at depth 2 on a*b"
 
     def test_relation_check_agrees_with_coeff_relations_on_the_walk(self):
-        # `_rows_relations_zero` checks a product on its prefix's rows through
-        # the last generator's pulled-back forms; on every product of the
-        # depth-2 walk it and `coeff_relations` of the product are both zero.
+        # The walk checks a product on its prefix's rows through the table
+        # forms of its last generator; on every product of the depth-2 walk
+        # its verdict equals that of `coeff_relations` of the product.
         verdicts = []
 
-        def visit(word, rows, forms):
+        def visit(word, rows, holds):
             product = t._rows_mul(rows, t._poly_generator_columns(word[-1], str(len(word))))
-            verdicts.append(
-                (word, t._rows_relations_zero(rows, forms), all(r.is_zero() for r in t.coeff_relations(product)))
-            )
+            verdicts.append((word, holds, all(r.is_zero() for r in t.coeff_relations(product))))
 
         t.walk_parabolic_words(2, visit)
         assert len(verdicts) == 8 + 64
         assert [v for v in verdicts if v[1:] != (True, True)] == []
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_relation_check_agrees_with_coeff_relations_on_a_broken_walk(self, monkeypatch, index):
+        # With a sign of g(b, x) flipped, some products fail; the walk's
+        # verdict still equals that of `coeff_relations` of each product.
+        entries = list(t._GEN_ENTRIES["b"])
+        i, j, coeff, power, div_a = entries[index]
+        entries[index] = (i, j, -coeff, power, div_a)
+        monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
+        verdicts = []
+
+        def visit(word, rows, holds):
+            product = t._rows_mul(rows, t._poly_generator_columns(word[-1], str(len(word))))
+            verdicts.append((holds, all(r.is_zero() for r in t.coeff_relations(product))))
+
+        t.walk_parabolic_words(2, visit)
+        assert all(walked == direct for walked, direct in verdicts)
+        assert (False, False) in verdicts
+
     @pytest.mark.parametrize("ones, relations", [(("h21", "h14"), (1, 0)), (("h22", "h14"), (0, 1))])
     def test_relation_check_agrees_with_coeff_relations_where_one_is_nonzero(self, ones, relations):
-        # The 0/1 rows of the certificate, where (r1, r2) is (1, 0) or (0, 1).
+        # The 0/1 rows of the certificate, where (r1, r2) is (1, 0) or (0, 1):
+        # the forms of g(a, x) are M_1 and M_2 themselves, so their values
+        # are the relations, and the nonzero one is a failing form.
         rows = tuple(
             tuple(MPoly.const(int(f"h{i}{j}" in ones)) for j in range(1, 6)) for i in (1, 2)
         )
         assert t.coeff_relations(rows) == tuple(MPoly.const(r) for r in relations)
-        assert t._rows_relations_zero(rows) is False
+        table, parts = t._relation_table()
+        relation_forms = [tuple((m, 0, a, b) for (a, b), m in sorted(form.items())) for form in t._RELATION_FORMS]
+        assert [table[k] for k in sorted(parts["a"])] == relation_forms
+        assert tuple(MPoly.bilinear(form, *rows) for form in relation_forms) == t.coeff_relations(rows)
+        failing = t._failing_forms(table, rows)
+        assert [k in failing for k in sorted(parts["a"])] == [bool(r) for r in relations]
 
     @given(st.lists(_ROW_ENTRY, min_size=10, max_size=10), st.sampled_from(t.GENERATOR_NAMES))
     @settings(max_examples=60, deadline=None)
     def test_pulled_back_forms_are_the_relations_of_the_product(self, entries, name):
         # r_k(h g) = h1 (G M_k G^T) h2^T for any rows h, not only parabolic
         # ones: the forms' values equal `coeff_relations` of the product term
-        # for term.
+        # for term.  For the identity's columns, G M_k G^T is M_k itself.
         rows = (tuple(entries[:5]), tuple(entries[5:]))
         cols = t._poly_generator_columns(name, "1")
         values = tuple(MPoly.bilinear(form, *rows) for form in t._pulled_back_forms(cols))
         assert values == t.coeff_relations(t._rows_mul(rows, cols))
-        assert tuple(MPoly.bilinear(form, *rows) for form in t._IDENTITY_FORMS) == t.coeff_relations(rows)
+        identity = tuple(((j, MPoly.one()),) for j in range(5))
+        assert tuple(MPoly.bilinear(form, *rows) for form in t._pulled_back_forms(identity)) == t.coeff_relations(rows)
+
+    @given(st.lists(_FRESH_ROW_ENTRY, min_size=10, max_size=10), st.sampled_from(t.GENERATOR_NAMES))
+    @settings(max_examples=60, deadline=None)
+    def test_split_forms_sum_to_the_pulled_back_forms(self, entries, name):
+        # G M_k G^T = sum of m N_m over the monomials m of the generator's own
+        # symbols: on rows in other symbols, the value of each pulled-back
+        # form is the sum of m times the value of N_m, term for term.
+        rows = (tuple(entries[:5]), tuple(entries[5:]))
+        for form in t._pulled_back_forms(t._poly_generator_columns(name, "1")):
+            parts = t._form_parts(form)
+            assert all(c != 0 and key == 0 for part in parts.values() for c, key, _, _ in part)
+            split = MPoly.zero()
+            for m, part in parts.items():
+                split = split + algebra._poly({m: 1}) * MPoly.bilinear(part, *rows)
+            assert MPoly.bilinear(form, *rows) == split
+
+    def test_relation_table_interns_the_split_forms(self):
+        # The 16 pulled-back forms of the 8 generators (72 terms) split into
+        # 4 distinct constant forms (16 terms): M_1 and M_2, which every
+        # generator has, and one x-part each for b and -b.
+        forms = [f for name in t.GENERATOR_NAMES for f in t._pulled_back_forms(t._poly_generator_columns(name, ""))]
+        assert (len(forms), sum(map(len, forms))) == (16, 72)
+        table, parts = t._relation_table()
+        assert (len(table), sum(map(len, table))) == (4, 16)
+        assert parts == {**dict.fromkeys(t.GENERATOR_NAMES, {0, 1}), "b": {0, 1, 2}, "-b": {0, 1, 3}}
+
+    def test_each_table_form_is_evaluated_once_per_prefix(self, monkeypatch):
+        # 585 prefixes (1 + 8 + 64 + 512) times the 4 table forms, in place of
+        # 2 pulled-back forms for each of the 4,680 products.
+        bilinear = MPoly.bilinear
+        calls = []
+        monkeypatch.setattr(MPoly, "bilinear", lambda form, u, v: calls.append(1) or bilinear(form, u, v))
+        assert t.coeff_relations_probe(4)["products_checked"] == 8 + 64 + 512 + 4096
+        assert len(calls) == (1 + 8 + 64 + 512) * 4 == 2340
 
     def test_relation_check_builds_no_intermediate_polynomial(self, monkeypatch):
-        # Neither a product checked from its prefix's rows nor the product's
-        # own rows checked against the relations themselves.
-        steps, products = [], []
+        # Neither a prefix's rows checked through the table forms nor the
+        # product's own rows, on which every table form vanishes too.
+        prefixes, products = [], []
 
-        def visit(word, rows, forms):
-            steps.append((rows, forms))
+        def visit(word, rows, holds):
+            prefixes.append(rows)
             products.append(t._rows_mul(rows, t._poly_generator_columns(word[-1], str(len(word)))))
 
         t.walk_parabolic_words(2, visit)
+        table, _ = t._relation_table()
         calls = []
 
         def counted(name, op):
@@ -436,8 +504,7 @@ class TestBlockParabolic:
 
         for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
             monkeypatch.setattr(MPoly, name, counted(name, getattr(MPoly, name)))
-        assert all(t._rows_relations_zero(rows, forms) for rows, forms in steps)
-        assert all(t._rows_relations_zero(rows) for rows in products)
+        assert all(not t._failing_forms(table, rows) for rows in prefixes + products)
         assert calls == []
 
     def test_rows_are_built_for_proper_prefixes_only(self, monkeypatch):
@@ -474,7 +541,7 @@ class TestBlockParabolic:
             product, scale = products[word]
             return [[product[r, j] * scale for j in range(5)] for r in (0, 1)]
 
-        def visit(word, rows, forms):
+        def visit(word, rows, holds):
             depth = str(len(word))
             product, scale = products[word[:-1]]
             name = word[-1]
