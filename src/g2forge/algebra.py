@@ -145,8 +145,8 @@ class MPoly:
     at two rows, Σ c·m·u[i]·v[j] over the form's entries flattened to their
     terms, so a form with polynomial entries needs no product of its own.
     ``subs`` returns the polynomial itself when it mentions none of the
-    assigned variables.  The text form, ``leading``, ``divexact`` and
-    ``eval`` decode the keys over the sorted names.
+    assigned variables.  The text form, ``divexact`` and ``eval`` decode
+    the keys over the sorted names.
     """
 
     __slots__ = ("terms",)
@@ -266,14 +266,6 @@ class MPoly:
         if any(self.terms):
             raise ValueError("polynomial is not constant")
         return Q(self.terms.get(0, 0))
-
-    def leading(self) -> Tuple[Exponents, Scalar]:
-        """Leading term under lex order over the sorted variable names."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        _, terms = self.decoded()
-        e = max(terms)
-        return e, terms[e]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -606,34 +598,32 @@ def affine_bounds_on_cone(
 
 
 class RFrac:
-    """Rational function num/den, built in one of three normalising lanes.
+    """Rational function num/den over a denominator of one term.
 
-    ``_normalize_frac`` picks the lane by the denominator:
+    The torus elements, Weyl representatives and root subgroups live over
+    Laurent polynomials, so ``_normalize_frac`` has two lanes:
 
     - **1**: the result is the polynomial, over the shared ``_ONE`` object,
       so ``den is _ONE`` identifies polynomials;
-    - **one term** (a Laurent polynomial, as the torus elements and Weyl
-      representatives give): the numerator is scaled by the inverse
-      coefficient, and each denominator variable is cancelled as far as its
-      smallest exponent over the numerator's terms, by subtracting one
-      packed key from every key;
-    - **more terms**: the monomial gcd of all terms (the fieldwise minimum of
-      their keys) is cancelled the same way, the denominator is made monic
-      (lex leading coefficient 1), and exact polynomial division collapses
-      it into the numerator when it can.
+    - **one term**: the numerator is scaled by the inverse coefficient, and
+      each denominator variable is cancelled as far as its smallest
+      exponent over the numerator's terms, by subtracting one packed key
+      from every key.
 
-    The first two lanes give the unique normal form of their functions: a
-    monic monomial ``den`` (1 included), each of whose variables has
-    exponent 0 in some numerator term.  The smallest exponent of v over a
-    polynomial's terms is its v-adic valuation, which is multiplicative, so
-    two such forms n/d = n'/d' have d = d' and then n = n'.  Any exact
-    computation that lands in that form gives the same parts and text.  The
-    third lane has no polynomial gcd, so its form is partial and equality
-    falls back to cross-multiplication.
+    A denominator of more terms is accepted only when exact division clears
+    it; otherwise it raises ``ArithmeticError``, as ``inv`` of a numerator of
+    more than one term does.  Both lanes give the unique normal form of
+    their functions: a monic monomial ``den`` (1 included), each of whose
+    variables has exponent 0 in some numerator term.  The smallest exponent
+    of v over a polynomial's terms is its v-adic valuation, which is
+    multiplicative, so two such forms n/d = n'/d' have d = d' and then
+    n = n', and ``==`` compares the parts.  Any exact computation that lands
+    in that form gives the same parts and text.  Nothing hashes an
+    ``RFrac``, so it defines no hash.
 
     ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1.  Sums,
     differences and products of two polynomials, and of zero with anything,
-    are built directly; other products, sums and inverses pass their parts
+    are built directly; other products, sums and quotients pass their parts
     to ``_normalize_frac`` without building an intermediate ``RFrac``.
     ``subs`` returns the function itself when neither part mentions an
     assigned variable.
@@ -747,13 +737,15 @@ class RFrac:
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
-        return self * other.inv()
+        if not other.num.terms:
+            raise ZeroDivisionError("division by zero rational function")
+        return _frac(*_normalize_frac(self.num * other.den, self.den * other.num))
 
     def __rtruediv__(self, other):
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inv()
+        return other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -767,9 +759,7 @@ class RFrac:
             other = _coerce_frac(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
         den = self.den._value(assignment)
@@ -789,10 +779,7 @@ class RFrac:
         num = str(self.num)
         if len(self.num.terms) > 1:
             num = f"({num})"
-        den = str(self.den)
-        if len(self.den.terms) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/{self.den}"
 
     def __repr__(self) -> str:
         return f"RFrac({self})"
@@ -812,30 +799,18 @@ def _frac(num: MPoly, den: MPoly) -> RFrac:
 
 def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     """The normal form of num/den for a nonzero ``den``, by the lane of its
-    denominator (see ``RFrac``)."""
+    denominator (see ``RFrac``).  A denominator of more than one term must
+    divide the numerator exactly, or ``ArithmeticError`` is raised."""
     if not num.terms:
         return _ZERO, _ONE
     if den is _ONE:
         return num, _ONE
     if len(den.terms) == 1:
         return _monomial_frac(num, den)
-    # Cancel the monomial gcd.  That merges no terms, so the denominator
-    # keeps two or more.
-    nt, dt = num.terms, den.terms
-    g = _gcd_key(next(iter(dt)), [*nt, *dt])
-    if g:
-        num = _poly({k - g: c for k, c in nt.items()})
-        den = _poly({k - g: c for k, c in dt.items()})
-    # Make the denominator monic.
-    _, lc = den.leading()
-    if lc != 1:
-        inv = 1 / Q(lc)
-        num = _poly({k: _coef(c * inv) for k, c in num.terms.items()})
-        den = _poly({k: _coef(c * inv) for k, c in den.terms.items()})
     q = num.divexact(den)
-    if q is not None:
-        return q, _ONE
-    return num, den
+    if q is None:
+        raise ArithmeticError(f"({num})/({den}) has a denominator of more than one term")
+    return q, _ONE
 
 
 def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
@@ -942,10 +917,8 @@ class SymMatrix:
                 raise ValueError(
                     f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
                 )
-            # Each entry sums its products in increasing k, as a dense loop
-            # would.  Over denominators of one term the normal form is unique
-            # (see RFrac), so any order gives the same entry; over larger ones
-            # it is partial, and the order keeps it the dense loop's.
+            # The normal form is unique (see RFrac), so the order in which an
+            # entry sums its products does not change it.
             sparse_rows = [[(j, b) for j, b in enumerate(row) if b.num.terms] for row in other.entries]
             out = []
             for row in self.entries:
@@ -1029,6 +1002,9 @@ class SymMatrix:
         return len(row_reduce([list(row) for row in self.entries], self.cols))
 
     def inverse(self) -> "SymMatrix":
+        """Back-substitution on the echelon form of ``row_reduce``; a pivot
+        of more than one term raises ``ArithmeticError`` (see ``RFrac``).
+        The program inverts only matrices whose pivots are all units."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -1069,8 +1045,12 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
     column ``pivots[i]``, unscaled, with zeros below it and before it; the
     rows past ``len(pivots)`` are zero on the first ``ncols`` columns.
 
-    The pivot of a column is its first nonzero entry at or below the next
-    pivot row.  A row update touches only the columns where the pivot row is
+    The pivot of a column is its first entry at or below the next pivot row
+    whose numerator has one term (a unit), which clears the rows below by
+    row_i - (l/p)·row_p, and otherwise its first nonzero entry p, which
+    clears them by cross-multiplication, row_i <- p·row_i - l·row_p.  No
+    pivot of more than one term is inverted, and neither step changes the
+    rank.  A row update touches only the columns where the pivot row is
     nonzero; elsewhere a - f·0 is ``a``.
     """
     n = len(rows)
@@ -1079,21 +1059,30 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
         r = len(pivots)
         if r == n:
             break
-        for p in range(r, n):
-            if rows[p][col].num.terms:
-                break
-        else:
+        p = None
+        for i in range(r, n):
+            terms = rows[i][col].num.terms
+            if terms:
+                if len(terms) == 1:
+                    p = i
+                    break
+                if p is None:
+                    p = i
+        if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pivot_row = rows[r]
-        inv = pivot_row[col].inv()
+        pivot = pivot_row[col]
+        inv = pivot.inv() if len(pivot.num.terms) == 1 else None
         support = [(j, b) for j, b in enumerate(pivot_row) if b.num.terms]
         for i in range(r + 1, n):
             lead = rows[i][col]
             if not lead.num.terms:
                 continue
-            factor = lead * inv
-            row = rows[i][:]
+            if inv is None:
+                row, factor = [pivot * a for a in rows[i]], lead
+            else:
+                row, factor = rows[i][:], lead * inv
             for j, b in support:
                 row[j] = row[j] - factor * b
             rows[i] = row

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import R_ZERO, RFrac, SymMatrix
+from .algebra import R_ZERO, MPoly, RFrac, SymMatrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
 # gp_ij = d * g_ij (rows 1, 2, columns 3, 4, 5), and the upper-right block
@@ -230,8 +230,14 @@ def four_dim_wedge_report() -> Dict[str, object]:
     w = wedge2_action(scaled_block4(), WEDGE_BASIS_4)
     d2 = D * D
 
+    def over_d(p: MPoly) -> str:  # p/d, as the quotient when d divides p
+        q = p.divexact(D.num)
+        if q is not None:
+            return str(q)
+        return f"({p})/({D})" if len(p.terms) > 1 else f"{p}/({D})"
+
     def shown(x: RFrac) -> str:  # the entry x/d^2 of the wedge square of M4
-        return str(RFrac(x.num.divexact(D.num)) / D)
+        return over_d(x.num.divexact(D.num))
 
     (g16, g17), (g26, g27) = ([RFrac.var(f"g{i}{j}") for j in (6, 7)] for i in (1, 2))
     star = G67 * g26 + G77 * g16
@@ -252,7 +258,7 @@ def four_dim_wedge_report() -> Dict[str, object]:
         "col4_v2v1_matches_formula": w[0, 3] == D * col4_v21,
         "col4_diagonal_is_one": w[3, 3] == d2,
         "col4_other_entries_zero": all(w[i, 3].is_zero() for i in (1, 2, 4, 5)),
-        "displayed_star": str(star / D),
+        "displayed_star": over_d(star.num),
         "relations": (str(rel1), str(rel2), str(rel3)),
         # mod rel2, col2's v2^v1 coefficient vanishes while -(col4
         # coefficient)/2 equals the displayed star:

@@ -323,13 +323,14 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Scalar) -> PhiNModule:
 def phi_relation_defect(a: SymMatrix, b: SymMatrix) -> SymMatrix:
     """In the displayed basis, phi = ((p^{-1}A, 0), (0, A)) and
     N = ((0,B),(0,0)) give phi^{-1} N phi - p N = ((0, p(A^{-1}BA - B)),(0,0));
-    returns the 2x2 block p(A^{-1}BA - B), which vanishes iff AB = BA.  With
-    A^{-1} = adj(A)/det(A) it is (p/det A)(adj(A) B A - det(A) B)."""
+    its block p(A^{-1}BA - B) vanishes iff AB = BA.  With
+    A^{-1} = adj(A)/det(A) that block is (p/det A)(adj(A) B A - det(A) B), and
+    this returns adj(A) B A - det(A) B: the nonzero scalar p/det(A) is
+    dropped, which does not change whether the defect is zero."""
     if (a.rows, a.cols, b.rows, b.cols) != (2, 2, 2, 2):
         raise ValueError("A and B must be 2x2")
-    det = a.det()
     adj = SymMatrix([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
-    return (adj * b * a - b.scale(det)).scale(RFrac.var("p") / det)
+    return adj * b * a - b.scale(a.det())
 
 
 def ebc_modules_differ(m1: PhiNModule, m2: PhiNModule) -> bool:

@@ -67,11 +67,28 @@ class TestMPoly:
 
 class TestRFrac:
     def test_inverse_cancels(self):
-        f = RFrac(X + Y, X * Y + MPoly.const(1))
+        f = RFrac(2 * X * X, 3 * X * Y)
         assert f * f.inv() == 1
 
-    def test_cross_multiplied_equality(self):
+    def test_exactly_divisible_denominator(self):
+        # A denominator of more than one term is kept only when it divides
+        # the numerator, and then the quotient is a polynomial.
         assert RFrac(X * X - Y * Y, X - Y) == RFrac(X + Y)
+        assert RFrac(X * X - Y * Y, X - Y).den == MPoly.one()
+        assert RFrac(X * X - Y * Y) / (X + Y) == X - Y
+
+    def test_denominator_of_more_terms_raises(self):
+        with pytest.raises(ArithmeticError):
+            RFrac(X, X + 1)
+        with pytest.raises(ArithmeticError):
+            RFrac(X + Y, X * Y).inv()
+        with pytest.raises(ArithmeticError):
+            RFrac.var("x") / (Y + 1)
+
+    def test_equality_compares_the_normal_forms(self):
+        assert RFrac(2 * X * Y, 4 * X * X) == RFrac(Y, 2 * X)
+        assert RFrac(X + Y, X) != RFrac(X + Y, Y)
+        assert RFrac(X, Y) != RFrac(Y, X) and RFrac(X, Y) != X
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -112,10 +129,20 @@ class TestSymMatrix:
         assert m.rank() == 2
 
     def test_symbolic_inverse(self):
+        # Every pivot is a unit: x, then -1/x.
         x = RFrac.var("x")
-        m = SymMatrix([[x, RFrac.const(1)], [RFrac.const(1), x]])
+        m = SymMatrix([[x, RFrac.const(1)], [RFrac.const(1), RFrac.const(0)]])
         prod = m * m.inverse()
         assert prod == SymMatrix.identity(2)
+        assert m.inverse() == SymMatrix([[0, 1], [1, -x]])
+
+    def test_inverse_raises_on_a_pivot_of_more_terms(self):
+        # det = 1, but back-substitution reaches the pivot 1 + a.
+        a = RFrac.var("a")
+        m = SymMatrix([[1 + a, RFrac.const(Q(-1, 2))], [1 - a, RFrac.const(Q(1, 2))]])
+        assert m.det() == 1 and m.rank() == 2
+        with pytest.raises(ArithmeticError):
+            m.inverse()
 
 
 class TestAffineExp:
@@ -207,16 +234,16 @@ class TestValuedScalar:
 def test_symmatrix_text_form():
     # Rows are separated by "; " and the entries of a row by ", ".
     x = RFrac.var("x")
-    m = SymMatrix([[1, x], [x / (Y + 1), 0]])
-    assert str(m) == "[1, x; x/(y + 1), 0]"
-    assert repr(m) == "SymMatrix([1, x; x/(y + 1), 0])"
+    m = SymMatrix([[1, x], [(x + 1) / (2 * Y * Y), x / Y]])
+    assert str(m) == "[1, x; (1/2*x + 1/2)/y^2, x/y]"
+    assert repr(m) == "SymMatrix([1, x; (1/2*x + 1/2)/y^2, x/y])"
     assert str(SymMatrix.identity(2)) == "[1, 0; 0, 1]"
 
 
 @pytest.mark.parametrize(
     "value",
     [
-        RFrac(X, Y + 1),
+        RFrac(X, Y),
         SymMatrix.identity(2),
         triform.generic_form(),
         roots.Weight(RFrac.var("k"), 1),
@@ -224,7 +251,8 @@ def test_symmatrix_text_form():
     ids=["RFrac", "SymMatrix", "AltTriForm", "Weight"],
 )
 def test_types_with_structural_equality_are_unhashable(value):
-    # Equality here is not canonical (cross-multiplication, entrywise RFrac
-    # equality), so no hash agrees with it; using one as a key must fail.
+    # These define equality but no hash: RFrac compares its normal form, and
+    # nothing hashes one; the others compare entrywise.  Using one as a key
+    # must fail rather than fall back to identity.
     with pytest.raises(TypeError):
         hash(value)

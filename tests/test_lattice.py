@@ -115,9 +115,11 @@ class TestFunctoriality:
 
 def _twisted_blocks():
     """The extension blocks M5 and M4 with their 1/d written into every
-    entry, as `RFrac`s: the oracle for the polynomial blocks d*M."""
+    entry, as `RFrac`s over a formal symbol d, so every denominator is a
+    power of d: the oracle for the polynomial blocks d*M, once d is set to
+    the corner determinant, which is returned with them."""
     g66, g67, g76, g77 = lattice.G66, lattice.G67, lattice.G76, lattice.G77
-    d = g66 * g77 - g67 * g76
+    d = RFrac.var("d")
     gp = [[RFrac.var(f"gp{i}{j}") / d for j in (3, 4, 5)] for i in (1, 2)]
     g = [[RFrac.var(f"g{i}{j}") for j in (6, 7)] for i in (1, 2)]
     z = RFrac.const(0)
@@ -134,20 +136,24 @@ def _twisted_blocks():
         [z, z, g66, g67],
         [z, z, g76, g77],
     ])
-    return d, ((m5, lattice.scaled_block5(), lattice.WEDGE_BASIS_5), (m4, lattice.scaled_block4(), lattice.WEDGE_BASIS_4))
+    det = g66 * g77 - g67 * g76
+    return det, ((m5, lattice.scaled_block5(), lattice.WEDGE_BASIS_5), (m4, lattice.scaled_block4(), lattice.WEDGE_BASIS_4))
 
 
 class TestScaledBlocks:
+    D = RFrac.var("d")
+
     def test_blocks_are_d_times_the_twisted_blocks(self):
-        d, blocks = _twisted_blocks()
-        assert d == lattice.D
+        det, blocks = _twisted_blocks()
+        assert det == lattice.D
         for old, new, _ in blocks:
-            assert new == old.scale(d)
+            assert new == old.scale(self.D).subs({"d": det.num})
 
     def test_wedge_squares_scale_by_d_squared(self):
-        d, blocks = _twisted_blocks()
+        det, blocks = _twisted_blocks()
         for old, new, basis in blocks:
-            assert lattice.wedge2_action(new, basis) == lattice.wedge2_action(old, basis).scale(d * d)
+            scaled = lattice.wedge2_action(old, basis).scale(self.D * self.D)
+            assert lattice.wedge2_action(new, basis) == scaled.subs({"d": det.num})
 
 
 class TestFiveDimBlock:
