@@ -610,9 +610,10 @@ class RFrac:
       exponent over the numerator's terms, by subtracting one packed key
       from every key.
 
-    A denominator of more terms is accepted only when exact division clears
-    it; otherwise it raises ``ArithmeticError``, as ``inv`` of a numerator of
-    more than one term does.  Both lanes give the unique normal form of
+    A denominator of more terms is accepted only when exact division by it,
+    once its monomial content is split off into the one-term lane, clears
+    it; otherwise it raises ``ArithmeticError``, as ``inv`` of a numerator
+    of more than one term does.  Both lanes give the unique normal form of
     their functions: a monic monomial ``den`` (1 included), each of whose
     variables has exponent 0 in some numerator term.  The smallest exponent
     of v over a polynomial's terms is its v-adic valuation, which is
@@ -776,10 +777,12 @@ class RFrac:
     def __str__(self) -> str:
         if self.den is _ONE:
             return str(self.num)
-        num = str(self.num)
+        num, den = str(self.num), str(self.den)
         if len(self.num.terms) > 1:
             num = f"({num})"
-        return f"{num}/{self.den}"
+        if "*" in den:
+            den = f"({den})"
+        return f"{num}/{den}"
 
     def __repr__(self) -> str:
         return f"RFrac({self})"
@@ -799,18 +802,23 @@ def _frac(num: MPoly, den: MPoly) -> RFrac:
 
 def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     """The normal form of num/den for a nonzero ``den``, by the lane of its
-    denominator (see ``RFrac``).  A denominator of more than one term must
-    divide the numerator exactly, or ``ArithmeticError`` is raised."""
+    denominator (see ``RFrac``).  A denominator of more than one term,
+    without its monomial content, must divide the numerator exactly, or
+    ``ArithmeticError`` is raised."""
     if not num.terms:
         return _ZERO, _ONE
     if den is _ONE:
         return num, _ONE
     if len(den.terms) == 1:
         return _monomial_frac(num, den)
-    q = num.divexact(den)
+    # Split off the monomial content c of den = c * rest; then num/den is
+    # (num/rest)/c when rest divides num.
+    c = _gcd_key(next(iter(den.terms)), den.terms)
+    rest = _poly({k - c: v for k, v in den.terms.items()}) if c else den
+    q = num.divexact(rest)
     if q is None:
         raise ArithmeticError(f"({num})/({den}) has a denominator of more than one term")
-    return q, _ONE
+    return _monomial_frac(q, _poly({c: 1})) if c else (q, _ONE)
 
 
 def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:

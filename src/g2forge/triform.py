@@ -8,6 +8,7 @@ centralizer computations.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, row_reduce
@@ -230,19 +231,30 @@ _ROOT_COORDS: Dict[str, Tuple[int, int]] = {
 }
 
 
+_A_INV = A_SYM.inv()
+_IDENTITY_7 = SymMatrix.identity(7).entries
+
+
 def root_subgroup(root: str, x: Entry) -> SymMatrix:
-    """The displayed one-parameter subgroup element g(root, x)."""
+    """The displayed one-parameter subgroup element g(root, x).  Rows with
+    no off-diagonal entry are the shared rows of the identity."""
     if root not in _GEN_ENTRIES:
         raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
-    x = _coerce_entry(x)
-    ainv = A_SYM.inv()
-    out = [[R_ONE if i == j else R_ZERO for j in range(7)] for i in range(7)]
+    powers = {1: _coerce_entry(x)}
+    out = list(_IDENTITY_7)
     for (i, j, coeff, power, div_a) in _GEN_ENTRIES[root]:
-        val = coeff * (x ** power)
+        val = powers.get(power)
+        if val is None:
+            val = powers[power] = powers[1] ** power
+        if coeff != 1:
+            val = val * coeff
         if div_a:
-            val = val * ainv
-        out[i - 1][j - 1] = val
-    return SymMatrix(out)
+            val = val * _A_INV
+        row = out[i - 1]
+        if type(row) is tuple:
+            row = out[i - 1] = list(row)
+        row[j - 1] = val
+    return SymMatrix(tuple(map(tuple, out)), _trusted=True)
 
 
 def torus_elem(t1: Entry, t2: Entry) -> SymMatrix:
@@ -336,11 +348,11 @@ def perm_of_monomial(m: SymMatrix) -> Perm7:
     """Permutation p with p(i) = the column of the unique nonzero entry in
     row i (1-indexed)."""
     perm = []
-    for i in range(7):
-        hits = [j for j in range(7) if not m[i, j].is_zero()]
+    for row in m.entries:
+        hits = [j for j, x in enumerate(row, 1) if x.num.terms]
         if len(hits) != 1:
             raise ValueError("matrix is not monomial")
-        perm.append(hits[0] + 1)
+        perm.append(hits[0])
     if sorted(perm) != list(range(1, 8)):
         raise ValueError("matrix is not monomial")
     return tuple(perm)
@@ -486,13 +498,15 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 # by the monomials m of g's own symbols, G M_k G^T is the sum of m N_m with
 # each N_m constant.  A factor of a word has fresh symbols, which its prefix h
 # never uses, so r_k(h g) vanishes iff every N_m vanishes on the rows of h.
-# The N_m of all generators are interned into one table: the 16 pulled-back
-# forms give 4 distinct ones, M_1, M_2 and one x-part each for b and -b.  The
-# probe evaluates each table form once per prefix with ``MPoly.bilinear``,
-# which sums its (coefficient, 0, i, j) terms with no intermediate
-# polynomial, and a product passes iff the forms of its last generator all
-# vanish.  So the walk builds rows only for proper prefixes, with ``*`` and
-# ``+``, whose one-term shift suits the sparse columns.
+# A form vanishes exactly where a nonzero multiple of it does, so the N_m of
+# all generators are interned into one table up to a nonzero rational
+# scalar: the 16 pulled-back forms give 2, M_1 and M_2 (the x-parts of b and
+# -b are -M_1 and -M_2).  The probe evaluates each table form once per
+# prefix with ``MPoly.bilinear``, which sums its (coefficient, 0, i, j) terms
+# with no intermediate polynomial, and a product passes iff the forms of its
+# last generator all vanish.  So the walk builds rows only for proper
+# prefixes, with ``*`` and ``+``, whose one-term shift suits the sparse
+# columns.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
 FormTerms = Tuple[Tuple[Scalar, int, int, int], ...]
@@ -560,19 +574,38 @@ def _form_parts(form: FormTerms) -> Dict[int, FormTerms]:
     return {m: tuple(sorted(terms, key=lambda term: term[2:])) for m, terms in parts.items()}
 
 
+def _primitive_key(part: FormTerms) -> Tuple[Tuple[int, int, int], ...]:
+    """A constant form up to a nonzero rational scalar: its (c, i, j) with
+    the coefficients scaled to coprime integers, the first one positive.
+    Integral coefficients take ``int`` arithmetic only."""
+    coeffs = [c for c, _, _, _ in part]
+    if not all(type(c) is int for c in coeffs):
+        scale = lcm(*(c.denominator for c in coeffs))
+        coeffs = [int(c * scale) for c in coeffs]
+    g = gcd(*coeffs)
+    if coeffs[0] < 0:
+        g = -g
+    return tuple((c // g, i, j) for c, (_, _, i, j) in zip(coeffs, part))
+
+
 def _relation_table() -> Tuple[Tuple[FormTerms, ...], Dict[str, FrozenSet[int]]]:
-    """The distinct constant forms N_m over the ``_form_parts`` of every
-    generator's ``_pulled_back_forms``, and for each generator name the
-    indices of its own.  Built on each call, so it always reads the current
-    ``_GEN_ENTRIES``."""
-    index: Dict[FormTerms, int] = {}
+    """The constant forms N_m over the ``_form_parts`` of every generator's
+    ``_pulled_back_forms``, one for each class up to a nonzero scalar (the
+    first one met), and for each generator name the indices of its own.
+    Built on each call, so it always reads the current ``_GEN_ENTRIES``."""
+    index: Dict[Tuple[Tuple[int, int, int], ...], int] = {}
+    table: List[FormTerms] = []
     parts: Dict[str, FrozenSet[int]] = {}
     for name in GENERATOR_NAMES:
-        forms = _pulled_back_forms(_poly_generator_columns(name, ""))
-        parts[name] = frozenset(
-            index.setdefault(part, len(index)) for form in forms for part in _form_parts(form).values()
-        )
-    return tuple(index), parts
+        own = set()
+        for form in _pulled_back_forms(_poly_generator_columns(name, "")):
+            for part in _form_parts(form).values():
+                k = index.setdefault(_primitive_key(part), len(table))
+                if k == len(table):
+                    table.append(part)
+                own.add(k)
+        parts[name] = frozenset(own)
+    return tuple(table), parts
 
 
 def _failing_forms(table: Tuple[FormTerms, ...], rows: Rows) -> FrozenSet[int]:
@@ -720,7 +753,7 @@ def _linear_coefficient(root: str) -> SymMatrix:
             continue
         val = RFrac.const(coeff)
         if div_a:
-            val = val * A_SYM.inv()
+            val = val * _A_INV
         out[i - 1][j - 1] = val
     return SymMatrix(out)
 

@@ -77,6 +77,23 @@ class TestRFrac:
         assert RFrac(X * X - Y * Y, X - Y).den == MPoly.one()
         assert RFrac(X * X - Y * Y) / (X + Y) == X - Y
 
+    def test_monomial_content_of_the_denominator_is_split_off(self):
+        # (x + 1)x/a over (x + 1)/b: the parts are (b x^2 + b x)/(a x + a),
+        # whose denominator is a(x + 1); x + 1 divides the numerator and a
+        # goes to the one-term lane.
+        a, b = MPoly.var("a"), MPoly.var("b")
+        q = RFrac((X + 1) * X, a) / RFrac(X + 1, b)
+        assert (q.num, q.den) == (b * X, a)
+        assert RFrac(2 * X * X * Y + 2 * X * Y, 4 * a * X * Y * Y + 4 * a * Y * Y) == RFrac(X, 2 * a * Y)
+        with pytest.raises(ArithmeticError):
+            RFrac(X, a * X + a)
+
+    def test_a_denominator_of_several_variables_is_parenthesised(self):
+        a = MPoly.var("a")
+        assert str(RFrac(X, a * Y)) == "x/(a*y)"
+        assert str(RFrac(X + 1, 2 * a * a * Y)) == "(1/2*x + 1/2)/(a^2*y)"
+        assert str(RFrac(X, a * a)) == "x/a^2"
+
     def test_denominator_of_more_terms_raises(self):
         with pytest.raises(ArithmeticError):
             RFrac(X, X + 1)

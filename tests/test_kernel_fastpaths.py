@@ -26,7 +26,7 @@ here as a reference) and the product of two polynomial matrices (against the
 dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
 and the division paths are also checked against sympy as an independent
 oracle: a quotient may raise `ArithmeticError` for a denominator of more
-than one term only where sympy finds no polynomial, Bareiss `det`
+than one term only where sympy finds no Laurent polynomial, Bareiss `det`
 (`divexact`) runs on polynomial matrices and, after clearing each row's
 denominators, on rational-function ones, and the one row reduction behind
 `rank` and `inverse` runs with and without unit pivots.  Those results are
@@ -283,13 +283,13 @@ class TestIntegerFirstRepresentation:
     def test_normalized_rfrac_parts_are_canonical(self, p, q):
         if q.is_zero():
             return
-        if len(q.terms) > 1 and p.divexact(q) is None:
+        try:
+            f = RFrac(p, q)
+        except ArithmeticError:
             # A denominator of more terms that does not divide: the
             # exactly divisible p*q over q stands in for it.
-            with pytest.raises(ArithmeticError):
-                RFrac(p, q)
-            p = p * q
-        f = RFrac(p, q)
+            assert len(q.terms) > 1 and p.divexact(q) is None
+            f = RFrac(p * q, q)
         assert_canonical(f.num)
         assert_canonical(f.den)
 
@@ -447,7 +447,7 @@ class TestPackedKeys:
         assert p.vars == ("order_a", "order_b")
         assert p.decoded()[1] == {(1, 1): 1, (0, 2): 1, (1, 0): 1}
         assert str(p) == "order_a*order_b + order_a + order_b^2"
-        assert str(RFrac(p, b * a)) == "(order_a*order_b + order_a + order_b^2)/order_a*order_b"
+        assert str(RFrac(p, b * a)) == "(order_a*order_b + order_a + order_b^2)/(order_a*order_b)"
 
     def test_the_largest_exponent_round_trips(self):
         x, y = MPoly.var("packed_x"), MPoly.var("packed_y")
@@ -916,12 +916,14 @@ def divided_or_not_a_polynomial(sp, f: RFrac, g: RFrac, F, G):
     """f / g, or None when it raises `ArithmeticError`.  The quotient's
     parts are (f.num g.den)/(f.den g.num), whose denominator has more than
     one term when g's numerator has; it may raise only if that fraction is
-    not a polynomial, which sympy confirms."""
+    not a Laurent polynomial, which sympy confirms: its reduced denominator
+    has more than one term."""
     try:
         return f / g
     except ArithmeticError:
         assert len(g.num.terms) > 1
-        assert not sp.cancel(F / G).is_polynomial(), (f, g)
+        _, den = sp.fraction(sp.cancel(F / G))
+        assert len(sp.Add.make_args(sp.expand(den))) > 1, (f, g)
         return None
 
 
@@ -1010,6 +1012,21 @@ class TestDivisionPathsAgainstSympy:
             quotient = divided_or_not_a_polynomial(sp, f, g, F, G)
             if quotient is not None:
                 assert sp.cancel(rfrac_to_sympy(sp, quotient) - F / G) == 0
+
+    def test_division_by_a_non_unit_with_a_one_term_quotient_denominator(self):
+        # The parts of each quotient have a denominator of more terms with a
+        # monomial content; without it, the rest divides the numerator.
+        sp = pytest.importorskip("sympy")
+        a, b, x, y = (MPoly.var(n) for n in "abxy")
+        cases = [
+            (RFrac((x + 1) * x, a), RFrac(x + 1, b), (b * x, a)),
+            (RFrac((x - y) * x, 2 * a), RFrac(3 * b * x * x - 3 * b * x * y, a * a), (Q(1, 6) * a, b)),
+            (RFrac(x * y + y), RFrac(a * x * x + a * x, y), (y * y, a * x)),
+        ]
+        for f, g, parts in cases:
+            quotient = divided_or_not_a_polynomial(sp, f, g, rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g))
+            assert (quotient.num, quotient.den) == parts
+            assert equals_sympy(sp, quotient, rfrac_to_sympy(sp, f) / rfrac_to_sympy(sp, g))
 
     @given(st.integers(1, 4).flatmap(lambda n: poly_matrices(n, n)))
     @settings(max_examples=40, deadline=None)

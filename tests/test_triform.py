@@ -353,21 +353,26 @@ class TestBlockParabolic:
         with pytest.raises(AssertionError, match="coefficient relation failed at depth 1 on a$"):
             t.coeff_relations_probe(2)
 
+    @pytest.mark.parametrize("length", (2, 3, 4))
     @pytest.mark.parametrize("index", range(4))
-    def test_relation_probe_catches_a_sign_flip_in_the_table(self, monkeypatch, index):
+    def test_relation_probe_catches_a_sign_flip_in_the_table(self, monkeypatch, index, length):
         # The four entries of g(b, x) in columns 1-5; a flipped sign breaks a
-        # relation on some product of two generators, the first in pre-order
-        # being `word`.
-        word = ("a*b", "a*b", "a*b", "a+b*b")[index]
+        # relation on some product of `length` generators, the first in
+        # pre-order being `word`: the flipped b after a run of a's, or after
+        # a's and one a+b.
+        word = "a*" * (length - 2) + ("a*b", "a*b", "a*b", "a+b*b")[index]
         entries = list(t._GEN_ENTRIES["b"])
         i, j, coeff, power, div_a = entries[index]
         assert j <= 5
         entries[index] = (i, j, -coeff, power, div_a)
         monkeypatch.setitem(t._GEN_ENTRIES, "b", tuple(entries))
-        with pytest.raises(AssertionError, match=f"coefficient relation failed at depth 2 on {re.escape(word)}$"):
-            t.coeff_relations_probe(2)
+        with pytest.raises(
+            AssertionError, match=f"coefficient relation failed at depth {length} on {re.escape(word)}$",
+        ):
+            t.coeff_relations_probe(length)
 
     def test_a_sign_flip_fails_the_probe_under_python_O(self):
+        # Lengths 2 and 3 print their failures; length 4 raises uncaught.
         script = (
             "import sys\n"
             "from g2forge import triform as t\n"
@@ -375,7 +380,12 @@ class TestBlockParabolic:
             "    raise SystemExit('not optimized')\n"
             "i, j, coeff, power, div_a = t._GEN_ENTRIES['b'][0]\n"
             "t._GEN_ENTRIES['b'] = ((i, j, -coeff, power, div_a),) + t._GEN_ENTRIES['b'][1:]\n"
-            "t.coeff_relations_probe(2)\n"
+            "for length in (2, 3):\n"
+            "    try:\n"
+            "        t.coeff_relations_probe(length)\n"
+            "    except AssertionError as e:\n"
+            "        print(e)\n"
+            "t.coeff_relations_probe(4)\n"
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
@@ -386,7 +396,11 @@ class TestBlockParabolic:
             [sys.executable, "-O", "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "AssertionError: coefficient relation failed at depth 2 on a*b"
+        assert proc.stdout.splitlines() == [
+            "coefficient relation failed at depth 2 on a*b",
+            "coefficient relation failed at depth 3 on a*a*b",
+        ]
+        assert proc.stderr.splitlines()[-1] == "AssertionError: coefficient relation failed at depth 4 on a*a*a*b"
 
     def test_relation_check_agrees_with_coeff_relations_on_the_walk(self):
         # The walk checks a product on its prefix's rows through the table
@@ -466,22 +480,40 @@ class TestBlockParabolic:
 
     def test_relation_table_interns_the_split_forms(self):
         # The 16 pulled-back forms of the 8 generators (72 terms) split into
-        # 4 distinct constant forms (16 terms): M_1 and M_2, which every
-        # generator has, and one x-part each for b and -b.
+        # 2 constant forms up to a nonzero scalar (8 terms): M_1 and M_2 as
+        # written, which every generator has; the x-parts of b and -b are
+        # their negatives.
         forms = [f for name in t.GENERATOR_NAMES for f in t._pulled_back_forms(t._poly_generator_columns(name, ""))]
         assert (len(forms), sum(map(len, forms))) == (16, 72)
         table, parts = t._relation_table()
-        assert (len(table), sum(map(len, table))) == (4, 16)
-        assert parts == {**dict.fromkeys(t.GENERATOR_NAMES, {0, 1}), "b": {0, 1, 2}, "-b": {0, 1, 3}}
+        assert (len(table), sum(map(len, table))) == (2, 8)
+        assert list(table) == [tuple((m, 0, a, b) for (a, b), m in sorted(f.items())) for f in t._RELATION_FORMS]
+        assert parts == dict.fromkeys(t.GENERATOR_NAMES, {0, 1})
+
+    def test_every_split_form_is_a_nonzero_multiple_of_its_table_form(self):
+        # Each N_m of each generator is s times the table form of the same
+        # class for one nonzero rational s, term for term.
+        table, parts = t._relation_table()
+        scalars = {}
+        for name in t.GENERATOR_NAMES:
+            for form in t._pulled_back_forms(t._poly_generator_columns(name, "")):
+                for m, part in t._form_parts(form).items():
+                    (k,) = [k for k in parts[name] if [term[2:] for term in table[k]] == [term[2:] for term in part]]
+                    ratios = {Q(c) / Q(r) for (c, *_), (r, *_) in zip(part, table[k])}
+                    assert len(ratios) == 1 and 0 not in ratios
+                    scalars.setdefault(name, []).append((k, m, ratios.pop()))
+        (x_key,) = MPoly.var("x").terms
+        assert sorted((k, s) for k, m, s in scalars["b"] if m == x_key) == [(0, -1)]
+        assert sorted((k, s) for k, m, s in scalars["-b"] if m == x_key) == [(1, -1)]
 
     def test_each_table_form_is_evaluated_once_per_prefix(self, monkeypatch):
-        # 585 prefixes (1 + 8 + 64 + 512) times the 4 table forms, in place of
+        # 585 prefixes (1 + 8 + 64 + 512) times the 2 table forms, in place of
         # 2 pulled-back forms for each of the 4,680 products.
         bilinear = MPoly.bilinear
         calls = []
         monkeypatch.setattr(MPoly, "bilinear", lambda form, u, v: calls.append(1) or bilinear(form, u, v))
         assert t.coeff_relations_probe(4)["products_checked"] == 8 + 64 + 512 + 4096
-        assert len(calls) == (1 + 8 + 64 + 512) * 4 == 2340
+        assert len(calls) == (1 + 8 + 64 + 512) * 2 == 1170
 
     def test_relation_check_builds_no_intermediate_polynomial(self, monkeypatch):
         # Neither a prefix's rows checked through the table forms nor the
