@@ -610,17 +610,18 @@ class RFrac:
       exponent over the numerator's terms, by subtracting one packed key
       from every key.
 
-    A denominator of more terms is accepted only when exact division by it,
-    once its monomial content is split off into the one-term lane, clears
-    it; otherwise it raises ``ArithmeticError``, as ``inv`` of a numerator
-    of more than one term does.  Both lanes give the unique normal form of
-    their functions: a monic monomial ``den`` (1 included), each of whose
-    variables has exponent 0 in some numerator term.  The smallest exponent
-    of v over a polynomial's terms is its v-adic valuation, which is
-    multiplicative, so two such forms n/d = n'/d' have d = d' and then
-    n = n', and ``==`` compares the parts.  Any exact computation that lands
-    in that form gives the same parts and text.  Nothing hashes an
-    ``RFrac``, so it defines no hash.
+    One rule covers every other denominator: for a nonzero ``g``,
+    ``RFrac(f, g)`` raises ``ArithmeticError`` exactly when ``g`` has more
+    than one term, and so do ``f / g`` and ``g.inv()`` exactly when
+    ``g.num`` has, even where the quotient is a polynomial.
+
+    Both lanes give the unique normal form of their functions: a monic
+    monomial ``den`` (1 included), each of whose variables has exponent 0
+    in some numerator term.  The smallest exponent of v over a polynomial's
+    terms is its v-adic valuation, which is multiplicative, so two such
+    forms n/d = n'/d' have d = d' and then n = n', and ``==`` compares the
+    parts.  Any exact computation that lands in that form gives the same
+    parts and text.  Nothing hashes an ``RFrac``, so it defines no hash.
 
     ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1.  Sums,
     differences and products of two polynomials, and of zero with anything,
@@ -663,12 +664,6 @@ class RFrac:
 
     def is_zero(self) -> bool:
         return not self.num.terms
-
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
-    def const_value(self) -> Q:
-        return self.num.const_value() / self.den.const_value()
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -742,12 +737,6 @@ class RFrac:
             raise ZeroDivisionError("division by zero rational function")
         return _frac(*_normalize_frac(self.num * other.den, self.den * other.num))
 
-    def __rtruediv__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
@@ -761,12 +750,6 @@ class RFrac:
             if other is NotImplemented:
                 return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        den = self.den._value(assignment)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the assignment")
-        return Q(self.num._value(assignment), den)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "RFrac":
         num, den = self.num.subs(assignment), self.den.subs(assignment)
@@ -801,24 +784,16 @@ def _frac(num: MPoly, den: MPoly) -> RFrac:
 
 
 def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """The normal form of num/den for a nonzero ``den``, by the lane of its
-    denominator (see ``RFrac``).  A denominator of more than one term,
-    without its monomial content, must divide the numerator exactly, or
-    ``ArithmeticError`` is raised."""
+    """The normal form of num/den for a nonzero ``den`` (see ``RFrac``).  A
+    ``den`` of more than one term raises ``ArithmeticError``, whatever
+    ``num`` is."""
+    if len(den.terms) > 1:
+        raise ArithmeticError(f"({num})/({den}) has a denominator of more than one term")
     if not num.terms:
         return _ZERO, _ONE
     if den is _ONE:
         return num, _ONE
-    if len(den.terms) == 1:
-        return _monomial_frac(num, den)
-    # Split off the monomial content c of den = c * rest; then num/den is
-    # (num/rest)/c when rest divides num.
-    c = _gcd_key(next(iter(den.terms)), den.terms)
-    rest = _poly({k - c: v for k, v in den.terms.items()}) if c else den
-    q = num.divexact(rest)
-    if q is None:
-        raise ArithmeticError(f"({num})/({den}) has a denominator of more than one term")
-    return _monomial_frac(q, _poly({c: 1})) if c else (q, _ONE)
+    return _monomial_frac(num, den)
 
 
 def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
@@ -920,35 +895,27 @@ class SymMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def __mul__(self, other):
-        if isinstance(other, SymMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
-                )
-            # The normal form is unique (see RFrac), so the order in which an
-            # entry sums its products does not change it.
-            sparse_rows = [[(j, b) for j, b in enumerate(row) if b.num.terms] for row in other.entries]
-            out = []
-            for row in self.entries:
-                acc: List[Optional[RFrac]] = [None] * other.cols
-                for a, pairs in zip(row, sparse_rows):
-                    if not pairs or not a.num.terms:
-                        continue
-                    for j, b in pairs:
-                        s = acc[j]
-                        acc[j] = a * b if s is None else s + a * b
-                out.append(tuple(R_ZERO if s is None else s for s in acc))
-            return SymMatrix(tuple(out), _trusted=True)
-        scalar = _coerce_frac(other)
-        if scalar is NotImplemented:
+        """The matrix product; a scalar multiple is ``scale``."""
+        if not isinstance(other, SymMatrix):
             return NotImplemented
-        return self.scale(scalar)
-
-    def __rmul__(self, other):
-        scalar = _coerce_frac(other)
-        if scalar is NotImplemented:
-            return NotImplemented
-        return self.scale(scalar)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
+            )
+        # The normal form is unique (see RFrac), so the order in which an
+        # entry sums its products does not change it.
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b.num.terms] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc: List[Optional[RFrac]] = [None] * other.cols
+            for a, pairs in zip(row, sparse_rows):
+                if not pairs or not a.num.terms:
+                    continue
+                for j, b in pairs:
+                    s = acc[j]
+                    acc[j] = a * b if s is None else s + a * b
+            out.append(tuple(R_ZERO if s is None else s for s in acc))
+        return SymMatrix(tuple(out), _trusted=True)
 
     def scale(self, scalar) -> "SymMatrix":
         scalar = _coerce_frac(scalar)
@@ -1136,7 +1103,8 @@ class ValuedScalar:
     ``MPoly``, affine in formal symbols such as k.  ``coeff`` is stored as a
     polynomial coefficient is: an ``int`` while it is integral, a
     ``Fraction`` when it is not, and a float raises ``TypeError``.  Zero is
-    represented by coeff = 0.
+    represented by coeff = 0.  Products, quotients and ``==`` take two valued
+    scalars; nothing hashes one, so it defines no hash.
     """
 
     __slots__ = ("coeff", "upow", "pexp")
@@ -1172,15 +1140,9 @@ class ValuedScalar:
         return self.coeff == 0
 
     def __mul__(self, other):
-        if isinstance(other, (int, Q)):
-            return ValuedScalar(self.coeff * other, self.upow, self.pexp)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ValuedScalar(0)
         return ValuedScalar(self.coeff * other.coeff, self.upow + other.upow, self.pexp + other.pexp)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "ValuedScalar":
         if self.is_zero():
@@ -1188,24 +1150,16 @@ class ValuedScalar:
         return ValuedScalar(quotient(1, self.coeff), -self.upow, -self.pexp)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Q)):
-            return ValuedScalar(quotient(self.coeff, other), self.upow, self.pexp)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
         return self * other.inv()
 
     def __pow__(self, n: int):
-        if self.is_zero():
-            if n <= 0:
-                raise ZeroDivisionError("0 to a nonpositive power")
-            return ValuedScalar(0)
-        if n < 0:
-            return self.inv() ** -n
-        return ValuedScalar(self.coeff ** n, self.upow * n, self.pexp * n)
+        # A Fraction base keeps a negative power exact; 0 to one raises
+        # ZeroDivisionError.
+        return ValuedScalar(Q(self.coeff) ** n, self.upow * n, self.pexp * n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q)):
-            other = ValuedScalar(other)
         if not isinstance(other, ValuedScalar):
             return NotImplemented
         return (
@@ -1213,9 +1167,6 @@ class ValuedScalar:
             and self.upow == other.upow
             and self.pexp == other.pexp
         )
-
-    def __hash__(self):
-        return hash((self.coeff, self.upow, self.pexp))
 
     def valuation(self) -> MPoly:
         """p-adic valuation as an affine polynomial; v(u) = sp."""

@@ -71,22 +71,26 @@ class TestRFrac:
         assert f * f.inv() == 1
 
     def test_exactly_divisible_denominator(self):
-        # A denominator of more than one term is kept only when it divides
-        # the numerator, and then the quotient is a polynomial.
-        assert RFrac(X * X - Y * Y, X - Y) == RFrac(X + Y)
-        assert RFrac(X * X - Y * Y, X - Y).den == MPoly.one()
-        assert RFrac(X * X - Y * Y) / (X + Y) == X - Y
+        # A denominator of more than one term raises even when it divides
+        # the numerator; the polynomial quotient is `divexact`'s.
+        with pytest.raises(ArithmeticError):
+            RFrac(X * X - Y * Y, X - Y)
+        with pytest.raises(ArithmeticError):
+            RFrac(X * X - Y * Y) / (X + Y)
+        assert (X * X - Y * Y).divexact(X - Y) == X + Y
 
-    def test_monomial_content_of_the_denominator_is_split_off(self):
-        # (x + 1)x/a over (x + 1)/b: the parts are (b x^2 + b x)/(a x + a),
-        # whose denominator is a(x + 1); x + 1 divides the numerator and a
-        # goes to the one-term lane.
+    def test_monomial_content_of_the_denominator_is_not_split_off(self):
+        # (x + 1)x/a over (x + 1)/b is b x/a, but the divisor's numerator has
+        # two terms; a denominator a(x + 1) raises whatever its numerator.
         a, b = MPoly.var("a"), MPoly.var("b")
-        q = RFrac((X + 1) * X, a) / RFrac(X + 1, b)
-        assert (q.num, q.den) == (b * X, a)
-        assert RFrac(2 * X * X * Y + 2 * X * Y, 4 * a * X * Y * Y + 4 * a * Y * Y) == RFrac(X, 2 * a * Y)
+        with pytest.raises(ArithmeticError):
+            RFrac((X + 1) * X, a) / RFrac(X + 1, b)
+        with pytest.raises(ArithmeticError):
+            RFrac(2 * X * X * Y + 2 * X * Y, 4 * a * X * Y * Y + 4 * a * Y * Y)
         with pytest.raises(ArithmeticError):
             RFrac(X, a * X + a)
+        # A one-term divisor still divides.
+        assert RFrac((X + 1) * X, a) / RFrac(X, b) == RFrac(b * X + b, a)
 
     def test_a_denominator_of_several_variables_is_parenthesised(self):
         a = MPoly.var("a")
@@ -229,12 +233,17 @@ class TestValuedScalar:
             ValuedScalar(0.5)
         with pytest.raises(TypeError):
             ValuedScalar.one() * 0.5
-        two = ValuedScalar(Q(4, 2))
+        two, three, four = ValuedScalar(Q(4, 2)), ValuedScalar(3), ValuedScalar(4)
         assert type(two.coeff) is int and two.coeff == 2
-        assert two.inv().coeff == Q(1, 2) and (two / 2).coeff == 1 and type((two / 2).coeff) is int
-        assert (two / 3).coeff == Q(2, 3)
-        assert (two ** -2).coeff == Q(1, 4) and (two ** 3).coeff == 8
-        assert (two.inv() * 4).coeff == 2 and type((two.inv() * 4).coeff) is int
+        assert two.inv().coeff == Q(1, 2) and (two / two).coeff == 1 and type((two / two).coeff) is int
+        assert (two / three).coeff == Q(2, 3)
+        assert (two ** -2).coeff == Q(1, 4) and (two ** 3).coeff == 8 and type((two ** 3).coeff) is int
+        assert (two.inv() * four).coeff == 2 and type((two.inv() * four).coeff) is int
+        # Both operands are valued scalars: an int is not one.
+        for op in (lambda: two * 2, lambda: 2 * two, lambda: two / 2):
+            with pytest.raises(TypeError):
+                op()
+        assert two != 2
 
     def test_text_form(self):
         # The first power of the unit prints bare, every other one with its
@@ -264,12 +273,14 @@ def test_symmatrix_text_form():
         SymMatrix.identity(2),
         triform.generic_form(),
         roots.Weight(RFrac.var("k"), 1),
+        ValuedScalar.unit(1),
     ],
-    ids=["RFrac", "SymMatrix", "AltTriForm", "Weight"],
+    ids=["RFrac", "SymMatrix", "AltTriForm", "Weight", "ValuedScalar"],
 )
 def test_types_with_structural_equality_are_unhashable(value):
-    # These define equality but no hash: RFrac compares its normal form, and
-    # nothing hashes one; the others compare entrywise.  Using one as a key
-    # must fail rather than fall back to identity.
+    # These define equality but no hash: RFrac compares its normal form and
+    # ValuedScalar its three parts, and nothing hashes either; the others
+    # compare entrywise.  Using one as a key must fail rather than fall back
+    # to identity.
     with pytest.raises(TypeError):
         hash(value)

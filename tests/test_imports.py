@@ -1,10 +1,14 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every module-private top-level function or class is referenced somewhere
 in the package, every public one somewhere in the repository, no module
-imports `random`, and the checks do not depend on the command line."""
+imports `random`, the checks do not depend on the command line, and every
+name the benchmark reads from the package resolves."""
 
 import ast
+import functools
 import glob
+import importlib
+import inspect
 import os
 import re
 
@@ -155,3 +159,74 @@ def test_checks_do_not_import_the_command_line():
     from g2forge import checks, cli  # noqa: F401
 
     assert {fn.__module__ for fn in checks.CHECKS.values()} == {"g2forge.checks"}
+
+
+# The tracer names `__init__` as `new` and a dunder without its underscores
+# (perfbench/tracer.py, `_short`); these are the short names the metrics use.
+_SHORT_NAMES = {"new": "__init__", "mul": "__mul__", "add": "__add__"}
+
+
+def _traced_function(name):
+    """The function that the benchmark's tracer registers as `name`
+    ("layer.function" or "layer.Class.method"), or None.  The tracer wraps
+    only what a module or class defines itself."""
+    layer, *path = name.split(".")
+    module = importlib.import_module(f"g2forge.{layer}")
+    owner = module
+    for cls in path[:-1]:
+        owner = vars(owner).get(cls)
+        if not isinstance(owner, type) or owner.__module__ != module.__name__:
+            return None
+    value = vars(owner).get(_SHORT_NAMES.get(path[-1], path[-1]))
+    value = getattr(value, "__func__", value)
+    if not hasattr(value, "__code__") or value.__module__ != module.__name__:
+        return None
+    return value
+
+
+def _benchmark_names():
+    """The traced names that `perfbench/run.py` reads, from FUNCTION_METRICS
+    and each `tracer.function("...")`, and the `g2.<module>.<name>` chains
+    that the benchmark's modules call through its handle on the package."""
+    traced, chains = set(), set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        tree = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FUNCTION_METRICS" for t in node.targets):
+                traced |= {name for name, _kinds in ast.literal_eval(node.value)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "function":
+                traced |= {arg.value for arg in node.args if isinstance(arg, ast.Constant)}
+            elif isinstance(node, ast.Attribute):
+                parts = []
+                while isinstance(node, ast.Attribute):
+                    parts.append(node.attr)
+                    node = node.value
+                parts.append(getattr(node, "id", ""))
+                parts.reverse()
+                if "g2" in parts[:-1]:
+                    chains.add(".".join(parts[parts.index("g2") + 1:]))
+    return traced, chains
+
+
+def test_the_benchmark_names_resolve():
+    """A deletion in src/ must not break the benchmark, which names
+    functions of the package and calls into it."""
+    traced, chains = _benchmark_names()
+    assert "algebra.RFrac.new" in traced and "triform.LieG2.new" in traced
+    assert "triform.coeff_relations_hold" in chains and "cli.run_verify" in chains
+    missing = sorted(name for name in traced if _traced_function(name) is None)
+    assert missing == [], f"traced names the package does not define: {missing}"
+    unresolved = []
+    for chain in sorted(chains):
+        layer, *attrs = chain.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"g2forge.{layer}"))
+        except AttributeError:
+            unresolved.append(chain)
+    assert unresolved == [], f"names the benchmark calls that the package lacks: {unresolved}"
+    # The tracer counts nonzero products through `SymMatrix.col`, and the
+    # `verify` workload passes `run_verify` a seed and a dict.
+    assert _traced_function("algebra.SymMatrix.col") is not None
+    from g2forge import cli
+
+    inspect.signature(cli.run_verify).bind(7, {})

@@ -25,14 +25,20 @@ a general normaliser by monomial gcd, monic rescale and exact division, kept
 here as a reference) and the product of two polynomial matrices (against the
 dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
 and the division paths are also checked against sympy as an independent
-oracle: a quotient may raise `ArithmeticError` for a denominator of more
-than one term only where sympy finds no Laurent polynomial, Bareiss `det`
-(`divexact`) runs on polynomial matrices and, after clearing each row's
-denominators, on rational-function ones, and the one row reduction behind
-`rank` and `inverse` runs with and without unit pivots.  Those results are
-compared by cross-multiplication in a sympy polynomial ring.
+oracle: a quotient f / g raises `ArithmeticError` exactly when g's numerator
+has more than one term, even where sympy finds a Laurent polynomial, and
+otherwise equals sympy's; Bareiss `det` (`divexact`) runs on polynomial
+matrices and, after clearing each row's denominators, on rational-function
+ones; and the one row reduction behind `rank` and `inverse` runs with and
+without unit pivots.  Those results are compared by cross-multiplication in
+a sympy polynomial ring.  The division rule and the refusal of a scalar
+`SymMatrix` product are also checked under `python -O`.
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -78,6 +84,20 @@ def polys(draw, max_terms=3):
             mono = mono * MPoly.var(name) ** e
         out = out + mono
     return out
+
+
+# "z" never occurs in `polys()`, so some denominator variables are absent
+# from the numerator.
+DEN_VARS = ("a", "x", "z")
+nonunit_coefficients = st.one_of(
+    st.sampled_from((-1, 2, -3, Q(1, 2), Q(-2, 3))), coefficients.filter(bool)
+)
+
+
+@st.composite
+def one_term_polys(draw):
+    exps = draw(st.tuples(*(st.integers(min_value=0, max_value=3) for _ in DEN_VARS)))
+    return MPoly(DEN_VARS, {exps: draw(nonunit_coefficients)})
 
 
 A = MPoly.var("a")
@@ -278,20 +298,14 @@ class TestIntegerFirstRepresentation:
             assert_canonical(d)
             assert d * q == p
 
-    @given(polys(), polys())
+    @given(polys(), one_term_polys())
     @settings(max_examples=150, deadline=None)
     def test_normalized_rfrac_parts_are_canonical(self, p, q):
-        if q.is_zero():
-            return
-        try:
-            f = RFrac(p, q)
-        except ArithmeticError:
-            # A denominator of more terms that does not divide: the
-            # exactly divisible p*q over q stands in for it.
-            assert len(q.terms) > 1 and p.divexact(q) is None
-            f = RFrac(p * q, q)
-        assert_canonical(f.num)
-        assert_canonical(f.den)
+        # Only a one-term denominator normalises (see RFrac).
+        for f in (RFrac(p, q), RFrac(p * q, q)):
+            assert_canonical(f.num)
+            assert_canonical(f.den)
+        assert RFrac(p * q, q) == p
 
     def test_integral_fraction_and_int_give_one_polynomial(self):
         x = MPoly.var("x")
@@ -311,7 +325,9 @@ class TestIntegerFirstRepresentation:
         assert str((3 * x).divexact(MPoly.const(3))) == "x"
         assert type(MPoly.const(3).const_value()) is Q
         assert type((x + 1).eval({"x": 2})) is Q
-        assert str(RFrac(2 * x * x - 2, 4 * x + 4)) == "1/2*x - 1/2"
+        assert str((2 * x * x - 2).divexact(4 * x + 4)) == "1/2*x - 1/2"
+        with pytest.raises(ArithmeticError):
+            RFrac(2 * x * x - 2, 4 * x + 4)
         assert str(RFrac(2 * x, 4 * MPoly.var("y"))) == "1/2*x/y"
 
 
@@ -721,33 +737,17 @@ class TestMonomialDenominator:
         if len(f.den.terms) == 1 and f.den is not _ONE:
             assert f.num.divexact(f.den) is None
 
-    def test_other_denominators_are_still_divided_out(self):
-        # A denominator of more terms is divided out when it divides the
-        # numerator, and raises when it does not.
+    def test_other_denominators_raise(self):
+        # A denominator of more terms raises whether or not it divides the
+        # numerator; a monomial one is reduced.
         x, y = MPoly.var("x"), MPoly.var("y")
-        f = RFrac(x * x - y * y, x + y)
-        assert f.den is _ONE and str(f) == "x - y"
-        assert RFrac(x * x - y * y, x - y) == x + y
-        with pytest.raises(ArithmeticError):
-            RFrac(x, x + 1)
+        for num, den in ((x * x - y * y, x + y), (x * x - y * y, x - y), (x, x + 1)):
+            with pytest.raises(ArithmeticError):
+                RFrac(num, den)
         assert str(RFrac(x * y + x, 2 * x * y)) == "(1/2*y + 1/2)/y"
 
 
 # -- the one-term lane and the polynomial matrix product ---------------------
-
-# "z" never occurs in `polys()`, so some denominator variables are absent
-# from the numerator.
-DEN_VARS = ("a", "x", "z")
-nonunit_coefficients = st.one_of(
-    st.sampled_from((-1, 2, -3, Q(1, 2), Q(-2, 3))), coefficients.filter(bool)
-)
-
-
-@st.composite
-def one_term_polys(draw):
-    exps = draw(st.tuples(*(st.integers(min_value=0, max_value=3) for _ in DEN_VARS)))
-    return MPoly(DEN_VARS, {exps: draw(nonunit_coefficients)})
-
 
 @st.composite
 def laurent_fracs(draw):
@@ -814,7 +814,7 @@ class TestOneTermLane:
         if den.is_zero():
             return
         if len(den.terms) > 1:
-            # No polynomial of more terms divides a monomial.
+            # A denominator of more terms raises (see RFrac).
             with pytest.raises(ArithmeticError):
                 RFrac(num, den)
             return
@@ -832,7 +832,7 @@ class TestOneTermLane:
         F, G = rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g)
         results = [(f + g, F + G), (f - g, F - G), (f * g, F * G)]
         if not g.is_zero():
-            quotient = divided_or_not_a_polynomial(sp, f, g, F, G)
+            quotient = divided_by_a_unit(f, g)
             if quotient is not None:
                 results.append((quotient, F / G))
         for h, expected in results:
@@ -847,13 +847,12 @@ class TestOneTermLane:
             if len(f.num.terms) == 1:
                 results.append(f.inv())
             else:
-                # No polynomial of more terms divides a monomial.
+                # A denominator of more terms raises (see RFrac).
                 with pytest.raises(ArithmeticError):
                     f.inv()
-            try:
-                results.append(g / f)
-            except ArithmeticError:
-                pass
+            quotient = divided_by_a_unit(g, f)
+            if quotient is not None:
+                results.append(quotient)
         for h in results:
             assert_normal_form(h)
 
@@ -912,19 +911,15 @@ def rfrac_to_sympy(sp, f: RFrac):
     return to_sympy(sp, f.num) / to_sympy(sp, f.den)
 
 
-def divided_or_not_a_polynomial(sp, f: RFrac, g: RFrac, F, G):
-    """f / g, or None when it raises `ArithmeticError`.  The quotient's
-    parts are (f.num g.den)/(f.den g.num), whose denominator has more than
-    one term when g's numerator has; it may raise only if that fraction is
-    not a Laurent polynomial, which sympy confirms: its reduced denominator
-    has more than one term."""
-    try:
-        return f / g
-    except ArithmeticError:
-        assert len(g.num.terms) > 1
-        _, den = sp.fraction(sp.cancel(F / G))
-        assert len(sp.Add.make_args(sp.expand(den))) > 1, (f, g)
+def divided_by_a_unit(f: RFrac, g: RFrac):
+    """f / g for a nonzero g whose numerator has one term (a unit), or None
+    once f / g is seen to raise `ArithmeticError`, which it must exactly
+    when g's numerator has more terms (see RFrac)."""
+    if len(g.num.terms) > 1:
+        with pytest.raises(ArithmeticError):
+            f / g
         return None
+    return f / g
 
 
 def ring_element(R, p: MPoly):
@@ -994,28 +989,25 @@ def low_rank_matrices(draw):
 
 
 class TestDivisionPathsAgainstSympy:
-    @given(rfracs(), rfracs(), polys(max_terms=2))
+    @given(rfracs(), rfracs(), one_term_polys())
     @settings(max_examples=80, deadline=None)
     def test_rfrac_equality_and_arithmetic(self, f, g, r):
         sp = pytest.importorskip("sympy")
         F, G = rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g)
         assert (f == g) == (sp.cancel(F - G) == 0)
-        if not r.is_zero():
-            # A common factor cancels: by exact division when it has more
-            # than one term, by exponent arithmetic when it has one.
-            assert RFrac(f.num * r, r) / f.den == f
-            if len(r.terms) == 1:
-                assert RFrac(f.num * r, f.den * r) == f
+        # A common one-term factor cancels by exponent arithmetic.
+        assert RFrac(f.num * r, r) / f.den == f
+        assert RFrac(f.num * r, f.den * r) == f
         assert sp.cancel(rfrac_to_sympy(sp, f * g) - F * G) == 0
         assert sp.cancel(rfrac_to_sympy(sp, f + g) - (F + G)) == 0
         if not g.is_zero():
-            quotient = divided_or_not_a_polynomial(sp, f, g, F, G)
+            quotient = divided_by_a_unit(f, g)
             if quotient is not None:
                 assert sp.cancel(rfrac_to_sympy(sp, quotient) - F / G) == 0
 
     def test_division_by_a_non_unit_with_a_one_term_quotient_denominator(self):
-        # The parts of each quotient have a denominator of more terms with a
-        # monomial content; without it, the rest divides the numerator.
+        # Each quotient is the Laurent polynomial `parts`, as sympy confirms,
+        # but the divisor's numerator has more than one term, so it raises.
         sp = pytest.importorskip("sympy")
         a, b, x, y = (MPoly.var(n) for n in "abxy")
         cases = [
@@ -1023,10 +1015,9 @@ class TestDivisionPathsAgainstSympy:
             (RFrac((x - y) * x, 2 * a), RFrac(3 * b * x * x - 3 * b * x * y, a * a), (Q(1, 6) * a, b)),
             (RFrac(x * y + y), RFrac(a * x * x + a * x, y), (y * y, a * x)),
         ]
-        for f, g, parts in cases:
-            quotient = divided_or_not_a_polynomial(sp, f, g, rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g))
-            assert (quotient.num, quotient.den) == parts
-            assert equals_sympy(sp, quotient, rfrac_to_sympy(sp, f) / rfrac_to_sympy(sp, g))
+        for f, g, (num, den) in cases:
+            assert equals_sympy(sp, RFrac(num, den), rfrac_to_sympy(sp, f) / rfrac_to_sympy(sp, g))
+            assert divided_by_a_unit(f, g) is None
 
     @given(st.integers(1, 4).flatmap(lambda n: poly_matrices(n, n)))
     @settings(max_examples=40, deadline=None)
@@ -1080,3 +1071,49 @@ class TestDivisionPathsAgainstSympy:
         for i in range(m.rows):
             for j in range(m.cols):
                 assert equals_sympy(sp, inv[i, j], expected[i, j])
+
+
+# -- the division rule, in a fresh interpreter -------------------------------
+
+# Prints, as JSON, the name of the exception each case raises, or null.
+_DIVISION_RULE_SCRIPT = """\
+import json
+from g2forge.algebra import MPoly, RFrac, SymMatrix
+x, y = MPoly.var("x"), MPoly.var("y")
+def raised(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+divisors = [RFrac(2), RFrac(x, y), RFrac(x * x - 1), RFrac(x - 1, 3 * y), RFrac(x * x - y * y, x)]
+m = SymMatrix.identity(2)
+print(json.dumps({
+    "divisible": raised(lambda: RFrac(x * x - 1, x - 1)),
+    "quotients": [[raised(lambda: f / g) for g in divisors] for f in [RFrac(0), RFrac(x + y, x)] + divisors],
+    "inverses": [raised(g.inv) for g in divisors],
+    "scalar products": [raised(lambda: m * 2), raised(lambda: 2 * m), raised(lambda: RFrac(x) * m)],
+}))
+"""
+
+
+@pytest.mark.parametrize("flags", ([], ["-O"]), ids=("plain", "optimized"))
+def test_the_division_rule(flags):
+    # x - 1 divides x^2 - 1, yet RFrac(x^2 - 1, x - 1) raises; f / g and
+    # g.inv() raise exactly for the divisors whose numerator has more than
+    # one term, zero f included; a SymMatrix has no scalar product (that is
+    # `scale`).  The raises are not asserts, so -O keeps them.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _DIVISION_RULE_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = [None, None, "ArithmeticError", "ArithmeticError", "ArithmeticError"]
+    assert json.loads(proc.stdout) == {
+        "divisible": "ArithmeticError",
+        "quotients": [row] * 7,
+        "inverses": row,
+        "scalar products": ["TypeError"] * 3,
+    }
