@@ -145,8 +145,8 @@ class MPoly:
     at two rows, Σ c·m·u[i]·v[j] over the form's entries flattened to their
     terms, so a form with polynomial entries needs no product of its own.
     ``subs`` returns the polynomial itself when it mentions none of the
-    assigned variables.  The text form, ``divexact`` and ``eval`` decode
-    the keys over the sorted names.
+    assigned variables, and ``eval`` is the constant that ``subs`` leaves.
+    The text form and ``divexact`` decode the keys over the sorted names.
     """
 
     __slots__ = ("terms",)
@@ -410,26 +410,12 @@ class MPoly:
     # -- substitution / evaluation --------------------------------------
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        """Exact evaluation; every variable must be assigned."""
-        return Q(self._value(assignment))
-
-    def _value(self, assignment: Mapping[str, Scalar]) -> Scalar:
-        """``eval`` before the final ``Fraction``: ``int`` arithmetic while
-        the values are integral."""
-        names, fields = _layout(_reduce(_or, self.terms, 0))
-        for v in names:
-            if v not in assignment:
-                raise ValueError(f"missing assignment for variable '{v}'")
-        values = [(i * _W, _coef(assignment[v])) for v, i in zip(names, fields)]
-        total = 0
-        for k, c in self.terms.items():
-            term = c
-            for s, val in values:
-                e = k >> s & _FIELD
-                if e:
-                    term *= val ** e
-            total += term
-        return total
+        """Exact evaluation: the constant that ``subs`` leaves.  A variable
+        that it leaves raises ``ValueError``, and a float value ``TypeError``."""
+        rest = self.subs(assignment)
+        if any(rest.terms):
+            raise ValueError(f"missing assignment for variable '{rest.vars[0]}'")
+        return Q(rest.terms.get(0, 0))
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables."""
@@ -590,10 +576,10 @@ def affine_bounds_on_cone(
     if any(sum(e) > 1 for e in f.decoded()[1]):
         raise ValueError(f"{f} is not affine")
     constant = f.terms.get(0, 0)
-    values = [f._value(v) for v in vertices]
-    slopes = [f._value(r) - constant for r in rays]
-    lo = Q(min(values)) if all(s >= 0 for s in slopes) else None
-    hi = Q(max(values)) if all(s <= 0 for s in slopes) else None
+    values = [f.eval(v) for v in vertices]
+    slopes = [f.eval(r) - constant for r in rays]
+    lo = min(values) if all(s >= 0 for s in slopes) else None
+    hi = max(values) if all(s <= 0 for s in slopes) else None
     return lo, hi
 
 
@@ -843,9 +829,8 @@ class SymMatrix:
     unipotent, so nearly all scalar products would have a zero operand.
 
     The constructor coerces the entries that are not ``RFrac`` yet and
-    checks the shape.  Results of matrix
-    operations are built from ``RFrac`` rows of a known shape and skip that
-    (``_trusted=True``: a nonempty tuple of equal-length tuples of ``RFrac``).
+    checks the shape.  Results of matrix operations are built by
+    ``_matrix`` from ``RFrac`` rows of a known shape, which skips both.
 
     ``rank`` and ``inverse`` share the echelon form of ``row_reduce``;
     ``inverse`` then back-substitutes.  ``det`` clears each row's
@@ -854,18 +839,15 @@ class SymMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence], _trusted: bool = False):
-        if _trusted:
-            data = entries
-        else:
-            data = tuple(tuple(x if type(x) is RFrac else _coerce_entry(x) for x in row) for row in entries)
-            if not data or not data[0]:
-                raise ValueError("matrix must be nonempty")
-            if any(len(row) != len(data[0]) for row in data):
-                raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-        object.__setattr__(self, "entries", data)
+    def __init__(self, entries: Sequence[Sequence]):
+        data = tuple(tuple(x if type(x) is RFrac else _coerce_entry(x) for x in row) for row in entries)
+        if not data or not data[0]:
+            raise ValueError("matrix must be nonempty")
+        if any(len(row) != len(data[0]) for row in data):
+            raise ValueError("ragged matrix rows")
+        _set_rows(self, len(data))
+        _set_cols(self, len(data[0]))
+        _set_entries(self, data)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymMatrix is immutable")
@@ -915,11 +897,11 @@ class SymMatrix:
                     s = acc[j]
                     acc[j] = a * b if s is None else s + a * b
             out.append(tuple(R_ZERO if s is None else s for s in acc))
-        return SymMatrix(tuple(out), _trusted=True)
+        return _matrix(tuple(out))
 
     def scale(self, scalar) -> "SymMatrix":
         scalar = _coerce_frac(scalar)
-        return SymMatrix(tuple(tuple(scalar * x for x in row) for row in self.entries), _trusted=True)
+        return _matrix(tuple(tuple(scalar * x for x in row) for row in self.entries))
 
     def _entrywise(self, other, op):
         if not isinstance(other, SymMatrix):
@@ -928,19 +910,13 @@ class SymMatrix:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) and ({other.rows}x{other.cols})"
             )
-        return SymMatrix(
-            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            _trusted=True,
-        )
+        return _matrix(tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def __add__(self, other):
         return self._entrywise(other, add)
 
     def __sub__(self, other):
         return self._entrywise(other, sub)
-
-    def __neg__(self):
-        return SymMatrix(tuple(tuple(-x for x in row) for row in self.entries), _trusted=True)
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
@@ -955,7 +931,7 @@ class SymMatrix:
         return all(x.is_zero() for row in self.entries for x in row)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "SymMatrix":
-        return SymMatrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries), _trusted=True)
+        return _matrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries))
 
     def det(self) -> RFrac:
         """Fraction-free: row i is multiplied by the product d_i of its
@@ -998,13 +974,29 @@ class SymMatrix:
                 if lead.num.terms:
                     for j, b in support:
                         above[j] = above[j] - lead * b
-        return SymMatrix(tuple(tuple(row[n:]) for row in m), _trusted=True)
+        return _matrix(tuple(tuple(row[n:]) for row in m))
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
     def __repr__(self) -> str:
         return f"SymMatrix({self})"
+
+
+_set_rows = SymMatrix.rows.__set__
+_set_cols = SymMatrix.cols.__set__
+_set_entries = SymMatrix.entries.__set__
+
+
+def _matrix(rows: Tuple[Tuple[RFrac, ...], ...]) -> SymMatrix:
+    """The ``SymMatrix`` of ``rows``, a nonempty tuple of equal-length tuples
+    of ``RFrac``, unchecked.  The rows may be empty, which gives a matrix
+    with no columns."""
+    m = _new(SymMatrix)
+    _set_rows(m, len(rows))
+    _set_cols(m, len(rows[0]))
+    _set_entries(m, rows)
+    return m
 
 
 def _coerce_entry(x) -> RFrac:

@@ -46,7 +46,9 @@ def check(suite: str, id: str, anchor: str) -> Callable[[CheckFn], CheckFn]:
 
 
 def _bool(ok: bool, detail: str) -> Tuple[str, str]:
-    return ("pass" if ok else "fail", detail)
+    """`pass` with `detail`, the claim that holds, or `fail` with the claim
+    marked as not holding."""
+    return ("pass", detail) if ok else ("fail", "does not hold: " + detail)
 
 
 # ---------------------------------------------------------------------------

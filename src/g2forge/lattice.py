@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import R_ZERO, MPoly, RFrac, SymMatrix
+from .algebra import R_ZERO, MPoly, RFrac, SymMatrix, _matrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
 # gp_ij = d * g_ij (rows 1, 2, columns 3, 4, 5), and the upper-right block
@@ -56,7 +56,8 @@ def scaled_block4() -> SymMatrix:
 # Wedge-square machinery
 
 # A wedge basis element is a combination of elementary wedges e_i ^ e_j with
-# 1 <= i < j <= n (negative coefficient encodes the reversed wedge).
+# 1 <= i < j <= n; a negative coefficient is the only encoding of the
+# reversed wedge e_j ^ e_i, and a pair that is not increasing is refused.
 WedgeVector = Tuple[Tuple[int, Tuple[int, int]], ...]
 
 
@@ -71,12 +72,11 @@ def wedge2_standard(m: SymMatrix) -> SymMatrix:
     if m.rows < 2 or m.cols < 2:
         raise ValueError(f"wedge square of a {m.rows}x{m.cols} matrix is empty")
     e, col_pairs = m.entries, tuple(combinations(range(m.cols), 2))
-    return SymMatrix(
+    return _matrix(
         tuple(
             tuple(rk[i] * rl[j] - rl[i] * rk[j] for i, j in col_pairs)
             for rk, rl in ((e[k], e[l]) for k, l in combinations(range(m.rows), 2))
-        ),
-        _trusted=True,
+        )
     )
 
 
@@ -88,13 +88,9 @@ def basis_matrix(n: int, basis: Sequence[WedgeVector]) -> SymMatrix:
     cols = [[R_ZERO] * len(basis) for _ in range(len(pairs))]
     for b, vec in enumerate(basis):
         for coeff, (i, j) in vec:
-            if i == j:
-                raise ValueError("degenerate wedge index")
-            sign = 1
-            if i > j:
-                i, j = j, i
-                sign = -1
-            cols[index[(i, j)]][b] = cols[index[(i, j)]][b] + RFrac.const(sign * coeff)
+            if i >= j:
+                raise ValueError(f"wedge index pair {(i, j)} is not increasing")
+            cols[index[(i, j)]][b] = cols[index[(i, j)]][b] + RFrac.const(coeff)
     return SymMatrix(cols)
 
 
@@ -230,10 +226,7 @@ def four_dim_wedge_report() -> Dict[str, object]:
     w = wedge2_action(scaled_block4(), WEDGE_BASIS_4)
     d2 = D * D
 
-    def over_d(p: MPoly) -> str:  # p/d, as the quotient when d divides p
-        q = p.divexact(D.num)
-        if q is not None:
-            return str(q)
+    def over_d(p: MPoly) -> str:  # p/d, which d does not divide for any entry shown
         return f"({p})/({D})" if len(p.terms) > 1 else f"{p}/({D})"
 
     def shown(x: RFrac) -> str:  # the entry x/d^2 of the wedge square of M4

@@ -12,8 +12,8 @@ from itertools import combinations, product
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .algebra import (
-    R_ZERO, MPoly, RFrac, Scalar, SymMatrix, ValuedScalar, _coef, _coerce_entry, affine_bounds_on_cone, quotient,
-    row_reduce,
+    R_ZERO, MPoly, RFrac, Scalar, SymMatrix, ValuedScalar, _coef, _coerce_entry, _matrix, affine_bounds_on_cone,
+    quotient, row_reduce,
 )
 
 K = MPoly.var("k")
@@ -42,9 +42,6 @@ class Polygon:
     @property
     def endpoint(self) -> Tuple[int, Scalar]:
         return self.vertices[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, Polygon) and self.slopes == other.slopes
 
     def __repr__(self):
         return f"Polygon(slopes={list(self.slopes)})"
@@ -177,7 +174,7 @@ def _fil_at(m: PhiNModule, j) -> SymMatrix:
     for jj, f in m.fil:
         if jj >= j:
             return f
-    return SymMatrix(((),) * m.dim, _trusted=True)
+    return _matrix(((),) * m.dim)
 
 
 def _flag(candidates: Sequence[Tuple[int, SymMatrix]], jumps: Sequence[int]) -> List[Tuple[int, SymMatrix]]:
@@ -192,18 +189,13 @@ def _flag(candidates: Sequence[Tuple[int, SymMatrix]], jumps: Sequence[int]) -> 
 
 def _kron(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """The Kronecker product: entry (i y.rows + r, j y.cols + c) is x_ij y_rc."""
-    return SymMatrix(
-        tuple(tuple(a * b for a in xrow for b in yrow) for xrow in x.entries for yrow in y.entries),
-        _trusted=True,
-    )
+    return _matrix(tuple(tuple(a * b for a in xrow for b in yrow) for xrow in x.entries for yrow in y.entries))
 
 
 def _block_diagonal(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """((x, 0), (0, y))."""
     right, left = (R_ZERO,) * y.cols, (R_ZERO,) * x.cols
-    return SymMatrix(
-        tuple(row + right for row in x.entries) + tuple(left + row for row in y.entries), _trusted=True
-    )
+    return _matrix(tuple(row + right for row in x.entries) + tuple(left + row for row in y.entries))
 
 
 def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
@@ -229,7 +221,7 @@ def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     steps = []
     for j in sorted({ja + jb for ja, _ in a.fil for jb, _ in b.fil}):
         pieces = [_kron(_fil_at(a, j - jb), fb).entries for jb, fb in b.fil]
-        steps.append((j, SymMatrix(tuple(sum(rows, ()) for rows in zip(*pieces)), _trusted=True)))
+        steps.append((j, _matrix(tuple(sum(rows, ()) for rows in zip(*pieces)))))
     jumps = [x + y for x in a.fil_jumps() for y in b.fil_jumps()]
     return PhiNModule(phi, n, _flag(steps, jumps), a.point)
 

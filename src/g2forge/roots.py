@@ -59,9 +59,6 @@ class Weight:
     def __eq__(self, other) -> bool:
         return isinstance(other, Weight) and self.ca == other.ca and self.cb == other.cb
 
-    def is_zero(self) -> bool:
-        return self.ca == 0 and self.cb == 0
-
     def coords(self) -> Tuple[Coord, Coord]:
         return (self.ca, self.cb)
 
@@ -116,7 +113,8 @@ def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
 
 
 class WeylElement:
-    """One of the 12 Weyl group elements, named by its reduced word."""
+    """One of the 12 Weyl group elements, named by its reduced word.  Each is
+    built once, so they compare and hash by identity."""
 
     __slots__ = ("word", "matrix")
 
@@ -153,15 +151,6 @@ class WeylElement:
             (-m[1][0] // det, m[0][0] // det),
         )
         return _BY_MATRIX[inv]
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __str__(self) -> str:
-        return self.name
 
     def __repr__(self) -> str:
         return f"WeylElement({self.name})"
@@ -239,26 +228,17 @@ class ParabolicId:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "levi_simple", levi_simple)
         object.__setattr__(self, "eis_words", eis_words)
-        object.__setattr__(self, "nilrad_dim", len(self._nilradical_roots()))
+        object.__setattr__(self, "nilrad_dim", len(self.nilradical_roots))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ParabolicId is immutable")
 
-    def _nilradical_roots(self) -> Tuple[Weight, ...]:
-        levi = set()
-        for s in self.levi_simple:
-            levi.add((s.ca, s.cb))
-        return tuple(r for r in POSITIVE_ROOTS if (r.ca, r.cb) not in levi)
-
     @property
     def nilradical_roots(self) -> Tuple[Weight, ...]:
-        return self._nilradical_roots()
-
-    def __eq__(self, other):
-        return isinstance(other, ParabolicId) and self.tag == other.tag
-
-    def __hash__(self):
-        return hash(self.tag)
+        """The positive roots outside the Levi, read from ``POSITIVE_ROOTS``
+        at each call."""
+        levi = {(s.ca, s.cb) for s in self.levi_simple}
+        return tuple(r for r in POSITIVE_ROOTS if (r.ca, r.cb) not in levi)
 
     def __repr__(self):
         return f"ParabolicId({self.tag})"

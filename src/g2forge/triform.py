@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, row_reduce
+from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, _matrix, row_reduce
 
 Entry = Union[int, Q, MPoly, RFrac]
 
@@ -254,7 +254,7 @@ def root_subgroup(root: str, x: Entry) -> SymMatrix:
         if type(row) is tuple:
             row = out[i - 1] = list(row)
         row[j - 1] = val
-    return SymMatrix(tuple(map(tuple, out)), _trusted=True)
+    return _matrix(tuple(map(tuple, out)))
 
 
 def torus_elem(t1: Entry, t2: Entry) -> SymMatrix:
@@ -778,8 +778,7 @@ def derivation_rank(form: AltTriForm) -> int:
     unit matrices, each over the 35 sorted triples."""
     rows = []
     for n in range(49):
-        unit = SymMatrix(tuple(tuple(R_ONE if 7 * i + j == n else R_ZERO for j in range(7)) for i in range(7)),
-                         _trusted=True)
+        unit = _matrix(tuple(tuple(R_ONE if 7 * i + j == n else R_ZERO for j in range(7)) for i in range(7)))
         residue = form_derivation_residue(unit, form).coeffs
         rows.append([residue.get(t, R_ZERO) for t in _TRIPLES])
     return len(row_reduce(rows, len(_TRIPLES)))

@@ -54,6 +54,8 @@ class TestMPoly:
         assert type(MPoly.const(4).eval({})) is Q
         with pytest.raises(TypeError):
             p.eval({"x": 0.5, "y": 1})
+        with pytest.raises(ValueError, match="missing assignment for variable 'y'"):
+            p.eval({"x": 2})
 
     def test_divexact(self):
         p = (X + Y) * (X - Y)
@@ -130,8 +132,15 @@ class TestRFrac:
 
 class TestSymMatrix:
     def test_identity_and_inverse(self):
-        m = SymMatrix([[RFrac.const(v) for v in row] for row in [[2, 1, 0], [1, 1, 1], [0, 3, 1]]])
+        rows = [[RFrac.const(v) for v in row] for row in [[2, 1, 0], [1, 1, 1], [0, 3, 1]]]
+        m = SymMatrix(rows)
         assert m * m.inverse() == SymMatrix.identity(3)
+        # The one public constructor always checks its rows.
+        with pytest.raises(TypeError):
+            SymMatrix(rows, _trusted=True)
+        for bad in ([], [[]], [[1, 2], [3]]):
+            with pytest.raises(ValueError):
+                SymMatrix(bad)
 
     @given(st.lists(small_ints, min_size=8, max_size=8), st.lists(small_ints, min_size=8, max_size=8))
     @settings(max_examples=30, deadline=None)

@@ -799,6 +799,13 @@ class TestChecksCanFail:
     def test_identity_check_under_optimize_flag(self, optimized_statuses, check_id, mutation):
         assert optimized_statuses[check_id, mutation] == "fail"
 
+    @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
+    def test_a_failing_check_does_not_print_its_passing_claim(self, monkeypatch, check_id, mutation):
+        with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
+            golden = {f"{s['name']}/{c['id']}": c["detail"] for s in json.load(fh)["suites"] for c in s["checks"]}
+        check = _check_in_process(monkeypatch, mutation, check_id)
+        assert check["status"] == "fail" and check["detail"] != golden[check_id]
+
     def test_the_permanent_square_fails_the_identity_itself(self, monkeypatch):
         # The mutant must break the identity the check proves, not make it raise.
         (mutation,) = _MUTATIONS["wedge2/wedge-functoriality"]
@@ -811,7 +818,7 @@ class TestChecksCanFail:
         # The mutant must break [e, f] = h, not make the check raise.
         (mutation,) = _MUTATIONS["triform/subregular-sl2"]
         check = _check_in_process(monkeypatch, mutation, "triform/subregular-sl2")
-        assert (check["status"], check["detail"]) == ("fail", "triple completed; joint centralizer dim 0")
+        assert (check["status"], check["detail"]) == ("fail", "does not hold: triple completed; joint centralizer dim 0")
 
     @pytest.mark.parametrize("check_id, reason", (
         ("triform/bracket-closure", "(failures: ['e[b]', 'e[-(b)]'])"),

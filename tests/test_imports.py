@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports at top level is used in it,
 every module-private top-level function or class is referenced somewhere
 in the package, every public one somewhere in the repository, no module
-imports `random`, the checks do not depend on the command line, and every
-name the benchmark reads from the package resolves."""
+imports `random`, the checks do not depend on the command line, every
+name the benchmark reads from the package resolves, and every function that
+no command line enters has a stated reason to exist."""
 
 import ast
 import functools
@@ -11,6 +12,8 @@ import importlib
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +233,65 @@ def test_the_benchmark_names_resolve():
     from g2forge import cli
 
     inspect.signature(cli.run_verify).bind(7, {})
+
+
+# The functions that `tests/unrun_lines.py` reports no command line entering,
+# each with the reason it stays.  A function missing here is dead API: delete
+# it or add it with its reason.
+_GUARD = "immutability guard"
+_REPR = "__repr__, for debugging and test failure messages"
+_NEVER_ENTERED_ALLOWED = {
+    "algebra._overflow": "error path: an exponent past the guard bit, driven by the kernel tests",
+    "algebra.MPoly.__init__": "test oracle: MPoly(vars, terms) builds from exponent tuples",
+    "algebra.MPoly.__setattr__": _GUARD,
+    "algebra.MPoly.vars": "test oracle, and names the variable eval leaves unassigned",
+    "algebra.MPoly.__bool__": "without it a zero polynomial would be truthy",
+    "algebra.MPoly.__repr__": _REPR,
+    "algebra.RFrac.__setattr__": _GUARD,
+    "algebra.RFrac.__bool__": "without it a zero rational function would be truthy",
+    "algebra.RFrac.__rsub__": "the tests build 1 - a and 0 - f",
+    "algebra.RFrac.__repr__": _REPR,
+    "algebra.SymMatrix.__setattr__": _GUARD,
+    "algebra.SymMatrix.col": "the benchmark's tracer counts nonzero products with it",
+    "algebra.SymMatrix.__str__": "the text form that __repr__ and the kernel tests read",
+    "algebra.SymMatrix.__repr__": _REPR,
+    "algebra.ValuedScalar.__setattr__": _GUARD,
+    "algebra.ValuedScalar.__repr__": _REPR,
+    "cli._usage_line": "error path: a usage error, exit code 2, driven by the CLI tests",
+    "cli._usage_error": "error path: a usage error, exit code 2, driven by the CLI tests",
+    "cli._Parser.error": "error path: a usage error, exit code 2, driven by the CLI tests",
+    "cli.main": "the console-script entry point; the tool calls cli.run",
+    "kostant.levi_piece_dim": "test oracle for the Kostant pieces",
+    "phin.Polygon.__repr__": _REPR,
+    "roots.Weight.__setattr__": _GUARD,
+    "roots.Weight.is_nonnegative_combo": "called by critical_set, which the benchmark names",
+    "roots.Weight.__repr__": _REPR,
+    "roots.WeylElement.__setattr__": _GUARD,
+    "roots.WeylElement.__mul__": "test oracle for the group law",
+    "roots.WeylElement.__repr__": _REPR,
+    "roots.ParabolicId.__setattr__": _GUARD,
+    "roots.ParabolicId.__repr__": _REPR,
+    "roots.critical_set": "the benchmark names it",
+    "triform.AltTriForm.__setattr__": _GUARD,
+    "triform.AltTriForm.get": "the dense oracle for form_derivation_residue",
+    "triform.AltTriForm.__repr__": _REPR,
+    "triform.coeff_relations_hold": "the relation-probe benchmark rechecks its words with it",
+}
+
+
+def test_every_function_no_command_line_enters_has_a_reason():
+    """Run the trace tool in a fresh interpreter and read its list of
+    functions never entered, lines `  <module>.py:<line> <qualname>`."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tests", "unrun_lines.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    section = proc.stdout.split("functions never entered:\n", 1)[1].split("total:", 1)[0]
+    never = {
+        f"{module}.{qualname}"
+        for module, qualname in re.findall(r"^  (\w+)\.py:\d+ (\S+)$", section, re.M)
+    }
+    assert never, proc.stdout
+    unjustified = sorted(never - _NEVER_ENTERED_ALLOWED.keys())
+    assert unjustified == [], f"functions no command line enters, with no reason to stay: {unjustified}"

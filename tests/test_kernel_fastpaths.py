@@ -19,8 +19,8 @@ reference, down to the shared zero object when everything cancels, and so is
 `MPoly.bilinear`, the same accumulation over a bilinear form with polynomial
 entries, whose three-key sums are also checked for a carry past the guard.  The
 per-call shortcuts (fused subtraction, products with a one-term factor, scalar
-`subs`, the sparse row update of `row_reduce`, matrix difference and
-negation) are each checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
+`subs`, the sparse row update of `row_reduce`, matrix difference) are each
+checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
 a general normaliser by monomial gcd, monic rescale and exact division, kept
 here as a reference) and the product of two polynomial matrices (against the
 dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
@@ -531,9 +531,9 @@ class TestFusedSubtraction:
 
     @given(sparse_matrices(), sparse_matrices())
     @settings(max_examples=40, deadline=None)
-    def test_matrix_difference_and_negation_match_scaling_by_minus_one(self, m, n):
-        for result, expected in ((m - n, m + n.scale(-1)), (-m, m.scale(-1))):
-            assert all(same(result[i, j], expected[i, j]) for i in range(7) for j in range(7))
+    def test_matrix_difference_matches_adding_the_scaling_by_minus_one(self, m, n):
+        result, expected = m - n, m + n.scale(-1)
+        assert all(same(result[i, j], expected[i, j]) for i in range(7) for j in range(7))
 
 
 def naive_sum_of_products(triples) -> MPoly:
@@ -728,6 +728,11 @@ def test_inverse_text_of_the_inverted_matrices():
         "[-1, 0, 0, 0, 0, 0; 0, 0, -1/2, 1/2, 0, 0; 0, -1, 0, 0, 0, 0; "
         "0, 0, -1/2, -1/2, 0, 0; 0, 0, 0, 0, -1, 0; 0, 0, 0, 0, 0, -1]"
     )
+    # A reversed wedge is written only as a negative coefficient: a pair
+    # that is not increasing is refused, as is a degenerate one.
+    for pair in ((2, 1), (3, 3)):
+        with pytest.raises(ValueError, match="not increasing"):
+            basis_matrix(4, (((1, pair),),) + WEDGE_BASIS_4[1:])
 
 
 class TestMonomialDenominator:
