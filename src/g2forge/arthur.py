@@ -279,14 +279,10 @@ WEIGHT_FLAGS: Tuple[Dict[str, str], ...] = (
     {
         "id": "long-levi-shift-plain",
         "recomputed": "(k-2)/4*alpha + (3k+6)/4*(alpha+2*beta)",
-        "variant": "(k-2)/4*alpha + (3k+16)/4*(alpha+2*beta)",
-        "status": "finding",
     },
     {
         "id": "long-levi-shift-twisted",
         "recomputed": "(k-4)/4*alpha + (3k+8)/4*(alpha+2*beta)",
-        "variant": "(k-4)/4*alpha + (3k+18)/4*(alpha+2*beta)",
-        "status": "finding",
     },
 )
 

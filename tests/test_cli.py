@@ -563,6 +563,9 @@ _MUTATIONS = {
             '{**triform._GEN_ENTRIES, "a+b": triform._GEN_ENTRIES["a+b"][:1] + ((2, 4, -2, 1, False),) '
             '+ triform._GEN_ENTRIES["a+b"][2:]}',
         ),
+        # The h14 h21 term of r1 with the wrong sign, in the relations' one
+        # transcription: a+b, a+2b, b and -b leave the span.
+        ("triform", "_RELATION_FORMS", "({**triform._RELATION_FORMS[0], (3, 0): -1},) + triform._RELATION_FORMS[1:]"),
     ),
     "triform/one-parameter-addition": (
         (
@@ -657,6 +660,23 @@ _MUTATIONS = {
     ),
     "phin/extension-injectivity-random": (
         ("phin", "EBC_FROBENIUS", "(phin.ALPHA_HAT.inv(),) + phin.EBC_FROBENIUS[1:]"),
+    ),
+    # The third eigenvalue of the 5-dim piece with p-exponent (k+2)/2 for k/2.
+    "phin/monodromy-five-dim": (
+        (
+            "phin", "five_dim_eigenvalues",
+            "lambda f=phin.five_dim_eigenvalues: (lambda e: e[:2] "
+            "+ (phin.ValuedScalar.p_power((phin.K + 2) / 2) * phin.ALPHA_HAT.inv(),) + e[3:])(f())",
+        ),
+    ),
+    # The third eigenvalue of the 7-dim piece equal to the second: only the
+    # pair (5, 6) stays unconditional.
+    "phin/monodromy-seven-dim": (
+        (
+            "phin", "seven_dim_eigenvalues",
+            "lambda f=phin.seven_dim_eigenvalues: (lambda e: e[:2] "
+            "+ (phin.ValuedScalar.p_power(-phin.K / 2 + 1) * phin.ALPHA_HAT,) + e[3:])(f())",
+        ),
     ),
     # The infinitesimal character without the halving.
     "arthur/packet-data": (("arthur", "lambda0", "lambda k: arthur.Weight(2 * (k - 4), 3 * (k - 4))"),),

@@ -436,9 +436,9 @@ class TestBlockParabolic:
 
     @pytest.mark.parametrize("ones, relations", [(("h21", "h14"), (1, 0)), (("h22", "h14"), (0, 1))])
     def test_relation_check_agrees_with_coeff_relations_where_one_is_nonzero(self, ones, relations):
-        # The 0/1 rows of the certificate, where (r1, r2) is (1, 0) or (0, 1):
-        # the forms of g(a, x) are M_1 and M_2 themselves, so their values
-        # are the relations, and the nonzero one is a failing form.
+        # At 0/1 rows where (r1, r2) is (1, 0) or (0, 1): the forms of
+        # g(a, x) are M_1 and M_2 themselves, so their values are the
+        # relations, and the nonzero one is a failing form.
         rows = tuple(
             tuple(MPoly.const(int(f"h{i}{j}" in ones)) for j in range(1, 6)) for i in (1, 2)
         )
@@ -450,41 +450,68 @@ class TestBlockParabolic:
         failing = t._failing_forms(table, rows)
         assert [k in failing for k in sorted(parts["a"])] == [bool(r) for r in relations]
 
+    @given(st.lists(_ROW_ENTRY, min_size=10, max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_coeff_relations_are_the_explicit_quadratics(self, entries):
+        # The one transcription, `_RELATION_FORMS`, read against r1 and r2 as
+        # written out, on `MPoly` rows and on the same rows as `RFrac`s.
+        rows = (tuple(entries[:5]), tuple(entries[5:]))
+        (h11, h12, h13, h14, h15), (h21, h22, h23, h24, h25) = rows
+        r1 = 2 * h13 * h22 - 2 * h12 * h23 + h14 * h21 - h11 * h24
+        r2 = 2 * h11 * h25 - 2 * h15 * h21 + h14 * h22 - h12 * h24
+        assert t.coeff_relations(rows) == (r1, r2)
+        fracs = tuple(tuple(RFrac(e) for e in row) for row in rows)
+        assert t.coeff_relations(fracs) == (RFrac(r1), RFrac(r2))
+
     @given(st.lists(_ROW_ENTRY, min_size=10, max_size=10), st.sampled_from(t.GENERATOR_NAMES))
     @settings(max_examples=60, deadline=None)
-    def test_pulled_back_forms_are_the_relations_of_the_product(self, entries, name):
+    def test_relation_parts_sum_to_the_relations_of_the_product(self, entries, name):
         # r_k(h g) = h1 (G M_k G^T) h2^T for any rows h, not only parabolic
-        # ones: the forms' values equal `coeff_relations` of the product term
-        # for term.  For the identity's columns, G M_k G^T is M_k itself.
+        # ones, and G M_k G^T is the sum of m N_m: the sum of m times the
+        # value of N_m equals `coeff_relations` of the product term for term,
+        # even on rows in the generator's own symbol x1.  For the identity's
+        # columns, the only part is M_k itself.
         rows = (tuple(entries[:5]), tuple(entries[5:]))
+
+        def values(cols):
+            return tuple(
+                sum((algebra._poly({m: 1}) * MPoly.bilinear(part, *rows) for m, part in split.items()), MPoly.zero())
+                for split in t._relation_parts(cols)
+            )
+
         cols = t._poly_generator_columns(name, "1")
-        values = tuple(MPoly.bilinear(form, *rows) for form in t._pulled_back_forms(cols))
-        assert values == t.coeff_relations(t._rows_mul(rows, cols))
+        assert values(cols) == t.coeff_relations(t._rows_mul(rows, cols))
         identity = tuple(((j, MPoly.one()),) for j in range(5))
-        assert tuple(MPoly.bilinear(form, *rows) for form in t._pulled_back_forms(identity)) == t.coeff_relations(rows)
+        table, _ = t._relation_table()
+        assert t._relation_parts(identity) == ({0: table[0]}, {0: table[1]})
+        assert values(identity) == t.coeff_relations(rows)
 
     @given(st.lists(_FRESH_ROW_ENTRY, min_size=10, max_size=10), st.sampled_from(t.GENERATOR_NAMES))
     @settings(max_examples=60, deadline=None)
-    def test_split_forms_sum_to_the_pulled_back_forms(self, entries, name):
-        # G M_k G^T = sum of m N_m over the monomials m of the generator's own
-        # symbols: on rows in other symbols, the value of each pulled-back
-        # form is the sum of m times the value of N_m, term for term.
+    def test_relation_parts_split_by_the_generators_own_monomials(self, entries, name):
+        # Each N_m is a constant form with nonzero coefficients sorted by
+        # (i, j), and each m a monomial in the generator's own symbols.  On
+        # rows in other symbols, r_k of the product is then a polynomial in
+        # those with coefficient the value of N_m at m, so it vanishes iff
+        # every N_m does.
         rows = (tuple(entries[:5]), tuple(entries[5:]))
-        for form in t._pulled_back_forms(t._poly_generator_columns(name, "1")):
-            parts = t._form_parts(form)
-            assert all(c != 0 and key == 0 for part in parts.values() for c, key, _, _ in part)
-            split = MPoly.zero()
-            for m, part in parts.items():
-                split = split + algebra._poly({m: 1}) * MPoly.bilinear(part, *rows)
-            assert MPoly.bilinear(form, *rows) == split
+        cols = t._poly_generator_columns(name, "1")
+        own = {"x1"} if name != "torus" else {"t11", "t21"}
+        for split, relation in zip(t._relation_parts(cols), t.coeff_relations(t._rows_mul(rows, cols))):
+            assert all(c != 0 and key == 0 for part in split.values() for c, key, _, _ in part)
+            assert all([term[2:] for term in part] == sorted(term[2:] for term in part) for part in split.values())
+            assert all(set(algebra._poly({m: 1}).vars) <= own for m in split)
+            parts = [(m, MPoly.bilinear(part, *rows)) for m, part in split.items()]
+            assert sum((algebra._poly({m: 1}) * v for m, v in parts), MPoly.zero()) == relation
+            assert relation.is_zero() == all(v.is_zero() for _, v in parts)
 
     def test_relation_table_interns_the_split_forms(self):
-        # The 16 pulled-back forms of the 8 generators (72 terms) split into
-        # 2 constant forms up to a nonzero scalar (8 terms): M_1 and M_2 as
-        # written, which every generator has; the x-parts of b and -b are
-        # their negatives.
-        forms = [f for name in t.GENERATOR_NAMES for f in t._pulled_back_forms(t._poly_generator_columns(name, ""))]
-        assert (len(forms), sum(map(len, forms))) == (16, 72)
+        # The 16 pulled-back forms of the 8 generators split into parts of 72
+        # terms in all, which intern into 2 constant forms up to a nonzero
+        # scalar (8 terms): M_1 and M_2 as written, the seeds, which every
+        # generator has; the x-parts of b and -b are their negatives.
+        splits = [split for name in t.GENERATOR_NAMES for split in t._relation_parts(t._poly_generator_columns(name, ""))]
+        assert (len(splits), sum(len(part) for split in splits for part in split.values())) == (16, 72)
         table, parts = t._relation_table()
         assert (len(table), sum(map(len, table))) == (2, 8)
         assert list(table) == [tuple((m, 0, a, b) for (a, b), m in sorted(f.items())) for f in t._RELATION_FORMS]
@@ -496,8 +523,8 @@ class TestBlockParabolic:
         table, parts = t._relation_table()
         scalars = {}
         for name in t.GENERATOR_NAMES:
-            for form in t._pulled_back_forms(t._poly_generator_columns(name, "")):
-                for m, part in t._form_parts(form).items():
+            for split in t._relation_parts(t._poly_generator_columns(name, "")):
+                for m, part in split.items():
                     (k,) = [k for k in parts[name] if [term[2:] for term in table[k]] == [term[2:] for term in part]]
                     ratios = {Q(c) / Q(r) for (c, *_), (r, *_) in zip(part, table[k])}
                     assert len(ratios) == 1 and 0 not in ratios
@@ -609,14 +636,8 @@ class TestRelationCertificate:
         # r1 + h11 * h22 - h12 * h21 adds the determinant of the leading 2x2
         # block, which is 1 at the identity; the shifted pair also leaves its
         # span under g(b, x) and the torus.
-        relations = t.coeff_relations
-
-        def shifted(rows):
-            r1, r2 = relations(rows)
-            (h11, h12, *_), (h21, h22, *_) = rows
-            return (r1 + h11 * h22 - h12 * h21, r2)
-
-        monkeypatch.setattr(t, "coeff_relations", shifted)
+        m1, m2 = t._RELATION_FORMS
+        monkeypatch.setattr(t, "_RELATION_FORMS", ({**m1, (0, 1): 1, (1, 0): -1}, m2))
         assert t.coeff_relations_certificate() == ["identity", "b", "torus"]
 
 
