@@ -379,6 +379,8 @@ class MPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if n == 1:
+            return self
         result = _ONE
         base = self
         while n:
@@ -420,6 +422,8 @@ class MPoly:
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables."""
         used = _reduce(_or, self.terms, 0)
+        if not used:
+            return self
         hits = []
         for name, value in assignment.items():
             i = _INDEX.get(name)
@@ -728,6 +732,8 @@ class RFrac:
             raise ValueError("exponent must be an integer")
         if n < 0:
             return self.inv() ** (-n)
+        if n == 1:
+            return self
         return RFrac(self.num ** n, self.den ** n)
 
     def __eq__(self, other):

@@ -83,7 +83,7 @@ def subregular_centralizer_report() -> Dict[str, object]:
     span_dim = SymMatrix([[x.get(n, 0) for n in lie.names] for x in elements]).rank()
     cent_dim = lie.centralizer_dim(rep)
     return {
-        "witness_elements": ["e[a+b]", "e[a+2b]", "e[2a+3b]", "e[a]+e[a+3b]"],
+        "witness_elements": ["+".join(x) for x in elements],
         "all_brackets_vanish": brackets_vanish,
         "span_dimension": span_dim,
         "matches_centralizer_dim": span_dim == cent_dim,

@@ -142,8 +142,8 @@ def borel_piece_degrees():
 def weyl_dimension_samples():
     samples = {
         "trivial": kostant.weyl_dim(rootsmod.Weight(0, 0)),
-        "adjoint": kostant.weyl_dim(rootsmod.Weight(2, 3)),
-        "standard": kostant.weyl_dim(rootsmod.Weight(1, 2)),
+        "adjoint": kostant.weyl_dim(rootsmod.POSITIVE_ROOTS[-1]),
+        "standard": kostant.weyl_dim(kostant.R7_WEIGHTS_MODEL[0]),
     }
     return _bool(samples == {"trivial": 1, "adjoint": 14, "standard": 7}, f"dims {samples}")
 

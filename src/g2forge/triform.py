@@ -11,7 +11,9 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import kostant
 from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, _matrix, row_reduce
+from .roots import ALPHA, BETA, POSITIVE_ROOTS, Weight
 
 Entry = Union[int, Q, MPoly, RFrac]
 
@@ -215,16 +217,8 @@ _GEN_ENTRIES: Dict[str, Tuple[Tuple[int, int, int, int, bool], ...]] = {
 
 ROOT_NAMES: Tuple[str, ...] = ("a", "b", "a+b", "a+2b", "a+3b", "2a+3b", "-b")
 
-# Simple-root coordinates of each supported root character.
-_ROOT_COORDS: Dict[str, Tuple[int, int]] = {
-    "a": (1, 0),
-    "b": (0, 1),
-    "a+b": (1, 1),
-    "a+2b": (1, 2),
-    "a+3b": (1, 3),
-    "2a+3b": (2, 3),
-    "-b": (0, -1),
-}
+# The root of each generator: the positive roots in order, then -beta.
+_ROOTS: Dict[str, Weight] = dict(zip(ROOT_NAMES, POSITIVE_ROOTS + (-BETA,)))
 
 
 _A_INV = A_SYM.inv()
@@ -253,41 +247,47 @@ def root_subgroup(root: str, x: Entry) -> SymMatrix:
     return _matrix(tuple(map(tuple, out)))
 
 
+def _exponents(mu: Weight) -> Tuple[int, int]:
+    """The exponents (e1, e2) = (<mu, a_cov + b_cov>, <mu, a_cov>) of t1 and t2
+    in the character of mu at [t1, t2]; mu -> (e1, e2) is invertible over Z."""
+    e2 = mu.pair_coroot(ALPHA)
+    return e2 + mu.pair_coroot(BETA), e2
+
+
+def _torus_diagonal(t1, t2, shift: int) -> List:
+    """t1^(e1 + shift) t2^(e2 + shift), (e1, e2) = _exponents(mu), over the
+    standard weights mu in the model's order.  A zeroth power is left out."""
+    out = []
+    for e1, e2 in map(_exponents, kostant.R7_WEIGHTS_MODEL):
+        e1 += shift
+        e2 += shift
+        if e1 and e2:
+            out.append(t1 ** e1 * t2 ** e2)
+        else:
+            out.append(t2 ** e2 if e2 else t1 ** e1)
+    return out
+
+
 def torus_elem(t1: Entry, t2: Entry) -> SymMatrix:
-    t1 = _coerce_entry(t1)
-    t2 = _coerce_entry(t2)
-    return SymMatrix.diagonal(
-        [t1, t2, t1 / t2, RFrac.const(1), t2 / t1, t2.inv(), t1.inv()]
-    )
-
-
-def root_character(root: str, t1: Entry, t2: Entry) -> RFrac:
-    """Value of the root character on the torus element [t1, t2]."""
-    if root not in _ROOT_COORDS:
-        raise ValueError(f"unsupported root {root!r}")
-    m, n = _ROOT_COORDS[root]
-    t1 = _coerce_entry(t1)
-    t2 = _coerce_entry(t2)
-    # long simple root value: t2^2/t1; short simple root value: t1/t2
-    return (t2 * t2 / t1) ** m * (t1 / t2) ** n
+    """The torus element [t1, t2]: the character of each standard weight at
+    it, down the diagonal in the model's order."""
+    return SymMatrix.diagonal(_torus_diagonal(_coerce_entry(t1), _coerce_entry(t2), 0))
 
 
 def conj_relation(root: str) -> bool:
     """Symbolic check: [t] g(root, x) [t]^{-1} = g(root, char(t) x).
 
-    With t = diag(d), entry (i, j) of t g t^{-1} is d_i g_ij / d_j, and the
-    diagonal of g(root, x) is 1.  Entry (i, j) of g(root, x) is c x^p, times
-    1/a or not, with c nonzero, so the identity holds exactly when
-    d_i / d_j = char(t)^p for every entry (i, j, c, p, div_a) of the
-    generator table."""
+    ``torus_elem`` is diag(chi(mu_i)) over the standard weights mu_i, so
+    entry (i, j) of t g t^{-1} is chi(mu_i - mu_j) g_ij, and the diagonal of
+    g(root, x) is 1.  Entry (i, j) of g(root, x) is c x^p, times 1/a or not,
+    with c nonzero, and chi is injective (see ``_exponents``), so the
+    identity holds exactly when mu_i - mu_j = p root for every entry
+    (i, j, c, p, div_a) of the generator table."""
     if root not in _GEN_ENTRIES:
         raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
-    t1 = RFrac.var("t1")
-    t2 = RFrac.var("t2")
-    t = torus_elem(t1, t2)
-    d = [t[i, i] for i in range(7)]
-    char = root_character(root, t1, t2)
-    return all(d[i - 1] / d[j - 1] == char ** power for (i, j, _, power, _) in _GEN_ENTRIES[root])
+    mu = kostant.R7_WEIGHTS_MODEL
+    r = _ROOTS[root]
+    return all(mu[i - 1] - mu[j - 1] == power * r for (i, j, _, power, _) in _GEN_ENTRIES[root])
 
 
 def one_parameter_identity(root: str) -> bool:
@@ -406,20 +406,13 @@ def perm_cycles(p: Perm7) -> str:
 # Block parabolic (2,3,2) and the coefficient relations
 
 _BLOCKS = ({1, 2}, {3, 4, 5}, {6, 7})
-# (row, col) positions (0-indexed) required to vanish for membership in the
-# (2,3,2) block parabolic.
-_P232_ZERO = tuple(
-    (i, j)
-    for i in range(7)
-    for j in range(7)
-    if (i >= 2 and j < 2) or (i >= 5 and j < 5)
-)
 
 
 def in_P232(m: SymMatrix) -> bool:
-    """Membership in the standard block-upper parabolic with block sizes
-    (2, 3, 2)."""
-    return all(m[i, j].is_zero() for i, j in _P232_ZERO)
+    """Membership in the standard block-upper parabolic of ``_BLOCKS``: the
+    entries whose row lies in a later block than their column vanish."""
+    block = {i: k for k, b in enumerate(_BLOCKS) for i in b}
+    return all(m[i - 1, j - 1].is_zero() for i in block for j in block if block[i] > block[j])
 
 
 def perm_in_w232(p: Perm7) -> bool:
@@ -524,9 +517,7 @@ def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
     """Columns 1-5 of a generator (the torus scaled by t1*t2), each as its
     nonzero (row, entry) pairs."""
     if name == "torus":
-        t1 = MPoly.var("t1" + suffix)
-        t2 = MPoly.var("t2" + suffix)
-        diag = [t1 * t1 * t2, t1 * t2 * t2, t1 * t1, t1 * t2, t2 * t2]
+        diag = _torus_diagonal(MPoly.var("t1" + suffix), MPoly.var("t2" + suffix), 1)
         return tuple(((j, diag[j]),) for j in range(5))
     x = MPoly.var("x" + suffix)
     out: List[List[Tuple[int, MPoly]]] = [[(j, MPoly.one())] for j in range(5)]
@@ -739,8 +730,8 @@ def _linear_coefficient(root: str) -> SymMatrix:
     return SymMatrix(out)
 
 
-H1 = SymMatrix.diagonal([RFrac.const(c) for c in (1, 0, 1, 0, -1, 0, -1)])
-H2 = SymMatrix.diagonal([RFrac.const(c) for c in (0, 1, -1, 0, 1, -1, 0)])
+# The Cartan directions d/dt1 and d/dt2 of the torus at 1.
+H1, H2 = (SymMatrix.diagonal(col) for col in zip(*map(_exponents, kostant.R7_WEIGHTS_MODEL)))
 
 _TRIPLES = tuple((i, j, k) for i in range(1, 8) for j in range(i + 1, 8) for k in range(j + 1, 8))
 
@@ -781,7 +772,7 @@ class LieG2:
         w_long = weyl_rep("ababab")
         w_long_inv = w_long.inverse()
         basis: List[Tuple[str, SymMatrix]] = [("h1", H1), ("h2", H2)]
-        pos_names = ("a", "b", "a+b", "a+2b", "a+3b", "2a+3b")
+        pos_names = ROOT_NAMES[:-1]
         for name in pos_names:
             basis.append((f"e[{name}]", _linear_coefficient(name)))
         for name in pos_names:
@@ -877,8 +868,8 @@ def zeta_witness() -> Dict[str, bool]:
     z = MPoly.var("zeta")
     zeta = RFrac(z)
     cyclotomic = z * z + z + 1
-    # short coroot at zeta: the torus element [s, 1/s] at s = zeta
-    powers = [1, -1, 2, 0, -2, 1, -1]
+    # short coroot at zeta: diag(zeta^<mu, b_cov>) over the standard weights
+    powers = [mu.pair_coroot(BETA) for mu in kostant.R7_WEIGHTS_MODEL]
     d = SymMatrix.diagonal([zeta ** n for n in powers])
     d_inv = SymMatrix.diagonal([zeta ** -n for n in powers])
     residue = d * e * d_inv - e

@@ -493,7 +493,8 @@ def _run_python(args):
 #   (2 3)(4 6), so the image of a moves off (2 3)(5 6);
 # - the power of x in the (2, 6) entry of g(a+b, x) lowered from 2 to 1, so
 #   torus conjugation scales that entry by the character, not its square;
-# - the blocks of the block Weyl subgroup regrouped as (3, 2, 2);
+# - the blocks of the block Weyl subgroup and of the block parabolic
+#   regrouped as (3, 2, 2);
 # - the 2x2 minor of the wedge square, of any r x c matrix, replaced by the
 #   permanent;
 # - the third lift factor weight off by 2;
@@ -552,6 +553,16 @@ _MUTATIONS = {
     # The standard weights paired in ascending order, not in the model's.
     "kostant/lift-pairing-random": (("kostant", "R7_WEIGHTS_MODEL", "kostant.R7_WEIGHTS_ASC"),),
     "phin/rank2-admissibility-grid": (("phin", "d_st_jumps", "lambda k: (0, k)"),),
+    # The top jump of d_st at k, not k - 1: the Hodge polygon moves off the
+    # Newton polygon's endpoint, and the sums and tensors carry the shift.
+    "phin/rank2-polygons": (("phin", "d_st_jumps", "lambda k: (0, k)"),),
+    "phin/sum-tensor-endpoints": (("phin", "d_st_jumps", "lambda k: (0, k)"),),
+    # The fourth Frobenius eigenvalue of E(B, c) with p^(2-k) for p^(1-k).
+    "phin/extension-admissibility": (
+        ("phin", "EBC_FROBENIUS", "phin.EBC_FROBENIUS[:3] + (phin.ValuedScalar.p_power(2 - phin.K) * phin.ALPHA_HAT,)"),
+    ),
+    # p read as p^2 in the four Frobenius numbers.
+    "phin/distinctness-ledger": (("phin", "P", "phin.ValuedScalar.p_power(2)"),),
     "triform/coefficient-relations": (
         (
             "triform", "_GEN_ENTRIES",
@@ -599,6 +610,9 @@ _MUTATIONS = {
             '{**triform._GEN_ENTRIES, "a+b": triform._GEN_ENTRIES["a+b"][:2] + ((2, 6, 1, 1, True),) '
             '+ triform._GEN_ENTRIES["a+b"][3:]}',
         ),
+        # The first two standard weights swapped: the torus and the weight
+        # arithmetic read them in the model's order.
+        ("kostant", "R7_WEIGHTS_MODEL", "kostant.R7_WEIGHTS_MODEL[1::-1] + kostant.R7_WEIGHTS_MODEL[2:]"),
     ),
     # The images of 4 and 7 swapped back: the textbook form lands off the
     # generic support.
@@ -616,6 +630,10 @@ _MUTATIONS = {
     ),
     # The short-root Weyl representative replaced by the long-root one.
     "triform/zeta-witness": (("triform", "W_TILDE_B", "triform.W_TILDE_A"),),
+    # The five-dimensional wedge basis labels rotated by one.
+    "wedge2/golden-displayed-blocks": (
+        ("lattice", "WEDGE_BASIS_5_LABELS", "lattice.WEDGE_BASIS_5_LABELS[1:] + lattice.WEDGE_BASIS_5_LABELS[:1]"),
+    ),
     "wedge2/wedge-functoriality": (
         (
             "lattice", "wedge2_standard",
@@ -732,6 +750,8 @@ def _check_in_process(monkeypatch, mutation, check_id):
     mod = importlib.import_module(f"g2forge.{module}")
     monkeypatch.setattr(mod, attr, eval(source, {module: mod}))
     monkeypatch.setattr(checks, "CHECKS", _only_check(check_id))
+    # The golden check reads its file relative to the repository root.
+    monkeypatch.chdir(os.path.dirname(HERE))
     # The Lie basis and its ambient brackets are cached: the mutated run
     # builds its own, and the cached one comes back after the test.
     monkeypatch.setattr(triform, "_LIE_CACHE", None)

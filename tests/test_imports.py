@@ -237,7 +237,8 @@ def test_the_benchmark_names_resolve():
 
 # The functions that `tests/unrun_lines.py` reports no command line entering,
 # each with the reason it stays.  A function missing here is dead API: delete
-# it or add it with its reason.
+# it or add it with its reason.  An entry for a function some command line
+# enters is stale: delete the entry.
 _GUARD = "immutability guard"
 _REPR = "__repr__, for debugging and test failure messages"
 _NEVER_ENTERED_ALLOWED = {
@@ -295,3 +296,5 @@ def test_every_function_no_command_line_enters_has_a_reason():
     assert never, proc.stdout
     unjustified = sorted(never - _NEVER_ENTERED_ALLOWED.keys())
     assert unjustified == [], f"functions no command line enters, with no reason to stay: {unjustified}"
+    stale = sorted(_NEVER_ENTERED_ALLOWED.keys() - never)
+    assert stale == [], f"allowed as never entered, but a command line enters them: {stale}"

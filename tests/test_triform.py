@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge import algebra, arthur, checks, roots
+from g2forge import algebra, arthur, checks, kostant, roots
 from g2forge import triform as t
 from g2forge.algebra import R_ZERO, MPoly, RFrac, SymMatrix, row_reduce
 
@@ -224,13 +224,25 @@ class TestForm:
         assert t.derivation_rank(t.displayed_form_variant()) == 34
 
 
+# The root and torus tables of the 7x7 model as first transcribed, kept as
+# oracles for what triform derives from the roots and the standard weights.
+ROOT_COORDS = {
+    "a": (1, 0), "b": (0, 1), "a+b": (1, 1), "a+2b": (1, 2), "a+3b": (1, 3), "2a+3b": (2, 3), "-b": (0, -1),
+}
+H1_DIAGONAL = (1, 0, 1, 0, -1, 0, -1)
+H2_DIAGONAL = (0, 1, -1, 0, 1, -1, 0)
+ZETA_POWERS = (1, -1, 2, 0, -2, 1, -1)
+
+
 def matrix_conj_relation(root):
     """Oracle for `conj_relation`: the identity t g(root, x) t^-1 =
-    g(root, char(t) x) compared as 7x7 matrix products."""
+    g(root, char(t) x) compared as 7x7 matrix products, with the root
+    character char(t) = (t2^2/t1)^m (t1/t2)^n of root = m alpha + n beta."""
     t1, t2 = RFrac.var("t1"), RFrac.var("t2")
     torus, torus_inv = t.torus_elem(t1, t2), t.torus_elem(t1.inv(), t2.inv())
+    m, n = ROOT_COORDS[root]
     lhs = torus * t.root_subgroup(root, X) * torus_inv
-    return lhs == t.root_subgroup(root, t.root_character(root, t1, t2) * X)
+    return lhs == t.root_subgroup(root, (t2 * t2 / t1) ** m * (t1 / t2) ** n * X)
 
 
 class TestOneParameterStructure:
@@ -256,6 +268,48 @@ class TestOneParameterStructure:
     def test_torus_conjugation_rejects_an_unsupported_root(self):
         with pytest.raises(ValueError, match="unsupported root"):
             t.conj_relation("c")
+
+    @pytest.mark.parametrize("name", t.ROOT_NAMES)
+    def test_swapped_standard_weights_fail_both_readings(self, monkeypatch, name):
+        # The first two standard weights swapped: the torus and the weight
+        # arithmetic both read the swapped table, and every root fails.
+        w = kostant.R7_WEIGHTS_MODEL
+        monkeypatch.setattr(kostant, "R7_WEIGHTS_MODEL", (w[1], w[0]) + w[2:])
+        assert t.conj_relation(name) is matrix_conj_relation(name) is False
+
+
+class TestTorusFromWeights:
+    """The roots, the torus, its Cartan directions, the short coroot at zeta
+    and the probe's torus columns, derived from `roots` and the standard
+    weights, are the tables first transcribed for the model."""
+
+    def test_roots(self):
+        assert {name: root.coords() for name, root in t._ROOTS.items()} == ROOT_COORDS
+
+    def test_torus_diagonal(self):
+        one = RFrac.const(1)
+        assert t.torus_elem(T1, T2) == SymMatrix.diagonal([T1, T2, T1 / T2, one, T2 / T1, one / T2, one / T1])
+
+    def test_cartan_directions(self):
+        assert (t.H1, t.H2) == (SymMatrix.diagonal(H1_DIAGONAL), SymMatrix.diagonal(H2_DIAGONAL))
+
+    def test_short_coroot_at_zeta(self, monkeypatch):
+        diagonals = []
+        diagonal = SymMatrix.diagonal
+
+        def recording(values):
+            diagonals.append(list(values))
+            return diagonal(values)
+
+        monkeypatch.setattr(SymMatrix, "diagonal", staticmethod(recording))
+        assert all(t.zeta_witness().values())
+        zeta = RFrac.var("zeta")
+        assert diagonals == [[zeta ** n for n in ZETA_POWERS], [zeta ** -n for n in ZETA_POWERS]]
+
+    def test_probe_torus_columns(self):
+        t1, t2 = MPoly.var("t1s"), MPoly.var("t2s")
+        diag = [t1 * t1 * t2, t1 * t2 * t2, t1 * t1, t1 * t2, t2 * t2]
+        assert t._poly_generator_columns("torus", "s") == tuple(((j, x),) for j, x in enumerate(diag))
 
 
 class TestWeylPermutations:
@@ -330,6 +384,21 @@ class TestBlockParabolic:
         rep = t.bruhat_disjointness_check()
         assert rep["all_generators_contained"]
         assert sorted(rep["weyl_images_in_block_weyl_group"]) == ["e", "w_b"]
+
+    def test_containment_is_the_block_upper_pattern(self):
+        # Oracle: the entries below the (2, 3, 2) blocks as first written,
+        # 0-indexed; a unit matrix there leaves the parabolic.
+        below = {(i, j) for i in range(7) for j in range(7) if (i >= 2 and j < 2) or (i >= 5 and j < 5)}
+        units = {(i, j): SymMatrix([[int((r, c) == (i, j)) for c in range(7)] for r in range(7)])
+                 for i in range(7) for j in range(7)}
+        assert {pos for pos, unit in units.items() if not t.in_P232(unit)} == below
+
+    def test_containment_reads_the_blocks(self, monkeypatch):
+        # Regrouped as (3, 2, 2), the blocks no longer hold g(-b, x): its
+        # (4, 3) entry lies below them.
+        monkeypatch.setattr(t, "_BLOCKS", ({1, 2, 3}, {4, 5}, {6, 7}))
+        assert not t.in_P232(t.parabolic_generator("-b"))
+        assert not t.bruhat_disjointness_check()["all_generators_contained"]
 
     def test_entry_relations_on_generators(self):
         assert t.coeff_relations_hold(t.parabolic_generator("b"))
