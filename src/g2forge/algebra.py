@@ -3,8 +3,8 @@
 Everything here is immutable after construction and exact, so results are
 deterministic.  Polynomial coefficients are ``int`` while integral and
 ``fractions.Fraction`` only when they are not, and so are the coefficients of
-valued scalars; scalars handed out of the kernel (``const_value``, ``eval``)
-are always ``Fraction``.  ``quotient`` divides two such scalars exactly into
+valued scalars; scalars handed out of the kernel by ``eval`` are always
+``Fraction``.  ``quotient`` divides two such scalars exactly into
 the same stored form, since ``int / int`` would give a float.
 
 A polynomial is a dict from packed monomials to coefficients.  One
@@ -262,11 +262,6 @@ class MPoly:
     def is_const(self) -> bool:
         return not any(self.terms)
 
-    def const_value(self) -> Q:
-        if any(self.terms):
-            raise ValueError("polynomial is not constant")
-        return Q(self.terms.get(0, 0))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -464,9 +459,6 @@ class MPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return _ZERO
-        if divisor.is_const():
-            inv = 1 / divisor.const_value()
-            return _poly({k: _coef(c * inv) for k, c in self.terms.items()})
         # Long division in lex order over the sorted names of both operands,
         # on exponent tuples.
         _, fields = _layout(_reduce(_or, self.terms, 0) | _reduce(_or, divisor.terms, 0))
@@ -839,8 +831,8 @@ class SymMatrix:
     ``_matrix`` from ``RFrac`` rows of a known shape, which skips both.
 
     ``rank`` and ``inverse`` share the echelon form of ``row_reduce``;
-    ``inverse`` then back-substitutes.  ``det`` clears each row's
-    denominators and runs fraction-free Bareiss.
+    ``inverse`` then back-substitutes.  ``det`` is a division-free
+    expansion by minors.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -869,8 +861,10 @@ class SymMatrix:
     @staticmethod
     def diagonal(values: Sequence) -> "SymMatrix":
         vals = [_coerce_entry(v) for v in values]
+        if not vals:
+            raise ValueError("matrix must be nonempty")
         n = len(vals)
-        return SymMatrix([[vals[i] if i == j else R_ZERO for j in range(n)] for i in range(n)])
+        return _matrix(tuple(tuple(x if i == j else R_ZERO for j in range(n)) for i, x in enumerate(vals)))
 
     def __getitem__(self, key: Tuple[int, int]) -> RFrac:
         i, j = key
@@ -940,19 +934,30 @@ class SymMatrix:
         return _matrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries))
 
     def det(self) -> RFrac:
-        """Fraction-free: row i is multiplied by the product d_i of its
-        denominators, and det = Bareiss det of those rows / prod(d_i)."""
+        """Expansion by minors along the rows, over each row's nonzero
+        entries only.  A minor keeps the last k rows, k the number of its
+        columns, so the bitmask of its columns alone keys its memo: at most
+        n·2^n products and no division, since sums over one-term
+        denominators need none (see ``RFrac``).  The sign of a column is
+        the parity of the minor's columns below it."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        cleared = []
-        scale = _ONE
-        for row in self.entries:
-            d = _ONE
-            for x in row:
-                d = d * x.den
-            cleared.append([x.num * d.divexact(x.den) for x in row])
-            scale = scale * d
-        return RFrac(_bareiss_det(cleared), scale)
+        n = self.rows
+        rows = [[(1 << j, x) for j, x in enumerate(row) if x.num.terms] for row in self.entries]
+        memo = {0: R_ONE}
+
+        def minor(cols: int) -> RFrac:
+            out = memo.get(cols)
+            if out is None:
+                out = R_ZERO
+                for bit, x in rows[n - cols.bit_count()]:
+                    if cols & bit:
+                        term = x * minor(cols ^ bit)
+                        out = out - term if (cols & (bit - 1)).bit_count() & 1 else out + term
+                memo[cols] = out
+            return out
+
+        return minor((1 << n) - 1)
 
     def rank(self) -> int:
         """Rank over the rational-function field (exact Gaussian elimination)."""
@@ -1061,36 +1066,6 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
             rows[i] = row
         pivots.append(col)
     return pivots
-
-
-def _bareiss_det(m: List[List[MPoly]]) -> MPoly:
-    """Fraction-free determinant; every division below is exact."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = None
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    swap = r
-                    break
-            if swap is None:
-                return _ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = MPoly.sum_of_products(((1, m[i][j], m[k][k]), (-1, m[i][k], m[k][j])))
-                q = val.divexact(prev)
-                if q is None:  # pragma: no cover - Bareiss guarantees exactness
-                    raise ArithmeticError("fraction-free elimination division failed")
-                m[i][j] = q
-            m[i][k] = _ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 class ValuedScalar:

@@ -38,7 +38,6 @@ from .roots import (
 class OrbitRecord(NamedTuple):
     name: str
     dim: int
-    representative: SymMatrix
     component_group: str
 
 
@@ -65,7 +64,7 @@ def orbit_table() -> Tuple[OrbitRecord, ...]:
             raise AssertionError(
                 f"orbit {name}: stored dimension {dim} but centralizer gives {computed}"
             )
-        records.append(OrbitRecord(name, dim, lie.element(rep), comp))
+        records.append(OrbitRecord(name, dim, comp))
     return tuple(records)
 
 

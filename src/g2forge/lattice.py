@@ -1,8 +1,8 @@
 """Exterior-square calculus for shaped 7x7 matrices: the 5-dimensional
 extension block, wedge actions in custom bases, the four c-polynomials, the
-6x6 relation system with its fraction-free elimination and determinant, the
-symmetric-cube block identification, and the 4-dimensional extension wedge
-computation.
+6x6 relation system with its determinant-preserving elimination and
+determinant, the symmetric-cube block identification, and the 4-dimensional
+extension wedge computation.
 
 Both extension blocks M have the corner determinant d as a common
 denominator, so they are built as the polynomial matrices d*M, and their

@@ -435,16 +435,20 @@ def seven_dim_eigenvalues() -> Tuple[ValuedScalar, ...]:
 # Symmetric square Fil^0 test and distinctness ledger
 
 
+# Fil^0 of the symmetric square: the coordinates of w11 and w12 in the basis
+# (w11, w12, w22).
+SYM2_FIL0 = (0, 1)
+
+
 def sym2_fil0_test(a: RFrac, b: RFrac) -> bool:
-    """In the basis (w11, w12, w22) of the symmetric square, the line spanned
-    by a^2 w11 + 2ab w12 + b^2 w22 meets Fil^0 = span(w11, w12) trivially iff
-    the w22-coordinate b^2 is nonzero."""
+    """The line spanned by a^2 w11 + 2ab w12 + b^2 w22 meets Fil^0 trivially
+    iff one of its coordinates off ``SYM2_FIL0`` is nonzero."""
     a = _coerce_entry(a)
     b = _coerce_entry(b)
     vector = (a * a, 2 * (a * b), b * b)
     if all(x.is_zero() for x in vector):
         raise ValueError("zero vector spans no line")
-    return not (b * b).is_zero()
+    return any(not x.is_zero() for i, x in enumerate(vector) if i not in SYM2_FIL0)
 
 
 class Inequation(NamedTuple):

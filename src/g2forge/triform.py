@@ -855,25 +855,22 @@ def subregular_sl2_triple() -> Tuple[SymMatrix, SymMatrix, SymMatrix]:
 
 
 def zeta_witness() -> Dict[str, bool]:
-    """Two elements centralizing the subregular nilpotent over the ring with a
-    formal primitive cube root of unity: the short coroot evaluated at zeta,
-    and the short-root Weyl representative.
+    """Two elements centralizing the subregular nilpotent e over the ring
+    with a primitive cube root of unity zeta: the short coroot evaluated at
+    zeta, and the short-root Weyl representative.
 
-    zeta is a symbol and the cocharacter check works modulo its minimal
-    polynomial zeta^2 + zeta + 1: D e D^-1 - e vanishes in Q(a)[zeta]/(that
-    polynomial) iff every entry's numerator is divisible by it.  e is read
-    off the two generators, so the witness does not rest on the Lie basis,
-    whose negative root vectors are built with the Weyl representatives."""
+    The short coroot at zeta is D = diag(zeta^<mu_i, b_cov>) over the
+    standard weights mu_i, so entry (i, j) of D e D^-1 - e is
+    (zeta^m - 1) e_ij with m = <mu_i - mu_j, b_cov>, and zeta^m = 1 exactly
+    when 3 | m.  e is read off the two generators, so the witness does not
+    rest on the Lie basis, whose negative root vectors are built with the
+    Weyl representatives."""
     e = _linear_coefficient("a") + _linear_coefficient("a+3b")
-    z = MPoly.var("zeta")
-    zeta = RFrac(z)
-    cyclotomic = z * z + z + 1
-    # short coroot at zeta: diag(zeta^<mu, b_cov>) over the standard weights
-    powers = [mu.pair_coroot(BETA) for mu in kostant.R7_WEIGHTS_MODEL]
-    d = SymMatrix.diagonal([zeta ** n for n in powers])
-    d_inv = SymMatrix.diagonal([zeta ** -n for n in powers])
-    residue = d * e * d_inv - e
-    coch_ok = all(x.num.divexact(cyclotomic) is not None for row in residue.entries for x in row)
+    mu = kostant.R7_WEIGHTS_MODEL
+    coch_ok = all(
+        (mu[i] - mu[j]).pair_coroot(BETA) % 3 == 0
+        for i, row in enumerate(e.entries) for j, x in enumerate(row) if x.num.terms
+    )
     wb = W_TILDE_B
     wb_ok = (wb * e) == (e * wb)
     return {"short_coroot_at_zeta_centralizes": coch_ok, "weyl_rep_centralizes": wb_ok}

@@ -26,12 +26,14 @@ def run_capture(capsys, argv):
 
 @pytest.fixture(scope="module")
 def verify_report():
-    """One shared full verification run (seed 7, JSON)."""
+    """One shared full verification run (seed 7, JSON), from the repository
+    root, where the golden check reads its file."""
     import io
     from contextlib import redirect_stdout
 
     buf = io.StringIO()
-    with redirect_stdout(buf):
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(buf):
+        mp.chdir(os.path.dirname(HERE))
         code = cli.run(["verify", "--seed", "7", "--format", "json"])
     return code, buf.getvalue()
 
@@ -150,7 +152,8 @@ class TestExitCodes:
         code, _ = verify_report
         assert code == 0
 
-    def test_verify_text_format(self, capsys):
+    def test_verify_text_format(self, capsys, monkeypatch):
+        monkeypatch.chdir(os.path.dirname(HERE))
         code, out = run_capture(capsys, ["verify", "--seed", "7", "--format", "text"])
         assert code == 0
         lines = out.splitlines()
@@ -158,7 +161,8 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical(self, verify_report, capsys):
+    def test_same_seed_byte_identical(self, verify_report, capsys, monkeypatch):
+        monkeypatch.chdir(os.path.dirname(HERE))
         _, first = verify_report
         code, second = run_capture(capsys, ["verify", "--seed", "7", "--format", "json"])
         assert code == 0
@@ -563,6 +567,8 @@ _MUTATIONS = {
     ),
     # p read as p^2 in the four Frobenius numbers.
     "phin/distinctness-ledger": (("phin", "P", "phin.ValuedScalar.p_power(2)"),),
+    # Fil^0 read as span(w11, w22): the test reads the w12-coordinate 2ab.
+    "phin/sym2-filtration-test": (("phin", "SYM2_FIL0", "(0, 2)"),),
     "triform/coefficient-relations": (
         (
             "triform", "_GEN_ENTRIES",
@@ -629,7 +635,12 @@ _MUTATIONS = {
         ),
     ),
     # The short-root Weyl representative replaced by the long-root one.
-    "triform/zeta-witness": (("triform", "W_TILDE_B", "triform.W_TILDE_A"),),
+    "triform/zeta-witness": (
+        ("triform", "W_TILDE_B", "triform.W_TILDE_A"),
+        # The first two standard weights swapped: the short coroot at zeta
+        # reads them in the model's order.
+        ("kostant", "R7_WEIGHTS_MODEL", "kostant.R7_WEIGHTS_MODEL[1::-1] + kostant.R7_WEIGHTS_MODEL[2:]"),
+    ),
     # The five-dimensional wedge basis labels rotated by one.
     "wedge2/golden-displayed-blocks": (
         ("lattice", "WEDGE_BASIS_5_LABELS", "lattice.WEDGE_BASIS_5_LABELS[1:] + lattice.WEDGE_BASIS_5_LABELS[:1]"),
@@ -828,8 +839,9 @@ class TestChecksCanFail:
     targets, through `run_verify`, so a check that raises reports `fail`."""
 
     def test_every_mutated_check_passes_unmutated(self, verify_report):
+        # The mutated checks are exactly the `pass` checks of the report.
         statuses = _statuses(json.loads(verify_report[1]))
-        assert {check_id: statuses.get(check_id) for check_id in _MUTATIONS} == dict.fromkeys(_MUTATIONS, "pass")
+        assert sorted(_MUTATIONS) == sorted(check_id for check_id, status in statuses.items() if status == "pass")
 
     @pytest.mark.parametrize("check_id, mutation", _MUTATION_CASES)
     def test_identity_check(self, monkeypatch, check_id, mutation):
@@ -860,15 +872,15 @@ class TestChecksCanFail:
         check = _check_in_process(monkeypatch, mutation, "triform/subregular-sl2")
         assert (check["status"], check["detail"]) == ("fail", "does not hold: triple completed; joint centralizer dim 0")
 
-    @pytest.mark.parametrize("check_id, reason", (
-        ("triform/bracket-closure", "(failures: ['e[b]', 'e[-(b)]'])"),
-        ("triform/zeta-witness", "'weyl_rep_centralizes': False"),
-        ("arthur/subregular-centralizer", "span dim 4; brackets vanish False; matches centralizer dim False;"),
+    @pytest.mark.parametrize("check_id, n, reason", (
+        ("triform/bracket-closure", 0, "(failures: ['e[b]', 'e[-(b)]'])"),
+        ("triform/zeta-witness", 0, "'weyl_rep_centralizes': False"),
+        ("triform/zeta-witness", 1, "'short_coroot_at_zeta_centralizes': False, 'weyl_rep_centralizes': True"),
+        ("arthur/subregular-centralizer", 0, "span dim 4; brackets vanish False; matches centralizer dim False;"),
     ))
-    def test_a_broken_lie_algebra_fails_the_check_itself(self, monkeypatch, check_id, reason):
+    def test_a_broken_lie_algebra_fails_the_check_itself(self, monkeypatch, check_id, n, reason):
         # The mutant must break what the check reads, not make it raise.
-        (mutation,) = _MUTATIONS[check_id]
-        check = _check_in_process(monkeypatch, mutation, check_id)
+        check = _check_in_process(monkeypatch, _MUTATIONS[check_id][n], check_id)
         assert check["status"] == "fail" and reason in check["detail"]
         assert not re.match(r"\w+: ", check["detail"])
 
@@ -884,6 +896,7 @@ class TestChecksCanFail:
             raise AssertionError("verify walked generator words")
 
         monkeypatch.setattr(triform, "walk_parabolic_words", refuse)
+        monkeypatch.chdir(os.path.dirname(HERE))
         assert Counter(_statuses(checks.run_verify(7)).values()) == {"pass": 46, "finding": 8}
 
     def test_checks_read_the_generators_and_build_each_extension_once(self, monkeypatch):

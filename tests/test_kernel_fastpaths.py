@@ -27,14 +27,16 @@ dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
 and the division paths are also checked against sympy as an independent
 oracle: a quotient f / g raises `ArithmeticError` exactly when g's numerator
 has more than one term, even where sympy finds a Laurent polynomial, and
-otherwise equals sympy's; Bareiss `det` (`divexact`) runs on polynomial
-matrices and, after clearing each row's denominators, on rational-function
-ones; and the one row reduction behind `rank` and `inverse` runs with and
-without unit pivots.  Those results are compared by cross-multiplication in
-a sympy polynomial ring.  The division rule and the refusal of a scalar
+otherwise equals sympy's; and the one row reduction behind `rank` and
+`inverse` runs with and without unit pivots.  Those results are compared by
+cross-multiplication in a sympy polynomial ring.  `det`, an expansion by
+minors, gives the parts of the Leibniz sum over permutations, which needs no
+sympy, and equals sympy's determinant, on polynomial and on
+rational-function matrices.  The division rule and the refusal of a scalar
 `SymMatrix` product are also checked under `python -O`.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -323,7 +325,7 @@ class TestIntegerFirstRepresentation:
         assert str(q) == "1/2*x - 1/2"
         assert all(type(c) is Q for c in q.terms.values())
         assert str((3 * x).divexact(MPoly.const(3))) == "x"
-        assert type(MPoly.const(3).const_value()) is Q
+        assert type(MPoly.const(3).eval({})) is Q
         assert type((x + 1).eval({"x": 2})) is Q
         assert str((2 * x * x - 2).divexact(4 * x + 4)) == "1/2*x - 1/2"
         with pytest.raises(ArithmeticError):
@@ -1024,22 +1026,6 @@ class TestDivisionPathsAgainstSympy:
             assert equals_sympy(sp, RFrac(num, den), rfrac_to_sympy(sp, f) / rfrac_to_sympy(sp, g))
             assert divided_by_a_unit(f, g) is None
 
-    @given(st.integers(1, 4).flatmap(lambda n: poly_matrices(n, n)))
-    @settings(max_examples=40, deadline=None)
-    def test_bareiss_det(self, m):
-        sp = pytest.importorskip("sympy")
-        det = m.det()
-        assert det.den == MPoly.one()
-        dm = sympy_domain_matrix(sp, m)
-        assert equals_sympy(sp, det, dm.domain.to_sympy(dm.det()))
-
-    @given(st.integers(1, 3).flatmap(rfrac_matrices))
-    @settings(max_examples=40, deadline=None)
-    def test_det_clears_denominators(self, m):
-        sp = pytest.importorskip("sympy")
-        dm = sympy_domain_matrix(sp, m)
-        assert equals_sympy(sp, m.det(), dm.domain.to_sympy(dm.det()))
-
     @given(low_rank_matrices())
     @settings(max_examples=40, deadline=None)
     def test_rank(self, m):
@@ -1076,6 +1062,41 @@ class TestDivisionPathsAgainstSympy:
         for i in range(m.rows):
             for j in range(m.cols):
                 assert equals_sympy(sp, inv[i, j], expected[i, j])
+
+
+def leibniz_det(m: SymMatrix) -> RFrac:
+    """The sum over permutations p of sign(p) * prod m[i, p(i)], the sign
+    the parity of the inversions of p."""
+    n = m.rows
+    out = R_ZERO
+    for perm in itertools.permutations(range(n)):
+        term = RFrac.const(1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
+class TestDeterminantByMinors:
+    @given(st.integers(1, 4).flatmap(lambda n: poly_matrices(n, n)))
+    @settings(max_examples=40, deadline=None)
+    def test_det_of_polynomial_matrices(self, m):
+        det = m.det()
+        assert det.den == MPoly.one()
+        assert same(det, leibniz_det(m))
+        sp = pytest.importorskip("sympy")
+        dm = sympy_domain_matrix(sp, m)
+        assert equals_sympy(sp, det, dm.domain.to_sympy(dm.det()))
+
+    @given(st.integers(1, 3).flatmap(rfrac_matrices))
+    @settings(max_examples=40, deadline=None)
+    def test_det_of_rational_function_matrices(self, m):
+        det = m.det()
+        assert same(det, leibniz_det(m))
+        sp = pytest.importorskip("sympy")
+        dm = sympy_domain_matrix(sp, m)
+        assert equals_sympy(sp, det, dm.domain.to_sympy(dm.det()))
 
 
 # -- the division rule, in a fresh interpreter -------------------------------

@@ -245,6 +245,19 @@ def matrix_conj_relation(root):
     return lhs == t.root_subgroup(root, (t2 * t2 / t1) ** m * (t1 / t2) ** n * X)
 
 
+def matrix_zeta_witness(powers):
+    """Oracle for the cocharacter half of `zeta_witness`: D e D^-1 - e with
+    D = diag(zeta^n) over `powers`, zeta a symbol, vanishes modulo
+    zeta^2 + zeta + 1 iff that polynomial divides every entry's numerator."""
+    z = MPoly.var("zeta")
+    zeta = RFrac(z)
+    e = t._linear_coefficient("a") + t._linear_coefficient("a+3b")
+    d = SymMatrix.diagonal([zeta ** n for n in powers])
+    d_inv = SymMatrix.diagonal([zeta ** -n for n in powers])
+    residue = d * e * d_inv - e
+    return all(x.num.divexact(z * z + z + 1) is not None for row in residue.entries for x in row)
+
+
 class TestOneParameterStructure:
     @pytest.mark.parametrize("name", t.ROOT_NAMES)
     def test_additivity(self, name):
@@ -294,17 +307,15 @@ class TestTorusFromWeights:
         assert (t.H1, t.H2) == (SymMatrix.diagonal(H1_DIAGONAL), SymMatrix.diagonal(H2_DIAGONAL))
 
     def test_short_coroot_at_zeta(self, monkeypatch):
-        diagonals = []
-        diagonal = SymMatrix.diagonal
-
-        def recording(values):
-            diagonals.append(list(values))
-            return diagonal(values)
-
-        monkeypatch.setattr(SymMatrix, "diagonal", staticmethod(recording))
+        # The weight arithmetic agrees with the matrix witness over the
+        # transcribed zeta powers, and with the first two standard weights
+        # swapped, with the matrix witness over the swapped powers.
         assert all(t.zeta_witness().values())
-        zeta = RFrac.var("zeta")
-        assert diagonals == [[zeta ** n for n in ZETA_POWERS], [zeta ** -n for n in ZETA_POWERS]]
+        assert t.zeta_witness()["short_coroot_at_zeta_centralizes"] is matrix_zeta_witness(ZETA_POWERS) is True
+        w = kostant.R7_WEIGHTS_MODEL
+        monkeypatch.setattr(kostant, "R7_WEIGHTS_MODEL", (w[1], w[0]) + w[2:])
+        swapped = (ZETA_POWERS[1], ZETA_POWERS[0]) + ZETA_POWERS[2:]
+        assert t.zeta_witness()["short_coroot_at_zeta_centralizes"] is matrix_zeta_witness(swapped) is False
 
     def test_probe_torus_columns(self):
         t1, t2 = MPoly.var("t1s"), MPoly.var("t2s")
