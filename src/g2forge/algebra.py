@@ -135,17 +135,22 @@ class MPoly:
     ``+``, ``-``, ``*`` and ``**`` work on the keys.  A monomial product is
     one addition, and each product is checked against the guard bits once.
     A sum keeps the keys of both operands, so it needs no used-variable
-    scan: a variable that cancels out is simply a zero field.  A product
-    with a constant factor scales the coefficients, and one with a one-term
-    factor shifts every key of the other by the same amount, which keeps
-    distinct keys distinct.  Any other product, and a whole sum of products
-    Σ c·p·q, is ``sum_of_products``: every monomial product goes into one
-    dict, with no intermediate polynomial per product, sum or difference.
+    scan: a variable that cancels out is simply a zero field.  An ``int`` or
+    ``Fraction`` operand is never coerced to a polynomial: a sum or
+    difference adds it to the constant term, and a product scales the
+    coefficients, as a constant factor does, keeping them ``int`` while they
+    are integral.  A product with a one-term factor shifts every key of the
+    other by the same amount, which keeps distinct keys distinct.  Any other
+    product, and a whole sum of products Σ c·p·q, is ``sum_of_products``:
+    every monomial product goes into one dict, with no intermediate
+    polynomial per product, sum or difference.
     ``bilinear`` is the same accumulation for the value of a bilinear form
     at two rows, Σ c·m·u[i]·v[j] over the form's entries flattened to their
     terms, so a form with polynomial entries needs no product of its own.
     ``subs`` returns the polynomial itself when it mentions none of the
-    assigned variables, and ``eval`` is the constant that ``subs`` leaves.
+    assigned variables.  ``eval`` sums c·∏vᵉ over the terms when every
+    variable in use has an ``int`` or ``Fraction`` value, and is otherwise
+    the constant that ``subs`` leaves.
     The text form and ``divexact`` decode the keys over the sorted names.
     """
 
@@ -265,7 +270,19 @@ class MPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not MPoly:
+        t = type(other)
+        if t is not MPoly:
+            if t is int or t is Q:
+                # A scalar adds to the constant term, with no coercion.
+                if not other:
+                    return self
+                if not self.terms:
+                    return MPoly.const(other)
+                out = dict(self.terms)
+                s = out.pop(0, 0) + other
+                if s:
+                    out[0] = _coef(s)
+                return _poly(out) if out else _ZERO
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -301,7 +318,10 @@ class MPoly:
         return p
 
     def __sub__(self, other):
-        if type(other) is not MPoly:
+        t = type(other)
+        if t is not MPoly:
+            if t is int or t is Q:
+                return self + -other
             other = _coerce_poly(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -328,25 +348,35 @@ class MPoly:
         return p
 
     def __rsub__(self, other):
+        t = type(other)
+        if t is int or t is Q:
+            return -self + other
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        if type(other) is not MPoly:
-            other = _coerce_poly(other)
-            if other is NotImplemented:
-                return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _ZERO
-        if len(b) == 1 and (len(a) != 1 or 0 in b):
-            # The one-term factor goes first, a constant one by preference.
-            self, other, a, b = other, self, b, a
-        if len(a) != 1:
-            return MPoly.sum_of_products(((1, self, other),))
-        ((k1, c1),) = a.items()
+        t = type(other)
+        if t is int or t is Q:
+            # A scalar is a constant factor, with no coercion.
+            if not other or not self.terms:
+                return _ZERO
+            k1, c1, b, other = 0, other, self.terms, self
+        else:
+            if t is not MPoly:
+                other = _coerce_poly(other)
+                if other is NotImplemented:
+                    return NotImplemented
+            a, b = self.terms, other.terms
+            if not a or not b:
+                return _ZERO
+            if len(b) == 1 and (len(a) != 1 or 0 in b):
+                # The one-term factor goes first, a constant one by preference.
+                self, other, a, b = other, self, b, a
+            if len(a) != 1:
+                return MPoly.sum_of_products(((1, self, other),))
+            ((k1, c1),) = a.items()
         if not k1:
             if c1 == 1:
                 return other
@@ -407,8 +437,26 @@ class MPoly:
     # -- substitution / evaluation --------------------------------------
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        """Exact evaluation: the constant that ``subs`` leaves.  A variable
-        that it leaves raises ``ValueError``, and a float value ``TypeError``."""
+        """Exact evaluation.  When every variable in use is assigned an
+        ``int`` or a ``Fraction``, the sum of c·∏vᵉ over the terms;
+        otherwise the constant that ``subs`` leaves, so a variable that it
+        leaves raises ``ValueError``, and a float value ``TypeError``."""
+        used = _reduce(_or, self.terms, 0)
+        hits = []
+        for name, value in assignment.items():
+            i = _INDEX.get(name)
+            if i is not None and used >> (i * _W) & _FIELD:
+                hits.append((i * _W, value))
+                used &= ~(_FIELD << (i * _W))
+        if not used and all(type(v) is int or type(v) is Q for _, v in hits):
+            total = 0
+            for k, c in self.terms.items():
+                for s, v in hits:
+                    e = k >> s & _FIELD
+                    if e:
+                        c = c * v ** e
+                total += c
+            return Q(total)
         rest = self.subs(assignment)
         if any(rest.terms):
             raise ValueError(f"missing assignment for variable '{rest.vars[0]}'")
@@ -605,10 +653,16 @@ class RFrac:
     parts.  Any exact computation that lands in that form gives the same
     parts and text.  Nothing hashes an ``RFrac``, so it defines no hash.
 
-    ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1.  Sums,
+    ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1, and
+    ``const`` gives the shared ``R_ZERO`` and ``R_ONE`` for 0 and 1.  Sums,
     differences and products of two polynomials, and of zero with anything,
-    are built directly; other products, sums and quotients pass their parts
-    to ``_normalize_frac`` without building an intermediate ``RFrac``.
+    are built directly, and a product with the polynomial 1 (``num is _ONE
+    and den is _ONE``) is the other operand.  An ``int`` or ``Fraction``
+    operand is never coerced: a product scales the numerator, which changes
+    no valuation and so keeps the normal form, and a sum or difference with
+    a polynomial adds to its constant term.  Other products, sums and
+    quotients pass their parts to ``_normalize_frac`` without building an
+    intermediate ``RFrac``.
     ``subs`` returns the function itself when neither part mentions an
     assigned variable.
     """
@@ -638,11 +692,12 @@ class RFrac:
 
     @staticmethod
     def const(c) -> "RFrac":
-        return RFrac(MPoly.const(c))
+        p = MPoly.const(c)
+        return R_ZERO if p is _ZERO else R_ONE if p is _ONE else _frac(p, _ONE)
 
     @staticmethod
     def var(name: str) -> "RFrac":
-        return RFrac(MPoly.var(name))
+        return _frac(MPoly.var(name), _ONE)
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -651,7 +706,12 @@ class RFrac:
         return bool(self.num.terms)
 
     def __add__(self, other):
-        if type(other) is not RFrac:
+        t = type(other)
+        if t is not RFrac:
+            if (t is int or t is Q) and self.den is _ONE:
+                # A scalar adds to the constant term of a polynomial.
+                num = self.num + other
+                return self if num is self.num else _frac(num, _ONE)
             other = _coerce_frac(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -676,7 +736,11 @@ class RFrac:
         return _frac(-self.num, self.den)
 
     def __sub__(self, other):
-        if type(other) is not RFrac:
+        t = type(other)
+        if t is not RFrac:
+            if (t is int or t is Q) and self.den is _ONE:
+                num = self.num - other
+                return self if num is self.num else _frac(num, _ONE)
             other = _coerce_frac(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -687,19 +751,36 @@ class RFrac:
         return self + (-other)
 
     def __rsub__(self, other):
+        t = type(other)
+        if (t is int or t is Q) and self.den is _ONE:
+            return _frac(other - self.num, _ONE)
         other = _coerce_frac(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        if type(other) is not RFrac:
+        t = type(other)
+        if t is not RFrac:
+            if t is int or t is Q:
+                # A scalar scales the numerator, which keeps every valuation
+                # and so the normal form.
+                if not other or not self.num.terms:
+                    return R_ZERO
+                num = self.num * other
+                return self if num is self.num else _frac(num, self.den)
             other = _coerce_frac(other)
             if other is NotImplemented:
                 return NotImplemented
-        if not self.num.terms or not other.num.terms:
+        a, b = self.num, other.num
+        if not a.terms or not b.terms:
             return R_ZERO
-        num = self.num * other.num
+        # The polynomial 1 returns the other operand.
+        if a is _ONE and self.den is _ONE:
+            return other
+        if b is _ONE and other.den is _ONE:
+            return self
+        num = a * b
         if self.den is _ONE and other.den is _ONE:
             return _frac(num, _ONE)
         return _frac(*_normalize_frac(num, self.den * other.den))
@@ -815,8 +896,8 @@ def _coerce_frac(x):
     return NotImplemented
 
 
-R_ZERO = RFrac.const(0)
-R_ONE = RFrac.const(1)
+R_ZERO = _frac(_ZERO, _ONE)
+R_ONE = _frac(_ONE, _ONE)
 
 
 class SymMatrix:
@@ -900,7 +981,6 @@ class SymMatrix:
         return _matrix(tuple(out))
 
     def scale(self, scalar) -> "SymMatrix":
-        scalar = _coerce_frac(scalar)
         return _matrix(tuple(tuple(scalar * x for x in row) for row in self.entries))
 
     def _entrywise(self, other, op):
@@ -1058,7 +1138,7 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
             if not lead.num.terms:
                 continue
             if inv is None:
-                row, factor = [pivot * a for a in rows[i]], lead
+                row, factor = [pivot * a if a.num.terms else R_ZERO for a in rows[i]], lead
             else:
                 row, factor = rows[i][:], lead * inv
             for j, b in support:

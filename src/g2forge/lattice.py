@@ -68,16 +68,26 @@ def _pairs(n: int) -> List[Tuple[int, int]]:
 def wedge2_standard(m: SymMatrix) -> SymMatrix:
     """Exterior square of an r x c matrix: the C(r,2) x C(c,2) matrix of its
     2x2 minors, rows e_k ^ e_l (k < l) and columns e_i ^ e_j (i < j) in the
-    standard bases.  Row (k, l) reads rows k and l of m only."""
+    standard bases.  Row (k, l) reads rows k and l of m only, and each
+    minor rk[i]·rl[j] − rl[i]·rk[j] is summed from its nonzero products."""
     if m.rows < 2 or m.cols < 2:
         raise ValueError(f"wedge square of a {m.rows}x{m.cols} matrix is empty")
-    e, col_pairs = m.entries, tuple(combinations(range(m.cols), 2))
-    return _matrix(
-        tuple(
-            tuple(rk[i] * rl[j] - rl[i] * rk[j] for i, j in col_pairs)
-            for rk, rl in ((e[k], e[l]) for k, l in combinations(range(m.rows), 2))
-        )
-    )
+    e = m.entries
+    index = {pair: n for n, pair in enumerate(combinations(range(m.cols), 2))}
+    out = []
+    for k, l in combinations(range(m.rows), 2):
+        row = [R_ZERO] * len(index)
+        support = [(j, y) for j, y in enumerate(e[l]) if y.num.terms]
+        # i ascends, so minor (i, j) adds rk[i]·rl[j] before it subtracts rl[i]·rk[j].
+        for i, x in enumerate(e[k]):
+            if x.num.terms:
+                for j, y in support:
+                    if i < j:
+                        row[index[i, j]] += x * y
+                    elif i > j:
+                        row[index[j, i]] -= y * x
+        out.append(tuple(row))
+    return _matrix(tuple(out))
 
 
 def basis_matrix(n: int, basis: Sequence[WedgeVector]) -> SymMatrix:

@@ -794,6 +794,7 @@ class LieG2:
                 vec = _sparse_vec(bracket(self.matrices[i], self.matrices[j]))
                 self._brackets[i][j] = vec
                 self._brackets[j][i] = tuple((k, -v) for k, v in vec)
+        self._centralizer_dims: Dict[Tuple, int] = {}
 
     def by_name(self, name: str) -> SymMatrix:
         return self.matrices[self.names.index(name)]
@@ -812,19 +813,24 @@ class LieG2:
         rows = [[R_ZERO] * 49 for _ in range(14)]
         for name, c in x.items():
             brackets = self._brackets[self.names.index(name)]
-            unit = c == 1
             for row, vec in zip(rows, brackets):
                 for k, v in vec:
-                    row[k] = row[k] + (v if unit else v * c)
+                    row[k] = row[k] + v * c
         return rows
 
     def centralizer_dim(self, *xs: Mapping[str, Scalar]) -> int:
         """Dimension of the joint centralizer of ``xs`` in the span: 14 minus
         the rank of the 14 rows vec([x1, B_j]) || ... || vec([xm, B_j]).  The
         sum of y_j B_j commutes with every x_k iff y is in the left kernel of
-        those rows; this needs neither coordinates nor closure."""
-        rows = [sum(parts, []) for parts in zip(*(self.bracket_rows(x) for x in xs))]
-        return 14 - len(row_reduce(rows, 49 * len(xs)))
+        those rows; this needs neither coordinates nor closure.  The
+        dimension is memoised on the instance, keyed by the sorted items of
+        each x."""
+        key = tuple(tuple(sorted(x.items())) for x in xs)
+        dim = self._centralizer_dims.get(key)
+        if dim is None:
+            rows = [sum(parts, []) for parts in zip(*(self.bracket_rows(x) for x in xs))]
+            dim = self._centralizer_dims[key] = 14 - len(row_reduce(rows, 49 * len(xs)))
+        return dim
 
 
 _LIE_CACHE: Optional[LieG2] = None

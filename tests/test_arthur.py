@@ -24,6 +24,14 @@ class TestOrbits:
             ("O_r", 12, "1"),
         ]
 
+    def test_a_stored_dimension_off_the_centralizer_raises_on_every_call(self, monkeypatch):
+        arthur.orbit_table()
+        wrong = tuple(row[:2] + (10,) + row[3:] if row[0] == "O_s" else row for row in arthur._ORBIT_DATA)
+        monkeypatch.setattr(arthur, "_ORBIT_DATA", wrong)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="orbit O_s: stored dimension 10 but centralizer gives 8"):
+                arthur.orbit_table()
+
     def test_subregular_centralizer(self):
         rep = arthur.subregular_centralizer_report()
         assert rep["all_brackets_vanish"]

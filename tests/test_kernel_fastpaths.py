@@ -1,10 +1,16 @@
 """The algebra kernel's shortcuts agree with its general path.
 
 `RFrac` builds sums and products of polynomials, and anything involving
-zero, without normalizing; `MPoly` scales by a constant factor term by term;
+zero, without normalizing, and a product with the polynomial 1 returns the
+other operand; `MPoly` scales by a constant factor term by term;
 `SymMatrix` multiplies over the nonzero entries only.  Each shortcut must
 give exactly the `num`/`den` (not just an equal value) that the general path
-gives, since report strings are printed from them.
+gives, since report strings are printed from them.  The scalar lane, where
+an `int` or `Fraction` operand of `*`, `+` and `-` is never coerced, is
+checked in both operand orders against the same operation on the constant
+it would be coerced to, with the coercers patched to fail; `eval`'s direct
+sum against the constant that `subs` leaves, errors included; and the
+sparse 2x2 minors of `wedge2_standard` against the dense minor formula.
 
 `MPoly` stores each monomial as one packed `int` over a process-wide
 variable registry and integral coefficients as `int`, and builds its
@@ -19,7 +25,8 @@ reference, down to the shared zero object when everything cancels, and so is
 `MPoly.bilinear`, the same accumulation over a bilinear form with polynomial
 entries, whose three-key sums are also checked for a carry past the guard.  The
 per-call shortcuts (fused subtraction, products with a one-term factor, scalar
-`subs`, the sparse row update of `row_reduce`, matrix difference) are each
+`subs`, the sparse row update of `row_reduce` and its cross-multiplication,
+which skips zero entries, matrix difference) are each
 checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
 a general normaliser by monomial gcd, monic rescale and exact division, kept
 here as a reference) and the product of two polynomial matrices (against the
@@ -47,11 +54,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2forge import algebra
 from g2forge.algebra import (
     _INDEX,
     _MAX_EXP,
     _ONE,
     MPoly,
+    R_ONE,
     R_ZERO,
     RFrac,
     SymMatrix,
@@ -59,7 +68,7 @@ from g2forge.algebra import (
     _normalize_frac,
     row_reduce,
 )
-from g2forge.lattice import WEDGE_BASIS_4, WEDGE_BASIS_5, basis_matrix
+from g2forge.lattice import WEDGE_BASIS_4, WEDGE_BASIS_5, basis_matrix, wedge2_standard
 from g2forge.triform import weyl_rep
 
 VARS = ("a", "x", "y")
@@ -173,6 +182,94 @@ class TestMPolyConstantFactor:
     def test_unit_factor_returns_the_other_factor(self):
         p = MPoly.var("x") + 1
         assert p * 1 is p and MPoly.one() * p is p
+
+
+# Scalars as the kernel sees them, 0, 1 and integral Fractions included.
+scalars = st.one_of(coefficients, st.sampled_from((0, 1, -1, Q(0), Q(1), Q(2, 2), Q(4, 2), Q(3, 2))))
+
+
+def refuse(x):
+    pytest.fail(f"coerced {x!r}")
+
+
+class TestScalarLane:
+    """`int` and `Fraction` operands skip `_coerce_frac`/`_coerce_poly`.  The
+    coercing path is the same operation on the constant they coerce to, and
+    for `RFrac` also the normalizing constructor on that constant."""
+
+    @given(rfracs(), scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_rfrac_operations_match_the_coercing_path(self, f, c):
+        k, built = RFrac.const(c), RFrac(MPoly.const(c))
+        assert same(f * c, f * k) and same(f * c, general_mul(f, built))
+        assert same(c * f, k * f) and same(c * f, general_mul(built, f))
+        assert same(f + c, f + k) and same(f + c, general_add(f, built))
+        assert same(c + f, k + f) and same(c + f, general_add(built, f))
+        assert same(f - c, f - k) and same(f - c, general_add(f, -built))
+        assert same(c - f, k - f) and same(c - f, general_add(built, -f))
+        for h in (f * c, c * f, f + c, c + f, f - c, c - f):
+            if h.den == _ONE:
+                assert h.den is _ONE
+
+    @given(polys(), scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_mpoly_operations_match_the_coercing_path(self, p, c):
+        k = MPoly.const(c)
+        pairs = ((p * c, p * k), (c * p, k * p), (p + c, p + k), (c + p, k + p), (p - c, p - k), (c - p, k - p))
+        for fast, coerced in pairs:
+            assert same_poly(fast, coerced)
+            assert_canonical(fast)
+
+    @given(rfracs())
+    @settings(max_examples=100, deadline=None)
+    def test_a_unit_operand_returns_the_other_operand(self, f):
+        expected = f if f else R_ZERO
+        # When f is the polynomial 1 itself, either operand is the product.
+        either = f.num is _ONE and f.den is _ONE
+        for one in (R_ONE, RFrac.const(1), RFrac.const(Q(2, 2)), 1, Q(1)):
+            for product in (f * one, one * f):
+                assert product is expected or (either and product is one)
+        p = f.num
+        assert p * 1 is p and 1 * p is p and p * Q(1) is p
+        assert (f + 0) is f and (f - Q(0)) is f
+        # 1/a shares the numerator object 1 and is no unit.
+        inverse = RFrac(MPoly.one(), A)
+        assert inverse.num is _ONE
+        assert same(f * inverse, general_mul(f, inverse)) and same(inverse * f, general_mul(inverse, f))
+
+    def test_const_shares_zero_and_one(self):
+        assert RFrac.const(0) is R_ZERO and RFrac.const(Q(0)) is R_ZERO
+        assert RFrac.const(1) is R_ONE and RFrac.const(Q(2, 2)) is R_ONE
+        assert R_ZERO.num is MPoly.zero() and R_ZERO.den is _ONE
+        assert R_ONE.num is _ONE and R_ONE.den is _ONE
+        assert RFrac.const(Q(3, 2)).den is _ONE and RFrac.var("x").den is _ONE
+        assert str(RFrac.const(Q(3, 2))) == "3/2" and str(RFrac.var("x")) == "x"
+
+    def test_a_fraction_that_makes_the_coefficients_integral(self):
+        x, y = MPoly.var("x"), MPoly.var("y")
+        p = Q(2, 3) * x + Q(4, 3) * y + Q(2, 3)
+        for c in (Q(3, 2), Q(9, 2), 3):
+            for product in (p * c, c * p):
+                assert same_poly(product, p * MPoly.const(c))
+                assert all(type(d) is int for d in product.terms.values())
+        assert str(p * Q(3, 2)) == "x + 2*y + 1"
+        f = RFrac(p, MPoly.var("a"))
+        assert same(f * 3, general_mul(f, RFrac(MPoly.const(3))))
+        assert all(type(c) is int for c in (f * 3).num.terms.values())
+
+    def test_scalar_operands_never_coerce(self, monkeypatch):
+        x, a = MPoly.var("x"), MPoly.var("a")
+        polynomials = [MPoly.zero(), MPoly.one(), x + 1, Q(1, 2) * x * a - 3]
+        fracs = [R_ZERO, R_ONE, RFrac(x + 1), RFrac(x * x - 2, a), RFrac(Q(1, 3) * x, 2 * a * a)]
+        monkeypatch.setattr(algebra, "_coerce_frac", refuse)
+        monkeypatch.setattr(algebra, "_coerce_poly", refuse)
+        for c in (0, 1, -1, 3, Q(1, 2), Q(4, 2)):
+            for f in fracs:
+                f * c, c * f
+                if f.den is _ONE:
+                    f + c, c + f, f - c, c - f
+            for p in polynomials:
+                p * c, c * p, p + c, c + p, p - c, c - p
 
 
 ENTRIES = (
@@ -700,15 +797,112 @@ class TestScalarSubstitution:
         assert same(f.subs({"a": 2, "z": 1}), RFrac(f.num.subs({"a": 2}), f.den.subs({"a": 2})))
 
 
+class TestDirectEvaluation:
+    """`eval` sums c·∏vᵉ when every variable in use has an `int` or
+    `Fraction` value, and otherwise reads the constant `subs` leaves."""
+
+    @staticmethod
+    def through_subs(p, assignment):
+        """`eval` as the constant that `subs` leaves, its outcome as a value
+        or as the type and message of what it raised."""
+        try:
+            rest = p.subs(assignment)
+            if any(rest.terms):
+                raise ValueError(f"missing assignment for variable '{rest.vars[0]}'")
+            return Q(rest.terms.get(0, 0))
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def outcome(p, assignment):
+        try:
+            return p.eval(assignment)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @given(
+        polys(),
+        st.fixed_dictionaries({v: scalars for v in VARS}),
+        st.dictionaries(st.sampled_from(("z", "eval_never_registered")), st.one_of(scalars, st.just(0.5))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_constant_subs_leaves(self, p, values, unrelated):
+        assignment = {**unrelated, **values}
+        value = p.eval(assignment)
+        assert type(value) is Q and value == self.through_subs(p, assignment)
+
+    @given(polys(), st.dictionaries(st.sampled_from(VARS + ("z",)), st.one_of(scalars, st.just(0.5), st.just(MPoly.var("a")))))
+    @settings(max_examples=200, deadline=None)
+    def test_errors_match_the_subs_path(self, p, assignment):
+        assert self.outcome(p, assignment) == self.through_subs(p, assignment)
+
+    def test_errors(self):
+        p = MPoly.var("x") * MPoly.var("y") + 1
+        with pytest.raises(ValueError, match="missing assignment for variable 'y'"):
+            p.eval({"x": 2})
+        with pytest.raises(TypeError, match="got float"):
+            p.eval({"x": 2, "y": 0.5})
+        assert p.eval({"x": 2, "y": Q(1, 2), "z": 0.5}) == 2
+
+    def test_a_scalar_assignment_never_substitutes(self, monkeypatch):
+        p = Q(1, 2) * MPoly.var("x") ** 2 * MPoly.var("y") - 3
+        monkeypatch.setattr(MPoly, "subs", refuse)
+        assert p.eval({"x": 2, "y": Q(3, 2), "a": 7}) == 0
+        assert MPoly.const(5).eval({}) == 5 and MPoly.zero().eval({"x": 1}) == 0
+
+
+def dense_wedge2(m: SymMatrix) -> list:
+    """The 2x2 minors m[k,i]·m[l,j] − m[l,i]·m[k,j], zero products included."""
+    return [
+        [m[k, i] * m[l, j] - m[l, i] * m[k, j] for i, j in itertools.combinations(range(m.cols), 2)]
+        for k, l in itertools.combinations(range(m.rows), 2)
+    ]
+
+
+class TestSparseMinors:
+    @given(st.integers(2, 6), st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_dense_minor_formula(self, rows, cols, data):
+        m = data.draw(sparse_matrices(rows=rows, cols=cols))
+        wedge, dense = wedge2_standard(m), dense_wedge2(m)
+        assert (wedge.rows, wedge.cols) == (len(dense), len(dense[0]))
+        assert all(same(a, b) for r1, r2 in zip(wedge.entries, dense) for a, b in zip(r1, r2))
+
+
+# Entries whose numerators have several terms, so no pivot among them is a
+# unit and `row_reduce` clears by cross-multiplication.
+MULTI_TERM_ENTRIES = (
+    RFrac(MPoly.var("x") + 1),
+    RFrac(MPoly.var("x") - A),
+    RFrac(MPoly.var("x") ** 2 + 2, A),
+    RFrac(2 * MPoly.var("x") - 3 * MPoly.var("y")),
+)
+
+
+@st.composite
+def multi_term_matrices(draw, rows, cols):
+    """Mostly-zero matrices over MULTI_TERM_ENTRIES, with some units."""
+    pool = (R_ZERO,) * 4 + MULTI_TERM_ENTRIES + ENTRIES[1:3]
+    return SymMatrix([[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)])
+
+
 class TestSparseRowUpdate:
+    @staticmethod
+    def assert_matches_dense(m: SymMatrix) -> None:
+        fast = [list(row) for row in m.entries]
+        dense = [list(row) for row in m.entries]
+        assert row_reduce(fast, m.cols) == dense_row_reduce(dense, m.cols)
+        assert all(same(a, b) for r1, r2 in zip(fast, dense) for a, b in zip(r1, r2))
+
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_updating_every_column(self, rows, cols, data):
-        m = data.draw(sparse_matrices(rows=rows, cols=cols))
-        fast = [list(row) for row in m.entries]
-        dense = [list(row) for row in m.entries]
-        assert row_reduce(fast, cols) == dense_row_reduce(dense, cols)
-        assert all(same(a, b) for r1, r2 in zip(fast, dense) for a, b in zip(r1, r2))
+        self.assert_matches_dense(data.draw(sparse_matrices(rows=rows, cols=cols)))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cross_multiplication_matches_updating_every_column(self, rows, cols, data):
+        self.assert_matches_dense(data.draw(multi_term_matrices(rows, cols)))
 
 
 def test_inverse_text_of_the_inverted_matrices():

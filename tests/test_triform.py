@@ -793,6 +793,21 @@ class TestLieAlgebra:
         dims = {k: lie.centralizer_dim(v) for k, v in reps.items()}
         assert dims == {"zero": 14, "long": 8, "short": 6, "subregular": 4, "regular": 2}
 
+    def test_centralizer_dims_are_memoised_on_the_instance(self, monkeypatch):
+        lie = t.lie_basis()
+        reordered = dict(reversed(list(t.SUBREGULAR_E.items())))
+        assert lie.centralizer_dim(t.SUBREGULAR_E) == lie.centralizer_dim(reordered) == 4
+        key = tuple(sorted(t.SUBREGULAR_E.items()))
+        assert lie._centralizer_dims[(key,)] == 4
+        # A mutated witness is a key of its own.
+        mutated = {**t.SL2_WITNESS, "e[-(a)]": -1}
+        lie.centralizer_dim(t.SUBREGULAR_E, mutated)
+        assert (key, tuple(sorted(mutated.items()))) in lie._centralizer_dims
+        # A reset cache builds a basis with an empty memo.
+        monkeypatch.setattr(t, "_LIE_CACHE", None)
+        fresh = t.lie_basis()
+        assert fresh is not lie and fresh._centralizer_dims == {}
+
     def test_subregular_sl2_and_zeta(self):
         lie = t.lie_basis()
         e, h, f = t.subregular_sl2_triple()
