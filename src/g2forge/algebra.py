@@ -132,25 +132,30 @@ class MPoly:
     from exponent tuples over ``vars``, and ``decoded()`` gives the tuples
     back over the sorted names.
 
+    The operand rule, shared with ``RFrac``: an operator (``+ - * / ==``
+    and the reflected forms) takes its own type or a scalar, which is what
+    ``_coef`` accepts, an ``int`` (``bool`` included) or a ``Fraction``, and
+    returns ``NotImplemented`` for anything else.  Arithmetic never mixes
+    ``MPoly`` with ``RFrac``, so ``p / q`` raises ``TypeError``;
+    ``RFrac(p)`` is the one conversion.  ``==`` with an ``RFrac`` is the
+    value answer, which ``RFrac.__eq__`` gives.
+
     ``+``, ``-``, ``*`` and ``**`` work on the keys.  A monomial product is
     one addition, and each product is checked against the guard bits once.
     A sum keeps the keys of both operands, so it needs no used-variable
-    scan: a variable that cancels out is simply a zero field.  An ``int`` or
-    ``Fraction`` operand is never coerced to a polynomial: a sum or
-    difference adds it to the constant term, and a product scales the
-    coefficients, as a constant factor does, keeping them ``int`` while they
-    are integral.  A product with a one-term factor shifts every key of the
-    other by the same amount, which keeps distinct keys distinct.  Any other
-    product, and a whole sum of products Σ c·p·q, is ``sum_of_products``:
-    every monomial product goes into one dict, with no intermediate
-    polynomial per product, sum or difference.
-    ``bilinear`` is the same accumulation for the value of a bilinear form
-    at two rows, Σ c·m·u[i]·v[j] over the form's entries flattened to their
-    terms, so a form with polynomial entries needs no product of its own.
+    scan: a variable that cancels out is simply a zero field.  A scalar is
+    never made a polynomial: a sum or difference adds it to the constant
+    term, and a product or quotient scales the coefficients, keeping them
+    ``int`` while they are integral.  A product with a one-term factor
+    shifts every key of the other by the same amount, which keeps distinct
+    keys distinct.  Any other product, and a whole sum of products Σ c·p·q,
+    is ``sum_of_products``: every monomial product goes into one dict, with
+    no intermediate polynomial per product, sum or difference.
+    ``bilinear`` is the same accumulation for the value of a constant
+    bilinear form at two rows, Σ c·u[i]·v[j].
     ``subs`` returns the polynomial itself when it mentions none of the
-    assigned variables.  ``eval`` sums c·∏vᵉ over the terms when every
-    variable in use has an ``int`` or ``Fraction`` value, and is otherwise
-    the constant that ``subs`` leaves.
+    assigned variables.  ``eval`` sums c·∏vᵉ over the terms, and needs an
+    ``int`` or ``Fraction`` value for every variable in use.
     The text form and ``divexact`` decode the keys over the sorted names.
     """
 
@@ -222,26 +227,19 @@ class MPoly:
         return _accumulated(out)
 
     @staticmethod
-    def bilinear(form: Iterable[Tuple[Scalar, int, int, int]], u: Sequence["MPoly"], v: Sequence["MPoly"]) -> "MPoly":
-        """Σ c·m·u[i]·v[j] over the ``(c, m, i, j)`` terms of ``form``: the
-        value at the rows ``u`` and ``v`` of a bilinear form whose entries are
-        polynomials, flattened to their terms, so ``c`` is a nonzero integer
-        or ``Fraction`` and ``m`` a packed monomial (a key of some
-        polynomial's ``terms``).  It accumulates as ``sum_of_products`` does,
-        into one dict, and stores and guards the result the same way."""
+    def bilinear(form: Iterable[Tuple[Scalar, int, int]], u: Sequence["MPoly"], v: Sequence["MPoly"]) -> "MPoly":
+        """Σ c·u[i]·v[j] over the ``(c, i, j)`` terms of ``form``: the value
+        at the rows ``u`` and ``v`` of a bilinear form with constant entries,
+        ``c`` a nonzero integer or ``Fraction``.  It accumulates as
+        ``sum_of_products`` does, into one dict, and stores and guards the
+        result the same way."""
         out: Dict[int, Scalar] = {}
         get = out.get
-        guard = _GUARD
-        for c, m, i, j in form:
+        for c, i, j in form:
             a, b = u[i].terms, v[j].terms
             if not a or not b:
                 continue
             for k1, c1 in a.items():
-                # A sum of three keys could carry past a guard bit, so the
-                # first two are checked before the third is added.
-                k1 += m
-                if k1 & guard:
-                    raise _overflow()
                 c1 *= c
                 for k2, c2 in b.items():
                     k = k1 + k2
@@ -270,22 +268,19 @@ class MPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        t = type(other)
-        if t is not MPoly:
-            if t is int or t is Q:
-                # A scalar adds to the constant term, with no coercion.
-                if not other:
-                    return self
-                if not self.terms:
-                    return MPoly.const(other)
-                out = dict(self.terms)
-                s = out.pop(0, 0) + other
-                if s:
-                    out[0] = _coef(s)
-                return _poly(out) if out else _ZERO
-            other = _coerce_poly(other)
-            if other is NotImplemented:
+        if type(other) is not MPoly:
+            if not isinstance(other, (int, Q)):
                 return NotImplemented
+            # A scalar adds to the constant term.
+            if not other:
+                return self
+            if not self.terms:
+                return MPoly.const(other)
+            out = dict(self.terms)
+            s = out.pop(0, 0) + other
+            if s:
+                out[0] = _coef(s)
+            return _poly(out) if out else _ZERO
         a, b = self.terms, other.terms
         if not b:
             return self
@@ -318,13 +313,10 @@ class MPoly:
         return p
 
     def __sub__(self, other):
-        t = type(other)
-        if t is not MPoly:
-            if t is int or t is Q:
-                return self + -other
-            other = _coerce_poly(other)
-            if other is NotImplemented:
+        if type(other) is not MPoly:
+            if not isinstance(other, (int, Q)):
                 return NotImplemented
+            return self + -other
         b = other.terms
         if not b:
             return self
@@ -348,26 +340,19 @@ class MPoly:
         return p
 
     def __rsub__(self, other):
-        t = type(other)
-        if t is int or t is Q:
-            return -self + other
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Q)):
             return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other):
-        t = type(other)
-        if t is int or t is Q:
-            # A scalar is a constant factor, with no coercion.
+        if type(other) is not MPoly:
+            if not isinstance(other, (int, Q)):
+                return NotImplemented
+            # A scalar is a constant factor.
             if not other or not self.terms:
                 return _ZERO
             k1, c1, b, other = 0, other, self.terms, self
         else:
-            if t is not MPoly:
-                other = _coerce_poly(other)
-                if other is NotImplemented:
-                    return NotImplemented
             a, b = self.terms, other.terms
             if not a or not b:
                 return _ZERO
@@ -417,16 +402,16 @@ class MPoly:
 
     def __truediv__(self, other):
         # Over a field, a polynomial divided by a nonzero scalar is a polynomial.
-        if isinstance(other, (int, Q)):
-            return self * (1 / Q(other))
-        return RFrac(self) / other
+        if not isinstance(other, (int, Q)):
+            return NotImplemented
+        return self * (1 / Q(other))
 
     def __eq__(self, other):
-        if type(other) is not MPoly:
-            other = _coerce_poly(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self.terms == other.terms
+        if type(other) is MPoly:
+            return self.terms == other.terms
+        if isinstance(other, (int, Q)):
+            return self.terms == ({0: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -437,30 +422,26 @@ class MPoly:
     # -- substitution / evaluation --------------------------------------
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Q:
-        """Exact evaluation.  When every variable in use is assigned an
-        ``int`` or a ``Fraction``, the sum of c·∏vᵉ over the terms;
-        otherwise the constant that ``subs`` leaves, so a variable that it
-        leaves raises ``ValueError``, and a float value ``TypeError``."""
+        """Exact evaluation: the sum of c·∏vᵉ over the terms.  A variable in
+        use with no value raises ``ValueError``, and a value that is not an
+        ``int`` or ``Fraction`` ``TypeError``; other names are ignored."""
         used = _reduce(_or, self.terms, 0)
         hits = []
         for name, value in assignment.items():
             i = _INDEX.get(name)
             if i is not None and used >> (i * _W) & _FIELD:
-                hits.append((i * _W, value))
+                hits.append((i * _W, _coef(value)))
                 used &= ~(_FIELD << (i * _W))
-        if not used and all(type(v) is int or type(v) is Q for _, v in hits):
-            total = 0
-            for k, c in self.terms.items():
-                for s, v in hits:
-                    e = k >> s & _FIELD
-                    if e:
-                        c = c * v ** e
-                total += c
-            return Q(total)
-        rest = self.subs(assignment)
-        if any(rest.terms):
-            raise ValueError(f"missing assignment for variable '{rest.vars[0]}'")
-        return Q(rest.terms.get(0, 0))
+        if used:
+            raise ValueError(f"missing assignment for variable '{_layout(used)[0][0]}'")
+        total = 0
+        for k, c in self.terms.items():
+            for s, v in hits:
+                e = k >> s & _FIELD
+                if e:
+                    c = c * v ** e
+            total += c
+        return Q(total)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables."""
@@ -653,14 +634,25 @@ class RFrac:
     parts.  Any exact computation that lands in that form gives the same
     parts and text.  Nothing hashes an ``RFrac``, so it defines no hash.
 
-    ``RFrac(p)`` of a polynomial skips the normaliser.  Zero is 0/1, and
-    ``const`` gives the shared ``R_ZERO`` and ``R_ONE`` for 0 and 1.  Sums,
-    differences and products of two polynomials, and of zero with anything,
-    are built directly, and a product with the polynomial 1 (``num is _ONE
-    and den is _ONE``) is the other operand.  An ``int`` or ``Fraction``
-    operand is never coerced: a product scales the numerator, which changes
-    no valuation and so keeps the normal form, and a sum or difference with
-    a polynomial adds to its constant term.  Other products, sums and
+    The operand rule is ``MPoly``'s: an operator takes an ``RFrac`` or a
+    scalar (an ``int``, ``bool`` included, or a ``Fraction``) and returns
+    ``NotImplemented`` for anything else, an ``MPoly`` included, so that
+    ``RFrac * Weight`` reflects and mixed arithmetic raises ``TypeError``.
+    ``RFrac(p)`` is the one conversion from a polynomial, and it skips the
+    normaliser.  ``==`` alone compares across types by value: with an
+    ``MPoly`` or a scalar, an ``RFrac`` is equal when ``den is _ONE`` and
+    ``num`` equals it.
+
+    Zero is 0/1, and ``const`` gives the shared ``R_ZERO`` and ``R_ONE`` for
+    0 and 1.  Sums, differences and products of two polynomials, and of zero
+    with anything, are built directly, and a product with the polynomial 1
+    (``num is _ONE and den is _ONE``) is the other operand.  A scalar is
+    never made an ``RFrac``: a product scales the numerator, which changes
+    no valuation and so keeps the normal form, and a quotient is the product
+    with its inverse.  A sum or difference adds the scalar to the constant
+    term of a polynomial, and c·den to the numerator otherwise: c·den
+    carries every variable of ``den``, so no valuation drops.  A power
+    raises both parts, since valuations multiply.  Other products, sums and
     quotients pass their parts to ``_normalize_frac`` without building an
     intermediate ``RFrac``.
     ``subs`` returns the function itself when neither part mentions an
@@ -706,15 +698,11 @@ class RFrac:
         return bool(self.num.terms)
 
     def __add__(self, other):
-        t = type(other)
-        if t is not RFrac:
-            if (t is int or t is Q) and self.den is _ONE:
-                # A scalar adds to the constant term of a polynomial.
-                num = self.num + other
-                return self if num is self.num else _frac(num, _ONE)
-            other = _coerce_frac(other)
-            if other is NotImplemented:
+        if type(other) is not RFrac:
+            if not isinstance(other, (int, Q)):
                 return NotImplemented
+            num = self.num + (other if self.den is _ONE else self.den * other)
+            return self if num is self.num else _frac(num, self.den)
         if not other.num.terms:
             return self
         if not self.num.terms:
@@ -736,14 +724,11 @@ class RFrac:
         return _frac(-self.num, self.den)
 
     def __sub__(self, other):
-        t = type(other)
-        if t is not RFrac:
-            if (t is int or t is Q) and self.den is _ONE:
-                num = self.num - other
-                return self if num is self.num else _frac(num, _ONE)
-            other = _coerce_frac(other)
-            if other is NotImplemented:
+        if type(other) is not RFrac:
+            if not isinstance(other, (int, Q)):
                 return NotImplemented
+            num = self.num - (other if self.den is _ONE else self.den * other)
+            return self if num is self.num else _frac(num, self.den)
         if not other.num.terms:
             return self
         if self.den is _ONE and other.den is _ONE:
@@ -751,27 +736,18 @@ class RFrac:
         return self + (-other)
 
     def __rsub__(self, other):
-        t = type(other)
-        if (t is int or t is Q) and self.den is _ONE:
-            return _frac(other - self.num, _ONE)
-        other = _coerce_frac(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Q)):
             return NotImplemented
-        return other - self
+        return _frac((other if self.den is _ONE else self.den * other) - self.num, self.den)
 
     def __mul__(self, other):
-        t = type(other)
-        if t is not RFrac:
-            if t is int or t is Q:
-                # A scalar scales the numerator, which keeps every valuation
-                # and so the normal form.
-                if not other or not self.num.terms:
-                    return R_ZERO
-                num = self.num * other
-                return self if num is self.num else _frac(num, self.den)
-            other = _coerce_frac(other)
-            if other is NotImplemented:
+        if type(other) is not RFrac:
+            if not isinstance(other, (int, Q)):
                 return NotImplemented
+            if not other or not self.num.terms:
+                return R_ZERO
+            num = self.num * other
+            return self if num is self.num else _frac(num, self.den)
         a, b = self.num, other.num
         if not a.terms or not b.terms:
             return R_ZERO
@@ -793,9 +769,10 @@ class RFrac:
         return _frac(*_normalize_frac(self.den, self.num))
 
     def __truediv__(self, other):
-        other = _coerce_frac(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RFrac:
+            if not isinstance(other, (int, Q)):
+                return NotImplemented
+            return self * (1 / Q(other))
         if not other.num.terms:
             raise ZeroDivisionError("division by zero rational function")
         return _frac(*_normalize_frac(self.num * other.den, self.den * other.num))
@@ -807,14 +784,14 @@ class RFrac:
             return self.inv() ** (-n)
         if n == 1:
             return self
-        return RFrac(self.num ** n, self.den ** n)
+        return _frac(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if type(other) is not RFrac:
-            other = _coerce_frac(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is RFrac:
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (MPoly, int, Q)):
+            return self.den is _ONE and self.num == other
+        return NotImplemented
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "RFrac":
         num, den = self.num.subs(assignment), self.den.subs(assignment)
@@ -886,14 +863,16 @@ def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
     return num, _poly({dk - cut: 1})
 
 
-def _coerce_frac(x):
+def _coerce_entry(x) -> RFrac:
+    """``x`` as an ``RFrac`` at the boundary of the matrix and form
+    constructors: an ``RFrac``, an ``MPoly`` or a scalar."""
     if isinstance(x, RFrac):
         return x
     if isinstance(x, MPoly):
         return RFrac(x)
     if isinstance(x, (int, Q)):
         return RFrac.const(x)
-    return NotImplemented
+    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
 R_ZERO = _frac(_ZERO, _ONE)
@@ -1088,13 +1067,6 @@ def _matrix(rows: Tuple[Tuple[RFrac, ...], ...]) -> SymMatrix:
     _set_cols(m, len(rows[0]))
     _set_entries(m, rows)
     return m
-
-
-def _coerce_entry(x) -> RFrac:
-    out = _coerce_frac(x)
-    if out is NotImplemented:
-        raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
-    return out
 
 
 def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:

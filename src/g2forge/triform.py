@@ -501,13 +501,13 @@ def bruhat_disjointness_check() -> Dict[str, object]:
 # r_k(h g) vanishes iff every N_m vanishes on the rows of h, and a form
 # vanishes exactly where a nonzero multiple of it does.  The probe evaluates
 # each table form once per prefix with ``MPoly.bilinear``, which sums its
-# (coefficient, 0, i, j) terms with no intermediate polynomial, and a product
+# (coefficient, i, j) terms with no intermediate polynomial, and a product
 # passes iff the forms of its last generator all vanish.  So the walk builds
 # rows only for proper prefixes, with ``*`` and ``+``, whose one-term shift
 # suits the sparse columns.
 
 SparseCols = Tuple[Tuple[Tuple[int, MPoly], ...], ...]
-FormTerms = Tuple[Tuple[Scalar, int, int, int], ...]
+FormTerms = Tuple[Tuple[Scalar, int, int], ...]
 Rows = Tuple[Tuple[MPoly, ...], ...]
 
 _IDENTITY_ROWS = tuple(tuple(MPoly.one() if j == i else MPoly.zero() for j in range(5)) for i in (0, 1))
@@ -535,9 +535,9 @@ def _poly_generator_columns(name: str, suffix: str) -> SparseCols:
 def _relation_parts(cols: SparseCols) -> Tuple[Dict[int, FormTerms], ...]:
     """For each relation form M_k, the split of G M_k G^T for the 5x5 block G
     given by its columns, the sum of m N_m over packed monomials m, as
-    {m: N_m}.  Each N_m is a constant form flattened to the (coefficient, 0,
-    i, j) terms that ``MPoly.bilinear`` sums, sorted by (i, j), so equal forms
-    are equal tuples."""
+    {m: N_m}.  Each N_m is a constant form given by the (coefficient, i, j)
+    terms that ``MPoly.bilinear`` sums, sorted by (i, j), so equal forms are
+    equal tuples."""
     out = []
     for form in _RELATION_FORMS:
         entries: Dict[Tuple[int, int], List[Tuple[int, MPoly, MPoly]]] = {}
@@ -545,10 +545,10 @@ def _relation_parts(cols: SparseCols) -> Tuple[Dict[int, FormTerms], ...]:
             for i, gi in cols[a]:
                 for j, gj in cols[b]:
                     entries.setdefault((i, j), []).append((c, gi, gj))
-        parts: Dict[int, List[Tuple[Scalar, int, int, int]]] = {}
+        parts: Dict[int, List[Tuple[Scalar, int, int]]] = {}
         for i, j in sorted(entries):
             for m, c in MPoly.sum_of_products(entries[i, j]).terms.items():
-                parts.setdefault(m, []).append((c, 0, i, j))
+                parts.setdefault(m, []).append((c, i, j))
         out.append({m: tuple(terms) for m, terms in parts.items()})
     return tuple(out)
 
@@ -557,14 +557,14 @@ def _primitive_key(part: FormTerms) -> Tuple[Tuple[int, int, int], ...]:
     """A constant form up to a nonzero rational scalar: its (c, i, j) with
     the coefficients scaled to coprime integers, the first one positive.
     Integral coefficients take ``int`` arithmetic only."""
-    coeffs = [c for c, _, _, _ in part]
+    coeffs = [c for c, _, _ in part]
     if not all(type(c) is int for c in coeffs):
         scale = lcm(*(c.denominator for c in coeffs))
         coeffs = [int(c * scale) for c in coeffs]
     g = gcd(*coeffs)
     if coeffs[0] < 0:
         g = -g
-    return tuple((c // g, i, j) for c, (_, _, i, j) in zip(coeffs, part))
+    return tuple((c // g, i, j) for c, (_, i, j) in zip(coeffs, part))
 
 
 def _relation_table() -> Tuple[Tuple[FormTerms, ...], Dict[str, FrozenSet[int]]]:
@@ -573,7 +573,7 @@ def _relation_table() -> Tuple[Tuple[FormTerms, ...], Dict[str, FrozenSet[int]]]
     generator (the first one met), and for each generator name the indices
     of its own.  Built on each call, so it always reads the current
     ``_RELATION_FORMS`` and ``_GEN_ENTRIES``."""
-    table = [tuple((c, 0, i, j) for (i, j), c in sorted(form.items())) for form in _RELATION_FORMS]
+    table = [tuple((c, i, j) for (i, j), c in sorted(form.items())) for form in _RELATION_FORMS]
     index = {_primitive_key(form): k for k, form in enumerate(table)}
     parts: Dict[str, FrozenSet[int]] = {}
     for name in GENERATOR_NAMES:

@@ -5,12 +5,18 @@ zero, without normalizing, and a product with the polynomial 1 returns the
 other operand; `MPoly` scales by a constant factor term by term;
 `SymMatrix` multiplies over the nonzero entries only.  Each shortcut must
 give exactly the `num`/`den` (not just an equal value) that the general path
-gives, since report strings are printed from them.  The scalar lane, where
-an `int` or `Fraction` operand of `*`, `+` and `-` is never coerced, is
-checked in both operand orders against the same operation on the constant
-it would be coerced to, with the coercers patched to fail; `eval`'s direct
-sum against the constant that `subs` leaves, errors included; and the
-sparse 2x2 minors of `wedge2_standard` against the dense minor formula.
+gives, since report strings are printed from them.  The operand rule of
+`MPoly` and `RFrac` (an operator takes its own type or a scalar, an `int`,
+`bool` included, or a `Fraction`, and returns `NotImplemented` for anything
+else) is checked directly: mixed `MPoly`/`RFrac` arithmetic raises
+`TypeError` in both orders, `==` across the two types and with scalars is
+the value answer, and `RFrac * Weight` reflects.  The scalar lane of `*`,
+`+`, `-` and `/` is checked in both operand orders against the same
+operation on the constant operand, with the coercers patched to fail;
+`RFrac ** n` against the normalizing constructor, with the normaliser
+patched to fail for n >= 0; `eval`'s sum against the constant that `subs`
+leaves, and its errors against the rule they follow; and the sparse 2x2
+minors of `wedge2_standard` against the dense minor formula.
 
 `MPoly` stores each monomial as one packed `int` over a process-wide
 variable registry and integral coefficients as `int`, and builds its
@@ -22,8 +28,7 @@ exponent overflow at the largest exponent and one past it.
 `MPoly.sum_of_products`, which also multiplies two polynomials of several
 terms, is checked against the naive sum of products and the tuple-keyed
 reference, down to the shared zero object when everything cancels, and so is
-`MPoly.bilinear`, the same accumulation over a bilinear form with polynomial
-entries, whose three-key sums are also checked for a carry past the guard.  The
+`MPoly.bilinear`, the same accumulation over a constant bilinear form.  The
 per-call shortcuts (fused subtraction, products with a one-term factor, scalar
 `subs`, the sparse row update of `row_reduce` and its cross-multiplication,
 which skips zero entries, matrix difference) are each
@@ -45,6 +50,7 @@ rational-function matrices.  The division rule and the refusal of a scalar
 
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -69,6 +75,7 @@ from g2forge.algebra import (
     row_reduce,
 )
 from g2forge.lattice import WEDGE_BASIS_4, WEDGE_BASIS_5, basis_matrix, wedge2_standard
+from g2forge.roots import Weight
 from g2forge.triform import weyl_rep
 
 VARS = ("a", "x", "y")
@@ -184,8 +191,8 @@ class TestMPolyConstantFactor:
         assert p * 1 is p and MPoly.one() * p is p
 
 
-# Scalars as the kernel sees them, 0, 1 and integral Fractions included.
-scalars = st.one_of(coefficients, st.sampled_from((0, 1, -1, Q(0), Q(1), Q(2, 2), Q(4, 2), Q(3, 2))))
+# Scalars as the kernel sees them, 0, 1, integral Fractions and bools included.
+scalars = st.one_of(coefficients, st.sampled_from((0, 1, -1, Q(0), Q(1), Q(2, 2), Q(4, 2), Q(3, 2), True, False)))
 
 
 def refuse(x):
@@ -193,9 +200,9 @@ def refuse(x):
 
 
 class TestScalarLane:
-    """`int` and `Fraction` operands skip `_coerce_frac`/`_coerce_poly`.  The
-    coercing path is the same operation on the constant they coerce to, and
-    for `RFrac` also the normalizing constructor on that constant."""
+    """`int` and `Fraction` operands never become a constant operand: no
+    coercer runs.  The reference is the same operation on that constant,
+    and for `RFrac` also the normalizing constructor on it."""
 
     @given(rfracs(), scalars)
     @settings(max_examples=200, deadline=None)
@@ -207,7 +214,11 @@ class TestScalarLane:
         assert same(c + f, k + f) and same(c + f, general_add(built, f))
         assert same(f - c, f - k) and same(f - c, general_add(f, -built))
         assert same(c - f, k - f) and same(c - f, general_add(built, -f))
-        for h in (f * c, c * f, f + c, c + f, f - c, c - f):
+        quotients = ()
+        if c:
+            quotients = (f / c,)
+            assert same(f / c, RFrac(f.num, f.den * c))
+        for h in (f * c, c * f, f + c, c + f, f - c, c - f) + quotients:
             if h.den == _ONE:
                 assert h.den is _ONE
 
@@ -216,6 +227,8 @@ class TestScalarLane:
     def test_mpoly_operations_match_the_coercing_path(self, p, c):
         k = MPoly.const(c)
         pairs = ((p * c, p * k), (c * p, k * p), (p + c, p + k), (c + p, k + p), (p - c, p - k), (c - p, k - p))
+        if c:
+            pairs += ((p / c, p * MPoly.const(1 / Q(c))),)
         for fast, coerced in pairs:
             assert same_poly(fast, coerced)
             assert_canonical(fast)
@@ -261,15 +274,95 @@ class TestScalarLane:
         x, a = MPoly.var("x"), MPoly.var("a")
         polynomials = [MPoly.zero(), MPoly.one(), x + 1, Q(1, 2) * x * a - 3]
         fracs = [R_ZERO, R_ONE, RFrac(x + 1), RFrac(x * x - 2, a), RFrac(Q(1, 3) * x, 2 * a * a)]
-        monkeypatch.setattr(algebra, "_coerce_frac", refuse)
+        monkeypatch.setattr(algebra, "_coerce_entry", refuse)
         monkeypatch.setattr(algebra, "_coerce_poly", refuse)
-        for c in (0, 1, -1, 3, Q(1, 2), Q(4, 2)):
-            for f in fracs:
-                f * c, c * f
-                if f.den is _ONE:
-                    f + c, c + f, f - c, c - f
-            for p in polynomials:
-                p * c, c * p, p + c, c + p, p - c, c - p
+        for c in (0, 1, -1, 3, Q(1, 2), Q(4, 2), True, False):
+            for h in fracs + polynomials:
+                h * c, c * h, h + c, c + h, h - c, c - h, h == c, c == h
+                if c:
+                    h / c
+            for f, p in zip(fracs, polynomials):
+                f == p, p == f, f != p, p != f
+
+
+class TestOperandRule:
+    """An operator of `MPoly` or `RFrac` takes its own type or a scalar, and
+    returns `NotImplemented` for anything else, so arithmetic never mixes
+    the two types; `==` compares them by value."""
+
+    @given(polys(), rfracs())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_arithmetic_raises_in_both_orders(self, p, f):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((p, f), (f, p)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+
+    @given(polys(), rfracs(), scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_across_types_is_the_value_answer(self, p, f, c):
+        # A polynomial's RFrac has den 1, and a scalar is a constant.
+        for a, b, equal in (
+            (p, f, f.den is _ONE and f.num.terms == p.terms),
+            (p, RFrac(p), True),
+            (p, c, p.terms == MPoly.const(c).terms),
+            (f, c, f.den is _ONE and f.num.terms == MPoly.const(c).terms),
+            (MPoly.const(c), c, True),
+            (RFrac.const(c), c, True),
+        ):
+            assert (a == b) is equal and (b == a) is equal
+            assert (a != b) is not equal and (b != a) is not equal
+
+    def test_other_operands_return_not_implemented_uncoerced(self, monkeypatch):
+        x = MPoly.var("x")
+        monkeypatch.setattr(algebra, "_coerce_entry", refuse)
+        monkeypatch.setattr(algebra, "_coerce_poly", refuse)
+        names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__")
+        for value, other in ((x + 1, RFrac(x)), (RFrac(x, MPoly.var("a")), x + 1)):
+            for bad in (other, 0.5, "x", None, Weight(1, 2)):
+                for name in names:
+                    if hasattr(value, name):
+                        assert getattr(value, name)(bad) is NotImplemented, (name, bad)
+                if bad is not other:
+                    assert value.__eq__(bad) is NotImplemented, bad
+        # `MPoly` leaves the comparison with an `RFrac` to `RFrac.__eq__`.
+        assert (x + 1).__eq__(RFrac(x)) is NotImplemented
+
+    def test_a_weight_reflects(self):
+        f, w = RFrac(MPoly.var("x"), MPoly.var("a")), Weight(1, 2)
+        assert f * w == Weight(f, 2 * f)
+        assert MPoly.var("x") * w == Weight(MPoly.var("x"), 2 * MPoly.var("x"))
+
+
+class TestPower:
+    @given(rfracs(), st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_normalizing_constructor(self, f, n):
+        # A power of a normal form is normal: valuations multiply.  A
+        # negative power inverts first, which raises as `inv` does.
+        if n >= 0:
+            expected = RFrac(f.num ** n, f.den ** n)
+        elif not f.num.terms:
+            expected = ZeroDivisionError
+        elif len(f.num.terms) > 1:
+            expected = ArithmeticError
+        else:
+            expected = RFrac(f.den ** -n, f.num ** -n)
+        if isinstance(expected, RFrac):
+            assert same(f ** n, expected)
+            if expected.den == _ONE:
+                assert (f ** n).den is _ONE
+        else:
+            with pytest.raises(expected):
+                f ** n
+
+    @given(rfracs(), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_nonnegative_power_never_normalizes(self, f, n):
+        expected = RFrac(f.num ** n, f.den ** n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_normalize_frac", refuse)
+            assert same(f ** n, expected)
 
 
 ENTRIES = (
@@ -624,7 +717,7 @@ class TestFusedSubtraction:
         assert same(f - g, f + (-g))
         assert same(g - f, g + (-f))
         assert (f - R_ZERO) is f and (f - 0) is f
-        assert same(0 - f, -f) and same(f.num - f, RFrac(f.num) + (-f))
+        assert same(0 - f, -f) and same(RFrac(f.num) - f, RFrac(f.num) + (-f))
         if f.den is _ONE and g.den is _ONE:
             assert (f - g).den is _ONE
 
@@ -697,60 +790,53 @@ class TestSumOfProducts:
         assert_canonical(result)
 
 
-def flattened(entries):
-    """A bilinear form given by its polynomial entries ``(f, i, j)``, as the
-    ``(c, m, i, j)`` terms that `MPoly.bilinear` sums."""
-    return tuple((c, m, i, j) for f, i, j in entries for m, c in f.terms.items())
-
-
-def reference_bilinear(entries, u, v) -> MPoly:
-    """Σ f·u[i]·v[j] on exponent tuples, with no `MPoly` product of two
+def reference_bilinear(form, u, v) -> MPoly:
+    """Σ c·u[i]·v[j] on exponent tuples, with no `MPoly` product of two
     polynomials of several terms."""
     total = MPoly.zero()
-    for f, i, j in entries:
-        total = tuple_keyed_sum(total, double_loop_product(double_loop_product(f, u[i]), v[j]), 1)
+    for c, i, j in form:
+        total = tuple_keyed_sum(total, double_loop_product(MPoly.const(c) * u[i], v[j]), 1)
     return total
 
 
-form_entries = st.lists(st.tuples(polys(), st.integers(0, 2), st.integers(0, 2)), max_size=4)
+nonzero_coefficients = coefficients.filter(bool)
+forms = st.lists(st.tuples(nonzero_coefficients, st.integers(0, 2), st.integers(0, 2)), max_size=4)
 form_rows = st.lists(operands, min_size=3, max_size=3)
 
 
 class TestBilinear:
-    @given(form_entries, form_rows, form_rows)
+    """`MPoly.bilinear` of the ``(c, i, j)`` terms of a constant form is the
+    sum of products Σ c·u[i]·v[j]."""
+
+    @given(forms, form_rows, form_rows)
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_sum_of_products_with_polynomial_entries(self, entries, u, v):
-        result = MPoly.bilinear(flattened(entries), u, v)
-        assert same_poly(result, naive_sum_of_products((1, f * u[i], v[j]) for f, i, j in entries))
-        assert same_poly(result, reference_bilinear(entries, u, v))
+    def test_matches_the_sum_of_products(self, form, u, v):
+        result = MPoly.bilinear(form, u, v)
+        assert same_poly(result, MPoly.sum_of_products((c, u[i], v[j]) for c, i, j in form))
+        assert same_poly(result, reference_bilinear(form, u, v))
         assert_canonical(result)
         if not result:
             assert result is MPoly.zero()
 
-    @given(polys(), form_rows, form_rows)
+    @given(nonzero_coefficients, form_rows, form_rows)
     @settings(max_examples=100, deadline=None)
-    def test_full_cancellation_is_the_shared_zero(self, f, u, v):
-        assert MPoly.bilinear(flattened(((f, 0, 1), (-f, 0, 1))), u, v) is MPoly.zero()
+    def test_full_cancellation_is_the_shared_zero(self, c, u, v):
+        assert MPoly.bilinear(((c, 0, 1), (-c, 0, 1)), u, v) is MPoly.zero()
         assert MPoly.bilinear((), u, v) is MPoly.zero()
 
     def test_fractional_coefficients_become_integral(self):
         x, y = MPoly.var("x"), MPoly.var("y")
-        form = flattened(((Q(1, 2) * x, 0, 1), (Q(1, 2) * x, 1, 0)))
-        result = MPoly.bilinear(form, (y, y), (3 * x, x))
+        result = MPoly.bilinear(((Q(1, 2), 0, 1), (Q(1, 2), 1, 0)), (x * y, x * y), (3 * x, x))
         assert same_poly(result, 2 * x * x * y)
         assert_canonical(result)
 
-    def test_a_carry_through_three_keys_raises(self):
-        # Three exponents of _MAX_EXP sum to 3 * _MAX_EXP, which sets no
-        # guard bit once it has carried into the neighbouring field.
+    def test_a_product_past_the_largest_exponent_raises(self):
         x, y = MPoly.var("packed_x"), MPoly.var("packed_y")
         top = x**_MAX_EXP
-        half = x ** ((_MAX_EXP + 1) // 2)
-        for m, p, q in ((top, top, top), (half, half, MPoly.one()), (x, top, y), (MPoly.one(), top, x)):
+        for p, q in ((top, x), (top, top), (x * y, top)):
             with pytest.raises(OverflowError, match=str(_MAX_EXP)):
-                MPoly.bilinear(flattened(((m, 0, 0),)), (p,), (q,))
-        assert same_poly(MPoly.bilinear(flattened(((x, 0, 0),)), (y,), (x ** (_MAX_EXP - 2) * y,)),
-                         x ** (_MAX_EXP - 1) * y * y)
+                MPoly.bilinear(((1, 0, 0),), (p,), (q,))
+        assert same_poly(MPoly.bilinear(((2, 0, 0),), (x * y,), (x ** (_MAX_EXP - 1) * y,)), 2 * top * y * y)
 
 
 class TestMonomialProduct:
@@ -798,8 +884,8 @@ class TestScalarSubstitution:
 
 
 class TestDirectEvaluation:
-    """`eval` sums c·∏vᵉ when every variable in use has an `int` or
-    `Fraction` value, and otherwise reads the constant `subs` leaves."""
+    """`eval` sums c·∏vᵉ, and needs an `int` or `Fraction` value for every
+    variable in use: the value is the constant `subs` leaves."""
 
     @staticmethod
     def through_subs(p, assignment):
@@ -833,15 +919,36 @@ class TestDirectEvaluation:
 
     @given(polys(), st.dictionaries(st.sampled_from(VARS + ("z",)), st.one_of(scalars, st.just(0.5), st.just(MPoly.var("a")))))
     @settings(max_examples=200, deadline=None)
-    def test_errors_match_the_subs_path(self, p, assignment):
-        assert self.outcome(p, assignment) == self.through_subs(p, assignment)
+    def test_errors_name_the_first_bad_value_then_the_first_missing_variable(self, p, assignment):
+        # A value of a variable in use that is not a scalar (here a float or
+        # a polynomial) raises `TypeError`, naming the type of the first such
+        # value in the assignment's order; then a variable in use with no
+        # value raises `ValueError`, naming the first by name.  Other names
+        # are ignored.
+        used = p.vars
+        bad = [v for name, v in assignment.items() if name in used and not isinstance(v, (int, Q))]
+        missing = [name for name in used if name not in assignment]
+        if bad:
+            expected = TypeError, f"expected an integer or Fraction, got {type(bad[0]).__name__}"
+        elif missing:
+            expected = ValueError, f"missing assignment for variable '{missing[0]}'"
+        else:
+            expected = self.through_subs(p, assignment)
+        assert self.outcome(p, assignment) == expected
 
     def test_errors(self):
-        p = MPoly.var("x") * MPoly.var("y") + 1
+        x, y = MPoly.var("x"), MPoly.var("y")
+        p = x * y + 1
         with pytest.raises(ValueError, match="missing assignment for variable 'y'"):
             p.eval({"x": 2})
         with pytest.raises(TypeError, match="got float"):
             p.eval({"x": 2, "y": 0.5})
+        with pytest.raises(TypeError, match="expected an integer or Fraction, got MPoly"):
+            p.eval({"x": 2, "y": x})
+        # A variable in use with no value raises, even where `subs` would
+        # cancel every term that holds it.
+        with pytest.raises(ValueError, match="missing assignment for variable 'y'"):
+            (x * y - 2 * y + 1).eval({"x": 2})
         assert p.eval({"x": 2, "y": Q(1, 2), "z": 0.5}) == 2
 
     def test_a_scalar_assignment_never_substitutes(self, monkeypatch):
@@ -1197,7 +1304,7 @@ class TestDivisionPathsAgainstSympy:
         F, G = rfrac_to_sympy(sp, f), rfrac_to_sympy(sp, g)
         assert (f == g) == (sp.cancel(F - G) == 0)
         # A common one-term factor cancels by exponent arithmetic.
-        assert RFrac(f.num * r, r) / f.den == f
+        assert RFrac(f.num * r, r) / RFrac(f.den) == f
         assert RFrac(f.num * r, f.den * r) == f
         assert sp.cancel(rfrac_to_sympy(sp, f * g) - F * G) == 0
         assert sp.cancel(rfrac_to_sympy(sp, f + g) - (F + G)) == 0
@@ -1298,6 +1405,7 @@ class TestDeterminantByMinors:
 # Prints, as JSON, the name of the exception each case raises, or null.
 _DIVISION_RULE_SCRIPT = """\
 import json
+from operator import add, mul, sub, truediv
 from g2forge.algebra import MPoly, RFrac, SymMatrix
 x, y = MPoly.var("x"), MPoly.var("y")
 def raised(fn):
@@ -1313,6 +1421,7 @@ print(json.dumps({
     "quotients": [[raised(lambda: f / g) for g in divisors] for f in [RFrac(0), RFrac(x + y, x)] + divisors],
     "inverses": [raised(g.inv) for g in divisors],
     "scalar products": [raised(lambda: m * 2), raised(lambda: 2 * m), raised(lambda: RFrac(x) * m)],
+    "mixed": [raised(lambda: op(a, b)) for op in (add, sub, mul, truediv) for a, b in ((x, RFrac(y)), (RFrac(y), x))],
 }))
 """
 
@@ -1322,7 +1431,8 @@ def test_the_division_rule(flags):
     # x - 1 divides x^2 - 1, yet RFrac(x^2 - 1, x - 1) raises; f / g and
     # g.inv() raise exactly for the divisors whose numerator has more than
     # one term, zero f included; a SymMatrix has no scalar product (that is
-    # `scale`).  The raises are not asserts, so -O keeps them.
+    # `scale`); arithmetic never mixes MPoly and RFrac, in either order.  The
+    # raises are not asserts, so -O keeps them.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -1336,4 +1446,5 @@ def test_the_division_rule(flags):
         "quotients": [row] * 7,
         "inverses": row,
         "scalar products": ["TypeError"] * 3,
+        "mixed": ["TypeError"] * 8,
     }

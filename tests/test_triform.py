@@ -524,7 +524,7 @@ class TestBlockParabolic:
         )
         assert t.coeff_relations(rows) == tuple(MPoly.const(r) for r in relations)
         table, parts = t._relation_table()
-        relation_forms = [tuple((m, 0, a, b) for (a, b), m in sorted(form.items())) for form in t._RELATION_FORMS]
+        relation_forms = [tuple((m, a, b) for (a, b), m in sorted(form.items())) for form in t._RELATION_FORMS]
         assert [table[k] for k in sorted(parts["a"])] == relation_forms
         assert tuple(MPoly.bilinear(form, *rows) for form in relation_forms) == t.coeff_relations(rows)
         failing = t._failing_forms(table, rows)
@@ -578,8 +578,8 @@ class TestBlockParabolic:
         cols = t._poly_generator_columns(name, "1")
         own = {"x1"} if name != "torus" else {"t11", "t21"}
         for split, relation in zip(t._relation_parts(cols), t.coeff_relations(t._rows_mul(rows, cols))):
-            assert all(c != 0 and key == 0 for part in split.values() for c, key, _, _ in part)
-            assert all([term[2:] for term in part] == sorted(term[2:] for term in part) for part in split.values())
+            assert all(c != 0 for part in split.values() for c, _, _ in part)
+            assert all([term[1:] for term in part] == sorted(term[1:] for term in part) for part in split.values())
             assert all(set(algebra._poly({m: 1}).vars) <= own for m in split)
             parts = [(m, MPoly.bilinear(part, *rows)) for m, part in split.items()]
             assert sum((algebra._poly({m: 1}) * v for m, v in parts), MPoly.zero()) == relation
@@ -594,7 +594,7 @@ class TestBlockParabolic:
         assert (len(splits), sum(len(part) for split in splits for part in split.values())) == (16, 72)
         table, parts = t._relation_table()
         assert (len(table), sum(map(len, table))) == (2, 8)
-        assert list(table) == [tuple((m, 0, a, b) for (a, b), m in sorted(f.items())) for f in t._RELATION_FORMS]
+        assert list(table) == [tuple((m, a, b) for (a, b), m in sorted(f.items())) for f in t._RELATION_FORMS]
         assert parts == dict.fromkeys(t.GENERATOR_NAMES, {0, 1})
 
     def test_every_split_form_is_a_nonzero_multiple_of_its_table_form(self):
@@ -605,7 +605,7 @@ class TestBlockParabolic:
         for name in t.GENERATOR_NAMES:
             for split in t._relation_parts(t._poly_generator_columns(name, "")):
                 for m, part in split.items():
-                    (k,) = [k for k in parts[name] if [term[2:] for term in table[k]] == [term[2:] for term in part]]
+                    (k,) = [k for k in parts[name] if [term[1:] for term in table[k]] == [term[1:] for term in part]]
                     ratios = {Q(c) / Q(r) for (c, *_), (r, *_) in zip(part, table[k])}
                     assert len(ratios) == 1 and 0 not in ratios
                     scalars.setdefault(name, []).append((k, m, ratios.pop()))
