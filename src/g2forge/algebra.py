@@ -121,7 +121,21 @@ def quotient(a, b):
     return a / b
 
 
-class MPoly:
+class _Immutable:
+    """The base of the value types: attribute assignment raises, so
+    constructors set slots through their descriptors or
+    ``object.__setattr__``; ``repr`` is the type name around the text form."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class MPoly(_Immutable):
     """Multivariate polynomial with exact rational coefficients.
 
     ``terms`` maps packed monomials (see the module docstring) to nonzero
@@ -178,9 +192,6 @@ class MPoly:
                 raise _overflow()
             packed[sum(map(lshift, e, shifts))] = c
         _set_terms(self, packed)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("MPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -444,7 +455,13 @@ class MPoly:
         return Q(total)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
-        """Substitute polynomials (or rationals) for some variables."""
+        """Substitute polynomials (or rationals) for some variables.
+
+        Every substitution in the program passes scalars, which take the
+        first lane.  The polynomial lane stays: it is the reference the
+        kernel tests compare the scalar lane with, and the lattice tests
+        substitute a determinant for ``d`` through it, so moving it into the
+        tests would remove no code."""
         used = _reduce(_or, self.terms, 0)
         if not used:
             return self
@@ -543,11 +560,8 @@ class MPoly:
             out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
         return out
 
-    def __repr__(self) -> str:
-        return f"MPoly({self})"
 
-
-# The slot setter, which gets past the immutability guard of __setattr__.
+# The slot setter, which gets past the guard of _Immutable.__setattr__.
 _set_terms = MPoly.terms.__set__
 
 
@@ -608,7 +622,7 @@ def affine_bounds_on_cone(
     return lo, hi
 
 
-class RFrac:
+class RFrac(_Immutable):
     """Rational function num/den over a denominator of one term.
 
     The torus elements, Weyl representatives and root subgroups live over
@@ -678,9 +692,6 @@ class RFrac:
             num, den = _normalize_frac(num, den)
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("RFrac is immutable")
 
     @staticmethod
     def const(c) -> "RFrac":
@@ -809,9 +820,6 @@ class RFrac:
             den = f"({den})"
         return f"{num}/{den}"
 
-    def __repr__(self) -> str:
-        return f"RFrac({self})"
-
 
 _set_num = RFrac.num.__set__
 _set_den = RFrac.den.__set__
@@ -879,7 +887,7 @@ R_ZERO = _frac(_ZERO, _ONE)
 R_ONE = _frac(_ONE, _ONE)
 
 
-class SymMatrix:
+class SymMatrix(_Immutable):
     """Matrix over RFrac.  All matrices in scope are small (≤ 21×21).
 
     Entries are stored densely, zeros included.  The product visits only
@@ -906,9 +914,6 @@ class SymMatrix:
         _set_rows(self, len(data))
         _set_cols(self, len(data[0]))
         _set_entries(self, data)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("SymMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "SymMatrix":
@@ -1049,9 +1054,6 @@ class SymMatrix:
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
-    def __repr__(self) -> str:
-        return f"SymMatrix({self})"
-
 
 _set_rows = SymMatrix.rows.__set__
 _set_cols = SymMatrix.cols.__set__
@@ -1120,7 +1122,7 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
     return pivots
 
 
-class ValuedScalar:
+class ValuedScalar(_Immutable):
     """A monomial coeff · p^pexp · u^upow over a p-adically valued field.
 
     ``u`` is a formal unit-direction symbol (the Frobenius eigenvalue α̂)
@@ -1145,9 +1147,6 @@ class ValuedScalar:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "upow", int(upow))
         object.__setattr__(self, "pexp", pexp)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ValuedScalar is immutable")
 
     @staticmethod
     def one() -> "ValuedScalar":
@@ -1211,6 +1210,3 @@ class ValuedScalar:
         if self.upow:
             parts.append("ahat" if self.upow == 1 else f"ahat^{self.upow}")
         return "*".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ValuedScalar({self})"

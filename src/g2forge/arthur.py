@@ -11,7 +11,7 @@ evaluates any of the underlying distributions.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import triform
 from .algebra import RFrac, SymMatrix
@@ -190,6 +190,14 @@ DEFAULT_RULES: Tuple[str, ...] = (
 
 _KNOWN_RULES = frozenset(DEFAULT_RULES) | {"correction_at_least_one"}
 
+# Each vanishing rule and the correction symbols it sets to 0.
+_VANISHING: Dict[str, Callable[[MultSymbol], bool]] = {
+    "borel_terms_vanish": lambda s: s.levi == "B",
+    "short_levi_reflected_vanish": lambda s: s.levi == "P_short" and s.word != "",
+    "long_levi_plain_vanish": lambda s: s.levi == "P_long" and s.argument == "plain",
+    "long_levi_twisted_low_vanish": lambda s: s.levi == "P_long" and s.argument == "twisted" and len(s.word) < 2,
+}
+
 
 def _term_sign(parabolic: ParabolicId, word: str) -> int:
     return (-1) ** (parabolic.nilrad_dim - len(word))
@@ -215,11 +223,6 @@ def raw_combined_identity() -> Dict[MultSymbol, int]:
             rel[MultSymbol("correction", par.tag, word, "plain")] = -s
             rel[MultSymbol("correction", par.tag, word, "twisted")] = s
     return rel
-
-
-def _zero_out(rel: Dict[MultSymbol, int], predicate) -> None:
-    for sym in [s for s in rel if predicate(s)]:
-        del rel[sym]
 
 
 class LedgerReport(NamedTuple):
@@ -323,15 +326,11 @@ def multiplicity_ledger(k, sp, vanishing_rules: Sequence[str] = DEFAULT_RULES) -
     rel = raw_combined_identity()
     raw = {sym.label(): c for sym, c in rel.items()}
 
-    if "borel_terms_vanish" in rules:
-        _zero_out(rel, lambda s: s.kind == "correction" and s.levi == "B")
-    if "short_levi_reflected_vanish" in rules:
-        _zero_out(
-            rel,
-            lambda s: s.kind == "correction"
-            and s.levi == "P_short"
-            and s.word != "",
-        )
+    vanish = [_VANISHING[r] for r in rules if r in _VANISHING]
+    rel = {
+        sym: c for sym, c in rel.items()
+        if not (sym.kind == "correction" and any(rule(sym) for rule in vanish))
+    }
     if "short_levi_identity_cancels" in rules:
         plain = MultSymbol("correction", "P_short", "", "plain")
         twisted = MultSymbol("correction", "P_short", "", "twisted")
@@ -339,21 +338,6 @@ def multiplicity_ledger(k, sp, vanishing_rules: Sequence[str] = DEFAULT_RULES) -
             merged = rel.pop(plain) + rel.pop(twisted)
             if merged != 0:
                 rel[plain] = merged
-    if "long_levi_plain_vanish" in rules:
-        _zero_out(
-            rel,
-            lambda s: s.kind == "correction"
-            and s.levi == "P_long"
-            and s.argument == "plain",
-        )
-    if "long_levi_twisted_low_vanish" in rules:
-        _zero_out(
-            rel,
-            lambda s: s.kind == "correction"
-            and s.levi == "P_long"
-            and s.argument == "twisted"
-            and len(s.word) < 2,
-        )
 
     if not rel:
         raise ValueError("inconsistent rules: the relation collapsed to 0 = 0")

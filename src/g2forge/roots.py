@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Tuple, Union
 
-from .algebra import MPoly, RFrac, _coef, affine_bounds_on_cone, quotient
+from .algebra import MPoly, RFrac, _Immutable, _coef, affine_bounds_on_cone, quotient
 
 Coord = Union[int, Q, MPoly, RFrac]
 
@@ -28,7 +28,7 @@ def _coordinate(c) -> Coord:
     return c if isinstance(c, (MPoly, RFrac)) else _coef(c)
 
 
-class Weight:
+class Weight(_Immutable):
     """Exact weight c_a*alpha + c_b*beta; coordinates may be symbolic."""
 
     __slots__ = ("ca", "cb")
@@ -40,9 +40,6 @@ class Weight:
             cb = _coordinate(cb)
         object.__setattr__(self, "ca", ca)
         object.__setattr__(self, "cb", cb)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Weight is immutable")
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.ca + other.ca, self.cb + other.cb)
@@ -112,7 +109,7 @@ def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
     )
 
 
-class WeylElement:
+class WeylElement(_Immutable):
     """One of the 12 Weyl group elements, named by its reduced word.  Each is
     built once, so they compare and hash by identity."""
 
@@ -121,9 +118,6 @@ class WeylElement:
     def __init__(self, word: str, matrix: Mat2):
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("WeylElement is immutable")
 
     @property
     def name(self) -> str:
@@ -219,7 +213,7 @@ def length_by_inversions(w: WeylElement) -> int:
     return sum(1 for r in POSITIVE_ROOTS if not _root_is_positive(w.act(r)))
 
 
-class ParabolicId:
+class ParabolicId(_Immutable):
     """Standard parabolic tag with its Levi/coset/Eisenstein data."""
 
     __slots__ = ("tag", "levi_simple", "eis_words", "nilrad_dim")
@@ -229,9 +223,6 @@ class ParabolicId:
         object.__setattr__(self, "levi_simple", levi_simple)
         object.__setattr__(self, "eis_words", eis_words)
         object.__setattr__(self, "nilrad_dim", len(self.nilradical_roots))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ParabolicId is immutable")
 
     @property
     def nilradical_roots(self) -> Tuple[Weight, ...]:

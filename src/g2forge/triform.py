@@ -12,7 +12,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import kostant
-from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _coerce_entry, _matrix, row_reduce
+from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _Immutable, _coerce_entry, _matrix, row_reduce
 from .roots import ALPHA, BETA, POSITIVE_ROOTS, Weight
 
 Entry = Union[int, Q, MPoly, RFrac]
@@ -22,25 +22,14 @@ Entry = Union[int, Q, MPoly, RFrac]
 
 
 def _sort_triple(i: int, j: int, k: int) -> Tuple[Tuple[int, int, int], int]:
-    """Sorted index triple and the sign of the sorting permutation
-    (0 if indices repeat)."""
-    idx = [i, j, k]
-    if len(set(idx)) < 3:
+    """Sorted index triple and the sign of the sorting permutation, -1 for an
+    odd number of inverted pairs (0 if indices repeat)."""
+    if i == j or i == k or j == k:
         return ((0, 0, 0), 0)
-    sign = 1
-    if idx[0] > idx[1]:
-        idx[0], idx[1] = idx[1], idx[0]
-        sign = -sign
-    if idx[1] > idx[2]:
-        idx[1], idx[2] = idx[2], idx[1]
-        sign = -sign
-    if idx[0] > idx[1]:
-        idx[0], idx[1] = idx[1], idx[0]
-        sign = -sign
-    return (tuple(idx), sign)
+    return (tuple(sorted((i, j, k))), -1 if (i > j) ^ (i > k) ^ (j > k) else 1)
 
 
-class AltTriForm:
+class AltTriForm(_Immutable):
     """Alternating trilinear form on 7-space, stored on sorted triples
     1 <= i < j < k <= 7 and extended antisymmetrically."""
 
@@ -55,9 +44,6 @@ class AltTriForm:
             if not c.is_zero():
                 clean[(i, j, k)] = c
         object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("AltTriForm is immutable")
 
     def get(self, i: int, j: int, k: int) -> RFrac:
         triple, sign = _sort_triple(i, j, k)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2forge import roots, triform
+from g2forge import algebra, roots, triform
 from g2forge.algebra import MPoly, RFrac, SymMatrix, ValuedScalar, affine_bounds_on_cone
 
 X = MPoly.var("x")
@@ -293,3 +293,43 @@ def test_types_with_structural_equality_are_unhashable(value):
     # to identity.
     with pytest.raises(TypeError):
         hash(value)
+
+
+@pytest.mark.parametrize(
+    "value, slot",
+    [
+        (X * Y + 1, "terms"),
+        (algebra._ZERO, "terms"),
+        (algebra._ONE, "terms"),
+        (RFrac(X, Y), "num"),
+        (algebra.R_ZERO, "num"),
+        (algebra.R_ONE, "den"),
+        (SymMatrix.identity(2), "entries"),
+        (ValuedScalar.unit(1), "coeff"),
+        (roots.Weight(RFrac.var("k"), 1), "ca"),
+        (roots.element("ab"), "word"),
+        (roots.P_SHORT, "tag"),
+        (triform.generic_form(), "coeffs"),
+    ],
+    ids=[
+        "MPoly", "MPoly-zero", "MPoly-one", "RFrac", "RFrac-zero", "RFrac-one",
+        "SymMatrix", "ValuedScalar", "Weight", "WeylElement", "ParabolicId", "AltTriForm",
+    ],
+)
+def test_value_types_refuse_attribute_assignment(value, slot):
+    # A stored slot and a fresh name are both refused, and the slot keeps
+    # its value; the shared base adds no per-instance dict.
+    before = getattr(value, slot)
+    for name in (slot, "extra"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    assert getattr(value, slot) is before
+    assert isinstance(value, algebra._Immutable) and not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "value", [X * Y - Q(1, 2), RFrac(X, Y), SymMatrix.identity(2), ValuedScalar.unit(2)],
+    ids=["MPoly", "RFrac", "SymMatrix", "ValuedScalar"],
+)
+def test_repr_wraps_the_text_form_in_the_type_name(value):
+    assert repr(value) == f"{type(value).__name__}({value})"

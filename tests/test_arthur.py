@@ -97,12 +97,13 @@ class TestParityMultiplicity:
 class TestMultiplicityLedger:
     def test_default_reduction(self):
         rep = arthur.multiplicity_ledger(12, 1)
-        assert rep.reduced == {
-            "m_cl(plain)": 1,
-            "m_cusp(plain)": -1,
-            "m_cusp(twisted)": 1,
-            "m[P_long,ba](twisted)": -1,
-        }
+        # In the order of the raw relation.
+        assert list(rep.reduced.items()) == [
+            ("m_cl(plain)", 1),
+            ("m_cusp(plain)", -1),
+            ("m_cusp(twisted)", 1),
+            ("m[P_long,ba](twisted)", -1),
+        ]
         assert rep.bound == ("m_cusp(plain)", 2)
         assert rep.orientation_divergence
         assert all(arthur.identity_checks().values())
@@ -117,6 +118,28 @@ class TestMultiplicityLedger:
             12, 1, arthur.DEFAULT_RULES + ("correction_at_least_one",)
         )
         assert rep.bound == ("m_cusp(plain)", 3)
+
+    # The correction symbols each vanishing rule sets to 0, read off its
+    # statement in the `multiplicity_ledger` docstring.
+    VANISHED = {
+        "borel_terms_vanish": ["m[B,e](plain)", "m[B,e](twisted)"],
+        "short_levi_reflected_vanish": [
+            "m[P_short,a](plain)", "m[P_short,a](twisted)", "m[P_short,ab](plain)", "m[P_short,ab](twisted)",
+        ],
+        "long_levi_plain_vanish": ["m[P_long,e](plain)", "m[P_long,b](plain)", "m[P_long,ba](plain)"],
+        "long_levi_twisted_low_vanish": ["m[P_long,e](twisted)", "m[P_long,b](twisted)"],
+    }
+
+    def test_every_vanishing_rule_is_covered(self):
+        assert set(self.VANISHED) == set(arthur._VANISHING)
+
+    @pytest.mark.parametrize("rule", sorted(VANISHED))
+    def test_a_vanishing_rule_alone_drops_exactly_its_symbols(self, rule):
+        rep = arthur.multiplicity_ledger(12, 1, (rule,))
+        assert [label for label in rep.raw if label not in rep.reduced] == self.VANISHED[rule]
+        assert list(rep.reduced.items()) == [
+            (label, c) for label, c in rep.raw.items() if label not in self.VANISHED[rule]
+        ]
 
     def test_no_rules_passthrough(self):
         rep = arthur.multiplicity_ledger(12, 1, ())

@@ -2,6 +2,7 @@
 stabilizer matrices, Weyl permutation images, quadratic entry relations,
 and the 14-dimensional stabilizer Lie algebra."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -155,6 +156,21 @@ class TestForm:
         assert form.get(7, 4, 1) == RFrac.const(-1)
         assert form.get(4, 7, 1) == RFrac.const(1)
         assert form.get(1, 1, 7).is_zero()
+
+    def test_sort_triple_gives_the_parity_of_the_sorting_permutation(self):
+        # Every triple over 1..7: the sign is (-1)^(transpositions a bubble
+        # sort makes), and a repeated index gives the zero triple and sign.
+        for triple in itertools.product(range(1, 8), repeat=3):
+            if len(set(triple)) < 3:
+                assert t._sort_triple(*triple) == ((0, 0, 0), 0), triple
+                continue
+            idx, swaps = list(triple), 0
+            for end in (2, 1):
+                for n in range(end):
+                    if idx[n] > idx[n + 1]:
+                        idx[n], idx[n + 1] = idx[n + 1], idx[n]
+                        swaps += 1
+            assert t._sort_triple(*triple) == (tuple(idx), (-1) ** swaps), triple
 
     def test_missing_and_repeated_triples_share_the_zero(self):
         form = t.generic_form()
