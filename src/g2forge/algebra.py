@@ -15,7 +15,10 @@ monomials is one integer addition, and a variable a polynomial does not use
 is a zero field, so operands never need aligning.  The top bit of each field
 is a guard: exponents are at most ``_MAX_EXP``, and a product that would go
 past that raises ``OverflowError`` rather than carry into a neighbouring
-variable.
+variable.  An ``RFrac`` key is signed: field i adds e·2^(i*``_W``) for an
+exponent e in [-64, 63], so a product is still one addition.  A key is in
+range iff adding ``_LBIAS``, 64 in every field, sets no guard bit, and an
+in-range key has a negative field iff it shares a bit with ``_LBIAS``.
 
 The canonical text form (lexicographic term order over the variables sorted
 by name) is what golden files and JSON reports serialize.  It decodes the
@@ -31,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import reduce as _reduce
 from itertools import compress
-from operator import add, itemgetter, lshift, or_ as _or, sub
+from operator import add, and_ as _and, itemgetter, lshift, or_ as _or, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -46,16 +49,19 @@ _MAX_EXP = (1 << (_W - 1)) - 1    # the largest exponent; the field's top bit is
 _NAMES: List[str] = []            # variable index -> name, append-only
 _INDEX: Dict[str, int] = {}       # name -> variable index
 _GUARD = 0                        # the top bit of every registered field
+_LMIN = -(1 << (_W - 2))          # the least exponent of a signed field: -64
+_LBIAS = 0                        # -_LMIN in every registered field
 
 
 def _intern(name: str) -> int:
     """The registry index of ``name``, registering it on first sight."""
-    global _GUARD
+    global _GUARD, _LBIAS
     i = _INDEX.get(name)
     if i is None:
         i = _INDEX[name] = len(_NAMES)
         _NAMES.append(name)
         _GUARD |= 1 << (i * _W + _W - 1)
+        _LBIAS |= -_LMIN << (i * _W)
     return i
 
 
@@ -79,20 +85,9 @@ def _unpack(terms: Mapping[int, Scalar], fields: Sequence[int]) -> Dict[Exponent
     return {(): c for c in terms.values()}
 
 
-def _gcd_key(key: int, keys) -> int:
-    """The largest monomial that divides ``key`` and each of ``keys``: the
-    fieldwise minimum, over the nonzero fields of ``key``."""
-    g = 0
-    rest = key
-    while rest:
-        s = ((rest & -rest).bit_length() - 1) // _W * _W
-        e = rest >> s & _FIELD
-        rest -= e << s
-        g += min(e, min([k >> s & _FIELD for k in keys])) << s
-    return g
-
-
-def _overflow() -> OverflowError:
+def _overflow(signed: bool = False) -> OverflowError:
+    if signed:
+        return OverflowError(f"exponent outside [{_LMIN}, {-_LMIN - 1}], the range of a signed {_W}-bit field")
     return OverflowError(f"exponent above {_MAX_EXP}, the largest a {_W}-bit monomial field holds")
 
 
@@ -285,36 +280,14 @@ class MPoly(_Immutable):
             # A scalar adds to the constant term.
             if not other:
                 return self
+            out = _merged(self.terms, {0: _coef(other)})
+        else:
+            if not other.terms:
+                return self
             if not self.terms:
-                return MPoly.const(other)
-            out = dict(self.terms)
-            s = out.pop(0, 0) + other
-            if s:
-                out[0] = _coef(s)
-            return _poly(out) if out else _ZERO
-        a, b = self.terms, other.terms
-        if not b:
-            return self
-        if not a:
-            return other
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-                continue
-            s += c
-            if s:
-                out[k] = s if type(s) is int else _coef(s)
-            else:
-                del out[k]
-        if not out:
-            return _ZERO
-        p = _new(MPoly)
-        _set_terms(p, out)
-        return p
+                return other
+            out = _merged(self.terms, other.terms)
+        return _poly(out) if out else _ZERO
 
     __radd__ = __add__
 
@@ -328,27 +301,10 @@ class MPoly(_Immutable):
             if not isinstance(other, (int, Q)):
                 return NotImplemented
             return self + -other
-        b = other.terms
-        if not b:
+        if not other.terms:
             return self
-        if not self.terms:
-            return -other
-        out = dict(self.terms)
-        for k, c in b.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = -c
-                continue
-            s -= c
-            if s:
-                out[k] = s if type(s) is int else _coef(s)
-            else:
-                del out[k]
-        if not out:
-            return _ZERO
-        p = _new(MPoly)
-        _set_terms(p, out)
-        return p
+        out = _merged(self.terms, other.terms, negate=True)
+        return _poly(out) if out else _ZERO
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Q)):
@@ -400,16 +356,7 @@ class MPoly(_Immutable):
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if n == 1:
-            return self
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, _ONE)
 
     def __truediv__(self, other):
         # Over a field, a polynomial divided by a nonzero scalar is a polynomial.
@@ -457,11 +404,10 @@ class MPoly(_Immutable):
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables.
 
-        Every substitution in the program passes scalars, which take the
-        first lane.  The polynomial lane stays: it is the reference the
-        kernel tests compare the scalar lane with, and the lattice tests
-        substitute a determinant for ``d`` through it, so moving it into the
-        tests would remove no code."""
+        The program substitutes only into ``RFrac`` values, whose scalar
+        lane is their own.  Both lanes here stay: the kernel tests compare
+        the scalar lane with the polynomial one, and ``RFrac.subs`` passes
+        polynomial values, as the lattice tests do for ``d``, to this one."""
         used = _reduce(_or, self.terms, 0)
         if not used:
             return self
@@ -536,29 +482,7 @@ class MPoly(_Immutable):
     # -- serialization ---------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names, terms = self.decoded()
-        pieces: List[str] = []
-        for e in sorted(terms, reverse=True):
-            c = terms[e]
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}") for v, k in zip(names, e) if k
-            )
-            if mono:
-                if c == 1:
-                    body = mono
-                elif c == -1:
-                    body = f"-{mono}"
-                else:
-                    body = f"{c}*{mono}"
-            else:
-                body = str(c)
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
-        return out
+        return _text(self.terms)
 
 
 # The slot setter, which gets past the guard of _Immutable.__setattr__.
@@ -571,6 +495,32 @@ def _poly(terms: Dict[int, Scalar]) -> MPoly:
     p = _new(MPoly)
     _set_terms(p, terms)
     return p
+
+
+def _text(terms: Dict[int, Scalar]) -> str:
+    """The text form of packed ``terms``, in lex order over the sorted names."""
+    if not terms:
+        return "0"
+    names, fields = _layout(_reduce(_or, terms, 0))
+    terms = _unpack(terms, fields)
+    pieces: List[str] = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        mono = "*".join((v if k == 1 else f"{v}^{k}") for v, k in zip(names, e) if k)
+        if mono:
+            if c == 1:
+                body = mono
+            elif c == -1:
+                body = f"-{mono}"
+            else:
+                body = f"{c}*{mono}"
+        else:
+            body = str(c)
+        pieces.append(body)
+    out = pieces[0]
+    for body in pieces[1:]:
+        out += f" - {body[1:]}" if body.startswith("-") else f" + {body}"
+    return out
 
 
 def _accumulated(out: Dict[int, Scalar]) -> MPoly:
@@ -590,6 +540,40 @@ def _accumulated(out: Dict[int, Scalar]) -> MPoly:
     if not all(map(_is_int, out.values())):
         out = {k: _coef(c) for k, c in out.items()}
     return _poly(out)
+
+
+def _merged(a: Dict[int, Scalar], b: Dict[int, Scalar], negate: bool = False) -> Dict[int, Scalar]:
+    """The terms of a + b, or a - b, for ``MPoly`` and ``RFrac`` alike: the
+    other dict merged into a copy of one, the larger for a sum."""
+    if not negate and len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for k, c in b.items():
+        if negate:
+            c = -c
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+            continue
+        s += c
+        if s:
+            out[k] = s if type(s) is int else _coef(s)
+        else:
+            del out[k]
+    return out
+
+
+def _power(x, n: int, one):
+    """x ** n for an integer n >= 0, by repeated squaring from ``one``."""
+    if n == 1:
+        return x
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x if n > 1 else x
+        n >>= 1
+    return result
 
 
 def _coerce_poly(x):
@@ -623,252 +607,266 @@ def affine_bounds_on_cone(
 
 
 class RFrac(_Immutable):
-    """Rational function num/den over a denominator of one term.
+    """A Laurent polynomial: a rational function over a one-term denominator,
+    as are the entries of the torus, Weyl representatives and root subgroups.
 
-    The torus elements, Weyl representatives and root subgroups live over
-    Laurent polynomials, so ``_normalize_frac`` has two lanes:
+    ``terms`` stores it as ``MPoly`` stores a polynomial, over signed keys
+    (see the module docstring), and is the unique normal form: ``==``
+    compares it, with an ``MPoly`` too, and nothing normalises.  A
+    polynomial's keys are signed keys, so ``RFrac(p)`` shares ``p.terms``.
+    Nothing hashes an ``RFrac``.  ``den``, the monic monomial that clears
+    the negative exponents, and ``num``, the value times ``den``, are
+    derived; the text form is num/den.
 
-    - **1**: the result is the polynomial, over the shared ``_ONE`` object,
-      so ``den is _ONE`` identifies polynomials;
-    - **one term**: the numerator is scaled by the inverse coefficient, and
-      each denominator variable is cancelled as far as its smallest
-      exponent over the numerator's terms, by subtracting one packed key
-      from every key.
-
-    One rule covers every other denominator: for a nonzero ``g``,
-    ``RFrac(f, g)`` raises ``ArithmeticError`` exactly when ``g`` has more
-    than one term, and so do ``f / g`` and ``g.inv()`` exactly when
-    ``g.num`` has, even where the quotient is a polynomial.
-
-    Both lanes give the unique normal form of their functions: a monic
-    monomial ``den`` (1 included), each of whose variables has exponent 0
-    in some numerator term.  The smallest exponent of v over a polynomial's
-    terms is its v-adic valuation, which is multiplicative, so two such
-    forms n/d = n'/d' have d = d' and then n = n', and ``==`` compares the
-    parts.  Any exact computation that lands in that form gives the same
-    parts and text.  Nothing hashes an ``RFrac``, so it defines no hash.
-
-    The operand rule is ``MPoly``'s: an operator takes an ``RFrac`` or a
-    scalar (an ``int``, ``bool`` included, or a ``Fraction``) and returns
-    ``NotImplemented`` for anything else, an ``MPoly`` included, so that
-    ``RFrac * Weight`` reflects and mixed arithmetic raises ``TypeError``.
-    ``RFrac(p)`` is the one conversion from a polynomial, and it skips the
-    normaliser.  ``==`` alone compares across types by value: with an
-    ``MPoly`` or a scalar, an ``RFrac`` is equal when ``den is _ONE`` and
-    ``num`` equals it.
-
-    Zero is 0/1, and ``const`` gives the shared ``R_ZERO`` and ``R_ONE`` for
-    0 and 1.  Sums, differences and products of two polynomials, and of zero
-    with anything, are built directly, and a product with the polynomial 1
-    (``num is _ONE and den is _ONE``) is the other operand.  A scalar is
-    never made an ``RFrac``: a product scales the numerator, which changes
-    no valuation and so keeps the normal form, and a quotient is the product
-    with its inverse.  A sum or difference adds the scalar to the constant
-    term of a polynomial, and c·den to the numerator otherwise: c·den
-    carries every variable of ``den``, so no valuation drops.  A power
-    raises both parts, since valuations multiply.  Other products, sums and
-    quotients pass their parts to ``_normalize_frac`` without building an
-    intermediate ``RFrac``.
-    ``subs`` returns the function itself when neither part mentions an
-    assigned variable.
+    The operand rule is ``MPoly``'s, ``RFrac(p)`` the one conversion.  ``+``
+    and ``-`` merge the dicts as ``MPoly`` does; ``*`` is the term product,
+    each key checked against the signed range, a product with 1 the other
+    operand.  ``inv`` negates the key of a one-term value; for a nonzero
+    ``g`` of more terms, ``g.inv()``, ``f / g`` and ``RFrac(f, g)`` raise
+    ``ArithmeticError``, even where the quotient is a Laurent polynomial.
+    ``subs`` evaluates scalars on the keys, raising ``ZeroDivisionError``
+    for a zero at a negative exponent, substitutes polynomials into ``num``
+    and ``den``, and returns the function itself when no assigned variable
+    occurs.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms",)
 
     def __init__(self, num, den=None):
-        if type(num) is not MPoly:
-            num = _coerce_poly(num)
-            if num is NotImplemented:
-                raise TypeError("cannot build RFrac from this numerator")
-        if den is None:
-            den = _ONE
-        else:
-            if type(den) is not MPoly:
-                den = _coerce_poly(den)
-                if den is NotImplemented:
-                    raise TypeError("cannot build RFrac from this denominator")
-            if not den.terms:
+        terms = _laurent(num)
+        if den is not None:
+            den = _laurent(den)
+            if not den:
                 raise ZeroDivisionError("RFrac denominator is zero")
-            num, den = _normalize_frac(num, den)
-        _set_num(self, num)
-        _set_den(self, den)
+            terms = (_rfrac(terms) * _rfrac(den).inv()).terms
+        _set_laurent(self, terms)
 
     @staticmethod
     def const(c) -> "RFrac":
-        p = MPoly.const(c)
-        return R_ZERO if p is _ZERO else R_ONE if p is _ONE else _frac(p, _ONE)
+        c = _coef(c)
+        return R_ZERO if not c else R_ONE if c == 1 else _rfrac({0: c})
 
     @staticmethod
     def var(name: str) -> "RFrac":
-        return _frac(MPoly.var(name), _ONE)
+        return _rfrac({1 << (_intern(name) * _W): 1})
+
+    @property
+    def num(self) -> MPoly:
+        """The value times ``den``, a polynomial."""
+        return _poly(self._cleared()[0]) if self.terms else _ZERO
+
+    @property
+    def den(self) -> MPoly:
+        """The monic monomial that clears the negative exponents."""
+        m = self._cleared()[1]
+        return _poly({m: 1}) if m else _ONE
+
+    def _cleared(self) -> Tuple[Dict[int, Scalar], int]:
+        """(terms times m, key of m) for m the least monomial that clears the
+        negative exponents, which clear the bias bit of a biased field."""
+        terms, bias = self.terms, _LBIAS
+        if not _reduce(_or, terms, 0) & bias:
+            return terms, 0
+        negative = bias & ~_reduce(_and, map(bias.__add__, terms), bias)
+        m = 0
+        while negative:
+            top = negative.bit_length() - 1
+            negative ^= 1 << top
+            s = top // _W * _W
+            m += (-_LMIN - min([(k + bias) >> s & _FIELD for k in terms])) << s
+        return {k + m: c for k, c in terms.items()}, m
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.terms
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.terms)
 
     def __add__(self, other):
         if type(other) is not RFrac:
             if not isinstance(other, (int, Q)):
                 return NotImplemented
-            num = self.num + (other if self.den is _ONE else self.den * other)
-            return self if num is self.num else _frac(num, self.den)
-        if not other.num.terms:
-            return self
-        if not self.num.terms:
-            return other
-        d1, d2 = self.den, other.den
-        if d1 is _ONE and d2 is _ONE:
-            return _frac(self.num + other.num, _ONE)
-        if d1 == d2:
-            num, den = self.num + other.num, d1
+            # A scalar adds to the constant term.
+            if not other:
+                return self
+            out = _merged(self.terms, {0: _coef(other)})
         else:
-            num, den = self.num * d2 + other.num * d1, d1 * d2
-        if not num.terms:
-            return R_ZERO
-        return _frac(*_normalize_frac(num, den))
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
+            out = _merged(self.terms, other.terms)
+        return _rfrac(out) if out else R_ZERO
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _frac(-self.num, self.den)
+        return _rfrac({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if type(other) is not RFrac:
             if not isinstance(other, (int, Q)):
                 return NotImplemented
-            num = self.num - (other if self.den is _ONE else self.den * other)
-            return self if num is self.num else _frac(num, self.den)
-        if not other.num.terms:
+            return self + -other
+        if not other.terms:
             return self
-        if self.den is _ONE and other.den is _ONE:
-            return _frac(self.num - other.num, _ONE)
-        return self + (-other)
+        out = _merged(self.terms, other.terms, negate=True)
+        return _rfrac(out) if out else R_ZERO
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Q)):
             return NotImplemented
-        return _frac((other if self.den is _ONE else self.den * other) - self.num, self.den)
+        return -self + other
 
     def __mul__(self, other):
         if type(other) is not RFrac:
             if not isinstance(other, (int, Q)):
                 return NotImplemented
-            if not other or not self.num.terms:
+            # A scalar is a constant factor.
+            if not other or not self.terms:
                 return R_ZERO
-            num = self.num * other
-            return self if num is self.num else _frac(num, self.den)
-        a, b = self.num, other.num
-        if not a.terms or not b.terms:
-            return R_ZERO
-        # The polynomial 1 returns the other operand.
-        if a is _ONE and self.den is _ONE:
-            return other
-        if b is _ONE and other.den is _ONE:
-            return self
-        num = a * b
-        if self.den is _ONE and other.den is _ONE:
-            return _frac(num, _ONE)
-        return _frac(*_normalize_frac(num, self.den * other.den))
+            k1, c1, b, other = 0, other, self.terms, self
+        else:
+            a, b = self.terms, other.terms
+            if not a or not b:
+                return R_ZERO
+            if len(b) == 1 and (len(a) != 1 or b.get(0) == 1):
+                # The one-term factor goes first, 1 by preference.
+                a, b, other = b, a, self
+            if len(a) != 1:
+                out: Dict[int, Scalar] = {}
+                get = out.get
+                for k1, c1 in a.items():
+                    for k2, c2 in b.items():
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+                # A field of a sum of two in-range keys is in [-128, 126]; the
+                # lowest field out of range sets its guard bit once biased.
+                if _reduce(_or, map(_LBIAS.__add__, out)) & _GUARD:
+                    raise _overflow(signed=True)
+                if not all(out.values()):
+                    out = {k: c for k, c in out.items() if c}
+                    if not out:
+                        return R_ZERO
+                if not all(map(_is_int, out.values())):
+                    out = {k: _coef(c) for k, c in out.items()}
+                return _rfrac(out)
+            ((k1, c1),) = a.items()
+        if not k1:
+            if c1 == 1:
+                return other
+            out = {k: c * c1 for k, c in b.items()}
+        elif len(b) == 1:
+            ((k2, c2),) = b.items()
+            k = k1 + k2
+            if (k + _LBIAS) & _GUARD:
+                raise _overflow(signed=True)
+            c = c1 * c2
+            return _rfrac({k: c if type(c) is int else _coef(c)})
+        else:
+            # A one-term factor shifts every key of the other by k1, so no
+            # two products collide.
+            out = {k1 + k: c1 * c for k, c in b.items()}
+            if _reduce(_or, map(_LBIAS.__add__, out)) & _GUARD:
+                raise _overflow(signed=True)
+        if not all(map(_is_int, out.values())):
+            out = {k: _coef(c) for k, c in out.items()}
+        f = _new(RFrac)
+        _set_laurent(f, out)
+        return f
 
     __rmul__ = __mul__
 
     def inv(self) -> "RFrac":
-        if not self.num.terms:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return _frac(*_normalize_frac(self.den, self.num))
+        """The negated key over the inverse coefficient, ±1 staying ``int``."""
+        terms = self.terms
+        if len(terms) != 1:
+            if not terms:
+                raise ZeroDivisionError("inverse of zero rational function")
+            raise ArithmeticError(f"1/({self}) has a denominator of more than one term")
+        ((k, c),) = terms.items()
+        if (_LBIAS - k) & _GUARD:
+            raise _overflow(signed=True)
+        return _rfrac({-k: c if c == 1 or c == -1 else _coef(1 / Q(c))})
 
     def __truediv__(self, other):
         if type(other) is not RFrac:
             if not isinstance(other, (int, Q)):
                 return NotImplemented
             return self * (1 / Q(other))
-        if not other.num.terms:
+        if not other.terms:
             raise ZeroDivisionError("division by zero rational function")
-        return _frac(*_normalize_frac(self.num * other.den, self.den * other.num))
+        return self * other.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
-        if n < 0:
-            return self.inv() ** (-n)
-        if n == 1:
-            return self
-        return _frac(self.num ** n, self.den ** n)
+        return self.inv() ** -n if n < 0 else _power(self, n, R_ONE)
 
     def __eq__(self, other):
-        if type(other) is RFrac:
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (MPoly, int, Q)):
-            return self.den is _ONE and self.num == other
+        if type(other) is RFrac or type(other) is MPoly:
+            return self.terms == other.terms
+        if isinstance(other, (int, Q)):
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "RFrac":
-        num, den = self.num.subs(assignment), self.den.subs(assignment)
-        if num is self.num and den is self.den:
+        terms, bias = self.terms, _LBIAS
+        # A biased field differs from the bias exactly where its exponent is nonzero.
+        used = _reduce(_or, [(k + bias) ^ bias for k in terms], 0)
+        hits = []
+        for name, value in assignment.items():
+            i = _INDEX.get(name)
+            if i is not None and used >> (i * _W) & _FIELD:
+                hits.append((i * _W, value))
+        if not hits:
             return self
-        return RFrac(num, den)
+        if not all(isinstance(v, (int, Q)) for _, v in hits):
+            return RFrac(self.num.subs(assignment), self.den.subs(assignment))
+        # Scalars only: evaluate the assigned fields of each key.
+        out: Dict[int, Scalar] = {}
+        for k, c in terms.items():
+            for s, v in hits:
+                e = ((k + bias) >> s & _FIELD) + _LMIN
+                if e > 0:
+                    c = c * v ** e
+                elif e:
+                    if not v:
+                        raise ZeroDivisionError("RFrac denominator is zero")
+                    c = c * Q(v) ** e
+                k -= e << s
+            out[k] = out.get(k, 0) + c
+        out = {k: _coef(c) for k, c in out.items() if c}
+        return _rfrac(out) if out else R_ZERO
 
     def __str__(self) -> str:
-        if self.den is _ONE:
-            return str(self.num)
-        num, den = str(self.num), str(self.den)
-        if len(self.num.terms) > 1:
-            num = f"({num})"
-        if "*" in den:
-            den = f"({den})"
-        return f"{num}/{den}"
+        terms, m = self._cleared()
+        num = _text(terms)
+        if not m:
+            return num
+        den = _text({m: 1})
+        return f"{f'({num})' if len(terms) > 1 else num}/{f'({den})' if '*' in den else den}"
 
 
-_set_num = RFrac.num.__set__
-_set_den = RFrac.den.__set__
+# The slot setter, which gets past the guard of _Immutable.__setattr__.
+_set_laurent = RFrac.terms.__set__
 
 
-def _frac(num: MPoly, den: MPoly) -> RFrac:
-    """The ``RFrac`` of parts already in normal form."""
-    out = _new(RFrac)
-    _set_num(out, num)
-    _set_den(out, den)
-    return out
+def _rfrac(terms: Dict[int, Scalar]) -> RFrac:
+    """The ``RFrac`` of canonical signed ``terms``."""
+    f = _new(RFrac)
+    _set_laurent(f, terms)
+    return f
 
 
-def _normalize_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """The normal form of num/den for a nonzero ``den`` (see ``RFrac``).  A
-    ``den`` of more than one term raises ``ArithmeticError``, whatever
-    ``num`` is."""
-    if len(den.terms) > 1:
-        raise ArithmeticError(f"({num})/({den}) has a denominator of more than one term")
-    if not num.terms:
-        return _ZERO, _ONE
-    if den is _ONE:
-        return num, _ONE
-    return _monomial_frac(num, den)
-
-
-def _monomial_frac(num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """The normal form of num/den for a nonzero ``num`` and a one-term
-    ``den``: scale by the inverse coefficient of ``den``, then cancel each
-    of its variables as far as the smallest exponent of that variable over
-    the numerator's terms, by subtracting one key from every key.  No
-    leading term or division."""
-    ((dk, lc),) = den.terms.items()
-    terms = num.terms
-    if lc == -1:
-        terms = {k: -c for k, c in terms.items()}
-    elif lc != 1:
-        inv = 1 / Q(lc)
-        terms = {k: _coef(c * inv) for k, c in terms.items()}
-    cut = _gcd_key(dk, terms)
-    if cut:
-        terms = {k - cut: c for k, c in terms.items()}
-    if terms is not num.terms:
-        num = _poly(terms)
-    if dk == cut:
-        return num, _ONE
-    if lc == 1 and not cut:
-        return num, den
-    return num, _poly({dk - cut: 1})
+def _laurent(x) -> Dict[int, Scalar]:
+    """The terms of ``x``, an ``MPoly`` or a scalar, if they fit signed keys."""
+    p = x if type(x) is MPoly else _coerce_poly(x)
+    if p is NotImplemented:
+        raise TypeError(f"cannot build RFrac from {type(x).__name__}")
+    if _reduce(_or, p.terms, 0) & _LBIAS:
+        raise _overflow(signed=True)
+    return p.terms
 
 
 def _coerce_entry(x) -> RFrac:
@@ -883,8 +881,8 @@ def _coerce_entry(x) -> RFrac:
     raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
 
 
-R_ZERO = _frac(_ZERO, _ONE)
-R_ONE = _frac(_ONE, _ONE)
+R_ZERO = _rfrac({})
+R_ONE = _rfrac({0: 1})
 
 
 class SymMatrix(_Immutable):
@@ -951,12 +949,12 @@ class SymMatrix(_Immutable):
             )
         # The normal form is unique (see RFrac), so the order in which an
         # entry sums its products does not change it.
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b.num.terms] for row in other.entries]
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
         out = []
         for row in self.entries:
             acc: List[Optional[RFrac]] = [None] * other.cols
             for a, pairs in zip(row, sparse_rows):
-                if not pairs or not a.num.terms:
+                if not pairs or not a.terms:
                     continue
                 for j, b in pairs:
                     s = acc[j]
@@ -1007,7 +1005,7 @@ class SymMatrix(_Immutable):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        rows = [[(1 << j, x) for j, x in enumerate(row) if x.num.terms] for row in self.entries]
+        rows = [[(1 << j, x) for j, x in enumerate(row) if x.terms] for row in self.entries]
         memo = {0: R_ONE}
 
         def minor(cols: int) -> RFrac:
@@ -1029,8 +1027,9 @@ class SymMatrix(_Immutable):
 
     def inverse(self) -> "SymMatrix":
         """Back-substitution on the echelon form of ``row_reduce``; a pivot
-        of more than one term raises ``ArithmeticError`` (see ``RFrac``).
-        The program inverts only matrices whose pivots are all units."""
+        of more than one term, which ``inv`` refuses, raises
+        ``ArithmeticError``.  The program inverts only matrices whose pivots
+        are all units, one-term Laurent polynomials."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
@@ -1041,12 +1040,12 @@ class SymMatrix(_Immutable):
         # pivot row to a leading 1 and clear its column from the rows above.
         for r in range(n - 1, -1, -1):
             inv = m[r][r].inv()
-            support = [(j, inv * b) for j, b in enumerate(m[r]) if b.num.terms]
+            support = [(j, inv * b) for j, b in enumerate(m[r]) if b.terms]
             for j, b in support:
                 m[r][j] = b
             for above in m[:r]:
                 lead = above[r]
-                if lead.num.terms:
+                if lead.terms:
                     for j, b in support:
                         above[j] = above[j] - lead * b
         return _matrix(tuple(tuple(row[n:]) for row in m))
@@ -1077,8 +1076,8 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
     column ``pivots[i]``, unscaled, with zeros below it and before it; the
     rows past ``len(pivots)`` are zero on the first ``ncols`` columns.
 
-    The pivot of a column is its first entry at or below the next pivot row
-    whose numerator has one term (a unit), which clears the rows below by
+    The pivot of a column is its first entry of one term (a unit) at or
+    below the next pivot row, which clears the rows below by
     row_i - (l/p)·row_p, and otherwise its first nonzero entry p, which
     clears them by cross-multiplication, row_i <- p·row_i - l·row_p.  No
     pivot of more than one term is inverted, and neither step changes the
@@ -1093,7 +1092,7 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
             break
         p = None
         for i in range(r, n):
-            terms = rows[i][col].num.terms
+            terms = rows[i][col].terms
             if terms:
                 if len(terms) == 1:
                     p = i
@@ -1105,14 +1104,14 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
         rows[r], rows[p] = rows[p], rows[r]
         pivot_row = rows[r]
         pivot = pivot_row[col]
-        inv = pivot.inv() if len(pivot.num.terms) == 1 else None
-        support = [(j, b) for j, b in enumerate(pivot_row) if b.num.terms]
+        inv = pivot.inv() if len(pivot.terms) == 1 else None
+        support = [(j, b) for j, b in enumerate(pivot_row) if b.terms]
         for i in range(r + 1, n):
             lead = rows[i][col]
-            if not lead.num.terms:
+            if not lead.terms:
                 continue
             if inv is None:
-                row, factor = [pivot * a if a.num.terms else R_ZERO for a in rows[i]], lead
+                row, factor = [pivot * a if a.terms else R_ZERO for a in rows[i]], lead
             else:
                 row, factor = rows[i][:], lead * inv
             for j, b in support:

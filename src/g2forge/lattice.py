@@ -77,10 +77,10 @@ def wedge2_standard(m: SymMatrix) -> SymMatrix:
     out = []
     for k, l in combinations(range(m.rows), 2):
         row = [R_ZERO] * len(index)
-        support = [(j, y) for j, y in enumerate(e[l]) if y.num.terms]
+        support = [(j, y) for j, y in enumerate(e[l]) if y.terms]
         # i ascends, so minor (i, j) adds rk[i]·rl[j] before it subtracts rl[i]·rk[j].
         for i, x in enumerate(e[k]):
-            if x.num.terms:
+            if x.terms:
                 for j, y in support:
                     if i < j:
                         row[index[i, j]] += x * y

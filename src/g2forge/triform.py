@@ -170,7 +170,7 @@ def form_derivation_residue(x: SymMatrix, form: AltTriForm) -> AltTriForm:
     terms: Dict[Tuple[int, int, int], List[RFrac]] = {}
     for q, row in enumerate(x.entries, 1):
         for p, v in enumerate(row, 1):
-            if not v.num.terms:
+            if not v.terms:
                 continue
             for triple, c in form.coeffs.items():
                 if q in triple:
@@ -331,7 +331,7 @@ def perm_of_monomial(m: SymMatrix) -> Perm7:
     row i (1-indexed)."""
     perm = []
     for row in m.entries:
-        hits = [j for j, x in enumerate(row, 1) if x.num.terms]
+        hits = [j for j, x in enumerate(row, 1) if x.terms]
         if len(hits) != 1:
             raise ValueError("matrix is not monomial")
         perm.append(hits[0])
@@ -728,7 +728,7 @@ def bracket(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 def _sparse_vec(m: SymMatrix) -> Tuple[Tuple[int, RFrac], ...]:
     """The nonzero entries of a 7x7 matrix as (7 * row + col, entry), 0-indexed."""
-    return tuple((7 * i + j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x.num.terms)
+    return tuple((7 * i + j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x.terms)
 
 
 def derivation_rank(form: AltTriForm) -> int:
@@ -861,7 +861,7 @@ def zeta_witness() -> Dict[str, bool]:
     mu = kostant.R7_WEIGHTS_MODEL
     coch_ok = all(
         (mu[i] - mu[j]).pair_coroot(BETA) % 3 == 0
-        for i, row in enumerate(e.entries) for j, x in enumerate(row) if x.num.terms
+        for i, row in enumerate(e.entries) for j, x in enumerate(row) if x.terms
     )
     wb = W_TILDE_B
     wb_ok = (wb * e) == (e * wb)

@@ -301,9 +301,9 @@ def test_types_with_structural_equality_are_unhashable(value):
         (X * Y + 1, "terms"),
         (algebra._ZERO, "terms"),
         (algebra._ONE, "terms"),
-        (RFrac(X, Y), "num"),
-        (algebra.R_ZERO, "num"),
-        (algebra.R_ONE, "den"),
+        (RFrac(X, Y), "terms"),
+        (algebra.R_ZERO, "terms"),
+        (algebra.R_ONE, "terms"),
         (SymMatrix.identity(2), "entries"),
         (ValuedScalar.unit(1), "coeff"),
         (roots.Weight(RFrac.var("k"), 1), "ca"),

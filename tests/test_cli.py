@@ -817,7 +817,19 @@ for name in names:
 if algebra._NAMES != names:
     sys.exit("the registry did not start empty")
 from g2forge import checks
-sys.stdout.write(checks.to_json(checks.run_verify(7)))
+report = checks.to_json(checks.run_verify(7))
+exec(sys.argv[2])
+sys.stdout.write(json.dumps({"report": report, "laurent": laurent_texts(names)}))
+"""
+
+# Texts of Laurent polynomials with negative exponents, over three names of
+# the report and the inverted longest Weyl representative.
+_LAURENT_TEXTS = """\
+def laurent_texts(names):
+    from g2forge.algebra import RFrac
+    from g2forge.triform import weyl_rep
+    u, v, w = (RFrac.var(n) for n in sorted(names)[:3])
+    return [str(weyl_rep("ababab").inverse()), str((u * v**-2 + w.inv() - 3) / (2 * v * w)), str(u.inv() * w**-2)]
 """
 
 _SHAPE_CASE = ("wedge2/shape-constraint-probe", _SHAPE_MUTATION)
@@ -952,36 +964,46 @@ class TestChecksCanFail:
     def test_report_does_not_depend_on_the_variable_registry_order(self):
         # Monomials are packed over a registry that numbers variable names as
         # they are first seen. With every name of the report registered
-        # first, in reverse sorted order, the report is still the golden.
+        # first, in reverse sorted order, the report is still the golden,
+        # and Laurent polynomials with negative exponents, whose signed keys
+        # are read through the same registry, print as they do here.
         checks.run_verify(7)
         names = list(algebra._NAMES)
         assert names != sorted(names, reverse=True)
-        proc = _run_python(["-c", _REVERSE_INTERNING_SCRIPT, json.dumps(names)])
+        proc = _run_python(["-c", _REVERSE_INTERNING_SCRIPT, json.dumps(names), _LAURENT_TEXTS])
         assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
         with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
-            assert proc.stdout == fh.read()
+            assert out["report"] == fh.read()
+        scope = {}
+        exec(_LAURENT_TEXTS, scope)
+        expected = scope["laurent_texts"](names)
+        assert all("/" in text for text in expected)
+        assert out["laurent"] == expected
 
 
 class TestOneTermDenominators:
     def test_verify_and_inspection_build_no_denominator_of_more_terms(self, monkeypatch, capsys):
         # Every RFrac the program builds has a one-term denominator: in a cold
         # seed-7 verify (the wedge2 reports and the Lie basis rebuilt) and in
-        # every golden inspection argv, the normaliser, which raises on a
-        # larger one, never sees one.  It is live in both phases.
-        normalize, calls, seen = algebra._normalize_frac, Counter(), []
+        # every golden inspection argv, `RFrac.inv`, through which every
+        # quotient passes and which alone raises on a value of more terms,
+        # never sees one.  It is live in both phases.
+        inv, calls, seen = algebra.RFrac.inv, Counter(), []
         phase = ["setup"]
 
-        def recording(num, den):
+        def recording(self):
             calls[phase[0]] += 1
-            if len(den.terms) > 1:
-                seen.append(f"({num})/({den})")
-            return normalize(num, den)
+            if len(self.terms) > 1:
+                seen.append(str(self))
+            return inv(self)
 
-        monkeypatch.setattr(algebra, "_normalize_frac", recording)
+        monkeypatch.setattr(algebra.RFrac, "inv", recording)
         x = algebra.MPoly.var("x")
-        with pytest.raises(ArithmeticError):
-            algebra.RFrac(x * x - 1, x - 1)
-        assert seen == ["(x^2 - 1)/(x - 1)"]
+        for quotient in (lambda: algebra.RFrac(x * x - 1, x - 1), lambda: algebra.RFrac(x) / algebra.RFrac(x - 1)):
+            with pytest.raises(ArithmeticError):
+                quotient()
+        assert seen == ["x - 1", "x - 1"]
         seen.clear()
         monkeypatch.chdir(os.path.dirname(HERE))
         monkeypatch.setattr(triform, "_LIE_CACHE", None)

@@ -1,11 +1,11 @@
 """The algebra kernel's shortcuts agree with its general path.
 
-`RFrac` builds sums and products of polynomials, and anything involving
-zero, without normalizing, and a product with the polynomial 1 returns the
-other operand; `MPoly` scales by a constant factor term by term;
-`SymMatrix` multiplies over the nonzero entries only.  Each shortcut must
-give exactly the `num`/`den` (not just an equal value) that the general path
-gives, since report strings are printed from them.  The operand rule of
+`RFrac` is a Laurent polynomial on signed packed keys, whose `num`/`den`
+are derived, and a product with 1 returns the other operand; `MPoly`
+scales by a constant factor term by term; `SymMatrix` multiplies over the
+nonzero entries only.  Each result must give exactly the `num`/`den` (not
+just an equal value) that the general path gives, since report strings are
+printed from them.  The operand rule of
 `MPoly` and `RFrac` (an operator takes its own type or a scalar, an `int`,
 `bool` included, or a `Fraction`, and returns `NotImplemented` for anything
 else) is checked directly: mixed `MPoly`/`RFrac` arithmetic raises
@@ -13,8 +13,8 @@ else) is checked directly: mixed `MPoly`/`RFrac` arithmetic raises
 the value answer, and `RFrac * Weight` reflects.  The scalar lane of `*`,
 `+`, `-` and `/` is checked in both operand orders against the same
 operation on the constant operand, with the coercers patched to fail;
-`RFrac ** n` against the normalizing constructor, with the normaliser
-patched to fail for n >= 0; `eval`'s sum against the constant that `subs`
+`RFrac ** n` against the constructor on the powers of the parts, with
+`inv` patched to fail for n >= 0; `eval`'s sum against the constant that `subs`
 leaves, and its errors against the rule they follow; and the sparse 2x2
 minors of `wedge2_standard` against the dense minor formula.
 
@@ -32,10 +32,12 @@ reference, down to the shared zero object when everything cancels, and so is
 per-call shortcuts (fused subtraction, products with a one-term factor, scalar
 `subs`, the sparse row update of `row_reduce` and its cross-multiplication,
 which skips zero entries, matrix difference) are each
-checked against the path they replace, structurally.  So are the one-term lane of the `RFrac` normaliser (against
-a general normaliser by monomial gcd, monic rescale and exact division, kept
-here as a reference) and the product of two polynomial matrices (against the
-dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
+checked against the path they replace, structurally.  So are the derived
+`num`/`den`, the text and `+ - * /` of `RFrac` (against a general
+normaliser of numerator/denominator pairs by monomial gcd, monic rescale
+and exact division, kept here as a reference), its signed exponent range,
+`subs` at a pole and with polynomial values, and the product of two
+polynomial matrices (against the dense triple loop).  Polynomial arithmetic, `RFrac` equality and arithmetic
 and the division paths are also checked against sympy as an independent
 oracle: a quotient f / g raises `ArithmeticError` exactly when g's numerator
 has more than one term, even where sympy finds a Laurent polynomial, and
@@ -70,8 +72,6 @@ from g2forge.algebra import (
     R_ZERO,
     RFrac,
     SymMatrix,
-    _monomial_frac,
-    _normalize_frac,
     row_reduce,
 )
 from g2forge.lattice import WEDGE_BASIS_4, WEDGE_BASIS_5, basis_matrix, wedge2_standard
@@ -130,8 +130,9 @@ def rfracs(draw):
 
 
 def same(f: RFrac, g: RFrac) -> bool:
-    """Structural identity of two normalized rational functions."""
-    return f.num.vars == g.num.vars and f.num.terms == g.num.terms and f.den == g.den and str(f) == str(g)
+    """Structural identity of two rational functions: the stored terms, the
+    derived parts and the text."""
+    return f.terms == g.terms and same_poly(f.num, g.num) and same_poly(f.den, g.den) and str(f) == str(g)
 
 
 def general_add(f: RFrac, g: RFrac) -> RFrac:
@@ -237,24 +238,24 @@ class TestScalarLane:
     @settings(max_examples=100, deadline=None)
     def test_a_unit_operand_returns_the_other_operand(self, f):
         expected = f if f else R_ZERO
-        # When f is the polynomial 1 itself, either operand is the product.
-        either = f.num is _ONE and f.den is _ONE
+        # When f is 1 itself, either operand is the product.
+        either = f == 1
         for one in (R_ONE, RFrac.const(1), RFrac.const(Q(2, 2)), 1, Q(1)):
             for product in (f * one, one * f):
                 assert product is expected or (either and product is one)
         p = f.num
         assert p * 1 is p and 1 * p is p and p * Q(1) is p
         assert (f + 0) is f and (f - Q(0)) is f
-        # 1/a shares the numerator object 1 and is no unit.
+        # 1/a has the numerator 1 and is no unit.
         inverse = RFrac(MPoly.one(), A)
-        assert inverse.num is _ONE
+        assert inverse.num == _ONE and inverse.terms != R_ONE.terms
         assert same(f * inverse, general_mul(f, inverse)) and same(inverse * f, general_mul(inverse, f))
 
     def test_const_shares_zero_and_one(self):
         assert RFrac.const(0) is R_ZERO and RFrac.const(Q(0)) is R_ZERO
         assert RFrac.const(1) is R_ONE and RFrac.const(Q(2, 2)) is R_ONE
-        assert R_ZERO.num is MPoly.zero() and R_ZERO.den is _ONE
-        assert R_ONE.num is _ONE and R_ONE.den is _ONE
+        assert R_ZERO.terms == {} and R_ZERO.num is MPoly.zero() and R_ZERO.den is _ONE
+        assert R_ONE.terms == {0: 1} and R_ONE.den is _ONE
         assert RFrac.const(Q(3, 2)).den is _ONE and RFrac.var("x").den is _ONE
         assert str(RFrac.const(Q(3, 2))) == "3/2" and str(RFrac.var("x")) == "x"
 
@@ -358,10 +359,10 @@ class TestPower:
 
     @given(rfracs(), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
-    def test_a_nonnegative_power_never_normalizes(self, f, n):
+    def test_a_nonnegative_power_never_inverts(self, f, n):
         expected = RFrac(f.num ** n, f.den ** n)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(algebra, "_normalize_frac", refuse)
+            mp.setattr(RFrac, "inv", refuse)
             assert same(f ** n, expected)
 
 
@@ -688,6 +689,43 @@ class TestPackedKeys:
             MPoly(("packed_x",), {(-1,): 1})
 
 
+class TestSignedKeys:
+    """An `RFrac` key holds each exponent in [-64, 63], one per 8-bit field;
+    a result past either end raises `OverflowError` naming the range, and
+    never carries or borrows into the neighbouring variable."""
+
+    def test_the_extreme_exponents_round_trip(self):
+        x, y = RFrac.var("packed_x"), RFrac.var("packed_y")
+        assert _INDEX["packed_y"] == _INDEX["packed_x"] + 1   # neighbouring fields
+        top, bottom = x**63 * y, x**-64 * y
+        assert same_poly(top.num, MPoly.var("packed_x") ** 63 * MPoly.var("packed_y")) and top.den == MPoly.one()
+        assert str(bottom) == "packed_y/packed_x^64" and same_poly(bottom.den, MPoly.var("packed_x") ** 64)
+        assert same(x**63 * x**-64, x.inv()) and same(bottom / y * x**63 * x, R_ONE)
+        assert same(RFrac(MPoly.var("packed_x") ** 63), x**63) and same(x**-63, (x**63).inv())
+
+    def test_one_past_either_end_raises_and_never_reaches_the_neighbour(self):
+        x, y = RFrac.var("packed_x"), RFrac.var("packed_y")
+        top, bottom = x**63, x**-64
+        attempts = (
+            lambda: top * x,
+            lambda: x * top,
+            lambda: bottom / x,
+            lambda: x.inv() * bottom,
+            lambda: bottom.inv(),
+            lambda: x**64,
+            lambda: x**-65,
+            lambda: RFrac(MPoly.var("packed_x") ** 64),
+            lambda: RFrac(MPoly.one(), MPoly.var("packed_x") ** 64 * MPoly.var("packed_y")),
+            lambda: (top * y) * (x * y),
+            lambda: (bottom + y) * (x.inv() + 1),
+            lambda: (top + y) * (x + 1),
+            lambda: (y + 1) * (top * x.inv() * x * x),
+        )
+        for attempt in attempts:
+            with pytest.raises(OverflowError, match=r"\[-64, 63\]"):
+                attempt()
+
+
 class TestFusedSubtraction:
     @given(poly_pairs())
     @settings(max_examples=150, deadline=None)
@@ -879,8 +917,21 @@ class TestScalarSubstitution:
     @given(rfracs())
     @settings(max_examples=50, deadline=None)
     def test_no_assigned_variable_returns_the_operand(self, f):
-        assert f.subs({"z": 2}) is f and f.num.subs({"z": MPoly.var("a")}) is f.num
+        p = f.num
+        assert f.subs({"z": 2}) is f and p.subs({"z": MPoly.var("a")}) is p
         assert same(f.subs({"a": 2, "z": 1}), RFrac(f.num.subs({"a": 2}), f.den.subs({"a": 2})))
+
+
+    def test_a_zero_value_at_a_negative_exponent_raises(self):
+        x, y = RFrac.var("x"), RFrac.var("y")
+        for f, assignment in (
+            (x.inv(), {"x": 0}),
+            (y + x**-2, {"x": Q(0), "y": 1}),
+            (RFrac(MPoly.var("y"), MPoly.var("x") * MPoly.var("y")), {"y": 1, "x": 0}),
+        ):
+            with pytest.raises(ZeroDivisionError, match="RFrac denominator is zero"):
+                f.subs(assignment)
+        assert same((x + y.inv()).subs({"x": 0}), y.inv()) and same((x * y**-2).subs({"y": Q(1, 2)}), 4 * x)
 
 
 class TestDirectEvaluation:
@@ -1104,17 +1155,39 @@ def assert_normal_form(f: RFrac) -> None:
         assert name not in names or min(e[names.index(name)] for e in terms) == 0
 
 
+def reference_text(num: MPoly, den: MPoly) -> str:
+    """The text num/den of a normal form, from its parts: the numerator
+    parenthesised when it has several terms, the denominator when it is a
+    product, and no denominator when it is 1."""
+    if den == MPoly.one():
+        return str(num)
+    top, bottom = str(num), str(den)
+    return f"{f'({top})' if len(num.terms) > 1 else top}/{f'({bottom})' if '*' in bottom else bottom}"
+
+
 class TestOneTermLane:
     @given(polys(), one_term_polys())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_general_normaliser(self, num, den):
+        # The derived parts and the text of RFrac(f, g) are the reference's.
         expected = general_normalize(num, den)
-        if not num.is_zero():
-            assert same_parts(_monomial_frac(num, den), expected)
-        assert same_parts(_normalize_frac(num, den), expected)
         f = RFrac(num, den)
         assert same_parts((f.num, f.den), expected)
+        assert str(f) == reference_text(*expected)
         assert_normal_form(f)
+
+    @given(laurent_fracs(), laurent_fracs())
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_the_general_normaliser(self, f, g):
+        # + - * / of the Laurent values against the reference on their parts.
+        (a, b), (c, d) = (f.num, f.den), (g.num, g.den)
+        cases = [(f + g, a * d + c * b, b * d), (f - g, a * d - c * b, b * d), (f * g, a * c, b * d)]
+        if len(c.terms) == 1:
+            cases.append((f / g, a * d, b * c))
+        for h, num, den in cases:
+            expected = general_normalize(num, den)
+            assert same_parts((h.num, h.den), expected)
+            assert str(h) == reference_text(*expected)
 
     @given(one_term_polys(), st.one_of(polys(), one_term_polys()))
     @settings(max_examples=150, deadline=None)
@@ -1164,6 +1237,26 @@ class TestOneTermLane:
         for h in results:
             assert_normal_form(h)
 
+    @given(laurent_fracs(), st.sampled_from(DEN_VARS), polys(max_terms=2), st.one_of(st.none(), coefficients))
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_values_match_substituting_into_the_parts(self, f, v, q, c):
+        # The reference normalises the substituted parts; it raises, as
+        # `subs` must, where the denominator becomes zero or gains terms.
+        assignment = {v: q} if c is None else {v: q, "y": c}
+        num, den = f.num.subs(assignment), f.den.subs(assignment)
+        if den.is_zero():
+            expected = ZeroDivisionError
+        elif len(den.terms) > 1:
+            expected = ArithmeticError
+        else:
+            expected = general_normalize(num, den)
+        if isinstance(expected, tuple):
+            g = f.subs(assignment)
+            assert same_parts((g.num, g.den), expected) and str(g) == reference_text(*expected)
+        else:
+            with pytest.raises(expected):
+                f.subs(assignment)
+
     def test_constant_one_denominators(self):
         x = MPoly.var("x")
         assert MPoly.const(1) is _ONE and MPoly.const(Q(2, 2)) is _ONE
@@ -1173,10 +1266,10 @@ class TestOneTermLane:
         assert RFrac(2 * x, MPoly.const(2)).den is _ONE
         assert str(RFrac(x, MPoly((), {(): -1}))) == "-x"
 
-    def test_polynomials_and_entries_skip_the_normaliser(self):
+    def test_polynomials_share_their_terms_and_entries_pass_through(self):
         p = MPoly.var("x") + 1
         f = RFrac(p)
-        assert f.num is p and f.den is _ONE
+        assert f.terms is p.terms and f == p and f.den is _ONE
         g = RFrac(p, MPoly.var("a"))
         m = SymMatrix([[f, g], [0, p]])
         assert m[0, 0] is f and m[0, 1] is g
