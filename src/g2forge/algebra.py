@@ -85,8 +85,9 @@ def _unpack(terms: Mapping[int, Scalar], fields: Sequence[int]) -> Dict[Exponent
     return {(): c for c in terms.values()}
 
 
-def _overflow(signed: bool = False) -> OverflowError:
-    if signed:
+def _overflow(bias: int = 0) -> OverflowError:
+    """The error for a key out of range, signed where ``bias`` is nonzero."""
+    if bias:
         return OverflowError(f"exponent outside [{_LMIN}, {-_LMIN - 1}], the range of a signed {_W}-bit field")
     return OverflowError(f"exponent above {_MAX_EXP}, the largest a {_W}-bit monomial field holds")
 
@@ -155,11 +156,12 @@ class MPoly(_Immutable):
     scan: a variable that cancels out is simply a zero field.  A scalar is
     never made a polynomial: a sum or difference adds it to the constant
     term, and a product or quotient scales the coefficients, keeping them
-    ``int`` while they are integral.  A product with a one-term factor
-    shifts every key of the other by the same amount, which keeps distinct
-    keys distinct.  Any other product, and a whole sum of products Σ c·p·q,
-    is ``sum_of_products``: every monomial product goes into one dict, with
-    no intermediate polynomial per product, sum or difference.
+    ``int`` while they are integral.  ``_product``, shared with ``RFrac``,
+    multiplies two polynomials: a one-term factor shifts every key of the
+    other by the same amount, which keeps distinct keys distinct, and any
+    other product adds every monomial product into one dict.  So does a
+    whole sum of products Σ c·p·q, ``sum_of_products``, with no
+    intermediate polynomial per product, sum or difference.
     ``bilinear`` is the same accumulation for the value of a constant
     bilinear form at two rows, Σ c·u[i]·v[j].
     ``subs`` returns the polynomial itself when it mentions none of the
@@ -230,7 +232,8 @@ class MPoly(_Immutable):
                 for k2, c2 in b.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        return _accumulated(out)
+        out = _accumulated(out)
+        return _poly(out) if out else _ZERO
 
     @staticmethod
     def bilinear(form: Iterable[Tuple[Scalar, int, int]], u: Sequence["MPoly"], v: Sequence["MPoly"]) -> "MPoly":
@@ -250,7 +253,8 @@ class MPoly(_Immutable):
                 for k2, c2 in b.items():
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
-        return _accumulated(out)
+        out = _accumulated(out)
+        return _poly(out) if out else _ZERO
 
     # -- basic queries -------------------------------------------------
 
@@ -280,7 +284,9 @@ class MPoly(_Immutable):
             # A scalar adds to the constant term.
             if not other:
                 return self
-            out = _merged(self.terms, {0: _coef(other)})
+            if not self.terms:
+                return MPoly.const(other)
+            out = _plus(self.terms, other)
         else:
             if not other.terms:
                 return self
@@ -318,35 +324,13 @@ class MPoly(_Immutable):
             # A scalar is a constant factor.
             if not other or not self.terms:
                 return _ZERO
-            k1, c1, b, other = 0, other, self.terms, self
-        else:
-            a, b = self.terms, other.terms
-            if not a or not b:
-                return _ZERO
-            if len(b) == 1 and (len(a) != 1 or 0 in b):
-                # The one-term factor goes first, a constant one by preference.
-                self, other, a, b = other, self, b, a
-            if len(a) != 1:
-                return MPoly.sum_of_products(((1, self, other),))
-            ((k1, c1),) = a.items()
-        if not k1:
-            if c1 == 1:
-                return other
-            out = {k: c * c1 for k, c in b.items()}
-        elif len(b) == 1:
-            ((k2, c2),) = b.items()
-            k = k1 + k2
-            if k & _GUARD:
-                raise _overflow()
-            out = {k: c1 * c2}
-        else:
-            # A one-term factor shifts every key of the other by k1, so no
-            # two products collide.
-            out = {k1 + k: c1 * c for k, c in b.items()}
-            if _reduce(_or, out) & _GUARD:
-                raise _overflow()
-        if not all(map(_is_int, out.values())):
-            out = {k: _coef(c) for k, c in out.items()}
+            return self if other == 1 else _poly(_scaled(self.terms, other))
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _ZERO
+        out = _product(a, b, 0)
+        if out is a or out is b:
+            return self if out is a else other
         p = _new(MPoly)
         _set_terms(p, out)
         return p
@@ -404,10 +388,9 @@ class MPoly(_Immutable):
     def subs(self, assignment: Mapping[str, Union[Scalar, "MPoly"]]) -> "MPoly":
         """Substitute polynomials (or rationals) for some variables.
 
-        The program substitutes only into ``RFrac`` values, whose scalar
-        lane is their own.  Both lanes here stay: the kernel tests compare
-        the scalar lane with the polynomial one, and ``RFrac.subs`` passes
-        polynomial values, as the lattice tests do for ``d``, to this one."""
+        The program substitutes only scalars, into ``RFrac`` values, whose
+        scalar lane is their own; ``RFrac.subs`` passes polynomial values,
+        as the lattice tests do for ``d``, to this one."""
         used = _reduce(_or, self.terms, 0)
         if not used:
             return self
@@ -418,19 +401,6 @@ class MPoly(_Immutable):
                 hits.append((i * _W, value))
         if not hits:
             return self
-        if all(isinstance(v, (int, Q)) for _, v in hits):
-            # Scalars only: evaluate the assigned fields of each key and keep
-            # the others.
-            terms: Dict[int, Scalar] = {}
-            for k, c in self.terms.items():
-                for s, v in hits:
-                    e = k >> s & _FIELD
-                    if e:
-                        c = c * v ** e
-                        k -= e << s
-                terms[k] = terms.get(k, 0) + c
-            terms = {k: _coef(c) for k, c in terms.items() if c}
-            return _poly(terms) if terms else _ZERO
         out: MPoly = _ZERO
         for k, c in self.terms.items():
             factors = []
@@ -523,23 +493,75 @@ def _text(terms: Dict[int, Scalar]) -> str:
     return out
 
 
-def _accumulated(out: Dict[int, Scalar]) -> MPoly:
-    """The ``MPoly`` of a dict that sums of monomial products were added
-    into: zero coefficients dropped, integral ones stored as ``int``, and
-    ``OverflowError`` if a key sets a guard bit."""
+def _accumulated(out: Dict[int, Scalar], bias: int = 0) -> Dict[int, Scalar]:
+    """The terms of a dict that sums of monomial products were added into:
+    zero coefficients dropped, integral ones stored as ``int``, and
+    ``OverflowError`` if a key sets a guard bit once ``bias`` is added."""
     if not out:
-        return _ZERO
-    # Every field of each summand is at most _MAX_EXP, so a sum of two sets
-    # at most the guard bit of its field and never carries into the next one.
-    if _reduce(_or, out) & _GUARD:
-        raise _overflow()
+        return out
+    # Each field of a sum of two in-range keys lies within twice the range,
+    # so the lowest field out of range sets its guard bit once biased.
+    if _reduce(_or, map(bias.__add__, out) if bias else out) & _GUARD:
+        raise _overflow(bias)
     if not all(out.values()):
         out = {k: c for k, c in out.items() if c}
-        if not out:
-            return _ZERO
     if not all(map(_is_int, out.values())):
         out = {k: _coef(c) for k, c in out.items()}
-    return _poly(out)
+    return out
+
+
+def _product(a: Dict[int, Scalar], b: Dict[int, Scalar], bias: int) -> Dict[int, Scalar]:
+    """The terms of a·b for nonzero ``a`` and ``b``, for ``MPoly`` (``bias``
+    0) and ``RFrac`` (``bias`` ``_LBIAS``) alike, each key checked against
+    the guard bits once biased.  A one-term factor goes first, 1 by
+    preference, and 1 gives the other dict itself."""
+    if len(b) == 1 and (len(a) != 1 or 0 in b and b[0] == 1):
+        a, b = b, a
+    if len(a) != 1:
+        out: Dict[int, Scalar] = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return _accumulated(out, bias)
+    ((k1, c1),) = a.items()
+    if not k1:
+        return b if c1 == 1 else _scaled(b, c1)
+    if len(b) == 1:
+        ((k2, c2),) = b.items()
+        k = k1 + k2
+        if (k + bias) & _GUARD:
+            raise _overflow(bias)
+        c = c1 * c2
+        return {k: c if type(c) is int else _coef(c)}
+    # A one-term factor shifts every key of the other by k1, so no two
+    # products collide.
+    out = {k1 + k: c1 * c for k, c in b.items()}
+    if _reduce(_or, map(bias.__add__, out) if bias else out) & _GUARD:
+        raise _overflow(bias)
+    if not all(map(_is_int, out.values())):
+        out = {k: _coef(c) for k, c in out.items()}
+    return out
+
+
+def _scaled(terms: Dict[int, Scalar], c: Scalar) -> Dict[int, Scalar]:
+    """The terms of ``terms`` times the nonzero scalar ``c``, for ``MPoly``
+    and ``RFrac`` alike."""
+    out = {k: x * c for k, x in terms.items()}
+    if not all(map(_is_int, out.values())):
+        out = {k: _coef(x) for k, x in out.items()}
+    return out
+
+
+def _plus(terms: Dict[int, Scalar], c: Scalar) -> Dict[int, Scalar]:
+    """The terms of ``terms`` plus the nonzero scalar ``c``, for ``MPoly``
+    and ``RFrac`` alike: ``c`` added to the constant term."""
+    out = dict(terms)
+    s = out.pop(0, 0) + c
+    if s:
+        out[0] = _coef(s)
+    return out
 
 
 def _merged(a: Dict[int, Scalar], b: Dict[int, Scalar], negate: bool = False) -> Dict[int, Scalar]:
@@ -619,11 +641,14 @@ class RFrac(_Immutable):
     derived; the text form is num/den.
 
     The operand rule is ``MPoly``'s, ``RFrac(p)`` the one conversion.  ``+``
-    and ``-`` merge the dicts as ``MPoly`` does; ``*`` is the term product,
-    each key checked against the signed range, a product with 1 the other
-    operand.  ``inv`` negates the key of a one-term value; for a nonzero
-    ``g`` of more terms, ``g.inv()``, ``f / g`` and ``RFrac(f, g)`` raise
-    ``ArithmeticError``, even where the quotient is a Laurent polynomial.
+    and ``-`` merge the dicts and ``*`` is the term product as ``MPoly``
+    has them, each key of a product checked against the signed range; a
+    product with 1 is the other operand.  ``inv`` negates the key of a
+    one-term value, and ``RFrac(f, g)`` subtracts the key of a one-term
+    ``g`` from those of ``f``, checking only the quotient's keys.  For a
+    nonzero ``g`` of more terms, ``g.inv()``, ``f / g`` and ``RFrac(f, g)``
+    raise ``ArithmeticError`` in ``_one_term``, even where the quotient is
+    a Laurent polynomial.
     ``subs`` evaluates scalars on the keys, raising ``ZeroDivisionError``
     for a zero at a negative exponent, substitutes polynomials into ``num``
     and ``den``, and returns the function itself when no assigned variable
@@ -633,12 +658,19 @@ class RFrac(_Immutable):
     __slots__ = ("terms",)
 
     def __init__(self, num, den=None):
-        terms = _laurent(num)
+        terms = _polynomial(num).terms
         if den is not None:
-            den = _laurent(den)
+            den = _polynomial(den)
             if not den:
                 raise ZeroDivisionError("RFrac denominator is zero")
-            terms = (_rfrac(terms) * _rfrac(den).inv()).terms
+            m, d = _one_term(den)
+            d = 1 / Q(d)
+            terms = {k - m: _coef(c * d) for k, c in terms.items()}
+        # A field of a part is in [0, 127] and one of the quotient in
+        # [-127, 127], so the lowest one out of range sets its guard bit
+        # once biased.
+        if _reduce(_or, map(_LBIAS.__add__, terms), 0) & _GUARD:
+            raise _overflow(_LBIAS)
         _set_laurent(self, terms)
 
     @staticmethod
@@ -689,7 +721,9 @@ class RFrac(_Immutable):
             # A scalar adds to the constant term.
             if not other:
                 return self
-            out = _merged(self.terms, {0: _coef(other)})
+            if not self.terms:
+                return RFrac.const(other)
+            out = _plus(self.terms, other)
         else:
             if not other.terms:
                 return self
@@ -725,52 +759,13 @@ class RFrac(_Immutable):
             # A scalar is a constant factor.
             if not other or not self.terms:
                 return R_ZERO
-            k1, c1, b, other = 0, other, self.terms, self
-        else:
-            a, b = self.terms, other.terms
-            if not a or not b:
-                return R_ZERO
-            if len(b) == 1 and (len(a) != 1 or b.get(0) == 1):
-                # The one-term factor goes first, 1 by preference.
-                a, b, other = b, a, self
-            if len(a) != 1:
-                out: Dict[int, Scalar] = {}
-                get = out.get
-                for k1, c1 in a.items():
-                    for k2, c2 in b.items():
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
-                # A field of a sum of two in-range keys is in [-128, 126]; the
-                # lowest field out of range sets its guard bit once biased.
-                if _reduce(_or, map(_LBIAS.__add__, out)) & _GUARD:
-                    raise _overflow(signed=True)
-                if not all(out.values()):
-                    out = {k: c for k, c in out.items() if c}
-                    if not out:
-                        return R_ZERO
-                if not all(map(_is_int, out.values())):
-                    out = {k: _coef(c) for k, c in out.items()}
-                return _rfrac(out)
-            ((k1, c1),) = a.items()
-        if not k1:
-            if c1 == 1:
-                return other
-            out = {k: c * c1 for k, c in b.items()}
-        elif len(b) == 1:
-            ((k2, c2),) = b.items()
-            k = k1 + k2
-            if (k + _LBIAS) & _GUARD:
-                raise _overflow(signed=True)
-            c = c1 * c2
-            return _rfrac({k: c if type(c) is int else _coef(c)})
-        else:
-            # A one-term factor shifts every key of the other by k1, so no
-            # two products collide.
-            out = {k1 + k: c1 * c for k, c in b.items()}
-            if _reduce(_or, map(_LBIAS.__add__, out)) & _GUARD:
-                raise _overflow(signed=True)
-        if not all(map(_is_int, out.values())):
-            out = {k: _coef(c) for k, c in out.items()}
+            return self if other == 1 else _rfrac(_scaled(self.terms, other))
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return R_ZERO
+        out = _product(a, b, _LBIAS)
+        if out is a or out is b:
+            return self if out is a else other
         f = _new(RFrac)
         _set_laurent(f, out)
         return f
@@ -779,14 +774,11 @@ class RFrac(_Immutable):
 
     def inv(self) -> "RFrac":
         """The negated key over the inverse coefficient, ±1 staying ``int``."""
-        terms = self.terms
-        if len(terms) != 1:
-            if not terms:
-                raise ZeroDivisionError("inverse of zero rational function")
-            raise ArithmeticError(f"1/({self}) has a denominator of more than one term")
-        ((k, c),) = terms.items()
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero rational function")
+        k, c = _one_term(self)
         if (_LBIAS - k) & _GUARD:
-            raise _overflow(signed=True)
+            raise _overflow(_LBIAS)
         return _rfrac({-k: c if c == 1 or c == -1 else _coef(1 / Q(c))})
 
     def __truediv__(self, other):
@@ -859,14 +851,21 @@ def _rfrac(terms: Dict[int, Scalar]) -> RFrac:
     return f
 
 
-def _laurent(x) -> Dict[int, Scalar]:
-    """The terms of ``x``, an ``MPoly`` or a scalar, if they fit signed keys."""
+def _polynomial(x) -> MPoly:
+    """``x``, an ``MPoly`` or a scalar, as an ``MPoly``: a part of ``RFrac(num, den)``."""
     p = x if type(x) is MPoly else _coerce_poly(x)
     if p is NotImplemented:
         raise TypeError(f"cannot build RFrac from {type(x).__name__}")
-    if _reduce(_or, p.terms, 0) & _LBIAS:
-        raise _overflow(signed=True)
-    return p.terms
+    return p
+
+
+def _one_term(f) -> Tuple[int, Scalar]:
+    """The key and coefficient of ``f``, a nonzero ``MPoly`` or ``RFrac``
+    divisor: the one place a divisor of more than one term is refused."""
+    if len(f.terms) != 1:
+        raise ArithmeticError(f"1/({f}) has a denominator of more than one term")
+    ((k, c),) = f.terms.items()
+    return k, c
 
 
 def _coerce_entry(x) -> RFrac:

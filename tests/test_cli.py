@@ -986,19 +986,19 @@ class TestOneTermDenominators:
     def test_verify_and_inspection_build_no_denominator_of_more_terms(self, monkeypatch, capsys):
         # Every RFrac the program builds has a one-term denominator: in a cold
         # seed-7 verify (the wedge2 reports and the Lie basis rebuilt) and in
-        # every golden inspection argv, `RFrac.inv`, through which every
-        # quotient passes and which alone raises on a value of more terms,
+        # every golden inspection argv, `algebra._one_term`, through which
+        # every divisor passes and which alone raises on one of more terms,
         # never sees one.  It is live in both phases.
-        inv, calls, seen = algebra.RFrac.inv, Counter(), []
+        one_term, calls, seen = algebra._one_term, Counter(), []
         phase = ["setup"]
 
-        def recording(self):
+        def recording(f):
             calls[phase[0]] += 1
-            if len(self.terms) > 1:
-                seen.append(str(self))
-            return inv(self)
+            if len(f.terms) > 1:
+                seen.append(str(f))
+            return one_term(f)
 
-        monkeypatch.setattr(algebra.RFrac, "inv", recording)
+        monkeypatch.setattr(algebra, "_one_term", recording)
         x = algebra.MPoly.var("x")
         for quotient in (lambda: algebra.RFrac(x * x - 1, x - 1), lambda: algebra.RFrac(x) / algebra.RFrac(x - 1)):
             with pytest.raises(ArithmeticError):

@@ -250,7 +250,7 @@ _NEVER_ENTERED_ALLOWED = {
     "algebra.MPoly.__bool__": "without it a zero polynomial would be truthy",
     "algebra.MPoly.subs": "the polynomial lane of RFrac.subs, which the lattice tests drive",
     "algebra.RFrac.__init__": "the conversion RFrac(p) and the quotient RFrac(f, g) that the tests build with",
-    "algebra._laurent": "the operand check of RFrac.__init__, for both parts",
+    "algebra._polynomial": "the operand check of RFrac.__init__, for both parts",
     "algebra.RFrac.den": "the derived denominator, read by the kernel tests beside num",
     "algebra.RFrac.__bool__": "without it a zero rational function would be truthy",
     "algebra.RFrac.__rsub__": "the tests build 1 - a and 0 - f",

@@ -703,6 +703,18 @@ class TestSignedKeys:
         assert same(x**63 * x**-64, x.inv()) and same(bottom / y * x**63 * x, R_ONE)
         assert same(RFrac(MPoly.var("packed_x") ** 63), x**63) and same(x**-63, (x**63).inv())
 
+    def test_a_quotient_is_checked_on_its_own_keys(self):
+        # The parts of RFrac(f, g) are polynomials, whose fields reach 127;
+        # only the quotient's keys need to be in the signed range.
+        px, py = MPoly.var("packed_x"), MPoly.var("packed_y")
+        x, y = RFrac.var("packed_x"), RFrac.var("packed_y")
+        assert same(RFrac(px**64, px), x**63) and same(RFrac(px**127 * py, 3 * px**100), x**27 * y / 3)
+        assert same(RFrac(px**64 + py, px**2), x**62 + y * x**-2)
+        assert same(RFrac(py * px**63, px**127), y * x**-64)
+        for num, den in ((px**65, px), (py, px**65), (px**127, py**2)):
+            with pytest.raises(OverflowError, match=r"\[-64, 63\]"):
+                RFrac(num, den)
+
     def test_one_past_either_end_raises_and_never_reaches_the_neighbour(self):
         x, y = RFrac.var("packed_x"), RFrac.var("packed_y")
         top, bottom = x**63, x**-64
@@ -715,7 +727,7 @@ class TestSignedKeys:
             lambda: x**64,
             lambda: x**-65,
             lambda: RFrac(MPoly.var("packed_x") ** 64),
-            lambda: RFrac(MPoly.one(), MPoly.var("packed_x") ** 64 * MPoly.var("packed_y")),
+            lambda: RFrac(MPoly.one(), MPoly.var("packed_x") ** 65 * MPoly.var("packed_y")),
             lambda: (top * y) * (x * y),
             lambda: (bottom + y) * (x.inv() + 1),
             lambda: (top + y) * (x + 1),
@@ -897,22 +909,35 @@ class TestScalarSubstitution:
     @given(poly_pairs(), st.sampled_from(POOL), coefficients, st.sampled_from(POOL), coefficients)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_polynomial_path(self, pair, v, c, w, d):
+        # The scalar lane of `RFrac.subs` against its polynomial lane, which
+        # substitutes constant polynomials into the parts; a zero value at a
+        # negative exponent raises in both.
         p, _ = pair
-        for scalars in ({v: c}, {v: c, w: d}):
-            fast = p.subs(scalars)
-            general = p.subs({k: MPoly.const(x) for k, x in scalars.items()})
-            assert same_poly(fast, general)
-            assert_canonical(fast)
+        for f in (RFrac(p), RFrac(p) / RFrac.var(w)):
+            for scalars in ({v: c}, {v: c, w: d}):
+                outcomes = []
+                for values in (scalars, {k: MPoly.const(x) for k, x in scalars.items()}):
+                    try:
+                        outcomes.append(f.subs(values))
+                    except ZeroDivisionError as exc:
+                        outcomes.append(str(exc))
+                fast, general = outcomes
+                if isinstance(general, str):
+                    assert fast == general == "RFrac denominator is zero"
+                    continue
+                assert same(fast, general)
+                assert_canonical(fast.num)
 
     def test_a_fraction_that_makes_a_coefficient_integral(self):
         x, y = MPoly.var("x"), MPoly.var("y")
         p = 2 * x * y + Q(1, 3) * y
+        f = RFrac(p)
         for value in (Q(1, 2), Q(3, 2)):
-            fast = p.subs({"x": value})
-            assert same_poly(fast, p.subs({"x": MPoly.const(value)}))
-            assert_canonical(fast)
-        assert same_poly(p.subs({"x": Q(1, 2)}), Q(4, 3) * y)
-        assert type(p.subs({"x": Q(1, 2), "y": 3}).decoded()[1][()]) is int
+            fast = f.subs({"x": value})
+            assert same(fast, f.subs({"x": MPoly.const(value)}))
+            assert_canonical(fast.num)
+        assert same_poly(p.subs({"x": Q(1, 2)}), Q(4, 3) * y) and same(f.subs({"x": Q(1, 2)}), RFrac(Q(4, 3) * y))
+        assert type(f.subs({"x": Q(1, 2), "y": 3}).terms[0]) is int
 
     @given(rfracs())
     @settings(max_examples=50, deadline=None)
