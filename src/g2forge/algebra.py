@@ -884,23 +884,33 @@ R_ZERO = _rfrac({})
 R_ONE = _rfrac({0: 1})
 
 
+Row = Dict[int, RFrac]
+
+
 class SymMatrix(_Immutable):
     """Matrix over RFrac.  All matrices in scope are small (≤ 21×21).
 
-    Entries are stored densely, zeros included.  The product visits only
-    the nonzero entries of both factors: most matrices here are monomial or
-    unipotent, so nearly all scalar products would have a zero operand.
+    ``nonzero`` holds one ``{column: entry}`` dict per row with the nonzero
+    entries only, every column in ``range(cols)``: most matrices here are
+    monomial or unipotent, so nearly every entry is zero.  It is the only
+    stored form and it is canonical, so ``==`` compares the dicts and
+    ``is_zero`` asks whether any row has an entry.  ``m[i, j]``, ``row``,
+    ``col`` and ``entries`` are dense reads derived from it, with the
+    indexing rules of a tuple of tuples.
 
-    The constructor coerces the entries that are not ``RFrac`` yet and
-    checks the shape.  Results of matrix operations are built by
-    ``_matrix`` from ``RFrac`` rows of a known shape, which skips both.
+    The constructor coerces the entries that are not ``RFrac`` yet, checks
+    the shape and drops the zeros.  Results of matrix operations are built
+    by ``_matrix`` from row dicts that are already canonical, which skips
+    all three.  Every operation walks the row dicts: a product visits the
+    nonzero entries of both factors, and ``+``, ``-``, ``scale`` and
+    ``subs`` drop the entries that vanish.
 
-    ``rank`` and ``inverse`` share the echelon form of ``row_reduce``;
-    ``inverse`` then back-substitutes.  ``det`` is a division-free
-    expansion by minors.
+    ``rank`` and ``inverse`` share the echelon form of ``row_reduce`` on
+    copies of the row dicts; ``inverse`` then back-substitutes.  ``det`` is
+    a division-free expansion by minors.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nonzero")
 
     def __init__(self, entries: Sequence[Sequence]):
         data = tuple(tuple(x if type(x) is RFrac else _coerce_entry(x) for x in row) for row in entries)
@@ -910,33 +920,43 @@ class SymMatrix(_Immutable):
             raise ValueError("ragged matrix rows")
         _set_rows(self, len(data))
         _set_cols(self, len(data[0]))
-        _set_entries(self, data)
+        _set_nonzero(self, tuple({j: x for j, x in enumerate(row) if x.terms} for row in data))
 
     @staticmethod
     def identity(n: int) -> "SymMatrix":
-        return SymMatrix([[R_ONE if i == j else R_ZERO for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ValueError("matrix must be nonempty")
+        return _matrix(tuple({i: R_ONE} for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SymMatrix":
-        return SymMatrix([[R_ZERO] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix must be nonempty")
+        return _matrix(tuple({} for _ in range(rows)), cols)
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymMatrix":
         vals = [_coerce_entry(v) for v in values]
         if not vals:
             raise ValueError("matrix must be nonempty")
-        n = len(vals)
-        return _matrix(tuple(tuple(x if i == j else R_ZERO for j in range(n)) for i, x in enumerate(vals)))
+        return _matrix(tuple({i: x} if x.terms else {} for i, x in enumerate(vals)), len(vals))
 
     def __getitem__(self, key: Tuple[int, int]) -> RFrac:
         i, j = key
-        return self.entries[i][j]
+        return self.nonzero[i].get(range(self.cols)[j], R_ZERO)
 
     def row(self, i: int) -> Tuple[RFrac, ...]:
-        return self.entries[i]
+        get = self.nonzero[i].get
+        return tuple(get(j, R_ZERO) for j in range(self.cols))
 
     def col(self, j: int) -> Tuple[RFrac, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        j = range(self.cols)[j]
+        return tuple(row.get(j, R_ZERO) for row in self.nonzero)
+
+    @property
+    def entries(self) -> Tuple[Tuple[RFrac, ...], ...]:
+        """The dense rows, zeros included."""
+        return tuple(map(self.row, range(self.rows)))
 
     def __mul__(self, other):
         """The matrix product; a scalar multiple is ``scale``."""
@@ -947,52 +967,64 @@ class SymMatrix(_Immutable):
                 f"dimension mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
             )
         # The normal form is unique (see RFrac), so the order in which an
-        # entry sums its products does not change it.
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        # entry sums its products does not change it.  A product of two
+        # nonzero entries is nonzero, so only a sum can cancel.
+        right = other.nonzero
         out = []
-        for row in self.entries:
-            acc: List[Optional[RFrac]] = [None] * other.cols
-            for a, pairs in zip(row, sparse_rows):
-                if not pairs or not a.terms:
-                    continue
-                for j, b in pairs:
-                    s = acc[j]
-                    acc[j] = a * b if s is None else s + a * b
-            out.append(tuple(R_ZERO if s is None else s for s in acc))
-        return _matrix(tuple(out))
+        for row in self.nonzero:
+            acc: Row = {}
+            cancelled = False
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    s = acc.get(j)
+                    if s is None:
+                        acc[j] = a * b
+                    else:
+                        s = acc[j] = s + a * b
+                        if not s.terms:
+                            cancelled = True
+            out.append({j: s for j, s in acc.items() if s.terms} if cancelled else acc)
+        return _matrix(tuple(out), other.cols)
 
     def scale(self, scalar) -> "SymMatrix":
-        return _matrix(tuple(tuple(scalar * x for x in row) for row in self.entries))
+        # Checked here, since a matrix with no entries multiplies none.
+        if not isinstance(scalar, (int, Q, MPoly, RFrac)):
+            raise TypeError(f"cannot scale a matrix by {type(scalar).__name__}")
+        return _matrix(tuple(_nonzero((j, scalar * x) for j, x in row.items()) for row in self.nonzero), self.cols)
 
-    def _entrywise(self, other, op):
+    def _entrywise(self, other, negate: bool):
         if not isinstance(other, SymMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) and ({other.rows}x{other.cols})"
             )
-        return _matrix(tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
+        out = []
+        for r1, r2 in zip(self.nonzero, other.nonzero):
+            row = dict(r1)
+            for j, b in r2.items():
+                _add_to(row, j, -b if negate else b)
+            out.append(row)
+        return _matrix(tuple(out), self.cols)
 
     def __add__(self, other):
-        return self._entrywise(other, add)
+        return self._entrywise(other, False)
 
     def __sub__(self, other):
-        return self._entrywise(other, sub)
+        return self._entrywise(other, True)
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.nonzero == other.nonzero
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        return not any(self.nonzero)
 
     def subs(self, assignment: Mapping[str, Union[Scalar, MPoly]]) -> "SymMatrix":
-        return _matrix(tuple(tuple(x.subs(assignment) for x in row) for row in self.entries))
+        return _matrix(
+            tuple(_nonzero((j, x.subs(assignment)) for j, x in row.items()) for row in self.nonzero), self.cols
+        )
 
     def det(self) -> RFrac:
         """Expansion by minors along the rows, over each row's nonzero
@@ -1004,7 +1036,7 @@ class SymMatrix(_Immutable):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        rows = [[(1 << j, x) for j, x in enumerate(row) if x.terms] for row in self.entries]
+        rows = [[(1 << j, x) for j, x in row.items()] for row in self.nonzero]
         memo = {0: R_ONE}
 
         def minor(cols: int) -> RFrac:
@@ -1022,7 +1054,7 @@ class SymMatrix(_Immutable):
 
     def rank(self) -> int:
         """Rank over the rational-function field (exact Gaussian elimination)."""
-        return len(row_reduce([list(row) for row in self.entries], self.cols))
+        return len(row_reduce(list(map(dict, self.nonzero)), self.cols))
 
     def inverse(self) -> "SymMatrix":
         """Back-substitution on the echelon form of ``row_reduce``; a pivot
@@ -1032,22 +1064,21 @@ class SymMatrix(_Immutable):
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(row) + [R_ONE if i == j else R_ZERO for j in range(n)] for i, row in enumerate(self.entries)]
+        m = [{**row, n + i: R_ONE} for i, row in enumerate(self.nonzero)]
         if len(row_reduce(m, n)) < n:
             raise ValueError("matrix is singular")
         # Row r holds the pivot of column r.  From the last pivot up, scale the
         # pivot row to a leading 1 and clear its column from the rows above.
         for r in range(n - 1, -1, -1):
             inv = m[r][r].inv()
-            support = [(j, inv * b) for j, b in enumerate(m[r]) if b.terms]
-            for j, b in support:
-                m[r][j] = b
+            support = m[r] = {j: inv * b for j, b in m[r].items()}
             for above in m[:r]:
-                lead = above[r]
-                if lead.terms:
-                    for j, b in support:
-                        above[j] = above[j] - lead * b
-        return _matrix(tuple(tuple(row[n:]) for row in m))
+                lead = above.get(r)
+                if lead is not None:
+                    lead = -lead
+                    for j, b in support.items():
+                        _add_to(above, j, lead * b)
+        return _matrix(tuple({j - n: x for j, x in row.items() if j >= n} for row in m), n)
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -1055,33 +1086,54 @@ class SymMatrix(_Immutable):
 
 _set_rows = SymMatrix.rows.__set__
 _set_cols = SymMatrix.cols.__set__
-_set_entries = SymMatrix.entries.__set__
+_set_nonzero = SymMatrix.nonzero.__set__
 
 
-def _matrix(rows: Tuple[Tuple[RFrac, ...], ...]) -> SymMatrix:
-    """The ``SymMatrix`` of ``rows``, a nonempty tuple of equal-length tuples
-    of ``RFrac``, unchecked.  The rows may be empty, which gives a matrix
-    with no columns."""
+def _matrix(rows: Tuple[Row, ...], cols: int) -> SymMatrix:
+    """The ``SymMatrix`` of ``rows``, a nonempty tuple of row dicts of
+    nonzero ``RFrac`` entries with columns in ``range(cols)``, unchecked.
+    ``cols`` may be 0, which gives a matrix with no columns."""
     m = _new(SymMatrix)
     _set_rows(m, len(rows))
-    _set_cols(m, len(rows[0]))
-    _set_entries(m, rows)
+    _set_cols(m, cols)
+    _set_nonzero(m, rows)
     return m
 
 
-def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
-    """Bring ``rows`` to echelon form in place on their first ``ncols``
-    columns and return the pivot columns.  Row i then holds the pivot of
-    column ``pivots[i]``, unscaled, with zeros below it and before it; the
-    rows past ``len(pivots)`` are zero on the first ``ncols`` columns.
+def _nonzero(items: Iterable[Tuple[int, RFrac]]) -> Row:
+    """The row dict of the ``(column, entry)`` pairs whose entry is nonzero."""
+    return {j: x for j, x in items if x.terms}
+
+
+def _add_to(row: Row, j: int, x: RFrac) -> None:
+    """Add the nonzero ``x`` to entry ``j`` of the row dict ``row`` in
+    place, dropping the entry if the sum vanishes."""
+    a = row.get(j)
+    if a is None:
+        row[j] = x
+    else:
+        a = a + x
+        if a.terms:
+            row[j] = a
+        else:
+            del row[j]
+
+
+def row_reduce(rows: List[Row], ncols: int) -> List[int]:
+    """Bring ``rows``, a list of ``{column: entry}`` dicts of nonzero
+    entries, to echelon form in place on their first ``ncols`` columns and
+    return the pivot columns.  Row i then holds the pivot of column
+    ``pivots[i]``, unscaled, with no entry below it or before it; the rows
+    past ``len(pivots)`` have no entry in the first ``ncols`` columns.  The
+    dicts are updated in place, so callers pass copies of stored rows.
 
     The pivot of a column is its first entry of one term (a unit) at or
     below the next pivot row, which clears the rows below by
     row_i - (l/p)·row_p, and otherwise its first nonzero entry p, which
     clears them by cross-multiplication, row_i <- p·row_i - l·row_p.  No
     pivot of more than one term is inverted, and neither step changes the
-    rank.  A row update touches only the columns where the pivot row is
-    nonzero; elsewhere a - f·0 is ``a``.
+    rank.  A row update touches only the columns of the pivot row's
+    entries, and drops the entries that cancel.
     """
     n = len(rows)
     pivots: List[int] = []
@@ -1091,9 +1143,9 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
             break
         p = None
         for i in range(r, n):
-            terms = rows[i][col].terms
-            if terms:
-                if len(terms) == 1:
+            x = rows[i].get(col)
+            if x is not None:
+                if len(x.terms) == 1:
                     p = i
                     break
                 if p is None:
@@ -1104,18 +1156,19 @@ def row_reduce(rows: List[List[RFrac]], ncols: int) -> List[int]:
         pivot_row = rows[r]
         pivot = pivot_row[col]
         inv = pivot.inv() if len(pivot.terms) == 1 else None
-        support = [(j, b) for j, b in enumerate(pivot_row) if b.terms]
         for i in range(r + 1, n):
-            lead = rows[i][col]
-            if not lead.terms:
+            row = rows[i]
+            lead = row.get(col)
+            if lead is None:
                 continue
             if inv is None:
-                row, factor = [pivot * a if a.terms else R_ZERO for a in rows[i]], lead
+                # A product of two nonzero entries is nonzero.
+                row = rows[i] = {j: pivot * a for j, a in row.items()}
+                factor = -lead
             else:
-                row, factor = rows[i][:], lead * inv
-            for j, b in support:
-                row[j] = row[j] - factor * b
-            rows[i] = row
+                factor = -(lead * inv)
+            for j, b in pivot_row.items():
+                _add_to(row, j, factor * b)
         pivots.append(col)
     return pivots
 

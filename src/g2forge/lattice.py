@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import R_ZERO, MPoly, RFrac, SymMatrix, _matrix
+from .algebra import R_ZERO, MPoly, RFrac, SymMatrix, _add_to, _matrix
 
 # Primary symbols: the 2x2 corner entries, the rescaled star entries
 # gp_ij = d * g_ij (rows 1, 2, columns 3, 4, 5), and the upper-right block
@@ -68,26 +68,25 @@ def _pairs(n: int) -> List[Tuple[int, int]]:
 def wedge2_standard(m: SymMatrix) -> SymMatrix:
     """Exterior square of an r x c matrix: the C(r,2) x C(c,2) matrix of its
     2x2 minors, rows e_k ^ e_l (k < l) and columns e_i ^ e_j (i < j) in the
-    standard bases.  Row (k, l) reads rows k and l of m only, and each
-    minor rk[i]·rl[j] − rl[i]·rk[j] is summed from its nonzero products."""
+    standard bases.  Row (k, l) reads the row dicts k and l of m only, and
+    each minor rk[i]·rl[j] − rl[i]·rk[j] is summed from its nonzero
+    products, dropping the minors that cancel."""
     if m.rows < 2 or m.cols < 2:
         raise ValueError(f"wedge square of a {m.rows}x{m.cols} matrix is empty")
-    e = m.entries
+    e = m.nonzero
     index = {pair: n for n, pair in enumerate(combinations(range(m.cols), 2))}
     out = []
     for k, l in combinations(range(m.rows), 2):
-        row = [R_ZERO] * len(index)
-        support = [(j, y) for j, y in enumerate(e[l]) if y.terms]
-        # i ascends, so minor (i, j) adds rk[i]·rl[j] before it subtracts rl[i]·rk[j].
-        for i, x in enumerate(e[k]):
-            if x.terms:
-                for j, y in support:
-                    if i < j:
-                        row[index[i, j]] += x * y
-                    elif i > j:
-                        row[index[j, i]] -= y * x
-        out.append(tuple(row))
-    return _matrix(tuple(out))
+        row: Dict[int, RFrac] = {}
+        support = e[l].items()
+        for i, x in e[k].items():
+            for j, y in support:
+                if i < j:
+                    _add_to(row, index[i, j], x * y)
+                elif i > j:
+                    _add_to(row, index[j, i], -(y * x))
+        out.append(row)
+    return _matrix(tuple(out), len(index))
 
 
 def basis_matrix(n: int, basis: Sequence[WedgeVector]) -> SymMatrix:
@@ -366,5 +365,5 @@ def quadratic_families(g16, g17, g26, g27, g66, g67, g76, g77) -> Tuple[RFrac, R
 
 def shape_families(g: SymMatrix) -> Tuple[RFrac, RFrac, RFrac]:
     """The three quadratic families on the entries of a 7x7 matrix."""
-    (g16, g17), (g26, g27), (g66, g67), (g76, g77) = (g.entries[i][5:] for i in (0, 1, 5, 6))
+    (g16, g17), (g26, g27), (g66, g67), (g76, g77) = ((g[i, 5], g[i, 6]) for i in (0, 1, 5, 6))
     return quadratic_families(g16, g17, g26, g27, g66, g67, g76, g77)

@@ -12,8 +12,8 @@ from itertools import combinations, product
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .algebra import (
-    R_ZERO, MPoly, RFrac, Scalar, SymMatrix, ValuedScalar, _coef, _coerce_entry, _matrix, affine_bounds_on_cone,
-    quotient, row_reduce,
+    MPoly, RFrac, Scalar, SymMatrix, ValuedScalar, _coef, _coerce_entry, _matrix, affine_bounds_on_cone, quotient,
+    row_reduce,
 )
 
 K = MPoly.var("k")
@@ -149,10 +149,10 @@ def admissibility_margins(m: PhiNModule, valuations: Sequence, jumps: Sequence) 
     for r in (m.dim, *range(1, m.dim)):
         for subset in combinations(range(m.dim), r):
             outside = [i for i in range(m.dim) if i not in subset]
-            if any(not m.n_op[i, j].is_zero() for j in subset for i in outside):
+            if any(j in m.n_op.nonzero[i] for j in subset for i in outside):
                 continue
             dims = [
-                d - len(row_reduce([list(f.row(i)) for i in outside], f.cols))
+                d - len(row_reduce([dict(f.nonzero[i]) for i in outside], f.cols))
                 for (_, f), d in zip(m.fil, m._fil_dims)
             ] + [0]
             t_hodge = sum(j * (d - d_next) for j, d, d_next in zip(jumps, dims, dims[1:]))
@@ -174,7 +174,7 @@ def _fil_at(m: PhiNModule, j) -> SymMatrix:
     for jj, f in m.fil:
         if jj >= j:
             return f
-    return _matrix(((),) * m.dim)
+    return _matrix(tuple({} for _ in range(m.dim)), 0)
 
 
 def _flag(candidates: Sequence[Tuple[int, SymMatrix]], jumps: Sequence[int]) -> List[Tuple[int, SymMatrix]]:
@@ -188,14 +188,36 @@ def _flag(candidates: Sequence[Tuple[int, SymMatrix]], jumps: Sequence[int]) -> 
 
 
 def _kron(x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    """The Kronecker product: entry (i y.rows + r, j y.cols + c) is x_ij y_rc."""
-    return _matrix(tuple(tuple(a * b for a in xrow for b in yrow) for xrow in x.entries for yrow in y.entries))
+    """The Kronecker product: entry (i y.rows + r, j y.cols + c) is x_ij y_rc,
+    nonzero exactly where both factors are."""
+    n = y.cols
+    return _matrix(
+        tuple(
+            {j * n + c: a * b for j, a in xrow.items() for c, b in yrow.items()}
+            for xrow in x.nonzero for yrow in y.nonzero
+        ),
+        x.cols * n,
+    )
+
+
+def _hstack(pieces: Sequence[SymMatrix]) -> List[Dict[int, RFrac]]:
+    """The rows of (p1 | p2 | ...) for pieces with equal row counts, as
+    fresh row dicts."""
+    out: List[Dict[int, RFrac]] = [{} for _ in range(pieces[0].rows)]
+    shift = 0
+    for p in pieces:
+        for row, part in zip(out, p.nonzero):
+            for j, x in part.items():
+                row[shift + j] = x
+        shift += p.cols
+    return out
 
 
 def _block_diagonal(x: SymMatrix, y: SymMatrix) -> SymMatrix:
     """((x, 0), (0, y))."""
-    right, left = (R_ZERO,) * y.cols, (R_ZERO,) * x.cols
-    return _matrix(tuple(row + right for row in x.entries) + tuple(left + row for row in y.entries))
+    shift = x.cols
+    lower = tuple({shift + j: v for j, v in row.items()} for row in y.nonzero)
+    return _matrix(x.nonzero + lower, shift + y.cols)
 
 
 def direct_sum(a: PhiNModule, b: PhiNModule) -> PhiNModule:
@@ -220,8 +242,8 @@ def tensor(a: PhiNModule, b: PhiNModule) -> PhiNModule:
     n = _kron(a.n_op, SymMatrix.identity(b.dim)) + _kron(SymMatrix.identity(a.dim), b.n_op)
     steps = []
     for j in sorted({ja + jb for ja, _ in a.fil for jb, _ in b.fil}):
-        pieces = [_kron(_fil_at(a, j - jb), fb).entries for jb, fb in b.fil]
-        steps.append((j, _matrix(tuple(sum(rows, ()) for rows in zip(*pieces)))))
+        pieces = [_kron(_fil_at(a, j - jb), fb) for jb, fb in b.fil]
+        steps.append((j, _matrix(tuple(_hstack(pieces)), sum(p.cols for p in pieces))))
     jumps = [x + y for x in a.fil_jumps() for y in b.fil_jumps()]
     return PhiNModule(phi, n, _flag(steps, jumps), a.point)
 
@@ -271,6 +293,13 @@ def d_st_window_certificate() -> Tuple[bool, List[MPoly]]:
 TRANSPORT_V = SymMatrix([[1, 1], [1, 0]])
 TRANSPORT_V_INV = SymMatrix([[0, 1], [1, -1]])
 
+# The filtration steps of E(B, c) in eigen coordinates that do not depend on
+# c: the full space at jump 0, span(v1, v2, v3) at jump 1 and the line v1 at
+# jump k, from the displayed vectors v1 = e1 + e2, v2 = e1, v3 = e3 + e4.
+EBC_FIL_FULL = SymMatrix.identity(4)
+EBC_FIL_1 = SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])
+EBC_FIL_K = SymMatrix([[1], [1], [0], [0]])
+
 
 # Frobenius of E(B, c) in its eigenbasis: sub (e1, e2) p^-1 d_st, quotient (e3, e4) d_st.
 EBC_FROBENIUS = (
@@ -293,21 +322,13 @@ def build_EBc(b: SymMatrix, c, k: int, sp: Scalar) -> PhiNModule:
     if b.rows != 2 or b.cols != 2:
         raise ValueError("B must be 2x2")
     nb = TRANSPORT_V * b * TRANSPORT_V_INV
-    n = SymMatrix(
-        [
-            [0, 0, nb[0, 0], nb[0, 1]],
-            [0, 0, nb[1, 0], nb[1, 1]],
-            [0] * 4,
-            [0] * 4,
-        ]
-    )
-    # displayed filtration vectors in eigen coordinates:
-    # v1 = e1+e2, v2 = e1, v3 = e3+e4, c v2 + v3 = c e1 + e3 + e4
+    n = _matrix(tuple({2 + j: x for j, x in row.items()} for row in nb.nonzero) + ({}, {}), 4)
+    # The step at jump k - 1 is span(v1, c v2 + v3), c v2 + v3 = c e1 + e3 + e4.
     fil = [
-        (0, SymMatrix.identity(4)),
-        (1, SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]])),
+        (0, EBC_FIL_FULL),
+        (1, EBC_FIL_1),
         (k - 1, SymMatrix([[1, c], [1, 0], [0, 1], [0, 1]])),
-        (k, SymMatrix([[1], [1], [0], [0]])),
+        (k, EBC_FIL_K),
     ]
     return PhiNModule(EBC_FROBENIUS, n, fil, {"k": k, "sp": sp})
 
@@ -338,7 +359,7 @@ def ebc_modules_differ(m1: PhiNModule, m2: PhiNModule) -> bool:
     for sub, quot in product(m1.phi_diag[:2], m1.phi_diag[2:]):
         _inequation(sub, quot, K)
     same_steps = all(
-        len(row_reduce([list(f1.row(i)) + list(f2.row(i)) for i in range(4)], f1.cols + f2.cols))
+        len(row_reduce(_hstack((f1, f2)), f1.cols + f2.cols))
         == d1 == d2
         for (_, f1), (_, f2), d1, d2 in zip(m1.fil, m2.fil, m1._fil_dims, m2._fil_dims)
     )
@@ -384,12 +405,15 @@ def monodromy_obstruction(eigenvalues: Sequence[ValuedScalar]) -> Dict[str, obje
     move); if that set is empty and no unconditional pair targets it, N = 0 is
     forced."""
     n = len(eigenvalues)
+    # Each eigenvalue is inverted once.  With two or more, each one divides
+    # some pair, so a zero one raises ZeroDivisionError as a quotient would.
+    inverses = [v.inv() for v in eigenvalues] if n > 1 else []
     table: Dict[Tuple[int, int], object] = {}
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            table[(i + 1, j + 1)] = _pair_status(eigenvalues[i] / eigenvalues[j])
+            table[(i + 1, j + 1)] = _pair_status(eigenvalues[i] * inverses[j])
     unconditional = sorted(k for k, v in table.items() if v == "unconditional")
     ones = [i for i, v in enumerate(eigenvalues) if v == ValuedScalar.one()]
     distinguished = frozenset(

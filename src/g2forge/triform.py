@@ -12,7 +12,9 @@ from math import gcd, lcm
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import kostant
-from .algebra import R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _Immutable, _coerce_entry, _matrix, row_reduce
+from .algebra import (
+    R_ONE, R_ZERO, MPoly, RFrac, Scalar, SymMatrix, _Immutable, _add_to, _coerce_entry, _matrix, row_reduce,
+)
 from .roots import ALPHA, BETA, POSITIVE_ROOTS, Weight
 
 Entry = Union[int, Q, MPoly, RFrac]
@@ -63,7 +65,7 @@ class AltTriForm(_Immutable):
         they are collected."""
         if g.rows != 7 or g.cols != 7:
             raise ValueError("pullback expects a 7x7 matrix")
-        support = [[(j, x) for j, x in enumerate(row, 1) if not x.is_zero()] for row in g.entries]
+        support = [[(j + 1, x) for j, x in row.items()] for row in g.nonzero]
         terms: Dict[Tuple[int, int, int], List[RFrac]] = {}
         for (l, m, n), c in self.coeffs.items():
             for p, x in support[l - 1]:
@@ -168,10 +170,9 @@ def form_derivation_residue(x: SymMatrix, form: AltTriForm) -> AltTriForm:
     entries of X and the terms of F are visited; each output triple sums
     its terms in the order they are collected."""
     terms: Dict[Tuple[int, int, int], List[RFrac]] = {}
-    for q, row in enumerate(x.entries, 1):
-        for p, v in enumerate(row, 1):
-            if not v.terms:
-                continue
+    for q, row in enumerate(x.nonzero, 1):
+        for p, v in row.items():
+            p += 1
             for triple, c in form.coeffs.items():
                 if q in triple:
                     key, sign = _sort_triple(*(p if i == q else i for i in triple))
@@ -208,16 +209,15 @@ _ROOTS: Dict[str, Weight] = dict(zip(ROOT_NAMES, POSITIVE_ROOTS + (-BETA,)))
 
 
 _A_INV = A_SYM.inv()
-_IDENTITY_7 = SymMatrix.identity(7).entries
 
 
 def root_subgroup(root: str, x: Entry) -> SymMatrix:
-    """The displayed one-parameter subgroup element g(root, x).  Rows with
-    no off-diagonal entry are the shared rows of the identity."""
+    """The displayed one-parameter subgroup element g(root, x): the row
+    dicts of the identity with the generator's nonzero entries set."""
     if root not in _GEN_ENTRIES:
         raise ValueError(f"unsupported root {root!r}; expected one of {ROOT_NAMES}")
     powers = {1: _coerce_entry(x)}
-    out = list(_IDENTITY_7)
+    out = [{i: R_ONE} for i in range(7)]
     for (i, j, coeff, power, div_a) in _GEN_ENTRIES[root]:
         val = powers.get(power)
         if val is None:
@@ -226,11 +226,9 @@ def root_subgroup(root: str, x: Entry) -> SymMatrix:
             val = val * coeff
         if div_a:
             val = val * _A_INV
-        row = out[i - 1]
-        if type(row) is tuple:
-            row = out[i - 1] = list(row)
-        row[j - 1] = val
-    return _matrix(tuple(map(tuple, out)))
+        if val.terms:
+            out[i - 1][j - 1] = val
+    return _matrix(tuple(out), 7)
 
 
 def _exponents(mu: Weight) -> Tuple[int, int]:
@@ -330,11 +328,11 @@ def perm_of_monomial(m: SymMatrix) -> Perm7:
     """Permutation p with p(i) = the column of the unique nonzero entry in
     row i (1-indexed)."""
     perm = []
-    for row in m.entries:
-        hits = [j for j, x in enumerate(row, 1) if x.terms]
-        if len(hits) != 1:
+    for row in m.nonzero:
+        if len(row) != 1:
             raise ValueError("matrix is not monomial")
-        perm.append(hits[0])
+        (j,) = row
+        perm.append(j + 1)
     if sorted(perm) != list(range(1, 8)):
         raise ValueError("matrix is not monomial")
     return tuple(perm)
@@ -420,14 +418,14 @@ _RELATION_FORMS: Tuple[Dict[Tuple[int, int], int], ...] = (
 def coeff_relations(rows):
     """The pair of quadratic combinations of upper-left entries that vanish on
     the short-root parabolic, read off the first two rows of a matrix
-    (``SymMatrix.entries``, or rows of ``MPoly`` entries): each form of
+    (dense rows of ``RFrac`` or of ``MPoly`` entries): each form of
     ``_RELATION_FORMS`` evaluated at rows 1 and 2."""
     u, v = rows[:2]
     return tuple(sum(c * (u[i] * v[j]) for (i, j), c in form.items()) for form in _RELATION_FORMS)
 
 
 def coeff_relations_hold(h: SymMatrix) -> bool:
-    r1, r2 = coeff_relations(h.entries)
+    r1, r2 = coeff_relations((h.row(0), h.row(1)))
     return r1.is_zero() and r2.is_zero()
 
 
@@ -720,6 +718,7 @@ def _linear_coefficient(root: str) -> SymMatrix:
 H1, H2 = (SymMatrix.diagonal(col) for col in zip(*map(_exponents, kostant.R7_WEIGHTS_MODEL)))
 
 _TRIPLES = tuple((i, j, k) for i in range(1, 8) for j in range(i + 1, 8) for k in range(j + 1, 8))
+_TRIPLE_INDEX = {t: n for n, t in enumerate(_TRIPLES)}
 
 
 def bracket(x: SymMatrix, y: SymMatrix) -> SymMatrix:
@@ -728,7 +727,7 @@ def bracket(x: SymMatrix, y: SymMatrix) -> SymMatrix:
 
 def _sparse_vec(m: SymMatrix) -> Tuple[Tuple[int, RFrac], ...]:
     """The nonzero entries of a 7x7 matrix as (7 * row + col, entry), 0-indexed."""
-    return tuple((7 * i + j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if x.terms)
+    return tuple((7 * i + j, x) for i, row in enumerate(m.nonzero) for j, x in row.items())
 
 
 def derivation_rank(form: AltTriForm) -> int:
@@ -736,9 +735,9 @@ def derivation_rank(form: AltTriForm) -> int:
     unit matrices, each over the 35 sorted triples."""
     rows = []
     for n in range(49):
-        unit = _matrix(tuple(tuple(R_ONE if 7 * i + j == n else R_ZERO for j in range(7)) for i in range(7)))
+        unit = _matrix(tuple({n % 7: R_ONE} if i == n // 7 else {} for i in range(7)), 7)
         residue = form_derivation_residue(unit, form).coeffs
-        rows.append([residue.get(t, R_ZERO) for t in _TRIPLES])
+        rows.append({_TRIPLE_INDEX[t]: c for t, c in residue.items()})
     return len(row_reduce(rows, len(_TRIPLES)))
 
 
@@ -766,7 +765,7 @@ class LieG2:
             basis.append((f"e[-({name})]", w_long * e * w_long_inv))
         self.names: Tuple[str, ...] = tuple(n for n, _ in basis)
         self.matrices: Tuple[SymMatrix, ...] = tuple(m for _, m in basis)
-        if len(row_reduce([[x for row in m.entries for x in row] for m in self.matrices], 49)) < 14:
+        if len(row_reduce([dict(_sparse_vec(m)) for m in self.matrices], 49)) < 14:
             raise ValueError("basis matrices are linearly dependent")
         form = generic_form()
         self.derivation_rank = derivation_rank(form)
@@ -793,15 +792,18 @@ class LieG2:
             out = out + (b if c == 1 else b.scale(c))
         return out
 
-    def bracket_rows(self, x: Mapping[str, Scalar]) -> List[List[RFrac]]:
-        """vec([x, B_j]) for the 14 basis matrices B_j, summed from the cached
-        ambient brackets: [x, B_j] is the sum of x_i [B_i, B_j]."""
-        rows = [[R_ZERO] * 49 for _ in range(14)]
+    def bracket_rows(self, x: Mapping[str, Scalar]) -> List[Dict[int, RFrac]]:
+        """vec([x, B_j]) for the 14 basis matrices B_j, as {7 * row + col:
+        entry} dicts of the nonzero entries, summed from the cached ambient
+        brackets: [x, B_j] is the sum of x_i [B_i, B_j]."""
+        rows: List[Dict[int, RFrac]] = [{} for _ in range(14)]
         for name, c in x.items():
             brackets = self._brackets[self.names.index(name)]
+            if c == 0:
+                continue
             for row, vec in zip(rows, brackets):
                 for k, v in vec:
-                    row[k] = row[k] + v * c
+                    _add_to(row, k, v * c)
         return rows
 
     def centralizer_dim(self, *xs: Mapping[str, Scalar]) -> int:
@@ -814,7 +816,10 @@ class LieG2:
         key = tuple(tuple(sorted(x.items())) for x in xs)
         dim = self._centralizer_dims.get(key)
         if dim is None:
-            rows = [sum(parts, []) for parts in zip(*(self.bracket_rows(x) for x in xs))]
+            rows = [
+                {49 * n + k: v for n, part in enumerate(parts) for k, v in part.items()}
+                for parts in zip(*(self.bracket_rows(x) for x in xs))
+            ]
             dim = self._centralizer_dims[key] = 14 - len(row_reduce(rows, 49 * len(xs)))
         return dim
 
@@ -861,7 +866,7 @@ def zeta_witness() -> Dict[str, bool]:
     mu = kostant.R7_WEIGHTS_MODEL
     coch_ok = all(
         (mu[i] - mu[j]).pair_coroot(BETA) % 3 == 0
-        for i, row in enumerate(e.entries) for j, x in enumerate(row) if x.terms
+        for i, row in enumerate(e.nonzero) for j in row
     )
     wb = W_TILDE_B
     wb_ok = (wb * e) == (e * wb)

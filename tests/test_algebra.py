@@ -304,7 +304,7 @@ def test_types_with_structural_equality_are_unhashable(value):
         (RFrac(X, Y), "terms"),
         (algebra.R_ZERO, "terms"),
         (algebra.R_ONE, "terms"),
-        (SymMatrix.identity(2), "entries"),
+        (SymMatrix.identity(2), "nonzero"),
         (ValuedScalar.unit(1), "coeff"),
         (roots.Weight(RFrac.var("k"), 1), "ca"),
         (roots.element("ab"), "word"),

@@ -1019,3 +1019,53 @@ class TestOneTermDenominators:
         finally:
             _clear_lattice_caches()
         assert calls["verify"] and calls["inspect"] and seen == []
+
+
+class TestCanonicalRows:
+    def test_verify_and_inspection_store_no_zero_entry(self, monkeypatch, capsys):
+        # Every SymMatrix stores one dict of nonzero entries per row, keyed by
+        # columns in range(cols); `==` and `is_zero` read the dicts, so a
+        # stored zero would make equal matrices differ.  Both the constructor
+        # and the unchecked builder of operation results set the slot through
+        # `algebra._set_nonzero`, which records each matrix built in a cold
+        # seed-7 verify (the wedge2 reports and the Lie basis rebuilt) and in
+        # every golden inspection argv.  The rows are read after each phase,
+        # so an elimination that wrote into a stored row dict shows too.
+        set_nonzero, built = algebra._set_nonzero, {"verify": [], "inspect": []}
+        phase = ["setup"]
+
+        def recording(m, rows):
+            set_nonzero(m, rows)
+            built.setdefault(phase[0], []).append(m)
+
+        def stray(m):
+            """The stored entries of `m` that are zero or out of range."""
+            return [
+                (i, j, str(x)) for i, row in enumerate(m.nonzero) for j, x in row.items()
+                if type(x) is not algebra.RFrac or not x.terms or type(j) is not int or not 0 <= j < m.cols
+            ]
+
+        monkeypatch.setattr(algebra, "_set_nonzero", recording)
+        m = algebra.SymMatrix([[1, 0], [0, algebra.MPoly.zero()]])
+        assert built["setup"] == [m] and m.nonzero == ({0: algebra.R_ONE}, {})
+        tampered = algebra.SymMatrix([[1, 2]])
+        tampered.nonzero[0][1] = algebra.R_ZERO
+        tampered.nonzero[0][2] = algebra.R_ONE
+        assert stray(tampered) == [(0, 1, "0"), (0, 2, "1")]
+        monkeypatch.chdir(os.path.dirname(HERE))
+        monkeypatch.setattr(triform, "_LIE_CACHE", None)
+        _clear_lattice_caches()
+        with open(os.path.join(HERE, "goldens", "verify_seed7.json"), encoding="utf-8") as fh:
+            golden = fh.read()
+        try:
+            phase[0] = "verify"
+            assert checks.to_json(checks.run_verify(7)) == golden
+            phase[0] = "inspect"
+            for case in _inspect_golden():
+                assert run_capture(capsys, case["argv"]) == (0, case["stdout"]), case["argv"]
+        finally:
+            _clear_lattice_caches()
+        for name in ("verify", "inspect"):
+            assert built[name], name
+            assert all(len(m.nonzero) == m.rows for m in built[name])
+            assert [stray(m) for m in built[name] if stray(m)] == [], name

@@ -1072,10 +1072,13 @@ def multi_term_matrices(draw, rows, cols):
 class TestSparseRowUpdate:
     @staticmethod
     def assert_matches_dense(m: SymMatrix) -> None:
-        fast = [list(row) for row in m.entries]
+        # `row_reduce` works on copies of the row dicts; the oracle on dense
+        # rows.  Every reduced row keeps nonzero entries only, in range.
+        fast = [dict(row) for row in m.nonzero]
         dense = [list(row) for row in m.entries]
         assert row_reduce(fast, m.cols) == dense_row_reduce(dense, m.cols)
-        assert all(same(a, b) for r1, r2 in zip(fast, dense) for a, b in zip(r1, r2))
+        assert all(set(row) <= set(range(m.cols)) and all(x.terms for x in row.values()) for row in fast)
+        assert all(same(r1.get(j, R_ZERO), b) for r1, r2 in zip(fast, dense) for j, b in enumerate(r2))
 
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1086,6 +1089,146 @@ class TestSparseRowUpdate:
     @settings(max_examples=60, deadline=None)
     def test_cross_multiplication_matches_updating_every_column(self, rows, cols, data):
         self.assert_matches_dense(data.draw(multi_term_matrices(rows, cols)))
+
+
+# -- the row dicts against dense references -----------------------------------
+
+# Every form of zero the constructor accepts, and nonzero entries of each
+# accepted type.
+RAW_ENTRIES = (0, Q(0), MPoly.zero(), R_ZERO) * 2 + (2, Q(-1, 2), MPoly.var("x") - 1) + ENTRIES[1:]
+
+
+@st.composite
+def raw_rows(draw, rows, cols):
+    """Dense rows of constructor input, zeros of every type included."""
+    return [[draw(st.sampled_from(RAW_ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+
+
+def as_entry(x) -> RFrac:
+    """A constructor input as the entry it stands for."""
+    if isinstance(x, RFrac):
+        return x
+    return RFrac(x if isinstance(x, MPoly) else MPoly.const(x))
+
+
+def assert_stores(m: SymMatrix, dense) -> None:
+    """``m`` has the shape and the entries of the dense rows ``dense``, and
+    stores exactly their nonzero entries."""
+    assert (m.rows, m.cols) == (len(dense), len(dense[0]))
+    assert len(m.nonzero) == m.rows
+    for row, expected in zip(m.nonzero, dense):
+        assert sorted(row) == [j for j, x in enumerate(expected) if not x.is_zero()]
+        assert all(same(x, expected[j]) for j, x in row.items())
+    assert all(same(m[i, j], x) for i, row in enumerate(dense) for j, x in enumerate(row))
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """Mostly-zero matrices over ENTRIES, or over MULTI_TERM_ENTRIES with
+    some units, whose sums and eliminations cancel in other ways."""
+    return draw(st.one_of(sparse_matrices(rows=rows, cols=cols), multi_term_matrices(rows, cols)))
+
+
+def square_matrices(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: matrices(n, n))
+
+
+IDENTITY = [[RFrac.const(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+class TestRowDicts:
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_constructor_drops_zeros_and_reads_back_densely(self, rows, cols, data):
+        raw = data.draw(raw_rows(rows, cols))
+        dense = [[as_entry(x) for x in row] for row in raw]
+        m = SymMatrix(raw)
+        assert_stores(m, dense)
+        assert m.entries == tuple(map(tuple, dense))
+        # Negative indices count from the end, as on a tuple of tuples.
+        for i in range(-rows, rows):
+            assert m.row(i) == tuple(dense[i])
+            assert all(same(m[i, j], dense[i][j]) for j in range(-cols, cols))
+        for j in range(-cols, cols):
+            assert m.col(j) == tuple(row[j] for row in dense)
+        for i, j in ((rows, 0), (-rows - 1, 0), (0, cols), (0, -cols - 1)):
+            with pytest.raises(IndexError):
+                m[i, j]
+        for read, bound in ((m.row, rows), (m.col, cols)):
+            for index in (bound, -bound - 1):
+                with pytest.raises(IndexError):
+                    read(index)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data(), st.sampled_from(ENTRIES + (0, 3, Q(-1, 2))))
+    @settings(max_examples=60, deadline=None)
+    def test_entrywise_operations_match_the_dense_reference(self, rows, cols, data, c):
+        m, n = data.draw(matrices(rows, cols)), data.draw(matrices(rows, cols))
+        a, b = m.entries, n.entries
+        assert_stores(m + n, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)])
+        assert_stores(m - n, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)])
+        assert_stores(m.scale(c), [[c * x for x in r] for r in a])
+        assert_stores(m - m, [[R_ZERO] * cols for _ in range(rows)])
+        assert (m == n) == all(x == y for r, s in zip(a, b) for x, y in zip(r, s))
+        assert m == SymMatrix(a) and m != SymMatrix.zero(rows + 1, cols)
+        assert m.is_zero() == all(x.is_zero() for r in a for x in r)
+        assert (m - m).is_zero() and m.scale(0).is_zero()
+        for matrix in (m, SymMatrix.zero(rows, cols)):
+            with pytest.raises(TypeError):
+                matrix.scale(0.5)
+
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.data(),
+        st.sampled_from(({"x": 0}, {"x": -1}, {"x": 2, "a": Q(1, 3)}, {"y": 1}, {"x": MPoly.var("a")})),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subs_matches_the_dense_reference(self, rows, cols, data, assignment):
+        m = data.draw(matrices(rows, cols))
+        assert_stores(m.subs(assignment), [[x.subs(assignment) for x in r] for r in m.entries])
+
+    @given(square_matrices(4))
+    @settings(max_examples=60, deadline=None)
+    def test_det_matches_the_leibniz_sum(self, m):
+        assert same(m.det(), leibniz_det(m))
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_the_dense_elimination(self, rows, cols, data):
+        m = data.draw(matrices(rows, cols))
+        assert m.rank() == len(dense_row_reduce([list(r) for r in m.entries], cols))
+
+    @given(square_matrices(4))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_the_dense_reference(self, m):
+        n = m.rows
+        rank = len(dense_row_reduce([list(r) for r in m.entries], n))
+        try:
+            inv = m.inverse()
+        except ArithmeticError:
+            # A pivot of more than one term, met once the rank is full.
+            assert rank == n
+            return
+        except ValueError:
+            assert rank < n
+            return
+        assert rank == n
+        identity = [row[:n] for row in IDENTITY[:n]]
+        assert_stores(inv, inv.entries)
+        for product in (dense_product(m, inv), dense_product(inv, m)):
+            assert all(same(x, y) for r, s in zip(product, identity) for x, y in zip(r, s))
+
+    def test_identity_zero_and_diagonal(self):
+        for n in range(1, 5):
+            assert_stores(SymMatrix.identity(n), [row[:n] for row in IDENTITY[:n]])
+            assert_stores(SymMatrix.zero(n, 5 - n), [[R_ZERO] * (5 - n) for _ in range(n)])
+        values = [0, RFrac.var("x"), Q(1, 2), MPoly.zero()]
+        assert_stores(
+            SymMatrix.diagonal(values),
+            [[as_entry(v) if i == j else R_ZERO for j in range(4)] for i, v in enumerate(values)],
+        )
+        for build in (lambda: SymMatrix.identity(0), lambda: SymMatrix.zero(0, 2), lambda: SymMatrix.zero(2, 0),
+                      lambda: SymMatrix.diagonal([]), lambda: SymMatrix([]), lambda: SymMatrix([[]])):
+            with pytest.raises(ValueError, match="nonempty"):
+                build()
 
 
 def test_inverse_text_of_the_inverted_matrices():

@@ -78,6 +78,17 @@ class TestExtensionFamily:
         assert phin.TRANSPORT_V * phin.TRANSPORT_V_INV == IDENT2
         assert phin.TRANSPORT_V_INV * phin.TRANSPORT_V == IDENT2
 
+    def test_steps_and_monodromy_in_eigen_coordinates(self):
+        b = SymMatrix([[RFrac.var("b11"), 0], [2, RFrac.var("b22")]])
+        m = phin.build_EBc(b, Q(2), 4, Q(1))
+        steps = dict(m.fil)
+        # The steps that do not depend on c are shared module constants.
+        assert (steps[0], steps[1], steps[4]) == (phin.EBC_FIL_FULL, phin.EBC_FIL_1, phin.EBC_FIL_K)
+        assert steps[0] is phin.EBC_FIL_FULL and steps[1] is phin.EBC_FIL_1 and steps[4] is phin.EBC_FIL_K
+        assert steps[3] == SymMatrix([[1, 2], [1, 0], [0, 1], [0, 1]])
+        nb = phin.TRANSPORT_V * b * phin.TRANSPORT_V_INV
+        assert m.n_op == SymMatrix([[0, 0, *nb.row(0)], [0, 0, *nb.row(1)], [0] * 4, [0] * 4])
+
     def test_floats_are_rejected(self):
         for build in (
             lambda: phin.d_st(4, 0.5),
@@ -166,6 +177,20 @@ class TestMonodromyObstruction:
     def test_equal_eigenvalues_force_zero(self):
         rep = phin.monodromy_obstruction([ValuedScalar.one()] * 3)
         assert rep["n_forced_zero"]
+
+    @pytest.mark.parametrize("eigenvalues", (phin.five_dim_eigenvalues, phin.seven_dim_eigenvalues))
+    def test_each_eigenvalue_is_inverted_once(self, monkeypatch, eigenvalues):
+        values, inverted = eigenvalues(), []
+        inv = ValuedScalar.inv
+        monkeypatch.setattr(ValuedScalar, "inv", lambda v: inverted.append(v) or inv(v))
+        phin.monodromy_obstruction(values)
+        assert inverted == list(values)
+
+    def test_a_zero_eigenvalue_raises_once_it_divides_a_pair(self):
+        zero = ValuedScalar(0)
+        with pytest.raises(ZeroDivisionError):
+            phin.monodromy_obstruction([ValuedScalar.one(), zero])
+        assert phin.monodromy_obstruction([zero])["unconditional_pairs"] == []
 
 
 class TestSym2AndDistinctness:

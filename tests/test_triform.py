@@ -68,13 +68,14 @@ def oracle_coordinates(lie, m):
     """Oracle coordinate solve: the c with sum c_i B_i = m, by elimination on
     the 49 entry equations and back-substitution; raises ValueError if m is
     outside the span."""
-    rows = [[b[i, j] for b in lie.matrices] + [m[i, j]] for i in range(7) for j in range(7)]
+    dense = [[b[i, j] for b in lie.matrices] + [m[i, j]] for i in range(7) for j in range(7)]
+    rows = [{k: x for k, x in enumerate(row) if x.terms} for row in dense]
     if row_reduce(rows, 15) != list(range(14)):
         raise ValueError("matrix is not in the 14-dimensional span")
     coords = [R_ZERO] * 14
     for r in range(13, -1, -1):
-        rest = sum((rows[r][j] * coords[j] for j in range(r + 1, 14)), R_ZERO)
-        coords[r] = (rows[r][14] - rest) / rows[r][r]
+        rest = sum((rows[r].get(j, R_ZERO) * coords[j] for j in range(r + 1, 14)), R_ZERO)
+        coords[r] = (rows[r].get(14, R_ZERO) - rest) / rows[r][r]
     return coords
 
 
@@ -774,7 +775,14 @@ class TestLieAlgebra:
         lie = t.lie_basis()
         coeffs = {name: RFrac(MPoly.var(f"c{i}")) for i, name in enumerate(lie.names)}
         x = lie.element(coeffs)
-        assert lie.bracket_rows(coeffs) == [vec(t.bracket(x, b)) for b in lie.matrices]
+        expected = [{k: v for k, v in enumerate(vec(t.bracket(x, b))) if v.terms} for b in lie.matrices]
+        assert lie.bracket_rows(coeffs) == expected
+        # The rows keep nonzero entries only: a zero coefficient adds none,
+        # and h1 commutes with both torus directions.
+        assert lie.bracket_rows({"h2": 0, "e[a]": 1}) == lie.bracket_rows({"e[a]": 1})
+        assert lie.bracket_rows({"h1": 1})[:2] == [{}, {}]
+        with pytest.raises(ValueError):
+            lie.bracket_rows({"e[z]": 0})
 
     def test_centralizer_dims_match_the_adjoint_oracle(self, bracket_table):
         lie = t.lie_basis()
